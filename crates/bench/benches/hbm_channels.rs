@@ -1,14 +1,12 @@
-//! Criterion microbenchmark of the per-channel HBM timing walk: the
-//! channel-major partition + per-channel drain (`ChannelWalk`) against
-//! the in-model serial drain (`Hbm::service_batch`), over batch shapes
-//! that stress different parts of the walk — contiguous streams (few fat
-//! segments), scattered reads (many row misses), and bank-thrashing
-//! interleaves.
+//! Criterion microbenchmark of the per-channel HBM timing walk
+//! (`Hbm::service_batch`: channel-major partition + per-channel drain),
+//! over batch shapes that stress different parts of the walk —
+//! contiguous streams (few fat segments), scattered reads (many row
+//! misses), and bank-thrashing interleaves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use hygcn_core::timeline::ChannelWalk;
 use hygcn_mem::{Hbm, HbmConfig, MemRequest, RequestKind};
 
 fn batches() -> Vec<(&'static str, Vec<MemRequest>)> {
@@ -44,16 +42,6 @@ fn batches() -> Vec<(&'static str, Vec<MemRequest>)> {
 fn bench_channel_walk(c: &mut Criterion) {
     let mut group = c.benchmark_group("hbm_channels");
     for (name, reqs) in batches() {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{name}/walk")),
-            &reqs,
-            |b, reqs| {
-                b.iter(|| {
-                    let mut walk = ChannelWalk::new(HbmConfig::hbm1());
-                    black_box(walk.service_batch(reqs, 0))
-                })
-            },
-        );
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{name}/serial")),
             &reqs,

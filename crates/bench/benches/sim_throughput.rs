@@ -1,5 +1,6 @@
 //! Criterion throughput benchmark for the end-to-end simulator hot path:
-//! serial vs parallel `simulate()` on an RMAT-scale graph.
+//! warm `simulate()` (cached span-program replay) vs the seed path on an
+//! RMAT-scale graph.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

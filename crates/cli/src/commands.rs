@@ -75,7 +75,7 @@ pub const CAMPAIGN_FLAGS: &[&str] = &[
 ];
 
 /// Boolean (valueless) flags accepted by `hygcn campaign`.
-pub const CAMPAIGN_BOOL_FLAGS: &[&str] = &["progress", "no-fast-substitution"];
+pub const CAMPAIGN_BOOL_FLAGS: &[&str] = &["progress"];
 
 /// Flags accepted by `hygcn store` (the action — fsck/salvage/stats —
 /// is positional).
@@ -101,7 +101,6 @@ pub const BENCH_FLAGS: &[&str] = &[
     "degree",
     "runs",
     "json",
-    "threads",
     "trace-out",
 ];
 
@@ -517,9 +516,6 @@ pub fn campaign(args: &Args) -> Result<String, CliError> {
         store_path.as_deref(),
         Some(backend),
         store_io,
-        // On by default: `cycle` campaigns transparently run proven
-        // config classes on `cycle-fast` (bit-identical by dual-eval).
-        !args.get_bool("no-fast-substitution"),
     );
     if let Some(r) = reporter {
         r.finish();
@@ -863,10 +859,11 @@ pub fn figures(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `hygcn bench` — host-throughput benchmark of the cycle paths: times
-/// the seed reference, `simulate()` (serial and parallel), and the
-/// `cycle-fast` event-schedule backend on an RMAT-scale graph, verifies
-/// all reports are bit-identical, and optionally writes a
+/// `hygcn bench` — host-throughput benchmark of `simulate()`: times the
+/// seed reference against `simulate()` cold (the first call, which builds
+/// the graph's occupancy index and the span program) and warm (best of
+/// `--runs` calls on those caches) on an RMAT-scale graph, verifies the
+/// three reports are bit-identical, and optionally writes a
 /// `BENCH_sim.json` trajectory file.
 pub fn bench(args: &Args) -> Result<String, CliError> {
     use std::time::Instant;
@@ -876,22 +873,21 @@ pub fn bench(args: &Args) -> Result<String, CliError> {
     let degree: usize = args.get_parsed_where("degree", 8, "an integer >= 1", |v| *v >= 1)?;
     let f = feature_len_arg(args)?;
     let runs: usize = args.get_parsed_where("runs", 3, "an integer >= 1", |v| *v >= 1)?;
-    let threads: usize = args.get_parsed_where(
-        "threads",
-        hygcn_par::num_threads(),
-        "an integer >= 1",
-        |v| *v >= 1,
-    )?;
     let kind = model_kind(args.get_or("model", "GCN"))?;
 
-    let graph = hygcn_graph::generator::rmat(
-        vertices,
-        vertices * degree,
-        hygcn_graph::generator::RmatParams::default(),
-        7,
-    )
-    .map_err(|e| CliError::Runtime(e.to_string()))?
-    .with_feature_len(f);
+    // Built again for the profile pass below: a fresh graph has an empty
+    // plan cache, so that pass is a cold evaluation covering every phase.
+    let make_graph = || {
+        hygcn_graph::generator::rmat(
+            vertices,
+            vertices * degree,
+            hygcn_graph::generator::RmatParams::default(),
+            7,
+        )
+        .map(|g| g.with_feature_len(f))
+        .map_err(|e| CliError::Runtime(e.to_string()))
+    };
+    let graph = make_graph()?;
     let model = GcnModel::new(kind, f, 0xC0DE).map_err(|e| CliError::Runtime(e.to_string()))?;
     // The Table 6 default configuration; --aggbuf-mb etc. still apply
     // (smaller aggregation buffers mean more, smaller chunks).
@@ -917,94 +913,70 @@ pub fn bench(args: &Args) -> Result<String, CliError> {
                 .map(|r| (best, r))
                 .ok_or_else(|| CliError::Runtime("bench completed zero runs".to_string()))
         };
-    let time_best = |threads: usize| -> Result<(f64, hygcn_core::SimReport), CliError> {
-        hygcn_par::set_thread_override(Some(threads));
-        let result = time_path(&|| sim.simulate(&graph, &model));
-        hygcn_par::set_thread_override(None);
-        result
-    };
 
     // The seed path: serial, gather-and-sort planning, per-chunk
     // allocations — the "before" this benchmark measures against.
     let (seed_s, seed_report) = time_path(&|| sim.simulate_reference(&graph, &model))?;
-    let (cycle_s, cycle_report) = time_best(1)?;
-    // The event-schedule backend. The very first evaluation pays the
-    // build-once costs — the graph's occupancy index and the span
-    // program's decode pass — so it is timed separately as the cold
-    // path; the best-of-N that follows hits both caches and reports the
-    // warm replay cost a campaign or figure grid would pay per point.
-    let fast_cold_t0 = Instant::now();
-    let fast_cold_report = hygcn_core::cycle_fast::simulate_fast(sim.config(), &graph, &model)
+    // The very first simulate() call pays the build-once costs — the
+    // graph's occupancy index and the span program's decode pass — so it
+    // is timed separately as the cold path; the best-of-N that follows
+    // hits both caches and reports the warm replay cost a campaign or
+    // figure grid would pay per point.
+    let cold_t0 = Instant::now();
+    let cold_report = sim
+        .simulate(&graph, &model)
         .map_err(|e| CliError::Runtime(e.to_string()))?;
-    let fast_cold_s = fast_cold_t0.elapsed().as_secs_f64();
-    let (fast_s, fast_report) =
-        time_path(&|| hygcn_core::cycle_fast::simulate_fast(sim.config(), &graph, &model))?;
-    let (parallel_s, parallel_report) = time_best(threads.max(1))?;
-    let identical = cycle_report == parallel_report
-        && seed_report == parallel_report
-        && fast_report == parallel_report
-        && fast_cold_report == parallel_report;
-    let speedup = seed_s / fast_s;
-    let thread_speedup = cycle_s / parallel_s;
+    let cold_s = cold_t0.elapsed().as_secs_f64();
+    let (warm_s, report) = time_path(&|| sim.simulate(&graph, &model))?;
+    let identical = seed_report == report && cold_report == report;
+    let speedup = seed_s / warm_s;
 
     let mut out = format!(
         "simulate() host throughput: {} on RMAT ({} vertices, {} edges, f={})\n\
-         chunks: {}   threads: {}   best of {} runs\n\
+         chunks: {}   best of {} runs\n\
          seed path:  {:>9.1} ms   (serial, gather+sort, per-chunk allocs)\n\
-         cycle:      {:>9.1} ms   (1 thread)\n\
-         cycle-fast: {:>9.1} ms   (1 thread, warm span-program replay; \
-         cold {:.1} ms incl. decode+index build)\n\
-         parallel:   {:>9.1} ms   ({} threads, staged channel walk — \
-         simulate()'s chunk pipeline, not the replay path)\n\
-         speedup:    {:>9.2}x vs seed path   ({:.2}x from threads)\n\
-         reports bit-identical across all four paths: {}\n\
+         cold:       {:>9.1} ms   (first call: occupancy index + span-program decode)\n\
+         warm:       {:>9.1} ms   (cached span-program replay)\n\
+         speedup:    {:>9.2}x warm vs seed path\n\
+         reports bit-identical across seed, cold and warm: {}\n\
          HBM: {} channels, row hit rate {:.3}\n",
         kind.abbrev(),
         graph.num_vertices(),
         graph.num_edges(),
         f,
-        parallel_report.chunks,
-        threads,
+        report.chunks,
         runs,
         seed_s * 1e3,
-        cycle_s * 1e3,
-        fast_s * 1e3,
-        fast_cold_s * 1e3,
-        parallel_s * 1e3,
-        threads,
+        cold_s * 1e3,
+        warm_s * 1e3,
         speedup,
-        thread_speedup,
         identical,
-        parallel_report.mem_channels.len(),
-        parallel_report.mem.row_hit_rate(),
+        report.mem_channels.len(),
+        report.mem.row_hit_rate(),
     );
     if !identical {
         return Err(CliError::Runtime(
-            "seed, cycle, cycle-fast, and parallel SimReports diverged".to_string(),
+            "seed, cold, and warm SimReports diverged".to_string(),
         ));
     }
     if let Some(path) = args.get("json") {
         let json = format!(
-            "{{\n  \"bench\": \"sim\",\n  \"model\": \"{}\",\n  \"vertices\": {},\n  \"edges\": {},\n  \"feature_len\": {},\n  \"chunks\": {},\n  \"threads\": {},\n  \"runs\": {},\n  \"seed_ms\": {:.3},\n  \"cycle_ms\": {:.3},\n  \"serial_ms\": {:.3},\n  \"fast_cold_ms\": {:.3},\n  \"parallel_ms\": {:.3},\n  \"parallel_path\": \"staged-walk\",\n  \"speedup_vs_seed\": {:.3},\n  \"thread_speedup\": {:.3},\n  \"identical_reports\": {},\n  \"cycles\": {},\n  \"dram_bytes\": {},\n  \"hbm_channels\": {},\n  \"row_hit_rate\": {:.6}\n}}\n",
+            "{{\n  \"bench\": \"sim\",\n  \"model\": \"{}\",\n  \"vertices\": {},\n  \"edges\": {},\n  \"feature_len\": {},\n  \"chunks\": {},\n  \"runs\": {},\n  \"seed_ms\": {:.3},\n  \"cold_ms\": {:.3},\n  \"warm_ms\": {:.3},\n  \"speedup_vs_seed\": {:.3},\n  \"identical_reports\": {},\n  \"cycles\": {},\n  \"dram_bytes\": {},\n  \"hbm_channels\": {},\n  \"row_hit_rate\": {:.6}\n}}\n",
             kind.abbrev(),
             graph.num_vertices(),
             graph.num_edges(),
             f,
-            parallel_report.chunks,
-            threads,
+            report.chunks,
             runs,
             seed_s * 1e3,
-            cycle_s * 1e3,
-            fast_s * 1e3,
-            fast_cold_s * 1e3,
-            parallel_s * 1e3,
+            cold_s * 1e3,
+            warm_s * 1e3,
             speedup,
-            thread_speedup,
             identical,
-            parallel_report.cycles,
-            parallel_report.dram_bytes(),
-            parallel_report.mem_channels.len(),
-            parallel_report.mem.row_hit_rate(),
+            report.cycles,
+            report.dram_bytes(),
+            report.mem_channels.len(),
+            report.mem.row_hit_rate(),
         );
         // Same durability idiom as the campaign store: stage next to the
         // destination, then rename, so a crash mid-write can never leave
@@ -1020,29 +992,22 @@ pub fn bench(args: &Args) -> Result<String, CliError> {
 
     // --profile / --trace-out: a separate instrumented pass AFTER the
     // timed section, so collection can never perturb the numbers above.
-    // One run of each single-thread cycle path covers the whole span
-    // taxonomy (window planning, schedule build, both engines, both
-    // memory walks, backend evaluate).
+    // One cold `cycle` evaluation covers the simulator's whole span taxonomy
+    // (schedule build, both engines, span-program build and replay,
+    // backend evaluate).
     let profile = args.get_bool("profile");
     let trace_out = args.get("trace-out");
     if profile || trace_out.is_some() {
+        let cold_graph = make_graph()?;
         hygcn_obs::reset();
         hygcn_obs::enable();
-        hygcn_par::set_thread_override(Some(1));
-        let profiled: Result<(), CliError> = (|| {
-            hygcn_core::CycleAccurateBackend
-                .evaluate(&graph, &model, sim.config())
-                .map_err(|e| CliError::Runtime(e.to_string()))?;
-            hygcn_core::CycleFastBackend
-                .evaluate(&graph, &model, sim.config())
-                .map_err(|e| CliError::Runtime(e.to_string()))?;
-            Ok(())
-        })();
-        hygcn_par::set_thread_override(None);
+        let profiled = hygcn_core::CycleAccurateBackend
+            .evaluate(&cold_graph, &model, sim.config())
+            .map_err(|e| CliError::Runtime(e.to_string()));
         hygcn_obs::disable();
         profiled?;
         if profile {
-            out += "\nphase profile (one instrumented run of cycle + cycle-fast):\n";
+            out += "\nphase profile (one instrumented cold cycle evaluation):\n";
             out += &hygcn_obs::phase_table();
         }
         if let Some(path) = trace_out {
@@ -1141,11 +1106,6 @@ commands:
              --fault-plan SPEC (deterministic store fault injection for
                durability testing: kill-at-byte=N,transient-append=OP,
                short-append=OP:BYTES,disk-full=OP)
-             --no-fast-substitution (cycle campaigns normally run
-               repeat visits to a workload on cycle-fast once a
-               dual-evaluated point proves the config class
-               bit-identical; this pins every point to the staged
-               simulator instead)
              --csv FILE  --md FILE
              --progress (periodic progress lines on stderr)
              --metrics-out FILE (flat metrics.json: counters, cache-hit
@@ -1171,10 +1131,10 @@ commands:
                the store canonically (checksummed, key-ordered, deduped)
              stats: record/byte counts, checksum coverage, per-backend
                breakdown, quarantined-line count (--json for machines)
-  bench      host-throughput benchmark: seed vs cycle (serial and
-             parallel) vs the cycle-fast event-schedule backend
+  bench      host-throughput benchmark: the seed path vs simulate(),
+             cold (first call) and warm (cached span-program replay)
              --vertices N  --degree K  --feature-len F  --runs R
-             --threads T  --json FILE (writes a BENCH_sim.json record)
+             --json FILE (writes a BENCH_sim.json record)
              --profile (phase-time table from one instrumented run,
                collected after the timed section so timings are clean)
              --trace-out FILE (Chrome-trace JSON of the profiled run)
@@ -1447,7 +1407,6 @@ mod tests {
             "vertices",
         );
         bad_value_for(bench(&bench_args(&["bench", "--runs", "0"])), "runs");
-        bad_value_for(bench(&bench_args(&["bench", "--threads", "0"])), "threads");
         bad_value_for(bench(&bench_args(&["bench", "--degree", "0"])), "degree");
         bad_value_for(
             campaign(&campaign_args(&[
@@ -1721,7 +1680,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_is_atomic_and_covers_all_four_paths() {
+    fn bench_json_is_atomic_and_names_what_it_times() {
         let dir = std::env::temp_dir().join("hygcn-cli-test-bench");
         std::fs::create_dir_all(&dir).unwrap();
         let json = dir.join("bench.json");
@@ -1738,26 +1697,26 @@ mod tests {
             "32",
             "--runs",
             "1",
-            "--threads",
-            "1",
             "--json",
             json.to_str().unwrap(),
         ]))
         .unwrap();
-        assert!(out.contains("cycle-fast:"), "{out}");
+        assert!(out.contains("warm:"), "{out}");
         assert!(
-            out.contains("bit-identical across all four paths: true"),
+            out.contains("bit-identical across seed, cold and warm: true"),
             "{out}"
         );
         let body = std::fs::read_to_string(&json).unwrap();
         for field in [
             "\"seed_ms\"",
-            "\"cycle_ms\"",
-            "\"serial_ms\"",
-            "\"parallel_ms\"",
+            "\"cold_ms\"",
+            "\"warm_ms\"",
             "\"identical_reports\": true",
         ] {
             assert!(body.contains(field), "missing {field} in {body}");
+        }
+        for gone in ["cycle_ms", "serial_ms", "parallel", "thread"] {
+            assert!(!body.contains(gone), "stale {gone} in {body}");
         }
         // The staged write leaves no temp file behind.
         assert!(!json.with_extension("tmp").exists());

@@ -198,8 +198,8 @@ fn store_stats_json_is_machine_readable() {
 }
 
 /// `bench --profile --trace-out`: the phase table prints, and the trace
-/// covers the span taxonomy — at least six distinct phases from one
-/// instrumented cycle + cycle-fast run.
+/// covers the span taxonomy — six distinct phases from one instrumented
+/// cold `cycle` evaluation.
 #[test]
 fn bench_profile_covers_the_span_taxonomy() {
     let dir = tmpdir("hygcn-cli-obs-bench");
@@ -214,8 +214,6 @@ fn bench_profile_covers_the_span_taxonomy() {
         "32",
         "--runs",
         "1",
-        "--threads",
-        "1",
         "--profile",
         "--trace-out",
         trace.to_str().unwrap(),
@@ -226,11 +224,11 @@ fn bench_profile_covers_the_span_taxonomy() {
     let t = std::fs::read_to_string(&trace).unwrap();
     assert!(t.contains("\"traceEvents\""), "{t}");
     let expected = [
-        "window_plan",
         "schedule_build",
         "aggregation",
         "combination",
-        "hbm_walk",
+        "span_program_build",
+        "span_replay",
         "backend_eval",
     ];
     for phase in expected {

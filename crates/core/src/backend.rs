@@ -31,8 +31,8 @@
 //!
 //! | id           | models                                   | cost per point | use for |
 //! |--------------|------------------------------------------|----------------|---------|
-//! | `cycle`      | execution-driven, per-request HBM walk   | ms             | results |
-//! | `cycle-fast` | same physics on a precompiled event schedule ([`crate::cycle_fast`]) | ms (≥5x faster warm) | repeated evaluations of one graph |
+//! | `cycle`      | execution-driven, span-program HBM replay ([`crate::sim`]) | ms | results |
+//! | `cycle-fast` | alias of `cycle`, cached under its own id | ms            | stores written under the old id |
 //! | `seed`       | the seed implementation (oracle)         | ms (slower)    | differential testing |
 //! | `analytical` | O(chunks) roofline ([`crate::analytical`]) | µs           | campaign screening |
 //! | `cpu`, `gpu` | PyG platform models (`hygcn-baseline`)   | µs             | speedup/energy baselines |
@@ -56,7 +56,8 @@ pub trait SimBackend: Send + Sync + std::fmt::Debug {
     /// # Errors
     ///
     /// [`SimError`] when the inputs are inconsistent (feature-length
-    /// mismatch, a buffer too small for one feature vector).
+    /// mismatch, a buffer too small for one feature vector, an invalid
+    /// configuration).
     fn evaluate(
         &self,
         graph: &Graph,
@@ -88,9 +89,33 @@ impl SimBackend for CycleAccurateBackend {
     }
 }
 
+/// `cycle` under its historical id (`"cycle-fast"`): the same
+/// [`Simulator::simulate`], kept so `--backend cycle-fast` and stores
+/// keyed by that id keep working. Cached separately from `cycle`, like
+/// every backend id.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CycleFastBackend;
+
+impl SimBackend for CycleFastBackend {
+    fn backend_id(&self) -> &'static str {
+        "cycle-fast"
+    }
+
+    fn evaluate(
+        &self,
+        graph: &Graph,
+        model: &GcnModel,
+        config: &HyGcnConfig,
+    ) -> Result<SimReport, SimError> {
+        hygcn_obs::observe_eval(self.backend_id(), || {
+            Simulator::new(config.clone()).simulate(graph, model)
+        })
+    }
+}
+
 /// The seed implementation kept as a differential oracle —
 /// [`Simulator::simulate_reference`] behind the trait. Bit-identical to
-/// [`CycleAccurateBackend`] by the determinism/oracle suites, so it also
+/// [`CycleAccurateBackend`] by the oracle suite, so it also
 /// carries no provenance marker; cached separately (id `"seed"`) because
 /// a *future* divergence must surface as a re-simulation, not a stale
 /// cache hit.
@@ -121,7 +146,7 @@ impl SimBackend for SeedReferenceBackend {
 pub fn core_backend(id: &str) -> Option<std::sync::Arc<dyn SimBackend>> {
     match id {
         "cycle" => Some(std::sync::Arc::new(CycleAccurateBackend)),
-        "cycle-fast" => Some(std::sync::Arc::new(crate::cycle_fast::CycleFastBackend)),
+        "cycle-fast" => Some(std::sync::Arc::new(CycleFastBackend)),
         "seed" => Some(std::sync::Arc::new(SeedReferenceBackend)),
         "analytical" => Some(std::sync::Arc::new(crate::analytical::AnalyticalBackend)),
         _ => None,
@@ -178,7 +203,7 @@ mod tests {
         for backend in [
             &CycleAccurateBackend as &dyn SimBackend,
             &SeedReferenceBackend,
-            &crate::cycle_fast::CycleFastBackend,
+            &CycleFastBackend,
         ] {
             assert!(matches!(
                 backend.evaluate(&g, &wrong, &HyGcnConfig::default()),

@@ -45,15 +45,6 @@ pub struct ChunkAggregation {
     pub agg_buffer_bytes: u64,
 }
 
-impl ChunkAggregation {
-    /// Shifts the record's span by `offset` arena entries — used when a
-    /// worker-local arena is spliced into the shared one.
-    pub fn rebased(mut self, offset: u32) -> Self {
-        self.span = self.span.rebased(offset);
-        self
-    }
-}
-
 /// The Aggregation Engine model.
 #[derive(Debug, Clone)]
 pub struct AggregationEngine {
@@ -92,11 +83,6 @@ impl AggregationEngine {
         }
     }
 
-    /// The planned window height in source rows.
-    pub fn window_height(&self) -> usize {
-        self.window_height
-    }
-
     /// Aggregates destination interval `dst` of `graph` (features of
     /// `feature_len`), including the self-term element work when
     /// `include_self`. `sampler_edges` is the count of *pre-sampling*
@@ -133,10 +119,10 @@ impl AggregationEngine {
     }
 
     /// [`AggregationEngine::process_chunk`] driven by fully precomputed
-    /// effectual windows (one [`WindowSet`] slice per chunk) — the
-    /// simulator's hot path: chunk workers never touch adjacency at all.
+    /// effectual windows (one chunk's slice of an [`EventSchedule`]) —
+    /// the simulator's hot path: the chunk loop never touches adjacency.
     ///
-    /// [`WindowSet`]: hygcn_graph::window::WindowSet
+    /// [`EventSchedule`]: crate::schedule::EventSchedule
     #[allow(clippy::too_many_arguments)]
     pub fn process_chunk_with_windows(
         &self,

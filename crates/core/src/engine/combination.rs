@@ -52,15 +52,6 @@ pub struct ChunkCombination {
     pub first_group_cycles: u64,
 }
 
-impl ChunkCombination {
-    /// Shifts the record's span by `offset` arena entries — used when a
-    /// worker-local arena is spliced into the shared one.
-    pub fn rebased(mut self, offset: u32) -> Self {
-        self.span = self.span.rebased(offset);
-        self
-    }
-}
-
 /// The Combination Engine model.
 #[derive(Debug, Clone)]
 pub struct CombinationEngine {

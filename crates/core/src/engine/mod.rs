@@ -21,20 +21,7 @@
 //!   by the memory handler's timing walk.
 //!
 //! One arena allocation amortizes over every chunk of a `simulate()`
-//! call; worker-local arenas from a parallel run are spliced back in
-//! chunk order (see [`RequestSpan::rebased`]), which keeps the request
-//! stream — and therefore the timing — bit-identical to a serial run.
-//!
-//! [`RequestSpan::rebased`]: hygcn_mem::request::RequestSpan::rebased
-//!
-//! ## The `parallel` feature
-//!
-//! Per-chunk records are computed concurrently across host threads
-//! (chunks are independent by construction; the DRAM timing walk stays
-//! serial). The `parallel` cargo feature (default on) gates the thread
-//! machinery via the `hygcn-par` crate; disabling it — or setting
-//! `HYGCN_THREADS=1` / `RAYON_NUM_THREADS=1` — degrades every helper to
-//! a serial loop with identical results.
+//! call.
 
 pub mod aggregation;
 pub mod combination;

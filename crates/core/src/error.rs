@@ -22,6 +22,10 @@ pub enum SimError {
     Gcn(GcnError),
     /// Graph-side failure.
     Graph(GraphError),
+    /// The configuration is internally inconsistent (for example an HBM
+    /// geometry that is not a power of two) — the first violated
+    /// constraint of [`crate::config::HyGcnConfig::validate`].
+    Config(String),
     /// A pluggable [`crate::backend::SimBackend`] failed for a reason of
     /// its own (platform model internals, external tooling, injected
     /// test faults) — the catch-all that lets third-party backends
@@ -42,6 +46,7 @@ impl fmt::Display for SimError {
             ),
             SimError::Gcn(e) => write!(f, "model error: {e}"),
             SimError::Graph(e) => write!(f, "graph error: {e}"),
+            SimError::Config(m) => write!(f, "invalid configuration: {m}"),
             SimError::Backend(m) => write!(f, "backend error: {m}"),
         }
     }

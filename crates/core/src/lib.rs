@@ -29,9 +29,9 @@
 //!   energy-aware inter-engine pipelines of Fig. 8, plus the no-pipeline
 //!   ablation (intermediate results spill to DRAM).
 //! * [`sim`] — the execution-driven top level: drives both engines chunk
-//!   by chunk through the shared memory access handler
-//!   ([`hygcn_mem::Hbm`] + priority coordination) and produces a
-//!   [`report::SimReport`].
+//!   by chunk through the shared memory access handler (priority
+//!   coordination + a replayed [`hygcn_mem::SpanProgram`]) and produces
+//!   a [`report::SimReport`].
 //! * [`energy`] — dynamic energy and the Table 7 area/power model.
 //! * [`functional`] — bit-level functional execution on the Q16.16
 //!   fixed-point datapath, validated against the `hygcn-gcn` golden model.
@@ -57,7 +57,6 @@ pub mod analytical;
 pub mod backend;
 pub mod config;
 pub mod coordinator;
-pub mod cycle_fast;
 pub mod energy;
 pub mod engine;
 pub mod error;
@@ -73,9 +72,10 @@ pub mod training;
 pub mod validate;
 
 pub use analytical::AnalyticalBackend;
-pub use backend::{core_backend, CycleAccurateBackend, SeedReferenceBackend, SimBackend};
+pub use backend::{
+    core_backend, CycleAccurateBackend, CycleFastBackend, SeedReferenceBackend, SimBackend,
+};
 pub use config::HyGcnConfig;
-pub use cycle_fast::CycleFastBackend;
 pub use error::SimError;
 pub use report::SimReport;
 pub use sim::Simulator;

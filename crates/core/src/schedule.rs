@@ -1,4 +1,5 @@
-//! Precompiled per-design-point schedule for the `cycle-fast` backend.
+//! Precompiled per-design-point schedule for the cycle-level simulator
+//! ([`crate::sim`]).
 //!
 //! [`EventSchedule::build`] flattens everything about a
 //! `(graph, config, feature_len)` triple the chunk loop would otherwise

@@ -8,27 +8,41 @@
 //! (the edge- and MVM-centric programming model of Algorithm 1), unlike
 //! the Combine-first lowering frameworks use on CPU/GPU.
 //!
-//! ## Host-side parallelism
+//! ## One simulation path on precompiled machinery
 //!
-//! Destination chunks are independent by construction (the property the
-//! accelerator's inter-engine pipeline itself exploits), so the per-chunk
-//! engine cost records are computed **in parallel** across host threads:
-//! each worker takes a contiguous range of chunk indices and fills a
-//! worker-local [`RequestArena`], and the locals are spliced back in
-//! chunk order. Only the DRAM timing walk — which threads shared
-//! bank/bus state through the memory handler — stays serial. The result
-//! is bit-identical to a serial run for any thread count (set
-//! `HYGCN_THREADS=1` to force serial; the `parallel` feature gates the
-//! whole machinery).
+//! [`Simulator::simulate`] is the only cycle-level simulation path (the
+//! `cycle` and `cycle-fast` backend ids both call it). One call runs in three
+//! stages:
+//!
+//! 1. [`EventSchedule::build`] chunks the destinations and lists every
+//!    chunk's effectual windows, read off the graph's cached occupancy
+//!    bitmaps (see [`crate::schedule`]);
+//! 2. the engines turn each chunk into a cost record whose DRAM requests
+//!    land in one shared [`RequestArena`];
+//! 3. the timeline advances by replaying a [`SpanProgram`]: each
+//!    pipeline step's scheduler-ordered request batch, decoded once into
+//!    per-channel `(bank, row, bursts)` runs and cached on the graph, so
+//!    a warm evaluation never assembles, orders or decodes a batch (see
+//!    [`hygcn_mem::spanprog`]).
+//!
+//! Sampling models decode per call: the runtime [`Sampler`] is
+//! deterministic in `(graph, seed, policy)`, but the sampled graph is
+//! throwaway, so its program is never cached.
+//!
+//! The seed implementation, [`Simulator::simulate_reference`], shares
+//! none of this machinery and must produce a bit-identical
+//! [`SimReport`]; `tests/oracle.rs` and `hygcn bench` check that.
+
+use std::sync::Arc;
 
 use hygcn_gcn::aggregate::SelfTerm;
 use hygcn_gcn::model::{GcnModel, ModelKind, DIFFPOOL_CLUSTERS};
 use hygcn_graph::partition::Interval;
 use hygcn_graph::sampling::Sampler;
-use hygcn_graph::window::WindowPlanner;
-use hygcn_graph::{Graph, VertexId};
+use hygcn_graph::Graph;
 use hygcn_mem::request::{MemRequest, RequestArena, RequestKind};
 use hygcn_mem::scheduler::AccessScheduler;
+use hygcn_mem::spanprog::{SpanProgram, SpanProgramBuilder, SpanReplayer};
 
 use crate::config::{HyGcnConfig, PipelineMode};
 use crate::energy::{Activity, EnergyBreakdown};
@@ -37,7 +51,8 @@ use crate::engine::combination::{ChunkCombination, CombinationEngine, SystolicMo
 use crate::error::SimError;
 use crate::layout::AddressLayout;
 use crate::report::SimReport;
-use crate::timeline::{ChannelWalk, ChunkTrace};
+use crate::schedule::EventSchedule;
+use crate::timeline::ChunkTrace;
 
 /// The HyGCN accelerator simulator.
 #[derive(Debug, Clone)]
@@ -60,13 +75,18 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// * [`SimError::BufferTooSmall`] when a buffer cannot hold a single
-    ///   feature vector of the model's input length.
+    /// Exactly the errors of [`crate::validate::validate_inputs`]:
+    ///
     /// * [`SimError::Gcn`] when the graph's feature length disagrees with
     ///   the model's.
+    /// * [`SimError::BufferTooSmall`] when a buffer cannot hold a single
+    ///   feature vector of the model's input length.
+    /// * [`SimError::Config`] when the configuration is inconsistent
+    ///   (for example an HBM geometry that is not a power of two).
     pub fn simulate(&self, graph: &Graph, model: &GcnModel) -> Result<SimReport, SimError> {
         let cfg = &self.config;
         crate::validate::validate_inputs(graph, model, cfg)?;
+        let mut replayer = SpanReplayer::new(&cfg.hbm).map_err(SimError::Config)?;
         let f_in = model.feature_len();
         let row_bytes = f_in * 4;
 
@@ -88,21 +108,14 @@ impl Simulator {
         let agg_engine = AggregationEngine::new(cfg, f_in, layout.feature_base, layout.edge_base);
         let comb_engine =
             CombinationEngine::new(cfg, &dims, layout.weight_base, layout.output_base);
-        let spill_base = layout.spill_base;
 
         // --- Per-chunk engine records. ---
         let include_self = !matches!(kind.self_term(), SelfTerm::None);
         let paths: u64 = if kind == ModelKind::DiffPool { 2 } else { 1 };
-        let chunk_w = cfg.chunk_width(f_in) as u32;
-        let mut intervals = Vec::new();
-        let mut start = 0u32;
-        while u64::from(start) < n {
-            let end = (start + chunk_w).min(n as u32);
-            intervals.push(Interval::new(start, end));
-            start = end;
-        }
-        let num_chunks = intervals.len().max(1) as u64;
-        let presample_per_chunk = presample_edges / num_chunks;
+        let sched = EventSchedule::build(g, cfg, f_in);
+        let intervals = sched.intervals();
+        let nchunks = intervals.len();
+        let presample_per_chunk = presample_edges / nchunks.max(1) as u64;
 
         let mode = match cfg.pipeline {
             PipelineMode::LatencyAware => SystolicMode::Independent,
@@ -111,48 +124,22 @@ impl Simulator {
         let weights_resident = comb_engine.weights_resident();
         let clusters = DIFFPOOL_CLUSTERS as u64;
 
-        // With sparsity elimination on, one O(V+E) CSR sweep precomputes
-        // every chunk's effectual windows so chunk workers never re-scan
-        // (or sort) adjacency.
-        let window_set = if cfg.sparsity_elimination {
-            let _obs = hygcn_obs::span(hygcn_obs::Phase::WindowPlan);
-            let planner = WindowPlanner::new(agg_engine.window_height());
-            Some(planner.plan_all(g, &intervals))
-        } else {
-            None
-        };
-
-        // One simulate() call owns one arena; worker-local arenas from a
-        // parallel run are spliced into it in chunk order, so the request
-        // stream is bit-identical to a serial run.
-        let process_chunk = |i: usize,
-                             dst: Interval,
-                             arena: &mut RequestArena,
-                             scratch: &mut Vec<VertexId>|
-         -> (ChunkAggregation, ChunkCombination) {
+        // Window + edge requests per chunk, plus weight/output requests.
+        let mut arena = RequestArena::with_capacity(sched.total_windows() + 3 * nchunks);
+        let mut aggs: Vec<ChunkAggregation> = Vec::with_capacity(nchunks);
+        let mut combs: Vec<ChunkCombination> = Vec::with_capacity(nchunks);
+        for (i, &dst) in intervals.iter().enumerate() {
             let obs_a = hygcn_obs::span(hygcn_obs::Phase::Aggregation);
-            let a = match &window_set {
-                Some(ws) => agg_engine.process_chunk_with_windows(
-                    g,
-                    dst,
-                    f_in,
-                    include_self,
-                    presample_per_chunk,
-                    paths,
-                    arena,
-                    ws.windows(i),
-                ),
-                None => agg_engine.process_chunk(
-                    g,
-                    dst,
-                    f_in,
-                    include_self,
-                    presample_per_chunk,
-                    paths,
-                    arena,
-                    scratch,
-                ),
-            };
+            let a = agg_engine.process_chunk_with_windows(
+                g,
+                dst,
+                f_in,
+                include_self,
+                presample_per_chunk,
+                paths,
+                &mut arena,
+                sched.windows(i),
+            );
             drop(obs_a);
             let _obs_c = hygcn_obs::span(hygcn_obs::Phase::Combination);
             let extra_macs = if kind == ModelKind::DiffPool {
@@ -169,43 +156,10 @@ impl Simulator {
                 i == 0 || !weights_resident,
                 extra_macs,
                 i as u64,
-                arena,
+                &mut arena,
             );
-            (a, c)
-        };
-
-        let nchunks = intervals.len();
-        // Window + edge requests per chunk, plus weight/output requests.
-        let est_requests = window_set
-            .as_ref()
-            .map_or(nchunks * 4, |ws| ws.total_windows() + 3 * nchunks);
-        let mut arena = RequestArena::with_capacity(est_requests);
-        let mut aggs: Vec<ChunkAggregation> = Vec::with_capacity(nchunks);
-        let mut combs: Vec<ChunkCombination> = Vec::with_capacity(nchunks);
-        let ranges = hygcn_par::split_ranges(nchunks, hygcn_par::num_threads());
-        if ranges.len() <= 1 {
-            let mut scratch: Vec<VertexId> = Vec::new();
-            for (i, &dst) in intervals.iter().enumerate() {
-                let (a, c) = process_chunk(i, dst, &mut arena, &mut scratch);
-                aggs.push(a);
-                combs.push(c);
-            }
-        } else {
-            let parts = hygcn_par::par_map_slice(&ranges, |_, &(start, end)| {
-                let mut local = RequestArena::new();
-                let mut scratch: Vec<VertexId> = Vec::new();
-                let records: Vec<(ChunkAggregation, ChunkCombination)> = (start..end)
-                    .map(|i| process_chunk(i, intervals[i], &mut local, &mut scratch))
-                    .collect();
-                (local, records)
-            });
-            for (mut local, records) in parts {
-                let offset = arena.append(&mut local);
-                for (a, c) in records {
-                    aggs.push(a.rebased(offset));
-                    combs.push(c.rebased(offset));
-                }
-            }
+            aggs.push(a);
+            combs.push(c);
         }
 
         // --- Activity accounting (energy). ---
@@ -222,148 +176,102 @@ impl Simulator {
             act.coordinator_buffer_traffic += c.agg_buffer_bytes;
             act.comb_hbm_bytes += c.summary.total_bytes();
         }
+        if cfg.pipeline == PipelineMode::None {
+            // Every chunk's results cross DRAM twice: out, then back in.
+            act.spill_hbm_bytes = intervals
+                .iter()
+                .map(|dst| 2 * spill_bytes(dst, row_bytes, paths))
+                .sum();
+        }
+
+        // --- Span program: decode once, replay every call. ---
+        let steps = pipeline_steps(cfg.pipeline, intervals, row_bytes, paths, layout.spill_base);
+        // The stream is a pure function of (graph, config, model kind,
+        // feature length); the key spells the non-graph half out in full —
+        // string-compared, so distinct configs can never collide — and the
+        // graph half is implicit in which graph's cache we consult. Sampled
+        // topology is rebuilt per call, so it never touches the cache.
+        let cache_key = (!policy.is_sampling())
+            .then(|| format!("span-program-v1;{};kind={kind:?};f_in={f_in}", cfg.canon()));
+        let cached = cache_key
+            .as_deref()
+            .and_then(|k| g.cached_plan(k))
+            .and_then(|p| p.downcast::<SpanProgram>().ok())
+            .filter(|p| p.matches(&cfg.hbm) && p.steps() == steps.len());
+        let program = match cached {
+            Some(p) => p,
+            None => {
+                let _obs = hygcn_obs::span(hygcn_obs::Phase::SpanProgramBuild);
+                let mut builder = SpanProgramBuilder::new(&cfg.hbm).map_err(SimError::Config)?;
+                let scheduler = AccessScheduler::new(cfg.coordination);
+                let mut batch: Vec<MemRequest> = Vec::new();
+                let mut order_scratch: Vec<MemRequest> = Vec::new();
+                for step in &steps {
+                    batch.clear();
+                    if let Some(i) = step.agg {
+                        batch.extend_from_slice(arena.slice(aggs[i].span));
+                    }
+                    if let Some(i) = step.comb {
+                        batch.extend_from_slice(arena.slice(combs[i].span));
+                    }
+                    batch.extend(step.spill);
+                    scheduler.order_in_place(&mut batch, &mut order_scratch);
+                    builder.push_step(&batch);
+                }
+                let p = Arc::new(builder.finish());
+                if let Some(k) = &cache_key {
+                    g.store_plan(k, Arc::clone(&p) as Arc<dyn std::any::Any + Send + Sync>);
+                }
+                p
+            }
+        };
 
         // --- Timeline through the shared memory handler. ---
-        // Steps stay sequential (step s+1's arrival cycle depends on step
-        // s's merge), but within a step the per-channel machines drain
-        // independently — ChannelWalk fans them out across threads for
-        // fat batches and merges deterministically. Batch assembly reuses
-        // two buffers across every step, so the steady state allocates
-        // nothing.
-        let scheduler = AccessScheduler::new(cfg.coordination);
-        let mut hbm = ChannelWalk::new(cfg.hbm);
+        // A step lasts as long as its slowest resource: either engine's
+        // compute or the memory service of its batch.
         let mut now = 0u64;
-        let mut vertex_latency_weighted = 0f64;
+        let mut step_cycles: Vec<u64> = Vec::with_capacity(steps.len());
         let mut timeline: Vec<ChunkTrace> = Vec::new();
-        let mut batch: Vec<MemRequest> = Vec::new();
-        let mut order_scratch: Vec<MemRequest> = Vec::new();
-
-        match cfg.pipeline {
-            PipelineMode::None => {
-                // Phase-by-phase: aggregation results spill to DRAM and
-                // are reloaded by the Combination Engine.
-                for (i, dst) in intervals.iter().enumerate() {
-                    let spill_bytes = (dst.len() * row_bytes) as u64 * paths;
-                    let spill_addr = spill_base + u64::from(dst.start) * row_bytes as u64;
-
-                    batch.clear();
-                    batch.extend_from_slice(arena.slice(aggs[i].span));
-                    batch.push(MemRequest::write(
-                        RequestKind::OutputFeatures,
-                        spill_addr,
-                        spill_bytes as u32,
-                    ));
-                    scheduler.order_in_place(&mut batch, &mut order_scratch);
-                    let mem_a = hbm.service_batch(&batch, now);
-                    let step_a = aggs[i].compute_cycles.max(mem_a.saturating_sub(now));
-                    if cfg.record_timeline {
-                        timeline.push(ChunkTrace {
-                            step: 2 * i,
-                            agg_cycles: aggs[i].compute_cycles,
-                            comb_cycles: 0,
-                            mem_cycles: mem_a.saturating_sub(now),
-                            step_cycles: step_a,
-                        });
-                    }
-                    now += step_a;
-
-                    batch.clear();
-                    batch.extend_from_slice(arena.slice(combs[i].span));
-                    batch.push(MemRequest::read(
-                        RequestKind::InputFeatures,
-                        spill_addr,
-                        spill_bytes as u32,
-                    ));
-                    scheduler.order_in_place(&mut batch, &mut order_scratch);
-                    let mem_b = hbm.service_batch(&batch, now);
-                    let step_b = combs[i].compute_cycles.max(mem_b.saturating_sub(now));
-                    if cfg.record_timeline {
-                        timeline.push(ChunkTrace {
-                            step: 2 * i + 1,
-                            agg_cycles: 0,
-                            comb_cycles: combs[i].compute_cycles,
-                            mem_cycles: mem_b.saturating_sub(now),
-                            step_cycles: step_b,
-                        });
-                    }
-                    now += step_b;
-
-                    act.spill_hbm_bytes += 2 * spill_bytes;
-                    vertex_latency_weighted += (step_a + step_b) as f64 * dst.len() as f64;
-                }
+        for (s, step) in steps.iter().enumerate() {
+            let mem_cycles = replayer.replay_step(&program, s, now).saturating_sub(now);
+            let agg_cycles = step.agg.map_or(0, |i| aggs[i].compute_cycles);
+            let comb_cycles = step.comb.map_or(0, |i| combs[i].compute_cycles);
+            let cycles = agg_cycles.max(comb_cycles).max(mem_cycles);
+            if cfg.record_timeline {
+                timeline.push(ChunkTrace {
+                    step: s,
+                    agg_cycles,
+                    comb_cycles,
+                    mem_cycles,
+                    step_cycles: cycles,
+                });
             }
-            PipelineMode::LatencyAware | PipelineMode::EnergyAware => {
-                // Latency-aware: small groups combine *while the same
-                // chunk's remaining vertices aggregate* (Fig. 8a), so the
-                // two engines overlap within a step. Energy-aware: burst
-                // mode — the Combination Engine works on chunk s-1 while
-                // chunk s aggregates (Fig. 8b), one chunk behind.
-                let same_chunk = cfg.pipeline == PipelineMode::LatencyAware;
-                let steps = if same_chunk { nchunks } else { nchunks + 1 };
-                let mut agg_step_time = vec![0u64; nchunks];
-                for s in 0..steps {
-                    let comb_idx = if same_chunk {
-                        Some(s)
-                    } else {
-                        s.checked_sub(1)
-                    };
-                    batch.clear();
-                    if s < nchunks {
-                        batch.extend_from_slice(arena.slice(aggs[s].span));
-                    }
-                    if let Some(c) = comb_idx {
-                        batch.extend_from_slice(arena.slice(combs[c].span));
-                    }
-                    let mem_done = if batch.is_empty() {
-                        now
-                    } else {
-                        scheduler.order_in_place(&mut batch, &mut order_scratch);
-                        hbm.service_batch(&batch, now)
-                    };
-                    let compute_a = if s < nchunks {
-                        aggs[s].compute_cycles
-                    } else {
-                        0
-                    };
-                    let compute_b = comb_idx.map_or(0, |c| combs[c].compute_cycles);
-                    let step = compute_a.max(compute_b).max(mem_done.saturating_sub(now));
-                    if s < nchunks {
-                        agg_step_time[s] = step;
-                    }
-                    if cfg.record_timeline {
-                        timeline.push(ChunkTrace {
-                            step: s,
-                            agg_cycles: compute_a,
-                            comb_cycles: compute_b,
-                            mem_cycles: mem_done.saturating_sub(now),
-                            step_cycles: step,
-                        });
-                    }
-                    now += step;
+            step_cycles.push(cycles);
+            now += cycles;
+        }
+
+        // --- Vertex latency (the Fig. 8 timing of each mode). ---
+        let mut vertex_latency_weighted = 0f64;
+        for (i, dst) in intervals.iter().enumerate() {
+            let latency = match cfg.pipeline {
+                // Both of the chunk's phase-by-phase steps.
+                PipelineMode::None => step_cycles[2 * i] + step_cycles[2 * i + 1],
+                // Vertices finish aggregating staggered through the chunk
+                // (3/4 of the step on average, since the window sweep
+                // revisits vertices), wait for their small group to
+                // assemble, and combine immediately — the Fig. 8(a)
+                // timing. Larger module groups wait longer (Fig. 18g).
+                PipelineMode::LatencyAware => {
+                    let assembly =
+                        cfg.module_group_vertices as u64 * step_cycles[i] / dst.len().max(1) as u64;
+                    step_cycles[i] * 3 / 4 + assembly + combs[i].first_group_cycles
                 }
-                for (i, dst) in intervals.iter().enumerate() {
-                    let latency = match mode {
-                        SystolicMode::Independent => {
-                            // Vertices finish aggregating staggered through
-                            // the chunk (3/4 of the step on average, since
-                            // the window sweep revisits vertices), wait for
-                            // their small group to assemble, and combine
-                            // immediately — the Fig. 8(a) timing. Larger
-                            // module groups wait longer (Fig. 18g).
-                            let assembly = cfg.module_group_vertices as u64 * agg_step_time[i]
-                                / dst.len().max(1) as u64;
-                            agg_step_time[i] * 3 / 4 + assembly + combs[i].first_group_cycles
-                        }
-                        SystolicMode::Cooperative => {
-                            // Burst mode: every vertex waits for the whole
-                            // chunk to aggregate, then for the assembled
-                            // cooperative pass — Fig. 8(b).
-                            agg_step_time[i] + combs[i].compute_cycles
-                        }
-                    };
-                    vertex_latency_weighted += latency as f64 * dst.len() as f64;
-                }
-            }
+                // Burst mode: every vertex waits for the whole chunk to
+                // aggregate, then for the assembled cooperative pass —
+                // Fig. 8(b).
+                PipelineMode::EnergyAware => step_cycles[i] + combs[i].compute_cycles,
+            };
+            vertex_latency_weighted += latency as f64 * dst.len() as f64;
         }
 
         // --- Report. ---
@@ -374,7 +282,7 @@ impl Simulator {
         } else {
             0.0
         };
-        let stats = hbm.stats();
+        let stats = replayer.stats();
         let cycles = now.max(1);
         let time_s = cfg.cycles_to_seconds(cycles);
         Ok(SimReport {
@@ -383,7 +291,7 @@ impl Simulator {
             agg_compute_cycles: aggs.iter().map(|a| a.compute_cycles).sum(),
             comb_compute_cycles: combs.iter().map(|c| c.compute_cycles).sum(),
             mem: stats,
-            mem_channels: hbm.channel_stats(),
+            mem_channels: replayer.channel_stats(),
             bandwidth_utilization: stats
                 .bandwidth_utilization(cycles, cfg.hbm.peak_bytes_per_cycle()),
             energy: EnergyBreakdown::from_activity(&act).with_static(time_s),
@@ -395,6 +303,77 @@ impl Simulator {
             timeline,
             provenance: "",
         })
+    }
+}
+
+/// One pipeline step: the chunk aggregating in it, the chunk combining
+/// in it, and — without a pipeline — the spill request that carries a
+/// chunk's aggregation results through DRAM.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    agg: Option<usize>,
+    comb: Option<usize>,
+    spill: Option<MemRequest>,
+}
+
+/// Bytes of chunk `dst`'s aggregation results (`paths` result sets of
+/// `row_bytes` per vertex) — what the no-pipeline mode spills.
+fn spill_bytes(dst: &Interval, row_bytes: usize, paths: u64) -> u64 {
+    (dst.len() * row_bytes) as u64 * paths
+}
+
+/// The pipeline steps over `intervals` (paper Fig. 8).
+fn pipeline_steps(
+    pipeline: PipelineMode,
+    intervals: &[Interval],
+    row_bytes: usize,
+    paths: u64,
+    spill_base: u64,
+) -> Vec<Step> {
+    let n = intervals.len();
+    match pipeline {
+        // Phase-by-phase: aggregation results spill to DRAM and are
+        // reloaded by the Combination Engine.
+        PipelineMode::None => intervals
+            .iter()
+            .enumerate()
+            .flat_map(|(i, dst)| {
+                let bytes = spill_bytes(dst, row_bytes, paths) as u32;
+                let addr = spill_base + u64::from(dst.start) * row_bytes as u64;
+                [
+                    Step {
+                        agg: Some(i),
+                        comb: None,
+                        spill: Some(MemRequest::write(RequestKind::OutputFeatures, addr, bytes)),
+                    },
+                    Step {
+                        agg: None,
+                        comb: Some(i),
+                        spill: Some(MemRequest::read(RequestKind::InputFeatures, addr, bytes)),
+                    },
+                ]
+            })
+            .collect(),
+        // Latency-aware: small groups combine *while the same chunk's
+        // remaining vertices aggregate* (Fig. 8a), so the two engines
+        // overlap within a step.
+        PipelineMode::LatencyAware => (0..n)
+            .map(|i| Step {
+                agg: Some(i),
+                comb: Some(i),
+                spill: None,
+            })
+            .collect(),
+        // Energy-aware: burst mode — the Combination Engine works on
+        // chunk s-1 while chunk s aggregates (Fig. 8b), one chunk
+        // behind, plus a final drain step.
+        PipelineMode::EnergyAware => (0..=n)
+            .map(|s| Step {
+                agg: (s < n).then_some(s),
+                comb: s.checked_sub(1),
+                spill: None,
+            })
+            .collect(),
     }
 }
 
@@ -557,6 +536,46 @@ mod tests {
             coord.cycles,
             fcfs.cycles
         );
+    }
+
+    #[test]
+    fn repeated_evaluations_are_deterministic() {
+        let g = rmat(2000, 16_000, RmatParams::default(), 6)
+            .unwrap()
+            .with_feature_len(128);
+        let m = GcnModel::new(ModelKind::Gcn, 128, 1).unwrap();
+        let sim = sim(HyGcnConfig::default());
+        // Second call hits the graph's occupancy-index and span-program
+        // caches; the report must not care.
+        let first = sim.simulate(&g, &m).unwrap();
+        let second = sim.simulate(&g, &m).unwrap();
+        assert_eq!(first, second);
+        assert_eq!(first, sim.simulate_reference(&g, &m).unwrap());
+    }
+
+    #[test]
+    fn program_cache_discriminates_configs() {
+        // Alternating configs on one graph must not cross-contaminate:
+        // each keyed program replays its own stream.
+        use hygcn_mem::hbm::ControllerPolicy;
+        let g = rmat(1200, 10_000, RmatParams::default(), 8)
+            .unwrap()
+            .with_feature_len(64);
+        let m = GcnModel::new(ModelKind::Gcn, 64, 1).unwrap();
+        let base = HyGcnConfig::default();
+        let mut frfcfs = HyGcnConfig::default();
+        frfcfs.hbm.controller = ControllerPolicy::FrFcfs { window: 4 };
+        let mut small_buf = HyGcnConfig::default();
+        small_buf.aggregation_buffer_bytes = 1 << 20;
+        for cfg in [&base, &frfcfs, &small_buf, &base, &frfcfs, &small_buf] {
+            let sim = sim(cfg.clone());
+            assert_eq!(
+                sim.simulate(&g, &m).unwrap(),
+                sim.simulate_reference(&g, &m).unwrap(),
+                "{}",
+                cfg.canon()
+            );
+        }
     }
 
     #[test]

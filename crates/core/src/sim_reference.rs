@@ -5,10 +5,10 @@
 //! a freshly allocated request buffer per chunk, and an allocating
 //! scheduler call per timeline step. It exists for two reasons:
 //!
-//! 1. **Oracle** — [`Simulator::simulate`]'s parallel, arena-based,
-//!    occupancy-driven hot path must produce a bit-identical
-//!    [`SimReport`]; the determinism tests and `hygcn bench` assert
-//!    equality against this path.
+//! 1. **Oracle** — [`Simulator::simulate`]'s precompiled hot path
+//!    (event schedule, shared request arena, span-program replay) must
+//!    produce a bit-identical [`SimReport`]; `tests/oracle.rs` and
+//!    `hygcn bench` assert equality against this path.
 //! 2. **Baseline** — `hygcn bench` reports the optimized pipeline's
 //!    wall-clock speedup over this path, which is the honest "before"
 //!    measurement for the host-performance work.
@@ -41,11 +41,11 @@ use crate::timeline::ChunkTrace;
 
 /// The seed's HBM timing walk, verbatim: page-granular address decode
 /// with division/modulo arithmetic and `Option`-boxed open rows. The
-/// optimized [`Hbm`] replaces all of this with precomputed shifts; this
-/// copy keeps the baseline's cost profile honest *and* double-checks the
-/// optimized model, since both must yield identical cycle counts and
-/// [`MemStats`]. In-order service only — a
-/// [`ControllerPolicy::FrFcfs`] config falls back to the shared model.
+/// staged [`Hbm`] and the simulator's span-program replay replace all of
+/// this with precomputed shifts; this copy keeps the baseline's cost
+/// profile honest *and* double-checks the replay, since both must yield
+/// identical cycle counts and [`MemStats`]. In-order service only — a
+/// [`ControllerPolicy::FrFcfs`] config falls back to the staged [`Hbm`].
 struct SeedHbm {
     config: HbmConfig,
     channels: Vec<SeedChannel>,

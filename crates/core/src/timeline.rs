@@ -1,5 +1,4 @@
-//! Per-chunk execution timeline — the simulator's observability surface —
-//! and the per-channel HBM walk driver.
+//! Per-chunk execution timeline — the simulator's observability surface.
 //!
 //! When [`crate::config::HyGcnConfig::record_timeline`] is set, the
 //! simulator records one [`ChunkTrace`] per pipeline step: the two
@@ -7,71 +6,6 @@
 //! of the three bound the step. [`render`] prints a compact textual
 //! Gantt view for debugging workload balance — the tool one reaches for
 //! when a configuration underperforms.
-//!
-//! [`ChannelWalk`] drives the memory system's timing walk: each service
-//! batch is staged channel-major inside the [`Hbm`] model, the
-//! per-channel state machines drain their queues — concurrently via
-//! [`hygcn_par`] when the batch is fat enough — and the deterministic
-//! min-cycle merge (the earliest cycle at which *every* channel is done,
-//! i.e. the max of the per-channel completions, floored at the arrival
-//! cycle) yields the batch completion. Channel machines never share
-//! state and the statistics fold by summation, so the walk is
-//! bit-identical to a serial drain at any thread count.
-
-use hygcn_mem::hbm::ChannelTimeline;
-use hygcn_mem::{ChannelStats, Hbm, HbmConfig, MemRequest, MemStats};
-
-/// Minimum staged segments before the walk fans the channels out to
-/// threads: below this the per-batch spawn overhead of the scoped
-/// workers dwarfs the service loop itself.
-const PAR_SEGMENT_THRESHOLD: usize = 4096;
-
-/// The per-channel HBM walk driver (see the module docs).
-#[derive(Debug, Clone)]
-pub struct ChannelWalk {
-    hbm: Hbm,
-}
-
-impl ChannelWalk {
-    /// An idle walk over a fresh HBM stack.
-    pub fn new(config: HbmConfig) -> Self {
-        Self {
-            hbm: Hbm::new(config),
-        }
-    }
-
-    /// Services one batch arriving at `now`; returns the deterministic
-    /// min-cycle merge of the per-channel completions.
-    pub fn service_batch(&mut self, reqs: &[MemRequest], now: u64) -> u64 {
-        let _obs = hygcn_obs::span(hygcn_obs::Phase::HbmWalk);
-        self.hbm.stage_batch(reqs);
-        let policy = self.hbm.config().controller;
-        let (partition, channels) = self.hbm.staged();
-        // Check the cheap size gate first: num_threads() consults the
-        // environment, which would cost more than draining a small batch.
-        let fan_out = partition.total_segments() >= PAR_SEGMENT_THRESHOLD
-            && channels.len() > 1
-            && hygcn_par::num_threads() > 1;
-        if !fan_out {
-            // The serial walk lives in one place: the Hbm model itself.
-            return self.hbm.drain_staged(now);
-        }
-        hygcn_par::par_items_mut(channels, |c, ch: &mut ChannelTimeline| {
-            ch.drain_policy(partition.channel(c), now, policy);
-        });
-        self.hbm.merge_batch(now)
-    }
-
-    /// Folded request- and channel-level statistics.
-    pub fn stats(&self) -> MemStats {
-        self.hbm.stats()
-    }
-
-    /// Per-channel statistics, in channel order.
-    pub fn channel_stats(&self) -> Vec<ChannelStats> {
-        self.hbm.channel_stats()
-    }
-}
 
 /// What bounded a pipeline step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,31 +147,6 @@ mod tests {
         assert!(out.contains("A"));
         assert!(out.contains("C"));
         assert_eq!(out.lines().count(), 3);
-    }
-
-    #[test]
-    fn channel_walk_matches_serial_hbm() {
-        use hygcn_mem::{HbmConfig, MemRequest, RequestKind};
-        // 2048 requests × 3 row segments = 6144 staged segments: one
-        // batch above PAR_SEGMENT_THRESHOLD (so the fan-out branch runs
-        // whenever the host has threads), plus small batches below it.
-        let reqs: Vec<MemRequest> = (0..2048u64)
-            .map(|i| MemRequest::read(RequestKind::InputFeatures, i * 37 * 2048, 6000))
-            .collect();
-        let mut walk = ChannelWalk::new(HbmConfig::hbm1());
-        let mut serial = Hbm::new(HbmConfig::hbm1());
-        let fat = walk.service_batch(&reqs, 123);
-        assert_eq!(fat, serial.service_batch(&reqs, 123));
-        let mut now = fat;
-        for chunk in reqs.chunks(64) {
-            let a = walk.service_batch(chunk, now);
-            let b = serial.service_batch(chunk, now);
-            assert_eq!(a, b);
-            now = a;
-        }
-        assert_eq!(walk.stats(), serial.stats());
-        assert_eq!(walk.channel_stats(), serial.channel_stats());
-        assert!(walk.stats().row_hits + walk.stats().row_misses > 0);
     }
 
     #[test]

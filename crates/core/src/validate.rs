@@ -4,8 +4,9 @@
 //! into `Simulator::simulate`, `Simulator::simulate_reference`, and the
 //! analytical backend, and the copies had already started to drift in
 //! type detail. Every backend now calls [`validate_inputs`] so the
-//! accept/reject contract — and the exact error values — cannot diverge
-//! (`tests/backends.rs` locks all backends to identical errors).
+//! accept/reject contract — and the exact error values — cannot diverge,
+//! and a bad configuration is an error, never a panic deep in the memory
+//! model (`tests/backends.rs` locks the backends to identical errors).
 
 use hygcn_gcn::model::GcnModel;
 use hygcn_graph::Graph;
@@ -20,12 +21,15 @@ use crate::error::SimError;
 ///
 /// 1. the graph's feature length matches the model's input length;
 /// 2. half the (ping-pong) Input Buffer holds one feature vector;
-/// 3. half the (ping-pong) Aggregation Buffer holds one feature vector.
+/// 3. half the (ping-pong) Aggregation Buffer holds one feature vector;
+/// 4. the configuration is internally consistent
+///    ([`HyGcnConfig::validate`]: HBM geometry, clock, fidelity).
 ///
 /// # Errors
 ///
 /// * [`SimError::Gcn`] with `GcnError::FeatureShape` on mismatch (1);
-/// * [`SimError::BufferTooSmall`] naming the offending buffer (2, 3).
+/// * [`SimError::BufferTooSmall`] naming the offending buffer (2, 3);
+/// * [`SimError::Config`] with the first violated constraint (4).
 pub fn validate_inputs(graph: &Graph, model: &GcnModel, cfg: &HyGcnConfig) -> Result<(), SimError> {
     let f_in = model.feature_len();
     if graph.feature_len() != f_in {
@@ -49,7 +53,7 @@ pub fn validate_inputs(graph: &Graph, model: &GcnModel, cfg: &HyGcnConfig) -> Re
             available: cfg.aggregation_buffer_bytes / 2,
         });
     }
-    Ok(())
+    cfg.validate().map_err(SimError::Config)
 }
 
 #[cfg(test)]
@@ -112,6 +116,27 @@ mod tests {
             validate_inputs(&g, &m, &cfg),
             Err(SimError::BufferTooSmall {
                 buffer: "aggregation",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn config_checked_after_buffers() {
+        let g = graph(64, 4096);
+        let m = GcnModel::new(ModelKind::Gcn, 4096, 1).unwrap();
+        let mut cfg = HyGcnConfig::default();
+        cfg.hbm.channels = 6;
+        assert!(matches!(
+            validate_inputs(&g, &m, &cfg),
+            Err(SimError::Config(e)) if e.contains("channels")
+        ));
+        // A buffer violation still wins over the bad geometry.
+        cfg.input_buffer_bytes = 8 << 10;
+        assert!(matches!(
+            validate_inputs(&g, &m, &cfg),
+            Err(SimError::BufferTooSmall {
+                buffer: "input",
                 ..
             })
         ));

@@ -11,8 +11,7 @@
 //!    comes from.
 //! 2. **Fan out where threads exist.** Within a group, missing points run
 //!    through [`hygcn_par::par_map_slice`] in batches of one point per
-//!    worker; results splice back in deterministic point order (the same
-//!    ordered-merge discipline as the simulator's chunk pipeline), so a
+//!    worker; results splice back in deterministic point order, so a
 //!    campaign's outputs are bit-identical at any thread count.
 //! 3. **Stream completions.** Every finished batch is appended to the
 //!    [`ResultStore`] before the next batch starts: a killed campaign
@@ -22,12 +21,6 @@
 //!    bounded retries) or panics becomes a [`PointOutcome::Failed`] — it
 //!    is *not* persisted, so a resumed campaign re-attempts exactly the
 //!    failed points, and one bad point never aborts the rest of the run.
-//! 5. **Substitute the fast path once it proves itself.** A `cycle`
-//!    campaign that revisits a workload runs later points on
-//!    `cycle-fast` — after dual-evaluating the first point of each
-//!    config class (controller × sampling) on both backends and
-//!    checking the reports are bit-identical. Stored results keep the
-//!    `cycle` key; [`Campaign::without_fast_substitution`] opts out.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -167,7 +160,6 @@ pub struct Campaign {
     retry: RetryPolicy,
     sleeper: Option<Sleeper>,
     backend: Option<Arc<dyn SimBackend>>,
-    fast_substitution: bool,
 }
 
 impl std::fmt::Debug for Campaign {
@@ -178,7 +170,6 @@ impl std::fmt::Debug for Campaign {
             .field("store_io", &self.store_io)
             .field("retry", &self.retry)
             .field("backend", &self.backend)
-            .field("fast_substitution", &self.fast_substitution)
             .finish()
     }
 }
@@ -201,17 +192,7 @@ impl Campaign {
             retry: RetryPolicy::default(),
             sleeper: None,
             backend,
-            fast_substitution: true,
         }
-    }
-
-    /// Disables the transparent `cycle-fast` substitution (see
-    /// [`Self::run_points`]): every `cycle`-keyed point runs on the
-    /// staged simulator, full stop. The CLI's `--no-fast-substitution`
-    /// flag lands here.
-    pub fn without_fast_substitution(mut self) -> Self {
-        self.fast_substitution = false;
-        self
     }
 
     /// Persists results to (and resumes from) `path`.
@@ -372,27 +353,6 @@ impl Campaign {
                 }
             }
 
-            // Transparent fast substitution: when this campaign
-            // evaluates with the `cycle` backend and the group revisits
-            // its workload (>= 2 points share one built graph, so the
-            // precompiled machinery's caches actually amortize), points
-            // run on `cycle-fast` instead — but only after the
-            // bit-equality contract has been *proven on this workload*
-            // for the point's config class (controller policy ×
-            // sampling): the first point of each class is evaluated on
-            // both backends and the reports compared bit-for-bit. A
-            // mismatch pins the class to the staged path — the guard
-            // that makes the substitution safe by construction, not
-            // merely by test coverage. Results are stored under the
-            // unchanged `cycle` key, so the substitution is invisible
-            // to the store, resumes, and analysis tables.
-            let substitute =
-                self.fast_substitution && backend.backend_id() == "cycle" && idxs.len() >= 2;
-            let fast_backend = hygcn_core::CycleFastBackend;
-            // (class, proven) — per group, because the proof is a
-            // statement about this group's graph.
-            let mut class_proofs: Vec<(String, bool)> = Vec::new();
-
             // Fan the group out in batches of one point per worker; the
             // ordered collect keeps results in point order, and the store
             // append after each batch is the streaming/kill-safety point.
@@ -402,39 +362,22 @@ impl Campaign {
             let batch = hygcn_par::num_threads().max(1);
             for chunk in idxs.chunks(batch) {
                 let _obs_batch = hygcn_obs::span(hygcn_obs::Phase::CampaignBatch);
-                // Decide each point's evaluation mode up front (the proof
-                // table cannot be mutated mid-batch): proven class →
-                // fast only; refuted class → staged only; unseen class →
-                // dual-evaluate and report the comparison back.
-                let modes: Vec<Option<(String, Option<bool>)>> = chunk
-                    .iter()
-                    .map(|&i| {
-                        if !substitute {
-                            return None;
-                        }
-                        let class = config_class(&points[i]);
-                        let proven = class_proofs
-                            .iter()
-                            .find(|(c, _)| *c == class)
-                            .map(|&(_, ok)| ok);
-                        Some((class, proven))
-                    })
-                    .collect();
-                let reports: Vec<EvalOutcome> = hygcn_par::par_map_slice(chunk, |slot, &i| {
-                    let p = &points[i];
-                    // Prebuilt above for every kind in the group; a
-                    // miss fails the point instead of the process.
-                    let Some(model) = models.iter().find(|(k, _)| *k == p.model).map(|(_, m)| m)
-                    else {
-                        return Err(format!("{}: model not prebuilt", p.label()));
-                    };
-                    let eval = |b: &dyn SimBackend| -> Result<SimReport, String> {
+                let reports: Vec<Result<SimReport, String>> =
+                    hygcn_par::par_map_slice(chunk, |_, &i| {
+                        let p = &points[i];
+                        // Prebuilt above for every kind in the group; a
+                        // miss fails the point instead of the process.
+                        let Some(model) =
+                            models.iter().find(|(k, _)| *k == p.model).map(|(_, m)| m)
+                        else {
+                            return Err(format!("{}: model not prebuilt", p.label()));
+                        };
                         let mut attempt = 0u32;
                         loop {
                             attempt += 1;
                             let run =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    b.evaluate(&graph, model, &p.config)
+                                    backend.evaluate(&graph, model, &p.config)
                                 }));
                             match run {
                                 Ok(Ok(report)) => return Ok(report),
@@ -452,39 +395,10 @@ impl Campaign {
                                 }
                             }
                         }
-                    };
-                    match &modes[slot] {
-                        // Proven class: the fast path IS the cycle
-                        // path for this class on this graph.
-                        Some((_, Some(true))) => Ok((eval(&fast_backend)?, None)),
-                        // Refuted class or substitution off: staged.
-                        Some((_, Some(false))) | None => Ok((eval(&**backend)?, None)),
-                        // Unseen class: prove (or refute) it. The
-                        // staged report is authoritative either way;
-                        // a fast-path error or panic simply refutes.
-                        Some((class, None)) => {
-                            let staged = eval(&**backend)?;
-                            let fast =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    fast_backend.evaluate(&graph, model, &p.config)
-                                }));
-                            let matched = matches!(&fast, Ok(Ok(f)) if *f == staged);
-                            Ok((staged, Some((class.clone(), matched))))
-                        }
-                    }
-                });
-                for report in reports.iter().flatten() {
-                    if let (_, Some((class, matched))) = report {
-                        match class_proofs.iter_mut().find(|(c, _)| c == class) {
-                            // A single refutation pins the class.
-                            Some((_, proven)) => *proven &= *matched,
-                            None => class_proofs.push((class.clone(), *matched)),
-                        }
-                    }
-                }
+                    });
                 for (&i, report) in chunk.iter().zip(reports) {
                     let report = match report {
-                        Ok((r, _)) => r,
+                        Ok(r) => r,
                         Err(error) => {
                             hygcn_obs::count(hygcn_obs::Counter::PointsFailed, 1);
                             failures.insert(i, error);
@@ -541,25 +455,6 @@ impl Campaign {
             failed: failures.len(),
         })
     }
-}
-
-/// One evaluated point: the report, plus — when the point was
-/// dual-evaluated to prove its config class — `(class, matched)`.
-type EvalOutcome = Result<(SimReport, Option<(String, bool)>), String>;
-
-/// The config class the fast-substitution proof is scoped to: the DRAM
-/// controller policy (discriminant *and* window — a different reorder
-/// depth is a different scheduling algorithm) crossed with whether the
-/// point samples its graph at runtime. These are exactly the regimes
-/// that exercise distinct code paths in the precompiled replay, so one
-/// proof per class covers its classmates.
-fn config_class(p: &DesignPoint) -> String {
-    let sampling = p
-        .config
-        .sample_policy_override
-        .unwrap_or_else(|| p.model.sample_policy())
-        .is_sampling();
-    format!("{:?}|sampling={sampling}", p.config.hbm.controller)
 }
 
 /// Renders a caught panic payload (the `&str`/`String` cases `panic!`
@@ -862,84 +757,6 @@ mod tests {
             .expect("a failed point");
         assert!(err.contains("backend panicked"), "{err}");
         assert!(err.contains("injected backend panic"), "{err}");
-    }
-
-    #[test]
-    fn fast_substitution_is_transparent() {
-        // The substituted campaign and the opted-out campaign must be
-        // indistinguishable: same outcomes, same report JSON, and the
-        // store keys stay `cycle`-keyed either way (a store filled by
-        // one resumes the other with 100% hits).
-        let dir = std::env::temp_dir().join("hygcn-dse-fast-sub-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = dir.join("substituted.jsonl");
-        std::fs::remove_file(&store).ok();
-
-        let space = tiny_space().with_axis(Axis::parse("controller", "inorder,frfcfs").unwrap());
-        let substituted = Campaign::new(space.clone())
-            .with_store(&store)
-            .run()
-            .unwrap();
-        let staged = Campaign::new(space.clone()).without_fast_substitution();
-        assert!(!format!("{staged:?}").contains("fast_substitution: true"));
-        let staged = staged.run().unwrap();
-        assert_eq!(substituted.points.len(), 8);
-        assert_eq!((substituted.simulated, substituted.failed), (8, 0));
-        for (s, c) in substituted.completed().zip(staged.completed()) {
-            assert_eq!(s.point.key, c.point.key);
-            assert_eq!(s.point.backend, "cycle");
-            assert_eq!(s.report_json, c.report_json);
-        }
-        // The store the substituted run filled serves the staged
-        // campaign entirely from cache.
-        let resumed = Campaign::new(space)
-            .without_fast_substitution()
-            .with_store(&store)
-            .run()
-            .unwrap();
-        assert_eq!((resumed.simulated, resumed.cache_hits), (0, 8));
-        std::fs::remove_file(&store).ok();
-    }
-
-    /// A backend that *claims* to be `cycle` but answers with the
-    /// analytical model — so the substitution's dual-evaluation proof
-    /// must fail, pinning every config class to this (staged) backend.
-    #[derive(Debug)]
-    struct ImpostorCycle(AnalyticalBackend);
-
-    impl SimBackend for ImpostorCycle {
-        fn backend_id(&self) -> &'static str {
-            "cycle"
-        }
-
-        fn evaluate(
-            &self,
-            graph: &Graph,
-            model: &GcnModel,
-            config: &HyGcnConfig,
-        ) -> Result<SimReport, SimError> {
-            self.0.evaluate(graph, model, config)
-        }
-    }
-
-    #[test]
-    fn refuted_class_never_substitutes() {
-        // Every point's stored result must come from the impostor — the
-        // bit-equality proof fails on the first point of the class, so
-        // cycle-fast output (which would carry different cycles) never
-        // reaches the store.
-        let report = Campaign::new(tiny_space())
-            .with_backend(Arc::new(ImpostorCycle(AnalyticalBackend)))
-            .run()
-            .unwrap();
-        assert_eq!((report.simulated, report.failed), (4, 0));
-        for p in report.completed() {
-            assert!(
-                p.report_json.contains("\"backend\": \"analytical\""),
-                "substitution leaked past a refuted class: {}",
-                p.report_json
-            );
-        }
     }
 
     fn recording_sleeper() -> (Sleeper, Arc<Mutex<Vec<std::time::Duration>>>) {

@@ -183,17 +183,14 @@ pub fn run_search_with_backend(
     store: Option<&Path>,
     backend: Option<Arc<dyn SimBackend>>,
 ) -> Result<SearchOutcome, DseError> {
-    run_search_io(space, strategy, store, backend, None, true)
+    run_search_io(space, strategy, store, backend, None)
 }
 
 /// [`run_search_with_backend`] with an explicit [`StoreIo`]
 /// implementation routing all store file traffic — the entry point the
 /// CLI's `--fault-plan` flag uses to run a whole search through
 /// [`crate::store_io::FaultyIo`] (`None` keeps the default
-/// [`crate::store_io::RealIo`]) — and the fast-substitution switch the
-/// CLI's `--no-fast-substitution` flag disables (see
-/// [`Campaign::without_fast_substitution`]; `true` is the default
-/// behavior of the other entry points).
+/// [`crate::store_io::RealIo`]).
 ///
 /// # Errors
 ///
@@ -204,7 +201,6 @@ pub fn run_search_io(
     store: Option<&Path>,
     backend: Option<Arc<dyn SimBackend>>,
     store_io: Option<Arc<dyn StoreIo>>,
-    fast_substitution: bool,
 ) -> Result<SearchOutcome, DseError> {
     let space = match &backend {
         Some(b) => space.clone().with_backend_id(b.backend_id()),
@@ -213,9 +209,6 @@ pub fn run_search_io(
     let space = &space;
     let campaign_for = |space: ConfigSpace| {
         let mut c = Campaign::new(space);
-        if !fast_substitution {
-            c = c.without_fast_substitution();
-        }
         if let Some(b) = &backend {
             c = c.with_backend(b.clone());
         }

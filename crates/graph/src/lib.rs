@@ -86,8 +86,8 @@ pub struct Graph {
 
 /// Shared cache of derived planning structures: the per-chunking
 /// [`window::OccupancyIndex`] keyed by interval boundaries, plus a
-/// generic string-keyed slot for caller-defined plans (the `cycle-fast`
-/// backend parks its precompiled span programs there, keyed by config
+/// generic string-keyed slot for caller-defined plans (the simulator
+/// parks its precompiled span programs there, keyed by config
 /// canon + model kind + feature length — this crate cannot name those
 /// types, so the slot stores `Arc<dyn Any>`).
 ///

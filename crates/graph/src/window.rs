@@ -279,7 +279,7 @@ impl WindowPlanner {
 /// so one index serves every design point that shares the chunking, and
 /// [`OccupancyIndex::for_each_window`] re-derives the effectual windows
 /// of any height with a word-level scan instead of an O(V+E) sweep.
-/// This is what lets the `cycle-fast` backend amortize planning across a
+/// This is what lets the simulator amortize planning across a
 /// campaign: the index is built once per `(graph, intervals)` pair and
 /// cached on the [`Graph`] (see [`Graph::occupancy_index`]).
 #[derive(Debug, Clone, PartialEq, Eq)]

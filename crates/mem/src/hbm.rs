@@ -15,14 +15,12 @@
 //!
 //! **Merge invariant:** within a batch every segment arrives at the same
 //! cycle `now`, and a segment reads/writes only its own channel's state,
-//! so draining the channels in *any* order (or concurrently) produces
-//! the same per-channel timelines as the historical serial walk over the
-//! interleaved segment stream. The batch completes at the max of the
-//! channels' completion cycles, and the statistics fold by summation —
-//! both order-independent — so a parallel walk is bit-identical to a
-//! serial one. The driver that exploits this lives upstream
-//! (`hygcn-core`'s `timeline::ChannelWalk`); this crate keeps the
-//! machines and the serial reference drain.
+//! so draining the channels in *any* order produces the same per-channel
+//! timelines as the historical serial walk over the interleaved segment
+//! stream. The batch completes at the max of the channels' completion
+//! cycles, and the statistics fold by summation — both order-independent.
+//! The span-program replay ([`crate::spanprog`]) relies on this to lay
+//! its decoded stream out channel-major.
 //!
 //! A burst run that stays in an open row streams at one burst per cycle;
 //! touching a closed row exposes an activate+precharge penalty. Within a
@@ -171,7 +169,7 @@ impl Default for Bank {
 /// cycles, its data-bus availability, and its share of the statistics.
 ///
 /// A `ChannelTimeline` never reads another channel's state, so a set of
-/// them can be advanced concurrently over a [`ChannelPartition`]'s
+/// them can be advanced in any order over a [`ChannelPartition`]'s
 /// queues and still reproduce the serial walk bit-for-bit (see the
 /// module docs for the merge invariant).
 #[derive(Debug, Clone)]
@@ -184,10 +182,6 @@ pub struct ChannelTimeline {
     /// `log2(burst_bytes)` for the bursts-per-segment shift.
     burst_shift: u32,
     stats: ChannelStats,
-    /// Completion cycle of the most recent [`ChannelTimeline::drain`] /
-    /// [`ChannelTimeline::drain_frfcfs`] call (`now` when the queue was
-    /// empty) — read back by the batch merge.
-    batch_done: u64,
 }
 
 impl ChannelTimeline {
@@ -211,7 +205,6 @@ impl ChannelTimeline {
             t_cas: config.t_cas,
             burst_shift: config.burst_bytes.trailing_zeros(),
             stats: ChannelStats::default(),
-            batch_done: 0,
         }
     }
 
@@ -223,11 +216,6 @@ impl ChannelTimeline {
     /// The cycle this channel's data bus becomes idle.
     pub fn bus_free(&self) -> u64 {
         self.bus_free
-    }
-
-    /// Completion cycle of the most recent drain.
-    pub fn batch_done(&self) -> u64 {
-        self.batch_done
     }
 
     /// Services one segment arriving at `now`; returns the cycle its
@@ -256,14 +244,13 @@ impl ChannelTimeline {
         done
     }
 
-    /// Drains a queue in arrival order; returns (and records) the cycle
-    /// the last segment completes, or `now` for an empty queue.
+    /// Drains a queue in arrival order; returns the cycle the last
+    /// segment completes, or `now` for an empty queue.
     pub fn drain(&mut self, segs: &[Segment], now: u64) -> u64 {
         let mut done = now;
         for seg in segs {
             done = done.max(self.service(seg, now));
         }
-        self.batch_done = done;
         done
     }
 
@@ -290,17 +277,7 @@ impl ChannelTimeline {
             let seg = pending.remove(pick);
             done = done.max(self.service(&seg, now));
         }
-        self.batch_done = done;
         done
-    }
-
-    /// Drains a queue under `policy` — the dispatch the external
-    /// per-channel driver uses.
-    pub fn drain_policy(&mut self, segs: &[Segment], now: u64, policy: ControllerPolicy) -> u64 {
-        match policy {
-            ControllerPolicy::InOrder => self.drain(segs, now),
-            ControllerPolicy::FrFcfs { window } => self.drain_frfcfs(segs, now, window),
-        }
     }
 }
 
@@ -360,42 +337,6 @@ impl Hbm {
         }
     }
 
-    /// Splits `reqs` channel-major into the internal partition and
-    /// accounts the request-level traffic. The staged queues are then
-    /// drained either serially ([`Hbm::service_batch`]) or by an
-    /// external per-channel driver via [`Hbm::staged`] +
-    /// [`Hbm::merge_batch`].
-    pub fn stage_batch(&mut self, reqs: &[MemRequest]) {
-        self.partition.clear();
-        for r in reqs {
-            debug_assert!(r.bytes > 0, "zero-length request");
-            self.partition.push_request(&self.map, r);
-            self.traffic.requests += 1;
-            if r.is_write {
-                self.traffic.bytes_written += u64::from(r.bytes);
-            } else {
-                self.traffic.bytes_read += u64::from(r.bytes);
-            }
-        }
-    }
-
-    /// The staged queues and the channel machines, for an external
-    /// driver that advances the channels itself (possibly in parallel —
-    /// each machine is `Send` and queue `c` belongs to machine `c`).
-    pub fn staged(&mut self) -> (&ChannelPartition, &mut [ChannelTimeline]) {
-        (&self.partition, &mut self.channels)
-    }
-
-    /// Merges a drained batch: the batch completes at the earliest cycle
-    /// every channel is done (i.e. the max of the per-channel completion
-    /// cycles), never before `now`.
-    pub fn merge_batch(&mut self, now: u64) -> u64 {
-        self.channels
-            .iter()
-            .map(ChannelTimeline::batch_done)
-            .fold(now, u64::max)
-    }
-
     /// Services one request starting no earlier than `now`; returns the
     /// cycle at which its last data beat (plus CAS latency) arrives.
     ///
@@ -407,31 +348,36 @@ impl Hbm {
         self.service_batch(std::slice::from_ref(req), now)
     }
 
-    /// Drains the staged queues serially in channel order and merges —
-    /// the one place the serial walk is spelled out, shared by
-    /// [`Hbm::service_batch`] and any external driver that decides not
-    /// to fan out.
-    pub fn drain_staged(&mut self, now: u64) -> u64 {
-        let policy = self.config.controller;
-        let (partition, channels) = (&self.partition, &mut self.channels);
-        for (c, ch) in channels.iter_mut().enumerate() {
-            ch.drain_policy(partition.channel(c), now, policy);
-        }
-        self.merge_batch(now)
-    }
-
     /// Services a batch; returns the completion cycle of the last request.
     ///
-    /// Under [`ControllerPolicy::InOrder`] each channel services its
-    /// segments exactly in the given order. Under
-    /// [`ControllerPolicy::FrFcfs`] each channel serves row hits ahead
-    /// of older row misses within its lookahead window. Either way the
-    /// batch is staged channel-major first and the channels drain
-    /// independently.
+    /// The batch is split channel-major first and each channel drains its
+    /// queue independently: under [`ControllerPolicy::InOrder`] exactly in
+    /// the given order, under [`ControllerPolicy::FrFcfs`] serving row hits
+    /// ahead of older row misses within its lookahead window. The batch
+    /// completes when the last channel does, never before `now`.
     pub fn service_batch(&mut self, reqs: &[MemRequest], now: u64) -> u64 {
         let _obs = hygcn_obs::span(hygcn_obs::Phase::HbmWalk);
-        self.stage_batch(reqs);
-        self.drain_staged(now)
+        self.partition.clear();
+        for r in reqs {
+            debug_assert!(r.bytes > 0, "zero-length request");
+            self.partition.push_request(&self.map, r);
+            self.traffic.requests += 1;
+            if r.is_write {
+                self.traffic.bytes_written += u64::from(r.bytes);
+            } else {
+                self.traffic.bytes_read += u64::from(r.bytes);
+            }
+        }
+        let mut done = now;
+        for (c, ch) in self.channels.iter_mut().enumerate() {
+            let segs = self.partition.channel(c);
+            let ch_done = match self.config.controller {
+                ControllerPolicy::InOrder => ch.drain(segs, now),
+                ControllerPolicy::FrFcfs { window } => ch.drain_frfcfs(segs, now, window),
+            };
+            done = done.max(ch_done);
+        }
+        done
     }
 
     /// The cycle at which all channels become idle.
@@ -623,30 +569,5 @@ mod tests {
         // 72 KB in 32 B bursts, spread over the channels.
         let bursts: u64 = full.channels.iter().map(|c| c.bursts).sum();
         assert_eq!(bursts, 72 * 1024 / 32);
-    }
-
-    #[test]
-    fn external_drive_matches_service_batch() {
-        // Driving the staged queues by hand (as the core driver does)
-        // must equal the built-in serial drain exactly.
-        let reqs: Vec<MemRequest> = (0..24u64)
-            .map(|i| read(i * 7000, 3000 + (i as u32 % 5) * 997))
-            .collect();
-        let cfg = HbmConfig::hbm1();
-        let mut builtin = Hbm::new(cfg);
-        let t_builtin = builtin.service_batch(&reqs, 100);
-
-        let mut manual = Hbm::new(cfg);
-        manual.stage_batch(&reqs);
-        let policy = manual.config().controller;
-        let (partition, channels) = manual.staged();
-        // Drain in reverse channel order to prove order-independence.
-        for c in (0..channels.len()).rev() {
-            channels[c].drain_policy(partition.channel(c), 100, policy);
-        }
-        let t_manual = manual.merge_batch(100);
-        assert_eq!(t_builtin, t_manual);
-        assert_eq!(builtin.stats(), manual.stats());
-        assert_eq!(builtin.channel_stats(), manual.channel_stats());
     }
 }

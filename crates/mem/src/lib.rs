@@ -12,9 +12,8 @@
 //!   assumed. The stack decomposes into independent per-channel
 //!   [`hbm::ChannelTimeline`] state machines: a batch is partitioned
 //!   channel-major, each channel drains its queue, and the merge (max of
-//!   completions, sum of counters) is order-independent — so a parallel
-//!   walk is bit-identical to the serial one. See the [`hbm`] module
-//!   docs for the merge invariant.
+//!   completions, sum of counters) is order-independent. See the [`hbm`]
+//!   module docs for the merge invariant.
 //! * [`address`] — physical address mapping schemes; the coordination
 //!   optimization remaps "the channel and bank using low bits". Also the
 //!   channel-major [`address::ChannelPartition`] that splits a request
@@ -28,10 +27,10 @@
 //!   controller policies (native FR-FCFS windowed row-hit promotion
 //!   ports verbatim to the per-channel tuple runs). Programs depend
 //!   only on the request stream and decode geometry, so one program
-//!   serves a whole timing/controller sweep; the `cycle-fast` backend
-//!   caches them on the graph keyed by canonical config + model kind +
-//!   feature length. See the [`spanprog`] module docs for the
-//!   build/replay contract.
+//!   serves a whole timing/controller sweep; the simulator caches them
+//!   on the graph keyed by canonical config + model kind + feature
+//!   length. See the [`spanprog`] module docs for the build/replay
+//!   contract.
 //! * [`scheduler`] — request-batch ordering: FCFS (the uncoordinated
 //!   baseline of Fig. 9(a)) vs the priority order
 //!   `edges > input features > weights > output features` of Fig. 9(b),
@@ -62,12 +61,10 @@ pub mod hbm;
 pub mod request;
 pub mod scheduler;
 pub mod spanprog;
-pub mod spanwalk;
 pub mod stats;
 
 pub use address::{ChannelPartition, Segment};
 pub use hbm::{ChannelTimeline, Hbm, HbmConfig};
 pub use request::{MemRequest, RequestArena, RequestKind, RequestSpan, RequestSummary};
 pub use spanprog::{SpanProgram, SpanProgramBuilder, SpanReplayer};
-pub use spanwalk::SpanWalker;
 pub use stats::{ChannelStats, HbmStats, MemStats};

@@ -151,15 +151,6 @@ impl RequestSpan {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// The same span shifted `offset` requests later — used when a
-    /// worker-local arena is spliced into the shared one.
-    pub fn rebased(&self, offset: u32) -> RequestSpan {
-        RequestSpan {
-            start: self.start + offset,
-            len: self.len,
-        }
-    }
 }
 
 /// An append-only store of [`MemRequest`]s shared by all chunk records of
@@ -169,9 +160,7 @@ impl RequestSpan {
 /// [`RequestArena::finish`] and keep only the returned [`RequestSpan`];
 /// one arena allocation amortizes over every chunk, replacing the
 /// per-chunk `Vec<MemRequest>` churn that dominated the simulator's heap
-/// traffic. Worker-local arenas from a parallel run are concatenated in
-/// chunk order with [`RequestArena::append`], which keeps the request
-/// stream bit-identical to a serial run.
+/// traffic.
 #[derive(Debug, Clone, Default)]
 pub struct RequestArena {
     reqs: Vec<MemRequest>,
@@ -228,14 +217,6 @@ impl RequestArena {
     /// The requests of `span`.
     pub fn slice(&self, span: RequestSpan) -> &[MemRequest] {
         &self.reqs[span.start as usize..(span.start + span.len) as usize]
-    }
-
-    /// Splices `other` onto the end, returning the offset to
-    /// [`RequestSpan::rebased`] spans pointing into `other`.
-    pub fn append(&mut self, other: &mut RequestArena) -> u32 {
-        let offset = self.reqs.len() as u32;
-        self.reqs.append(&mut other.reqs);
-        offset
     }
 }
 
@@ -300,22 +281,6 @@ mod tests {
         assert_eq!(span1.len(), 1);
         assert_eq!(arena.slice(span0)[1].addr, 64);
         assert!(arena.slice(span1)[0].is_write);
-    }
-
-    #[test]
-    fn arena_append_rebases_spans() {
-        let mut local = RequestArena::new();
-        let s = local.begin();
-        local.push(MemRequest::read(RequestKind::Weights, 7, 32));
-        let span = local.finish(s);
-
-        let mut shared = RequestArena::new();
-        shared.push(MemRequest::read(RequestKind::Edges, 0, 32));
-        let offset = shared.append(&mut local);
-        let rebased = span.rebased(offset);
-        assert_eq!(shared.len(), 2);
-        assert!(local.is_empty());
-        assert_eq!(shared.slice(rebased)[0].addr, 7);
     }
 
     #[test]

@@ -43,9 +43,9 @@
 //! A program depends only on the request stream and the *decode*
 //! geometry (mapping, channels, banks, row/burst bytes) — not on timing
 //! parameters or the controller policy, which bind at replay time. The
-//! `cycle-fast` backend caches programs on the `Graph`'s plan cache
-//! keyed by the full canonical config plus model kind and feature
-//! length (which determine the stream and the interval boundaries);
+//! simulator caches programs on the `Graph`'s plan cache keyed by the
+//! full canonical config plus model kind and feature length (which
+//! determine the stream and the interval boundaries);
 //! [`SpanProgram::matches`] re-checks the decode geometry on every hit.
 
 use crate::address::MappingScheme;
@@ -70,8 +70,8 @@ pub struct SpanTuple {
 }
 
 /// Request-level traffic of one timeline step, folded into the
-/// replayer's [`MemStats`] on replay (the counters `Hbm::stage_batch`
-/// accumulates while staging).
+/// replayer's [`MemStats`] on replay (the counters
+/// [`crate::hbm::Hbm::service_batch`] accumulates while partitioning).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepTraffic {
     /// Requests in the step's batch.
@@ -156,13 +156,15 @@ pub struct SpanProgramBuilder {
 }
 
 impl SpanProgramBuilder {
-    /// A builder for `config`'s decode geometry, or `None` when the
-    /// geometry is invalid (the caller's cue to fall back to the full
-    /// [`crate::hbm::Hbm`] model). Any controller policy is accepted:
-    /// the program carries no timing.
-    pub fn new(config: &HbmConfig) -> Option<Self> {
-        config.validate().ok()?;
-        Some(Self {
+    /// A builder for `config`'s decode geometry. Any controller policy
+    /// is accepted: the program carries no timing.
+    ///
+    /// # Errors
+    ///
+    /// The first violated constraint of [`HbmConfig::validate`].
+    pub fn new(config: &HbmConfig) -> Result<Self, String> {
+        config.validate()?;
+        Ok(Self {
             hbm: *config,
             scheme: config.mapping,
             burst_shift: config.burst_bytes.trailing_zeros(),
@@ -199,7 +201,7 @@ impl SpanProgramBuilder {
                 let row_end = ((addr >> row_shift) + 1) << row_shift;
                 let span_end = row_end.min(end);
                 let bursts = ((span_end - addr) + (1u64 << burst_shift) - 1) >> burst_shift;
-                // Same bit-field decode as `SpanWalker` / `AddressMap`.
+                // Same bit-field decode as `AddressMap`.
                 let (channel, bank, row) = match self.scheme {
                     MappingScheme::ChannelInterleaved => {
                         let page = addr >> row_shift;
@@ -273,11 +275,14 @@ pub struct SpanReplayer {
 }
 
 impl SpanReplayer {
-    /// An idle replayer for `config`, or `None` when the geometry is
-    /// invalid (fall back to the full [`crate::hbm::Hbm`] model).
-    pub fn new(config: &HbmConfig) -> Option<Self> {
-        config.validate().ok()?;
-        Some(Self {
+    /// An idle replayer for `config`.
+    ///
+    /// # Errors
+    ///
+    /// The first violated constraint of [`HbmConfig::validate`].
+    pub fn new(config: &HbmConfig) -> Result<Self, String> {
+        config.validate()?;
+        Ok(Self {
             banks_per_channel: config.banks,
             t_burst: config.t_burst,
             t_row: config.t_row,
@@ -433,10 +438,8 @@ mod tests {
     use super::*;
     use crate::hbm::Hbm;
     use crate::request::RequestKind;
-    use crate::spanwalk::SpanWalker;
 
-    /// Deterministic request stream generator (xorshift-ish LCG),
-    /// mirroring the spanwalk differential harness.
+    /// Deterministic request stream generator (multiplicative LCG).
     struct Lcg(u64);
 
     impl Lcg {
@@ -559,33 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_matches_on_the_fly_walker() {
-        // Same stream through the decode-per-call `SpanWalker` and the
-        // precompiled replay: identical cycles and statistics.
-        for cfg in [HbmConfig::hbm1(), HbmConfig::hbm1_uncoordinated()] {
-            let mut rng = Lcg(77);
-            let batches: Vec<Vec<MemRequest>> =
-                (0..5).map(|i| random_batch(&mut rng, 40 * i)).collect();
-            let mut builder = SpanProgramBuilder::new(&cfg).unwrap();
-            for b in &batches {
-                builder.push_step(b);
-            }
-            let program = builder.finish();
-            let mut walker = SpanWalker::new(&cfg).expect("in-order config");
-            let mut replayer = SpanReplayer::new(&cfg).unwrap();
-            let mut now = 0;
-            for (step, b) in batches.iter().enumerate() {
-                let t_walk = walker.service_batch(b, now);
-                let t_replay = replayer.replay_step(&program, step, now);
-                assert_eq!(t_walk, t_replay, "step {step}");
-                now = t_walk + 13;
-            }
-            assert_eq!(walker.stats(), replayer.stats());
-            assert_eq!(walker.channel_stats(), replayer.channel_stats());
-        }
-    }
-
-    #[test]
     fn program_is_controller_and_timing_agnostic() {
         // One program built once serves in-order and FR-FCFS replayers
         // with different timing, each bit-identical to its own staged
@@ -640,14 +616,14 @@ mod tests {
             channels: 6,
             ..HbmConfig::hbm1()
         };
-        assert!(SpanProgramBuilder::new(&bad).is_none());
-        assert!(SpanReplayer::new(&bad).is_none());
+        assert!(SpanProgramBuilder::new(&bad).is_err());
+        assert!(SpanReplayer::new(&bad).is_err());
         // FR-FCFS is native here, not a rejection.
         let fr = HbmConfig {
             controller: ControllerPolicy::FrFcfs { window: 16 },
             ..HbmConfig::hbm1()
         };
-        assert!(SpanProgramBuilder::new(&fr).is_some());
-        assert!(SpanReplayer::new(&fr).is_some());
+        assert!(SpanProgramBuilder::new(&fr).is_ok());
+        assert!(SpanReplayer::new(&fr).is_ok());
     }
 }

@@ -35,13 +35,11 @@
 //!
 //! | phase              | recorded around                                      |
 //! |--------------------|------------------------------------------------------|
-//! | `window_plan`      | `WindowPlanner::plan_all` sparsity sweep             |
-//! | `schedule_build`   | `EventSchedule::build` (cycle-fast precompile)       |
+//! | `schedule_build`   | `EventSchedule::build`, planner fallback included    |
 //! | `aggregation`      | Aggregation-engine chunk processing                  |
 //! | `combination`      | Combination-engine chunk processing                  |
-//! | `hbm_walk`         | Staged HBM drain (cycle / seed timeline)             |
-//! | `span_walk`        | Flat `SpanWalker` drain (cycle-fast timeline)        |
-//! | `span_program_build` | One `SpanProgram` decode pass (cycle-fast cold)    |
+//! | `hbm_walk`         | Staged HBM drain (seed path, FR-FCFS controller)     |
+//! | `span_program_build` | One `SpanProgram` decode pass (cold evaluation)    |
 //! | `span_replay`      | One precompiled span-program step replay             |
 //! | `backend_eval`     | One `SimBackend::evaluate` call                      |
 //! | `campaign_batch`   | One fan-out batch inside `Campaign::run_points`      |
@@ -81,21 +79,18 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Phase {
-    /// Sparsity-elimination window planning (`WindowPlanner::plan_all`).
-    WindowPlan,
-    /// Cycle-fast event-schedule precompilation (`EventSchedule::build`).
+    /// Event-schedule precompilation (`EventSchedule::build`), including
+    /// its over-budget `WindowPlanner` fallback.
     ScheduleBuild,
     /// Aggregation-engine chunk processing.
     Aggregation,
     /// Combination-engine chunk processing.
     Combination,
-    /// Staged HBM drain (cycle / seed timeline walk).
+    /// Staged HBM drain (the seed path's FR-FCFS timeline walk).
     HbmWalk,
-    /// Flat `SpanWalker` drain (cycle-fast timeline walk).
-    SpanWalk,
-    /// One span-program decode pass (cycle-fast cold path).
+    /// One span-program decode pass (cold evaluation).
     SpanProgramBuild,
-    /// One precompiled span-program step replay (cycle-fast warm path).
+    /// One precompiled span-program step replay.
     SpanReplay,
     /// One `SimBackend::evaluate` call, any backend.
     BackendEval,
@@ -114,18 +109,16 @@ pub enum Phase {
 }
 
 /// Number of [`Phase`] variants (array-table size).
-pub const N_PHASES: usize = 15;
+pub const N_PHASES: usize = 13;
 
 impl Phase {
     /// The stable snake_case name used in every export.
     pub fn name(self) -> &'static str {
         match self {
-            Phase::WindowPlan => "window_plan",
             Phase::ScheduleBuild => "schedule_build",
             Phase::Aggregation => "aggregation",
             Phase::Combination => "combination",
             Phase::HbmWalk => "hbm_walk",
-            Phase::SpanWalk => "span_walk",
             Phase::SpanProgramBuild => "span_program_build",
             Phase::SpanReplay => "span_replay",
             Phase::BackendEval => "backend_eval",
@@ -141,12 +134,10 @@ impl Phase {
     /// All phases, in declaration order.
     pub fn all() -> [Phase; N_PHASES] {
         [
-            Phase::WindowPlan,
             Phase::ScheduleBuild,
             Phase::Aggregation,
             Phase::Combination,
             Phase::HbmWalk,
-            Phase::SpanWalk,
             Phase::SpanProgramBuild,
             Phase::SpanReplay,
             Phase::BackendEval,
@@ -731,7 +722,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         {
-            let _s = span(Phase::SpanWalk);
+            let _s = span(Phase::SpanReplay);
         }
         count(Counter::CacheMisses, 2);
         record_eval("cycle-fast", Duration::from_micros(100));
@@ -815,7 +806,7 @@ mod tests {
     fn phase_names_are_distinct_and_stable() {
         let names: std::collections::BTreeSet<_> = Phase::all().iter().map(|p| p.name()).collect();
         assert_eq!(names.len(), N_PHASES);
-        assert!(names.contains("window_plan"));
+        assert!(names.contains("schedule_build"));
         assert!(names.contains("backend_eval"));
     }
 

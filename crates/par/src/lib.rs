@@ -1,11 +1,10 @@
 //! Deterministic data-parallel helpers over `std::thread::scope`.
 //!
 //! The build environment has no crates.io access, so this crate stands in
-//! for rayon: it provides exactly the fork-join shapes the simulator's
-//! hot paths need, with **deterministic, index-ordered results** — a
-//! parallel run produces bit-identical output to a serial run, which the
-//! simulator relies on for its serial-vs-parallel report-identity
-//! guarantee.
+//! for rayon: it provides exactly the fork-join shapes the workspace's
+//! hot paths need — campaign point fan-out, window planning, dense
+//! kernels — with **deterministic, index-ordered results**: a parallel
+//! run produces bit-identical output to a serial run.
 //!
 //! Work is split into one contiguous index range per worker (chunks
 //! being independent but similar in cost, contiguous splitting also
@@ -24,9 +23,9 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Overrides the worker count for this process (pass `None` to clear).
 ///
-/// Takes precedence over the environment variables — the hook
-/// `hygcn bench` and the determinism tests use to compare serial and
-/// parallel runs within one process.
+/// Takes precedence over the environment variables — the hook tests
+/// and benchmarks use to compare serial and parallel runs within one
+/// process.
 pub fn set_thread_override(threads: Option<usize>) {
     THREAD_OVERRIDE.store(threads.unwrap_or(0), Ordering::Relaxed);
 }
@@ -132,46 +131,10 @@ where
     par_map_index(items.len(), |i| f(i, &items[i]))
 }
 
-/// Calls `f(i, &mut items[i])` for every item, splitting the items into
-/// one contiguous run per worker.
-///
-/// The parallel analogue of `items.iter_mut().enumerate().for_each(..)`:
-/// each item is visited exactly once and owned mutably by exactly one
-/// worker, so determinism holds whenever `f` writes only through its
-/// item. This is the shape the per-channel HBM walk needs — a handful of
-/// independent state machines, each advanced by one worker.
-pub fn par_items_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let workers = num_threads();
-    if workers <= 1 || items.len() < 2 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let ranges = split_ranges(items.len(), workers);
-    std::thread::scope(|scope| {
-        let mut rest = items;
-        for &(start, end) in &ranges {
-            let (mine, tail) = rest.split_at_mut(end - start);
-            rest = tail;
-            let f = &f;
-            scope.spawn(move || {
-                for (k, item) in mine.iter_mut().enumerate() {
-                    f(start + k, item);
-                }
-            });
-        }
-    });
-}
-
 /// Splits `data` — interpreted as rows of `row_len` elements — into one
 /// contiguous slab per worker and calls `f(first_row, slab)` on each.
 ///
-/// Unlike [`par_chunks_mut`] the callback sees a whole *range* of rows,
+/// Unlike a per-row callback, `f` sees a whole *range* of rows,
 /// so per-worker scratch state (accumulators, reusable buffers) amortizes
 /// across the worker's rows instead of being re-created per row. Each row
 /// is visited exactly once; determinism holds whenever `f` writes only
@@ -240,17 +203,6 @@ mod tests {
         assert!(par_map_index(0, |i| i).is_empty());
         let mut empty: Vec<u8> = Vec::new();
         par_slabs_mut(&mut empty, 4, |_, _| {});
-    }
-
-    #[test]
-    fn items_visited_once_with_correct_index() {
-        let mut data: Vec<u64> = vec![0; 133];
-        par_items_mut(&mut data, |i, v| *v += 10 + i as u64);
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v, 10 + i as u64, "item {i}");
-        }
-        let mut empty: Vec<u64> = Vec::new();
-        par_items_mut(&mut empty, |_, _| unreachable!());
     }
 
     #[test]

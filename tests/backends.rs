@@ -1,17 +1,18 @@
 //! Acceptance tests of the multi-backend evaluation system: analytical
 //! fidelity (rank correlation against the cycle-accurate backend over a
-//! pinned grid), cross-backend cache isolation in a shared store, and
-//! the screening-speed contract.
+//! pinned grid), cross-backend cache isolation in a shared store, the
+//! screening-speed contract, and config errors that never panic.
 
 use std::time::Instant;
 
 use hygcn_suite::baseline::backend::resolve;
 use hygcn_suite::core::backend::SimBackend;
-use hygcn_suite::core::{AnalyticalBackend, CycleAccurateBackend};
+use hygcn_suite::core::{AnalyticalBackend, CycleAccurateBackend, HyGcnConfig, SimError};
 use hygcn_suite::dse::campaign::Campaign;
 use hygcn_suite::dse::space::{Axis, ConfigSpace, WorkloadSpec};
 use hygcn_suite::gcn::model::ModelKind;
 use hygcn_suite::graph::datasets::DatasetKey;
+use hygcn_suite::mem::hbm::HbmConfig;
 
 /// The pinned 20-point fidelity grid: buffer geometry x sparsity x
 /// pipeline over one mid-size workload. Changing it invalidates the
@@ -50,10 +51,10 @@ fn spearman(a: &[f64], b: &[f64]) -> f64 {
     cov / (va.sqrt() * vb.sqrt())
 }
 
-/// The tentpole contract of the `cycle-fast` backend: bit-identical
-/// [`hygcn_suite::core::SimReport`]s — cycles, DRAM, energy, per-channel
-/// stats, everything — to the cycle-accurate backend over the same
-/// pinned 20-point grid the fidelity suite uses.
+/// `cycle-fast` is an alias id of the cycle-accurate backend:
+/// bit-identical [`hygcn_suite::core::SimReport`]s — cycles, DRAM,
+/// energy, per-channel stats, everything — over the same pinned 20-point
+/// grid the fidelity suite uses.
 #[test]
 fn cycle_fast_is_bit_identical_to_cycle_on_the_pinned_grid() {
     let points = fidelity_grid().enumerate().unwrap();
@@ -68,6 +69,45 @@ fn cycle_fast_is_bit_identical_to_cycle_on_the_pinned_grid() {
             .unwrap();
         let f = fast.evaluate(&graph, &gcn, &p.config).unwrap();
         assert_eq!(f, c, "cycle-fast diverged at {:?}", p.config);
+    }
+}
+
+/// An inconsistent configuration is an error from every simulator
+/// backend — never a panic inside the address decoder.
+#[test]
+fn invalid_config_is_an_error_on_every_simulator_backend() {
+    let graph = hygcn_suite::graph::generator::preferential_attachment(256, 4, 1)
+        .unwrap()
+        .with_feature_len(32);
+    let gcn = hygcn_suite::gcn::model::GcnModel::new(ModelKind::Gcn, 32, 0xC0DE).unwrap();
+    let with_hbm = |hbm| HyGcnConfig {
+        hbm,
+        ..HyGcnConfig::default()
+    };
+    let base = HbmConfig::hbm1();
+    let six_channels = with_hbm(HbmConfig {
+        channels: 6,
+        ..base
+    });
+    let burst_over_row = with_hbm(HbmConfig {
+        burst_bytes: 2 * base.row_bytes,
+        ..base
+    });
+    for (label, cfg) in [
+        ("channels = 6", &six_channels),
+        ("burst_bytes > row_bytes", &burst_over_row),
+    ] {
+        for id in ["cycle", "cycle-fast", "seed", "analytical"] {
+            let backend = resolve(id).unwrap();
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                backend.evaluate(&graph, &gcn, cfg)
+            }));
+            match run {
+                Ok(Err(SimError::Config(msg))) => assert!(!msg.is_empty(), "{id} {label}"),
+                Ok(other) => panic!("{id} {label}: expected SimError::Config, got {other:?}"),
+                Err(_) => panic!("{id} {label}: panicked instead of returning an error"),
+            }
+        }
     }
 }
 

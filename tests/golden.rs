@@ -9,12 +9,9 @@
 //! BLESS=1 cargo test --test golden
 //! ```
 //!
-//! The fixtures are produced by `simulate()`, whose bit-identity across
-//! thread counts and against `simulate_reference()` is enforced by the
-//! determinism and oracle suites — so these snapshots pin down the
-//! *model*, not the execution strategy. The `cycle-fast` event-schedule
-//! backend shares the same contract, so every fixture config is replayed
-//! through it too: the snapshots pin all golden cycle paths at once.
+//! The fixtures are produced by `simulate()`, whose bit-identity against
+//! `simulate_reference()` is enforced by the oracle suite — so these
+//! snapshots pin down the *model*, not the execution strategy.
 
 #![allow(clippy::field_reassign_with_default)]
 
@@ -88,14 +85,9 @@ fn check(name: &str, report: &SimReport) {
     );
 }
 
-/// Runs both golden cycle paths — `simulate()` and the `cycle-fast`
-/// event-schedule backend — asserts they agree bit-for-bit, and checks
-/// the shared result against the snapshot.
+/// Runs `simulate()` and checks the report against the snapshot.
 fn simulate_and_check(name: &str, cfg: HyGcnConfig, g: &hygcn_suite::graph::Graph, m: &GcnModel) {
-    let r = Simulator::new(cfg.clone()).simulate(g, m).unwrap();
-    let fast = hygcn_suite::core::cycle_fast::simulate_fast(&cfg, g, m).unwrap();
-    assert_eq!(fast, r, "`{name}`: cycle-fast diverged from simulate()");
-    check(name, &r);
+    check(name, &Simulator::new(cfg).simulate(g, m).unwrap());
 }
 
 #[test]

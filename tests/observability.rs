@@ -213,10 +213,8 @@ fn trace_covers_at_least_six_distinct_phases() {
         "expected >= 6 distinct phases, got {phases:?}"
     );
     for must in [
-        "window_plan",
         "aggregation",
         "combination",
-        "hbm_walk",
         "backend_eval",
         "schedule_build",
         "store_append",

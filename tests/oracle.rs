@@ -1,19 +1,14 @@
-//! Differential oracle: the optimized, per-channel `simulate()` against
-//! the seed-faithful `simulate_reference()` — and the event-schedule
-//! `cycle-fast` backend against both — over randomized configuration ×
-//! workload sweeps.
+//! Differential oracle: `simulate()` — event schedule plus span-program
+//! replay — against the seed-faithful `simulate_reference()` over
+//! randomized configuration × workload sweeps and fixed degenerate
+//! geometries.
 //!
-//! Every generated case asserts the full [`hygcn_suite::core::SimReport`]
-//! — cycles, energy, per-channel memory decomposition, everything — is
-//! **bit-for-bit identical** between the paths, and that the
-//! per-channel walk stays identical at 1, 2, and 8 host threads. This is
-//! the harness that lets future perf PRs refactor the memory system
-//! without fear: any timing drift, however small, fails here with the
-//! exact configuration that exposed it.
-//!
-//! The simulator sweep is the only test here that touches the
-//! process-global thread override; the span-program geometry sweep
-//! below never calls `simulate()`, so the two cannot race.
+//! Every case asserts the full [`hygcn_suite::core::SimReport`] —
+//! cycles, energy, per-channel memory decomposition, everything — is
+//! **bit-for-bit identical** between the paths. This is the harness that
+//! lets future perf PRs refactor the memory system without fear: any
+//! timing drift, however small, fails here with the exact configuration
+//! that exposed it.
 
 #![allow(clippy::field_reassign_with_default)]
 
@@ -21,7 +16,7 @@ use hygcn_suite::core::config::{HyGcnConfig, PipelineMode};
 use hygcn_suite::core::Simulator;
 use hygcn_suite::gcn::model::{GcnModel, ModelKind};
 use hygcn_suite::graph::generator::{erdos_renyi, preferential_attachment, rmat, RmatParams};
-use hygcn_suite::graph::Graph;
+use hygcn_suite::graph::{Graph, GraphBuilder};
 use hygcn_suite::mem::hbm::HbmConfig;
 use hygcn_suite::mem::scheduler::CoordinationMode;
 use proptest::prelude::*;
@@ -66,10 +61,10 @@ fn arb_pipeline() -> impl Strategy<Value = PipelineMode> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-    /// `simulate()` == `simulate_reference()` bit-for-bit, and the
-    /// per-channel walk is thread-count invariant.
+    /// `simulate()` == `simulate_reference()` bit-for-bit, natively for
+    /// sampling models and FR-FCFS windows of every depth.
     #[test]
-    fn simulate_matches_reference_at_any_thread_count(
+    fn simulate_matches_reference(
         wl in arb_gen(),
         kind in arb_kind(),
         pipeline in arb_pipeline(),
@@ -111,46 +106,58 @@ proptest! {
         }
         let sim = Simulator::new(cfg);
 
-        hygcn_par::set_thread_override(Some(1));
-        let serial = sim.simulate(&graph, &model).unwrap();
+        let report = sim.simulate(&graph, &model).unwrap();
         let reference = sim.simulate_reference(&graph, &model).unwrap();
         prop_assert_eq!(
-            &serial,
+            &report,
             &reference,
-            "serial vs reference: {:?} {:?} {:?} n={} d={} f={} seed={} sparsity={} coord={} ch={}",
-            wl, kind, pipeline, n, density, feature_len, seed, sparsity, coordinated, 1 << chpow
-        );
-
-        // The event-schedule backend — natively, with no delegation:
-        // sampling models replay a freshly decoded stream and FR-FCFS
-        // windows of every depth run on the span-program replayer.
-        let fast =
-            hygcn_suite::core::cycle_fast::simulate_fast(sim.config(), &graph, &model).unwrap();
-        prop_assert_eq!(
-            &serial,
-            &fast,
-            "serial vs cycle-fast: {:?} {:?} {:?} n={} d={} f={} seed={} sparsity={} coord={} frfcfs={:?} ch={}",
+            "simulate vs reference: {:?} {:?} {:?} n={} d={} f={} seed={} sparsity={} coord={} frfcfs={:?} ch={}",
             wl, kind, pipeline, n, density, feature_len, seed, sparsity, coordinated, frfcfs_window, 1 << chpow
         );
 
-        for threads in [2usize, 8] {
-            hygcn_par::set_thread_override(Some(threads));
-            let parallel = sim.simulate(&graph, &model).unwrap();
-            prop_assert_eq!(
-                &serial,
-                &parallel,
-                "serial vs {} threads: {:?} {:?} {:?} n={} d={} f={} seed={}",
-                threads, wl, kind, pipeline, n, density, feature_len, seed
-            );
-        }
-        hygcn_par::set_thread_override(None);
-
         // The per-channel decomposition itself must be self-consistent.
-        prop_assert_eq!(serial.mem_channels.len(), 1usize << chpow);
-        let hits: u64 = serial.mem_channels.iter().map(|c| c.row_hits).sum();
-        let misses: u64 = serial.mem_channels.iter().map(|c| c.row_misses).sum();
-        prop_assert_eq!(hits, serial.mem.row_hits);
-        prop_assert_eq!(misses, serial.mem.row_misses);
+        prop_assert_eq!(report.mem_channels.len(), 1usize << chpow);
+        let hits: u64 = report.mem_channels.iter().map(|c| c.row_hits).sum();
+        let misses: u64 = report.mem_channels.iter().map(|c| c.row_misses).sum();
+        prop_assert_eq!(hits, report.mem.row_hits);
+        prop_assert_eq!(misses, report.mem.row_misses);
+    }
+}
+
+/// Degenerate geometries the per-channel merge must handle without
+/// special-casing: a zero-edge graph (empty aggregation batches) and a
+/// single-channel stack (every segment in one queue), under every
+/// pipeline mode.
+#[test]
+fn degenerate_geometries_match_reference() {
+    let empty = GraphBuilder::new(64).feature_len(32).build();
+    let single = rmat(1024, 12_000, RmatParams::default(), 5)
+        .unwrap()
+        .with_feature_len(32);
+    let model = GcnModel::new(ModelKind::Gcn, 32, 7).unwrap();
+    for (label, graph, channels) in [
+        ("zero-edge", &empty, 8usize),
+        ("zero-edge 1ch", &empty, 1),
+        ("single-channel", &single, 1),
+    ] {
+        for pipeline in [
+            PipelineMode::LatencyAware,
+            PipelineMode::EnergyAware,
+            PipelineMode::None,
+        ] {
+            let mut cfg = HyGcnConfig::default();
+            cfg.pipeline = pipeline;
+            cfg.aggregation_buffer_bytes = 1 << 18;
+            cfg.hbm = HbmConfig {
+                channels,
+                ..HbmConfig::hbm1()
+            };
+            let sim = Simulator::new(cfg);
+            let report = sim.simulate(graph, &model).unwrap();
+            let reference = sim.simulate_reference(graph, &model).unwrap();
+            assert_eq!(report, reference, "{label} {pipeline:?}");
+            assert_eq!(report.mem_channels.len(), channels, "{label} {pipeline:?}");
+        }
     }
 }
 
