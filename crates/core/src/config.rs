@@ -217,6 +217,85 @@ impl HyGcnConfig {
         )
     }
 
+    /// The configuration's *decode class*: a copy with the six fields
+    /// that bind after address decode reset to their defaults — the
+    /// clock, timeline recording, and the HBM timing parameters and
+    /// controller policy (`hbm.{t_burst, t_row, t_cas, controller}`).
+    /// Every other field shapes the DRAM request stream or its decode,
+    /// so two configs of one class share one span program (see
+    /// [`crate::sim`]). Destructured exhaustively like [`Self::canon`],
+    /// so a new field cannot compile until it is classed here.
+    pub fn decode_class(&self) -> Self {
+        let HyGcnConfig {
+            clock_ghz: _,
+            simd_cores,
+            simd_width,
+            systolic_modules,
+            module_rows,
+            module_cols,
+            module_group_vertices,
+            input_buffer_bytes,
+            edge_buffer_bytes,
+            weight_buffer_bytes,
+            output_buffer_bytes,
+            aggregation_buffer_bytes,
+            hbm,
+            coordination,
+            pipeline,
+            sparsity_elimination,
+            aggregation_mode,
+            sample_seed,
+            sample_policy_override,
+            record_timeline: _,
+            fidelity,
+        } = self.clone();
+        let HbmConfig {
+            channels,
+            banks,
+            row_bytes,
+            burst_bytes,
+            t_burst: _,
+            t_row: _,
+            t_cas: _,
+            mapping,
+            controller: _,
+        } = hbm;
+        let timing = Self::default();
+        Self {
+            clock_ghz: timing.clock_ghz,
+            simd_cores,
+            simd_width,
+            systolic_modules,
+            module_rows,
+            module_cols,
+            module_group_vertices,
+            input_buffer_bytes,
+            edge_buffer_bytes,
+            weight_buffer_bytes,
+            output_buffer_bytes,
+            aggregation_buffer_bytes,
+            hbm: HbmConfig {
+                channels,
+                banks,
+                row_bytes,
+                burst_bytes,
+                t_burst: timing.hbm.t_burst,
+                t_row: timing.hbm.t_row,
+                t_cas: timing.hbm.t_cas,
+                mapping,
+                controller: timing.hbm.controller,
+            },
+            coordination,
+            pipeline,
+            sparsity_elimination,
+            aggregation_mode,
+            sample_seed,
+            sample_policy_override,
+            record_timeline: timing.record_timeline,
+            fidelity,
+        }
+    }
+
     /// Validates the configuration's internal consistency — currently
     /// the HBM geometry ([`HbmConfig::validate`]) plus the fidelity
     /// range. Design-space enumeration calls this per point so that a
@@ -393,6 +472,34 @@ mod tests {
             };
             assert!(cfg.validate().unwrap_err().contains("fidelity"));
         }
+    }
+
+    #[test]
+    fn decode_class_forgets_exactly_the_timing_fields() {
+        use hygcn_mem::hbm::ControllerPolicy;
+        let base = HyGcnConfig::default();
+        assert_eq!(base.decode_class(), base);
+        let timing = HyGcnConfig {
+            clock_ghz: 2.0,
+            record_timeline: true,
+            hbm: HbmConfig {
+                t_burst: 2,
+                t_row: 56,
+                t_cas: 7,
+                controller: ControllerPolicy::FrFcfs { window: 32 },
+                ..HbmConfig::hbm1()
+            },
+            ..base.clone()
+        };
+        assert_eq!(timing.decode_class(), base);
+        let stream = HyGcnConfig {
+            hbm: HbmConfig {
+                row_bytes: 1024,
+                ..HbmConfig::hbm1()
+            },
+            ..base.clone()
+        };
+        assert_ne!(stream.decode_class(), base.decode_class());
     }
 
     #[test]

@@ -56,7 +56,8 @@ impl EventSchedule {
         if cfg.sparsity_elimination {
             let height = cfg.window_height(f_in);
             match graph.occupancy_index(&intervals) {
-                Some(idx) => {
+                Some((idx, outcome)) => {
+                    crate::sim::count_memo(outcome);
                     for i in 0..intervals.len() {
                         idx.for_each_window(i, height, |rows| {
                             windows.push(EffectualWindow {

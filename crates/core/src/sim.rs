@@ -25,21 +25,35 @@
 //!    a warm evaluation never assembles, orders or decodes a batch (see
 //!    [`hygcn_mem::spanprog`]).
 //!
-//! Sampling models decode per call: the runtime [`Sampler`] is
-//! deterministic in `(graph, seed, policy)`, but the sampled graph is
-//! throwaway, so its program is never cached.
+//! ## What is memoized on the graph
+//!
+//! Three derived values live in the graph's plan memo ([`Graph::memo`]),
+//! each lookup counted by the `plan_cache_*` [`hygcn_obs::Counter`]s:
+//!
+//! * **Occupancy indexes**, keyed by the chunking (see
+//!   [`crate::schedule`]).
+//! * **Span programs**, keyed by `(model kind, f_in,`
+//!   [`HyGcnConfig::decode_class`]`)`. The clock, timeline recording and
+//!   the HBM timing/controller fields bind at replay, so a sweep over
+//!   them decodes once and replays every point.
+//! * **Runtime samples**, keyed by `(sample_seed, policy)` on the parent
+//!   graph: the [`Sampler`] is deterministic in topology, seed and
+//!   policy. A sampling model therefore reuses its sample, and the
+//!   programs and occupancy indexes cached on the sample, across calls.
+//!   The parent's feature-length clones share the memo, so nothing here
+//!   reads the sample's `feature_len`; `f_in` comes from the model.
 //!
 //! The seed implementation, [`Simulator::simulate_reference`], shares
 //! none of this machinery and must produce a bit-identical
 //! [`SimReport`]; `tests/oracle.rs` and `hygcn bench` check that.
 
-use std::sync::Arc;
+use std::convert::Infallible;
 
 use hygcn_gcn::aggregate::SelfTerm;
 use hygcn_gcn::model::{GcnModel, ModelKind, DIFFPOOL_CLUSTERS};
 use hygcn_graph::partition::Interval;
 use hygcn_graph::sampling::Sampler;
-use hygcn_graph::Graph;
+use hygcn_graph::{Graph, MemoOutcome};
 use hygcn_mem::request::{MemRequest, RequestArena, RequestKind};
 use hygcn_mem::scheduler::AccessScheduler;
 use hygcn_mem::spanprog::{SpanProgram, SpanProgramBuilder, SpanReplayer};
@@ -93,10 +107,14 @@ impl Simulator {
         // --- Sampling (runs on the engine's Sampler at runtime). ---
         let kind = model.kind();
         let policy = cfg.sample_policy_override.unwrap_or(kind.sample_policy());
-        let sampled_storage;
+        let sampled;
         let (g, presample_edges) = if policy.is_sampling() {
-            sampled_storage = Sampler::new(cfg.sample_seed).sample(graph, policy);
-            (&sampled_storage, graph.num_edges() as u64)
+            let Ok((sample, outcome)) = graph.memo((cfg.sample_seed, policy), || {
+                Ok::<_, Infallible>(Sampler::new(cfg.sample_seed).sample(graph, policy))
+            });
+            count_memo(outcome);
+            sampled = sample;
+            (&*sampled, graph.num_edges() as u64)
         } else {
             (graph, 0)
         };
@@ -184,47 +202,33 @@ impl Simulator {
                 .sum();
         }
 
-        // --- Span program: decode once, replay every call. ---
+        // --- Span program: decode once per decode class. ---
         let steps = pipeline_steps(cfg.pipeline, intervals, row_bytes, paths, layout.spill_base);
-        // The stream is a pure function of (graph, config, model kind,
-        // feature length); the key spells the non-graph half out in full —
-        // string-compared, so distinct configs can never collide — and the
-        // graph half is implicit in which graph's cache we consult. Sampled
-        // topology is rebuilt per call, so it never touches the cache.
-        let cache_key = (!policy.is_sampling())
-            .then(|| format!("span-program-v1;{};kind={kind:?};f_in={f_in}", cfg.canon()));
-        let cached = cache_key
-            .as_deref()
-            .and_then(|k| g.cached_plan(k))
-            .and_then(|p| p.downcast::<SpanProgram>().ok())
-            .filter(|p| p.matches(&cfg.hbm) && p.steps() == steps.len());
-        let program = match cached {
-            Some(p) => p,
-            None => {
-                let _obs = hygcn_obs::span(hygcn_obs::Phase::SpanProgramBuild);
-                let mut builder = SpanProgramBuilder::new(&cfg.hbm).map_err(SimError::Config)?;
-                let scheduler = AccessScheduler::new(cfg.coordination);
-                let mut batch: Vec<MemRequest> = Vec::new();
-                let mut order_scratch: Vec<MemRequest> = Vec::new();
-                for step in &steps {
-                    batch.clear();
-                    if let Some(i) = step.agg {
-                        batch.extend_from_slice(arena.slice(aggs[i].span));
-                    }
-                    if let Some(i) = step.comb {
-                        batch.extend_from_slice(arena.slice(combs[i].span));
-                    }
-                    batch.extend(step.spill);
-                    scheduler.order_in_place(&mut batch, &mut order_scratch);
-                    builder.push_step(&batch);
+        // The stream is a pure function of the graph (whose memo we
+        // consult), the model kind, the feature length and the config's
+        // decode class; timing and the controller bind at replay.
+        let (program, outcome) = g.memo((kind, f_in, cfg.decode_class()), || {
+            let _obs = hygcn_obs::span(hygcn_obs::Phase::SpanProgramBuild);
+            let mut builder = SpanProgramBuilder::new(&cfg.hbm).map_err(SimError::Config)?;
+            let scheduler = AccessScheduler::new(cfg.coordination);
+            let mut batch: Vec<MemRequest> = Vec::new();
+            let mut order_scratch: Vec<MemRequest> = Vec::new();
+            for step in &steps {
+                batch.clear();
+                if let Some(i) = step.agg {
+                    batch.extend_from_slice(arena.slice(aggs[i].span));
                 }
-                let p = Arc::new(builder.finish());
-                if let Some(k) = &cache_key {
-                    g.store_plan(k, Arc::clone(&p) as Arc<dyn std::any::Any + Send + Sync>);
+                if let Some(i) = step.comb {
+                    batch.extend_from_slice(arena.slice(combs[i].span));
                 }
-                p
+                batch.extend(step.spill);
+                scheduler.order_in_place(&mut batch, &mut order_scratch);
+                builder.push_step(&batch);
             }
-        };
+            Ok::<SpanProgram, SimError>(builder.finish())
+        })?;
+        count_memo(outcome);
+        debug_assert!(program.matches(&cfg.hbm) && program.steps() == steps.len());
 
         // --- Timeline through the shared memory handler. ---
         // A step lasts as long as its slowest resource: either engine's
@@ -303,6 +307,20 @@ impl Simulator {
             timeline,
             provenance: "",
         })
+    }
+}
+
+/// Records a plan-memo lookup in the `plan_cache_*` counters.
+pub(crate) fn count_memo(outcome: MemoOutcome) {
+    use hygcn_obs::Counter;
+    match outcome {
+        MemoOutcome::Hit => hygcn_obs::count(Counter::PlanCacheHits, 1),
+        MemoOutcome::Built { evicted } => {
+            hygcn_obs::count(Counter::PlanCacheMisses, 1);
+            if evicted {
+                hygcn_obs::count(Counter::PlanCacheEvictions, 1);
+            }
+        }
     }
 }
 
@@ -551,31 +569,6 @@ mod tests {
         let second = sim.simulate(&g, &m).unwrap();
         assert_eq!(first, second);
         assert_eq!(first, sim.simulate_reference(&g, &m).unwrap());
-    }
-
-    #[test]
-    fn program_cache_discriminates_configs() {
-        // Alternating configs on one graph must not cross-contaminate:
-        // each keyed program replays its own stream.
-        use hygcn_mem::hbm::ControllerPolicy;
-        let g = rmat(1200, 10_000, RmatParams::default(), 8)
-            .unwrap()
-            .with_feature_len(64);
-        let m = GcnModel::new(ModelKind::Gcn, 64, 1).unwrap();
-        let base = HyGcnConfig::default();
-        let mut frfcfs = HyGcnConfig::default();
-        frfcfs.hbm.controller = ControllerPolicy::FrFcfs { window: 4 };
-        let mut small_buf = HyGcnConfig::default();
-        small_buf.aggregation_buffer_bytes = 1 << 20;
-        for cfg in [&base, &frfcfs, &small_buf, &base, &frfcfs, &small_buf] {
-            let sim = sim(cfg.clone());
-            assert_eq!(
-                sim.simulate(&g, &m).unwrap(),
-                sim.simulate_reference(&g, &m).unwrap(),
-                "{}",
-                cfg.canon()
-            );
-        }
     }
 
     #[test]

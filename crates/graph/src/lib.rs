@@ -64,6 +64,9 @@ pub use csc::Csc;
 pub use csr::Csr;
 pub use error::GraphError;
 
+use std::any::Any;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
 /// Identifier of a vertex. Graphs in this crate are limited to `u32::MAX`
 /// vertices, matching the index width used by the accelerator's edge format.
 pub type VertexId = u32;
@@ -84,37 +87,92 @@ pub struct Graph {
     plan_cache: PlanCache,
 }
 
-/// Shared cache of derived planning structures: the per-chunking
-/// [`window::OccupancyIndex`] keyed by interval boundaries, plus a
-/// generic string-keyed slot for caller-defined plans (the simulator
-/// parks its precompiled span programs there, keyed by config
-/// canon + model kind + feature length — this crate cannot name those
-/// types, so the slot stores `Arc<dyn Any>`).
+/// Shared memo of derived plans: values that are pure functions of the
+/// graph topology and a typed key, built on first use by
+/// [`Graph::memo`]. This crate keeps its own occupancy indexes here
+/// ([`Graph::occupancy_index`]); downstream crates park values this
+/// crate cannot name (the simulator's span programs and runtime
+/// samples) in the same memo.
 ///
-/// The cache is *identity-transparent*: it never affects equality,
-/// hashing, or any observable graph property — entries are pure
-/// functions of the (immutable) topology, so clones share one cache via
-/// the `Arc` and a populated cache always agrees with an empty one.
+/// Each `(key, value)` type pair gets its own FIFO of
+/// [`PLAN_CACHE_ENTRIES`] entries. The cache is *identity-transparent*:
+/// it never affects equality, hashing, or any observable graph
+/// property, so clones share one memo via the `Arc` and a populated
+/// cache always agrees with an empty one.
 #[derive(Clone, Default)]
-struct PlanCache(std::sync::Arc<PlanCacheInner>);
+struct PlanCache(Arc<Mutex<Vec<Box<dyn Any + Send + Sync>>>>);
 
-#[derive(Default)]
-struct PlanCacheInner {
-    occupancy: std::sync::Mutex<Vec<PlanCacheEntry>>,
-    keyed: std::sync::Mutex<Vec<KeyedPlanEntry>>,
+/// One `(key, value)` type pair's entries, oldest first.
+type MemoSlot<K, V> = Vec<(K, Arc<V>)>;
+
+/// Entries worth remembering per `(key, value)` type and graph:
+/// campaigns mostly alternate between a couple of buffer sizes, and
+/// each entry can be megabytes.
+const PLAN_CACHE_ENTRIES: usize = 4;
+
+/// What a [`Graph::memo`] call did to produce its value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemoOutcome {
+    /// The value was already cached.
+    Hit,
+    /// The value was built by this call. `evicted` is set when storing
+    /// it pushed out the oldest entry of its type.
+    Built {
+        /// Whether the insertion evicted an older entry.
+        evicted: bool,
+    },
 }
 
-type PlanCacheEntry = (
-    Box<[partition::Interval]>,
-    std::sync::Arc<window::OccupancyIndex>,
-);
+impl PlanCache {
+    fn lock(&self) -> MutexGuard<'_, Vec<Box<dyn Any + Send + Sync>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-type KeyedPlanEntry = (String, std::sync::Arc<dyn std::any::Any + Send + Sync>);
+    fn get<K, V>(&self, key: &K) -> Option<Arc<V>>
+    where
+        K: PartialEq + Send + Sync + 'static,
+        V: Send + Sync + 'static,
+    {
+        self.lock()
+            .iter()
+            .find_map(|slot| slot.downcast_ref::<MemoSlot<K, V>>())?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| Arc::clone(v))
+    }
 
-/// Distinct chunkings worth remembering per graph: campaigns mostly
-/// alternate between a couple of buffer sizes, and each entry can be
-/// megabytes.
-const PLAN_CACHE_ENTRIES: usize = 4;
+    /// Stores `value` under `key`. A concurrent builder may have stored
+    /// the same key meanwhile; its value wins, so every caller shares
+    /// one instance.
+    fn insert<K, V>(&self, key: K, value: Arc<V>) -> (Arc<V>, MemoOutcome)
+    where
+        K: PartialEq + Send + Sync + 'static,
+        V: Send + Sync + 'static,
+    {
+        let mut slots = self.lock();
+        match slots
+            .iter_mut()
+            .find_map(|slot| slot.downcast_mut::<MemoSlot<K, V>>())
+        {
+            Some(slot) => {
+                if let Some((_, v)) = slot.iter().find(|(k, _)| *k == key) {
+                    return (Arc::clone(v), MemoOutcome::Built { evicted: false });
+                }
+                let evicted = slot.len() >= PLAN_CACHE_ENTRIES;
+                if evicted {
+                    slot.remove(0);
+                }
+                slot.push((key, Arc::clone(&value)));
+                (value, MemoOutcome::Built { evicted })
+            }
+            None => {
+                let slot: MemoSlot<K, V> = vec![(key, Arc::clone(&value))];
+                slots.push(Box::new(slot));
+                (value, MemoOutcome::Built { evicted: false })
+            }
+        }
+    }
+}
 
 impl PartialEq for PlanCache {
     fn eq(&self, _: &Self) -> bool {
@@ -230,11 +288,39 @@ impl Graph {
             .flat_map(move |dst| self.csc.sources(dst).iter().map(move |&src| (src, dst)))
     }
 
-    /// The per-interval source-occupancy bitmaps for `intervals`, built
-    /// on first use and cached on the graph afterwards (clones — e.g.
-    /// [`Graph::with_feature_len`] copies for multi-layer models — share
-    /// the cache, since the index depends only on topology and interval
-    /// boundaries).
+    /// The value memoized under `key`, built by `build` on a miss.
+    ///
+    /// Values must be pure functions of the graph topology and the key:
+    /// clones (e.g. [`Graph::with_feature_len`] copies for multi-layer
+    /// models) share the memo, and eviction only costs a rebuild. So a
+    /// memoized value must not depend on the feature length unless the
+    /// key carries it. `build` runs without the cache lock held, so it
+    /// may itself consult this graph's memo; two threads missing on the
+    /// same key may both build, and the first stored value wins.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `build` returns; nothing is cached then.
+    pub fn memo<K, V, E>(
+        &self,
+        key: K,
+        build: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(Arc<V>, MemoOutcome), E>
+    where
+        K: PartialEq + Send + Sync + 'static,
+        V: Send + Sync + 'static,
+    {
+        if let Some(v) = self.plan_cache.get::<K, V>(&key) {
+            return Ok((v, MemoOutcome::Hit));
+        }
+        let value = Arc::new(build()?);
+        Ok(self.plan_cache.insert(key, value))
+    }
+
+    /// The per-interval source-occupancy bitmaps for `intervals`,
+    /// memoized by interval boundaries (the index depends only on
+    /// topology and chunking, so [`Graph::with_feature_len`] clones
+    /// share it).
     ///
     /// Returns `None` when the index would exceed
     /// [`window::OccupancyIndex::MAX_WORDS`]; callers fall back to a
@@ -242,64 +328,11 @@ impl Graph {
     pub fn occupancy_index(
         &self,
         intervals: &[partition::Interval],
-    ) -> Option<std::sync::Arc<window::OccupancyIndex>> {
-        let mut cache = self
-            .plan_cache
-            .0
-            .occupancy
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some((_, idx)) = cache.iter().find(|(k, _)| k.as_ref() == intervals) {
-            return Some(std::sync::Arc::clone(idx));
-        }
-        let idx = std::sync::Arc::new(window::OccupancyIndex::build(self, intervals)?);
-        if cache.len() >= PLAN_CACHE_ENTRIES {
-            cache.remove(0);
-        }
-        cache.push((intervals.into(), std::sync::Arc::clone(&idx)));
-        Some(idx)
-    }
-
-    /// Looks up a caller-defined derived plan stored under `key` (see
-    /// [`Graph::store_plan`]). Keys compare as full strings — no
-    /// hashing, so no collisions — and clones share the slot exactly
-    /// like [`Graph::occupancy_index`] entries.
-    pub fn cached_plan(
-        &self,
-        key: &str,
-    ) -> Option<std::sync::Arc<dyn std::any::Any + Send + Sync>> {
-        let cache = self
-            .plan_cache
-            .0
-            .keyed
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        cache
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, plan)| std::sync::Arc::clone(plan))
-    }
-
-    /// Stores a caller-defined derived plan under `key`, replacing any
-    /// existing entry with the same key. The slot is bounded like the
-    /// occupancy cache ([`PLAN_CACHE_ENTRIES`] entries, FIFO eviction):
-    /// plans must be pure functions of the graph topology and the key,
-    /// so eviction only costs a rebuild, never correctness.
-    pub fn store_plan(&self, key: &str, plan: std::sync::Arc<dyn std::any::Any + Send + Sync>) {
-        let mut cache = self
-            .plan_cache
-            .0
-            .keyed
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(entry) = cache.iter_mut().find(|(k, _)| k == key) {
-            entry.1 = plan;
-            return;
-        }
-        if cache.len() >= PLAN_CACHE_ENTRIES {
-            cache.remove(0);
-        }
-        cache.push((key.to_owned(), plan));
+    ) -> Option<(Arc<window::OccupancyIndex>, MemoOutcome)> {
+        self.memo(intervals.to_vec(), || {
+            window::OccupancyIndex::build(self, intervals).ok_or(())
+        })
+        .ok()
     }
 
     /// A process-independent FNV-1a hash of the graph's *content*: vertex
@@ -398,23 +431,25 @@ mod tests {
             partition::Interval::new(0, 2),
             partition::Interval::new(2, 4),
         ];
-        let a = g.occupancy_index(&intervals).expect("tiny graph fits");
-        let b = g.occupancy_index(&intervals).expect("tiny graph fits");
+        let (a, built) = g.occupancy_index(&intervals).expect("tiny graph fits");
+        assert_eq!(built, MemoOutcome::Built { evicted: false });
+        let (b, hit) = g.occupancy_index(&intervals).expect("tiny graph fits");
+        assert_eq!(hit, MemoOutcome::Hit);
         assert!(
-            std::sync::Arc::ptr_eq(&a, &b),
+            Arc::ptr_eq(&a, &b),
             "repeat lookups must reuse the cached index"
         );
         // A feature-length override clones the graph but shares topology,
         // so it must also share the cache.
-        let c = g
+        let (c, _) = g
             .with_feature_len(64)
             .occupancy_index(&intervals)
             .expect("tiny graph fits");
-        assert!(std::sync::Arc::ptr_eq(&a, &c));
+        assert!(Arc::ptr_eq(&a, &c));
         // A different chunking is a distinct entry, not a collision.
         let other = [partition::Interval::new(0, 4)];
-        let d = g.occupancy_index(&other).expect("tiny graph fits");
-        assert!(!std::sync::Arc::ptr_eq(&a, &d));
+        let (d, _) = g.occupancy_index(&other).expect("tiny graph fits");
+        assert!(!Arc::ptr_eq(&a, &d));
         assert_eq!(d.num_intervals(), 1);
     }
 
@@ -422,40 +457,52 @@ mod tests {
     fn occupancy_index_cache_is_bounded() {
         let g = toy();
         let first = [partition::Interval::new(0, 4)];
-        let a = g.occupancy_index(&first).expect("fits");
+        let (a, _) = g.occupancy_index(&first).expect("fits");
+        let mut evictions = 0;
         for w in 0..PLAN_CACHE_ENTRIES as u32 {
             // PLAN_CACHE_ENTRIES fresh chunkings evict the oldest entry.
             let intervals = [partition::Interval::new(w, w + 1)];
-            g.occupancy_index(&intervals).expect("fits");
+            let (_, outcome) = g.occupancy_index(&intervals).expect("fits");
+            if outcome == (MemoOutcome::Built { evicted: true }) {
+                evictions += 1;
+            }
         }
-        let again = g.occupancy_index(&first).expect("fits");
+        assert_eq!(evictions, 1);
+        let (again, outcome) = g.occupancy_index(&first).expect("fits");
+        assert_eq!(outcome, MemoOutcome::Built { evicted: true });
         assert!(
-            !std::sync::Arc::ptr_eq(&a, &again),
+            !Arc::ptr_eq(&a, &again),
             "evicted entries are rebuilt, not resurrected"
         );
     }
 
     #[test]
-    fn keyed_plans_are_shared_bounded_and_replaceable() {
+    fn memo_is_typed_shared_bounded_and_skips_failed_builds() {
         let g = toy();
-        assert!(g.cached_plan("a").is_none());
-        g.store_plan("a", std::sync::Arc::new(41u64));
-        // Clones share the slot; lookups downcast to the stored type.
-        let from_clone = g
+        let ok = |v: u64| move || Ok::<_, ()>(v);
+        let (v, outcome) = g.memo("a", ok(41)).unwrap();
+        assert_eq!((*v, outcome), (41, MemoOutcome::Built { evicted: false }));
+        // Clones share the memo; a hit never runs the builder.
+        let (v, outcome) = g
             .with_feature_len(64)
-            .cached_plan("a")
-            .expect("clone shares cache");
-        assert_eq!(*from_clone.downcast::<u64>().unwrap(), 41);
-        // Same key replaces in place.
-        g.store_plan("a", std::sync::Arc::new(42u64));
-        let v = g.cached_plan("a").unwrap().downcast::<u64>().unwrap();
-        assert_eq!(*v, 42);
-        // FIFO bound: PLAN_CACHE_ENTRIES fresh keys evict the oldest.
-        for i in 0..PLAN_CACHE_ENTRIES {
-            g.store_plan(&format!("fill-{i}"), std::sync::Arc::new(i));
+            .memo("a", || Err::<u64, ()>(()))
+            .unwrap();
+        assert_eq!((*v, outcome), (41, MemoOutcome::Hit));
+        // The same key under another value type is another slot.
+        let (s, _) = g.memo("a", || Ok::<_, ()>(String::from("s"))).unwrap();
+        assert_eq!(*s, "s");
+        // A failed build caches nothing.
+        assert_eq!(g.memo("b", || Err::<u64, _>("no")), Err("no"));
+        let (v, outcome) = g.memo("b", ok(7)).unwrap();
+        assert_eq!((*v, outcome), (7, MemoOutcome::Built { evicted: false }));
+        // FIFO bound: PLAN_CACHE_ENTRIES entries per type, oldest out.
+        for key in ["c", "d", "e"] {
+            g.memo(key, ok(0)).unwrap();
         }
-        assert!(g.cached_plan("a").is_none(), "oldest entry evicted");
-        assert!(g.cached_plan("fill-0").is_some());
+        let (v, outcome) = g.memo("a", ok(42)).unwrap();
+        assert_eq!((*v, outcome), (42, MemoOutcome::Built { evicted: true }));
+        let (_, outcome) = g.memo("a", || Ok::<_, ()>(String::new())).unwrap();
+        assert_eq!(outcome, MemoOutcome::Hit, "other types keep their entries");
     }
 
     #[test]

@@ -29,9 +29,11 @@
 //!   [`crate::hbm::ChannelTimeline::drain`].
 //! * **FR-FCFS:** the staged drain also operates per channel over that
 //!   same queue, and its windowed row-hit promotion consults only
-//!   `(bank, row)` state the tuples carry — so
-//!   [`crate::hbm::ChannelTimeline::drain_frfcfs`] ports to the tuple
-//!   run verbatim.
+//!   `(bank, row)` state the tuples carry. The replay makes the same
+//!   picks as [`crate::hbm::ChannelTimeline::drain_frfcfs`] — oldest
+//!   row hit in the window, else the oldest tuple — from an age-ordered
+//!   ring with a row-hit mask and per-bank slot masks, so a pick costs
+//!   one bank's re-check instead of a scan of the whole window.
 //!
 //! The batch completion is the max over channels (never before the
 //! arrival cycle) and statistics fold by summation, so the channel-major
@@ -43,10 +45,11 @@
 //! A program depends only on the request stream and the *decode*
 //! geometry (mapping, channels, banks, row/burst bytes) — not on timing
 //! parameters or the controller policy, which bind at replay time. The
-//! simulator caches programs on the `Graph`'s plan cache keyed by the
-//! full canonical config plus model kind and feature length (which
-//! determine the stream and the interval boundaries);
-//! [`SpanProgram::matches`] re-checks the decode geometry on every hit.
+//! simulator memoizes programs on the `Graph` keyed by model kind,
+//! feature length and the config's decode class (the config with the
+//! clock, timeline recording, HBM timing and controller reset), so one
+//! program serves a whole timing/controller sweep;
+//! [`SpanProgram::matches`] states the geometry half of that contract.
 
 use crate::address::MappingScheme;
 use crate::hbm::{ControllerPolicy, HbmConfig};
@@ -270,8 +273,8 @@ pub struct SpanReplayer {
     stats: Vec<ChannelStats>,
     /// Request-level counters (bytes, request count).
     traffic: MemStats,
-    /// FR-FCFS lookahead scratch, reused across steps.
-    pending: Vec<SpanTuple>,
+    /// FR-FCFS lookahead, reused across channel runs.
+    queue: FrFcfsQueue,
 }
 
 impl SpanReplayer {
@@ -293,7 +296,7 @@ impl SpanReplayer {
             bus_free: vec![0; config.channels],
             stats: vec![ChannelStats::default(); config.channels],
             traffic: MemStats::default(),
-            pending: Vec::new(),
+            queue: FrFcfsQueue::default(),
         })
     }
 
@@ -314,7 +317,7 @@ impl SpanReplayer {
         self.traffic.bytes_read += t.bytes_read;
         self.traffic.bytes_written += t.bytes_written;
         let banks = self.banks_per_channel;
-        let (t_burst, t_row, t_cas) = (self.t_burst, self.t_row, self.t_cas);
+        let timing = (self.t_burst, self.t_row, self.t_cas);
         let controller = self.controller;
         let mut done = now;
         for c in 0..program.channels {
@@ -324,48 +327,47 @@ impl SpanReplayer {
             }
             let bank_row = &mut self.bank_row[c * banks..(c + 1) * banks];
             let bank_ready = &mut self.bank_ready[c * banks..(c + 1) * banks];
-            let bus = &mut self.bus_free[c];
-            let st = &mut self.stats[c];
+            // The bus cycle and the miss count stay in registers for the
+            // run; the order-free statistics fold in once afterwards.
+            let mut bus = self.bus_free[c];
+            let mut misses = 0u64;
             let channel_done = match controller {
                 ControllerPolicy::InOrder => {
                     let mut ch_done = now;
                     for tup in run {
                         ch_done = ch_done.max(service_tuple(
-                            tup, now, t_burst, t_row, t_cas, bank_row, bank_ready, bus, st,
+                            tup,
+                            now,
+                            timing,
+                            bank_row,
+                            bank_ready,
+                            &mut bus,
+                            &mut misses,
                         ));
                     }
                     ch_done
                 }
-                ControllerPolicy::FrFcfs { window } => {
-                    // `ChannelTimeline::drain_frfcfs` over the tuple run:
-                    // row hits within a `window`-deep lookahead are
-                    // served before older row misses; oldest wins when
-                    // nothing pending hits an open row.
-                    let window = window.max(1);
-                    let pending = &mut self.pending;
-                    pending.clear();
-                    let mut ch_done = now;
-                    let mut head = 0usize;
-                    loop {
-                        while pending.len() < window && head < run.len() {
-                            pending.push(run[head]);
-                            head += 1;
-                        }
-                        if pending.is_empty() {
-                            break;
-                        }
-                        let pick = pending
-                            .iter()
-                            .position(|s| bank_row[s.bank as usize] == s.row)
-                            .unwrap_or(0);
-                        let tup = pending.remove(pick);
-                        ch_done = ch_done.max(service_tuple(
-                            &tup, now, t_burst, t_row, t_cas, bank_row, bank_ready, bus, st,
-                        ));
-                    }
-                    ch_done
-                }
+                ControllerPolicy::FrFcfs { window } => self.queue.drain(
+                    run,
+                    window.max(1),
+                    now,
+                    timing,
+                    bank_row,
+                    bank_ready,
+                    &mut bus,
+                    &mut misses,
+                ),
             };
+            self.bus_free[c] = bus;
+            let bursts: u64 = run.iter().map(|t| u64::from(t.bursts)).sum();
+            let st = &mut self.stats[c];
+            st.row_misses += misses;
+            st.row_hits += run.len() as u64 - misses;
+            st.bursts += bursts;
+            st.busy_cycles += bursts * timing.0;
+            // Each span moves at least one burst, so it completes after
+            // `now`: the channel's completion is its last span's.
+            st.last_completion = st.last_completion.max(channel_done);
             done = done.max(channel_done);
         }
         done
@@ -394,43 +396,234 @@ impl SpanReplayer {
     }
 }
 
+/// The FR-FCFS lookahead of one channel run:
+/// [`crate::hbm::ChannelTimeline::drain_frfcfs`] over tuples, without
+/// its per-pick scan of the whole window.
+///
+/// Pending tuples sit in age order in a ring of slots, oldest at the
+/// head. Picking the head advances it; picking a younger tuple leaves
+/// a tombstone (`bursts == 0`) that the head later skips. A row-hit
+/// mask and per-bank slot masks cover the ring, and a count of pending
+/// hits decides the pick: the oldest tuple when there are none, else
+/// the first hit bit from the head onwards, wrapping around.
+///
+/// Only servicing a row miss opens a row, and a miss is picked only
+/// when no pending tuple hits. So after a miss on `(bank, row)` the
+/// hits are exactly that bank's pending tuples of that row: the queue
+/// re-checks one bank's slots, not the whole window. A hit opens
+/// nothing, so it changes no other tuple's status.
+#[derive(Debug, Clone, Default)]
+struct FrFcfsQueue {
+    /// The ring: a power of two of at least 64 slots and twice the
+    /// window (capped at the run length), so tombstones rarely fill it.
+    slots: Vec<SpanTuple>,
+    /// Mask words per set (`slots.len() / 64`).
+    words: usize,
+    /// Slots whose tuple hits its bank's open row.
+    hit: Vec<u64>,
+    /// Pending slots per bank: bank `b` owns words `b * words..`.
+    bank: Vec<u64>,
+}
+
+impl FrFcfsQueue {
+    /// Grows the (empty) ring to fit a `window`-deep lookahead over
+    /// `banks` banks.
+    fn reserve(&mut self, window: usize, banks: usize) {
+        let cap = (2 * window).next_power_of_two().max(64);
+        if self.slots.len() >= cap {
+            return;
+        }
+        let words = cap / 64;
+        let empty = SpanTuple {
+            row: NO_ROW,
+            bank: 0,
+            bursts: 0,
+        };
+        *self = Self {
+            slots: vec![empty; cap],
+            words,
+            hit: vec![0; words],
+            bank: vec![0; banks * words],
+        };
+    }
+
+    /// Services `run` with row-hit-first selection inside a
+    /// `window`-deep lookahead, oldest first when nothing pending hits;
+    /// returns the cycle the last tuple completes. Leaves the queue
+    /// empty.
+    #[allow(clippy::too_many_arguments)]
+    fn drain(
+        &mut self,
+        run: &[SpanTuple],
+        window: usize,
+        now: u64,
+        timing: (u64, u64, u64),
+        bank_row: &mut [u64],
+        bank_ready: &mut [u64],
+        bus: &mut u64,
+        misses: &mut u64,
+    ) -> u64 {
+        // A lookahead deeper than the run sees the whole run, so the
+        // ring never outgrows the program.
+        let window = window.min(run.len());
+        self.reserve(window, bank_row.len());
+        let (words, ring) = (self.words, self.slots.len() - 1);
+        // Ring positions count up from 0; a slot is `pos & ring`. The
+        // queue is empty exactly when the head reaches the tail.
+        let (mut head, mut tail, mut hits) = (0usize, 0usize, 0usize);
+        let mut arrivals = run.iter();
+        // Fill the window; after that each pick makes room for exactly
+        // one arrival, so the window stays full until the run ends.
+        for &tup in arrivals.by_ref().take(window) {
+            self.push(tup, &mut head, &mut tail, &mut hits, bank_row);
+        }
+        let mut done = now;
+        while head < tail {
+            let was_hit = hits > 0;
+            let slot = if was_hit {
+                oldest_set(&self.hit, head & ring)
+            } else {
+                head & ring
+            };
+            let tup = self.slots[slot];
+            let (w, bit) = (slot / 64, 1u64 << (slot % 64));
+            let bank_words = tup.bank as usize * words..(tup.bank as usize + 1) * words;
+            self.bank[bank_words.start + w] &= !bit;
+            if was_hit {
+                self.hit[w] &= !bit;
+                hits -= 1;
+            }
+            if slot == head & ring {
+                head += 1;
+                while head < tail && self.slots[head & ring].bursts == 0 {
+                    head += 1;
+                }
+            } else {
+                self.slots[slot].bursts = 0;
+            }
+            done = done.max(service_tuple(
+                &tup, now, timing, bank_row, bank_ready, bus, misses,
+            ));
+            if !was_hit {
+                // The miss opened `tup.row`: that bank's pending tuples
+                // of the same row hit now, and nothing else changed.
+                for (w, &mask) in self.bank[bank_words].iter().enumerate() {
+                    let mut m = mask;
+                    while m != 0 {
+                        let bit = m & m.wrapping_neg();
+                        m ^= bit;
+                        if self.slots[w * 64 + bit.trailing_zeros() as usize].row == tup.row {
+                            self.hit[w] |= bit;
+                            hits += 1;
+                        }
+                    }
+                }
+            }
+            if let Some(&tup) = arrivals.next() {
+                self.push(tup, &mut head, &mut tail, &mut hits, bank_row);
+            }
+        }
+        done
+    }
+
+    /// Queues `tup` as the youngest pending tuple, compacting the ring
+    /// first when tombstones have filled it.
+    #[inline(always)]
+    fn push(
+        &mut self,
+        tup: SpanTuple,
+        head: &mut usize,
+        tail: &mut usize,
+        hits: &mut usize,
+        bank_row: &[u64],
+    ) {
+        if *tail - *head == self.slots.len() {
+            *tail = self.compact(*head, *tail, bank_row);
+            *head = 0;
+        }
+        let slot = *tail & (self.slots.len() - 1);
+        *tail += 1;
+        self.slots[slot] = tup;
+        let (w, bit) = (slot / 64, 1u64 << (slot % 64));
+        self.bank[tup.bank as usize * self.words + w] |= bit;
+        if bank_row[tup.bank as usize] == tup.row {
+            self.hit[w] |= bit;
+            *hits += 1;
+        }
+    }
+
+    /// Moves the live tuples of the full ring `head..tail` to slots
+    /// `0..n` in age order, dropping tombstones, and rebuilds the
+    /// masks; returns `n`, the new tail (the new head is 0). Hit bits
+    /// are re-derived from the open rows, which is what they record.
+    fn compact(&mut self, head: usize, tail: usize, bank_row: &[u64]) -> usize {
+        debug_assert_eq!(tail - head, self.slots.len());
+        let (words, cap) = (self.words, self.slots.len());
+        self.slots.rotate_left(head & (cap - 1));
+        self.hit.fill(0);
+        self.bank.fill(0);
+        let mut n = 0;
+        for from in 0..cap {
+            let tup = self.slots[from];
+            if tup.bursts == 0 {
+                continue;
+            }
+            self.slots[n] = tup;
+            let (w, bit) = (n / 64, 1u64 << (n % 64));
+            self.bank[tup.bank as usize * words + w] |= bit;
+            if bank_row[tup.bank as usize] == tup.row {
+                self.hit[w] |= bit;
+            }
+            n += 1;
+        }
+        n
+    }
+}
+
+/// The first set bit of `mask` at or after bit `from`, wrapping around
+/// to the bits below it; `mask` must not be empty.
+#[inline]
+fn oldest_set(mask: &[u64], from: usize) -> usize {
+    let (w0, low) = (from / 64, (1u64 << (from % 64)) - 1);
+    let words = mask.len();
+    let first = mask[w0] & !low;
+    if first != 0 {
+        return w0 * 64 + first.trailing_zeros() as usize;
+    }
+    for w in (w0 + 1..words).chain(0..w0) {
+        if mask[w] != 0 {
+            return w * 64 + mask[w].trailing_zeros() as usize;
+        }
+    }
+    w0 * 64 + (mask[w0] & low).trailing_zeros() as usize
+}
+
 /// Services one tuple arriving at `now` against its channel's state
 /// slices — the service recurrence of
-/// [`crate::hbm::ChannelTimeline::service`], decode-free.
-#[allow(clippy::too_many_arguments)]
+/// [`crate::hbm::ChannelTimeline::service`], decode-free — and counts
+/// a row miss in `misses`. Returns the cycle the span completes.
 #[inline(always)]
 fn service_tuple(
     tup: &SpanTuple,
     now: u64,
-    t_burst: u64,
-    t_row: u64,
-    t_cas: u64,
+    (t_burst, t_row, t_cas): (u64, u64, u64),
     bank_row: &mut [u64],
     bank_ready: &mut [u64],
     bus: &mut u64,
-    st: &mut ChannelStats,
+    misses: &mut u64,
 ) -> u64 {
     let bank = tup.bank as usize;
-    let bursts = u64::from(tup.bursts);
     let mut ready = bank_ready[bank].max(now);
     if bank_row[bank] != tup.row {
         // Activate (and precharge the old row) before the transfer.
         ready += t_row;
         bank_row[bank] = tup.row;
-        st.row_misses += 1;
-    } else {
-        st.row_hits += 1;
+        *misses += 1;
     }
-    let start = ready.max(*bus);
-    let burst_cycles = bursts * t_burst;
-    let finish = start + burst_cycles;
+    let finish = ready.max(*bus) + u64::from(tup.bursts) * t_burst;
     *bus = finish;
     bank_ready[bank] = finish;
-    st.bursts += bursts;
-    st.busy_cycles += burst_cycles;
-    let span_done = finish + t_cas;
-    st.last_completion = st.last_completion.max(span_done);
-    span_done
+    finish + t_cas
 }
 
 #[cfg(test)]
@@ -545,7 +738,8 @@ mod tests {
 
     #[test]
     fn replay_matches_hbm_frfcfs_across_windows() {
-        for window in [1usize, 4, 16, 64] {
+        // `usize::MAX` sees whole runs, like the staged drain.
+        for window in [1usize, 4, 16, 64, 65, 200, usize::MAX] {
             for (i, base) in geometry_variants().into_iter().enumerate() {
                 let cfg = HbmConfig {
                     controller: ControllerPolicy::FrFcfs { window },
@@ -554,11 +748,100 @@ mod tests {
                 for seed in 1..=3 {
                     assert_replay_matches_hbm(
                         cfg,
-                        5000 + 100 * window as u64 + 10 * i as u64 + seed,
+                        5000 + 100 * window.min(1000) as u64 + 10 * i as u64 + seed,
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn old_row_miss_outlives_many_younger_row_hits() {
+        // One channel: step 0 opens row A of bank 0; step 1 queues a
+        // miss to row B of the same bank ahead of many more than
+        // 2 x window hits to A, enough to wrap and compact the ring.
+        // FR-FCFS serves every hit first, so the miss outlives them all
+        // and each hit stays a hit; in order, the miss would close A.
+        let base = HbmConfig {
+            channels: 1,
+            ..HbmConfig::hbm1()
+        };
+        let row_addr = |row: u64| row * base.banks as u64 * base.row_bytes;
+        let read = |addr: u64| MemRequest::read(RequestKind::InputFeatures, addr, 32);
+        for window in [2usize, 7, 65, 200] {
+            let cfg = HbmConfig {
+                controller: ControllerPolicy::FrFcfs { window },
+                ..base
+            };
+            let hits = 4 * window.max(64) as u64;
+            let batches = [
+                vec![read(row_addr(1))],
+                std::iter::once(read(row_addr(2)))
+                    .chain((0..hits).map(|i| read(row_addr(1) + 32 * (i % 64))))
+                    .collect::<Vec<_>>(),
+            ];
+            let mut builder = SpanProgramBuilder::new(&cfg).unwrap();
+            for b in &batches {
+                builder.push_step(b);
+            }
+            let program = builder.finish();
+            let mut hbm = Hbm::new(cfg);
+            let mut replayer = SpanReplayer::new(&cfg).unwrap();
+            let mut now = 0;
+            for (step, b) in batches.iter().enumerate() {
+                let t_hbm = hbm.service_batch(b, now);
+                assert_eq!(
+                    t_hbm,
+                    replayer.replay_step(&program, step, now),
+                    "window {window}"
+                );
+                assert_eq!(hbm.stats(), replayer.stats(), "window {window} step {step}");
+                now = t_hbm;
+            }
+            let stats = replayer.stats();
+            assert_eq!(
+                (stats.row_hits, stats.row_misses),
+                (hits, 2),
+                "window {window}"
+            );
+        }
+    }
+
+    #[test]
+    fn oldest_hit_search_wraps_around_the_ring() {
+        // Window 65 uses a 256-slot ring. 260 row misses to fresh rows
+        // march the head past slot 195 before the 261st tuple, a hit on
+        // the row the 11th tuple left open, lands in wrapped slot 4: the
+        // oldest-hit search must wrap from the head's word to word 0.
+        let cfg = HbmConfig {
+            channels: 1,
+            controller: ControllerPolicy::FrFcfs { window: 65 },
+            ..HbmConfig::hbm1()
+        };
+        let page = |bank: u64, row: u64| (row * cfg.banks as u64 + bank) * cfg.row_bytes;
+        let read = |addr: u64| MemRequest::read(RequestKind::InputFeatures, addr, 32);
+        let batch: Vec<MemRequest> = (0..260u64)
+            .map(|i| {
+                if i == 10 {
+                    page(15, 7)
+                } else {
+                    page(i % 15, 100 + i)
+                }
+            })
+            .chain(std::iter::once(page(15, 7)))
+            .map(read)
+            .collect();
+        let mut builder = SpanProgramBuilder::new(&cfg).unwrap();
+        builder.push_step(&batch);
+        let program = builder.finish();
+        let mut hbm = Hbm::new(cfg);
+        let mut replayer = SpanReplayer::new(&cfg).unwrap();
+        assert_eq!(
+            hbm.service_batch(&batch, 0),
+            replayer.replay_step(&program, 0, 0)
+        );
+        assert_eq!(hbm.stats(), replayer.stats());
+        assert_eq!(replayer.stats().row_hits, 1);
     }
 
     #[test]

@@ -49,6 +49,28 @@
 //! | `workload_build`   | Campaign graph+model construction                    |
 //! | `figure_render`    | One paper-figure reproduction in `hygcn-bench`       |
 //!
+//! ## Counters
+//!
+//! [`Counter`] is closed the same way; `metrics.json` exports every one.
+//!
+//! | counter                | counts                                          |
+//! |------------------------|-------------------------------------------------|
+//! | `cache_hits`           | Campaign points read from the result store      |
+//! | `cache_misses`         | Campaign points that needed an evaluation       |
+//! | `points_total`         | Points submitted to `Campaign::run_points`      |
+//! | `points_simulated`     | Points evaluated and stored this run            |
+//! | `points_cached`        | Points skipped because the store held them      |
+//! | `points_failed`        | Points whose evaluation failed terminally       |
+//! | `quarantined_lines`    | Corrupt store lines quarantined on open         |
+//! | `store_retries`        | Store I/O retries                               |
+//! | `eval_retries`         | Backend-evaluation retries                      |
+//! | `plan_cache_hits`      | Graph plan-memo lookups served from the cache   |
+//! | `plan_cache_misses`    | Graph plan-memo lookups that built their value  |
+//! | `plan_cache_evictions` | Plan-memo insertions that evicted an entry      |
+//!
+//! The plan-memo counters cover the simulator's span programs, runtime
+//! samples and occupancy indexes (`Graph::memo`).
+//!
 //! ## Usage
 //!
 //! ```
@@ -175,10 +197,17 @@ pub enum Counter {
     StoreRetries,
     /// Backend-evaluation retries inside the campaign executor.
     EvalRetries,
+    /// Graph plan-memo lookups served from the cache (span programs,
+    /// runtime samples, occupancy indexes).
+    PlanCacheHits,
+    /// Graph plan-memo lookups that built their value.
+    PlanCacheMisses,
+    /// Graph plan-memo insertions that evicted an older entry.
+    PlanCacheEvictions,
 }
 
 /// Number of [`Counter`] variants.
-pub const N_COUNTERS: usize = 9;
+pub const N_COUNTERS: usize = 12;
 
 impl Counter {
     /// The stable snake_case name used in `metrics.json`.
@@ -193,6 +222,9 @@ impl Counter {
             Counter::QuarantinedLines => "quarantined_lines",
             Counter::StoreRetries => "store_retries",
             Counter::EvalRetries => "eval_retries",
+            Counter::PlanCacheHits => "plan_cache_hits",
+            Counter::PlanCacheMisses => "plan_cache_misses",
+            Counter::PlanCacheEvictions => "plan_cache_evictions",
         }
     }
 
@@ -208,6 +240,9 @@ impl Counter {
             Counter::QuarantinedLines,
             Counter::StoreRetries,
             Counter::EvalRetries,
+            Counter::PlanCacheHits,
+            Counter::PlanCacheMisses,
+            Counter::PlanCacheEvictions,
         ]
     }
 }

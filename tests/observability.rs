@@ -1,8 +1,15 @@
 //! Inertness contract of the `hygcn-obs` collector: turning tracing on
 //! may record spans and counters, but it must never change a single
-//! simulated bit. Every test here runs the same work twice — collection
-//! off, then on — and asserts bit-identical results: `SimReport`s from
-//! all six backends, campaign store bytes, and cache keys.
+//! simulated bit. Every inertness test here runs the same work twice —
+//! collection off, then on — and asserts bit-identical results:
+//! `SimReport`s from all six backends, campaign store bytes, and cache
+//! keys.
+//!
+//! The span-program cache contract is pinned here too, because its
+//! evidence is the collector's `span_program_build` count: a sweep over
+//! the fields that bind at replay decodes once per model, every field
+//! that shapes the request stream forces a new decode, and every point
+//! still equals the seed oracle.
 //!
 //! The collector's state is process-global, so every test serializes on
 //! one mutex; a poisoned lock (a failed sibling) is recovered, not
@@ -14,11 +21,16 @@ use std::sync::{Mutex, MutexGuard};
 
 use hygcn_suite::baseline::backend::resolve;
 use hygcn_suite::core::config::{HyGcnConfig, PipelineMode};
+use hygcn_suite::core::Simulator;
 use hygcn_suite::dse::campaign::Campaign;
 use hygcn_suite::dse::space::{cache_key, Axis, ConfigSpace, WorkloadSpec};
 use hygcn_suite::gcn::model::{GcnModel, ModelKind};
 use hygcn_suite::graph::datasets::DatasetKey;
 use hygcn_suite::graph::generator::{erdos_renyi, rmat, RmatParams};
+use hygcn_suite::graph::Graph;
+use hygcn_suite::mem::address::MappingScheme;
+use hygcn_suite::mem::hbm::ControllerPolicy;
+use hygcn_suite::mem::scheduler::CoordinationMode;
 use hygcn_suite::obs;
 use proptest::prelude::*;
 
@@ -228,6 +240,126 @@ fn trace_covers_at_least_six_distinct_phases() {
     assert!(events.iter().all(|e| e.dur_us >= 1 && e.tid >= 1));
     obs::reset();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Span-program decodes recorded since the last `obs::reset`.
+fn program_builds() -> u64 {
+    obs::snapshot().phases[obs::Phase::SpanProgramBuild as usize].count
+}
+
+/// Simulates `cfg` and checks the report against the seed oracle.
+fn simulate_checked(graph: &Graph, model: &GcnModel, cfg: &HyGcnConfig) {
+    let sim = Simulator::new(cfg.clone());
+    assert_eq!(
+        sim.simulate(graph, model).unwrap(),
+        sim.simulate_reference(graph, model).unwrap(),
+        "{}",
+        cfg.canon()
+    );
+}
+
+/// A sweep over every field that binds at replay — clock, `t_row`,
+/// `t_cas` and the controller — decodes one span program per model and
+/// replays it for every point. GraphSage also samples once: its sample
+/// and the sample's own plans persist on the parent graph.
+#[test]
+fn timing_sweep_decodes_once_per_model() {
+    let _guard = obs_guard();
+    let graph = rmat(1024, 8192, RmatParams::default(), 11)
+        .unwrap()
+        .with_feature_len(64);
+    // (model, plan memos per point: program + occupancy [+ sample])
+    for (kind, memos) in [(ModelKind::Gcn, 2), (ModelKind::GraphSage, 3)] {
+        let model = GcnModel::new(kind, 64, 5).unwrap();
+        obs::reset();
+        obs::enable();
+        let mut points = 0;
+        for clock_ghz in [1.0, 1.5] {
+            for t_row in [14, 56] {
+                for t_cas in [7, 14] {
+                    for controller in [
+                        ControllerPolicy::InOrder,
+                        ControllerPolicy::FrFcfs { window: 32 },
+                    ] {
+                        let mut cfg = HyGcnConfig::default();
+                        cfg.clock_ghz = clock_ghz;
+                        cfg.hbm.t_row = t_row;
+                        cfg.hbm.t_cas = t_cas;
+                        cfg.hbm.controller = controller;
+                        simulate_checked(&graph, &model, &cfg);
+                        points += 1;
+                    }
+                }
+            }
+        }
+        obs::disable();
+        assert_eq!(program_builds(), 1, "{kind:?}: one decode serves the sweep");
+        let counter = obs::counter_value;
+        assert_eq!(counter(obs::Counter::PlanCacheMisses), memos, "{kind:?}");
+        assert_eq!(
+            counter(obs::Counter::PlanCacheHits),
+            (points - 1) * memos,
+            "{kind:?}"
+        );
+        assert_eq!(counter(obs::Counter::PlanCacheEvictions), 0, "{kind:?}");
+    }
+    obs::reset();
+}
+
+/// Every field that shapes the DRAM request stream or its decode is part
+/// of the program key: changing it alone forces a fresh decode.
+#[test]
+fn stream_fields_force_a_new_program() {
+    let _guard = obs_guard();
+    let graph = rmat(1024, 8192, RmatParams::default(), 12)
+        .unwrap()
+        .with_feature_len(64);
+    let base = HyGcnConfig::default();
+    type Edit = fn(&mut HyGcnConfig);
+    let variants: [(&str, Edit); 7] = [
+        ("aggbuf", |c| c.aggregation_buffer_bytes = 1 << 17),
+        ("sparsity", |c| c.sparsity_elimination = false),
+        ("coordination", |c| c.coordination = CoordinationMode::Fcfs),
+        ("pipeline", |c| c.pipeline = PipelineMode::EnergyAware),
+        ("channels", |c| c.hbm.channels = 4),
+        ("mapping", |c| c.hbm.mapping = MappingScheme::RowInterleaved),
+        ("sample_seed", |c| c.sample_seed ^= 1),
+    ];
+    for kind in [ModelKind::Gcn, ModelKind::GraphSage] {
+        let model = GcnModel::new(kind, 64, 5).unwrap();
+        for (field, apply) in variants {
+            let mut cfg = base.clone();
+            apply(&mut cfg);
+            obs::reset();
+            obs::enable();
+            simulate_checked(&graph, &model, &base);
+            let before = program_builds();
+            simulate_checked(&graph, &model, &cfg);
+            let after = program_builds();
+            obs::disable();
+            assert_eq!(after, before + 1, "{kind:?}: {field} must force a decode");
+        }
+    }
+    obs::reset();
+}
+
+/// Alternating configs on one graph must not cross-contaminate: each
+/// cached program replays its own stream.
+#[test]
+fn program_cache_discriminates_configs() {
+    let _guard = obs_guard();
+    let g = rmat(1200, 10_000, RmatParams::default(), 8)
+        .unwrap()
+        .with_feature_len(64);
+    let m = GcnModel::new(ModelKind::Gcn, 64, 1).unwrap();
+    let base = HyGcnConfig::default();
+    let mut frfcfs = HyGcnConfig::default();
+    frfcfs.hbm.controller = ControllerPolicy::FrFcfs { window: 4 };
+    let mut small_buf = HyGcnConfig::default();
+    small_buf.aggregation_buffer_bytes = 1 << 20;
+    for cfg in [&base, &frfcfs, &small_buf, &base, &frfcfs, &small_buf] {
+        simulate_checked(&g, &m, cfg);
+    }
 }
 
 proptest! {

@@ -194,12 +194,17 @@ proptest! {
         t_row in 1u64..48,
         t_cas in 0u64..24,
         row_interleaved in any::<bool>(),
+        // 65 and 200 span more than one 64-slot mask word.
         frfcfs_window in prop_oneof![
             Just(None),
             Just(Some(1usize)),
+            Just(Some(2usize)),
             Just(Some(3usize)),
             Just(Some(16usize)),
+            Just(Some(32usize)),
             Just(Some(64usize)),
+            Just(Some(65usize)),
+            Just(Some(200usize)),
         ],
         seed in 1u64..100_000,
     ) {
