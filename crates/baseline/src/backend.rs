@@ -1,10 +1,19 @@
 //! The platform models behind the [`SimBackend`] trait, plus the
 //! full-vocabulary backend resolver.
 //!
-//! The CPU/GPU models predate the backend abstraction as dead-ended
-//! [`PlatformReport`] producers: nothing campaign-shaped could drive
-//! them, so every Fig. 10/11 baseline number was recomputed ad hoc.
-//! [`CpuBackend`] and [`GpuBackend`] adapt them to the shared contract:
+//! One table-driven [`PlatformBackend`] serves every PyG platform
+//! variant the paper compares, each under its own backend id (and so its
+//! own cache keys):
+//!
+//! | id            | model                                   | paper use |
+//! |---------------|-----------------------------------------|-----------|
+//! | `cpu`         | PyG-CPU, shard-optimized                | the comparison baseline (Fig. 10c–14) |
+//! | `gpu`         | PyG-GPU, stock V100                     | the GPU baseline (Fig. 10c–14) |
+//! | `cpu-naive`   | PyG-CPU as shipped                      | Fig. 2 breakdown, Fig. 10(a) reference |
+//! | `gpu-sharded` | the shard optimization on the V100, intervals sized to its L2 | Fig. 10(b) |
+//!
+//! Every figure number therefore comes from a stored campaign point,
+//! whichever platform produced it. The reports follow one contract:
 //!
 //! * **Populated comparably:** `cycles` (at the platform's own clock),
 //!   `time_s`, DRAM traffic, achieved bandwidth, and an
@@ -154,31 +163,71 @@ fn check_features(graph: &Graph, model: &GcnModel) -> Result<(), SimError> {
     Ok(())
 }
 
-/// PyG-CPU (shard-optimized — the paper's comparison baseline) as a
-/// backend (id `"cpu"`).
-#[derive(Debug, Clone)]
-pub struct CpuBackend {
-    model: CpuModel,
+/// The PyG platform variants the paper compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Platform {
+    /// PyG-CPU, shard-optimized: the paper's comparison baseline.
+    Cpu,
+    /// PyG-GPU, stock V100: the paper's GPU baseline.
+    Gpu,
+    /// Stock PyG-CPU: the Fig. 2 breakdown and the Fig. 10(a) reference.
+    CpuNaive,
+    /// The shard optimization applied to the GPU, where it hurts
+    /// (Fig. 10(b)).
+    GpuSharded,
 }
 
-impl Default for CpuBackend {
-    fn default() -> Self {
-        Self {
-            model: CpuModel::optimized(),
+/// Each platform backend's id and variant.
+const PLATFORMS: [(&str, Platform); 4] = [
+    ("cpu", Platform::Cpu),
+    ("gpu", Platform::Gpu),
+    ("cpu-naive", Platform::CpuNaive),
+    ("gpu-sharded", Platform::GpuSharded),
+];
+
+/// Vertices per GPU shard interval: half the V100's 6 MB L2 holds the
+/// interval's feature rows (4-byte elements).
+fn gpu_shard_interval(feature_len: usize) -> usize {
+    ((6 << 20) / 2 / (feature_len.max(1) * 4)).max(32)
+}
+
+impl Platform {
+    /// Runs one workload over `graph`: the platform report, the clock its
+    /// cycle count is reported at (GHz) and the model's DRAM energy per
+    /// byte.
+    fn run(self, graph: &Graph, w: &LayerWorkload) -> (PlatformReport, f64, f64) {
+        let cpu = |m: CpuModel| (m.run_workload(w), CPU_CLOCK_GHZ, m.params().dram_j_per_byte);
+        let gpu = |m: GpuModel| (m.run_workload(w), GPU_CLOCK_GHZ, m.params().dram_j_per_byte);
+        match self {
+            Platform::Cpu => cpu(CpuModel::optimized()),
+            Platform::Gpu => gpu(GpuModel::naive()),
+            Platform::CpuNaive => cpu(CpuModel::naive()),
+            Platform::GpuSharded => gpu(GpuModel::sharded(gpu_shard_interval(graph.feature_len()))),
         }
     }
 }
 
-impl CpuBackend {
-    /// The paper's comparison baseline (shard-optimized PyG).
-    pub fn new() -> Self {
-        Self::default()
+/// One PyG platform variant behind [`SimBackend`], for every id of
+/// `PLATFORMS`.
+#[derive(Debug, Clone, Copy)]
+pub struct PlatformBackend {
+    id: &'static str,
+    platform: Platform,
+}
+
+impl PlatformBackend {
+    /// The platform backend with id `id`, if it is one.
+    pub fn new(id: &str) -> Option<Self> {
+        PLATFORMS
+            .iter()
+            .find(|(known, _)| *known == id)
+            .map(|&(id, platform)| Self { id, platform })
     }
 }
 
-impl SimBackend for CpuBackend {
+impl SimBackend for PlatformBackend {
     fn backend_id(&self) -> &'static str {
-        "cpu"
+        self.id
     }
 
     fn evaluate(
@@ -187,79 +236,39 @@ impl SimBackend for CpuBackend {
         model: &GcnModel,
         config: &HyGcnConfig,
     ) -> Result<SimReport, SimError> {
-        hygcn_obs::observe_eval(self.backend_id(), || {
+        hygcn_obs::observe_eval(self.id, || {
             check_features(graph, model)?;
             let w = workload_for(graph, model, config);
-            let r = self.model.run_workload(&w);
+            let (report, clock_ghz, dram_j_per_byte) = self.platform.run(graph, &w);
             Ok(to_sim_report(
-                &r,
+                &report,
                 &w,
-                CPU_CLOCK_GHZ,
-                self.model.params().dram_j_per_byte,
-                "cpu",
-            ))
-        })
-    }
-}
-
-/// PyG-GPU (stock V100 — the paper's GPU baseline) as a backend
-/// (id `"gpu"`).
-#[derive(Debug, Clone)]
-pub struct GpuBackend {
-    model: GpuModel,
-}
-
-impl Default for GpuBackend {
-    fn default() -> Self {
-        Self {
-            model: GpuModel::naive(),
-        }
-    }
-}
-
-impl GpuBackend {
-    /// The paper's GPU baseline (stock PyG on the V100).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl SimBackend for GpuBackend {
-    fn backend_id(&self) -> &'static str {
-        "gpu"
-    }
-
-    fn evaluate(
-        &self,
-        graph: &Graph,
-        model: &GcnModel,
-        config: &HyGcnConfig,
-    ) -> Result<SimReport, SimError> {
-        hygcn_obs::observe_eval(self.backend_id(), || {
-            check_features(graph, model)?;
-            let w = workload_for(graph, model, config);
-            let r = self.model.run_workload(&w);
-            Ok(to_sim_report(
-                &r,
-                &w,
-                GPU_CLOCK_GHZ,
-                self.model.params().dram_j_per_byte,
-                "gpu",
+                clock_ghz,
+                dram_j_per_byte,
+                self.id,
             ))
         })
     }
 }
 
 /// Every backend id the workspace knows, in CLI display order.
-pub const BACKEND_IDS: &[&str] = &["cycle", "cycle-fast", "analytical", "cpu", "gpu", "seed"];
+pub const BACKEND_IDS: &[&str] = &[
+    "cycle",
+    "cycle-fast",
+    "analytical",
+    "cpu",
+    "gpu",
+    "cpu-naive",
+    "gpu-sharded",
+    "seed",
+];
 
 /// Resolves any backend id in the workspace vocabulary — the four
-/// `hygcn-core` backends plus the two platform models here.
+/// `hygcn-core` backends plus the platform models here.
 pub fn resolve(id: &str) -> Option<Arc<dyn SimBackend>> {
-    match id {
-        "cpu" => Some(Arc::new(CpuBackend::new())),
-        "gpu" => Some(Arc::new(GpuBackend::new())),
-        other => core_backend(other),
+    match PlatformBackend::new(id) {
+        Some(platform) => Some(Arc::new(platform)),
+        None => core_backend(id),
     }
 }
 
@@ -278,24 +287,49 @@ mod tests {
     }
 
     #[test]
-    fn cpu_backend_reproduces_the_platform_model() {
+    fn each_platform_backend_reproduces_its_model() {
         let (g, m) = workload();
         let cfg = HyGcnConfig::default();
-        let direct = CpuModel::optimized().run(&g, &m);
-        let r = CpuBackend::new().evaluate(&g, &m, &cfg).unwrap();
-        assert_eq!(r.time_s, direct.time_s);
-        assert_eq!(r.dram_bytes(), direct.dram_bytes);
-        assert!((r.energy_j() - direct.energy_j).abs() <= 1e-12 * direct.energy_j);
-        assert_eq!(r.bandwidth_utilization, direct.bandwidth_utilization);
-        assert_eq!(r.cycles, (direct.time_s * 2.5e9).round() as u64);
-        assert_eq!(r.provenance, "cpu");
+        let interval = gpu_shard_interval(g.feature_len());
+        let cases = [
+            ("cpu", CpuModel::optimized().run(&g, &m), CPU_CLOCK_GHZ),
+            ("gpu", GpuModel::naive().run(&g, &m), GPU_CLOCK_GHZ),
+            ("cpu-naive", CpuModel::naive().run(&g, &m), CPU_CLOCK_GHZ),
+            (
+                "gpu-sharded",
+                GpuModel::sharded(interval).run(&g, &m),
+                GPU_CLOCK_GHZ,
+            ),
+        ];
+        for (id, direct, clock_ghz) in cases {
+            let r = resolve(id).unwrap().evaluate(&g, &m, &cfg).unwrap();
+            assert_eq!(r.time_s, direct.time_s, "{id}");
+            assert_eq!(r.dram_bytes(), direct.dram_bytes, "{id}");
+            assert!(
+                (r.energy_j() - direct.energy_j).abs() <= 1e-12 * direct.energy_j,
+                "{id}"
+            );
+            assert_eq!(
+                r.bandwidth_utilization, direct.bandwidth_utilization,
+                "{id}"
+            );
+            assert_eq!(
+                r.cycles,
+                (direct.time_s * clock_ghz * 1e9).round() as u64,
+                "{id}"
+            );
+            assert_eq!(r.provenance, id);
+        }
+        // 64-element features: 3 MB of 256-byte rows.
+        assert_eq!(gpu_shard_interval(64), 12_288);
+        assert_eq!(gpu_shard_interval(1 << 20), 32);
     }
 
     #[test]
     fn accelerator_only_fields_are_zeroed() {
         let (g, m) = workload();
         let cfg = HyGcnConfig::default();
-        for id in ["cpu", "gpu"] {
+        for id in ["cpu", "gpu", "cpu-naive", "gpu-sharded"] {
             let r = resolve(id).unwrap().evaluate(&g, &m, &cfg).unwrap();
             assert!(r.mem_channels.is_empty(), "{id}");
             assert!(r.timeline.is_empty(), "{id}");
@@ -318,23 +352,25 @@ mod tests {
     fn gpu_is_faster_than_cpu_through_the_trait() {
         let (g, m) = workload();
         let cfg = HyGcnConfig::default();
-        let cpu = CpuBackend::new().evaluate(&g, &m, &cfg).unwrap();
-        let gpu = GpuBackend::new().evaluate(&g, &m, &cfg).unwrap();
-        assert!(gpu.time_s < cpu.time_s);
+        let run = |id| resolve(id).unwrap().evaluate(&g, &m, &cfg).unwrap().time_s;
+        assert!(run("gpu") < run("cpu"));
+        // The variants the figures compare: sharding helps the CPU and
+        // hurts the GPU.
+        assert!(run("cpu") < run("cpu-naive"));
+        assert!(run("gpu") < run("gpu-sharded"));
     }
 
     #[test]
     fn sampling_override_shrinks_platform_work() {
         let (g, m) = workload();
-        let base = CpuBackend::new()
-            .evaluate(&g, &m, &HyGcnConfig::default())
-            .unwrap();
+        let cpu = PlatformBackend::new("cpu").unwrap();
+        let base = cpu.evaluate(&g, &m, &HyGcnConfig::default()).unwrap();
         let with = |policy| {
             let cfg = HyGcnConfig {
                 sample_policy_override: Some(policy),
                 ..HyGcnConfig::default()
             };
-            CpuBackend::new().evaluate(&g, &m, &cfg).unwrap()
+            cpu.evaluate(&g, &m, &cfg).unwrap()
         };
         let quarter = with(SamplePolicy::Factor(4));
         assert!(quarter.elem_ops < base.elem_ops);
@@ -388,14 +424,18 @@ mod tests {
             assert_eq!(b.backend_id(), id);
         }
         assert!(resolve("pyg").is_none());
+        assert!(PlatformBackend::new("cycle").is_none());
     }
 
     #[test]
     fn feature_mismatch_is_rejected() {
         let (g, _) = workload();
         let wrong = GcnModel::new(ModelKind::Gcn, 8, 1).unwrap();
-        assert!(CpuBackend::new()
-            .evaluate(&g, &wrong, &HyGcnConfig::default())
-            .is_err());
+        for (id, _) in PLATFORMS {
+            let r = resolve(id)
+                .unwrap()
+                .evaluate(&g, &wrong, &HyGcnConfig::default());
+            assert!(r.is_err(), "{id}");
+        }
     }
 }

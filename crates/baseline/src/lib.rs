@@ -31,8 +31,11 @@
 //!   hardware prefetching covers the regular Combination walk but is
 //!   ineffective on Aggregation's indirect gathers.
 //!
-//! Every model returns a [`report::PlatformReport`] so the benchmark
-//! harness can compare platforms uniformly.
+//! Every model returns a [`report::PlatformReport`];
+//! [`backend::PlatformBackend`] serves each platform variant as a
+//! campaign backend (`cpu`, `gpu`, `cpu-naive`, `gpu-sharded`), so the
+//! figure harness reads platform numbers from the store like any other
+//! design point.
 
 pub mod backend;
 pub mod cache;
@@ -44,7 +47,7 @@ pub mod prefetch;
 pub mod report;
 pub mod trace;
 
-pub use backend::{CpuBackend, GpuBackend};
+pub use backend::PlatformBackend;
 pub use cpu::CpuModel;
 pub use gpu::GpuModel;
 pub use report::{PhaseBreakdown, PlatformReport};

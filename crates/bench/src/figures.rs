@@ -14,15 +14,22 @@
 //!   evaluation grid; the grid simulates once and every later figure is
 //!   served from the store. Table 3's single PB/GCN point is the same
 //!   cache key as the grid's.
+//! * **Every number is a store read.** The PyG platform baselines are
+//!   backend points like any other: Fig. 2 reads the `cpu-naive` grid,
+//!   Fig. 10 the `cpu`, `gpu`, `cpu-naive` and `gpu-sharded` grids, and
+//!   Fig. 11, 13 and 14 the `cpu` and `gpu` grids, all cached under their
+//!   own backend keys in the same store.
 //! * **Re-runs are free.** `hygcn figures all` twice performs zero
 //!   simulations the second time — the regression gate CI asserts.
+//! * **One campaign per artifact.** All of an artifact's spaces run
+//!   through one campaign call, so each workload graph is built at most
+//!   once per artifact, whichever backends read it.
 //! * **Code changes invalidate precisely.** A config-affecting change
 //!   alters `HyGcnConfig::canon`, so exactly the stale points re-run.
 //!
-//! CPU/GPU baseline numbers (the analytic PyG platform models) are not
-//! simulations; renders recompute them on demand through the memoized
-//! [`FigureCtx`], which builds each dataset graph at most once per
-//! process.
+//! Only Table 2 (the CPU cache characterization) and Table 3 (workload
+//! statistics) measure a graph directly, through the memoized
+//! [`FigureCtx`]; a warm `figures all` builds just those two graphs.
 //!
 //! Porting note: the original `fig15_sparsity` binary drove the
 //! Aggregation Engine in isolation; the campaign port measures the
@@ -32,10 +39,9 @@
 
 use std::path::Path;
 
-use hygcn_baseline::characterize::{characterize, Characterization};
+use hygcn_baseline::characterize::characterize;
 use hygcn_baseline::params::CpuParams;
 use hygcn_baseline::prefetch::phase_prefetch_coverage;
-use hygcn_baseline::{CpuModel, GpuModel, PlatformReport};
 use hygcn_core::energy::AreaPowerModel;
 use hygcn_core::HyGcnConfig;
 use hygcn_dse::campaign::{Campaign, CampaignReport, CompletedPoint};
@@ -47,6 +53,7 @@ use hygcn_graph::datasets::{DatasetKey, DatasetSpec};
 use hygcn_graph::reorder::Ordering;
 use hygcn_graph::stats::{neighbor_sharing_ratio, DegreeStats};
 use hygcn_graph::Graph;
+use hygcn_obs::json_escape;
 
 use crate::{evaluation_grid as eval_grid, fmt_x, geomean};
 
@@ -73,34 +80,20 @@ pub struct FigureSpec {
     pub id: &'static str,
     /// Human title printed above the table.
     pub title: &'static str,
-    /// The campaign spaces this artifact simulates, at a scale
-    /// multiplier. Baseline-only artifacts (Fig. 2, Table 2, Table 7)
-    /// return no spaces — they cost zero simulations.
+    /// The campaign spaces this artifact reads, at a scale multiplier —
+    /// accelerator and platform-baseline points alike. Table 2 and
+    /// Table 7 return no spaces: they cost zero simulations.
     pub spaces: fn(f64) -> Result<Vec<ConfigSpace>, DseError>,
     /// Typed post-processing: campaign reports (one per space, in
     /// order) to the figure's table.
     pub render: fn(&[CampaignReport], &mut FigureCtx) -> String,
 }
 
-/// Memoized per-process context for the baseline (non-simulated) halves
-/// of the artifacts: dataset graphs, models, and PyG platform runs.
+/// Memoized per-process context for the artifacts that measure a graph
+/// directly (Table 2's characterization, Table 3's workload statistics).
 pub struct FigureCtx {
     mult: f64,
     graphs: Vec<(DatasetKey, Graph)>,
-    baselines: Vec<((ModelKind, DatasetKey), Baselines)>,
-}
-
-/// The four analytic platform runs of one `(model, dataset)` workload.
-#[derive(Debug, Clone)]
-pub struct Baselines {
-    /// Naive PyG-CPU.
-    pub cpu_naive: PlatformReport,
-    /// Shard-optimized PyG-CPU (the paper's comparison baseline).
-    pub cpu_opt: PlatformReport,
-    /// Stock PyG-GPU.
-    pub gpu_naive: PlatformReport,
-    /// Shard-"optimized" GPU (degrades — Fig. 10(b)).
-    pub gpu_sharded: PlatformReport,
 }
 
 impl FigureCtx {
@@ -109,7 +102,6 @@ impl FigureCtx {
         Self {
             mult,
             graphs: Vec::new(),
-            baselines: Vec::new(),
         }
     }
 
@@ -122,6 +114,7 @@ impl FigureCtx {
         if let Some(i) = self.graphs.iter().position(|(k, _)| *k == key) {
             return i;
         }
+        let _obs = hygcn_obs::span(hygcn_obs::Phase::WorkloadBuild);
         let graph = ds(key, self.mult)
             .build()
             // lint: allow(unwrap) -- ds() clamps scale into the range instantiate accepts
@@ -145,34 +138,6 @@ impl FigureCtx {
             // lint: allow(unwrap) -- Graph guarantees feature_len >= 1, the only failure mode
             GcnModel::new(kind, graph.feature_len(), 0xC0DE).expect("nonzero feature length");
         f(graph, &model)
-    }
-
-    /// The memoized platform baselines of one workload.
-    pub fn baselines(&mut self, kind: ModelKind, key: DatasetKey) -> &Baselines {
-        if let Some(i) = self.baselines.iter().position(|(k, _)| *k == (kind, key)) {
-            // Polonius-shy re-borrow: position then index.
-            return &self.baselines[i].1;
-        }
-        let b = self.with_graph_model(key, kind, |graph, model| {
-            // GPU shard interval from its 6 MB L2 and aggregation width.
-            let interval = ((6 << 20) / 2 / (graph.feature_len().max(1) * 4)).max(32);
-            Baselines {
-                cpu_naive: CpuModel::naive().run(graph, model),
-                cpu_opt: CpuModel::optimized().run(graph, model),
-                gpu_naive: GpuModel::naive().run(graph, model),
-                gpu_sharded: GpuModel::sharded(interval).run(graph, model),
-            }
-        });
-        let i = self.baselines.len();
-        self.baselines.push(((kind, key), b));
-        &self.baselines[i].1
-    }
-
-    /// Table 2's CPU characterization of one workload.
-    pub fn characterization(&mut self, key: DatasetKey, kind: ModelKind) -> Characterization {
-        self.with_graph_model(key, kind, |graph, model| {
-            characterize(graph, model, &CpuParams::default(), 2_000_000)
-        })
     }
 }
 
@@ -262,14 +227,11 @@ fn eval_spaces(mult: f64) -> Result<Vec<ConfigSpace>, DseError> {
     ])
 }
 
-/// The cross-backend evaluation grid of Fig. 10/11: the 20-workload
-/// grid evaluated by the accelerator (spaces 0–1), PyG-CPU (2–3), and
-/// PyG-GPU (4–5) — every speedup/energy cell is a campaign point read,
-/// so baseline numbers are cached, resumable, and backend-key-isolated
-/// exactly like simulations.
-fn eval_cross_spaces(mult: f64) -> Result<Vec<ConfigSpace>, DseError> {
-    let mut spaces = eval_spaces(mult)?;
-    for backend in ["cpu", "gpu"] {
+/// The 20-workload grid under each backend in turn: spaces `2i` and
+/// `2i + 1` hold backend `i`'s 3-model block and DiffPool pair.
+fn grid_spaces(backends: &[&str], mult: f64) -> Result<Vec<ConfigSpace>, DseError> {
+    let mut spaces = Vec::with_capacity(2 * backends.len());
+    for &backend in backends {
         for space in eval_spaces(mult)? {
             spaces.push(space.with_backend_id(backend));
         }
@@ -277,10 +239,26 @@ fn eval_cross_spaces(mult: f64) -> Result<Vec<ConfigSpace>, DseError> {
     Ok(spaces)
 }
 
+/// The cross-backend evaluation grid of Fig. 11/13/14: the 20-workload
+/// grid evaluated by the accelerator (spaces 0–1), PyG-CPU (2–3), and
+/// PyG-GPU (4–5) — every platform cell is a campaign point read, so
+/// baseline numbers are cached, resumable, and backend-key-isolated
+/// exactly like simulations.
+fn eval_cross_spaces(mult: f64) -> Result<Vec<ConfigSpace>, DseError> {
+    grid_spaces(&["cycle", "cpu", "gpu"], mult)
+}
+
+/// Fig. 10's grid: the cross-backend grid plus the two shard-variant
+/// platforms it contrasts, naive PyG-CPU (spaces 6–7) and sharded
+/// PyG-GPU (8–9).
+fn fig10_spaces(mult: f64) -> Result<Vec<ConfigSpace>, DseError> {
+    grid_spaces(&["cycle", "cpu", "gpu", "cpu-naive", "gpu-sharded"], mult)
+}
+
 /// The grid point of one `(model, dataset)` pair within the two-space
 /// block starting at `offset` (space `offset` holds the 3-model block,
-/// `offset + 1` the DiffPool pair).
-fn grid_point_at(
+/// `offset + 1` the DiffPool pair; the accelerator grid is at 0).
+fn grid_point(
     reports: &[CampaignReport],
     offset: usize,
     kind: ModelKind,
@@ -293,16 +271,6 @@ fn grid_point_at(
         &reports[offset]
     };
     find(report, &ds(key, mult).label(), &[("model", kind.abbrev())])
-}
-
-/// The accelerator grid point of one `(model, dataset)` pair.
-fn grid_point(
-    reports: &[CampaignReport],
-    kind: ModelKind,
-    key: DatasetKey,
-    mult: f64,
-) -> &CompletedPoint {
-    grid_point_at(reports, 0, kind, key, mult)
 }
 
 const ABLATION_DATASETS: [DatasetKey; 3] = [DatasetKey::Cr, DatasetKey::Cs, DatasetKey::Pb];
@@ -318,22 +286,27 @@ fn ablation_trio(mult: f64, models: Vec<ModelKind>) -> ConfigSpace {
 // Fig. 2 — CPU execution-time breakdown (baseline-only).
 // ---------------------------------------------------------------------
 
-fn fig02_spaces(_mult: f64) -> Result<Vec<ConfigSpace>, DseError> {
-    Ok(Vec::new())
+const FIG02_DATASETS: [DatasetKey; 5] = [
+    DatasetKey::Ib,
+    DatasetKey::Cr,
+    DatasetKey::Cs,
+    DatasetKey::Cl,
+    DatasetKey::Pb,
+];
+
+fn fig02_spaces(mult: f64) -> Result<Vec<ConfigSpace>, DseError> {
+    Ok(vec![ConfigSpace::new(
+        FIG02_DATASETS.iter().map(|&k| ds(k, mult)).collect(),
+        vec![ModelKind::Gcn, ModelKind::GraphSage, ModelKind::Gin],
+    )
+    .with_backend_id("cpu-naive")])
 }
 
-fn fig02_render(_reports: &[CampaignReport], ctx: &mut FigureCtx) -> String {
+fn fig02_render(reports: &[CampaignReport], ctx: &mut FigureCtx) -> String {
     let paper: &[(&str, [f64; 5])] = &[
         ("GCN", [94.97, 55.78, 67.71, 99.87, 95.64]),
         ("GSC", [98.72, 78.13, 60.01, 99.95, 86.73]),
         ("GIN", [93.21, 82.88, 99.37, 99.96, 98.85]),
-    ];
-    let datasets = [
-        DatasetKey::Ib,
-        DatasetKey::Cr,
-        DatasetKey::Cs,
-        DatasetKey::Cl,
-        DatasetKey::Pb,
     ];
     let mut out = format!(
         "{:<6} {:<4} {:>12} {:>12} {:>10}\n",
@@ -343,13 +316,16 @@ fn fig02_render(_reports: &[CampaignReport], ctx: &mut FigureCtx) -> String {
         .iter()
         .enumerate()
     {
-        for (di, &key) in datasets.iter().enumerate() {
-            let agg = ctx
-                .baselines(*kind, key)
-                .cpu_naive
-                .phases
-                .aggregation_share()
-                * 100.0;
+        for (di, &key) in FIG02_DATASETS.iter().enumerate() {
+            // The platform splits its dynamic energy by phase time, so
+            // the energy split is the time split.
+            let p = find(
+                &reports[0],
+                &ds(key, ctx.mult()).label(),
+                &[("model", kind.abbrev())],
+            );
+            let agg_j = report_f64(p, "energy_aggregation_j");
+            let agg = agg_j / (agg_j + report_f64(p, "energy_combination_j")) * 100.0;
             out += &format!(
                 "{:<6} {:<4} {:>11.1}% {:>11.1}% {:>9.1}%\n",
                 kind.abbrev(),
@@ -375,8 +351,8 @@ fn fig10_render(reports: &[CampaignReport], ctx: &mut FigureCtx) -> String {
     out += &format!("{:<6} {:<4} {:>10}\n", "model", "ds", "speedup");
     let mut cpu_gains = Vec::new();
     for (kind, key) in eval_grid() {
-        let b = ctx.baselines(kind, key);
-        let s = b.cpu_opt.speedup_over(&b.cpu_naive);
+        let s = grid_point(reports, 6, kind, key, mult).time_s
+            / grid_point(reports, 2, kind, key, mult).time_s;
         cpu_gains.push(s);
         out += &format!(
             "{:<6} {:<4} {:>10}\n",
@@ -390,8 +366,8 @@ fn fig10_render(reports: &[CampaignReport], ctx: &mut FigureCtx) -> String {
     out += "\n(b) shard optimization on GPU (paper: slowdown, <1)\n";
     let mut gpu_ratios = Vec::new();
     for (kind, key) in eval_grid() {
-        let b = ctx.baselines(kind, key);
-        let ratio = b.gpu_naive.time_s / b.gpu_sharded.time_s;
+        let ratio = grid_point(reports, 4, kind, key, mult).time_s
+            / grid_point(reports, 8, kind, key, mult).time_s;
         gpu_ratios.push(ratio);
         out += &format!("{:<6} {:<4} {:>10.2}\n", kind.abbrev(), key.abbrev(), ratio);
     }
@@ -410,9 +386,9 @@ fn fig10_render(reports: &[CampaignReport], ctx: &mut FigureCtx) -> String {
     let mut s_cpu = Vec::new();
     let mut s_gpu = Vec::new();
     for (kind, key) in eval_grid() {
-        let hygcn_time = grid_point(reports, kind, key, mult).time_s;
-        let cpu_time = grid_point_at(reports, 2, kind, key, mult).time_s;
-        let gpu_time = grid_point_at(reports, 4, kind, key, mult).time_s;
+        let hygcn_time = grid_point(reports, 0, kind, key, mult).time_s;
+        let cpu_time = grid_point(reports, 2, kind, key, mult).time_s;
+        let gpu_time = grid_point(reports, 4, kind, key, mult).time_s;
         let (vs_cpu, vs_gpu) = (cpu_time / hygcn_time, gpu_time / hygcn_time);
         s_cpu.push(vs_cpu);
         s_gpu.push(vs_gpu);
@@ -445,9 +421,9 @@ fn fig11_render(reports: &[CampaignReport], ctx: &mut FigureCtx) -> String {
     let mut cpu_ratios = Vec::new();
     let mut gpu_ratios = Vec::new();
     for (kind, key) in eval_grid() {
-        let e_h = grid_point(reports, kind, key, mult).energy_j;
-        let e_cpu = grid_point_at(reports, 2, kind, key, mult).energy_j;
-        let e_gpu = grid_point_at(reports, 4, kind, key, mult).energy_j;
+        let e_h = grid_point(reports, 0, kind, key, mult).energy_j;
+        let e_cpu = grid_point(reports, 2, kind, key, mult).energy_j;
+        let e_gpu = grid_point(reports, 4, kind, key, mult).energy_j;
         let (r_cpu, r_gpu) = (e_h / e_cpu, e_h / e_gpu);
         cpu_ratios.push(r_cpu);
         gpu_ratios.push(r_gpu);
@@ -484,7 +460,7 @@ fn fig12_render(reports: &[CampaignReport], ctx: &mut FigureCtx) -> String {
         "model", "ds", "AggEngine", "CombEngine", "Coordinator"
     );
     for (kind, key) in eval_grid() {
-        let p = grid_point(reports, kind, key, mult);
+        let p = grid_point(reports, 0, kind, key, mult);
         let (a, c, k) = (
             report_f64(p, "energy_aggregation_j"),
             report_f64(p, "energy_combination_j"),
@@ -518,19 +494,21 @@ fn fig13_render(reports: &[CampaignReport], ctx: &mut FigureCtx) -> String {
     let mut vs_cpu = Vec::new();
     let mut vs_gpu = Vec::new();
     for (kind, key) in eval_grid() {
-        let h = report_f64(
-            grid_point(reports, kind, key, mult),
-            "bandwidth_utilization",
-        );
-        let b = ctx.baselines(kind, key);
-        vs_cpu.push(h / b.cpu_opt.bandwidth_utilization.max(1e-9));
-        vs_gpu.push(h / b.gpu_naive.bandwidth_utilization.max(1e-9));
+        let bw = |offset| {
+            report_f64(
+                grid_point(reports, offset, kind, key, mult),
+                "bandwidth_utilization",
+            )
+        };
+        let (h, cpu, gpu) = (bw(0), bw(2), bw(4));
+        vs_cpu.push(h / cpu.max(1e-9));
+        vs_gpu.push(h / gpu.max(1e-9));
         out += &format!(
             "{:<6} {:<4} {:>9.1}% {:>9.1}% {:>9.1}%\n",
             kind.abbrev(),
             key.abbrev(),
-            b.cpu_opt.bandwidth_utilization * 100.0,
-            b.gpu_naive.bandwidth_utilization * 100.0,
+            cpu * 100.0,
+            gpu * 100.0,
             h * 100.0
         );
     }
@@ -555,10 +533,10 @@ fn fig14_render(reports: &[CampaignReport], ctx: &mut FigureCtx) -> String {
     let mut hygcn_ratios = Vec::new();
     let mut gpu_ratios = Vec::new();
     for (kind, key) in eval_grid() {
-        let d_h = grid_point(reports, kind, key, mult).dram_bytes;
-        let b = ctx.baselines(kind, key);
-        let r_h = d_h as f64 / b.cpu_opt.dram_bytes.max(1) as f64;
-        let r_g = b.gpu_naive.dram_bytes as f64 / b.cpu_opt.dram_bytes.max(1) as f64;
+        let dram = |offset| grid_point(reports, offset, kind, key, mult).dram_bytes;
+        let cpu = dram(2).max(1) as f64;
+        let r_h = dram(0) as f64 / cpu;
+        let r_g = dram(4) as f64 / cpu;
         hygcn_ratios.push(r_h);
         gpu_ratios.push(r_g);
         out += &format!(
@@ -799,7 +777,9 @@ fn fig18_render(reports: &[CampaignReport], ctx: &mut FigureCtx) -> String {
 // ---------------------------------------------------------------------
 
 fn table02_render(_reports: &[CampaignReport], ctx: &mut FigureCtx) -> String {
-    let c = ctx.characterization(DatasetKey::Cl, ModelKind::Gcn);
+    let c = ctx.with_graph_model(DatasetKey::Cl, ModelKind::Gcn, |graph, model| {
+        characterize(graph, model, &CpuParams::default(), 2_000_000)
+    });
     let mut out = format!(
         "{:<34} {:>12} {:>12} {:>16}\n",
         "metric", "aggregation", "combination", "paper (agg/comb)"
@@ -1105,7 +1085,7 @@ pub const FIGURES: &[FigureSpec] = &[
     FigureSpec {
         id: "fig10",
         title: "Fig. 10: overall performance comparison",
-        spaces: eval_cross_spaces,
+        spaces: fig10_spaces,
         render: fig10_render,
     },
     FigureSpec {
@@ -1123,13 +1103,13 @@ pub const FIGURES: &[FigureSpec] = &[
     FigureSpec {
         id: "fig13",
         title: "Fig. 13: DRAM bandwidth utilization (%)",
-        spaces: eval_spaces,
+        spaces: eval_cross_spaces,
         render: fig13_render,
     },
     FigureSpec {
         id: "fig14",
         title: "Fig. 14: DRAM access normalized to PyG-CPU (%)",
-        spaces: eval_spaces,
+        spaces: eval_cross_spaces,
         render: fig14_render,
     },
     FigureSpec {
@@ -1208,14 +1188,16 @@ pub struct FigureRun {
 
 /// Regenerates one artifact through the campaign engine.
 ///
-/// Every space runs against `store` (the shared `figures.jsonl`), so
-/// points shared between artifacts — or with previous runs — are never
-/// re-simulated. Each space's evaluation backend is resolved from its
-/// own backend id (the cross-backend artifacts mix `cycle` with `cpu`
-/// and `gpu` spaces); `backend_override`, when given, re-targets the
+/// All of the artifact's spaces run as one campaign against `store` (the
+/// shared `figures.jsonl`), so points shared between artifacts — or with
+/// previous runs — are never re-simulated, and each workload graph is
+/// built at most once. Every point evaluates on the backend its space
+/// names (the cross-backend artifacts mix `cycle` with the platform
+/// backends); `backend_override`, when given, re-targets the
 /// *default-backend* spaces only — `hygcn figures --backend analytical`
 /// screens the accelerator points analytically while the platform
-/// baselines stay themselves.
+/// baselines stay themselves. A point listed by several spaces is
+/// evaluated once and reads back as cached in the later ones.
 ///
 /// # Errors
 ///
@@ -1228,39 +1210,43 @@ pub fn run_figure(
     backend_override: Option<&str>,
 ) -> Result<FigureRun, DseError> {
     let _obs = hygcn_obs::span(hygcn_obs::Phase::FigureRender);
-    let spaces = (spec.spaces)(ctx.mult())?;
-    let mut reports = Vec::with_capacity(spaces.len());
-    let mut simulated = 0;
-    let mut cache_hits = 0;
-    for mut space in spaces {
-        if space.backend == hygcn_dse::DEFAULT_BACKEND {
-            if let Some(id) = backend_override {
-                space = space.with_backend_id(id);
+    let mut spaces = (spec.spaces)(ctx.mult())?;
+    if let Some(id) = backend_override {
+        for space in &mut spaces {
+            if space.backend == hygcn_dse::DEFAULT_BACKEND {
+                space.backend = id.to_string();
             }
         }
-        let backend = hygcn_baseline::backend::resolve(&space.backend).ok_or_else(|| {
-            DseError::Spec(format!(
-                "unknown backend '{}' (known: {})",
-                space.backend,
-                hygcn_baseline::backend::BACKEND_IDS.join("/")
-            ))
-        })?;
-        let mut campaign = Campaign::new(space).with_backend(backend);
+    }
+    let mut points = Vec::new();
+    let mut lens = Vec::with_capacity(spaces.len());
+    for space in &spaces {
+        let space_points = space.enumerate()?;
+        lens.push(space_points.len());
+        points.extend(space_points);
+    }
+    let mut reports = Vec::with_capacity(spaces.len());
+    if let Some(first) = spaces.first() {
+        // The campaign runs the explicit point list; its own space is
+        // never enumerated.
+        let mut campaign =
+            Campaign::new(first.clone()).with_resolver(hygcn_baseline::backend::resolve);
         if let Some(path) = store {
             campaign = campaign.with_store(path);
         }
-        let report = campaign.run()?;
-        simulated += report.simulated;
-        cache_hits += report.cache_hits;
-        reports.push(report);
+        let mut outcomes = campaign.run_points(&points)?.points.into_iter();
+        for len in lens {
+            let space_outcomes = outcomes.by_ref().take(len).collect();
+            reports.push(CampaignReport::from_outcomes(space_outcomes));
+        }
     }
     let output = (spec.render)(&reports, ctx);
     Ok(FigureRun {
         id: spec.id,
         title: spec.title,
         output,
-        simulated,
-        cache_hits,
+        simulated: reports.iter().map(|r| r.simulated).sum(),
+        cache_hits: reports.iter().map(|r| r.cache_hits).sum(),
         reports,
     })
 }
@@ -1287,23 +1273,6 @@ pub fn figure_csv(run: &FigureRun) -> String {
             backend
         );
         out += &hygcn_dse::analysis::to_csv(report);
-    }
-    out
-}
-
-/// Minimal JSON string escaping for labels embedded in
-/// [`figure_json`] output.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out += &format!("\\u{:04x}", c as u32),
-            c => out.push(c),
-        }
     }
     out
 }
@@ -1381,20 +1350,26 @@ mod tests {
 
     #[test]
     fn cross_backend_grid_covers_all_three_platforms() {
-        let spaces = eval_cross_spaces(0.05).unwrap();
-        assert_eq!(spaces.len(), 6);
-        let backends: Vec<&str> = spaces.iter().map(|s| s.backend.as_str()).collect();
-        assert_eq!(backends, ["cycle", "cycle", "cpu", "cpu", "gpu", "gpu"]);
-        // 20 points per platform, all pairwise key-disjoint.
-        let mut keys = std::collections::BTreeSet::new();
-        let mut total = 0;
-        for s in &spaces {
-            for p in s.enumerate().unwrap() {
-                assert!(keys.insert(p.key), "cross-backend key collision");
-                total += 1;
+        let cross = ["cycle", "cpu", "gpu"];
+        let fig10 = ["cycle", "cpu", "gpu", "cpu-naive", "gpu-sharded"];
+        for (spaces, platforms) in [
+            (eval_cross_spaces(0.05).unwrap(), &cross[..]),
+            (fig10_spaces(0.05).unwrap(), &fig10[..]),
+        ] {
+            let backends: Vec<&str> = spaces.iter().map(|s| s.backend.as_str()).collect();
+            let want: Vec<&str> = platforms.iter().flat_map(|&b| [b, b]).collect();
+            assert_eq!(backends, want);
+            // 20 points per platform, all pairwise key-disjoint.
+            let mut keys = std::collections::BTreeSet::new();
+            let mut total = 0;
+            for s in &spaces {
+                for p in s.enumerate().unwrap() {
+                    assert!(keys.insert(p.key), "cross-backend key collision");
+                    total += 1;
+                }
             }
+            assert_eq!(total, 20 * platforms.len());
         }
-        assert_eq!(total, 60);
     }
 
     #[test]
@@ -1448,13 +1423,11 @@ mod tests {
     #[test]
     fn static_artifacts_cost_zero_simulations() {
         let mut ctx = FigureCtx::new(0.05);
-        for id in ["table07", "fig02"] {
-            let run = run_figure(find_figure(id).unwrap(), &mut ctx, None, None).unwrap();
-            assert_eq!(run.simulated + run.cache_hits, 0, "{id}");
-            assert!(!run.output.is_empty());
-            assert!(figure_csv(&run).is_empty(), "{id}");
-            assert!(figure_json(&run).contains("\"spaces\": [\n  ]"), "{id}");
-        }
+        let run = run_figure(find_figure("table07").unwrap(), &mut ctx, None, None).unwrap();
+        assert_eq!(run.simulated + run.cache_hits, 0);
+        assert!(!run.output.is_empty());
+        assert!(figure_csv(&run).is_empty());
+        assert!(figure_json(&run).contains("\"spaces\": [\n  ]"));
     }
 
     #[test]

@@ -1,24 +1,24 @@
 //! # hygcn-bench
 //!
-//! Shared harness for the benchmark binaries that regenerate every table
-//! and figure of the paper's evaluation (§5). Each `benches/figNN_*.rs`
-//! target prints the same rows/series the paper reports; this library
-//! holds the common plumbing: dataset instantiation at bench scales,
-//! platform runners, and table formatting.
+//! The paper's evaluation (§5) as code: [`figures`] holds every
+//! figure/table reproduction as a campaign-driven spec (run them with
+//! `hygcn figures <id|all>`), and this library root the shared
+//! plumbing — the Fig. 10–14 evaluation grid, dataset scales, and table
+//! formatting. The `benches/` targets are host-performance
+//! microbenchmarks (criterion kernels, simulator throughput, HBM
+//! channels, one DSE campaign).
 //!
 //! ## Scales
 //!
-//! Datasets instantiate at [`bench_scale`]: full size for everything but
-//! Reddit, which defaults to 1/16 (its statistics — average degree,
-//! feature length, skew — are preserved; see DESIGN.md). Set
+//! Bench targets instantiate datasets at [`bench_scale`]: full size for
+//! everything but Reddit, which defaults to 1/16 (its statistics —
+//! average degree, feature length, skew — are preserved). Set
 //! `HYGCN_SCALE` (a multiplier in `(0, 1]`) to shrink everything for a
-//! smoke run, or `HYGCN_FULL=1` to force full-scale Reddit.
+//! smoke run, or `HYGCN_FULL=1` to force full-scale Reddit. Figure runs
+//! take their multiplier from `--scale` instead.
 
-use hygcn_baseline::{CpuModel, GpuModel, PlatformReport};
-use hygcn_core::{HyGcnConfig, SimReport, Simulator};
-use hygcn_gcn::model::{GcnModel, ModelKind};
+use hygcn_gcn::model::ModelKind;
 use hygcn_graph::datasets::{DatasetKey, DatasetSpec};
-use hygcn_graph::Graph;
 
 pub mod figures;
 
@@ -50,56 +50,6 @@ pub fn bench_scale(spec: &DatasetSpec) -> f64 {
         .unwrap_or(1.0)
         .clamp(1e-3, 1.0);
     (base * mult).min(1.0)
-}
-
-/// Instantiates a benchmark dataset at its bench scale.
-pub fn bench_graph(key: DatasetKey) -> Graph {
-    let spec = DatasetSpec::get(key);
-    spec.instantiate(bench_scale(&spec), 0x5EED)
-        // lint: allow(unwrap) -- bench_scale returns the spec's own validated scale
-        .expect("dataset instantiation cannot fail at valid scales")
-}
-
-/// Builds the Table 5 model for a graph's feature length.
-pub fn bench_model(kind: ModelKind, graph: &Graph) -> GcnModel {
-    // lint: allow(unwrap) -- Graph guarantees feature_len >= 1, the only failure mode
-    GcnModel::new(kind, graph.feature_len(), 0xC0DE).expect("nonzero feature length")
-}
-
-/// One workload's results on all three platforms.
-#[derive(Debug, Clone)]
-pub struct TriRun {
-    /// HyGCN simulation.
-    pub hygcn: SimReport,
-    /// PyG-CPU (shard-optimized — the paper's comparison baseline).
-    pub cpu: PlatformReport,
-    /// PyG-GPU (stock).
-    pub gpu: PlatformReport,
-}
-
-impl TriRun {
-    /// Runs `kind` on `key` across the three platforms.
-    pub fn run(kind: ModelKind, key: DatasetKey) -> Self {
-        let graph = bench_graph(key);
-        let model = bench_model(kind, &graph);
-        let hygcn = Simulator::new(HyGcnConfig::default())
-            .simulate(&graph, &model)
-            // lint: allow(unwrap) -- bench harness invariant: the default config runs every Table 4 dataset
-            .expect("default config simulates all bench datasets");
-        let cpu = CpuModel::optimized().run(&graph, &model);
-        let gpu = GpuModel::naive().run(&graph, &model);
-        Self { hygcn, cpu, gpu }
-    }
-
-    /// HyGCN speedup over the CPU baseline.
-    pub fn speedup_cpu(&self) -> f64 {
-        self.cpu.time_s / self.hygcn.time_s
-    }
-
-    /// HyGCN speedup over the GPU baseline.
-    pub fn speedup_gpu(&self) -> f64 {
-        self.gpu.time_s / self.hygcn.time_s
-    }
 }
 
 /// Geometric mean (the paper reports average speedups across a grid).

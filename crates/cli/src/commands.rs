@@ -3,7 +3,6 @@
 use std::path::PathBuf;
 
 use hygcn_baseline::backend::{resolve as resolve_backend, BACKEND_IDS};
-use hygcn_baseline::{CpuModel, GpuModel};
 use hygcn_bench::figures::{
     figure_csv, figure_json, find_figure, run_figure, FigureCtx, FigureSpec, FIGURES,
 };
@@ -22,6 +21,7 @@ use hygcn_graph::datasets::{DatasetKey, DatasetSpec};
 use hygcn_graph::Graph;
 use hygcn_mem::hbm::HbmConfig;
 use hygcn_mem::scheduler::CoordinationMode;
+use hygcn_obs::json_escape;
 
 use crate::args::{ArgError, Args};
 
@@ -308,11 +308,14 @@ pub fn compare(args: &Args) -> Result<String, CliError> {
     let kind = model_kind(args.get_or("model", "GCN"))?;
     let model = GcnModel::new(kind, graph.feature_len(), 0xC0DE)
         .map_err(|e| CliError::Runtime(e.to_string()))?;
-    let hygcn = Simulator::new(build_config(args)?)
-        .simulate(&graph, &model)
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-    let cpu = CpuModel::optimized().run(&graph, &model);
-    let gpu = GpuModel::naive().run(&graph, &model);
+    let config = build_config(args)?;
+    let run = |id: &str| {
+        resolve_backend(id)
+            .ok_or_else(|| CliError::Runtime(format!("backend '{id}' is not built in")))?
+            .evaluate(&graph, &model, &config)
+            .map_err(|e| CliError::Runtime(e.to_string()))
+    };
+    let (cpu, gpu, hygcn) = (run("cpu")?, run("gpu")?, run("cycle")?);
     let mut out = format!(
         "{} on {}:\n{:<10} {:>12} {:>12} {:>12}\n",
         kind.abbrev(),
@@ -322,25 +325,21 @@ pub fn compare(args: &Args) -> Result<String, CliError> {
         "energy",
         "DRAM"
     );
-    for (name, t, e, d) in [
-        ("PyG-CPU", cpu.time_s, cpu.energy_j, cpu.dram_bytes),
-        ("PyG-GPU", gpu.time_s, gpu.energy_j, gpu.dram_bytes),
-        ("HyGCN", hygcn.time_s, hygcn.energy_j(), hygcn.dram_bytes()),
-    ] {
+    for (name, r) in [("PyG-CPU", &cpu), ("PyG-GPU", &gpu), ("HyGCN", &hygcn)] {
         out += &format!(
             "{:<10} {:>10.3}ms {:>10.3}mJ {:>10.1}MB\n",
             name,
-            t * 1e3,
-            e * 1e3,
-            d as f64 / 1e6
+            r.time_s * 1e3,
+            r.energy_j() * 1e3,
+            r.dram_bytes() as f64 / 1e6
         );
     }
     out += &format!(
         "speedup: {:.0}x vs CPU, {:.1}x vs GPU; energy: {:.0}x vs CPU, {:.1}x vs GPU\n",
         cpu.time_s / hygcn.time_s,
         gpu.time_s / hygcn.time_s,
-        cpu.energy_j / hygcn.energy_j(),
-        gpu.energy_j / hygcn.energy_j()
+        cpu.energy_j() / hygcn.energy_j(),
+        gpu.energy_j() / hygcn.energy_j()
     );
     Ok(out)
 }
@@ -775,12 +774,6 @@ fn store_stats_json(store: &str, s: &hygcn_dse::StoreStats) -> String {
         s.quarantined,
         s.torn_tail,
     )
-}
-
-/// Minimal JSON string escaping for values we interpolate (paths,
-/// backend ids).
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// `hygcn figures <id|all>` — regenerate paper figure/table artifacts
@@ -1948,6 +1941,14 @@ mod tests {
         assert!(json.contains("\"checksum_coverage\": 0.7500"), "{json}");
         assert!(json.contains("\"torn_tail\": true"), "{json}");
         assert!(json.contains("\"cycle\": 3"), "{json}");
+        // Control characters in a path escape too, so the document
+        // stays valid JSON.
+        let json = store_stats_json("dir\tname\nx.jsonl", &s);
+        assert!(
+            json.contains("\"store\": \"dir\\tname\\nx.jsonl\""),
+            "{json}"
+        );
+        assert!(!json.contains('\t'), "{json}");
     }
 
     #[test]

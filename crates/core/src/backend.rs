@@ -141,7 +141,7 @@ impl SimBackend for SeedReferenceBackend {
 
 /// Resolves a backend id to one of the backends *this crate* provides
 /// (`cycle`, `cycle-fast`, `seed`, `analytical`). The platform backends
-/// (`cpu`, `gpu`) live in `hygcn-baseline`;
+/// (`cpu`, `gpu`, `cpu-naive`, `gpu-sharded`) live in `hygcn-baseline`;
 /// `hygcn_baseline::backend::resolve` covers the full vocabulary.
 pub fn core_backend(id: &str) -> Option<std::sync::Arc<dyn SimBackend>> {
     match id {

@@ -6,9 +6,9 @@
 //! 1. **Reuse over threads.** Points are grouped by workload; each graph
 //!    is synthesized once per campaign and each `(model, feature_len)`
 //!    pair is instantiated once per group, shared by reference across
-//!    every config point that touches it. Building Reddit-scale graphs
-//!    dwarfs a single simulation, so this is where the campaign's speed
-//!    comes from.
+//!    every config point — and every backend — that touches it. Building
+//!    Reddit-scale graphs dwarfs a single simulation, so this is where
+//!    the campaign's speed comes from.
 //! 2. **Fan out where threads exist.** Within a group, missing points run
 //!    through [`hygcn_par::par_map_slice`] in batches of one point per
 //!    worker; results splice back in deterministic point order, so a
@@ -144,13 +144,28 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
+    /// A report over `points`, with the counts derived from the outcomes
+    /// (a cached completion is a cache hit, any other a simulation).
+    pub fn from_outcomes(points: Vec<PointOutcome>) -> Self {
+        let done = |cached| {
+            let count = |o: &&PointOutcome| o.done().is_some_and(|c| c.cached == cached);
+            points.iter().filter(count).count()
+        };
+        Self {
+            simulated: done(false),
+            cache_hits: done(true),
+            failed: points.iter().filter(|o| o.is_failed()).count(),
+            points,
+        }
+    }
+
     /// The completed outcomes, in campaign order (failed points skipped).
     pub fn completed(&self) -> impl Iterator<Item = &CompletedPoint> {
         self.points.iter().filter_map(PointOutcome::done)
     }
 }
 
-/// A runnable campaign: a space, the backend evaluating its points, and
+/// A runnable campaign: a space, the backends evaluating its points, and
 /// an optional persistent store.
 #[derive(Clone)]
 pub struct Campaign {
@@ -160,6 +175,7 @@ pub struct Campaign {
     retry: RetryPolicy,
     sleeper: Option<Sleeper>,
     backend: Option<Arc<dyn SimBackend>>,
+    resolver: fn(&str) -> Option<Arc<dyn SimBackend>>,
 }
 
 impl std::fmt::Debug for Campaign {
@@ -178,20 +194,20 @@ impl Campaign {
     /// A campaign over `space` with no persistence (results are
     /// recomputed every run — the legacy `sweep` behavior).
     ///
-    /// The evaluation backend is resolved from the space's backend id
-    /// when `hygcn-core` provides it (`cycle`, `seed`, `analytical`);
-    /// other ids (the platform backends of `hygcn-baseline`, which this
-    /// crate cannot depend on) must be supplied via
-    /// [`Self::with_backend`] before running.
+    /// Each point evaluates on the backend its key names. The ids
+    /// `hygcn-core` provides (`cycle`, `cycle-fast`, `seed`,
+    /// `analytical`) resolve on their own; the platform backends of
+    /// `hygcn-baseline`, which this crate cannot depend on, need
+    /// [`Self::with_backend`] or [`Self::with_resolver`].
     pub fn new(space: ConfigSpace) -> Self {
-        let backend = core_backend(&space.backend);
         Self {
             space,
             store_path: None,
             store_io: None,
             retry: RetryPolicy::default(),
             sleeper: None,
-            backend,
+            backend: None,
+            resolver: core_backend,
         }
     }
 
@@ -225,10 +241,19 @@ impl Campaign {
 
     /// Supplies the evaluation backend object. The space's backend id is
     /// synced to it, so points enumerated by [`Self::run`] are keyed for
-    /// exactly the backend that will evaluate them.
+    /// exactly the backend that will evaluate them; points keyed for
+    /// other ids still go to the resolver.
     pub fn with_backend(mut self, backend: Arc<dyn SimBackend>) -> Self {
         self.space.backend = backend.backend_id().to_string();
         self.backend = Some(backend);
+        self
+    }
+
+    /// Replaces how backend ids resolve to backends (default:
+    /// `hygcn-core`'s own; `hygcn_baseline::backend::resolve` knows the
+    /// full vocabulary).
+    pub fn with_resolver(mut self, resolver: fn(&str) -> Option<Arc<dyn SimBackend>>) -> Self {
+        self.resolver = resolver;
         self
     }
 
@@ -237,14 +262,20 @@ impl Campaign {
         &self.space
     }
 
-    /// The resolved backend, or a spec error naming the missing id.
-    fn backend(&self) -> Result<&Arc<dyn SimBackend>, DseError> {
-        self.backend.as_ref().ok_or_else(|| {
+    /// The backend evaluating points keyed for `id`, or a spec error
+    /// naming the id.
+    fn backend_for(&self, id: &str) -> Result<Arc<dyn SimBackend>, DseError> {
+        match &self.backend {
+            Some(b) if b.backend_id() == id => Some(b.clone()),
+            _ => (self.resolver)(id),
+        }
+        // A backend answering to another id would serve the wrong key.
+        .filter(|b| b.backend_id() == id)
+        .ok_or_else(|| {
             DseError::Spec(format!(
-                "backend '{}' is not provided by hygcn-core; supply it with \
-                 Campaign::with_backend (hygcn_baseline::backend::resolve knows \
-                 the full vocabulary)",
-                self.space.backend
+                "backend '{id}' is not provided by hygcn-core; supply it with \
+                 Campaign::with_backend or Campaign::with_resolver \
+                 (hygcn_baseline::backend::resolve knows the full vocabulary)"
             ))
         })
     }
@@ -270,31 +301,34 @@ impl Campaign {
 
     /// Runs an explicit point list through the executor — the hook the
     /// successive-halving search uses to evaluate each rung's survivors
-    /// (with per-rung fidelity overrides already stamped on the points).
+    /// (with per-rung fidelity overrides already stamped on the points),
+    /// and the figure harness uses to run all of an artifact's spaces at
+    /// once.
     ///
-    /// Workload sharing groups by `(workload_idx, config.fidelity)`:
-    /// every group builds its graph once via
-    /// [`WorkloadSpec::build_at`], so a half-fidelity rung shares one
-    /// half-scale graph across its survivors, and mixed-fidelity lists
-    /// never leak a graph across fidelities. Outcomes return in input
-    /// order; completions stream to the store exactly as in [`Self::run`].
+    /// Each point evaluates on the backend its key names. Workload
+    /// sharing groups by `(workload, config.fidelity)`: every group
+    /// builds its graph once via [`WorkloadSpec::build_at`] and serves
+    /// every backend in it, so a half-fidelity rung shares one half-scale
+    /// graph across its survivors, and mixed-fidelity lists never leak a
+    /// graph across fidelities. A key listed more than once is evaluated
+    /// once; its later occurrences read the result back as cached.
+    /// Outcomes return in input order; completions stream to the store
+    /// exactly as in [`Self::run`].
+    ///
+    /// [`WorkloadSpec::build_at`]: crate::space::WorkloadSpec::build_at
     ///
     /// # Errors
     ///
     /// As [`Self::run`], minus the enumeration errors; additionally
-    /// [`DseError::Spec`] when a point is keyed for a different backend
-    /// than this campaign evaluates with (the guard that makes serving a
-    /// cached result from the wrong backend structurally impossible).
+    /// [`DseError::Spec`], before anything runs, when a point's backend
+    /// id resolves to no backend.
     pub fn run_points(&self, points: &[DesignPoint]) -> Result<CampaignReport, DseError> {
-        let backend = self.backend()?;
-        if let Some(p) = points.iter().find(|p| p.backend != backend.backend_id()) {
-            return Err(DseError::Spec(format!(
-                "point {} is keyed for backend '{}' but this campaign evaluates \
-                 with '{}'",
-                p.label(),
-                p.backend,
-                backend.backend_id()
-            )));
+        // Resolve every backend the points name before anything runs.
+        let mut backends: Vec<Arc<dyn SimBackend>> = Vec::new();
+        for p in points {
+            if !backends.iter().any(|b| b.backend_id() == p.backend) {
+                backends.push(self.backend_for(&p.backend)?);
+            }
         }
         let sleeper = self.sleeper.clone().unwrap_or_else(default_sleeper);
         let mut store = match &self.store_path {
@@ -309,34 +343,43 @@ impl Campaign {
             None => ResultStore::in_memory(),
         };
 
-        // Which points were already done before this run started.
+        // The first occurrence of each key evaluates it; which points
+        // were already done before this run started.
+        let mut firsts = std::collections::BTreeMap::new();
+        let first: Vec<usize> = points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| *firsts.entry(p.key).or_insert(i))
+            .collect();
         let preexisting: Vec<bool> = points.iter().map(|p| store.get(p.key).is_some()).collect();
-        let hits = preexisting.iter().filter(|&&c| c).count() as u64;
+        let missing: Vec<usize> = (0..points.len())
+            .filter(|&i| first[i] == i && !preexisting[i])
+            .collect();
+        let hits = (points.len() - missing.len()) as u64;
         hygcn_obs::count(hygcn_obs::Counter::PointsTotal, points.len() as u64);
         hygcn_obs::count(hygcn_obs::Counter::CacheHits, hits);
         hygcn_obs::count(hygcn_obs::Counter::PointsCached, hits);
-        hygcn_obs::count(hygcn_obs::Counter::CacheMisses, points.len() as u64 - hits);
+        hygcn_obs::count(hygcn_obs::Counter::CacheMisses, missing.len() as u64);
 
         // Group the missing points by (workload, fidelity), preserving
         // point order within each group (the pair is the sharing handle:
         // one built graph per group).
-        let mut groups: Vec<((usize, u64), Vec<usize>)> = Vec::new();
-        for (i, p) in points.iter().enumerate() {
-            if preexisting[i] {
-                continue;
-            }
-            let handle = (p.workload_idx, p.config.fidelity.to_bits());
-            match groups.iter_mut().find(|(h, _)| *h == handle) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((handle, vec![i])),
+        let mut groups: Vec<(&crate::space::WorkloadSpec, u64, Vec<usize>)> = Vec::new();
+        for i in missing {
+            let p = &points[i];
+            let fidelity = p.config.fidelity.to_bits();
+            match groups
+                .iter_mut()
+                .find(|(w, f, _)| **w == p.workload && *f == fidelity)
+            {
+                Some((_, _, idxs)) => idxs.push(i),
+                None => groups.push((&p.workload, fidelity, vec![i])),
             }
         }
 
-        let mut simulated = 0usize;
         let mut failures: std::collections::BTreeMap<usize, String> =
             std::collections::BTreeMap::new();
-        for ((_, fidelity_bits), idxs) in groups {
-            let workload = &points[idxs[0]].workload;
+        for (workload, fidelity_bits, idxs) in groups {
             let obs_build = hygcn_obs::span(hygcn_obs::Phase::WorkloadBuild);
             let graph = workload.build_at(f64::from_bits(fidelity_bits))?;
             let graph_hash = graph.content_hash();
@@ -365,12 +408,13 @@ impl Campaign {
                 let reports: Vec<Result<SimReport, String>> =
                     hygcn_par::par_map_slice(chunk, |_, &i| {
                         let p = &points[i];
-                        // Prebuilt above for every kind in the group; a
+                        // Resolved and prebuilt above for every point; a
                         // miss fails the point instead of the process.
-                        let Some(model) =
-                            models.iter().find(|(k, _)| *k == p.model).map(|(_, m)| m)
-                        else {
-                            return Err(format!("{}: model not prebuilt", p.label()));
+                        let (Some(model), Some(backend)) = (
+                            models.iter().find(|(k, _)| *k == p.model).map(|(_, m)| m),
+                            backends.iter().find(|b| b.backend_id() == p.backend),
+                        ) else {
+                            return Err(format!("{}: model or backend missing", p.label()));
                         };
                         let mut attempt = 0u32;
                         loop {
@@ -417,7 +461,6 @@ impl Campaign {
                         report_json: report.to_json_compact(),
                     })?;
                     hygcn_obs::count(hygcn_obs::Counter::PointsSimulated, 1);
-                    simulated += 1;
                 }
             }
         }
@@ -425,7 +468,7 @@ impl Campaign {
         // Assemble outcomes in input order from the (now complete) store.
         let mut outcomes = Vec::with_capacity(points.len());
         for (i, p) in points.iter().enumerate() {
-            if let Some(error) = failures.get(&i) {
+            if let Some(error) = failures.get(&first[i]) {
                 outcomes.push(PointOutcome::Failed {
                     point: p.clone(),
                     error: error.clone(),
@@ -444,16 +487,11 @@ impl Campaign {
                 energy_j: rec.energy_j,
                 dram_bytes: rec.dram_bytes,
                 report_json: rec.report_json.clone(),
-                cached: preexisting[i],
+                cached: preexisting[i] || first[i] != i,
                 point: p.clone(),
             }));
         }
-        Ok(CampaignReport {
-            points: outcomes,
-            simulated,
-            cache_hits: preexisting.iter().filter(|&&c| c).count(),
-            failed: failures.len(),
-        })
+        Ok(CampaignReport::from_outcomes(outcomes))
     }
 }
 
@@ -592,21 +630,90 @@ mod tests {
 
     #[test]
     fn backend_mismatched_points_are_rejected() {
-        let points = tiny_space().enumerate().unwrap();
-        let retargeted: Vec<_> = points
+        // A list mixing cycle- and analytical-keyed points runs each
+        // point on the backend its key names...
+        let mixed: Vec<_> = tiny_space()
+            .enumerate()
+            .unwrap()
             .iter()
-            .map(|p| p.with_backend("analytical").unwrap())
+            .enumerate()
+            .map(|(i, p)| {
+                if i % 2 == 0 {
+                    p.clone()
+                } else {
+                    p.with_backend("analytical").unwrap()
+                }
+            })
             .collect();
-        // A cycle campaign refuses analytical-keyed points...
-        match Campaign::new(tiny_space()).run_points(&retargeted) {
-            Err(DseError::Spec(m)) => assert!(m.contains("keyed for backend"), "{m}"),
-            other => panic!("expected Spec error, got {other:?}"),
+        let report = Campaign::new(tiny_space()).run_points(&mixed).unwrap();
+        assert_eq!((report.simulated, report.failed), (4, 0));
+        for c in report.completed() {
+            let provenance = if c.point.backend == "analytical" {
+                "\"backend\": \"analytical\""
+            } else {
+                "\"backend\""
+            };
+            assert_eq!(
+                c.report_json.contains(provenance),
+                c.point.backend == "analytical",
+                "{}",
+                c.point.label()
+            );
         }
-        // ...and an unresolvable backend id fails with guidance.
+        // ...and an unresolvable backend id fails with guidance, before
+        // anything runs.
         match Campaign::new(tiny_space().with_backend_id("gpu")).run() {
             Err(DseError::Spec(m)) => assert!(m.contains("with_backend"), "{m}"),
             other => panic!("expected Spec error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn repeated_keys_evaluate_once_and_read_back_cached() {
+        let points = tiny_space().enumerate().unwrap();
+        let twice: Vec<_> = points.iter().chain(&points).cloned().collect();
+        let report = Campaign::new(tiny_space()).run_points(&twice).unwrap();
+        assert_eq!(
+            (report.simulated, report.cache_hits, report.failed),
+            (4, 4, 0)
+        );
+        let (first, again) = report.points.split_at(4);
+        for (a, b) in first.iter().zip(again) {
+            let (a, b) = (a.expect_done(), b.expect_done());
+            assert!(!a.cached && b.cached);
+            assert_eq!((&a.point, &a.report_json), (&b.point, &b.report_json));
+        }
+    }
+
+    #[test]
+    fn spaces_sharing_a_workload_share_its_graph() {
+        // CR is workload 1 of the first space and workload 0 of the
+        // second: grouping by workload (not by index) must still hand
+        // every point its own graph.
+        let ib = WorkloadSpec::dataset(DatasetKey::Ib, 0.05, 1);
+        let cr = WorkloadSpec::dataset(DatasetKey::Cr, 0.05, 1);
+        let a = ConfigSpace::new(vec![ib, cr.clone()], vec![ModelKind::Gcn])
+            .with_backend_id("analytical");
+        let b = ConfigSpace::new(vec![cr], vec![ModelKind::Gin]).with_backend_id("analytical");
+        let alone: Vec<CampaignReport> = [&a, &b]
+            .iter()
+            .map(|s| Campaign::new((*s).clone()).run().unwrap())
+            .collect();
+        let points: Vec<_> = [&a, &b]
+            .iter()
+            .flat_map(|s| s.enumerate().unwrap())
+            .collect();
+        let together = Campaign::new(a.clone()).run_points(&points).unwrap();
+        assert_eq!(together.simulated, 3);
+        let want: Vec<&str> = alone
+            .iter()
+            .flat_map(|r| r.completed().map(|c| c.report_json.as_str()))
+            .collect();
+        let got: Vec<&str> = together
+            .completed()
+            .map(|c| c.report_json.as_str())
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

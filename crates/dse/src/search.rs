@@ -253,11 +253,13 @@ pub fn run_search_io(
             let mut survivors = space.enumerate()?;
             let mut prefilter = None;
             if *analytical_prefilter {
-                // Screen the whole field with the analytical backend:
-                // same store, backend-disjoint keys, so the screening is
-                // itself cached and a re-run re-screens nothing. The
-                // workload canon is computed once per workload, not per
-                // point (an edge-list canon hashes the file's content).
+                // Screen the whole field with the analytical backend
+                // through the same campaign (each point runs on its key's
+                // backend) and store: backend-disjoint keys, so the
+                // screening is itself cached and a re-run re-screens
+                // nothing. The workload canon is computed once per
+                // workload, not per point (an edge-list canon hashes the
+                // file's content).
                 let mut canons: std::collections::BTreeMap<usize, String> =
                     std::collections::BTreeMap::new();
                 let screen_points = survivors
@@ -275,17 +277,7 @@ pub fn run_search_io(
                         Ok(sp)
                     })
                     .collect::<Result<Vec<_>, DseError>>()?;
-                let screen_campaign = {
-                    let mut c = Campaign::new(space.clone().with_backend_id("analytical"));
-                    if let Some(io) = &store_io {
-                        c = c.with_store_io(io.clone());
-                    }
-                    match store {
-                        Some(p) => c.with_store(p),
-                        None => c,
-                    }
-                };
-                let report = screen_campaign.run_points(&screen_points)?;
+                let report = campaign.run_points(&screen_points)?;
                 let mut order = ranked(&report.points, *budget_metric);
                 order.truncate((order.len() / *eta).max(1));
                 prefilter = Some(RungReport {

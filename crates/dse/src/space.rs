@@ -559,9 +559,20 @@ pub fn cache_key(
     model: ModelKind,
     workload_canon: &str,
 ) -> u64 {
+    finish_key(config_prefix(config), backend, model, workload_canon)
+}
+
+/// The key hash after its `config=<canon>` segment — the part every
+/// `(workload, model)` pair of one axis cell shares.
+fn config_prefix(config: &HyGcnConfig) -> Fnv64 {
     let mut h = Fnv64::new();
     h.write_str("config=");
     h.write_str(&config.canon());
+    h
+}
+
+/// Finishes a [`cache_key`] from its config prefix.
+fn finish_key(mut h: Fnv64, backend: &str, model: ModelKind, workload_canon: &str) -> u64 {
     h.write_str(";model=");
     h.write_str(model.abbrev());
     h.write_str(";workload=");
@@ -630,7 +641,7 @@ impl ConfigSpace {
 
     /// Targets a different evaluation backend (by id). Every enumerated
     /// point is stamped and cache-keyed with it; the campaign executor
-    /// refuses to run points under a backend they were not keyed for.
+    /// evaluates every point on exactly the backend it is keyed for.
     pub fn with_backend_id(mut self, backend: impl Into<String>) -> Self {
         self.backend = backend.into();
         self
@@ -697,48 +708,61 @@ impl ConfigSpace {
             .map(WorkloadSpec::canon)
             .collect::<Result<Vec<_>, _>>()?;
 
+        // Each axis cell's config, labels and key prefix are decoded once
+        // and shared by every (workload, model) pair. A cell whose axes
+        // combine into an impossible configuration (e.g. burst > row,
+        // which would corrupt the address decode) fails the whole
+        // enumeration fast instead of panicking mid-campaign.
         let combos = self.axes.iter().map(|a| a.values.len()).product::<usize>();
+        let mut cells = Vec::with_capacity(combos);
+        for cell in 0..combos {
+            // Mixed-radix decode, first axis slowest.
+            let mut rest = cell;
+            let mut config = self.base.clone();
+            let mut labels = Vec::with_capacity(self.axes.len());
+            for axis in self.axes.iter().rev() {
+                let v = &axis.values[rest % axis.values.len()];
+                rest /= axis.values.len();
+                v.apply(&mut config);
+                labels.push((axis.name.clone(), v.label()));
+            }
+            // Undo the reverse decode so labels read in axis order.
+            labels.reverse();
+            config.validate().map_err(|e| {
+                let axes: String = labels.iter().map(|(k, v)| format!(",{k}={v}")).collect();
+                DseError::Spec(format!(
+                    "point dataset={},model={}{axes}: {e}",
+                    self.workloads[0].label(),
+                    self.models[0].abbrev()
+                ))
+            })?;
+            let prefix = config_prefix(&config);
+            cells.push((config, labels, prefix));
+        }
+
         let mut points = Vec::with_capacity(self.grid_size());
         let mut seen = std::collections::BTreeSet::new();
         for (widx, workload) in self.workloads.iter().enumerate() {
+            let workload_label = workload.label();
             for &model in &self.models {
-                for mut cell in 0..combos {
-                    // Mixed-radix decode, first axis slowest.
-                    let mut config = self.base.clone();
-                    let mut assignment = Vec::with_capacity(self.axes.len() + 2);
-                    assignment.push(("dataset".to_string(), workload.label()));
+                for (config, labels, prefix) in &cells {
+                    let key = finish_key(*prefix, &self.backend, model, &workload_canons[widx]);
+                    if !seen.insert(key) {
+                        continue;
+                    }
+                    let mut assignment = Vec::with_capacity(labels.len() + 2);
+                    assignment.push(("dataset".to_string(), workload_label.clone()));
                     assignment.push(("model".to_string(), model.abbrev().to_string()));
-                    for axis in self.axes.iter().rev() {
-                        let v = &axis.values[cell % axis.values.len()];
-                        cell /= axis.values.len();
-                        v.apply(&mut config);
-                        assignment.push((axis.name.clone(), v.label()));
-                    }
-                    // Undo the reverse decode so labels read in axis order.
-                    assignment[2..].reverse();
-
-                    // Axes over memory-geometry knobs can combine into an
-                    // impossible configuration (e.g. burst > row, which
-                    // would corrupt the address decode); fail the whole
-                    // enumeration fast instead of panicking mid-campaign.
-                    config.validate().map_err(|e| {
-                        let label: Vec<String> =
-                            assignment.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                        DseError::Spec(format!("point {}: {e}", label.join(",")))
-                    })?;
-
-                    let key = cache_key(&self.backend, &config, model, &workload_canons[widx]);
-                    if seen.insert(key) {
-                        points.push(DesignPoint {
-                            workload: workload.clone(),
-                            workload_idx: widx,
-                            model,
-                            config,
-                            assignment,
-                            key,
-                            backend: self.backend.clone(),
-                        });
-                    }
+                    assignment.extend(labels.iter().cloned());
+                    points.push(DesignPoint {
+                        workload: workload.clone(),
+                        workload_idx: widx,
+                        model,
+                        config: config.clone(),
+                        assignment,
+                        key,
+                        backend: self.backend.clone(),
+                    });
                 }
             }
         }

@@ -24,8 +24,8 @@
 //!   output files.
 //!
 //! The workspace-level `tests/observability.rs` proves the contract by
-//! replaying identical workloads with collection on and off — all six
-//! backends, a golden-snapshot replay, campaign store bytes, and cache
+//! replaying identical workloads with collection on and off — every
+//! backend, a golden-snapshot replay, campaign store bytes, and cache
 //! keys — and asserting bit-identical results.
 //!
 //! ## Span taxonomy
@@ -46,7 +46,7 @@
 //! | `store_open`       | `ResultStore::open` (scan, repair, quarantine)       |
 //! | `store_append`     | One durable `ResultStore::append`                    |
 //! | `store_compact`    | Store salvage / rewrite                              |
-//! | `workload_build`   | Campaign graph+model construction                    |
+//! | `workload_build`   | Graph synthesis (campaigns and figure renders)       |
 //! | `figure_render`    | One paper-figure reproduction in `hygcn-bench`       |
 //!
 //! ## Counters
@@ -124,7 +124,7 @@ pub enum Phase {
     StoreAppend,
     /// Result-store salvage / compaction rewrite.
     StoreCompact,
-    /// Campaign workload (graph + model) construction.
+    /// Graph synthesis for a campaign workload or a figure render.
     WorkloadBuild,
     /// One paper-figure reproduction in `hygcn-bench`.
     FigureRender,
@@ -703,7 +703,9 @@ pub fn phase_table() -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for embedding in a JSON string literal: quotes,
+/// backslashes and every control character.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -1,18 +1,36 @@
 //! End-to-end regression tests of the `hygcn figures` pipeline: the
 //! figure/table artifacts regenerate through the campaign engine, a
 //! second run against the same `figures.jsonl` store performs **zero**
-//! simulations, and one small figure's rendered table is pinned as a
-//! golden snapshot (regenerate intentionally with
-//! `BLESS=1 cargo test --test figures`).
+//! simulations, and the rendered tables of fig17 and of the
+//! baseline-reading Fig. 2/10/13/14 are pinned as golden snapshots
+//! (regenerate intentionally with `BLESS=1 cargo test --test figures`).
 
 use std::path::PathBuf;
 
 use hygcn_bench::figures::{figure_csv, find_figure, run_figure, FigureCtx, FIGURES};
+use hygcn_suite::dse::space::cache_key;
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+/// Compares `got` with `tests/golden/<name>.txt`, or rewrites the
+/// fixture under `BLESS=1`.
+fn check_golden(name: &str, got: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(format!("{name}.txt"))
+        .join(format!("{name}.txt"));
+    if std::env::var("BLESS").as_deref() == Ok("1") {
+        std::fs::write(&path, got)
+            .unwrap_or_else(|e| panic!("cannot bless {}: {e}", path.display()));
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!(
+            "missing golden fixture {}; run `BLESS=1 cargo test --test figures` to create it",
+            path.display()
+        )
+    });
+    assert_eq!(
+        got, want,
+        "{name} drifted; intentional model changes regenerate with BLESS=1"
+    );
 }
 
 #[test]
@@ -62,23 +80,7 @@ fn second_figures_run_performs_zero_simulations() {
 fn fig17_table_matches_golden_snapshot() {
     let mut ctx = FigureCtx::new(0.05);
     let run = run_figure(find_figure("fig17").unwrap(), &mut ctx, None, None).unwrap();
-    let got = run.output;
-    let path = golden_path("figures_fig17");
-    if std::env::var("BLESS").as_deref() == Ok("1") {
-        std::fs::write(&path, &got)
-            .unwrap_or_else(|e| panic!("cannot bless {}: {e}", path.display()));
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|_| {
-        panic!(
-            "missing golden fixture {}; run `BLESS=1 cargo test --test figures` to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got, want,
-        "fig17 table drifted; intentional model changes regenerate with BLESS=1"
-    );
+    check_golden("figures_fig17", &run.output);
 }
 
 /// The `--csv` export of the same artifact is pinned too (the plottable
@@ -89,23 +91,7 @@ fn fig17_table_matches_golden_snapshot() {
 fn fig17_csv_export_matches_golden_snapshot() {
     let mut ctx = FigureCtx::new(0.05);
     let run = run_figure(find_figure("fig17").unwrap(), &mut ctx, None, None).unwrap();
-    let got = figure_csv(&run);
-    let path = golden_path("figures_fig17_csv");
-    if std::env::var("BLESS").as_deref() == Ok("1") {
-        std::fs::write(&path, &got)
-            .unwrap_or_else(|e| panic!("cannot bless {}: {e}", path.display()));
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|_| {
-        panic!(
-            "missing golden fixture {}; run `BLESS=1 cargo test --test figures` to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got, want,
-        "fig17 CSV export drifted; intentional model changes regenerate with BLESS=1"
-    );
+    check_golden("figures_fig17_csv", &figure_csv(&run));
 }
 
 #[test]
@@ -116,23 +102,58 @@ fn figure_campaigns_share_points_across_artifacts() {
     std::fs::remove_file(&store).ok();
 
     // Fig. 10 evaluates the cross-backend grid — the 20-point
-    // accelerator block plus the same 20 workloads under the cpu and
-    // gpu backends; Fig. 11 reads the same 60 points and must be served
-    // entirely from the store. (0.05 is the smallest multiplier at
-    // which scaled-down Reddit instantiates.)
+    // accelerator block plus the same 20 workloads under the cpu, gpu,
+    // cpu-naive and gpu-sharded backends; Fig. 11 reads the accelerator,
+    // cpu and gpu grids back and must be served entirely from the store.
+    // (0.05 is the smallest multiplier at which scaled-down Reddit
+    // instantiates.)
     let mut ctx = FigureCtx::new(0.05);
-    let fig10 = run_figure(find_figure("fig10").unwrap(), &mut ctx, Some(&store), None).unwrap();
-    assert_eq!(fig10.simulated, 60);
-    let fig11 = run_figure(find_figure("fig11").unwrap(), &mut ctx, Some(&store), None).unwrap();
+    let mut run = |id| run_figure(find_figure(id).unwrap(), &mut ctx, Some(&store), None).unwrap();
+    let fig10 = run("fig10");
+    assert_eq!(fig10.simulated, 100);
+    let fig11 = run("fig11");
     assert_eq!(
         (fig11.simulated, fig11.cache_hits),
         (0, 60),
         "fig11 reuses fig10's cross-backend grid points"
     );
     // Fig. 12 reads only the accelerator block — all 20 cached.
-    let fig12 = run_figure(find_figure("fig12").unwrap(), &mut ctx, Some(&store), None).unwrap();
+    let fig12 = run("fig12");
     assert_eq!((fig12.simulated, fig12.cache_hits), (0, 20));
+    // Fig. 13/14 read the same three grids as Fig. 11, and Fig. 2 the
+    // cpu-naive grid of five datasets: every baseline number is a
+    // stored point.
+    let fig13 = run("fig13");
+    assert_eq!((fig13.simulated, fig13.cache_hits), (0, 60));
+    let fig14 = run("fig14");
+    assert_eq!((fig14.simulated, fig14.cache_hits), (0, 60));
+    let fig02 = run("fig02");
+    assert_eq!((fig02.simulated, fig02.cache_hits), (0, 15));
+    for artifact in [&fig02, &fig10, &fig13, &fig14] {
+        check_golden(&format!("figures_{}", artifact.id), &artifact.output);
+    }
     std::fs::remove_file(&store).ok();
+}
+
+/// Enumeration hashes each axis cell's config once and finishes every
+/// point's key from that prefix; each key must still be the one-shot
+/// `cache_key` of its point.
+#[test]
+fn every_figure_point_carries_its_cache_key() {
+    for spec in FIGURES {
+        for space in (spec.spaces)(0.05).unwrap() {
+            for p in space.enumerate().unwrap() {
+                let canon = p.workload.canon().unwrap();
+                assert_eq!(
+                    p.key,
+                    cache_key(&p.backend, &p.config, p.model, &canon),
+                    "{}: {}",
+                    spec.id,
+                    p.label()
+                );
+            }
+        }
+    }
 }
 
 #[test]

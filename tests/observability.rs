@@ -2,8 +2,11 @@
 //! may record spans and counters, but it must never change a single
 //! simulated bit. Every inertness test here runs the same work twice —
 //! collection off, then on — and asserts bit-identical results:
-//! `SimReport`s from all six backends, campaign store bytes, and cache
+//! `SimReport`s from every backend, campaign store bytes, and cache
 //! keys.
+//!
+//! Graph synthesis is one phase (`workload_build`) wherever it happens:
+//! a warm figure render that only reads the store builds nothing.
 //!
 //! The span-program cache contract is pinned here too, because its
 //! evidence is the collector's `span_program_build` count: a sweep over
@@ -19,6 +22,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
+use hygcn_bench::figures::{find_figure, run_figure, FigureCtx};
 use hygcn_suite::baseline::backend::resolve;
 use hygcn_suite::core::config::{HyGcnConfig, PipelineMode};
 use hygcn_suite::core::Simulator;
@@ -45,7 +49,16 @@ fn obs_guard() -> MutexGuard<'static, ()> {
     guard
 }
 
-const ALL_BACKENDS: [&str; 6] = ["cycle", "cycle-fast", "seed", "analytical", "cpu", "gpu"];
+const ALL_BACKENDS: [&str; 8] = [
+    "cycle",
+    "cycle-fast",
+    "seed",
+    "analytical",
+    "cpu",
+    "gpu",
+    "cpu-naive",
+    "gpu-sharded",
+];
 
 fn workload() -> (hygcn_suite::graph::Graph, GcnModel) {
     let g = erdos_renyi(512, 4096, 42).unwrap().with_feature_len(64);
@@ -57,7 +70,7 @@ fn workload() -> (hygcn_suite::graph::Graph, GcnModel) {
 /// is recording — the tentpole "never perturbs" contract, backend by
 /// backend.
 #[test]
-fn all_six_backends_are_bit_identical_with_collection_on() {
+fn every_backend_is_bit_identical_with_collection_on() {
     let _guard = obs_guard();
     let (graph, model) = workload();
     let mut cfg = HyGcnConfig::default();
@@ -175,7 +188,7 @@ fn cache_keys_ignore_collector_state() {
     obs::reset();
     assert_eq!(traced, quiet);
     // The keys themselves are distinct per backend (cycle elides its id;
-    // the other five must not collide with it or each other).
+    // the others must not collide with it or each other).
     let mut sorted = quiet.clone();
     sorted.sort_unstable();
     sorted.dedup();
@@ -239,6 +252,44 @@ fn trace_covers_at_least_six_distinct_phases() {
     // stable thread id.
     assert!(events.iter().all(|e| e.dur_us >= 1 && e.tid >= 1));
     obs::reset();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Graph syntheses recorded since the last `obs::reset`.
+fn workload_builds() -> u64 {
+    obs::snapshot().phases[obs::Phase::WorkloadBuild as usize].count
+}
+
+/// Every figure number is a store read: once Fig. 2's `cpu-naive` points
+/// are stored, a fresh context re-renders it without simulating or
+/// building a graph, while Table 2 — which measures a graph directly —
+/// builds exactly its one.
+#[test]
+fn warm_figure_renders_build_only_the_graphs_they_measure() {
+    let _guard = obs_guard();
+    let dir = std::env::temp_dir().join("hygcn-obs-warm-figures");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("figures.jsonl");
+    let render = |id, ctx: &mut FigureCtx| {
+        run_figure(find_figure(id).unwrap(), ctx, Some(&store), None).unwrap()
+    };
+    let cold = render("fig02", &mut FigureCtx::new(0.05));
+    assert_eq!((cold.simulated, cold.cache_hits), (15, 0));
+
+    let mut ctx = FigureCtx::new(0.05);
+    obs::reset();
+    obs::enable();
+    let warm = render("fig02", &mut ctx);
+    let fig02_builds = workload_builds();
+    render("table02", &mut ctx);
+    let table02_builds = workload_builds() - fig02_builds;
+    obs::disable();
+    obs::reset();
+    assert_eq!((warm.simulated, warm.cache_hits), (0, 15));
+    assert_eq!(warm.output, cold.output);
+    assert_eq!(fig02_builds, 0, "a warm fig02 builds no graph");
+    assert_eq!(table02_builds, 1, "table02 builds its one graph");
     std::fs::remove_dir_all(&dir).ok();
 }
 
