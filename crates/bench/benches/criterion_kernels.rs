@@ -1,14 +1,17 @@
 //! Criterion micro-benchmarks of the hot kernels underlying the
-//! simulator and substrates: interval partitioning, window planning,
-//! neighbor sampling, gather aggregation, dense MVM, fixed-point MVM,
-//! HBM batch service, and an end-to-end simulation per model.
+//! simulator and substrates: graph synthesis, interval partitioning,
+//! window planning, neighbor sampling, gather aggregation, dense MVM,
+//! fixed-point MVM, HBM batch service, and an end-to-end simulation per
+//! model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use hygcn_bench::figures::FIGURE_SEED;
 use hygcn_core::{HyGcnConfig, Simulator};
 use hygcn_gcn::aggregate::{aggregate_all, Aggregator, SelfTerm};
 use hygcn_gcn::model::{GcnModel, ModelKind};
+use hygcn_graph::datasets::{DatasetKey, DatasetSpec};
 use hygcn_graph::generator::{rmat, RmatParams};
 use hygcn_graph::partition::{Interval, PartitionSpec};
 use hygcn_graph::sampling::{SamplePolicy, Sampler};
@@ -22,6 +25,24 @@ fn test_graph() -> Graph {
     rmat(8192, 120_000, RmatParams::default(), 7)
         .expect("valid rmat parameters")
         .with_feature_len(128)
+}
+
+/// The two synthesis paths the paper reproduction spends its time in:
+/// figure-scale Reddit (R-MAT at 68% of all vertex pairs, bitset dedup)
+/// and full-scale COLLAB (128 assembled dense blocks).
+fn bench_synthesis(c: &mut Criterion) {
+    c.bench_function("synthesis/rmat_reddit_fig", |b| {
+        b.iter(|| {
+            black_box(
+                rmat(728, 179_087, RmatParams::default(), FIGURE_SEED)
+                    .expect("valid rmat parameters"),
+            )
+        })
+    });
+    let collab = DatasetSpec::get(DatasetKey::Cl);
+    c.bench_function("synthesis/assembled_collab", |b| {
+        b.iter(|| black_box(collab.instantiate(1.0, 1).expect("valid scale")))
+    });
 }
 
 fn bench_partition(c: &mut Criterion) {
@@ -106,7 +127,8 @@ fn bench_end_to_end(c: &mut Criterion) {
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(10);
-    targets = bench_partition,
+    targets = bench_synthesis,
+        bench_partition,
         bench_window_planning,
         bench_sampling,
         bench_aggregate,

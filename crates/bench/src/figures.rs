@@ -21,15 +21,18 @@
 //!   own backend keys in the same store.
 //! * **Re-runs are free.** `hygcn figures all` twice performs zero
 //!   simulations the second time — the regression gate CI asserts.
-//! * **One campaign per artifact.** All of an artifact's spaces run
-//!   through one campaign call, so each workload graph is built at most
-//!   once per artifact, whichever backends read it.
+//! * **One build per workload per run.** All of an artifact's spaces run
+//!   through one campaign call, and every campaign of a run takes its
+//!   graphs from the [`FigureCtx`]'s workload memo, so each workload
+//!   graph is built at most once per run, whichever artifacts and
+//!   backends read it.
 //! * **Code changes invalidate precisely.** A config-affecting change
 //!   alters `HyGcnConfig::canon`, so exactly the stale points re-run.
 //!
 //! Only Table 2 (the CPU cache characterization) and Table 3 (workload
-//! statistics) measure a graph directly, through the memoized
-//! [`FigureCtx`]; a warm `figures all` builds just those two graphs.
+//! statistics) measure a graph directly, through the same memo: after
+//! a cold run's campaigns they build nothing, and a warm `figures all`
+//! builds just those two graphs.
 //!
 //! Porting note: the original `fig15_sparsity` binary drove the
 //! Aggregation Engine in isolation; the campaign port measures the
@@ -44,7 +47,7 @@ use hygcn_baseline::params::CpuParams;
 use hygcn_baseline::prefetch::phase_prefetch_coverage;
 use hygcn_core::energy::AreaPowerModel;
 use hygcn_core::HyGcnConfig;
-use hygcn_dse::campaign::{Campaign, CampaignReport, CompletedPoint};
+use hygcn_dse::campaign::{Campaign, CampaignReport, CompletedPoint, WorkloadMemo};
 use hygcn_dse::space::{Axis, ConfigSpace, WorkloadSpec};
 use hygcn_dse::DseError;
 use hygcn_gcn::model::{GcnModel, ModelKind};
@@ -89,11 +92,13 @@ pub struct FigureSpec {
     pub render: fn(&[CampaignReport], &mut FigureCtx) -> String,
 }
 
-/// Memoized per-process context for the artifacts that measure a graph
-/// directly (Table 2's characterization, Table 3's workload statistics).
+/// One figure run's context: its scale multiplier and the workload memo
+/// every artifact's campaign and direct measurement (Table 2's
+/// characterization, Table 3's workload statistics) shares, so a run
+/// builds each workload graph once.
 pub struct FigureCtx {
     mult: f64,
-    graphs: Vec<(DatasetKey, Graph)>,
+    workloads: WorkloadMemo,
 }
 
 impl FigureCtx {
@@ -101,26 +106,13 @@ impl FigureCtx {
     pub fn new(mult: f64) -> Self {
         Self {
             mult,
-            graphs: Vec::new(),
+            workloads: WorkloadMemo::new(),
         }
     }
 
     /// The scale multiplier this context builds at.
     pub fn mult(&self) -> f64 {
         self.mult
-    }
-
-    fn graph_idx(&mut self, key: DatasetKey) -> usize {
-        if let Some(i) = self.graphs.iter().position(|(k, _)| *k == key) {
-            return i;
-        }
-        let _obs = hygcn_obs::span(hygcn_obs::Phase::WorkloadBuild);
-        let graph = ds(key, self.mult)
-            .build()
-            // lint: allow(unwrap) -- ds() clamps scale into the range instantiate accepts
-            .expect("dataset instantiation cannot fail at clamped scales");
-        self.graphs.push((key, graph));
-        self.graphs.len() - 1
     }
 
     /// Runs `f` over the memoized graph and a freshly derived model —
@@ -132,12 +124,15 @@ impl FigureCtx {
         kind: ModelKind,
         f: impl FnOnce(&Graph, &GcnModel) -> T,
     ) -> T {
-        let i = self.graph_idx(key);
-        let graph = &self.graphs[i].1;
+        let graph = self
+            .workloads
+            .graph(&ds(key, self.mult), 1.0)
+            // lint: allow(unwrap) -- ds() clamps scale into the range instantiate accepts
+            .expect("dataset instantiation cannot fail at clamped scales");
         let model =
             // lint: allow(unwrap) -- Graph guarantees feature_len >= 1, the only failure mode
             GcnModel::new(kind, graph.feature_len(), 0xC0DE).expect("nonzero feature length");
-        f(graph, &model)
+        f(&graph, &model)
     }
 }
 
@@ -1190,8 +1185,9 @@ pub struct FigureRun {
 ///
 /// All of the artifact's spaces run as one campaign against `store` (the
 /// shared `figures.jsonl`), so points shared between artifacts — or with
-/// previous runs — are never re-simulated, and each workload graph is
-/// built at most once. Every point evaluates on the backend its space
+/// previous runs — are never re-simulated. The campaign takes its graphs
+/// from `ctx`'s workload memo, so each workload graph is built at most
+/// once per context. Every point evaluates on the backend its space
 /// names (the cross-backend artifacts mix `cycle` with the platform
 /// backends); `backend_override`, when given, re-targets the
 /// *default-backend* spaces only — `hygcn figures --backend analytical`
@@ -1229,8 +1225,9 @@ pub fn run_figure(
     if let Some(first) = spaces.first() {
         // The campaign runs the explicit point list; its own space is
         // never enumerated.
-        let mut campaign =
-            Campaign::new(first.clone()).with_resolver(hygcn_baseline::backend::resolve);
+        let mut campaign = Campaign::new(first.clone())
+            .with_resolver(hygcn_baseline::backend::resolve)
+            .with_workload_memo(ctx.workloads.clone());
         if let Some(path) = store {
             campaign = campaign.with_store(path);
         }

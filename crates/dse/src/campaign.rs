@@ -8,7 +8,9 @@
 //!    pair is instantiated once per group, shared by reference across
 //!    every config point — and every backend — that touches it. Building
 //!    Reddit-scale graphs dwarfs a single simulation, so this is where
-//!    the campaign's speed comes from.
+//!    the campaign's speed comes from. A [`WorkloadMemo`] extends the
+//!    sharing across campaigns: a run of several campaigns handed one
+//!    memo builds each workload once.
 //! 2. **Fan out where threads exist.** Within a group, missing points run
 //!    through [`hygcn_par::par_map_slice`] in batches of one point per
 //!    worker; results splice back in deterministic point order, so a
@@ -23,14 +25,14 @@
 //!    failed points, and one bad point never aborts the rest of the run.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use hygcn_core::backend::{core_backend, SimBackend};
 use hygcn_core::SimReport;
 use hygcn_gcn::model::GcnModel;
 use hygcn_graph::Graph;
 
-use crate::space::{ConfigSpace, DesignPoint};
+use crate::space::{ConfigSpace, DesignPoint, WorkloadSpec};
 use crate::store::{ResultStore, StoreRecord};
 use crate::store_io::{default_sleeper, RetryPolicy, Sleeper, StoreIo};
 use crate::DseError;
@@ -176,6 +178,7 @@ pub struct Campaign {
     sleeper: Option<Sleeper>,
     backend: Option<Arc<dyn SimBackend>>,
     resolver: fn(&str) -> Option<Arc<dyn SimBackend>>,
+    workloads: Option<WorkloadMemo>,
 }
 
 impl std::fmt::Debug for Campaign {
@@ -186,6 +189,7 @@ impl std::fmt::Debug for Campaign {
             .field("store_io", &self.store_io)
             .field("retry", &self.retry)
             .field("backend", &self.backend)
+            .field("workloads", &self.workloads)
             .finish()
     }
 }
@@ -208,6 +212,7 @@ impl Campaign {
             sleeper: None,
             backend: None,
             resolver: core_backend,
+            workloads: None,
         }
     }
 
@@ -254,6 +259,15 @@ impl Campaign {
     /// full vocabulary).
     pub fn with_resolver(mut self, resolver: fn(&str) -> Option<Arc<dyn SimBackend>>) -> Self {
         self.resolver = resolver;
+        self
+    }
+
+    /// Takes every group's graph from `memo`, which builds only the
+    /// workloads it has not seen. Campaigns sharing one memo build each
+    /// workload once between them; without one, each group builds its
+    /// graph and drops it when the group is done.
+    pub fn with_workload_memo(mut self, memo: WorkloadMemo) -> Self {
+        self.workloads = Some(memo);
         self
     }
 
@@ -307,15 +321,14 @@ impl Campaign {
     ///
     /// Each point evaluates on the backend its key names. Workload
     /// sharing groups by `(workload, config.fidelity)`: every group
-    /// builds its graph once via [`WorkloadSpec::build_at`] and serves
-    /// every backend in it, so a half-fidelity rung shares one half-scale
+    /// builds its graph once via [`WorkloadSpec::build_at`] (or takes it
+    /// from the [`Self::with_workload_memo`] memo) and serves every
+    /// backend in it, so a half-fidelity rung shares one half-scale
     /// graph across its survivors, and mixed-fidelity lists never leak a
     /// graph across fidelities. A key listed more than once is evaluated
     /// once; its later occurrences read the result back as cached.
     /// Outcomes return in input order; completions stream to the store
     /// exactly as in [`Self::run`].
-    ///
-    /// [`WorkloadSpec::build_at`]: crate::space::WorkloadSpec::build_at
     ///
     /// # Errors
     ///
@@ -364,7 +377,7 @@ impl Campaign {
         // Group the missing points by (workload, fidelity), preserving
         // point order within each group (the pair is the sharing handle:
         // one built graph per group).
-        let mut groups: Vec<(&crate::space::WorkloadSpec, u64, Vec<usize>)> = Vec::new();
+        let mut groups: Vec<(&WorkloadSpec, u64, Vec<usize>)> = Vec::new();
         for i in missing {
             let p = &points[i];
             let fidelity = p.config.fidelity.to_bits();
@@ -380,10 +393,12 @@ impl Campaign {
         let mut failures: std::collections::BTreeMap<usize, String> =
             std::collections::BTreeMap::new();
         for (workload, fidelity_bits, idxs) in groups {
-            let obs_build = hygcn_obs::span(hygcn_obs::Phase::WorkloadBuild);
-            let graph = workload.build_at(f64::from_bits(fidelity_bits))?;
+            let fidelity = f64::from_bits(fidelity_bits);
+            let graph = match &self.workloads {
+                Some(memo) => memo.graph(workload, fidelity)?,
+                None => Arc::new(build_traced(workload, fidelity)?),
+            };
             let graph_hash = graph.content_hash();
-            drop(obs_build);
             // One model instance per kind in this group, shared across
             // every point of the group.
             let mut models: Vec<(hygcn_gcn::model::ModelKind, GcnModel)> = Vec::new();
@@ -507,11 +522,72 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Graphs by `(workload, fidelity)`, built on first use and shared by
+/// every clone of the memo — the handle that lets a run of several
+/// campaigns (and the figure renders that measure a graph directly)
+/// synthesize each workload once.
+///
+/// Entries live as long as the memo, so it suits runs over a fixed set
+/// of workloads. An edge-list workload is read once per memo: a file
+/// edited while the memo lives is not re-read.
+#[derive(Clone, Default)]
+pub struct WorkloadMemo(Arc<Mutex<Vec<MemoEntry>>>);
+
+/// One memoized build: the workload, its fidelity's bits, the graph.
+type MemoEntry = (WorkloadSpec, u64, Arc<Graph>);
+
+impl WorkloadMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The graph of `workload` at `fidelity`, built on a miss. Only a
+    /// build opens a `workload_build` span; a hit records nothing. The
+    /// memo builds one graph at a time: other callers wait for it.
+    ///
+    /// # Errors
+    ///
+    /// As [`WorkloadSpec::build_at`]; a failed build is not memoized.
+    pub fn graph(&self, workload: &WorkloadSpec, fidelity: f64) -> Result<Arc<Graph>, DseError> {
+        let bits = fidelity.to_bits();
+        // A build that panics leaves the list untouched (entries are
+        // pushed only after a successful build), so a poisoned lock
+        // still guards a valid list.
+        let mut entries = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, _, graph)) = entries.iter().find(|(w, f, _)| w == workload && *f == bits) {
+            return Ok(Arc::clone(graph));
+        }
+        let graph = Arc::new(build_traced(workload, fidelity)?);
+        entries.push((workload.clone(), bits, Arc::clone(&graph)));
+        Ok(graph)
+    }
+}
+
+impl std::fmt::Debug for WorkloadMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let entries = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        f.debug_list()
+            .entries(
+                entries
+                    .iter()
+                    .map(|(w, f, _)| (w.label(), f64::from_bits(*f))),
+            )
+            .finish()
+    }
+}
+
+/// Builds `workload` at `fidelity` under a `workload_build` span.
+fn build_traced(workload: &WorkloadSpec, fidelity: f64) -> Result<Graph, DseError> {
+    let _obs = hygcn_obs::span(hygcn_obs::Phase::WorkloadBuild);
+    workload.build_at(fidelity)
+}
+
 /// Builds the graph for a workload and hands back `(graph, model)` for
 /// one kind — the sharing handle single-run callers (the `sweep` alias,
 /// examples) use to avoid rebuilding per configuration.
 pub fn build_workload(
-    spec: &crate::space::WorkloadSpec,
+    spec: &WorkloadSpec,
     kind: hygcn_gcn::model::ModelKind,
 ) -> Result<(Graph, GcnModel), DseError> {
     let graph = spec.build()?;
@@ -714,6 +790,39 @@ mod tests {
             .map(|c| c.report_json.as_str())
             .collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn campaigns_sharing_a_memo_build_each_workload_once() {
+        let memo = WorkloadMemo::new();
+        let cycle = Campaign::new(tiny_space())
+            .with_workload_memo(memo.clone())
+            .run()
+            .unwrap();
+        let analytical = Campaign::new(tiny_space().with_backend_id("analytical"))
+            .with_workload_memo(memo.clone())
+            .run()
+            .unwrap();
+        let entries = memo.0.lock().unwrap().len();
+        assert_eq!(entries, 1, "{memo:?}");
+        // The memo changes where graphs come from, not what they are.
+        assert_eq!(cycle, Campaign::new(tiny_space()).run().unwrap());
+        assert_eq!(
+            analytical,
+            Campaign::new(tiny_space().with_backend_id("analytical"))
+                .run()
+                .unwrap()
+        );
+        // Hits share one instance; another fidelity is another graph.
+        let ib = WorkloadSpec::dataset(DatasetKey::Ib, 0.1, 1);
+        let full = memo.graph(&ib, 1.0).unwrap();
+        assert!(Arc::ptr_eq(&full, &memo.graph(&ib, 1.0).unwrap()));
+        let half = memo.graph(&ib, 0.5).unwrap();
+        assert!(half.num_vertices() < full.num_vertices());
+        assert_eq!(memo.0.lock().unwrap().len(), 2);
+        // A failed build is reported and not remembered.
+        assert!(memo.graph(&ib, 0.0).is_err());
+        assert_eq!(memo.0.lock().unwrap().len(), 2);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod space;
 pub mod store;
 pub mod store_io;
 
-pub use campaign::{Campaign, CampaignReport, CompletedPoint, PointOutcome};
+pub use campaign::{Campaign, CampaignReport, CompletedPoint, PointOutcome, WorkloadMemo};
 pub use search::{
     run_search, run_search_io, run_search_with_backend, BudgetMetric, SearchOutcome, SearchStrategy,
 };

@@ -19,9 +19,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 
-use crate::generator::{community_powerlaw, rmat, RmatParams};
+use crate::generator::{community_powerlaw, rmat, PairSet, RmatParams};
 use crate::{Coo, Graph, GraphError, VertexId};
 
 /// Short keys of the six benchmark datasets, in paper order.
@@ -201,7 +200,7 @@ impl DatasetSpec {
         let vertices = ((self.vertices as f64 * scale) as usize).max(64);
         let und_edges = ((self.edges / 2) as f64 * scale) as usize;
         let und_edges = und_edges.max(vertices); // keep the graph connected-ish
-        let graph = match self.family {
+        let mut graph = match self.family {
             StructureFamily::PowerLaw => {
                 let m = (und_edges as f64 / vertices as f64).round().max(1.0) as usize;
                 // ~128-vertex research communities with 10% inter-area
@@ -215,16 +214,17 @@ impl DatasetSpec {
                 assembled_blocks(vertices, und_edges, blocks, seed)?
             }
         };
-        Ok(graph
-            .with_feature_len(self.feature_len)
-            .with_name(self.name))
+        graph.set_feature_len(self.feature_len);
+        Ok(graph.with_name(self.name))
     }
 }
 
 /// Packs `num_vertices` into `num_blocks` disjoint blocks with Zipf-skewed
 /// sizes and fills each block with uniform random edges proportionally to
 /// its pair capacity, hitting `und_edges` total undirected edges exactly
-/// (excess over total capacity spills to uniform cross-block edges).
+/// (excess over total capacity spills to uniform pairs over all
+/// vertices, deduplicated only among themselves, so a spilled pair can
+/// repeat an in-block edge).
 fn assembled_blocks(
     num_vertices: usize,
     und_edges: usize,
@@ -289,35 +289,31 @@ fn assembled_blocks(
 
     let mut coo = Coo::new(num_vertices);
     let mut base: VertexId = 0;
-    for (b, &size) in sizes.iter().enumerate() {
-        let mut seen: BTreeSet<(VertexId, VertexId)> = BTreeSet::new();
+    for (&size, &budget) in sizes.iter().zip(&budgets) {
+        // Block-local pairs: one dedup set per block, sized to it.
+        let mut seen = PairSet::for_draw(size, budget);
         let size = size as VertexId;
-        while seen.len() < budgets[b] {
-            let x = base + rng.gen_range(0..size);
-            let y = base + rng.gen_range(0..size);
-            if x == y {
-                continue;
-            }
-            let key = (x.min(y), x.max(y));
-            if seen.insert(key) {
-                coo.push_undirected(x, y)?;
+        let mut placed = 0;
+        while placed < budget {
+            let x = rng.gen_range(0..size);
+            let y = rng.gen_range(0..size);
+            if x != y && seen.insert(x, y) {
+                coo.push_undirected(base + x, base + y)?;
+                placed += 1;
             }
         }
         base += size;
     }
 
     // Spill (only if the request exceeded total block capacity).
+    let spill = und_edges - in_blocks;
+    let mut seen = PairSet::for_draw(num_vertices, spill);
     let mut spilled = 0;
     let n = num_vertices as VertexId;
-    let mut seen: BTreeSet<(VertexId, VertexId)> = BTreeSet::new();
-    while in_blocks + spilled < und_edges {
+    while spilled < spill {
         let x = rng.gen_range(0..n);
         let y = rng.gen_range(0..n);
-        if x == y {
-            continue;
-        }
-        let key = (x.min(y), x.max(y));
-        if seen.insert(key) {
+        if x != y && seen.insert(x, y) {
             coo.push_undirected(x, y)?;
             spilled += 1;
         }

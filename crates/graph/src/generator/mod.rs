@@ -19,12 +19,25 @@
 //!   paper's protocol for multi-graph datasets (IMDB-BIN, COLLAB): "the
 //!   datasets with more than one graph are tested by assembling randomly
 //!   selected 128 graphs into a large graph".
+//!
+//! The edge-drawing generators ([`rmat`] and the registry's assembled
+//! blocks) run at the speed of their random stream. R-MAT's quadrant
+//! test on the unit float `(u >> 11) / 2^53` is the exact integer test
+//! `u >> 11 < ceil(p * 2^53)`. Re-drawn duplicates are caught by a
+//! bitset over the upper triangle of the adjacency matrix whenever that
+//! bitset is no larger than the COO it feeds (edge density at least
+//! 1/128), and by an ordered set below that density. Neither choice
+//! changes the random stream, so every graph is the same as with the
+//! float test and the ordered set alone.
 
 mod assembled;
 mod community;
 mod erdos;
+mod pairs;
 mod powerlaw;
 mod rmat;
+
+pub(crate) use pairs::PairSet;
 
 pub use assembled::assembled_cliques;
 pub use community::community_powerlaw;

@@ -239,6 +239,12 @@ impl Graph {
         }
     }
 
+    /// Sets the feature length in place: [`Self::with_feature_len`]
+    /// without copying the adjacency.
+    pub fn set_feature_len(&mut self, feature_len: usize) {
+        self.feature_len = feature_len;
+    }
+
     /// In-neighbors (sources) of `v`, i.e. the vertices whose features are
     /// aggregated into `v` (the paper's `N(v)`).
     ///

@@ -6,7 +6,8 @@
 //! keys.
 //!
 //! Graph synthesis is one phase (`workload_build`) wherever it happens:
-//! a warm figure render that only reads the store builds nothing.
+//! a warm figure render that only reads the store builds nothing, and a
+//! cold figure run builds each workload once.
 //!
 //! The span-program cache contract is pinned here too, because its
 //! evidence is the collector's `span_program_build` count: a sweep over
@@ -290,6 +291,35 @@ fn warm_figure_renders_build_only_the_graphs_they_measure() {
     assert_eq!(warm.output, cold.output);
     assert_eq!(fig02_builds, 0, "a warm fig02 builds no graph");
     assert_eq!(table02_builds, 1, "table02 builds its one graph");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One figure run builds each workload once: on a cold store, fig10's
+/// six datasets plus the ablation's two reordered PB graphs are the only
+/// builds (the ablation's Reddit and PB come from fig10), and a
+/// following Table 2 measures the CL graph the campaigns already built.
+#[test]
+fn a_figure_run_builds_each_workload_once() {
+    let _guard = obs_guard();
+    let dir = std::env::temp_dir().join("hygcn-obs-workload-memo");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("figures.jsonl");
+    let mut ctx = FigureCtx::new(0.05);
+    let mut render = |id| {
+        run_figure(find_figure(id).unwrap(), &mut ctx, Some(&store), None).unwrap();
+    };
+    obs::reset();
+    obs::enable();
+    render("fig10");
+    render("ablation");
+    let campaign_builds = workload_builds();
+    render("table02");
+    let table02_builds = workload_builds() - campaign_builds;
+    obs::disable();
+    obs::reset();
+    assert_eq!(campaign_builds, 8, "one build per distinct workload");
+    assert_eq!(table02_builds, 0, "table02 reuses the campaigns' CL graph");
     std::fs::remove_dir_all(&dir).ok();
 }
 
