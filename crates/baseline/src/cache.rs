@@ -14,8 +14,11 @@ use hygcn_mem::cast::{saturating_usize, widen_u64};
 /// One inclusive cache level with LRU replacement.
 #[derive(Debug, Clone)]
 pub struct CacheLevel {
-    /// `sets[s]` holds up to `assoc` tags, most recently used last.
-    sets: Vec<Vec<u64>>,
+    /// Set `s` holds its `lens[s]` tags in `tags[s * assoc..]`, most
+    /// recently used last: one flat block for the whole level.
+    tags: Vec<u64>,
+    /// Tags held per set, at most `assoc`.
+    lens: Vec<usize>,
     assoc: usize,
     line_bytes: u64,
     num_sets: u64,
@@ -42,8 +45,10 @@ impl CacheLevel {
             num_sets.is_power_of_two(),
             "set count must be a power of two"
         );
+        let sets = saturating_usize(num_sets);
         Self {
-            sets: vec![Vec::with_capacity(assoc); saturating_usize(num_sets)],
+            tags: vec![0; sets * assoc],
+            lens: vec![0; sets],
             assoc,
             line_bytes,
             num_sets,
@@ -55,18 +60,23 @@ impl CacheLevel {
     /// Accesses the line containing `addr`; returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
         let tag = addr / self.line_bytes;
-        let set = &mut self.sets[saturating_usize(tag % self.num_sets)];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
+        let s = saturating_usize(tag % self.num_sets);
+        let len = self.lens[s];
+        let ways = &mut self.tags[s * self.assoc..(s + 1) * self.assoc];
+        if let Some(pos) = ways[..len].iter().position(|&t| t == tag) {
             // Move to MRU position.
-            let t = set.remove(pos);
-            set.push(t);
+            ways[pos..len].rotate_left(1);
             self.hits += 1;
             true
         } else {
-            if set.len() == self.assoc {
-                set.remove(0);
+            if len == self.assoc {
+                // Evict the LRU tag.
+                ways.rotate_left(1);
+                ways[len - 1] = tag;
+            } else {
+                ways[len] = tag;
+                self.lens[s] += 1;
             }
-            set.push(tag);
             self.misses += 1;
             false
         }
@@ -201,6 +211,35 @@ mod tests {
         c.access(256); // should evict 128, not 0
         assert!(c.access(0));
         assert!(!c.access(128));
+    }
+
+    #[test]
+    fn flat_sets_keep_list_lru_order() {
+        // Reference: each set a list, MRU last, `remove` + `push`.
+        let (assoc, sets) = (4usize, 8u64);
+        let mut lists = vec![Vec::<u64>::new(); sets as usize];
+        let mut c = CacheLevel::new(4 * 8 * 64, assoc, 64);
+        let mut x = 12345u64;
+        for _ in 0..20_000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let tag = (x >> 33) % 64;
+            let set = &mut lists[(tag % sets) as usize];
+            let hit = match set.iter().position(|&t| t == tag) {
+                Some(pos) => {
+                    set.remove(pos);
+                    true
+                }
+                None => {
+                    if set.len() == assoc {
+                        set.remove(0);
+                    }
+                    false
+                }
+            };
+            set.push(tag);
+            assert_eq!(c.access(tag * 64), hit);
+        }
+        assert!(c.hits() > 0 && c.misses() > 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the hot kernels underlying the
 //! simulator and substrates: graph synthesis, interval partitioning,
 //! window planning, neighbor sampling, gather aggregation, dense MVM,
-//! fixed-point MVM, HBM batch service, and an end-to-end simulation per
-//! model.
+//! fixed-point MVM, HBM batch service, the FR-FCFS span-program ordering
+//! pass and its replay, and an end-to-end simulation per model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -17,8 +17,9 @@ use hygcn_graph::partition::{Interval, PartitionSpec};
 use hygcn_graph::sampling::{SamplePolicy, Sampler};
 use hygcn_graph::window::WindowPlanner;
 use hygcn_graph::Graph;
+use hygcn_mem::hbm::ControllerPolicy;
 use hygcn_mem::request::{MemRequest, RequestKind};
-use hygcn_mem::{Hbm, HbmConfig};
+use hygcn_mem::{Hbm, HbmConfig, SpanProgramBuilder, SpanReplayer};
 use hygcn_tensor::{linalg, Matrix};
 
 fn test_graph() -> Graph {
@@ -109,6 +110,44 @@ fn bench_hbm(c: &mut Criterion) {
     });
 }
 
+/// The two halves of an FR-FCFS span replay over one program: the
+/// once-per-window ordering pass and the straight-line timing replay a
+/// sweep repeats per point. The program interleaves two bank-conflicting
+/// row streams per channel, so the 32-deep window has hits to promote.
+fn bench_span_frfcfs(c: &mut Criterion) {
+    let cfg = HbmConfig {
+        controller: ControllerPolicy::FrFcfs { window: 32 },
+        ..HbmConfig::hbm1()
+    };
+    let bank_stride = cfg.row_bytes * cfg.channels as u64 * cfg.banks as u64;
+    let mut builder = SpanProgramBuilder::new(&cfg).expect("valid geometry");
+    for step in 0..64u64 {
+        let base = step * 4 * bank_stride;
+        let batch: Vec<MemRequest> = (0..512u64)
+            .map(|i| {
+                let row = base + (i % 2) * bank_stride;
+                MemRequest::read(RequestKind::InputFeatures, row + (i / 2) * 64 % 16384, 64)
+            })
+            .collect();
+        builder.push_step(&batch);
+    }
+    let program = builder.finish();
+    c.bench_function("span/frfcfs_schedule", |b| {
+        b.iter(|| black_box(program.schedule(32).expect("runs fit the index")))
+    });
+    let schedule = program.schedule(32).expect("runs fit the index");
+    c.bench_function("span/frfcfs_replay", |b| {
+        b.iter(|| {
+            let mut replayer = SpanReplayer::new(&cfg).expect("valid geometry");
+            let mut now = 0;
+            for step in 0..program.steps() {
+                now = replayer.replay_step(&program, Some(&schedule), step, now);
+            }
+            black_box(now)
+        })
+    });
+}
+
 fn bench_end_to_end(c: &mut Criterion) {
     let g = test_graph();
     let sim = Simulator::new(HyGcnConfig::default());
@@ -135,6 +174,7 @@ criterion_group!(
         bench_mvm,
         bench_fixed_mvm,
         bench_hbm,
+        bench_span_frfcfs,
         bench_end_to_end
 );
 criterion_main!(kernels);

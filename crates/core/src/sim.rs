@@ -23,19 +23,25 @@
 //!    pipeline step's scheduler-ordered request batch, decoded once into
 //!    per-channel `(bank, row, bursts)` runs and cached on the graph, so
 //!    a warm evaluation never assembles, orders or decodes a batch (see
-//!    [`hygcn_mem::spanprog`]).
+//!    [`hygcn_mem::spanprog`]). Under FR-FCFS the replay walks the
+//!    program's [`SpanSchedule`](hygcn_mem::SpanSchedule), the
+//!    controller's service order, ordered once and cached beside the
+//!    program.
 //!
 //! ## What is memoized on the graph
 //!
-//! Three derived values live in the graph's plan memo ([`Graph::memo`]),
+//! Four derived values live in the graph's plan memo ([`Graph::memo`]),
 //! each lookup counted by the `plan_cache_*` [`hygcn_obs::Counter`]s:
 //!
 //! * **Occupancy indexes**, keyed by the chunking (see
 //!   [`crate::schedule`]).
 //! * **Span programs**, keyed by `(model kind, f_in,`
 //!   [`HyGcnConfig::decode_class`]`)`. The clock, timeline recording and
-//!   the HBM timing/controller fields bind at replay, so a sweep over
-//!   them decodes once and replays every point.
+//!   the HBM timing/controller fields bind later, so a sweep over them
+//!   decodes once.
+//! * **FR-FCFS schedules**, keyed by the program's key plus the
+//!   controller. The service order depends on no timing field, so a
+//!   timing sweep orders each program once per window and only replays.
 //! * **Runtime samples**, keyed by `(sample_seed, policy)` on the parent
 //!   graph: the [`Sampler`] is deterministic in topology, seed and
 //!   policy. A sampling model therefore reuses its sample, and the
@@ -54,6 +60,7 @@ use hygcn_gcn::model::{GcnModel, ModelKind, DIFFPOOL_CLUSTERS};
 use hygcn_graph::partition::Interval;
 use hygcn_graph::sampling::Sampler;
 use hygcn_graph::{Graph, MemoOutcome};
+use hygcn_mem::hbm::ControllerPolicy;
 use hygcn_mem::request::{MemRequest, RequestArena, RequestKind};
 use hygcn_mem::scheduler::AccessScheduler;
 use hygcn_mem::spanprog::{SpanProgram, SpanProgramBuilder, SpanReplayer};
@@ -229,6 +236,19 @@ impl Simulator {
         })?;
         count_memo(outcome);
         debug_assert!(program.matches(&cfg.hbm) && program.steps() == steps.len());
+        // FR-FCFS's service order depends on the program and the window
+        // alone, so one ordering pass serves every timing point.
+        let schedule = match cfg.hbm.controller {
+            ControllerPolicy::InOrder => None,
+            ControllerPolicy::FrFcfs { window } => {
+                let (schedule, outcome) = g
+                    .memo((kind, f_in, cfg.decode_class(), cfg.hbm.controller), || {
+                        program.schedule(window).map_err(SimError::Config)
+                    })?;
+                count_memo(outcome);
+                Some(schedule)
+            }
+        };
 
         // --- Timeline through the shared memory handler. ---
         // A step lasts as long as its slowest resource: either engine's
@@ -237,7 +257,9 @@ impl Simulator {
         let mut step_cycles: Vec<u64> = Vec::with_capacity(steps.len());
         let mut timeline: Vec<ChunkTrace> = Vec::new();
         for (s, step) in steps.iter().enumerate() {
-            let mem_cycles = replayer.replay_step(&program, s, now).saturating_sub(now);
+            let mem_cycles = replayer
+                .replay_step(&program, schedule.as_deref(), s, now)
+                .saturating_sub(now);
             let agg_cycles = step.agg.map_or(0, |i| aggs[i].compute_cycles);
             let comb_cycles = step.comb.map_or(0, |i| combs[i].compute_cycles);
             let cycles = agg_cycles.max(comb_cycles).max(mem_cycles);

@@ -97,9 +97,16 @@ impl HbmConfig {
         }
     }
 
+    /// The largest `t_burst`, `t_row` or `t_cas` [`HbmConfig::validate`]
+    /// accepts: 2^20 cycles, a thousand times any real DRAM timing. At
+    /// this bound no cycle sum of a replay can wrap `u64` for any
+    /// program under 2^40 bursts.
+    pub const MAX_TIMING_CYCLES: u64 = 1 << 20;
+
     /// Validates the geometry without constructing anything: every
     /// count/size must be a power of two, the burst must fit inside a
-    /// row, and the burst transfer time must be nonzero.
+    /// row, the burst transfer time must be nonzero, and no timing
+    /// parameter may exceed [`HbmConfig::MAX_TIMING_CYCLES`].
     ///
     /// This is the config-level twin of [`AddressMap::try_new`]'s checks
     /// — campaign axes over memory-geometry knobs call it while
@@ -126,12 +133,24 @@ impl HbmConfig {
                         makes every access a row hit)"
                 .into());
         }
+        for (name, cycles) in [
+            ("t_burst", self.t_burst),
+            ("t_row", self.t_row),
+            ("t_cas", self.t_cas),
+        ] {
+            if cycles > Self::MAX_TIMING_CYCLES {
+                return Err(format!(
+                    "{name} {cycles} exceeds the {} cycle timing bound",
+                    Self::MAX_TIMING_CYCLES
+                ));
+            }
+        }
         Ok(())
     }
 
     /// Peak bandwidth in bytes per cycle (all channels).
     pub fn peak_bytes_per_cycle(&self) -> f64 {
-        (crate::cast::widen_u64(self.channels) * self.burst_bytes / self.t_burst) as f64
+        (crate::cast::widen_u64(self.channels) * self.burst_bytes) as f64 / self.t_burst as f64
     }
 
     /// The address decoder for this geometry.
@@ -496,6 +515,26 @@ mod tests {
     #[test]
     fn peak_bandwidth_is_256_bytes_per_cycle() {
         assert_eq!(HbmConfig::hbm1().peak_bytes_per_cycle(), 256.0);
+    }
+
+    #[test]
+    fn peak_bandwidth_keeps_the_fraction_of_a_slow_burst() {
+        // 8 channels x 32 B every 3 cycles: 85.33 B/cycle, not 85.
+        let slow = HbmConfig {
+            t_burst: 3,
+            ..HbmConfig::hbm1()
+        };
+        assert_eq!(slow.peak_bytes_per_cycle(), 256.0 / 3.0);
+        // A peak below one byte per cycle stays nonzero, so the
+        // roofline divisions in `hygcn-core` stay finite.
+        let slower = HbmConfig {
+            channels: 1,
+            burst_bytes: 16,
+            row_bytes: 256,
+            t_burst: 64,
+            ..HbmConfig::hbm1()
+        };
+        assert_eq!(slower.peak_bytes_per_cycle(), 0.25);
     }
 
     #[test]

@@ -24,13 +24,14 @@
 //!   channel-major stream of `(bank, row, bursts)` tuples that
 //!   [`spanprog::SpanReplayer`] replays with SoA per-channel registers
 //!   — bit-identical to the staged [`hbm::Hbm`] drain under **both**
-//!   controller policies (native FR-FCFS windowed row-hit promotion
-//!   ports verbatim to the per-channel tuple runs). Programs depend
-//!   only on the request stream and decode geometry, so one program
-//!   serves a whole timing/controller sweep; the simulator caches them
-//!   on the graph keyed by canonical config + model kind + feature
-//!   length. See the [`spanprog`] module docs for the build/replay
-//!   contract.
+//!   controller policies. FR-FCFS's windowed row-hit promotion runs
+//!   once per program and window into a [`spanprog::SpanSchedule`]
+//!   (service order plus row hit/miss), which every timing replays as
+//!   a straight-line recurrence. Programs depend only on the request
+//!   stream and decode geometry, so one program serves a whole
+//!   timing/controller sweep; the simulator caches programs and
+//!   schedules on the graph. See the [`spanprog`] module docs for the
+//!   build/replay contract.
 //! * [`scheduler`] — request-batch ordering: FCFS (the uncoordinated
 //!   baseline of Fig. 9(a)) vs the priority order
 //!   `edges > input features > weights > output features` of Fig. 9(b),
@@ -66,5 +67,5 @@ pub mod stats;
 pub use address::{ChannelPartition, Segment};
 pub use hbm::{ChannelTimeline, Hbm, HbmConfig};
 pub use request::{MemRequest, RequestArena, RequestKind, RequestSpan, RequestSummary};
-pub use spanprog::{SpanProgram, SpanProgramBuilder, SpanReplayer};
+pub use spanprog::{SpanProgram, SpanProgramBuilder, SpanReplayer, SpanSchedule};
 pub use stats::{ChannelStats, HbmStats, MemStats};

@@ -1,16 +1,20 @@
 //! Precompiled span programs: decode-once, replay-many HBM streams.
 //!
-//! The span walk's per-request work splits into two halves: *decoding*
-//! (row-aligned splitting plus channel/bank/row bit extraction) and
-//! *timing* (advancing bank/bus state). Decoding is a pure function of
-//! the request stream and the address geometry — for a fixed
+//! The span walk's per-request work splits into three parts: *decoding*
+//! (row-aligned splitting plus channel/bank/row bit extraction),
+//! *ordering* (the controller's service order and each span's row hit
+//! or miss) and *timing* (advancing bank/bus state). Decoding is a pure
+//! function of the request stream and the address geometry — for a fixed
 //! `(graph, config, model)` design point the stream never changes — so
 //! [`SpanProgramBuilder`] runs it exactly once, emitting a flat,
-//! channel-major stream of [`SpanTuple`]s per timeline step, and
-//! [`SpanReplayer`] replays the precompiled stream with SoA per-channel
-//! registers (open-row array, bank-ready array, bus-cycle array packed
-//! for sequential access) so the steady-state inner loop is branch-light
-//! and decode-free.
+//! channel-major stream of [`SpanTuple`]s per timeline step. Ordering
+//! depends on the program and the controller alone, never on timing, so
+//! [`SpanProgram::schedule`] runs FR-FCFS once per lookahead window into
+//! a [`SpanSchedule`]. [`SpanReplayer`] then replays the precompiled
+//! order with SoA per-channel registers (bank-ready array, bus-cycle
+//! array packed for sequential access): a straight-line max-plus
+//! recurrence with no decode and no queue, and under FR-FCFS no row
+//! compare either.
 //!
 //! ## Build/replay contract
 //!
@@ -24,32 +28,45 @@
 //!
 //! * **In-order:** a channel's tuple run is exactly its
 //!   [`crate::address::ChannelPartition`] queue (same row-aligned split,
-//!   same decode, arrival order preserved per channel), and the linear
-//!   replay applies the same service recurrence as
-//!   [`crate::hbm::ChannelTimeline::drain`].
+//!   same decode, arrival order preserved per channel), so the replay
+//!   reads the program directly and makes the row compare of
+//!   [`crate::hbm::ChannelTimeline::drain`] as it goes.
 //! * **FR-FCFS:** the staged drain also operates per channel over that
 //!   same queue, and its windowed row-hit promotion consults only
-//!   `(bank, row)` state the tuples carry. The replay makes the same
-//!   picks as [`crate::hbm::ChannelTimeline::drain_frfcfs`] — oldest
-//!   row hit in the window, else the oldest tuple — from an age-ordered
-//!   ring with a row-hit mask and per-bank slot masks, so a pick costs
-//!   one bank's re-check instead of a scan of the whole window.
+//!   `(bank, row)` state the tuples carry. [`SpanProgram::schedule`]
+//!   makes the same picks as
+//!   [`crate::hbm::ChannelTimeline::drain_frfcfs`] — oldest row hit in
+//!   the window, else the oldest tuple — from an age-ordered ring with a
+//!   row-hit mask and per-bank slot masks, carrying each bank's open row
+//!   across steps as the drain does. It records, per span, the index
+//!   into its channel run with the row-miss flag in bit 31, and per
+//!   `(step, channel)` cell the miss and burst counts. The replay walks
+//!   that order.
 //!
-//! The batch completion is the max over channels (never before the
-//! arrival cycle) and statistics fold by summation, so the channel-major
-//! reordering of the program layout is unobservable (the merge invariant
-//! of [`crate::hbm`]).
+//! Both paths share one service step, the timing half of
+//! [`crate::hbm::ChannelTimeline::service`]:
+//! `ready = max(bank_ready, now) + miss·t_row`, then
+//! `bus = max(ready, bus) + bursts·t_burst`. Every span moves at least
+//! one burst, so the bus only advances and a channel completes at its
+//! last `bus + t_cas`; [`HbmConfig::validate`]'s timing bound keeps every
+//! such sum far from overflow. The batch completion is the max over
+//! channels (never before the arrival cycle) and statistics fold by
+//! summation, so the channel-major reordering of the program layout is
+//! unobservable (the merge invariant of [`crate::hbm`]).
 //!
 //! ## Caching
 //!
 //! A program depends only on the request stream and the *decode*
 //! geometry (mapping, channels, banks, row/burst bytes) — not on timing
-//! parameters or the controller policy, which bind at replay time. The
-//! simulator memoizes programs on the `Graph` keyed by model kind,
-//! feature length and the config's decode class (the config with the
-//! clock, timeline recording, HBM timing and controller reset), so one
-//! program serves a whole timing/controller sweep;
-//! [`SpanProgram::matches`] states the geometry half of that contract.
+//! parameters or the controller policy, which bind later. The simulator
+//! memoizes programs on the `Graph` keyed by model kind, feature length
+//! and the config's decode class (the config with the clock, timeline
+//! recording, HBM timing and controller reset), so one program serves a
+//! whole timing/controller sweep; [`SpanProgram::matches`] states the
+//! geometry half of that contract. An FR-FCFS schedule depends on the
+//! program and the lookahead window, so the simulator memoizes it under
+//! the program's key plus the controller: a timing sweep orders each
+//! program once per window and only replays.
 
 use crate::address::MappingScheme;
 use crate::hbm::{ControllerPolicy, HbmConfig};
@@ -58,6 +75,16 @@ use crate::stats::{ChannelStats, HbmStats, MemStats};
 
 /// Sentinel for "no row open" (mirrors `hbm::NO_ROW`).
 const NO_ROW: u64 = u64::MAX;
+
+/// Bit 31 of a [`SpanSchedule`] entry: the span is a row miss.
+const MISS: u32 = 1 << 31;
+
+/// The low 31 bits of a [`SpanSchedule`] entry: the span's index in its
+/// channel run.
+const INDEX: u32 = MISS - 1;
+
+/// The longest channel run a [`SpanSchedule`] can index (2^31 spans).
+const MAX_RUN: usize = 1 << 31;
 
 /// One precompiled same-(channel, bank, row) burst run. The channel is
 /// implied by which per-channel run of the [`SpanProgram`] the tuple
@@ -130,11 +157,84 @@ impl SpanProgram {
             && self.burst_bytes == config.burst_bytes
     }
 
-    /// Channel `c`'s tuple run for `step`.
+    /// The bounds of `(step, channel)` cell `cell`'s tuple run in the
+    /// program's tuples (and its service order in a [`SpanSchedule`]).
     #[inline]
-    fn run(&self, step: usize, c: usize) -> &[SpanTuple] {
-        let cell = step * self.channels + c;
-        &self.tuples[self.offsets[cell]..self.offsets[cell + 1]]
+    fn cell(&self, cell: usize) -> std::ops::Range<usize> {
+        self.offsets[cell]..self.offsets[cell + 1]
+    }
+
+    /// The FR-FCFS service order of the whole program under a
+    /// `window`-deep lookahead (0 acts as 1): one pass over the steps
+    /// that carries each bank's open row from step to step, as replay
+    /// does. The order depends on no timing parameter, so one schedule
+    /// serves every timing the program is replayed under.
+    ///
+    /// # Errors
+    ///
+    /// A channel run of more than 2^31 spans, which a schedule entry
+    /// cannot index.
+    pub fn schedule(&self, window: usize) -> Result<SpanSchedule, String> {
+        // The ordering pass is the controller half of replay; its time
+        // belongs with it.
+        let _obs = hygcn_obs::span(hygcn_obs::Phase::SpanReplay);
+        let banks = self.banks;
+        let mut bank_row = vec![NO_ROW; self.channels * banks];
+        let mut queue = FrFcfsQueue::default();
+        let mut order = Vec::with_capacity(self.tuples.len());
+        let mut cells = Vec::with_capacity(self.offsets.len() - 1);
+        for cell in 0..self.offsets.len() - 1 {
+            let run = &self.tuples[self.cell(cell)];
+            if run.len() > MAX_RUN {
+                return Err(format!(
+                    "a channel run of {} spans exceeds the FR-FCFS schedule's \
+                     limit of 2^31",
+                    run.len()
+                ));
+            }
+            let c = cell % self.channels;
+            let misses = queue.order(
+                run,
+                window.max(1),
+                &mut bank_row[c * banks..(c + 1) * banks],
+                &mut order,
+            );
+            let bursts = run.iter().map(|t| u64::from(t.bursts)).sum();
+            cells.push(CellCounts { misses, bursts });
+        }
+        Ok(SpanSchedule {
+            window,
+            order,
+            cells,
+        })
+    }
+}
+
+/// Row misses and bursts of one `(step, channel)` cell.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct CellCounts {
+    misses: u64,
+    bursts: u64,
+}
+
+/// The FR-FCFS service order of one [`SpanProgram`] under one lookahead
+/// window, built by [`SpanProgram::schedule`] and replayed by
+/// [`SpanReplayer::replay_step`]. It carries no timing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpanSchedule {
+    window: usize,
+    /// Laid out like the program's tuples: each cell's entries list its
+    /// spans in service order, as the span's index in the cell's run
+    /// with [`MISS`] set for a row miss.
+    order: Vec<u32>,
+    /// Row misses and bursts per `(step, channel)` cell.
+    cells: Vec<CellCounts>,
+}
+
+impl SpanSchedule {
+    /// The lookahead window the schedule was built for.
+    pub fn window(&self) -> usize {
+        self.window
     }
 }
 
@@ -254,8 +354,8 @@ impl SpanProgramBuilder {
 /// SoA replay state: the per-bank open rows and ready cycles, the
 /// per-channel bus cycles and [`ChannelStats`] — exactly the state of
 /// the equivalent [`crate::hbm::Hbm`], held in flat channel-major
-/// arrays. Timing and controller policy come from the replayer's own
-/// config, so one program serves a whole timing/controller sweep.
+/// arrays. Timing comes from the replayer's own config, so one program
+/// (and one schedule per FR-FCFS window) serves a whole timing sweep.
 #[derive(Debug, Clone)]
 pub struct SpanReplayer {
     banks_per_channel: usize,
@@ -263,7 +363,9 @@ pub struct SpanReplayer {
     t_row: u64,
     t_cas: u64,
     controller: ControllerPolicy,
-    /// Open row per (channel-major) bank, [`NO_ROW`] when closed.
+    /// Open row per (channel-major) bank, [`NO_ROW`] when closed. Only
+    /// in-order replay reads it: a schedule already holds each span's
+    /// row hit or miss.
     bank_row: Vec<u64>,
     /// Ready cycle per (channel-major) bank.
     bank_ready: Vec<u64>,
@@ -273,8 +375,6 @@ pub struct SpanReplayer {
     stats: Vec<ChannelStats>,
     /// Request-level counters (bytes, request count).
     traffic: MemStats,
-    /// FR-FCFS lookahead, reused across channel runs.
-    queue: FrFcfsQueue,
 }
 
 impl SpanReplayer {
@@ -296,7 +396,6 @@ impl SpanReplayer {
             bus_free: vec![0; config.channels],
             stats: vec![ChannelStats::default(); config.channels],
             traffic: MemStats::default(),
-            queue: FrFcfsQueue::default(),
         })
     }
 
@@ -304,11 +403,28 @@ impl SpanReplayer {
     /// cycle the step's last span (plus CAS latency) completes, or
     /// `now` for an empty step.
     ///
-    /// The caller guarantees `program.matches()` the replayer's
-    /// geometry and steps are replayed in build order at nondecreasing
-    /// arrival cycles — the same protocol the staged model's
-    /// `service_batch` sequence observes.
-    pub fn replay_step(&mut self, program: &SpanProgram, step: usize, now: u64) -> u64 {
+    /// `schedule` is `program.schedule(window)` for an FR-FCFS
+    /// replayer of that window, and `None` for an in-order one. The
+    /// caller guarantees `program.matches()` the replayer's geometry and
+    /// steps are replayed in build order at nondecreasing arrival cycles
+    /// — the same protocol the staged model's `service_batch` sequence
+    /// observes.
+    pub fn replay_step(
+        &mut self,
+        program: &SpanProgram,
+        schedule: Option<&SpanSchedule>,
+        step: usize,
+        now: u64,
+    ) -> u64 {
+        debug_assert_eq!(
+            schedule.map(SpanSchedule::window),
+            match self.controller {
+                ControllerPolicy::InOrder => None,
+                ControllerPolicy::FrFcfs { window } => Some(window),
+            },
+            "the schedule must match the replayer's controller"
+        );
+        debug_assert!(schedule.is_none_or(|s| s.order.len() == program.tuples.len()));
         // One relaxed load when collection is off; the guard sits
         // outside the per-span hot loop so the replay stays untouched.
         let _obs = hygcn_obs::span(hygcn_obs::Phase::SpanReplay);
@@ -317,56 +433,66 @@ impl SpanReplayer {
         self.traffic.bytes_read += t.bytes_read;
         self.traffic.bytes_written += t.bytes_written;
         let banks = self.banks_per_channel;
-        let timing = (self.t_burst, self.t_row, self.t_cas);
-        let controller = self.controller;
+        let timing = (self.t_burst, self.t_row);
         let mut done = now;
         for c in 0..program.channels {
-            let run = program.run(step, c);
+            let cell = step * program.channels + c;
+            let spans = program.cell(cell);
+            let run = &program.tuples[spans.clone()];
             if run.is_empty() {
                 continue;
             }
-            let bank_row = &mut self.bank_row[c * banks..(c + 1) * banks];
             let bank_ready = &mut self.bank_ready[c * banks..(c + 1) * banks];
-            // The bus cycle and the miss count stay in registers for the
-            // run; the order-free statistics fold in once afterwards.
+            // The bus cycle stays in a register for the run; the
+            // order-free statistics fold in once afterwards.
             let mut bus = self.bus_free[c];
-            let mut misses = 0u64;
-            let channel_done = match controller {
-                ControllerPolicy::InOrder => {
-                    let mut ch_done = now;
+            let counts = match schedule {
+                None => {
+                    let bank_row = &mut self.bank_row[c * banks..(c + 1) * banks];
+                    let mut counts = CellCounts::default();
                     for tup in run {
-                        ch_done = ch_done.max(service_tuple(
-                            tup,
-                            now,
-                            timing,
-                            bank_row,
-                            bank_ready,
+                        let bank = tup.bank as usize;
+                        let miss = bank_row[bank] != tup.row;
+                        bank_row[bank] = tup.row;
+                        counts.misses += u64::from(miss);
+                        counts.bursts += u64::from(tup.bursts);
+                        service(
+                            &mut bank_ready[bank],
                             &mut bus,
-                            &mut misses,
-                        ));
+                            now,
+                            miss,
+                            tup.bursts,
+                            timing,
+                        );
                     }
-                    ch_done
+                    counts
                 }
-                ControllerPolicy::FrFcfs { window } => self.queue.drain(
-                    run,
-                    window.max(1),
-                    now,
-                    timing,
-                    bank_row,
-                    bank_ready,
-                    &mut bus,
-                    &mut misses,
-                ),
+                Some(schedule) => {
+                    for &entry in &schedule.order[spans] {
+                        let tup = &run[(entry & INDEX) as usize];
+                        let miss = entry & MISS != 0;
+                        let bank = tup.bank as usize;
+                        service(
+                            &mut bank_ready[bank],
+                            &mut bus,
+                            now,
+                            miss,
+                            tup.bursts,
+                            timing,
+                        );
+                    }
+                    schedule.cells[cell]
+                }
             };
             self.bus_free[c] = bus;
-            let bursts: u64 = run.iter().map(|t| u64::from(t.bursts)).sum();
+            // Each span moves at least one burst, so the bus only
+            // advances: the channel completes with its last span.
+            let channel_done = bus + self.t_cas;
             let st = &mut self.stats[c];
-            st.row_misses += misses;
-            st.row_hits += run.len() as u64 - misses;
-            st.bursts += bursts;
-            st.busy_cycles += bursts * timing.0;
-            // Each span moves at least one burst, so it completes after
-            // `now`: the channel's completion is its last span's.
+            st.row_misses += counts.misses;
+            st.row_hits += run.len() as u64 - counts.misses;
+            st.bursts += counts.bursts;
+            st.busy_cycles += counts.bursts * self.t_burst;
             st.last_completion = st.last_completion.max(channel_done);
             done = done.max(channel_done);
         }
@@ -396,16 +522,48 @@ impl SpanReplayer {
     }
 }
 
+/// Services one span arriving at `now` on its bank's ready cycle and
+/// its channel's bus — the timing recurrence of
+/// [`crate::hbm::ChannelTimeline::service`] with the row compare already
+/// made: a row miss first pays the activate + precharge penalty.
+#[inline(always)]
+fn service(
+    bank_ready: &mut u64,
+    bus: &mut u64,
+    now: u64,
+    miss: bool,
+    bursts: u32,
+    (t_burst, t_row): (u64, u64),
+) {
+    let ready = (*bank_ready).max(now) + if miss { t_row } else { 0 };
+    *bus = ready.max(*bus) + u64::from(bursts) * t_burst;
+    *bank_ready = *bus;
+}
+
+/// A pending span of the FR-FCFS lookahead: its bank and row, and its
+/// index in the channel run ([`GONE`] once a younger pick tombstones
+/// it).
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    row: u64,
+    bank: u32,
+    idx: u32,
+}
+
+/// The index of a tombstoned [`Pending`] slot; real indices stay below
+/// 2^31.
+const GONE: u32 = u32::MAX;
+
 /// The FR-FCFS lookahead of one channel run:
-/// [`crate::hbm::ChannelTimeline::drain_frfcfs`] over tuples, without
-/// its per-pick scan of the whole window.
+/// [`crate::hbm::ChannelTimeline::drain_frfcfs`]'s picks over tuples,
+/// without its per-pick scan of the whole window, and without timing.
 ///
 /// Pending tuples sit in age order in a ring of slots, oldest at the
 /// head. Picking the head advances it; picking a younger tuple leaves
-/// a tombstone (`bursts == 0`) that the head later skips. A row-hit
-/// mask and per-bank slot masks cover the ring, and a count of pending
-/// hits decides the pick: the oldest tuple when there are none, else
-/// the first hit bit from the head onwards, wrapping around.
+/// a tombstone that the head later skips. A row-hit mask and per-bank
+/// slot masks cover the ring, and a count of pending hits decides the
+/// pick: the oldest tuple when there are none, else the first hit bit
+/// from the head onwards, wrapping around.
 ///
 /// Only servicing a row miss opens a row, and a miss is picked only
 /// when no pending tuple hits. So after a miss on `(bank, row)` the
@@ -416,7 +574,7 @@ impl SpanReplayer {
 struct FrFcfsQueue {
     /// The ring: a power of two of at least 64 slots and twice the
     /// window (capped at the run length), so tombstones rarely fill it.
-    slots: Vec<SpanTuple>,
+    slots: Vec<Pending>,
     /// Mask words per set (`slots.len() / 64`).
     words: usize,
     /// Slots whose tuple hits its bank's open row.
@@ -434,10 +592,10 @@ impl FrFcfsQueue {
             return;
         }
         let words = cap / 64;
-        let empty = SpanTuple {
+        let empty = Pending {
             row: NO_ROW,
             bank: 0,
-            bursts: 0,
+            idx: GONE,
         };
         *self = Self {
             slots: vec![empty; cap],
@@ -447,106 +605,128 @@ impl FrFcfsQueue {
         };
     }
 
-    /// Services `run` with row-hit-first selection inside a
-    /// `window`-deep lookahead, oldest first when nothing pending hits;
-    /// returns the cycle the last tuple completes. Leaves the queue
-    /// empty.
-    #[allow(clippy::too_many_arguments)]
-    fn drain(
+    /// Orders `run` (at most [`MAX_RUN`] tuples) with row-hit-first
+    /// selection inside a `window`-deep lookahead, oldest first when
+    /// nothing pending hits, opening rows in `bank_row` as the picks
+    /// miss. Appends one [`SpanSchedule`] entry per tuple to `order`
+    /// and returns the row misses. Leaves the queue empty.
+    fn order(
         &mut self,
         run: &[SpanTuple],
         window: usize,
-        now: u64,
-        timing: (u64, u64, u64),
         bank_row: &mut [u64],
-        bank_ready: &mut [u64],
-        bus: &mut u64,
-        misses: &mut u64,
+        order: &mut Vec<u32>,
     ) -> u64 {
         // A lookahead deeper than the run sees the whole run, so the
         // ring never outgrows the program.
         let window = window.min(run.len());
         self.reserve(window, bank_row.len());
-        let (words, ring) = (self.words, self.slots.len() - 1);
+        // A window of up to 32 fits one mask word: a build of its own
+        // lets the compiler drop the mask loops.
+        if self.words == 1 {
+            self.order_in::<1>(run, window, bank_row, order)
+        } else {
+            self.order_in::<0>(run, window, bank_row, order)
+        }
+    }
+
+    /// [`FrFcfsQueue::order`] over a reserved ring of `WORDS` mask words
+    /// (0: `self.words`).
+    fn order_in<const WORDS: usize>(
+        &mut self,
+        run: &[SpanTuple],
+        window: usize,
+        bank_row: &mut [u64],
+        order: &mut Vec<u32>,
+    ) -> u64 {
+        let words = if WORDS == 0 { self.words } else { WORDS };
+        let ring = words * 64 - 1;
         // Ring positions count up from 0; a slot is `pos & ring`. The
         // queue is empty exactly when the head reaches the tail.
         let (mut head, mut tail, mut hits) = (0usize, 0usize, 0usize);
-        let mut arrivals = run.iter();
+        let mut arrivals = run.iter().zip(0u32..).map(|(t, idx)| Pending {
+            row: t.row,
+            bank: t.bank,
+            idx,
+        });
         // Fill the window; after that each pick makes room for exactly
         // one arrival, so the window stays full until the run ends.
-        for &tup in arrivals.by_ref().take(window) {
-            self.push(tup, &mut head, &mut tail, &mut hits, bank_row);
+        for p in arrivals.by_ref().take(window) {
+            self.push(p, words, &mut head, &mut tail, &mut hits, bank_row);
         }
-        let mut done = now;
+        let mut misses = 0;
         while head < tail {
             let was_hit = hits > 0;
             let slot = if was_hit {
-                oldest_set(&self.hit, head & ring)
+                oldest_set(&self.hit[..words], head & ring)
             } else {
                 head & ring
             };
-            let tup = self.slots[slot];
+            let p = self.slots[slot];
             let (w, bit) = (slot / 64, 1u64 << (slot % 64));
-            let bank_words = tup.bank as usize * words..(tup.bank as usize + 1) * words;
+            let bank_words = p.bank as usize * words..(p.bank as usize + 1) * words;
             self.bank[bank_words.start + w] &= !bit;
-            if was_hit {
-                self.hit[w] &= !bit;
-                hits -= 1;
-            }
             if slot == head & ring {
                 head += 1;
-                while head < tail && self.slots[head & ring].bursts == 0 {
+                while head < tail && self.slots[head & ring].idx == GONE {
                     head += 1;
                 }
             } else {
-                self.slots[slot].bursts = 0;
+                self.slots[slot].idx = GONE;
             }
-            done = done.max(service_tuple(
-                &tup, now, timing, bank_row, bank_ready, bus, misses,
-            ));
-            if !was_hit {
-                // The miss opened `tup.row`: that bank's pending tuples
-                // of the same row hit now, and nothing else changed.
+            if was_hit {
+                self.hit[w] &= !bit;
+                hits -= 1;
+                order.push(p.idx);
+            } else {
+                // Nothing pending hit, so the oldest tuple misses and
+                // opens `p.row`: that bank's pending tuples of the same
+                // row hit now, and nothing else changed.
+                order.push(p.idx | MISS);
+                misses += 1;
+                bank_row[p.bank as usize] = p.row;
                 for (w, &mask) in self.bank[bank_words].iter().enumerate() {
                     let mut m = mask;
                     while m != 0 {
                         let bit = m & m.wrapping_neg();
                         m ^= bit;
-                        if self.slots[w * 64 + bit.trailing_zeros() as usize].row == tup.row {
+                        if self.slots[w * 64 + bit.trailing_zeros() as usize].row == p.row {
                             self.hit[w] |= bit;
                             hits += 1;
                         }
                     }
                 }
             }
-            if let Some(&tup) = arrivals.next() {
-                self.push(tup, &mut head, &mut tail, &mut hits, bank_row);
+            if let Some(p) = arrivals.next() {
+                self.push(p, words, &mut head, &mut tail, &mut hits, bank_row);
             }
         }
-        done
+        misses
     }
 
-    /// Queues `tup` as the youngest pending tuple, compacting the ring
+    /// Queues `p` as the youngest pending tuple, compacting the ring
     /// first when tombstones have filled it.
     #[inline(always)]
     fn push(
         &mut self,
-        tup: SpanTuple,
+        p: Pending,
+        words: usize,
         head: &mut usize,
         tail: &mut usize,
         hits: &mut usize,
         bank_row: &[u64],
     ) {
-        if *tail - *head == self.slots.len() {
+        let cap = words * 64;
+        if *tail - *head == cap {
             *tail = self.compact(*head, *tail, bank_row);
             *head = 0;
         }
-        let slot = *tail & (self.slots.len() - 1);
+        let slot = *tail & (cap - 1);
         *tail += 1;
-        self.slots[slot] = tup;
+        self.slots[slot] = p;
         let (w, bit) = (slot / 64, 1u64 << (slot % 64));
-        self.bank[tup.bank as usize * self.words + w] |= bit;
-        if bank_row[tup.bank as usize] == tup.row {
+        self.bank[p.bank as usize * words + w] |= bit;
+        if bank_row[p.bank as usize] == p.row {
             self.hit[w] |= bit;
             *hits += 1;
         }
@@ -564,14 +744,14 @@ impl FrFcfsQueue {
         self.bank.fill(0);
         let mut n = 0;
         for from in 0..cap {
-            let tup = self.slots[from];
-            if tup.bursts == 0 {
+            let p = self.slots[from];
+            if p.idx == GONE {
                 continue;
             }
-            self.slots[n] = tup;
+            self.slots[n] = p;
             let (w, bit) = (n / 64, 1u64 << (n % 64));
-            self.bank[tup.bank as usize * words + w] |= bit;
-            if bank_row[tup.bank as usize] == tup.row {
+            self.bank[p.bank as usize * words + w] |= bit;
+            if bank_row[p.bank as usize] == p.row {
                 self.hit[w] |= bit;
             }
             n += 1;
@@ -596,34 +776,6 @@ fn oldest_set(mask: &[u64], from: usize) -> usize {
         }
     }
     w0 * 64 + (mask[w0] & low).trailing_zeros() as usize
-}
-
-/// Services one tuple arriving at `now` against its channel's state
-/// slices — the service recurrence of
-/// [`crate::hbm::ChannelTimeline::service`], decode-free — and counts
-/// a row miss in `misses`. Returns the cycle the span completes.
-#[inline(always)]
-fn service_tuple(
-    tup: &SpanTuple,
-    now: u64,
-    (t_burst, t_row, t_cas): (u64, u64, u64),
-    bank_row: &mut [u64],
-    bank_ready: &mut [u64],
-    bus: &mut u64,
-    misses: &mut u64,
-) -> u64 {
-    let bank = tup.bank as usize;
-    let mut ready = bank_ready[bank].max(now);
-    if bank_row[bank] != tup.row {
-        // Activate (and precharge the old row) before the transfer.
-        ready += t_row;
-        bank_row[bank] = tup.row;
-        *misses += 1;
-    }
-    let finish = ready.max(*bus) + u64::from(tup.bursts) * t_burst;
-    *bus = finish;
-    bank_ready[bank] = finish;
-    finish + t_cas
 }
 
 #[cfg(test)]
@@ -660,9 +812,56 @@ mod tests {
             .collect()
     }
 
-    /// Builds a program from LCG batches and replays it against the
-    /// staged `Hbm` reference, asserting bit-identical completions and
-    /// statistics for `cfg`'s controller.
+    /// `program`'s service order under `cfg`'s controller: a schedule
+    /// for FR-FCFS, program order (`None`) in order.
+    fn schedule_for(program: &SpanProgram, cfg: &HbmConfig) -> Option<SpanSchedule> {
+        match cfg.controller {
+            ControllerPolicy::InOrder => None,
+            ControllerPolicy::FrFcfs { window } => {
+                Some(program.schedule(window).expect("runs fit the index"))
+            }
+        }
+    }
+
+    /// The program of `batches`, one step per batch.
+    fn build(cfg: &HbmConfig, batches: &[Vec<MemRequest>]) -> SpanProgram {
+        let mut builder = SpanProgramBuilder::new(cfg).expect("valid geometry");
+        for b in batches {
+            builder.push_step(b);
+        }
+        builder.finish()
+    }
+
+    /// Replays `batches` through a fresh staged `Hbm` and a fresh
+    /// replayer of `cfg` over `program`/`schedule`, asserting equal
+    /// completions after every step and equal statistics at the end;
+    /// returns the replayer. Step `s + 1` arrives `gaps[s]` cycles after
+    /// step `s` completes.
+    fn assert_steps_match_hbm(
+        cfg: HbmConfig,
+        program: &SpanProgram,
+        schedule: Option<&SpanSchedule>,
+        batches: &[Vec<MemRequest>],
+        gaps: &[u64],
+    ) -> SpanReplayer {
+        let mut hbm = Hbm::new(cfg);
+        let mut replayer = SpanReplayer::new(&cfg).expect("valid geometry");
+        let mut now = 0;
+        for (step, b) in batches.iter().enumerate() {
+            let t_hbm = hbm.service_batch(b, now);
+            let t_replay = replayer.replay_step(program, schedule, step, now);
+            assert_eq!(t_hbm, t_replay, "step {step} diverged: {cfg:?}");
+            assert_eq!(hbm.stats(), replayer.stats(), "step {step}: {cfg:?}");
+            now = t_hbm + gaps[step % gaps.len()];
+        }
+        assert_eq!(hbm.channel_stats(), replayer.channel_stats());
+        assert!(replayer.hbm_stats().consistent());
+        replayer
+    }
+
+    /// Builds a program (and `cfg`'s schedule) from LCG batches and
+    /// replays it against the staged `Hbm` reference, asserting
+    /// bit-identical completions and statistics for `cfg`'s controller.
     fn assert_replay_matches_hbm(cfg: HbmConfig, seed: u64) {
         let mut rng = Lcg(seed);
         let batch_lens = [0usize, 1, 7, 64, 300];
@@ -670,27 +869,12 @@ mod tests {
             .iter()
             .map(|&l| random_batch(&mut rng, l))
             .collect();
-
-        let mut builder = SpanProgramBuilder::new(&cfg).expect("valid geometry");
-        for b in &batches {
-            builder.push_step(b);
-        }
-        let program = builder.finish();
+        let program = build(&cfg, &batches);
         assert!(program.matches(&cfg));
         assert_eq!(program.steps(), batches.len());
-
-        let mut hbm = Hbm::new(cfg);
-        let mut replayer = SpanReplayer::new(&cfg).expect("valid geometry");
-        let mut now = 0;
-        for (step, b) in batches.iter().enumerate() {
-            let t_hbm = hbm.service_batch(b, now);
-            let t_replay = replayer.replay_step(&program, step, now);
-            assert_eq!(t_hbm, t_replay, "step {step} diverged (seed {seed})");
-            now = t_hbm + rng.next() % 50;
-        }
-        assert_eq!(hbm.stats(), replayer.stats());
-        assert_eq!(hbm.channel_stats(), replayer.channel_stats());
-        assert!(replayer.hbm_stats().consistent());
+        let gaps: Vec<u64> = (0..batches.len()).map(|_| rng.next() % 50).collect();
+        let schedule = schedule_for(&program, &cfg);
+        assert_steps_match_hbm(cfg, &program, schedule.as_ref(), &batches, &gaps);
     }
 
     fn geometry_variants() -> Vec<HbmConfig> {
@@ -780,24 +964,9 @@ mod tests {
                     .chain((0..hits).map(|i| read(row_addr(1) + 32 * (i % 64))))
                     .collect::<Vec<_>>(),
             ];
-            let mut builder = SpanProgramBuilder::new(&cfg).unwrap();
-            for b in &batches {
-                builder.push_step(b);
-            }
-            let program = builder.finish();
-            let mut hbm = Hbm::new(cfg);
-            let mut replayer = SpanReplayer::new(&cfg).unwrap();
-            let mut now = 0;
-            for (step, b) in batches.iter().enumerate() {
-                let t_hbm = hbm.service_batch(b, now);
-                assert_eq!(
-                    t_hbm,
-                    replayer.replay_step(&program, step, now),
-                    "window {window}"
-                );
-                assert_eq!(hbm.stats(), replayer.stats(), "window {window} step {step}");
-                now = t_hbm;
-            }
+            let program = build(&cfg, &batches);
+            let schedule = program.schedule(window).unwrap();
+            let replayer = assert_steps_match_hbm(cfg, &program, Some(&schedule), &batches, &[0]);
             let stats = replayer.stats();
             assert_eq!(
                 (stats.row_hits, stats.row_misses),
@@ -831,47 +1000,39 @@ mod tests {
             .chain(std::iter::once(page(15, 7)))
             .map(read)
             .collect();
-        let mut builder = SpanProgramBuilder::new(&cfg).unwrap();
-        builder.push_step(&batch);
-        let program = builder.finish();
-        let mut hbm = Hbm::new(cfg);
-        let mut replayer = SpanReplayer::new(&cfg).unwrap();
-        assert_eq!(
-            hbm.service_batch(&batch, 0),
-            replayer.replay_step(&program, 0, 0)
-        );
-        assert_eq!(hbm.stats(), replayer.stats());
+        let batches = [batch];
+        let program = build(&cfg, &batches);
+        let schedule = program.schedule(65).unwrap();
+        let replayer = assert_steps_match_hbm(cfg, &program, Some(&schedule), &batches, &[0]);
         assert_eq!(replayer.stats().row_hits, 1);
     }
 
     #[test]
     fn program_is_controller_and_timing_agnostic() {
-        // One program built once serves in-order and FR-FCFS replayers
-        // with different timing, each bit-identical to its own staged
-        // reference.
+        // One program built once serves in-order and FR-FCFS replayers,
+        // and one FR-FCFS schedule serves every timing, each replay
+        // bit-identical to its own staged reference.
         let base = HbmConfig::hbm1();
         let mut rng = Lcg(9);
-        let batch = random_batch(&mut rng, 120);
-        let mut builder = SpanProgramBuilder::new(&base).unwrap();
-        builder.push_step(&batch);
-        let program = builder.finish();
-        for cfg in [
-            base,
-            HbmConfig {
-                t_row: 5,
-                t_cas: 2,
-                controller: ControllerPolicy::FrFcfs { window: 8 },
-                ..base
-            },
-        ] {
-            assert!(program.matches(&cfg));
-            let mut hbm = Hbm::new(cfg);
-            let mut replayer = SpanReplayer::new(&cfg).unwrap();
-            assert_eq!(
-                hbm.service_batch(&batch, 3),
-                replayer.replay_step(&program, 0, 3)
-            );
-            assert_eq!(hbm.stats(), replayer.stats());
+        let batches = [random_batch(&mut rng, 120), random_batch(&mut rng, 40)];
+        let program = build(&base, &batches);
+        let schedule = program.schedule(8).unwrap();
+        let frfcfs = HbmConfig {
+            controller: ControllerPolicy::FrFcfs { window: 8 },
+            ..base
+        };
+        for (t_burst, t_row, t_cas) in [(1, 28, 14), (1, 5, 2), (3, 11, 0)] {
+            for controller in [base, frfcfs] {
+                let cfg = HbmConfig {
+                    t_burst,
+                    t_row,
+                    t_cas,
+                    ..controller
+                };
+                assert!(program.matches(&cfg));
+                let order = (cfg.controller != ControllerPolicy::InOrder).then_some(&schedule);
+                assert_steps_match_hbm(cfg, &program, order, &batches, &[3]);
+            }
         }
         // A different decode geometry is not a match.
         assert!(!program.matches(&HbmConfig {
@@ -888,7 +1049,7 @@ mod tests {
         builder.push_step(&[]);
         let program = builder.finish();
         let mut replayer = SpanReplayer::new(&cfg).unwrap();
-        assert_eq!(replayer.replay_step(&program, 0, 42), 42);
+        assert_eq!(replayer.replay_step(&program, None, 0, 42), 42);
         assert_eq!(replayer.stats(), MemStats::default());
         assert_eq!(program.total_tuples(), 0);
     }

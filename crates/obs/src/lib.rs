@@ -40,7 +40,7 @@
 //! | `combination`      | Combination-engine chunk processing                  |
 //! | `hbm_walk`         | Staged HBM drain (seed path, FR-FCFS controller)     |
 //! | `span_program_build` | One `SpanProgram` decode pass (cold evaluation)    |
-//! | `span_replay`      | One precompiled span-program step replay             |
+//! | `span_replay`      | One span-program step replay, or one FR-FCFS ordering pass |
 //! | `backend_eval`     | One `SimBackend::evaluate` call                      |
 //! | `campaign_batch`   | One fan-out batch inside `Campaign::run_points`      |
 //! | `store_open`       | `ResultStore::open` (scan, repair, quarantine)       |
@@ -112,7 +112,9 @@ pub enum Phase {
     HbmWalk,
     /// One span-program decode pass (cold evaluation).
     SpanProgramBuild,
-    /// One precompiled span-program step replay.
+    /// One precompiled span-program step replay, or the once-per-program
+    /// FR-FCFS ordering pass (`SpanProgram::schedule`) whose service
+    /// order the replays walk.
     SpanReplay,
     /// One `SimBackend::evaluate` call, any backend.
     BackendEval,

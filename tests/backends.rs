@@ -111,6 +111,46 @@ fn invalid_config_is_an_error_on_every_simulator_backend() {
     }
 }
 
+/// HBM timing is bounded at `HbmConfig::MAX_TIMING_CYCLES` (2^20):
+/// past it every simulator backend returns a config error instead of a
+/// cycle count that wrapped, and at it every backend still simulates.
+#[test]
+fn hbm_timing_past_the_bound_is_an_error_on_every_simulator_backend() {
+    let graph = hygcn_suite::graph::generator::preferential_attachment(256, 4, 1)
+        .unwrap()
+        .with_feature_len(32);
+    let gcn = hygcn_suite::gcn::model::GcnModel::new(ModelKind::Gcn, 32, 0xC0DE).unwrap();
+    let bound = HbmConfig::MAX_TIMING_CYCLES;
+    assert_eq!(bound, 1 << 20);
+    type Set = fn(&mut HbmConfig, u64);
+    let fields: [(&str, Set); 3] = [
+        ("t_burst", |h, v| h.t_burst = v),
+        ("t_row", |h, v| h.t_row = v),
+        ("t_cas", |h, v| h.t_cas = v),
+    ];
+    for (field, set) in fields {
+        for (cycles, ok) in [(u64::MAX, false), (bound + 1, false), (bound, true)] {
+            let mut cfg = HyGcnConfig::default();
+            set(&mut cfg.hbm, cycles);
+            for id in ["cycle", "cycle-fast", "seed", "analytical"] {
+                let backend = resolve(id).unwrap();
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    backend.evaluate(&graph, &gcn, &cfg)
+                }));
+                let label = format!("{id} {field} = {cycles}");
+                match run {
+                    Ok(Ok(report)) => assert!(ok && report.cycles > 0, "{label}: {report:?}"),
+                    Ok(Err(SimError::Config(msg))) => {
+                        assert!(!ok && msg.contains(field), "{label}: {msg}")
+                    }
+                    Ok(Err(other)) => panic!("{label}: expected SimError::Config, got {other}"),
+                    Err(_) => panic!("{label}: panicked instead of returning a result"),
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn analytical_rank_correlates_with_cycle_accurate_on_the_pinned_grid() {
     let points = fidelity_grid().enumerate().unwrap();

@@ -342,7 +342,9 @@ fn simulate_checked(graph: &Graph, model: &GcnModel, cfg: &HyGcnConfig) {
 /// A sweep over every field that binds at replay — clock, `t_row`,
 /// `t_cas` and the controller — decodes one span program per model and
 /// replays it for every point. GraphSage also samples once: its sample
-/// and the sample's own plans persist on the parent graph.
+/// and the sample's own plans persist on the parent graph. The FR-FCFS
+/// half of the sweep orders the program once: one schedule miss, then
+/// a hit for each of the other seven FR-FCFS points.
 #[test]
 fn timing_sweep_decodes_once_per_model() {
     let _guard = obs_guard();
@@ -376,14 +378,53 @@ fn timing_sweep_decodes_once_per_model() {
         obs::disable();
         assert_eq!(program_builds(), 1, "{kind:?}: one decode serves the sweep");
         let counter = obs::counter_value;
-        assert_eq!(counter(obs::Counter::PlanCacheMisses), memos, "{kind:?}");
+        assert_eq!(
+            counter(obs::Counter::PlanCacheMisses),
+            memos + 1,
+            "{kind:?}"
+        );
         assert_eq!(
             counter(obs::Counter::PlanCacheHits),
-            (points - 1) * memos,
+            (points - 1) * memos + 7,
             "{kind:?}"
         );
         assert_eq!(counter(obs::Counter::PlanCacheEvictions), 0, "{kind:?}");
     }
+    obs::reset();
+}
+
+/// An FR-FCFS schedule is ordered once per (program, window): a sweep
+/// over two windows and two `t_row` values builds exactly two, and a
+/// return to the first window reuses its schedule. Every report still
+/// equals the seed oracle.
+#[test]
+fn frfcfs_schedule_is_ordered_once_per_window() {
+    let _guard = obs_guard();
+    let graph = rmat(1024, 8192, RmatParams::default(), 13)
+        .unwrap()
+        .with_feature_len(64);
+    let model = GcnModel::new(ModelKind::Gcn, 64, 5).unwrap();
+    // Warm the program and occupancy memos so that every miss below is
+    // a schedule's.
+    simulate_checked(&graph, &model, &HyGcnConfig::default());
+    obs::reset();
+    obs::enable();
+    let mut points = 0;
+    for (window, t_row) in [(4, 14), (4, 56), (32, 14), (32, 56), (4, 14)] {
+        let mut cfg = HyGcnConfig::default();
+        cfg.hbm.controller = ControllerPolicy::FrFcfs { window };
+        cfg.hbm.t_row = t_row;
+        simulate_checked(&graph, &model, &cfg);
+        points += 1;
+    }
+    obs::disable();
+    let counter = obs::counter_value;
+    assert_eq!(program_builds(), 0);
+    assert_eq!(counter(obs::Counter::PlanCacheMisses), 2, "one per window");
+    // Each point hits its program and occupancy index; three also hit
+    // their schedule.
+    assert_eq!(counter(obs::Counter::PlanCacheHits), 2 * points + 3);
+    assert_eq!(counter(obs::Counter::PlanCacheEvictions), 0);
     obs::reset();
 }
 

@@ -183,7 +183,9 @@ proptest! {
     /// A precompiled [`hygcn_suite::mem::SpanProgram`] replays
     /// bit-identically to the staged `Hbm` drain for *arbitrary* valid
     /// geometries, mappings, controllers, and timing — per-step
-    /// completion cycles and every statistics counter.
+    /// completion cycles and every statistics counter. The program and
+    /// its FR-FCFS schedule are built once and replayed under two
+    /// independently drawn timings, each against a fresh staged `Hbm`.
     #[test]
     fn span_program_replay_matches_staged_hbm_at_any_geometry(
         chpow in 0u32..4,       // channels 1/2/4/8
@@ -193,6 +195,7 @@ proptest! {
         t_burst in 1u64..4,
         t_row in 1u64..48,
         t_cas in 0u64..24,
+        second_timing in (1u64..4, 1u64..48, 0u64..24),
         row_interleaved in any::<bool>(),
         // 65 and 200 span more than one 64-slot mask word.
         frfcfs_window in prop_oneof![
@@ -254,17 +257,28 @@ proptest! {
         }
         let program = builder.finish();
         prop_assert!(program.matches(&cfg));
+        let schedule = frfcfs_window.map(|w| program.schedule(w).expect("runs fit the index"));
+        let gaps: Vec<u64> = batches.iter().map(|_| rng.next() % 64).collect();
 
-        let mut hbm = Hbm::new(cfg);
-        let mut replayer = SpanReplayer::new(&cfg).expect("valid geometry");
-        let mut now = 0;
-        for (step, b) in batches.iter().enumerate() {
-            let t_hbm = hbm.service_batch(b, now);
-            let t_replay = replayer.replay_step(&program, step, now);
-            prop_assert_eq!(t_hbm, t_replay, "step {} diverged: {:?}", step, cfg);
-            now = t_hbm + rng.next() % 64;
+        let (t_burst2, t_row2, t_cas2) = second_timing;
+        let retimed = HbmConfig {
+            t_burst: t_burst2,
+            t_row: t_row2,
+            t_cas: t_cas2,
+            ..cfg
+        };
+        for cfg in [cfg, retimed] {
+            let mut hbm = Hbm::new(cfg);
+            let mut replayer = SpanReplayer::new(&cfg).expect("valid geometry");
+            let mut now = 0;
+            for (step, b) in batches.iter().enumerate() {
+                let t_hbm = hbm.service_batch(b, now);
+                let t_replay = replayer.replay_step(&program, schedule.as_ref(), step, now);
+                prop_assert_eq!(t_hbm, t_replay, "step {} diverged: {:?}", step, cfg);
+                now = t_hbm + gaps[step];
+            }
+            prop_assert_eq!(hbm.stats(), replayer.stats(), "{:?}", cfg);
+            prop_assert_eq!(hbm.channel_stats(), replayer.channel_stats(), "{:?}", cfg);
         }
-        prop_assert_eq!(hbm.stats(), replayer.stats());
-        prop_assert_eq!(hbm.channel_stats(), replayer.channel_stats());
     }
 }
