@@ -46,6 +46,47 @@ pub struct Characterization {
     pub sync_ratio: f64,
 }
 
+impl Characterization {
+    /// Every number of the record beside the name a `cpu-trace` report
+    /// stores it under.
+    fn fields(&mut self) -> [(&'static str, &mut f64); 9] {
+        let Self {
+            aggregation: a,
+            combination: c,
+            sync_ratio,
+        } = self;
+        [
+            ("agg_dram_bytes_per_op", &mut a.dram_bytes_per_op),
+            ("agg_dram_energy_per_op_j", &mut a.dram_energy_per_op_j),
+            ("agg_l2_mpki", &mut a.l2_mpki),
+            ("agg_l3_mpki", &mut a.l3_mpki),
+            ("comb_dram_bytes_per_op", &mut c.dram_bytes_per_op),
+            ("comb_dram_energy_per_op_j", &mut c.dram_energy_per_op_j),
+            ("comb_l2_mpki", &mut c.l2_mpki),
+            ("comb_l3_mpki", &mut c.l3_mpki),
+            ("sync_ratio", sync_ratio),
+        ]
+    }
+
+    /// The record as named values, the form `SimReport::metrics` stores.
+    pub fn to_metrics(mut self) -> Vec<(&'static str, f64)> {
+        self.fields()
+            .into_iter()
+            .map(|(name, v)| (name, *v))
+            .collect()
+    }
+
+    /// Rebuilds a record from its named values (the inverse of
+    /// [`Self::to_metrics`]), looking each name up with `get`.
+    pub fn from_metrics(mut get: impl FnMut(&str) -> f64) -> Self {
+        let mut c = Self::default();
+        for (name, v) in c.fields() {
+            *v = get(name);
+        }
+        c
+    }
+}
+
 /// Runs the characterization of `model` over `graph`.
 ///
 /// `max_trace_edges` caps the cache-simulated prefix (see
@@ -56,8 +97,22 @@ pub fn characterize(
     params: &CpuParams,
     max_trace_edges: u64,
 ) -> Characterization {
-    let w = LayerWorkload::of(graph, model, 0);
+    characterize_workload(
+        graph,
+        &LayerWorkload::of(graph, model, 0),
+        params,
+        max_trace_edges,
+    )
+}
 
+/// [`characterize`] over an already derived workload descriptor `w` of
+/// `graph`.
+pub fn characterize_workload(
+    graph: &Graph,
+    w: &LayerWorkload,
+    params: &CpuParams,
+    max_trace_edges: u64,
+) -> Characterization {
     // --- Aggregation: trace-driven. ---
     let tr: TraceResult = naive_trace(graph, w.agg_width, max_trace_edges);
     let aggregation = PhaseCharacterization {
@@ -129,6 +184,20 @@ mod tests {
         let m = GcnModel::new(ModelKind::Gcn, g.feature_len(), 1).unwrap();
         let c = characterize(&g, &m, &CpuParams::default(), 100_000);
         assert!((c.sync_ratio - 0.36).abs() < 1e-12);
+    }
+
+    #[test]
+    fn named_metrics_round_trip() {
+        let g = collab_quarter();
+        let m = GcnModel::new(ModelKind::Gcn, g.feature_len(), 1).unwrap();
+        let c = characterize(&g, &m, &CpuParams::default(), 100_000);
+        let metrics = c.to_metrics();
+        assert_eq!(metrics.len(), 9);
+        assert_eq!(metrics[2], ("agg_l2_mpki", c.aggregation.l2_mpki));
+        let back = Characterization::from_metrics(|name| {
+            metrics.iter().find(|(n, _)| *n == name).unwrap().1
+        });
+        assert_eq!(back, c);
     }
 
     #[test]

@@ -33,9 +33,10 @@
 //!
 //! Every model returns a [`report::PlatformReport`];
 //! [`backend::PlatformBackend`] serves each platform variant as a
-//! campaign backend (`cpu`, `gpu`, `cpu-naive`, `gpu-sharded`), so the
-//! figure harness reads platform numbers from the store like any other
-//! design point.
+//! campaign backend (`cpu`, `gpu`, `cpu-naive`, `gpu-sharded`), and
+//! [`backend::CpuTraceBackend`] serves the Table 2 characterization as
+//! `cpu-trace`, so the figure harness reads platform numbers from the
+//! store like any other design point.
 
 pub mod backend;
 pub mod cache;

@@ -16,9 +16,10 @@
 //!   cache key as the grid's.
 //! * **Every number is a store read.** The PyG platform baselines are
 //!   backend points like any other: Fig. 2 reads the `cpu-naive` grid,
-//!   Fig. 10 the `cpu`, `gpu`, `cpu-naive` and `gpu-sharded` grids, and
-//!   Fig. 11, 13 and 14 the `cpu` and `gpu` grids, all cached under their
-//!   own backend keys in the same store.
+//!   Fig. 10 the `cpu`, `gpu`, `cpu-naive` and `gpu-sharded` grids,
+//!   Fig. 11, 13 and 14 the `cpu` and `gpu` grids, and Table 2 its one
+//!   `cpu-trace` characterization point, all cached under their own
+//!   backend keys in the same store.
 //! * **Re-runs are free.** `hygcn figures all` twice performs zero
 //!   simulations the second time — the regression gate CI asserts.
 //! * **One build per workload per run.** All of an artifact's spaces run
@@ -29,10 +30,9 @@
 //! * **Code changes invalidate precisely.** A config-affecting change
 //!   alters `HyGcnConfig::canon`, so exactly the stale points re-run.
 //!
-//! Only Table 2 (the CPU cache characterization) and Table 3 (workload
-//! statistics) measure a graph directly, through the same memo: after
-//! a cold run's campaigns they build nothing, and a warm `figures all`
-//! builds just those two graphs.
+//! Only Table 3 (workload statistics) measures a graph directly,
+//! through the same memo: after a cold run's campaigns it builds
+//! nothing, and a warm `figures all` builds just its one graph.
 //!
 //! Porting note: the original `fig15_sparsity` binary drove the
 //! Aggregation Engine in isolation; the campaign port measures the
@@ -42,8 +42,7 @@
 
 use std::path::Path;
 
-use hygcn_baseline::characterize::characterize;
-use hygcn_baseline::params::CpuParams;
+use hygcn_baseline::characterize::Characterization;
 use hygcn_baseline::prefetch::phase_prefetch_coverage;
 use hygcn_core::energy::AreaPowerModel;
 use hygcn_core::HyGcnConfig;
@@ -84,8 +83,8 @@ pub struct FigureSpec {
     /// Human title printed above the table.
     pub title: &'static str,
     /// The campaign spaces this artifact reads, at a scale multiplier —
-    /// accelerator and platform-baseline points alike. Table 2 and
-    /// Table 7 return no spaces: they cost zero simulations.
+    /// accelerator and platform-baseline points alike. Table 7 returns
+    /// no spaces: it costs zero simulations.
     pub spaces: fn(f64) -> Result<Vec<ConfigSpace>, DseError>,
     /// Typed post-processing: campaign reports (one per space, in
     /// order) to the figure's table.
@@ -93,9 +92,8 @@ pub struct FigureSpec {
 }
 
 /// One figure run's context: its scale multiplier and the workload memo
-/// every artifact's campaign and direct measurement (Table 2's
-/// characterization, Table 3's workload statistics) shares, so a run
-/// builds each workload graph once.
+/// every artifact's campaign and direct measurement (Table 3's workload
+/// statistics) shares, so a run builds each workload graph once.
 pub struct FigureCtx {
     mult: f64,
     workloads: WorkloadMemo,
@@ -116,8 +114,8 @@ impl FigureCtx {
     }
 
     /// Runs `f` over the memoized graph and a freshly derived model —
-    /// the escape hatch for artifact-specific measurements (Table 2's
-    /// characterization, Table 3's workload statistics).
+    /// the escape hatch for artifact-specific measurements (Table 3's
+    /// workload statistics).
     pub fn with_graph_model<T>(
         &mut self,
         key: DatasetKey,
@@ -771,10 +769,19 @@ fn fig18_render(reports: &[CampaignReport], ctx: &mut FigureCtx) -> String {
 // Table 2 — CPU characterization (baseline-only).
 // ---------------------------------------------------------------------
 
-fn table02_render(_reports: &[CampaignReport], ctx: &mut FigureCtx) -> String {
-    let c = ctx.with_graph_model(DatasetKey::Cl, ModelKind::Gcn, |graph, model| {
-        characterize(graph, model, &CpuParams::default(), 2_000_000)
-    });
+fn table02_spaces(mult: f64) -> Result<Vec<ConfigSpace>, DseError> {
+    // One point: the Xeon cache characterization of GCN on COLLAB,
+    // stored under the `cpu-trace` backend.
+    Ok(vec![ConfigSpace::new(
+        vec![ds(DatasetKey::Cl, mult)],
+        vec![ModelKind::Gcn],
+    )
+    .with_backend_id("cpu-trace")])
+}
+
+fn table02_render(reports: &[CampaignReport], _ctx: &mut FigureCtx) -> String {
+    let p = reports[0].points[0].expect_done();
+    let c = Characterization::from_metrics(|name| report_f64(p, name));
     let mut out = format!(
         "{:<34} {:>12} {:>12} {:>16}\n",
         "metric", "aggregation", "combination", "paper (agg/comb)"
@@ -1134,7 +1141,7 @@ pub const FIGURES: &[FigureSpec] = &[
     FigureSpec {
         id: "table02",
         title: "Table 2: CPU characterization (GCN on COLLAB)",
-        spaces: no_spaces,
+        spaces: table02_spaces,
         render: table02_render,
     },
     FigureSpec {

@@ -85,7 +85,15 @@ pub const STORE_FLAGS: &[&str] = &["store"];
 pub const STORE_BOOL_FLAGS: &[&str] = &["json"];
 
 /// Flags accepted by `hygcn figures` (the artifact id is positional).
-pub const FIGURE_FLAGS: &[&str] = &["scale", "store", "backend", "csv", "json"];
+pub const FIGURE_FLAGS: &[&str] = &[
+    "scale",
+    "store",
+    "backend",
+    "csv",
+    "json",
+    "metrics-out",
+    "trace-out",
+];
 
 /// Flags accepted by `hygcn bench` (the config flags plus the
 /// benchmark's own workload/measurement knobs).
@@ -427,8 +435,7 @@ fn backend_from_args(args: &Args) -> Result<std::sync::Arc<dyn SimBackend>, CliE
 /// `hygcn campaign` — a multi-axis design-space campaign: cached,
 /// resumable, with Pareto + marginal reporting, a pluggable search
 /// strategy (`--strategy grid|random|successive-halving`), and a
-/// pluggable evaluation backend (`--backend cycle|cycle-fast|analytical|cpu|gpu|
-/// seed`).
+/// pluggable evaluation backend (`--backend`, any id of [`BACKEND_IDS`]).
 pub fn campaign(args: &Args) -> Result<String, CliError> {
     let axes = Axis::parse_spec(args.get_or("axes", ""))?;
     let backend = backend_from_args(args)?;
@@ -501,9 +508,7 @@ pub fn campaign(args: &Args) -> Result<String, CliError> {
     // checks. The executor's counters drive both the periodic progress
     // lines and the exported metrics.
     let progress = args.get_bool("progress");
-    let metrics_out = args.get("metrics-out");
-    let trace_out = args.get("trace-out");
-    let observing = progress || metrics_out.is_some() || trace_out.is_some();
+    let observing = progress || wants_obs_exports(args);
     if observing {
         hygcn_obs::reset();
         hygcn_obs::enable();
@@ -563,16 +568,7 @@ pub fn campaign(args: &Args) -> Result<String, CliError> {
             );
         }
     }
-    if let Some(path) = metrics_out {
-        std::fs::write(path, hygcn_obs::metrics_json())
-            .map_err(|e| CliError::Runtime(format!("writing {path}: {e}")))?;
-        out += &format!("wrote {path}\n");
-    }
-    if let Some(path) = trace_out {
-        std::fs::write(path, hygcn_obs::chrome_trace_json())
-            .map_err(|e| CliError::Runtime(format!("writing {path}: {e}")))?;
-        out += &format!("wrote {path}\n");
-    }
+    write_obs_exports(args, &mut out)?;
     if observing {
         hygcn_obs::reset();
     }
@@ -586,6 +582,28 @@ pub fn campaign(args: &Args) -> Result<String, CliError> {
         });
     }
     Ok(out)
+}
+
+/// Whether the command line asks for a `--metrics-out` or `--trace-out`
+/// export, the outputs that need the collector on.
+fn wants_obs_exports(args: &Args) -> bool {
+    args.get("metrics-out").is_some() || args.get("trace-out").is_some()
+}
+
+/// Writes the collector's `--metrics-out` (flat metrics.json) and
+/// `--trace-out` (Chrome trace) exports, noting each file in `out`.
+fn write_obs_exports(args: &Args, out: &mut String) -> Result<(), CliError> {
+    for (flag, export) in [
+        ("metrics-out", hygcn_obs::metrics_json as fn() -> String),
+        ("trace-out", hygcn_obs::chrome_trace_json),
+    ] {
+        if let Some(path) = args.get(flag) {
+            std::fs::write(path, export())
+                .map_err(|e| CliError::Runtime(format!("writing {path}: {e}")))?;
+            *out += &format!("wrote {path}\n");
+        }
+    }
+    Ok(())
 }
 
 /// Background thread emitting periodic `--progress` lines on stderr,
@@ -823,32 +841,52 @@ pub fn figures(args: &Args) -> Result<String, CliError> {
     let csv_dir = export_dir("csv")?;
     let json_dir = export_dir("json")?;
 
-    let mut ctx = FigureCtx::new(mult);
-    let mut out = String::new();
-    let mut simulated = 0;
-    let mut cached = 0;
-    for spec in specs {
-        let run = run_figure(spec, &mut ctx, store_path.as_deref(), backend_override)?;
-        out += &format!("\n=== {} ===\n{}", run.title, run.output);
-        simulated += run.simulated;
-        cached += run.cache_hits;
-        if let Some(dir) = &csv_dir {
-            let data = figure_csv(&run);
-            if !data.is_empty() {
-                let path = dir.join(format!("{}.csv", run.id));
-                std::fs::write(&path, data)
+    // Observability as in `campaign`: the collector is on only when an
+    // export was asked for.
+    let observing = wants_obs_exports(args);
+    if observing {
+        hygcn_obs::reset();
+        hygcn_obs::enable();
+    }
+    let render_all = || -> Result<(String, usize, usize), CliError> {
+        let mut ctx = FigureCtx::new(mult);
+        let mut out = String::new();
+        let mut simulated = 0;
+        let mut cached = 0;
+        for spec in specs {
+            let run = run_figure(spec, &mut ctx, store_path.as_deref(), backend_override)?;
+            out += &format!("\n=== {} ===\n{}", run.title, run.output);
+            simulated += run.simulated;
+            cached += run.cache_hits;
+            if let Some(dir) = &csv_dir {
+                let data = figure_csv(&run);
+                if !data.is_empty() {
+                    let path = dir.join(format!("{}.csv", run.id));
+                    std::fs::write(&path, data).map_err(|e| {
+                        CliError::Runtime(format!("writing {}: {e}", path.display()))
+                    })?;
+                    out += &format!("wrote {}\n", path.display());
+                }
+            }
+            if let Some(dir) = &json_dir {
+                let path = dir.join(format!("{}.json", run.id));
+                std::fs::write(&path, figure_json(&run))
                     .map_err(|e| CliError::Runtime(format!("writing {}: {e}", path.display())))?;
                 out += &format!("wrote {}\n", path.display());
             }
         }
-        if let Some(dir) = &json_dir {
-            let path = dir.join(format!("{}.json", run.id));
-            std::fs::write(&path, figure_json(&run))
-                .map_err(|e| CliError::Runtime(format!("writing {}: {e}", path.display())))?;
-            out += &format!("wrote {}\n", path.display());
-        }
+        Ok((out, simulated, cached))
+    };
+    let rendered = render_all();
+    if observing {
+        hygcn_obs::disable();
     }
+    let (mut out, simulated, cached) = rendered?;
     out += &format!("\nfigures store: {store} ({simulated} simulated, {cached} cached this run)\n");
+    write_obs_exports(args, &mut out)?;
+    if observing {
+        hygcn_obs::reset();
+    }
     Ok(out)
 }
 
@@ -989,8 +1027,7 @@ pub fn bench(args: &Args) -> Result<String, CliError> {
     // (schedule build, both engines, span-program build and replay,
     // backend evaluate).
     let profile = args.get_bool("profile");
-    let trace_out = args.get("trace-out");
-    if profile || trace_out.is_some() {
+    if profile || wants_obs_exports(args) {
         let cold_graph = make_graph()?;
         hygcn_obs::reset();
         hygcn_obs::enable();
@@ -1003,11 +1040,7 @@ pub fn bench(args: &Args) -> Result<String, CliError> {
             out += "\nphase profile (one instrumented cold cycle evaluation):\n";
             out += &hygcn_obs::phase_table();
         }
-        if let Some(path) = trace_out {
-            std::fs::write(path, hygcn_obs::chrome_trace_json())
-                .map_err(|e| CliError::Runtime(format!("writing {path}: {e}")))?;
-            out += &format!("wrote {path}\n");
-        }
+        write_obs_exports(args, &mut out)?;
         hygcn_obs::reset();
     }
     Ok(out)
@@ -1059,9 +1092,13 @@ pub fn lint(args: &Args) -> Result<String, CliError> {
     }
 }
 
-/// `hygcn help`.
+/// `hygcn help`. The `--backend` vocabulary is [`BACKEND_IDS`].
 pub fn help() -> String {
-    "hygcn — HyGCN (HPCA 2020) accelerator simulator
+    let obs = "--metrics-out FILE (flat metrics.json: counters, cache-hit
+               ratio, phase timings, per-backend eval latency)
+             --trace-out FILE (Chrome-trace JSON, loadable in Perfetto)";
+    format!(
+        "hygcn — HyGCN (HPCA 2020) accelerator simulator
 
 usage: hygcn <command> [--flag value]...
 
@@ -1083,9 +1120,10 @@ commands:
                clock-ghz/t-row
              --datasets IB,CR,...  --models GCN,GIN,...
              --scale F  --seed N
-             --backend cycle|cycle-fast|analytical|cpu|gpu|seed (evaluation
-               backend; every backend caches under its own keys in the
-               same store — analytical screens points in microseconds)
+             --backend ID (evaluation backend, one of
+               {backends};
+               every backend caches under its own keys in the same
+               store — analytical screens points in microseconds)
              --sample N --sample-seed S (random subset of the grid)
              --strategy grid|random|successive-halving
                (halving: --eta N --rungs R --metric cycles|energy|dram;
@@ -1101,22 +1139,22 @@ commands:
                short-append=OP:BYTES,disk-full=OP)
              --csv FILE  --md FILE
              --progress (periodic progress lines on stderr)
-             --metrics-out FILE (flat metrics.json: counters, cache-hit
-               ratio, phase timings, per-backend eval latency)
-             --trace-out FILE (Chrome-trace JSON, loadable in Perfetto)
+             {obs}
              exit code 3 if any point failed (report still printed;
                failed points re-attempt on resume)
   figures    regenerate paper figure/table artifacts via the campaign
              engine: hygcn figures <fig02|fig10|...|fig18|table02|
              table03|table07|ablation|all>
              --scale F (multiplier on each dataset's bench scale)
-             --backend cycle|cycle-fast|analytical|cpu|gpu|seed (re-targets the
-               accelerator spaces; fig10/fig11's cpu/gpu baseline
-               spaces always run their own backends)
+             --backend ID (one of
+               {backends};
+               re-targets the accelerator spaces; the platform baseline
+               and Table 2 spaces always run their own backends)
              --csv DIR / --json DIR (export each artifact's campaign
                data as plottable DIR/<id>.csv / DIR/<id>.json)
              --store FILE|none (default figures.jsonl, shared across all
                artifacts; an unchanged re-run simulates nothing)
+             {obs}
   store      result-store maintenance: hygcn store <fsck|salvage|stats>
              --store FILE (default campaign.jsonl)
              fsck: read-only integrity check, non-zero exit on damage
@@ -1141,8 +1179,9 @@ commands:
 
 any workload command also accepts a user graph instead of --dataset:
   --edges FILE (whitespace `src dst` edge list)  --feature-len N
-"
-    .to_string()
+",
+        backends = BACKEND_IDS.join("|")
+    )
 }
 
 #[cfg(test)]
@@ -1807,6 +1846,25 @@ mod tests {
         assert!(second.contains("(0 simulated, 6 cached"), "{second}");
         std::fs::remove_file(&store).ok();
         assert!(figures(&figure_args(&["figures", "fig15", "--backend", "warp"])).is_err());
+    }
+
+    #[test]
+    fn help_names_every_backend_id() {
+        let text = help();
+        // The campaign and figures `--backend` entries each list the
+        // whole vocabulary.
+        let lists: Vec<Vec<&str>> = text
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.contains("|cycle-fast|"))
+            .map(|l| l.trim_end_matches(';').split('|').collect())
+            .collect();
+        assert_eq!(lists.len(), 2, "{text}");
+        for list in lists {
+            for id in BACKEND_IDS {
+                assert!(list.contains(id), "help omits backend {id}: {list:?}");
+            }
+        }
     }
 
     #[test]

@@ -129,6 +129,60 @@ fn campaign_metrics_report_full_cache_hits_on_rerun() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `figures --metrics-out/--trace-out`: the cold Table 2 render
+/// evaluates its one `cpu-trace` point on a freshly built graph; the
+/// warm re-render is a store read, so its metrics.json shows one cached
+/// point, no graph build and no evaluation, beside the identical table.
+#[test]
+fn figures_metrics_show_a_warm_table02_is_a_store_read() {
+    let dir = tmpdir("hygcn-cli-obs-figures");
+    let store = dir.join("figures.jsonl");
+    let metrics = dir.join("metrics.json");
+    let trace = dir.join("trace.json");
+    let run = || {
+        hygcn(&[
+            "figures",
+            "table02",
+            "--scale",
+            "0.05",
+            "--store",
+            store.to_str().unwrap(),
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+            "--trace-out",
+            trace.to_str().unwrap(),
+        ])
+    };
+    let cold = run();
+    assert_eq!(cold.status.code(), Some(0), "stderr: {}", stderr(&cold));
+    let cold_text = stdout(&cold);
+    assert!(
+        cold_text.contains("(1 simulated, 0 cached this run)"),
+        "{cold_text}"
+    );
+    let m = std::fs::read_to_string(&metrics).unwrap();
+    assert!(m.contains("\"simulated\": 1"), "{m}");
+    assert!(m.contains("\"workload_build\""), "{m}");
+    assert!(m.contains("\"cpu-trace\": {\"count\": 1"), "{m}");
+    let t = std::fs::read_to_string(&trace).unwrap();
+    assert!(t.contains("\"name\": \"figure_render\""), "{t}");
+
+    let warm = run();
+    assert_eq!(warm.status.code(), Some(0), "stderr: {}", stderr(&warm));
+    let warm_text = stdout(&warm);
+    assert!(
+        warm_text.contains("(0 simulated, 1 cached this run)"),
+        "{warm_text}"
+    );
+    let table = |text: &str| text.split("\nfigures store:").next().unwrap().to_string();
+    assert_eq!(table(&warm_text), table(&cold_text));
+    let m = std::fs::read_to_string(&metrics).unwrap();
+    assert!(m.contains("\"cached\": 1"), "{m}");
+    assert!(!m.contains("\"workload_build\""), "{m}");
+    assert!(!m.contains("cpu-trace"), "{m}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--progress` emits at least the final summary line on stderr, shaped
 /// like `progress: 2/2 points (...)`.
 #[test]

@@ -430,6 +430,7 @@ fn analytical_report(
         macs: macs_total,
         timeline: Vec::new(),
         provenance: "analytical",
+        metrics: Vec::new(),
     })
 }
 

@@ -35,7 +35,8 @@
 //! | `cycle-fast` | alias of `cycle`, cached under its own id | ms            | stores written under the old id |
 //! | `seed`       | the seed implementation (oracle)         | ms (slower)    | differential testing |
 //! | `analytical` | O(chunks) roofline ([`crate::analytical`]) | µs           | campaign screening |
-//! | `cpu`, `gpu` | PyG platform models (`hygcn-baseline`)   | µs             | speedup/energy baselines |
+//! | `cpu`, `gpu`, `cpu-naive`, `gpu-sharded` | PyG platform models (`hygcn-baseline`) | µs | speedup/energy baselines |
+//! | `cpu-trace`  | trace-driven Xeon cache characterization (`hygcn-baseline`); ignores the config, sampling override included | ~0.1 s | Table 2's named per-op metrics |
 
 use hygcn_gcn::model::GcnModel;
 use hygcn_graph::Graph;

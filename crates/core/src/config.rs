@@ -296,18 +296,29 @@ impl HyGcnConfig {
         }
     }
 
-    /// Validates the configuration's internal consistency — currently
-    /// the HBM geometry ([`HbmConfig::validate`]) plus the fidelity
-    /// range. Design-space enumeration calls this per point so that a
-    /// campaign axis producing an impossible combination (for example
-    /// `burst-bytes` larger than `row-bytes`) fails fast with a spec
-    /// error instead of panicking mid-campaign.
+    /// Validates the configuration's internal consistency — the HBM
+    /// geometry ([`HbmConfig::validate`]), a nonzero engine geometry,
+    /// the clock and the fidelity range. Design-space enumeration calls
+    /// this per point so that a campaign axis producing an impossible
+    /// combination (for example `burst-bytes` larger than `row-bytes`)
+    /// fails fast with a spec error instead of panicking mid-campaign.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
         self.hbm.validate().map_err(|e| format!("hbm: {e}"))?;
+        for (field, value) in [
+            ("simd_cores", self.simd_cores),
+            ("simd_width", self.simd_width),
+            ("systolic_modules", self.systolic_modules),
+            ("module_rows", self.module_rows),
+            ("module_cols", self.module_cols),
+        ] {
+            if value == 0 {
+                return Err(format!("{field} must be at least 1"));
+            }
+        }
         if !(self.clock_ghz.is_finite() && self.clock_ghz > 0.0) {
             return Err(format!(
                 "clock_ghz {:?} must be a positive finite frequency",

@@ -53,6 +53,12 @@ pub struct SimReport {
     ///
     /// [`SimBackend`]: crate::backend::SimBackend
     pub provenance: &'static str,
+    /// Backend-specific named measurements that no shared field holds
+    /// (`cpu-trace` stores Table 2's per-op DRAM traffic, MPKI and sync
+    /// ratio here). The producing backend owns the names. Empty for
+    /// every other backend, and [`Self::to_json`] emits the list only
+    /// when non-empty, so their serialized form is unchanged.
+    pub metrics: Vec<(&'static str, f64)>,
 }
 
 impl SimReport {
@@ -129,6 +135,9 @@ impl SimReport {
         field("timeline_steps", self.timeline.len().to_string());
         if !self.provenance.is_empty() {
             field("backend", format!("\"{}\"", self.provenance));
+        }
+        for &(name, value) in &self.metrics {
+            field(name, format!("{value:?}"));
         }
         for (c, ch) in self.mem_channels.iter().enumerate() {
             field(
@@ -238,6 +247,23 @@ mod tests {
             .filter(|l| !l.contains("\"backend\""))
             .collect();
         assert_eq!(golden.to_json().lines().collect::<Vec<_>>(), without);
+
+        // Named metrics follow the marker, one shortest-round-trip line
+        // each; without them the report serializes as before.
+        assert!(!json.contains("\"l2_mpki\""));
+        let measured = SimReport {
+            metrics: vec![("l2_mpki", 52.9), ("sync_ratio", 3.6e-7)],
+            ..marked.clone()
+        };
+        let json = measured.to_json();
+        assert!(json.contains(
+            "\"backend\": \"analytical\",\n  \"l2_mpki\": 52.9,\n  \"sync_ratio\": 3.6e-7,\n"
+        ));
+        let without: Vec<&str> = json
+            .lines()
+            .filter(|l| !l.contains("_mpki\"") && !l.contains("sync_ratio"))
+            .collect();
+        assert_eq!(marked.to_json().lines().collect::<Vec<_>>(), without);
     }
 
     #[test]

@@ -328,6 +328,7 @@ impl Simulator {
             macs: act.macs,
             timeline,
             provenance: "",
+            metrics: Vec::new(),
         })
     }
 }

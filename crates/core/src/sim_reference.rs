@@ -473,6 +473,7 @@ impl Simulator {
             macs: act.macs,
             timeline,
             provenance: "",
+            metrics: Vec::new(),
         })
     }
 }

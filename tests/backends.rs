@@ -6,12 +6,16 @@
 use std::time::Instant;
 
 use hygcn_suite::baseline::backend::resolve;
+use hygcn_suite::baseline::characterize::characterize;
+use hygcn_suite::baseline::params::CpuParams;
 use hygcn_suite::core::backend::SimBackend;
 use hygcn_suite::core::{AnalyticalBackend, CycleAccurateBackend, HyGcnConfig, SimError};
 use hygcn_suite::dse::campaign::Campaign;
 use hygcn_suite::dse::space::{Axis, ConfigSpace, WorkloadSpec};
 use hygcn_suite::gcn::model::ModelKind;
+use hygcn_suite::gcn::workload::LayerWorkload;
 use hygcn_suite::graph::datasets::DatasetKey;
+use hygcn_suite::graph::sampling::SamplePolicy;
 use hygcn_suite::mem::hbm::HbmConfig;
 
 /// The pinned 20-point fidelity grid: buffer geometry x sparsity x
@@ -73,7 +77,8 @@ fn cycle_fast_is_bit_identical_to_cycle_on_the_pinned_grid() {
 }
 
 /// An inconsistent configuration is an error from every simulator
-/// backend — never a panic inside the address decoder.
+/// backend — never a panic inside the address decoder or an engine, and
+/// never a cycle count from an engine with no compute units.
 #[test]
 fn invalid_config_is_an_error_on_every_simulator_backend() {
     let graph = hygcn_suite::graph::generator::preferential_attachment(256, 4, 1)
@@ -85,18 +90,36 @@ fn invalid_config_is_an_error_on_every_simulator_backend() {
         ..HyGcnConfig::default()
     };
     let base = HbmConfig::hbm1();
-    let six_channels = with_hbm(HbmConfig {
-        channels: 6,
-        ..base
-    });
-    let burst_over_row = with_hbm(HbmConfig {
-        burst_bytes: 2 * base.row_bytes,
-        ..base
-    });
-    for (label, cfg) in [
-        ("channels = 6", &six_channels),
-        ("burst_bytes > row_bytes", &burst_over_row),
-    ] {
+    let mut cases = vec![
+        (
+            "channels = 6",
+            with_hbm(HbmConfig {
+                channels: 6,
+                ..base
+            }),
+        ),
+        (
+            "burst_bytes > row_bytes",
+            with_hbm(HbmConfig {
+                burst_bytes: 2 * base.row_bytes,
+                ..base
+            }),
+        ),
+    ];
+    type Zero = fn(&mut HyGcnConfig);
+    let zero_geometry: [(&str, Zero); 5] = [
+        ("simd_cores = 0", |c| c.simd_cores = 0),
+        ("simd_width = 0", |c| c.simd_width = 0),
+        ("systolic_modules = 0", |c| c.systolic_modules = 0),
+        ("module_rows = 0", |c| c.module_rows = 0),
+        ("module_cols = 0", |c| c.module_cols = 0),
+    ];
+    for (label, zero) in zero_geometry {
+        let mut cfg = HyGcnConfig::default();
+        zero(&mut cfg);
+        cases.push((label, cfg));
+    }
+    for (label, cfg) in &cases {
         for id in ["cycle", "cycle-fast", "seed", "analytical"] {
             let backend = resolve(id).unwrap();
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -249,10 +272,10 @@ fn analytical_screening_is_much_faster_than_simulation() {
 }
 
 #[test]
-fn shared_store_isolates_all_six_backends() {
+fn shared_store_isolates_all_seven_backends() {
     let dir = std::env::temp_dir().join("hygcn-backends-e2e");
     std::fs::create_dir_all(&dir).unwrap();
-    let store = dir.join("six-backends.jsonl");
+    let store = dir.join("seven-backends.jsonl");
     std::fs::remove_file(&store).ok();
 
     let space = || {
@@ -263,7 +286,15 @@ fn shared_store_isolates_all_six_backends() {
         .with_axis(Axis::parse("sparsity", "on,off").unwrap())
     };
 
-    let ids = ["cycle", "seed", "cycle-fast", "analytical", "cpu", "gpu"];
+    let ids = [
+        "cycle",
+        "seed",
+        "cycle-fast",
+        "analytical",
+        "cpu",
+        "gpu",
+        "cpu-trace",
+    ];
     let mut first_jsons: Vec<Vec<String>> = Vec::new();
     // Every backend runs the same space into the same store: each must
     // simulate all its own points (zero cross-backend hits)...
@@ -305,7 +336,7 @@ fn shared_store_isolates_all_six_backends() {
     // Cycle, seed, and cycle-fast agree numerically (the oracle and
     // event-schedule contracts) while remaining separately keyed —
     // the bit-identity is exactly why the key isolation matters;
-    // analytical/cpu/gpu are provenance-marked.
+    // analytical, cpu, gpu and cpu-trace are provenance-marked.
     assert_eq!(first_jsons[0], first_jsons[1], "seed is the cycle oracle");
     assert_eq!(
         first_jsons[0], first_jsons[2],
@@ -355,4 +386,47 @@ fn platform_backends_populate_comparable_fields_only() {
     let (cpu, gpu, hygcn) = (run("cpu"), run("gpu"), run("cycle"));
     assert!(gpu < cpu);
     assert!(hygcn < gpu);
+}
+
+/// The `cpu-trace` contract: Table 2's characterization as a report
+/// whose nine named metrics are exactly a direct `characterize` call's,
+/// with no run totals invented, whatever the config says.
+#[test]
+fn cpu_trace_reports_the_characterization_and_no_run_totals() {
+    let graph = WorkloadSpec::dataset(DatasetKey::Cl, 0.05, 3)
+        .build()
+        .unwrap();
+    let gcn = hygcn_suite::gcn::model::GcnModel::new(ModelKind::Gcn, graph.feature_len(), 0xC0DE)
+        .unwrap();
+    let backend = resolve("cpu-trace").unwrap();
+    assert_eq!(backend.backend_id(), "cpu-trace");
+    let r = backend
+        .evaluate(&graph, &gcn, &HyGcnConfig::default())
+        .unwrap();
+    assert_eq!(r.provenance, "cpu-trace");
+    assert_eq!(
+        (r.cycles, r.time_s, r.energy_j(), r.dram_bytes()),
+        (0, 0.0, 0.0, 0)
+    );
+    assert_eq!(r.bandwidth_utilization, 0.0);
+    assert!(r.mem_channels.is_empty());
+    let w = LayerWorkload::of(&graph, &gcn, 0);
+    assert_eq!((r.elem_ops, r.macs), (w.agg_elem_ops, w.combine_macs));
+    let direct = characterize(&graph, &gcn, &CpuParams::default(), 2_000_000);
+    assert_eq!(r.metrics, direct.to_metrics());
+    assert_eq!(r.metrics.len(), 9);
+    // The config, sampling override included, does not reach the model.
+    let sampled = HyGcnConfig {
+        sample_policy_override: Some(SamplePolicy::Factor(4)),
+        simd_cores: 1,
+        ..HyGcnConfig::default()
+    };
+    assert_eq!(backend.evaluate(&graph, &gcn, &sampled).unwrap(), r);
+    // A feature-length mismatch is the same typed error the other
+    // backends return.
+    let wrong = hygcn_suite::gcn::model::GcnModel::new(ModelKind::Gcn, 8, 0xC0DE).unwrap();
+    assert!(matches!(
+        backend.evaluate(&graph, &wrong, &HyGcnConfig::default()),
+        Err(SimError::Gcn(_))
+    ));
 }

@@ -83,6 +83,15 @@ fn fig17_table_matches_golden_snapshot() {
     check_golden("figures_fig17", &run.output);
 }
 
+/// Table 2's characterization text at smoke scale, pinned so moving its
+/// numbers into the store cannot change a digit of the rendered table.
+#[test]
+fn table02_matches_golden_snapshot() {
+    let mut ctx = FigureCtx::new(0.05);
+    let run = run_figure(find_figure("table02").unwrap(), &mut ctx, None, None).unwrap();
+    check_golden("figures_table02", &run.output);
+}
+
 /// The `--csv` export of the same artifact is pinned too (the plottable
 /// twin of the rendered table must stay as stable as the table itself);
 /// regenerate with `BLESS=1 cargo test --test figures`. The export

@@ -262,9 +262,8 @@ fn workload_builds() -> u64 {
 }
 
 /// Every figure number is a store read: once Fig. 2's `cpu-naive` points
-/// are stored, a fresh context re-renders it without simulating or
-/// building a graph, while Table 2 — which measures a graph directly —
-/// builds exactly its one.
+/// and Table 2's `cpu-trace` point are stored, a fresh context
+/// re-renders both without simulating or building a graph.
 #[test]
 fn warm_figure_renders_build_only_the_graphs_they_measure() {
     let _guard = obs_guard();
@@ -275,29 +274,35 @@ fn warm_figure_renders_build_only_the_graphs_they_measure() {
     let render = |id, ctx: &mut FigureCtx| {
         run_figure(find_figure(id).unwrap(), ctx, Some(&store), None).unwrap()
     };
-    let cold = render("fig02", &mut FigureCtx::new(0.05));
+    let mut cold_ctx = FigureCtx::new(0.05);
+    let cold = render("fig02", &mut cold_ctx);
     assert_eq!((cold.simulated, cold.cache_hits), (15, 0));
+    let cold_t2 = render("table02", &mut cold_ctx);
+    assert_eq!((cold_t2.simulated, cold_t2.cache_hits), (1, 0));
 
     let mut ctx = FigureCtx::new(0.05);
     obs::reset();
     obs::enable();
     let warm = render("fig02", &mut ctx);
     let fig02_builds = workload_builds();
-    render("table02", &mut ctx);
+    let warm_t2 = render("table02", &mut ctx);
     let table02_builds = workload_builds() - fig02_builds;
     obs::disable();
     obs::reset();
     assert_eq!((warm.simulated, warm.cache_hits), (0, 15));
     assert_eq!(warm.output, cold.output);
     assert_eq!(fig02_builds, 0, "a warm fig02 builds no graph");
-    assert_eq!(table02_builds, 1, "table02 builds its one graph");
+    assert_eq!((warm_t2.simulated, warm_t2.cache_hits), (0, 1));
+    assert_eq!(warm_t2.output, cold_t2.output);
+    assert_eq!(table02_builds, 0, "a warm table02 builds no graph");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// One figure run builds each workload once: on a cold store, fig10's
 /// six datasets plus the ablation's two reordered PB graphs are the only
 /// builds (the ablation's Reddit and PB come from fig10), and a
-/// following Table 2 measures the CL graph the campaigns already built.
+/// following Table 2 evaluates its `cpu-trace` point on the CL graph the
+/// campaigns already built.
 #[test]
 fn a_figure_run_builds_each_workload_once() {
     let _guard = obs_guard();
