@@ -2,7 +2,8 @@
 //! simulator and substrates: graph synthesis, interval partitioning,
 //! window planning, neighbor sampling, gather aggregation, dense MVM,
 //! fixed-point MVM, HBM batch service, the FR-FCFS span-program ordering
-//! pass and its replay, and an end-to-end simulation per model.
+//! pass and its replay (one timing, and three timings as the lanes of
+//! one pass), and an end-to-end simulation per model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -112,8 +113,9 @@ fn bench_hbm(c: &mut Criterion) {
 
 /// The two halves of an FR-FCFS span replay over one program: the
 /// once-per-window ordering pass and the straight-line timing replay a
-/// sweep repeats per point. The program interleaves two bank-conflicting
-/// row streams per channel, so the 32-deep window has hits to promote.
+/// sweep repeats per point, alone and as three `t_row` lanes of one
+/// pass. The program interleaves two bank-conflicting row streams per
+/// channel, so the 32-deep window has hits to promote.
 fn bench_span_frfcfs(c: &mut Criterion) {
     let cfg = HbmConfig {
         controller: ControllerPolicy::FrFcfs { window: 32 },
@@ -137,15 +139,27 @@ fn bench_span_frfcfs(c: &mut Criterion) {
     });
     let schedule = program.schedule(32).expect("runs fit the index");
     c.bench_function("span/frfcfs_replay", |b| {
-        b.iter(|| {
-            let mut replayer = SpanReplayer::new(&cfg).expect("valid geometry");
-            let mut now = 0;
-            for step in 0..program.steps() {
-                now = replayer.replay_step(&program, Some(&schedule), step, now);
-            }
-            black_box(now)
-        })
+        b.iter(|| black_box(replay(&program, &schedule, [cfg])))
     });
+    let lanes = [14, 28, 56].map(|t_row| HbmConfig { t_row, ..cfg });
+    c.bench_function("span/replay_lanes", |b| {
+        b.iter(|| black_box(replay(&program, &schedule, lanes)))
+    });
+}
+
+/// Replays every step of `program` in `schedule`'s order, one lane per
+/// config, each step arriving when the lane's previous one completed.
+fn replay<const L: usize>(
+    program: &hygcn_mem::SpanProgram,
+    schedule: &hygcn_mem::SpanSchedule,
+    lanes: [HbmConfig; L],
+) -> [u64; L] {
+    let mut replayer = SpanReplayer::new(&lanes).expect("valid geometry");
+    let mut now = [0; L];
+    for step in 0..program.steps() {
+        now = replayer.replay_step(program, Some(schedule), step, now);
+    }
+    now
 }
 
 fn bench_end_to_end(c: &mut Criterion) {

@@ -41,6 +41,8 @@ pub const WORKLOAD_FLAGS: &[&str] = &[
     "edges",
     "feature-len",
     "out",
+    "metrics-out",
+    "trace-out",
 ];
 
 /// Flags accepted by `hygcn campaign` — the base-config flags plus the
@@ -584,6 +586,32 @@ pub fn campaign(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Runs `command` (`simulate`, `compare`, `sweep` or `figures`) with
+/// the collector on only when the command line asks for a
+/// `--metrics-out` or `--trace-out` export, so by default the run pays
+/// only relaxed-load checks; then writes the exports and notes each
+/// file in the output.
+pub fn observed(
+    args: &Args,
+    command: fn(&Args) -> Result<String, CliError>,
+) -> Result<String, CliError> {
+    let observing = wants_obs_exports(args);
+    if observing {
+        hygcn_obs::reset();
+        hygcn_obs::enable();
+    }
+    let out = command(args);
+    if observing {
+        hygcn_obs::disable();
+    }
+    let mut out = out?;
+    write_obs_exports(args, &mut out)?;
+    if observing {
+        hygcn_obs::reset();
+    }
+    Ok(out)
+}
+
 /// Whether the command line asks for a `--metrics-out` or `--trace-out`
 /// export, the outputs that need the collector on.
 fn wants_obs_exports(args: &Args) -> bool {
@@ -841,52 +869,32 @@ pub fn figures(args: &Args) -> Result<String, CliError> {
     let csv_dir = export_dir("csv")?;
     let json_dir = export_dir("json")?;
 
-    // Observability as in `campaign`: the collector is on only when an
-    // export was asked for.
-    let observing = wants_obs_exports(args);
-    if observing {
-        hygcn_obs::reset();
-        hygcn_obs::enable();
-    }
-    let render_all = || -> Result<(String, usize, usize), CliError> {
-        let mut ctx = FigureCtx::new(mult);
-        let mut out = String::new();
-        let mut simulated = 0;
-        let mut cached = 0;
-        for spec in specs {
-            let run = run_figure(spec, &mut ctx, store_path.as_deref(), backend_override)?;
-            out += &format!("\n=== {} ===\n{}", run.title, run.output);
-            simulated += run.simulated;
-            cached += run.cache_hits;
-            if let Some(dir) = &csv_dir {
-                let data = figure_csv(&run);
-                if !data.is_empty() {
-                    let path = dir.join(format!("{}.csv", run.id));
-                    std::fs::write(&path, data).map_err(|e| {
-                        CliError::Runtime(format!("writing {}: {e}", path.display()))
-                    })?;
-                    out += &format!("wrote {}\n", path.display());
-                }
-            }
-            if let Some(dir) = &json_dir {
-                let path = dir.join(format!("{}.json", run.id));
-                std::fs::write(&path, figure_json(&run))
+    let mut ctx = FigureCtx::new(mult);
+    let mut out = String::new();
+    let mut simulated = 0;
+    let mut cached = 0;
+    for spec in specs {
+        let run = run_figure(spec, &mut ctx, store_path.as_deref(), backend_override)?;
+        out += &format!("\n=== {} ===\n{}", run.title, run.output);
+        simulated += run.simulated;
+        cached += run.cache_hits;
+        if let Some(dir) = &csv_dir {
+            let data = figure_csv(&run);
+            if !data.is_empty() {
+                let path = dir.join(format!("{}.csv", run.id));
+                std::fs::write(&path, data)
                     .map_err(|e| CliError::Runtime(format!("writing {}: {e}", path.display())))?;
                 out += &format!("wrote {}\n", path.display());
             }
         }
-        Ok((out, simulated, cached))
-    };
-    let rendered = render_all();
-    if observing {
-        hygcn_obs::disable();
+        if let Some(dir) = &json_dir {
+            let path = dir.join(format!("{}.json", run.id));
+            std::fs::write(&path, figure_json(&run))
+                .map_err(|e| CliError::Runtime(format!("writing {}: {e}", path.display())))?;
+            out += &format!("wrote {}\n", path.display());
+        }
     }
-    let (mut out, simulated, cached) = rendered?;
     out += &format!("\nfigures store: {store} ({simulated} simulated, {cached} cached this run)\n");
-    write_obs_exports(args, &mut out)?;
-    if observing {
-        hygcn_obs::reset();
-    }
     Ok(out)
 }
 
@@ -1109,9 +1117,12 @@ commands:
              --pipeline latency|energy|none  --coordination on|off
              --sparsity on|off  --aggbuf-mb N  --inputbuf-kb N
              --out FILE (write the report as JSON)
-  compare    HyGCN vs PyG-CPU vs PyG-GPU on one workload (same flags)
+             {obs}
+  compare    HyGCN vs PyG-CPU vs PyG-GPU on one workload (same flags,
+             --metrics-out/--trace-out included)
   sweep      legacy one-knob sweep: --knob aggbuf|window|factor
-             (an alias over a one-axis campaign; same config flags)
+             (an alias over a one-axis campaign; same config flags,
+             --metrics-out/--trace-out included)
   campaign   multi-axis DSE campaign: cached, resumable, Pareto-reported
              --axes \"axis=v1,v2;axis2=...\" with axes
                aggbuf-mb/inputbuf-kb/edgebuf-kb/pipeline/coordination/

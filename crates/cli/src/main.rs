@@ -17,8 +17,8 @@ mod commands;
 
 use args::Args;
 use commands::{
-    bench, campaign, compare, datasets, figures, help, lint, simulate, store_cmd, sweep, CliError,
-    BENCH_BOOL_FLAGS, BENCH_FLAGS, CAMPAIGN_BOOL_FLAGS, CAMPAIGN_FLAGS, FIGURE_FLAGS,
+    bench, campaign, compare, datasets, figures, help, lint, observed, simulate, store_cmd, sweep,
+    CliError, BENCH_BOOL_FLAGS, BENCH_FLAGS, CAMPAIGN_BOOL_FLAGS, CAMPAIGN_FLAGS, FIGURE_FLAGS,
     LINT_BOOL_FLAGS, LINT_FLAGS, STORE_BOOL_FLAGS, STORE_FLAGS, WORKLOAD_FLAGS,
 };
 
@@ -39,11 +39,11 @@ fn run() -> Result<String, CliError> {
         _ => Args::parse(raw, WORKLOAD_FLAGS)?,
     };
     match parsed.command() {
-        "simulate" => simulate(&parsed),
-        "compare" => compare(&parsed),
-        "sweep" => sweep(&parsed),
+        "simulate" => observed(&parsed, simulate),
+        "compare" => observed(&parsed, compare),
+        "sweep" => observed(&parsed, sweep),
         "campaign" => campaign(&parsed),
-        "figures" => figures(&parsed),
+        "figures" => observed(&parsed, figures),
         "store" => store_cmd(&parsed),
         "bench" => bench(&parsed),
         "lint" => lint(&parsed),

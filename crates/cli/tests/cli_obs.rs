@@ -183,6 +183,80 @@ fn figures_metrics_show_a_warm_table02_is_a_store_read() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs `hygcn <command> <args> --metrics-out m.json --trace-out t.json`
+/// in a fresh directory named `dir`; returns the metrics and the trace.
+fn observed_run(dir: &str, command: &[&str]) -> (String, String) {
+    let dir = tmpdir(dir);
+    let (metrics, trace) = (dir.join("metrics.json"), dir.join("trace.json"));
+    let (m, t) = (metrics.to_str().unwrap(), trace.to_str().unwrap());
+    let mut args = command.to_vec();
+    args.extend(["--metrics-out", m, "--trace-out", t]);
+    let out = hygcn(&args);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains(&format!("wrote {m}")), "{text}");
+    assert!(text.contains(&format!("wrote {t}")), "{text}");
+    let exports = (
+        std::fs::read_to_string(&metrics).unwrap(),
+        std::fs::read_to_string(&trace).unwrap(),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    exports
+}
+
+/// `simulate --metrics-out/--trace-out`: one direct simulation decodes
+/// one span program and replays it; the trace names its spans.
+#[test]
+fn simulate_exports_metrics_and_trace() {
+    let (m, t) = observed_run(
+        "hygcn-cli-obs-simulate",
+        &["simulate", "--dataset", "IB", "--scale", "0.1"],
+    );
+    assert!(m.contains("\"span_program_build\": {\"count\": 1"), "{m}");
+    assert!(m.contains("\"span_replay\""), "{m}");
+    assert!(m.contains("\"plan_cache_misses\": 2"), "{m}");
+    assert!(t.contains("\"name\": \"span_replay\""), "{t}");
+}
+
+/// `compare --metrics-out/--trace-out`: one evaluation on each of the
+/// `cpu`, `gpu` and `cycle` backends, each in its latency histogram.
+#[test]
+fn compare_exports_metrics_and_trace() {
+    let (m, t) = observed_run(
+        "hygcn-cli-obs-compare",
+        &["compare", "--dataset", "IB", "--scale", "0.1"],
+    );
+    for backend in ["cpu", "gpu", "cycle"] {
+        assert!(
+            m.contains(&format!("\"{backend}\": {{\"count\": 1,")),
+            "{backend}: {m}"
+        );
+    }
+    assert!(t.contains("\"name\": \"backend_eval\""), "{t}");
+}
+
+/// `sweep --metrics-out/--trace-out`: the one-axis campaign's five
+/// points, all simulated, each counted as one `cycle` evaluation.
+#[test]
+fn sweep_exports_metrics_and_trace() {
+    let (m, t) = observed_run(
+        "hygcn-cli-obs-sweep",
+        &[
+            "sweep",
+            "--dataset",
+            "IB",
+            "--scale",
+            "0.1",
+            "--knob",
+            "aggbuf",
+        ],
+    );
+    assert!(m.contains("\"points_total\": 5"), "{m}");
+    assert!(m.contains("\"simulated\": 5"), "{m}");
+    assert!(m.contains("\"cycle\": {\"count\": 5,"), "{m}");
+    assert!(t.contains("\"name\": \"campaign_batch\""), "{t}");
+}
+
 /// `--progress` emits at least the final summary line on stderr, shaped
 /// like `progress: 2/2 points (...)`.
 #[test]

@@ -16,6 +16,13 @@
 //!   equal inputs produce bit-identical reports across processes and
 //!   runs (the property the campaign store's resume semantics rest on).
 //!   Backends must not keep mutable state across calls.
+//! * `evaluate_lanes` is `evaluate` over a batch: entry `i` equals
+//!   `evaluate(graph, model, &configs[i])`, error or report, bit for
+//!   bit. The default loops over `evaluate`; `cycle` and `cycle-fast`
+//!   override it with [`Simulator::simulate_lanes`], which replays the
+//!   configs that differ only in timing as lanes of one pass. The
+//!   campaign executor hands every backend its points this way, grouped
+//!   by [`HyGcnConfig::replay_class`].
 //! * `backend_id` is a **stable, lowercase token** (`"cycle"`, `"seed"`,
 //!   `"analytical"`, `"cpu"`, `"gpu"`). It is hashed into every
 //!   persisted cache key (the `"cycle"` id is elided for backward
@@ -65,11 +72,27 @@ pub trait SimBackend: Send + Sync + std::fmt::Debug {
         model: &GcnModel,
         config: &HyGcnConfig,
     ) -> Result<SimReport, SimError>;
+
+    /// Evaluates one layer of `model` over `graph` under each of
+    /// `configs`; entry `i` is exactly
+    /// `self.evaluate(graph, model, &configs[i])`.
+    fn evaluate_lanes(
+        &self,
+        graph: &Graph,
+        model: &GcnModel,
+        configs: &[HyGcnConfig],
+    ) -> Vec<Result<SimReport, SimError>> {
+        configs
+            .iter()
+            .map(|config| self.evaluate(graph, model, config))
+            .collect()
+    }
 }
 
 /// The cycle-accurate, execution-driven simulator —
-/// [`Simulator::simulate`] behind the trait. The default backend; its
-/// reports carry no provenance marker (they *are* the golden form).
+/// [`Simulator::simulate`] behind the trait, and
+/// [`Simulator::simulate_lanes`] for a lane batch. The default backend;
+/// its reports carry no provenance marker (they *are* the golden form).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CycleAccurateBackend;
 
@@ -88,10 +111,22 @@ impl SimBackend for CycleAccurateBackend {
             Simulator::new(config.clone()).simulate(graph, model)
         })
     }
+
+    fn evaluate_lanes(
+        &self,
+        graph: &Graph,
+        model: &GcnModel,
+        configs: &[HyGcnConfig],
+    ) -> Vec<Result<SimReport, SimError>> {
+        hygcn_obs::observe_evals(self.backend_id(), configs.len(), || {
+            Simulator::simulate_lanes(graph, model, configs)
+        })
+    }
 }
 
 /// `cycle` under its historical id (`"cycle-fast"`): the same
-/// [`Simulator::simulate`], kept so `--backend cycle-fast` and stores
+/// [`Simulator::simulate`] and [`Simulator::simulate_lanes`], kept so
+/// `--backend cycle-fast` and stores
 /// keyed by that id keep working. Cached separately from `cycle`, like
 /// every backend id.
 #[derive(Debug, Clone, Copy, Default)]
@@ -110,6 +145,17 @@ impl SimBackend for CycleFastBackend {
     ) -> Result<SimReport, SimError> {
         hygcn_obs::observe_eval(self.backend_id(), || {
             Simulator::new(config.clone()).simulate(graph, model)
+        })
+    }
+
+    fn evaluate_lanes(
+        &self,
+        graph: &Graph,
+        model: &GcnModel,
+        configs: &[HyGcnConfig],
+    ) -> Vec<Result<SimReport, SimError>> {
+        hygcn_obs::observe_evals(self.backend_id(), configs.len(), || {
+            Simulator::simulate_lanes(graph, model, configs)
         })
     }
 }

@@ -296,6 +296,19 @@ impl HyGcnConfig {
         }
     }
 
+    /// The configuration's *replay class*: its [`Self::decode_class`]
+    /// with the controller policy kept. Configs of one class differ only
+    /// in the clock, timeline recording and the HBM timing
+    /// (`hbm.{t_burst, t_row, t_cas}`), so they replay one span program
+    /// in one service order — FR-FCFS's schedule is memoized under this
+    /// key — and run as the lanes of one replay
+    /// ([`crate::sim::Simulator::simulate_lanes`]).
+    pub fn replay_class(&self) -> Self {
+        let mut class = self.decode_class();
+        class.hbm.controller = self.hbm.controller;
+        class
+    }
+
     /// Validates the configuration's internal consistency — the HBM
     /// geometry ([`HbmConfig::validate`]), a nonzero engine geometry,
     /// the clock and the fidelity range. Design-space enumeration calls
@@ -511,6 +524,35 @@ mod tests {
             ..base.clone()
         };
         assert_ne!(stream.decode_class(), base.decode_class());
+    }
+
+    #[test]
+    fn replay_class_keeps_the_controller_and_forgets_the_timing() {
+        use hygcn_mem::hbm::ControllerPolicy;
+        let base = HyGcnConfig::default();
+        assert_eq!(base.replay_class(), base);
+        let frfcfs = HyGcnConfig {
+            hbm: HbmConfig {
+                controller: ControllerPolicy::FrFcfs { window: 32 },
+                ..HbmConfig::hbm1()
+            },
+            ..base.clone()
+        };
+        let retimed = HyGcnConfig {
+            clock_ghz: 2.0,
+            record_timeline: true,
+            hbm: HbmConfig {
+                t_burst: 2,
+                t_row: 56,
+                t_cas: 7,
+                ..frfcfs.hbm
+            },
+            ..base.clone()
+        };
+        assert_eq!(retimed.replay_class(), frfcfs);
+        assert_ne!(frfcfs.replay_class(), base.replay_class());
+        // One decode class holds both controllers' replay classes.
+        assert_eq!(frfcfs.replay_class().decode_class(), base.decode_class());
     }
 
     #[test]

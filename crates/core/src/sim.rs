@@ -10,9 +10,13 @@
 //!
 //! ## One simulation path on precompiled machinery
 //!
-//! [`Simulator::simulate`] is the only cycle-level simulation path (the
-//! `cycle` and `cycle-fast` backend ids both call it). One call runs in three
-//! stages:
+//! [`Simulator::simulate_lanes`] is the only cycle-level simulation path:
+//! [`Simulator::simulate`] is its one-lane call, and the `cycle` and
+//! `cycle-fast` backend ids call it through `evaluate` and
+//! `evaluate_lanes`. It validates each config on its own and groups the
+//! valid ones by [`HyGcnConfig::replay_class`]; configs of one class
+//! differ only in the clock, timeline recording and HBM timing, so they
+//! share every stage but the last. One class runs in three stages:
 //!
 //! 1. [`EventSchedule::build`] chunks the destinations and lists every
 //!    chunk's effectual windows, read off the graph's cached occupancy
@@ -24,14 +28,20 @@
 //!    per-channel `(bank, row, bursts)` runs and cached on the graph, so
 //!    a warm evaluation never assembles, orders or decodes a batch (see
 //!    [`hygcn_mem::spanprog`]). Under FR-FCFS the replay walks the
-//!    program's [`SpanSchedule`](hygcn_mem::SpanSchedule), the
-//!    controller's service order, ordered once and cached beside the
-//!    program.
+//!    program's [`SpanSchedule`], the controller's service order, ordered
+//!    once and cached beside the program. The class's configs are the
+//!    lanes of one replay, [`MAX_LANES`] at a time, stepped in lockstep:
+//!    each lane keeps its own `now`, step cycles, timeline and report.
+//!
+//! Stages 1 and 2 and the program and schedule lookups run once per
+//! class, so a lane after the first costs only its share of the replay
+//! (the `timing_lanes` counter counts such lanes).
 //!
 //! ## What is memoized on the graph
 //!
 //! Four derived values live in the graph's plan memo ([`Graph::memo`]),
-//! each lookup counted by the `plan_cache_*` [`hygcn_obs::Counter`]s:
+//! each lookup counted by the `plan_cache_*` [`hygcn_obs::Counter`]s
+//! (one lookup per replay class, not per lane):
 //!
 //! * **Occupancy indexes**, keyed by the chunking (see
 //!   [`crate::schedule`]).
@@ -39,7 +49,8 @@
 //!   [`HyGcnConfig::decode_class`]`)`. The clock, timeline recording and
 //!   the HBM timing/controller fields bind later, so a sweep over them
 //!   decodes once.
-//! * **FR-FCFS schedules**, keyed by the program's key plus the
+//! * **FR-FCFS schedules**, keyed by `(model kind, f_in,`
+//!   [`HyGcnConfig::replay_class`]`)`: the program's key plus the
 //!   controller. The service order depends on no timing field, so a
 //!   timing sweep orders each program once per window and only replays.
 //! * **Runtime samples**, keyed by `(sample_seed, policy)` on the parent
@@ -54,6 +65,7 @@
 //! [`SimReport`]; `tests/oracle.rs` and `hygcn bench` check that.
 
 use std::convert::Infallible;
+use std::sync::Arc;
 
 use hygcn_gcn::aggregate::SelfTerm;
 use hygcn_gcn::model::{GcnModel, ModelKind, DIFFPOOL_CLUSTERS};
@@ -63,7 +75,8 @@ use hygcn_graph::{Graph, MemoOutcome};
 use hygcn_mem::hbm::ControllerPolicy;
 use hygcn_mem::request::{MemRequest, RequestArena, RequestKind};
 use hygcn_mem::scheduler::AccessScheduler;
-use hygcn_mem::spanprog::{SpanProgram, SpanProgramBuilder, SpanReplayer};
+use hygcn_mem::spanprog::{SpanProgram, SpanProgramBuilder, SpanReplayer, SpanSchedule, MAX_LANES};
+use hygcn_mem::stats::{ChannelStats, MemStats};
 
 use crate::config::{HyGcnConfig, PipelineMode};
 use crate::energy::{Activity, EnergyBreakdown};
@@ -92,7 +105,8 @@ impl Simulator {
         &self.config
     }
 
-    /// Simulates one layer of `model` over `graph`.
+    /// Simulates one layer of `model` over `graph`: the one-lane
+    /// [`Self::simulate_lanes`].
     ///
     /// # Errors
     ///
@@ -105,9 +119,112 @@ impl Simulator {
     /// * [`SimError::Config`] when the configuration is inconsistent
     ///   (for example an HBM geometry that is not a power of two).
     pub fn simulate(&self, graph: &Graph, model: &GcnModel) -> Result<SimReport, SimError> {
-        let cfg = &self.config;
-        crate::validate::validate_inputs(graph, model, cfg)?;
-        let mut replayer = SpanReplayer::new(&cfg.hbm).map_err(SimError::Config)?;
+        Self::simulate_lanes(graph, model, std::slice::from_ref(&self.config))
+            .pop()
+            .unwrap_or_else(|| Err(SimError::Config("one config simulated no lane".into())))
+    }
+
+    /// Simulates one layer of `model` over `graph` under each of
+    /// `configs`: entry `i` is exactly what [`Self::simulate`] returns
+    /// under `configs[i]`.
+    ///
+    /// Each config is validated on its own, so a bad one fails alone.
+    /// The valid configs are grouped by [`HyGcnConfig::replay_class`]:
+    /// a class samples, builds its [`EventSchedule`], runs the engines
+    /// and looks up its span program and FR-FCFS schedule once, then
+    /// replays its configs as the lanes of one pass over the program,
+    /// [`MAX_LANES`] at a time, in lockstep (one `now`, step-cycle list,
+    /// timeline and report per lane).
+    pub fn simulate_lanes(
+        graph: &Graph,
+        model: &GcnModel,
+        configs: &[HyGcnConfig],
+    ) -> Vec<Result<SimReport, SimError>> {
+        let mut reports: Vec<Result<SimReport, SimError>> = configs
+            .iter()
+            .map(|cfg| {
+                crate::validate::validate_inputs(graph, model, cfg).map(|()| SimReport::default())
+            })
+            .collect();
+        let mut classes: Vec<(HyGcnConfig, Vec<usize>)> = Vec::new();
+        for (i, cfg) in configs.iter().enumerate() {
+            if reports[i].is_err() {
+                continue;
+            }
+            let class = cfg.replay_class();
+            match classes.iter_mut().find(|(c, _)| *c == class) {
+                Some((_, lanes)) => lanes.push(i),
+                None => classes.push((class, vec![i])),
+            }
+        }
+        for (_, lanes) in classes {
+            let cfgs: Vec<&HyGcnConfig> = lanes.iter().map(|&i| &configs[i]).collect();
+            match simulate_class(graph, model, &cfgs) {
+                Ok(class) => {
+                    for (i, report) in lanes.into_iter().zip(class) {
+                        reports[i] = Ok(report);
+                    }
+                }
+                Err(e) => {
+                    for i in lanes {
+                        reports[i] = Err(e.clone());
+                    }
+                }
+            }
+        }
+        reports
+    }
+}
+
+// The replay dispatch below has one arm per lane count.
+const _: () = assert!(
+    MAX_LANES == 4,
+    "simulate_class must dispatch every lane count"
+);
+
+/// Simulates `cfgs`, valid configs of one replay class, sharing every
+/// stage their timing fields do not reach; one report per config.
+fn simulate_class(
+    graph: &Graph,
+    model: &GcnModel,
+    cfgs: &[&HyGcnConfig],
+) -> Result<Vec<SimReport>, SimError> {
+    let Some(&cfg) = cfgs.first() else {
+        return Ok(Vec::new());
+    };
+    let run = Prepared::new(graph, model, cfg)?;
+    let mut reports = Vec::with_capacity(cfgs.len());
+    for chunk in cfgs.chunks(MAX_LANES) {
+        hygcn_obs::count(hygcn_obs::Counter::TimingLanes, chunk.len() as u64 - 1);
+        match chunk.len() {
+            1 => run.replay::<1>(chunk, &mut reports),
+            2 => run.replay::<2>(chunk, &mut reports),
+            3 => run.replay::<3>(chunk, &mut reports),
+            _ => run.replay::<MAX_LANES>(chunk, &mut reports),
+        }?;
+    }
+    Ok(reports)
+}
+
+/// Everything of one replay class that no lane's timing reaches: the
+/// chunking, the engines' per-chunk records and activity, the pipeline
+/// steps, and the span program (with its FR-FCFS schedule).
+struct Prepared {
+    sched: EventSchedule,
+    aggs: Vec<ChunkAggregation>,
+    combs: Vec<ChunkCombination>,
+    act: Activity,
+    steps: Vec<Step>,
+    program: Arc<SpanProgram>,
+    schedule: Option<Arc<SpanSchedule>>,
+    /// Vertices of the (sampled) graph.
+    vertices: u64,
+    sparsity_reduction: f64,
+}
+
+impl Prepared {
+    /// Runs the timing-free stages for `cfg`, a validated config.
+    fn new(graph: &Graph, model: &GcnModel, cfg: &HyGcnConfig) -> Result<Self, SimError> {
         let f_in = model.feature_len();
         let row_bytes = f_in * 4;
 
@@ -241,42 +358,99 @@ impl Simulator {
         let schedule = match cfg.hbm.controller {
             ControllerPolicy::InOrder => None,
             ControllerPolicy::FrFcfs { window } => {
-                let (schedule, outcome) = g
-                    .memo((kind, f_in, cfg.decode_class(), cfg.hbm.controller), || {
-                        program.schedule(window).map_err(SimError::Config)
-                    })?;
+                let (schedule, outcome) = g.memo((kind, f_in, cfg.replay_class()), || {
+                    program.schedule(window).map_err(SimError::Config)
+                })?;
                 count_memo(outcome);
                 Some(schedule)
             }
         };
 
+        let total_rows_loaded: u64 = aggs.iter().map(|a| a.feature_rows_loaded).sum();
+        let baseline_rows = n * nchunks as u64;
+        let sparsity_reduction = if baseline_rows > 0 {
+            1.0 - total_rows_loaded as f64 / baseline_rows as f64
+        } else {
+            0.0
+        };
+        Ok(Self {
+            sched,
+            aggs,
+            combs,
+            act,
+            steps,
+            program,
+            schedule,
+            vertices: n,
+            sparsity_reduction,
+        })
+    }
+
+    /// Replays the program once for `lanes` (exactly `L` configs of this
+    /// class) in lockstep and appends one report per lane.
+    fn replay<const L: usize>(
+        &self,
+        lanes: &[&HyGcnConfig],
+        reports: &mut Vec<SimReport>,
+    ) -> Result<(), SimError> {
+        let lanes: &[&HyGcnConfig; L] = lanes.try_into().map_err(|_| {
+            SimError::Config(format!("{} configs replayed as {L} lanes", lanes.len()))
+        })?;
+        let mut replayer = SpanReplayer::new(&lanes.map(|c| c.hbm)).map_err(SimError::Config)?;
+
         // --- Timeline through the shared memory handler. ---
         // A step lasts as long as its slowest resource: either engine's
-        // compute or the memory service of its batch.
-        let mut now = 0u64;
-        let mut step_cycles: Vec<u64> = Vec::with_capacity(steps.len());
-        let mut timeline: Vec<ChunkTrace> = Vec::new();
-        for (s, step) in steps.iter().enumerate() {
-            let mem_cycles = replayer
-                .replay_step(&program, schedule.as_deref(), s, now)
-                .saturating_sub(now);
-            let agg_cycles = step.agg.map_or(0, |i| aggs[i].compute_cycles);
-            let comb_cycles = step.comb.map_or(0, |i| combs[i].compute_cycles);
-            let cycles = agg_cycles.max(comb_cycles).max(mem_cycles);
-            if cfg.record_timeline {
-                timeline.push(ChunkTrace {
-                    step: s,
-                    agg_cycles,
-                    comb_cycles,
-                    mem_cycles,
-                    step_cycles: cycles,
-                });
+        // compute or the memory service of its batch, per lane.
+        let mut now = [0u64; L];
+        let mut step_cycles: [Vec<u64>; L] =
+            std::array::from_fn(|_| Vec::with_capacity(self.steps.len()));
+        let mut timelines: [Vec<ChunkTrace>; L] = std::array::from_fn(|_| Vec::new());
+        for (s, step) in self.steps.iter().enumerate() {
+            let done = replayer.replay_step(&self.program, self.schedule.as_deref(), s, now);
+            let agg_cycles = step.agg.map_or(0, |i| self.aggs[i].compute_cycles);
+            let comb_cycles = step.comb.map_or(0, |i| self.combs[i].compute_cycles);
+            for l in 0..L {
+                let mem_cycles = done[l].saturating_sub(now[l]);
+                let cycles = agg_cycles.max(comb_cycles).max(mem_cycles);
+                if lanes[l].record_timeline {
+                    timelines[l].push(ChunkTrace {
+                        step: s,
+                        agg_cycles,
+                        comb_cycles,
+                        mem_cycles,
+                        step_cycles: cycles,
+                    });
+                }
+                step_cycles[l].push(cycles);
+                now[l] += cycles;
             }
-            step_cycles.push(cycles);
-            now += cycles;
         }
 
+        let (stats, channels) = (replayer.stats(), replayer.channel_stats());
+        for ((((cfg, cycles), timeline), stats), mem_channels) in lanes
+            .iter()
+            .zip(step_cycles)
+            .zip(timelines)
+            .zip(stats)
+            .zip(channels)
+        {
+            reports.push(self.report(cfg, &cycles, timeline, stats, mem_channels));
+        }
+        Ok(())
+    }
+
+    /// The report of one lane: `cfg` with its step cycles, timeline and
+    /// memory statistics.
+    fn report(
+        &self,
+        cfg: &HyGcnConfig,
+        step_cycles: &[u64],
+        timeline: Vec<ChunkTrace>,
+        stats: MemStats,
+        mem_channels: Vec<ChannelStats>,
+    ) -> SimReport {
         // --- Vertex latency (the Fig. 8 timing of each mode). ---
+        let intervals = self.sched.intervals();
         let mut vertex_latency_weighted = 0f64;
         for (i, dst) in intervals.iter().enumerate() {
             let latency = match cfg.pipeline {
@@ -290,46 +464,38 @@ impl Simulator {
                 PipelineMode::LatencyAware => {
                     let assembly =
                         cfg.module_group_vertices as u64 * step_cycles[i] / dst.len().max(1) as u64;
-                    step_cycles[i] * 3 / 4 + assembly + combs[i].first_group_cycles
+                    step_cycles[i] * 3 / 4 + assembly + self.combs[i].first_group_cycles
                 }
                 // Burst mode: every vertex waits for the whole chunk to
                 // aggregate, then for the assembled cooperative pass —
                 // Fig. 8(b).
-                PipelineMode::EnergyAware => step_cycles[i] + combs[i].compute_cycles,
+                PipelineMode::EnergyAware => step_cycles[i] + self.combs[i].compute_cycles,
             };
             vertex_latency_weighted += latency as f64 * dst.len() as f64;
         }
 
         // --- Report. ---
-        let total_rows_loaded: u64 = aggs.iter().map(|a| a.feature_rows_loaded).sum();
-        let baseline_rows = n * nchunks as u64;
-        let sparsity_reduction = if baseline_rows > 0 {
-            1.0 - total_rows_loaded as f64 / baseline_rows as f64
-        } else {
-            0.0
-        };
-        let stats = replayer.stats();
-        let cycles = now.max(1);
+        let cycles = step_cycles.iter().sum::<u64>().max(1);
         let time_s = cfg.cycles_to_seconds(cycles);
-        Ok(SimReport {
+        SimReport {
             cycles,
             time_s,
-            agg_compute_cycles: aggs.iter().map(|a| a.compute_cycles).sum(),
-            comb_compute_cycles: combs.iter().map(|c| c.compute_cycles).sum(),
+            agg_compute_cycles: self.aggs.iter().map(|a| a.compute_cycles).sum(),
+            comb_compute_cycles: self.combs.iter().map(|c| c.compute_cycles).sum(),
             mem: stats,
-            mem_channels: replayer.channel_stats(),
+            mem_channels,
             bandwidth_utilization: stats
                 .bandwidth_utilization(cycles, cfg.hbm.peak_bytes_per_cycle()),
-            energy: EnergyBreakdown::from_activity(&act).with_static(time_s),
-            avg_vertex_latency_cycles: vertex_latency_weighted / n.max(1) as f64,
-            sparsity_reduction: sparsity_reduction.max(0.0),
-            chunks: nchunks,
-            elem_ops: act.simd_ops,
-            macs: act.macs,
+            energy: EnergyBreakdown::from_activity(&self.act).with_static(time_s),
+            avg_vertex_latency_cycles: vertex_latency_weighted / self.vertices.max(1) as f64,
+            sparsity_reduction: self.sparsity_reduction.max(0.0),
+            chunks: intervals.len(),
+            elem_ops: self.act.simd_ops,
+            macs: self.act.macs,
             timeline,
             provenance: "",
             metrics: Vec::new(),
-        })
+        }
     }
 }
 

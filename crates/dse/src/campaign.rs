@@ -11,26 +11,39 @@
 //!    the campaign's speed comes from. A [`WorkloadMemo`] extends the
 //!    sharing across campaigns: a run of several campaigns handed one
 //!    memo builds each workload once.
-//! 2. **Fan out where threads exist.** Within a group, missing points run
-//!    through [`hygcn_par::par_map_slice`] in batches of one point per
-//!    worker; results splice back in deterministic point order, so a
-//!    campaign's outputs are bit-identical at any thread count.
-//! 3. **Stream completions.** Every finished batch is appended to the
-//!    [`ResultStore`] before the next batch starts: a killed campaign
-//!    loses at most one batch, and the re-run skips everything already
-//!    stored.
-//! 4. **Isolate failures.** A backend evaluation that errors (after
+//! 2. **Replay timing points together.** Within a workload group, the
+//!    missing points are grouped again by `(backend, model,`
+//!    [`HyGcnConfig::replay_class`]`)`, in order of first occurrence,
+//!    into *lane groups* of at most [`MAX_LANES`] points: points that
+//!    differ only in the clock, timeline recording or HBM timing. A lane
+//!    group is one [`SimBackend::evaluate_lanes`] call; on the cycle
+//!    backends its points share sampling, the engines and the program
+//!    and schedule lookups, and replay as the lanes of one pass.
+//! 3. **Fan out where threads exist.** Lane groups run through
+//!    [`hygcn_par::par_map_slice`] in batches of one group per worker;
+//!    results splice back in deterministic point order, so a campaign's
+//!    outputs are bit-identical at any thread count.
+//! 4. **Stream completions.** Every finished batch is appended to the
+//!    [`ResultStore`], in point order, before the next batch starts: a
+//!    killed campaign loses at most one batch (one lane group per
+//!    worker, so at most `workers × MAX_LANES` points), and the re-run
+//!    skips everything already stored.
+//! 5. **Isolate failures.** A backend evaluation that errors (after
 //!    bounded retries) or panics becomes a [`PointOutcome::Failed`] — it
 //!    is *not* persisted, so a resumed campaign re-attempts exactly the
 //!    failed points, and one bad point never aborts the rest of the run.
+//!    A lane that errs is retried alone; a lane group that panics is
+//!    evaluated again one point at a time, so only the panicking point
+//!    fails.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use hygcn_core::backend::{core_backend, SimBackend};
-use hygcn_core::SimReport;
-use hygcn_gcn::model::GcnModel;
+use hygcn_core::{HyGcnConfig, SimError, SimReport};
+use hygcn_gcn::model::{GcnModel, ModelKind};
 use hygcn_graph::Graph;
+use hygcn_mem::MAX_LANES;
 
 use crate::space::{ConfigSpace, DesignPoint, WorkloadSpec};
 use crate::store::{ResultStore, StoreRecord};
@@ -401,7 +414,7 @@ impl Campaign {
             let graph_hash = graph.content_hash();
             // One model instance per kind in this group, shared across
             // every point of the group.
-            let mut models: Vec<(hygcn_gcn::model::ModelKind, GcnModel)> = Vec::new();
+            let mut models: Vec<(ModelKind, GcnModel)> = Vec::new();
             for &i in &idxs {
                 let kind = points[i].model;
                 if !models.iter().any(|(k, _)| *k == kind) {
@@ -411,51 +424,40 @@ impl Campaign {
                 }
             }
 
-            // Fan the group out in batches of one point per worker; the
-            // ordered collect keeps results in point order, and the store
-            // append after each batch is the streaming/kill-safety point.
-            // Evaluations retry up to the campaign's policy; a panic is
-            // caught (and never retried — the backend's state is suspect)
-            // so one bad point cannot take the run down.
+            // Lane groups: points of one backend, model and replay class
+            // differ only in timing, so they evaluate as one
+            // `evaluate_lanes` call — on the cycle backends, the lanes of
+            // one replay. At most `MAX_LANES` points each, in order of
+            // first occurrence.
+            let mut classes: Vec<(_, Vec<usize>)> = Vec::new();
+            for &i in &idxs {
+                let p = &points[i];
+                let class = (p.backend.as_str(), p.model, p.config.replay_class());
+                match classes.iter_mut().find(|(c, _)| *c == class) {
+                    Some((_, lanes)) => lanes.push(i),
+                    None => classes.push((class, vec![i])),
+                }
+            }
+            let lane_groups: Vec<&[usize]> = classes
+                .iter()
+                .flat_map(|(_, lanes)| lanes.chunks(MAX_LANES))
+                .collect();
+
+            // Fan the lane groups out in batches of one group per worker;
+            // the ordered collect keeps results in point order, and the
+            // store append after each batch is the streaming/kill-safety
+            // point.
             let batch = hygcn_par::num_threads().max(1);
-            for chunk in idxs.chunks(batch) {
+            for chunk in lane_groups.chunks(batch) {
                 let _obs_batch = hygcn_obs::span(hygcn_obs::Phase::CampaignBatch);
-                let reports: Vec<Result<SimReport, String>> =
-                    hygcn_par::par_map_slice(chunk, |_, &i| {
-                        let p = &points[i];
-                        // Resolved and prebuilt above for every point; a
-                        // miss fails the point instead of the process.
-                        let (Some(model), Some(backend)) = (
-                            models.iter().find(|(k, _)| *k == p.model).map(|(_, m)| m),
-                            backends.iter().find(|b| b.backend_id() == p.backend),
-                        ) else {
-                            return Err(format!("{}: model or backend missing", p.label()));
-                        };
-                        let mut attempt = 0u32;
-                        loop {
-                            attempt += 1;
-                            let run =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    backend.evaluate(&graph, model, &p.config)
-                                }));
-                            match run {
-                                Ok(Ok(report)) => return Ok(report),
-                                Ok(Err(_)) if attempt < self.retry.max_attempts => {
-                                    hygcn_obs::count(hygcn_obs::Counter::EvalRetries, 1);
-                                    sleeper(self.retry.delay(attempt));
-                                }
-                                Ok(Err(e)) => return Err(format!("{}: {e}", p.label())),
-                                Err(payload) => {
-                                    return Err(format!(
-                                        "{}: backend panicked: {}",
-                                        p.label(),
-                                        panic_message(payload.as_ref())
-                                    ))
-                                }
-                            }
-                        }
+                let reports: Vec<Vec<(usize, Result<SimReport, String>)>> =
+                    hygcn_par::par_map_slice(chunk, |_, &lanes| {
+                        self.evaluate_group(&backends, &models, &graph, points, lanes, &sleeper)
                     });
-                for (&i, report) in chunk.iter().zip(reports) {
+                let mut reports: Vec<(usize, Result<SimReport, String>)> =
+                    reports.into_iter().flatten().collect();
+                reports.sort_by_key(|&(i, _)| i);
+                for (i, report) in reports {
                     let report = match report {
                         Ok(r) => r,
                         Err(error) => {
@@ -507,6 +509,107 @@ impl Campaign {
             }));
         }
         Ok(CampaignReport::from_outcomes(outcomes))
+    }
+}
+
+impl Campaign {
+    /// Evaluates the lane group `lanes` (indexes into `points`, one
+    /// backend, model and replay class) as one `evaluate_lanes` call.
+    /// A lane that errs is retried alone under the retry policy. If the
+    /// call panics, every point is evaluated again alone, each under its
+    /// own `catch_unwind`, so only a panicking point fails: a panic is
+    /// never retried, since the backend's state is suspect.
+    fn evaluate_group(
+        &self,
+        backends: &[Arc<dyn SimBackend>],
+        models: &[(ModelKind, GcnModel)],
+        graph: &Graph,
+        points: &[DesignPoint],
+        lanes: &[usize],
+        sleeper: &Sleeper,
+    ) -> Vec<(usize, Result<SimReport, String>)> {
+        let Some(&first) = lanes.first() else {
+            return Vec::new();
+        };
+        let p = &points[first];
+        // Resolved and prebuilt for every point; a miss fails the points
+        // instead of the process.
+        let (Some(model), Some(backend)) = (
+            models.iter().find(|(k, _)| *k == p.model).map(|(_, m)| m),
+            backends.iter().find(|b| b.backend_id() == p.backend),
+        ) else {
+            return lanes
+                .iter()
+                .map(|&i| {
+                    (
+                        i,
+                        Err(format!("{}: model or backend missing", points[i].label())),
+                    )
+                })
+                .collect();
+        };
+        let configs: Vec<HyGcnConfig> = lanes.iter().map(|&i| points[i].config.clone()).collect();
+        let shared = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            backend.evaluate_lanes(graph, model, &configs)
+        }));
+        let firsts: Vec<Option<Result<SimReport, SimError>>> = match shared {
+            Ok(results) if results.len() == lanes.len() => results.into_iter().map(Some).collect(),
+            _ => vec![None; lanes.len()],
+        };
+        lanes
+            .iter()
+            .zip(firsts)
+            .map(|(&i, first)| {
+                let p = &points[i];
+                let report = match first {
+                    Some(Ok(report)) => Ok(report),
+                    first => {
+                        let failed = first.and_then(Result::err);
+                        self.retry_alone(backend.as_ref(), graph, model, p, sleeper, failed)
+                    }
+                };
+                (i, report)
+            })
+            .collect()
+    }
+
+    /// Evaluates `p` alone, retrying errors up to the retry policy;
+    /// `failed` is the error of an attempt already made (as a lane), if
+    /// any. A panic is caught and fails the point without a retry.
+    fn retry_alone(
+        &self,
+        backend: &dyn SimBackend,
+        graph: &Graph,
+        model: &GcnModel,
+        p: &DesignPoint,
+        sleeper: &Sleeper,
+        mut failed: Option<SimError>,
+    ) -> Result<SimReport, String> {
+        let mut attempt = u32::from(failed.is_some());
+        loop {
+            if let Some(e) = failed.take() {
+                if attempt >= self.retry.max_attempts {
+                    return Err(format!("{}: {e}", p.label()));
+                }
+                hygcn_obs::count(hygcn_obs::Counter::EvalRetries, 1);
+                sleeper(self.retry.delay(attempt));
+            }
+            attempt += 1;
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                backend.evaluate(graph, model, &p.config)
+            }));
+            match run {
+                Ok(Ok(report)) => return Ok(report),
+                Ok(Err(e)) => failed = Some(e),
+                Err(payload) => {
+                    return Err(format!(
+                        "{}: backend panicked: {}",
+                        p.label(),
+                        panic_message(payload.as_ref())
+                    ))
+                }
+            }
+        }
     }
 }
 
@@ -973,6 +1076,125 @@ mod tests {
             .expect("a failed point");
         assert!(err.contains("backend panicked"), "{err}");
         assert!(err.contains("injected backend panic"), "{err}");
+    }
+
+    /// The analytical backend behind a lane interface that records the
+    /// size of every `evaluate_lanes` call. A lane of `t_row == 28`
+    /// panics (`panic_lane`) or, only inside a lane batch, errs.
+    #[derive(Debug)]
+    struct LaneBackend {
+        panic_lane: bool,
+        batches: Mutex<Vec<usize>>,
+    }
+
+    impl SimBackend for LaneBackend {
+        fn backend_id(&self) -> &'static str {
+            "analytical"
+        }
+
+        fn evaluate(
+            &self,
+            graph: &Graph,
+            model: &GcnModel,
+            config: &HyGcnConfig,
+        ) -> Result<SimReport, SimError> {
+            if self.panic_lane && config.hbm.t_row == 28 {
+                panic!("injected lane panic");
+            }
+            AnalyticalBackend.evaluate(graph, model, config)
+        }
+
+        fn evaluate_lanes(
+            &self,
+            graph: &Graph,
+            model: &GcnModel,
+            configs: &[HyGcnConfig],
+        ) -> Vec<Result<SimReport, SimError>> {
+            self.batches.lock().unwrap().push(configs.len());
+            configs
+                .iter()
+                .map(|config| {
+                    if !self.panic_lane && config.hbm.t_row == 28 {
+                        return Err(SimError::Backend("injected lane failure".into()));
+                    }
+                    self.evaluate(graph, model, config)
+                })
+                .collect()
+        }
+    }
+
+    fn t_row_space() -> ConfigSpace {
+        ConfigSpace::new(
+            vec![WorkloadSpec::dataset(DatasetKey::Ib, 0.1, 1)],
+            vec![ModelKind::Gcn],
+        )
+        .with_axis(Axis::parse("t-row", "14,28,56").unwrap())
+    }
+
+    #[test]
+    fn one_panicking_lane_fails_only_its_own_point() {
+        let backend = Arc::new(LaneBackend {
+            panic_lane: true,
+            batches: Mutex::new(Vec::new()),
+        });
+        let report = Campaign::new(t_row_space())
+            .with_backend(backend.clone())
+            .with_retry(RetryPolicy::none())
+            .run()
+            .unwrap();
+        // The three points share one replay class: one lane batch, which
+        // panics, then each point alone.
+        assert_eq!(*backend.batches.lock().unwrap(), [3]);
+        assert_eq!((report.simulated, report.failed), (2, 1));
+        let healthy = Campaign::new(t_row_space().with_backend_id("analytical"))
+            .run()
+            .unwrap();
+        for (p, want) in report.points.iter().zip(&healthy.points) {
+            if p.point().config.hbm.t_row == 28 {
+                let err = p.error().expect("the panicking lane fails");
+                assert!(
+                    err.contains("backend panicked: injected lane panic"),
+                    "{err}"
+                );
+            } else {
+                assert_eq!(p, want, "{}", p.point().label());
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_lane_is_retried_alone() {
+        let (sleeper, slept) = recording_sleeper();
+        let backend = Arc::new(LaneBackend {
+            panic_lane: false,
+            batches: Mutex::new(Vec::new()),
+        });
+        let retry = RetryPolicy {
+            max_attempts: 2,
+            base_delay_ms: 1,
+        };
+        let report = Campaign::new(t_row_space())
+            .with_backend(backend.clone())
+            .with_retry(retry)
+            .with_sleeper(sleeper)
+            .run()
+            .unwrap();
+        // The erring lane's retry runs alone, outside any lane batch.
+        assert_eq!(*backend.batches.lock().unwrap(), [3]);
+        assert_eq!((report.simulated, report.failed), (3, 0));
+        assert_eq!(slept.lock().unwrap().len(), 1);
+        // Without a retry the lane's error is the point's.
+        let report = Campaign::new(t_row_space())
+            .with_backend(Arc::new(LaneBackend {
+                panic_lane: false,
+                batches: Mutex::new(Vec::new()),
+            }))
+            .with_retry(RetryPolicy::none())
+            .run()
+            .unwrap();
+        assert_eq!((report.simulated, report.failed), (2, 1));
+        let err = report.points.iter().find_map(|p| p.error()).unwrap();
+        assert!(err.contains("injected lane failure"), "{err}");
     }
 
     fn recording_sleeper() -> (Sleeper, Arc<Mutex<Vec<std::time::Duration>>>) {

@@ -67,5 +67,5 @@ pub mod stats;
 pub use address::{ChannelPartition, Segment};
 pub use hbm::{ChannelTimeline, Hbm, HbmConfig};
 pub use request::{MemRequest, RequestArena, RequestKind, RequestSpan, RequestSummary};
-pub use spanprog::{SpanProgram, SpanProgramBuilder, SpanReplayer, SpanSchedule};
+pub use spanprog::{SpanProgram, SpanProgramBuilder, SpanReplayer, SpanSchedule, MAX_LANES};
 pub use stats::{ChannelStats, HbmStats, MemStats};

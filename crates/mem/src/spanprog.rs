@@ -14,23 +14,28 @@
 //! order with SoA per-channel registers (bank-ready array, bus-cycle
 //! array packed for sequential access): a straight-line max-plus
 //! recurrence with no decode and no queue, and under FR-FCFS no row
-//! compare either.
+//! compare either. One replayer carries `L` *timing lanes* (1 to
+//! [`MAX_LANES`]): it reads each span once and runs the recurrence once
+//! per lane, so a timing sweep pays the program's memory traffic (and
+//! the in-order row compare) once per `L` timings.
 //!
 //! ## Build/replay contract
 //!
 //! One [`SpanProgramBuilder::push_step`] call per timeline step, fed the
 //! *scheduler-ordered* batch the staged [`crate::hbm::Hbm`] would have
-//! serviced; one [`SpanReplayer::replay_step`] call per step at the
-//! step's arrival cycle. Replay is bit-identical to
-//! [`crate::hbm::Hbm::service_batch`] on the same batches — completion
-//! cycles, [`MemStats`], and per-channel [`ChannelStats`] — for **both**
-//! controller policies:
+//! serviced; one [`SpanReplayer::replay_step`] call per step, with each
+//! lane's arrival cycle. Every lane is bit-identical to
+//! [`crate::hbm::Hbm::service_batch`] under its own timing on the same
+//! batches at its own arrivals — completion cycles, [`MemStats`], and
+//! per-channel [`ChannelStats`] — for **both** controller policies, and
+//! so equal to a one-lane replay of that timing:
 //!
 //! * **In-order:** a channel's tuple run is exactly its
 //!   [`crate::address::ChannelPartition`] queue (same row-aligned split,
 //!   same decode, arrival order preserved per channel), so the replay
 //!   reads the program directly and makes the row compare of
-//!   [`crate::hbm::ChannelTimeline::drain`] as it goes.
+//!   [`crate::hbm::ChannelTimeline::drain`] as it goes, once for every
+//!   lane: which row a span opens depends on no timing.
 //! * **FR-FCFS:** the staged drain also operates per channel over that
 //!   same queue, and its windowed row-hit promotion consults only
 //!   `(bank, row)` state the tuples carry. [`SpanProgram::schedule`]
@@ -41,18 +46,21 @@
 //!   across steps as the drain does. It records, per span, the index
 //!   into its channel run with the row-miss flag in bit 31, and per
 //!   `(step, channel)` cell the miss and burst counts. The replay walks
-//!   that order.
+//!   that order, each entry read once for every lane.
 //!
 //! Both paths share one service step, the timing half of
-//! [`crate::hbm::ChannelTimeline::service`]:
-//! `ready = max(bank_ready, now) + miss·t_row`, then
-//! `bus = max(ready, bus) + bursts·t_burst`. Every span moves at least
-//! one burst, so the bus only advances and a channel completes at its
-//! last `bus + t_cas`; [`HbmConfig::validate`]'s timing bound keeps every
-//! such sum far from overflow. The batch completion is the max over
-//! channels (never before the arrival cycle) and statistics fold by
-//! summation, so the channel-major reordering of the program layout is
-//! unobservable (the merge invariant of [`crate::hbm`]).
+//! [`crate::hbm::ChannelTimeline::service`], run per lane `l`:
+//! `ready = max(bank_ready[l], now[l]) + miss·t_row[l]`, then
+//! `bus[l] = max(ready, bus[l]) + bursts·t_burst[l]`. The lanes share no
+//! timing state, so their chains are independent. Every span moves at
+//! least one burst, so a bus only advances and a channel completes at
+//! its last `bus[l] + t_cas[l]`; [`HbmConfig::validate`]'s timing bound
+//! keeps every such sum far from overflow. A lane's batch completion is
+//! the max over channels (never before its arrival cycle) and
+//! statistics fold by summation, so the channel-major reordering of the
+//! program layout is unobservable (the merge invariant of
+//! [`crate::hbm`]). The lanes must share the decode geometry and the
+//! controller; [`SpanReplayer::new`] rejects a lane that does not.
 //!
 //! ## Caching
 //!
@@ -65,8 +73,10 @@
 //! whole timing/controller sweep; [`SpanProgram::matches`] states the
 //! geometry half of that contract. An FR-FCFS schedule depends on the
 //! program and the lookahead window, so the simulator memoizes it under
-//! the program's key plus the controller: a timing sweep orders each
-//! program once per window and only replays.
+//! the model kind, feature length and the config's replay class (the
+//! decode class with the controller kept): a timing sweep orders each
+//! program once per window, and replays its points `MAX_LANES` timings
+//! per pass.
 
 use crate::address::MappingScheme;
 use crate::hbm::{ControllerPolicy, HbmConfig};
@@ -351,71 +361,110 @@ impl SpanProgramBuilder {
     }
 }
 
-/// SoA replay state: the per-bank open rows and ready cycles, the
-/// per-channel bus cycles and [`ChannelStats`] — exactly the state of
-/// the equivalent [`crate::hbm::Hbm`], held in flat channel-major
-/// arrays. Timing comes from the replayer's own config, so one program
-/// (and one schedule per FR-FCFS window) serves a whole timing sweep.
+/// The most timing lanes one [`SpanReplayer`] carries. Each lane is an
+/// independent max-plus dependency chain, so one pass over `L` lanes
+/// overlaps their latencies while it reads each span once. Measured on
+/// a 2-vCPU Xeon over 40 CL/PB campaign programs (9.0M spans, both
+/// controllers, six rounds), a span costs 4.3–5.6 ns per lane alone,
+/// 2.6–3.5 ns at 2 lanes, 1.9–3.0 ns at 3 and 2.0–2.9 ns at 4; 5 to 8
+/// lanes read 1.7–2.9 ns, within that spread, and every lane count is
+/// one more compiled copy of the replay. A larger group replays in
+/// chunks of at most this many lanes.
+pub const MAX_LANES: usize = 4;
+
+/// SoA replay state of `L` timing lanes: the per-bank open rows (one
+/// row compare serves every lane), and per lane the bank ready cycles,
+/// bus cycles and [`ChannelStats`] of the equivalent [`crate::hbm::Hbm`]
+/// under that lane's timing, held in flat channel-major arrays. Every
+/// lane shares the decode geometry and the controller policy, so one
+/// program (and one schedule per FR-FCFS window) serves a whole timing
+/// sweep, `L` timings per pass.
 #[derive(Debug, Clone)]
-pub struct SpanReplayer {
+pub struct SpanReplayer<const L: usize> {
     banks_per_channel: usize,
-    t_burst: u64,
-    t_row: u64,
-    t_cas: u64,
+    t_burst: [u64; L],
+    t_row: [u64; L],
+    t_cas: [u64; L],
     controller: ControllerPolicy,
     /// Open row per (channel-major) bank, [`NO_ROW`] when closed. Only
     /// in-order replay reads it: a schedule already holds each span's
-    /// row hit or miss.
+    /// row hit or miss. The row a span opens depends on no timing, so
+    /// every lane shares it.
     bank_row: Vec<u64>,
-    /// Ready cycle per (channel-major) bank.
-    bank_ready: Vec<u64>,
-    /// Data-bus availability per channel.
-    bus_free: Vec<u64>,
-    /// Per-channel counters, in channel order.
-    stats: Vec<ChannelStats>,
-    /// Request-level counters (bytes, request count).
+    /// Ready cycle per (channel-major) bank, per lane.
+    bank_ready: Vec<[u64; L]>,
+    /// Data-bus availability per channel, per lane.
+    bus_free: Vec<[u64; L]>,
+    /// Per-channel counters, in channel order, per lane.
+    stats: Vec<[ChannelStats; L]>,
+    /// Request-level counters (bytes, request count), the same in every
+    /// lane.
     traffic: MemStats,
 }
 
-impl SpanReplayer {
-    /// An idle replayer for `config`.
+impl<const L: usize> SpanReplayer<L> {
+    /// An idle replayer with one lane per config. The configs may differ
+    /// in timing (`t_burst`, `t_row`, `t_cas`) only.
     ///
     /// # Errors
     ///
-    /// The first violated constraint of [`HbmConfig::validate`].
-    pub fn new(config: &HbmConfig) -> Result<Self, String> {
-        config.validate()?;
+    /// The first violated constraint of [`HbmConfig::validate`], or a
+    /// lane whose geometry or controller differs from lane 0's.
+    pub fn new(configs: &[HbmConfig; L]) -> Result<Self, String> {
+        const { assert!(L >= 1 && L <= MAX_LANES, "1 to MAX_LANES lanes") };
+        let first = &configs[0];
+        let shared = |c: &HbmConfig| {
+            (
+                c.mapping,
+                c.channels,
+                c.banks,
+                c.row_bytes,
+                c.burst_bytes,
+                c.controller,
+            )
+        };
+        for (lane, config) in configs.iter().enumerate() {
+            config.validate()?;
+            if shared(config) != shared(first) {
+                return Err(format!(
+                    "lane {lane} differs from lane 0 in geometry or controller; \
+                     lanes may differ in timing only"
+                ));
+            }
+        }
+        let banks = first.channels * first.banks;
         Ok(Self {
-            banks_per_channel: config.banks,
-            t_burst: config.t_burst,
-            t_row: config.t_row,
-            t_cas: config.t_cas,
-            controller: config.controller,
-            bank_row: vec![NO_ROW; config.channels * config.banks],
-            bank_ready: vec![0; config.channels * config.banks],
-            bus_free: vec![0; config.channels],
-            stats: vec![ChannelStats::default(); config.channels],
+            banks_per_channel: first.banks,
+            t_burst: configs.map(|c| c.t_burst),
+            t_row: configs.map(|c| c.t_row),
+            t_cas: configs.map(|c| c.t_cas),
+            controller: first.controller,
+            bank_row: vec![NO_ROW; banks],
+            bank_ready: vec![[0; L]; banks],
+            bus_free: vec![[0; L]; first.channels],
+            stats: vec![[ChannelStats::default(); L]; first.channels],
             traffic: MemStats::default(),
         })
     }
 
-    /// Replays `program`'s step `step` arriving at `now`; returns the
-    /// cycle the step's last span (plus CAS latency) completes, or
-    /// `now` for an empty step.
+    /// Replays `program`'s step `step`, arriving in lane `l` at
+    /// `now[l]`; returns per lane the cycle the step's last span (plus
+    /// CAS latency) completes, or the arrival cycle for an empty step.
     ///
     /// `schedule` is `program.schedule(window)` for an FR-FCFS
     /// replayer of that window, and `None` for an in-order one. The
     /// caller guarantees `program.matches()` the replayer's geometry and
     /// steps are replayed in build order at nondecreasing arrival cycles
-    /// — the same protocol the staged model's `service_batch` sequence
-    /// observes.
+    /// per lane — the same protocol the staged model's `service_batch`
+    /// sequence observes. Each span (and schedule entry) is read once
+    /// and serviced in every lane.
     pub fn replay_step(
         &mut self,
         program: &SpanProgram,
         schedule: Option<&SpanSchedule>,
         step: usize,
-        now: u64,
-    ) -> u64 {
+        now: [u64; L],
+    ) -> [u64; L] {
         debug_assert_eq!(
             schedule.map(SpanSchedule::window),
             match self.controller {
@@ -443,7 +492,7 @@ impl SpanReplayer {
                 continue;
             }
             let bank_ready = &mut self.bank_ready[c * banks..(c + 1) * banks];
-            // The bus cycle stays in a register for the run; the
+            // The bus cycles stay in registers for the run; the
             // order-free statistics fold in once afterwards.
             let mut bus = self.bus_free[c];
             let counts = match schedule {
@@ -485,59 +534,67 @@ impl SpanReplayer {
                 }
             };
             self.bus_free[c] = bus;
-            // Each span moves at least one burst, so the bus only
-            // advances: the channel completes with its last span.
-            let channel_done = bus + self.t_cas;
-            let st = &mut self.stats[c];
-            st.row_misses += counts.misses;
-            st.row_hits += run.len() as u64 - counts.misses;
-            st.bursts += counts.bursts;
-            st.busy_cycles += counts.bursts * self.t_burst;
-            st.last_completion = st.last_completion.max(channel_done);
-            done = done.max(channel_done);
+            for (l, st) in self.stats[c].iter_mut().enumerate() {
+                // Each span moves at least one burst, so the bus only
+                // advances: the channel completes with its last span.
+                let channel_done = bus[l] + self.t_cas[l];
+                st.row_misses += counts.misses;
+                st.row_hits += run.len() as u64 - counts.misses;
+                st.bursts += counts.bursts;
+                st.busy_cycles += counts.bursts * self.t_burst[l];
+                st.last_completion = st.last_completion.max(channel_done);
+                done[l] = done[l].max(channel_done);
+            }
         }
         done
     }
 
-    /// Accumulated statistics, per-channel counters folded into totals.
-    pub fn stats(&self) -> MemStats {
-        let mut s = self.traffic;
-        for ch in &self.stats {
-            ch.fold_into(&mut s);
-        }
-        s
+    /// Accumulated statistics per lane, per-channel counters folded into
+    /// totals.
+    pub fn stats(&self) -> [MemStats; L] {
+        std::array::from_fn(|l| {
+            let mut s = self.traffic;
+            for ch in &self.stats {
+                ch[l].fold_into(&mut s);
+            }
+            s
+        })
     }
 
-    /// The per-channel statistics, in channel order.
-    pub fn channel_stats(&self) -> Vec<ChannelStats> {
-        self.stats.clone()
+    /// The per-channel statistics per lane, in channel order.
+    pub fn channel_stats(&self) -> [Vec<ChannelStats>; L] {
+        std::array::from_fn(|l| self.stats.iter().map(|ch| ch[l]).collect())
     }
 
-    /// The fully decomposed statistics view.
-    pub fn hbm_stats(&self) -> HbmStats {
-        HbmStats {
-            totals: self.stats(),
-            channels: self.channel_stats(),
-        }
+    /// The fully decomposed statistics view per lane.
+    pub fn hbm_stats(&self) -> [HbmStats; L] {
+        let (totals, mut channels) = (self.stats(), self.channel_stats());
+        std::array::from_fn(|l| HbmStats {
+            totals: totals[l],
+            channels: std::mem::take(&mut channels[l]),
+        })
     }
 }
 
-/// Services one span arriving at `now` on its bank's ready cycle and
-/// its channel's bus — the timing recurrence of
-/// [`crate::hbm::ChannelTimeline::service`] with the row compare already
-/// made: a row miss first pays the activate + precharge penalty.
+/// Services one span arriving in lane `l` at `now[l]` on its bank's
+/// ready cycle and its channel's bus, in every lane — the timing
+/// recurrence of [`crate::hbm::ChannelTimeline::service`] with the row
+/// compare already made: a row miss first pays the activate + precharge
+/// penalty. The lanes are independent chains, so their latencies overlap.
 #[inline(always)]
-fn service(
-    bank_ready: &mut u64,
-    bus: &mut u64,
-    now: u64,
+fn service<const L: usize>(
+    bank_ready: &mut [u64; L],
+    bus: &mut [u64; L],
+    now: [u64; L],
     miss: bool,
     bursts: u32,
-    (t_burst, t_row): (u64, u64),
+    (t_burst, t_row): ([u64; L], [u64; L]),
 ) {
-    let ready = (*bank_ready).max(now) + if miss { t_row } else { 0 };
-    *bus = ready.max(*bus) + u64::from(bursts) * t_burst;
-    *bank_ready = *bus;
+    for l in 0..L {
+        let ready = bank_ready[l].max(now[l]) + if miss { t_row[l] } else { 0 };
+        bus[l] = ready.max(bus[l]) + u64::from(bursts) * t_burst[l];
+        bank_ready[l] = bus[l];
+    }
 }
 
 /// A pending span of the FR-FCFS lookahead: its bank and row, and its
@@ -832,31 +889,49 @@ mod tests {
         builder.finish()
     }
 
-    /// Replays `batches` through a fresh staged `Hbm` and a fresh
-    /// replayer of `cfg` over `program`/`schedule`, asserting equal
-    /// completions after every step and equal statistics at the end;
-    /// returns the replayer. Step `s + 1` arrives `gaps[s]` cycles after
-    /// step `s` completes.
+    /// Replays `batches` through one fresh staged `Hbm` per config and
+    /// one fresh replayer whose lanes are the configs, over
+    /// `program`/`schedule`, asserting each lane's completion equals its
+    /// `Hbm`'s after every step and its statistics at the end; returns
+    /// the replayer. In each lane, step `s + 1` arrives `gaps[s]` cycles
+    /// after step `s` completes.
+    fn assert_lanes_match_hbm<const L: usize>(
+        cfgs: [HbmConfig; L],
+        program: &SpanProgram,
+        schedule: Option<&SpanSchedule>,
+        batches: &[Vec<MemRequest>],
+        gaps: &[u64],
+    ) -> SpanReplayer<L> {
+        let mut hbms = cfgs.map(Hbm::new);
+        let mut replayer = SpanReplayer::new(&cfgs).expect("valid geometry");
+        let mut now = [0; L];
+        for (step, b) in batches.iter().enumerate() {
+            let t_replay = replayer.replay_step(program, schedule, step, now);
+            let stats = replayer.stats();
+            for (l, hbm) in hbms.iter_mut().enumerate() {
+                let t_hbm = hbm.service_batch(b, now[l]);
+                assert_eq!(t_hbm, t_replay[l], "step {step} diverged: {:?}", cfgs[l]);
+                assert_eq!(hbm.stats(), stats[l], "step {step}: {:?}", cfgs[l]);
+                now[l] = t_hbm + gaps[step % gaps.len()];
+            }
+        }
+        let (channels, full) = (replayer.channel_stats(), replayer.hbm_stats());
+        for (l, hbm) in hbms.iter().enumerate() {
+            assert_eq!(hbm.channel_stats(), channels[l]);
+            assert!(full[l].consistent());
+        }
+        replayer
+    }
+
+    /// The one-lane [`assert_lanes_match_hbm`].
     fn assert_steps_match_hbm(
         cfg: HbmConfig,
         program: &SpanProgram,
         schedule: Option<&SpanSchedule>,
         batches: &[Vec<MemRequest>],
         gaps: &[u64],
-    ) -> SpanReplayer {
-        let mut hbm = Hbm::new(cfg);
-        let mut replayer = SpanReplayer::new(&cfg).expect("valid geometry");
-        let mut now = 0;
-        for (step, b) in batches.iter().enumerate() {
-            let t_hbm = hbm.service_batch(b, now);
-            let t_replay = replayer.replay_step(program, schedule, step, now);
-            assert_eq!(t_hbm, t_replay, "step {step} diverged: {cfg:?}");
-            assert_eq!(hbm.stats(), replayer.stats(), "step {step}: {cfg:?}");
-            now = t_hbm + gaps[step % gaps.len()];
-        }
-        assert_eq!(hbm.channel_stats(), replayer.channel_stats());
-        assert!(replayer.hbm_stats().consistent());
-        replayer
+    ) -> SpanReplayer<1> {
+        assert_lanes_match_hbm([cfg], program, schedule, batches, gaps)
     }
 
     /// Builds a program (and `cfg`'s schedule) from LCG batches and
@@ -967,7 +1042,7 @@ mod tests {
             let program = build(&cfg, &batches);
             let schedule = program.schedule(window).unwrap();
             let replayer = assert_steps_match_hbm(cfg, &program, Some(&schedule), &batches, &[0]);
-            let stats = replayer.stats();
+            let [stats] = replayer.stats();
             assert_eq!(
                 (stats.row_hits, stats.row_misses),
                 (hits, 2),
@@ -1004,14 +1079,15 @@ mod tests {
         let program = build(&cfg, &batches);
         let schedule = program.schedule(65).unwrap();
         let replayer = assert_steps_match_hbm(cfg, &program, Some(&schedule), &batches, &[0]);
-        assert_eq!(replayer.stats().row_hits, 1);
+        assert_eq!(replayer.stats()[0].row_hits, 1);
     }
 
     #[test]
     fn program_is_controller_and_timing_agnostic() {
         // One program built once serves in-order and FR-FCFS replayers,
-        // and one FR-FCFS schedule serves every timing, each replay
-        // bit-identical to its own staged reference.
+        // and one FR-FCFS schedule serves every timing: a 3-lane pass
+        // and each timing alone are bit-identical to their own staged
+        // references.
         let base = HbmConfig::hbm1();
         let mut rng = Lcg(9);
         let batches = [random_batch(&mut rng, 120), random_batch(&mut rng, 40)];
@@ -1021,17 +1097,20 @@ mod tests {
             controller: ControllerPolicy::FrFcfs { window: 8 },
             ..base
         };
-        for (t_burst, t_row, t_cas) in [(1, 28, 14), (1, 5, 2), (3, 11, 0)] {
-            for controller in [base, frfcfs] {
-                let cfg = HbmConfig {
+        for controller in [base, frfcfs] {
+            let cfgs =
+                [(1, 28, 14), (1, 5, 2), (3, 11, 0)].map(|(t_burst, t_row, t_cas)| HbmConfig {
                     t_burst,
                     t_row,
                     t_cas,
                     ..controller
-                };
-                assert!(program.matches(&cfg));
-                let order = (cfg.controller != ControllerPolicy::InOrder).then_some(&schedule);
-                assert_steps_match_hbm(cfg, &program, order, &batches, &[3]);
+                });
+            assert!(cfgs.iter().all(|cfg| program.matches(cfg)));
+            let order = (controller.controller != ControllerPolicy::InOrder).then_some(&schedule);
+            let lanes = assert_lanes_match_hbm(cfgs, &program, order, &batches, &[3]);
+            for (l, cfg) in cfgs.into_iter().enumerate() {
+                let alone = assert_steps_match_hbm(cfg, &program, order, &batches, &[3]);
+                assert_eq!(alone.hbm_stats()[0], lanes.hbm_stats()[l]);
             }
         }
         // A different decode geometry is not a match.
@@ -1048,9 +1127,9 @@ mod tests {
         let mut builder = SpanProgramBuilder::new(&cfg).unwrap();
         builder.push_step(&[]);
         let program = builder.finish();
-        let mut replayer = SpanReplayer::new(&cfg).unwrap();
-        assert_eq!(replayer.replay_step(&program, None, 0, 42), 42);
-        assert_eq!(replayer.stats(), MemStats::default());
+        let mut replayer = SpanReplayer::new(&[cfg, HbmConfig { t_row: 3, ..cfg }]).unwrap();
+        assert_eq!(replayer.replay_step(&program, None, 0, [42, 7]), [42, 7]);
+        assert_eq!(replayer.stats(), [MemStats::default(); 2]);
         assert_eq!(program.total_tuples(), 0);
     }
 
@@ -1061,13 +1140,26 @@ mod tests {
             ..HbmConfig::hbm1()
         };
         assert!(SpanProgramBuilder::new(&bad).is_err());
-        assert!(SpanReplayer::new(&bad).is_err());
+        assert!(SpanReplayer::new(&[bad]).is_err());
         // FR-FCFS is native here, not a rejection.
         let fr = HbmConfig {
             controller: ControllerPolicy::FrFcfs { window: 16 },
             ..HbmConfig::hbm1()
         };
         assert!(SpanProgramBuilder::new(&fr).is_ok());
-        assert!(SpanReplayer::new(&fr).is_ok());
+        assert!(SpanReplayer::new(&[fr]).is_ok());
+        // Lanes share the geometry and the controller; a bad lane fails
+        // the replayer wherever it sits.
+        let base = HbmConfig::hbm1();
+        let retimed = HbmConfig { t_row: 5, ..base };
+        assert!(SpanReplayer::new(&[base, retimed]).is_ok());
+        assert!(SpanReplayer::new(&[base, fr]).is_err());
+        assert!(SpanReplayer::new(&[base, HbmConfig { banks: 8, ..base }]).is_err());
+        assert!(SpanReplayer::new(&[base, bad]).is_err());
+        let slow = HbmConfig {
+            t_row: HbmConfig::MAX_TIMING_CYCLES + 1,
+            ..base
+        };
+        assert!(SpanReplayer::new(&[base, slow]).is_err());
     }
 }

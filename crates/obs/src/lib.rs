@@ -41,7 +41,7 @@
 //! | `hbm_walk`         | Staged HBM drain (seed path, FR-FCFS controller)     |
 //! | `span_program_build` | One `SpanProgram` decode pass (cold evaluation)    |
 //! | `span_replay`      | One span-program step replay, or one FR-FCFS ordering pass |
-//! | `backend_eval`     | One `SimBackend::evaluate` call                      |
+//! | `backend_eval`     | One `SimBackend::evaluate` call or `evaluate_lanes` lane batch |
 //! | `campaign_batch`   | One fan-out batch inside `Campaign::run_points`      |
 //! | `store_open`       | `ResultStore::open` (scan, repair, quarantine)       |
 //! | `store_append`     | One durable `ResultStore::append`                    |
@@ -67,6 +67,7 @@
 //! | `plan_cache_hits`      | Graph plan-memo lookups served from the cache   |
 //! | `plan_cache_misses`    | Graph plan-memo lookups that built their value  |
 //! | `plan_cache_evictions` | Plan-memo insertions that evicted an entry      |
+//! | `timing_lanes`         | Points that ran as a non-first lane of a shared replay |
 //!
 //! The plan-memo counters cover the simulator's span programs, runtime
 //! samples and occupancy indexes (`Graph::memo`).
@@ -116,7 +117,8 @@ pub enum Phase {
     /// FR-FCFS ordering pass (`SpanProgram::schedule`) whose service
     /// order the replays walk.
     SpanReplay,
-    /// One `SimBackend::evaluate` call, any backend.
+    /// One `SimBackend::evaluate` call, any backend, or one
+    /// `evaluate_lanes` lane batch of the cycle backends.
     BackendEval,
     /// One fan-out batch inside `Campaign::run_points`.
     CampaignBatch,
@@ -206,10 +208,14 @@ pub enum Counter {
     PlanCacheMisses,
     /// Graph plan-memo insertions that evicted an older entry.
     PlanCacheEvictions,
+    /// Points that ran as a non-first lane of a shared span replay: they
+    /// paid neither sampling, the engines nor a program or schedule
+    /// lookup of their own.
+    TimingLanes,
 }
 
 /// Number of [`Counter`] variants.
-pub const N_COUNTERS: usize = 12;
+pub const N_COUNTERS: usize = 13;
 
 impl Counter {
     /// The stable snake_case name used in `metrics.json`.
@@ -227,6 +233,7 @@ impl Counter {
             Counter::PlanCacheHits => "plan_cache_hits",
             Counter::PlanCacheMisses => "plan_cache_misses",
             Counter::PlanCacheEvictions => "plan_cache_evictions",
+            Counter::TimingLanes => "timing_lanes",
         }
     }
 
@@ -245,6 +252,7 @@ impl Counter {
             Counter::PlanCacheHits,
             Counter::PlanCacheMisses,
             Counter::PlanCacheEvictions,
+            Counter::TimingLanes,
         ]
     }
 }
@@ -513,13 +521,26 @@ pub fn record_eval(backend: &str, latency: Duration) {
 /// is a single relaxed load followed by a direct call to `f`.
 #[inline]
 pub fn observe_eval<T, E>(backend: &str, f: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
+    observe_evals(backend, 1, f)
+}
+
+/// Run one evaluation of `points` design points (a lane batch) under a
+/// single `backend_eval` span, and record `points` latencies into the
+/// per-backend histogram, the batch's time split evenly, so the
+/// histogram still counts one evaluation per point. When collection is
+/// off this is a single relaxed load followed by a direct call to `f`.
+#[inline]
+pub fn observe_evals<T>(backend: &str, points: usize, f: impl FnOnce() -> T) -> T {
     if !enabled() {
         return f();
     }
     let _s = span(Phase::BackendEval);
     let start = Instant::now();
     let result = f();
-    record_eval(backend, start.elapsed());
+    let share = start.elapsed() / u32::try_from(points.max(1)).unwrap_or(u32::MAX);
+    for _ in 0..points {
+        record_eval(backend, share);
+    }
     result
 }
 

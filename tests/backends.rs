@@ -174,6 +174,91 @@ fn hbm_timing_past_the_bound_is_an_error_on_every_simulator_backend() {
     }
 }
 
+/// `Simulator::simulate_lanes` replays the configs that differ only in
+/// timing as the lanes of one pass. Batches mixing `t_burst`, `t_row`,
+/// `t_cas`, the clock and timeline recording, under both controllers
+/// (interleaved, so the two replay classes split and rejoin in input
+/// order) and on GCN and GSC (sampling), must report per config exactly
+/// what `simulate` and the seed `simulate_reference` report, directly
+/// and through the `cycle` backend's `evaluate_lanes`. GCN's classes
+/// hold six lanes (a 4-lane and a 2-lane replay), GSC's three. A lane
+/// whose `t_row` is past the bound fails alone with `SimError::Config`.
+#[test]
+fn simulate_lanes_equals_one_simulation_per_config() {
+    use hygcn_suite::core::Simulator;
+    use hygcn_suite::mem::hbm::ControllerPolicy;
+    let graph = hygcn_suite::graph::generator::rmat(1024, 8192, Default::default(), 21)
+        .unwrap()
+        .with_feature_len(32);
+    let too_slow = HbmConfig::MAX_TIMING_CYCLES + 1;
+    // (t_burst, t_row, t_cas, clock_ghz, record_timeline)
+    let timings = [
+        (1, 28, 14, 1.0, false),
+        (2, 14, 7, 1.5, true),
+        (1, too_slow, 14, 1.0, false),
+        (1, 56, 0, 0.7, false),
+        (3, 5, 20, 2.0, true),
+        (1, 28, 14, 1.0, true),
+        (2, 40, 3, 1.2, false),
+    ];
+    for (kind, lanes) in [(ModelKind::Gcn, 7), (ModelKind::GraphSage, 4)] {
+        let model = hygcn_suite::gcn::model::GcnModel::new(kind, 32, 0xC0DE).unwrap();
+        let mut configs = Vec::new();
+        for &(t_burst, t_row, t_cas, clock_ghz, record_timeline) in &timings[..lanes] {
+            for controller in [
+                ControllerPolicy::InOrder,
+                ControllerPolicy::FrFcfs { window: 16 },
+            ] {
+                configs.push(HyGcnConfig {
+                    clock_ghz,
+                    record_timeline,
+                    aggregation_buffer_bytes: 1 << 15,
+                    hbm: HbmConfig {
+                        t_burst,
+                        t_row,
+                        t_cas,
+                        controller,
+                        ..HbmConfig::hbm1()
+                    },
+                    ..HyGcnConfig::default()
+                });
+            }
+        }
+        let direct = Simulator::simulate_lanes(&graph, &model, &configs);
+        let via_backend = CycleAccurateBackend.evaluate_lanes(&graph, &model, &configs);
+        assert_eq!(direct.len(), configs.len());
+        assert_eq!(via_backend, direct, "{kind:?}");
+        let mut cycles = Vec::new();
+        for (cfg, lane) in configs.iter().zip(&direct) {
+            let label = format!("{kind:?} {:?}", cfg.hbm);
+            let sim = Simulator::new(cfg.clone());
+            assert_eq!(lane, &sim.simulate(&graph, &model), "{label}");
+            if cfg.hbm.t_row == too_slow {
+                assert!(
+                    matches!(lane, Err(SimError::Config(m)) if m.contains("t_row")),
+                    "{label}: {lane:?}"
+                );
+                continue;
+            }
+            let report = lane.as_ref().unwrap();
+            assert_eq!(
+                report,
+                &sim.simulate_reference(&graph, &model).unwrap(),
+                "{label}"
+            );
+            assert!(report.chunks > 1, "{label}: one chunk replays one step");
+            assert_eq!(report.timeline.is_empty(), !cfg.record_timeline, "{label}");
+            cycles.push(report.cycles);
+        }
+        cycles.sort_unstable();
+        cycles.dedup();
+        assert!(
+            cycles.len() > 4,
+            "{kind:?}: the timings must move the cycles: {cycles:?}"
+        );
+    }
+}
+
 #[test]
 fn analytical_rank_correlates_with_cycle_accurate_on_the_pinned_grid() {
     let points = fidelity_grid().enumerate().unwrap();

@@ -27,7 +27,7 @@ use hygcn_bench::figures::{find_figure, run_figure, FigureCtx};
 use hygcn_suite::baseline::backend::resolve;
 use hygcn_suite::core::config::{HyGcnConfig, PipelineMode};
 use hygcn_suite::core::Simulator;
-use hygcn_suite::dse::campaign::Campaign;
+use hygcn_suite::dse::campaign::{Campaign, MODEL_SEED};
 use hygcn_suite::dse::space::{cache_key, Axis, ConfigSpace, WorkloadSpec};
 use hygcn_suite::gcn::model::{GcnModel, ModelKind};
 use hygcn_suite::graph::datasets::DatasetKey;
@@ -430,6 +430,63 @@ fn frfcfs_schedule_is_ordered_once_per_window() {
     // their schedule.
     assert_eq!(counter(obs::Counter::PlanCacheHits), 2 * points + 3);
     assert_eq!(counter(obs::Counter::PlanCacheEvictions), 0);
+    obs::reset();
+}
+
+/// A campaign evaluates the points of one replay class (they differ
+/// only in timing) as the lanes of one replay. Over
+/// `t-row × controller × clock-ghz`, at one and at two worker threads,
+/// its reports must be byte-identical to simulating the same points one
+/// at a time, and each class of six points must replay as a 4-lane and a
+/// 2-lane pass: four non-first lanes per class.
+#[test]
+fn timing_lanes_match_one_point_at_a_time_at_any_thread_count() {
+    let _guard = obs_guard();
+    let space = ConfigSpace::new(
+        vec![WorkloadSpec::dataset(DatasetKey::Ib, 0.1, 3)],
+        vec![ModelKind::Gcn, ModelKind::GraphSage],
+    )
+    .with_axis(Axis::parse("t-row", "14,28,56").unwrap())
+    .with_axis(Axis::parse("controller", "inorder,frfcfs").unwrap())
+    .with_axis(Axis::parse("clock-ghz", "1.0,1.5").unwrap());
+    let points = space.enumerate().unwrap();
+    assert_eq!(points.len(), 24);
+    let graph = points[0].workload.build().unwrap();
+    let alone: Vec<String> = points
+        .iter()
+        .map(|p| {
+            let model = GcnModel::new(p.model, graph.feature_len(), MODEL_SEED).unwrap();
+            let report = Simulator::new(p.config.clone()).simulate(&graph, &model);
+            report.unwrap().to_json_compact()
+        })
+        .collect();
+    // The thread count is read per batch; the guard serializes every
+    // test of this binary, so none reads the variable meanwhile.
+    let saved = std::env::var("HYGCN_THREADS").ok();
+    for threads in ["1", "2"] {
+        std::env::set_var("HYGCN_THREADS", threads);
+        obs::reset();
+        obs::enable();
+        let report = Campaign::new(space.clone()).run();
+        obs::disable();
+        let report = report.unwrap();
+        assert_eq!(report.simulated, 24, "{threads} thread(s)");
+        let lanes: Vec<String> = report.completed().map(|c| c.report_json.clone()).collect();
+        assert_eq!(lanes, alone, "{threads} thread(s)");
+        assert_eq!(
+            obs::counter_value(obs::Counter::TimingLanes),
+            4 * 4,
+            "{threads} thread(s)"
+        );
+        if threads == "1" {
+            // Two workers missing on one program may both decode it.
+            assert_eq!(program_builds(), 2, "one decode per model");
+        }
+    }
+    match saved {
+        Some(v) => std::env::set_var("HYGCN_THREADS", v),
+        None => std::env::remove_var("HYGCN_THREADS"),
+    }
     obs::reset();
 }
 

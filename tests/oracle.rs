@@ -185,7 +185,9 @@ proptest! {
     /// geometries, mappings, controllers, and timing — per-step
     /// completion cycles and every statistics counter. The program and
     /// its FR-FCFS schedule are built once and replayed under two
-    /// independently drawn timings, each against a fresh staged `Hbm`.
+    /// independently drawn timings as the two lanes of one pass, each
+    /// lane against its own fresh staged `Hbm`, and under the first
+    /// timing alone.
     #[test]
     fn span_program_replay_matches_staged_hbm_at_any_geometry(
         chpow in 0u32..4,       // channels 1/2/4/8
@@ -267,18 +269,27 @@ proptest! {
             t_cas: t_cas2,
             ..cfg
         };
-        for cfg in [cfg, retimed] {
-            let mut hbm = Hbm::new(cfg);
-            let mut replayer = SpanReplayer::new(&cfg).expect("valid geometry");
-            let mut now = 0;
-            for (step, b) in batches.iter().enumerate() {
-                let t_hbm = hbm.service_batch(b, now);
-                let t_replay = replayer.replay_step(&program, schedule.as_ref(), step, now);
-                prop_assert_eq!(t_hbm, t_replay, "step {} diverged: {:?}", step, cfg);
-                now = t_hbm + gaps[step];
+        // One 2-lane pass replays both timings; each lane must equal its
+        // own staged `Hbm` at every step, in completion, statistics and
+        // channel statistics. A 1-lane replay of the first timing must
+        // agree as well.
+        let mut lanes = SpanReplayer::new(&[cfg, retimed]).expect("valid geometry");
+        let mut alone = SpanReplayer::new(&[cfg]).expect("valid geometry");
+        let mut hbms = [Hbm::new(cfg), Hbm::new(retimed)];
+        let mut now = [0; 2];
+        for (step, b) in batches.iter().enumerate() {
+            let t_lanes = lanes.replay_step(&program, schedule.as_ref(), step, now);
+            let [t_alone] = alone.replay_step(&program, schedule.as_ref(), step, [now[0]]);
+            let (stats, channels) = (lanes.stats(), lanes.channel_stats());
+            for (l, hbm) in hbms.iter_mut().enumerate() {
+                let t_hbm = hbm.service_batch(b, now[l]);
+                prop_assert_eq!(t_hbm, t_lanes[l], "step {} diverged in lane {}", step, l);
+                prop_assert_eq!(hbm.stats(), stats[l], "step {} lane {}", step, l);
+                prop_assert_eq!(hbm.channel_stats(), channels[l].clone(), "step {} lane {}", step, l);
+                now[l] = t_hbm + gaps[step];
             }
-            prop_assert_eq!(hbm.stats(), replayer.stats(), "{:?}", cfg);
-            prop_assert_eq!(hbm.channel_stats(), replayer.channel_stats(), "{:?}", cfg);
+            prop_assert_eq!(t_alone, t_lanes[0], "step {} diverged alone: {:?}", step, cfg);
+            prop_assert_eq!(alone.hbm_stats(), [lanes.hbm_stats()[0].clone()], "step {}", step);
         }
     }
 }
