@@ -2,8 +2,9 @@
 //! simulator and substrates: graph synthesis, interval partitioning,
 //! window planning, neighbor sampling, gather aggregation, dense MVM,
 //! fixed-point MVM, HBM batch service, the FR-FCFS span-program ordering
-//! pass and its replay (one timing, and three timings as the lanes of
-//! one pass), and an end-to-end simulation per model.
+//! pass (on a program that keeps arrival order and on one it reorders)
+//! and its replay (one timing, and three timings as the lanes of one
+//! pass), and an end-to-end simulation per model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -20,6 +21,7 @@ use hygcn_graph::window::WindowPlanner;
 use hygcn_graph::Graph;
 use hygcn_mem::hbm::ControllerPolicy;
 use hygcn_mem::request::{MemRequest, RequestKind};
+use hygcn_mem::scheduler::{AccessScheduler, CoordinationMode};
 use hygcn_mem::{Hbm, HbmConfig, SpanProgramBuilder, SpanReplayer};
 use hygcn_tensor::{linalg, Matrix};
 
@@ -111,39 +113,100 @@ fn bench_hbm(c: &mut Criterion) {
     });
 }
 
-/// The two halves of an FR-FCFS span replay over one program: the
-/// once-per-window ordering pass and the straight-line timing replay a
-/// sweep repeats per point, alone and as three `t_row` lanes of one
-/// pass. The program interleaves two bank-conflicting row streams per
-/// channel, so the 32-deep window has hits to promote.
-fn bench_span_frfcfs(c: &mut Criterion) {
-    let cfg = HbmConfig {
-        controller: ControllerPolicy::FrFcfs { window: 32 },
-        ..HbmConfig::hbm1()
-    };
-    let bank_stride = cfg.row_bytes * cfg.channels as u64 * cfg.banks as u64;
-    let mut builder = SpanProgramBuilder::new(&cfg).expect("valid geometry");
-    for step in 0..64u64 {
-        let base = step * 4 * bank_stride;
-        let batch: Vec<MemRequest> = (0..512u64)
-            .map(|i| {
-                let row = base + (i % 2) * bank_stride;
-                MemRequest::read(RequestKind::InputFeatures, row + (i / 2) * 64 % 16384, 64)
-            })
-            .collect();
+/// One pipeline step's DRAM requests as the engines issue them, the
+/// four streams interleaved: feature reads of a gappy, ascending source
+/// set, edge-list reads, and every 8th source a weight read and an
+/// output write. All four sit in one 128 MB region, so the
+/// row-interleaved mapping puts them on one channel.
+fn step_requests(step: u64) -> Vec<MemRequest> {
+    const EDGES: u64 = 48 << 20;
+    const WEIGHTS: u64 = 80 << 20;
+    const OUTPUTS: u64 = 112 << 20;
+    let mut batch = Vec::new();
+    for i in 0..256u64 {
+        let v = step * 1024 + 3 * i;
+        batch.push(MemRequest::read(RequestKind::InputFeatures, v * 512, 512));
+        batch.push(MemRequest::read(
+            RequestKind::Edges,
+            EDGES + (step * 256 + i) * 64,
+            64,
+        ));
+        if i % 8 == 0 {
+            let j = step * 32 + i / 8;
+            batch.push(MemRequest::read(
+                RequestKind::Weights,
+                WEIGHTS + j * 2048,
+                2048,
+            ));
+            batch.push(MemRequest::write(
+                RequestKind::OutputFeatures,
+                OUTPUTS + j * 2048,
+                2048,
+            ));
+        }
+    }
+    batch
+}
+
+/// The span program of 64 steps of [`step_requests`], each batch ordered
+/// by `coordination` and decoded under `hbm`.
+fn step_program(coordination: CoordinationMode, hbm: &HbmConfig) -> hygcn_mem::SpanProgram {
+    let scheduler = AccessScheduler::new(coordination);
+    let mut builder = SpanProgramBuilder::new(hbm).expect("valid geometry");
+    let mut scratch = Vec::new();
+    for step in 0..64 {
+        let mut batch = step_requests(step);
+        scheduler.order_in_place(&mut batch, &mut scratch);
         builder.push_step(&batch);
     }
-    let program = builder.finish();
-    c.bench_function("span/frfcfs_schedule", |b| {
-        b.iter(|| black_box(program.schedule(32).expect("runs fit the index")))
-    });
-    let schedule = program.schedule(32).expect("runs fit the index");
+    builder.finish()
+}
+
+/// The two halves of an FR-FCFS span replay: the once-per-window
+/// ordering pass and the straight-line timing replay a sweep repeats
+/// per point, alone and as three `t_row` lanes of one pass. The ordering
+/// pass is timed on both of its outcomes. HyGCN's coordinated batches
+/// (priority classes, channel-interleaved mapping) leave the 32-deep
+/// window nothing to promote, so the identity pass alone decides it;
+/// FCFS batches on the row-interleaved mapping interleave the streams
+/// on one channel, so hits overtake misses and the ring orders the
+/// program. The replays walk the latter's schedule.
+fn bench_span_frfcfs(c: &mut Criterion) {
+    let frfcfs = ControllerPolicy::FrFcfs { window: 32 };
+    let coordinated = step_program(
+        CoordinationMode::PriorityBatched,
+        &HbmConfig {
+            controller: frfcfs,
+            ..HbmConfig::hbm1()
+        },
+    );
+    let cfg = HbmConfig {
+        controller: frfcfs,
+        ..HbmConfig::hbm1_uncoordinated()
+    };
+    let uncoordinated = step_program(CoordinationMode::Fcfs, &cfg);
+    let kept = coordinated.schedule(32).expect("runs fit the index");
+    assert!(kept.is_none(), "coordinated batches keep arrival order");
+    let schedule = uncoordinated
+        .schedule(32)
+        .expect("runs fit the index")
+        .expect("FCFS batches reorder");
+    let mut group = c.benchmark_group("span/frfcfs_schedule");
+    for (name, program) in [
+        ("coordinated", &coordinated),
+        ("fcfs_row_interleaved", &uncoordinated),
+    ] {
+        group.bench_with_input(BenchmarkId::from_parameter(name), program, |b, p| {
+            b.iter(|| black_box(p.schedule(32).expect("runs fit the index")))
+        });
+    }
+    group.finish();
     c.bench_function("span/frfcfs_replay", |b| {
-        b.iter(|| black_box(replay(&program, &schedule, [cfg])))
+        b.iter(|| black_box(replay(&uncoordinated, &schedule, [cfg])))
     });
     let lanes = [14, 28, 56].map(|t_row| HbmConfig { t_row, ..cfg });
     c.bench_function("span/replay_lanes", |b| {
-        b.iter(|| black_box(replay(&program, &schedule, lanes)))
+        b.iter(|| black_box(replay(&uncoordinated, &schedule, lanes)))
     });
 }
 

@@ -19,10 +19,12 @@
 //! * `evaluate_lanes` is `evaluate` over a batch: entry `i` equals
 //!   `evaluate(graph, model, &configs[i])`, error or report, bit for
 //!   bit. The default loops over `evaluate`; `cycle` and `cycle-fast`
-//!   override it with [`Simulator::simulate_lanes`], which replays the
-//!   configs that differ only in timing as lanes of one pass. The
-//!   campaign executor hands every backend its points this way, grouped
-//!   by [`HyGcnConfig::replay_class`].
+//!   override it with [`Simulator::simulate_lanes`], which decodes once
+//!   per decode class and replays each distinct service order and
+//!   timing once, as a lane of a shared pass. The campaign executor
+//!   hands every backend its points this way, grouped by
+//!   [`HyGcnConfig::decode_class`] and split into groups of at most
+//!   [`hygcn_mem::MAX_LANES`] HBM timings.
 //! * `backend_id` is a **stable, lowercase token** (`"cycle"`, `"seed"`,
 //!   `"analytical"`, `"cpu"`, `"gpu"`). It is hashed into every
 //!   persisted cache key (the `"cycle"` id is elided for backward

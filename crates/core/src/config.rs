@@ -300,9 +300,10 @@ impl HyGcnConfig {
     /// with the controller policy kept. Configs of one class differ only
     /// in the clock, timeline recording and the HBM timing
     /// (`hbm.{t_burst, t_row, t_cas}`), so they replay one span program
-    /// in one service order — FR-FCFS's schedule is memoized under this
-    /// key — and run as the lanes of one replay
-    /// ([`crate::sim::Simulator::simulate_lanes`]).
+    /// in one service order: FR-FCFS's schedule is memoized under this
+    /// key. ([`crate::sim::Simulator::simulate_lanes`] shares lanes
+    /// wider, across the replay classes of one decode class whose
+    /// service orders agree.)
     pub fn replay_class(&self) -> Self {
         let mut class = self.decode_class();
         class.hbm.controller = self.hbm.controller;

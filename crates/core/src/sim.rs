@@ -11,12 +11,13 @@
 //! ## One simulation path on precompiled machinery
 //!
 //! [`Simulator::simulate_lanes`] is the only cycle-level simulation path:
-//! [`Simulator::simulate`] is its one-lane call, and the `cycle` and
+//! [`Simulator::simulate`] is its one-config call, and the `cycle` and
 //! `cycle-fast` backend ids call it through `evaluate` and
 //! `evaluate_lanes`. It validates each config on its own and groups the
-//! valid ones by [`HyGcnConfig::replay_class`]; configs of one class
-//! differ only in the clock, timeline recording and HBM timing, so they
-//! share every stage but the last. One class runs in three stages:
+//! valid ones by [`HyGcnConfig::decode_class`]; configs of one class
+//! differ only in the clock, timeline recording, HBM timing and the
+//! controller, so they share every stage but the last. One class runs
+//! in three stages:
 //!
 //! 1. [`EventSchedule::build`] chunks the destinations and lists every
 //!    chunk's effectual windows, read off the graph's cached occupancy
@@ -27,21 +28,30 @@
 //!    pipeline step's scheduler-ordered request batch, decoded once into
 //!    per-channel `(bank, row, bursts)` runs and cached on the graph, so
 //!    a warm evaluation never assembles, orders or decodes a batch (see
-//!    [`hygcn_mem::spanprog`]). Under FR-FCFS the replay walks the
-//!    program's [`SpanSchedule`], the controller's service order, ordered
-//!    once and cached beside the program. The class's configs are the
-//!    lanes of one replay, [`MAX_LANES`] at a time, stepped in lockstep:
-//!    each lane keeps its own `now`, step cycles, timeline and report.
+//!    [`hygcn_mem::spanprog`]). A config's *service order* is program
+//!    order (in order, or FR-FCFS whose [`SpanProgram::schedule`] is
+//!    `None` because it keeps arrival order) or its window's
+//!    [`SpanSchedule`], ordered once and cached beside the program. Each
+//!    distinct (service order, `t_burst`, `t_row`, `t_cas`) is one
+//!    *lane*; the lanes of one order replay [`MAX_LANES`] per pass,
+//!    stepped in lockstep, each with its own `now`, step cycles and
+//!    timeline. Every config's report is built from its lane with its
+//!    own clock and timeline recording.
 //!
 //! Stages 1 and 2 and the program and schedule lookups run once per
-//! class, so a lane after the first costs only its share of the replay
-//! (the `timing_lanes` counter counts such lanes).
+//! class, and the replay once per lane, so a config costs only its
+//! report when another config of its order and timing started its lane,
+//! and only its lane's share of a pass otherwise (the `timing_lanes`
+//! counter counts both kinds of rider). A coordinated controller sweep
+//! therefore costs one identity pass per program and window, and one
+//! replay per timing.
 //!
 //! ## What is memoized on the graph
 //!
 //! Four derived values live in the graph's plan memo ([`Graph::memo`]),
 //! each lookup counted by the `plan_cache_*` [`hygcn_obs::Counter`]s
-//! (one lookup per replay class, not per lane):
+//! (one lookup per decode class, or per FR-FCFS window of one, not per
+//! lane):
 //!
 //! * **Occupancy indexes**, keyed by the chunking (see
 //!   [`crate::schedule`]).
@@ -53,6 +63,7 @@
 //!   [`HyGcnConfig::replay_class`]`)`: the program's key plus the
 //!   controller. The service order depends on no timing field, so a
 //!   timing sweep orders each program once per window and only replays.
+//!   A window that keeps arrival order memoizes `None`, no order array.
 //! * **Runtime samples**, keyed by `(sample_seed, policy)` on the parent
 //!   graph: the [`Sampler`] is deterministic in topology, seed and
 //!   policy. A sampling model therefore reuses its sample, and the
@@ -72,7 +83,7 @@ use hygcn_gcn::model::{GcnModel, ModelKind, DIFFPOOL_CLUSTERS};
 use hygcn_graph::partition::Interval;
 use hygcn_graph::sampling::Sampler;
 use hygcn_graph::{Graph, MemoOutcome};
-use hygcn_mem::hbm::ControllerPolicy;
+use hygcn_mem::hbm::{ControllerPolicy, HbmConfig};
 use hygcn_mem::request::{MemRequest, RequestArena, RequestKind};
 use hygcn_mem::scheduler::AccessScheduler;
 use hygcn_mem::spanprog::{SpanProgram, SpanProgramBuilder, SpanReplayer, SpanSchedule, MAX_LANES};
@@ -129,12 +140,16 @@ impl Simulator {
     /// under `configs[i]`.
     ///
     /// Each config is validated on its own, so a bad one fails alone.
-    /// The valid configs are grouped by [`HyGcnConfig::replay_class`]:
+    /// The valid configs are grouped by [`HyGcnConfig::decode_class`]:
     /// a class samples, builds its [`EventSchedule`], runs the engines
-    /// and looks up its span program and FR-FCFS schedule once, then
-    /// replays its configs as the lanes of one pass over the program,
-    /// [`MAX_LANES`] at a time, in lockstep (one `now`, step-cycle list,
-    /// timeline and report per lane).
+    /// and looks up its span program once, and each of its FR-FCFS
+    /// windows' schedule once. A config's service order is program
+    /// order (in order, or FR-FCFS whose schedule is `None`) or its
+    /// schedule; each distinct (service order, `t_burst`, `t_row`,
+    /// `t_cas`) replays once, as one lane of a pass over the program,
+    /// [`MAX_LANES`] lanes of one order per pass, in lockstep. Every
+    /// config's report is built from its lane, with its own clock and
+    /// timeline.
     pub fn simulate_lanes(
         graph: &Graph,
         model: &GcnModel,
@@ -151,22 +166,22 @@ impl Simulator {
             if reports[i].is_err() {
                 continue;
             }
-            let class = cfg.replay_class();
+            let class = cfg.decode_class();
             match classes.iter_mut().find(|(c, _)| *c == class) {
-                Some((_, lanes)) => lanes.push(i),
+                Some((_, members)) => members.push(i),
                 None => classes.push((class, vec![i])),
             }
         }
-        for (_, lanes) in classes {
-            let cfgs: Vec<&HyGcnConfig> = lanes.iter().map(|&i| &configs[i]).collect();
+        for (_, members) in classes {
+            let cfgs: Vec<&HyGcnConfig> = members.iter().map(|&i| &configs[i]).collect();
             match simulate_class(graph, model, &cfgs) {
                 Ok(class) => {
-                    for (i, report) in lanes.into_iter().zip(class) {
+                    for (i, report) in members.into_iter().zip(class) {
                         reports[i] = Ok(report);
                     }
                 }
                 Err(e) => {
-                    for i in lanes {
+                    for i in members {
                         reports[i] = Err(e.clone());
                     }
                 }
@@ -182,33 +197,112 @@ const _: () = assert!(
     "simulate_class must dispatch every lane count"
 );
 
-/// Simulates `cfgs`, valid configs of one replay class, sharing every
-/// stage their timing fields do not reach; one report per config.
+/// Simulates `cfgs`, valid configs of one decode class, sharing every
+/// stage their controller and timing fields do not reach; one report
+/// per config.
 fn simulate_class(
     graph: &Graph,
     model: &GcnModel,
     cfgs: &[&HyGcnConfig],
 ) -> Result<Vec<SimReport>, SimError> {
-    let Some(&cfg) = cfgs.first() else {
+    if cfgs.is_empty() {
         return Ok(Vec::new());
-    };
-    let run = Prepared::new(graph, model, cfg)?;
-    let mut reports = Vec::with_capacity(cfgs.len());
-    for chunk in cfgs.chunks(MAX_LANES) {
-        hygcn_obs::count(hygcn_obs::Counter::TimingLanes, chunk.len() as u64 - 1);
-        match chunk.len() {
-            1 => run.replay::<1>(chunk, &mut reports),
-            2 => run.replay::<2>(chunk, &mut reports),
-            3 => run.replay::<3>(chunk, &mut reports),
-            _ => run.replay::<MAX_LANES>(chunk, &mut reports),
-        }?;
     }
-    Ok(reports)
+    let run = Prepared::new(graph, model, cfgs)?;
+    // The class's service orders, each with its distinct timings (the
+    // lanes) and, once replayed, their runs.
+    let mut orders: Vec<OrderLanes> = Vec::new();
+    let mut lane_of = Vec::with_capacity(cfgs.len());
+    for cfg in cfgs {
+        let order = run.service_order(&cfg.hbm);
+        let o = match orders.iter().position(|o| same_order(o.order, order)) {
+            Some(o) => o,
+            None => {
+                orders.push(OrderLanes {
+                    order,
+                    lanes: Vec::new(),
+                    runs: Vec::new(),
+                });
+                orders.len() - 1
+            }
+        };
+        lane_of.push((o, orders[o].lane(cfg)));
+    }
+    let mut passes = 0;
+    for o in &mut orders {
+        for pass in o.lanes.chunks(MAX_LANES) {
+            passes += 1;
+            let runs = match pass.len() {
+                1 => run.replay::<1>(o.order, pass),
+                2 => run.replay::<2>(o.order, pass),
+                3 => run.replay::<3>(o.order, pass),
+                _ => run.replay::<MAX_LANES>(o.order, pass),
+            }?;
+            o.runs.extend(runs);
+        }
+    }
+    hygcn_obs::count(
+        hygcn_obs::Counter::TimingLanes,
+        (cfgs.len() - passes) as u64,
+    );
+    Ok(cfgs
+        .iter()
+        .zip(lane_of)
+        .map(|(cfg, (o, l))| run.report(cfg, &orders[o].runs[l]))
+        .collect())
 }
 
-/// Everything of one replay class that no lane's timing reaches: the
-/// chunking, the engines' per-chunk records and activity, the pipeline
-/// steps, and the span program (with its FR-FCFS schedule).
+/// The lanes of one service order: each distinct HBM timing (with
+/// whether any of its configs records a timeline) and, once replayed,
+/// its run.
+struct OrderLanes<'a> {
+    /// Program order (`None`) or an FR-FCFS schedule.
+    order: Option<&'a SpanSchedule>,
+    lanes: Vec<(HbmConfig, bool)>,
+    runs: Vec<LaneRun>,
+}
+
+impl OrderLanes<'_> {
+    /// The lane of `cfg`'s HBM timing, added if new, and marked for a
+    /// timeline when `cfg` records one.
+    fn lane(&mut self, cfg: &HyGcnConfig) -> usize {
+        let timing = |h: &HbmConfig| (h.t_burst, h.t_row, h.t_cas);
+        let found = self
+            .lanes
+            .iter()
+            .position(|(h, _)| timing(h) == timing(&cfg.hbm));
+        let l = found.unwrap_or_else(|| {
+            self.lanes.push((cfg.hbm, false));
+            self.lanes.len() - 1
+        });
+        self.lanes[l].1 |= cfg.record_timeline;
+        l
+    }
+}
+
+/// Whether two service orders are the same one: both program order, or
+/// one memoized schedule.
+fn same_order(a: Option<&SpanSchedule>, b: Option<&SpanSchedule>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(a), Some(b)) => std::ptr::eq(a, b),
+        _ => false,
+    }
+}
+
+/// What one lane's replay yields: its step cycles, timeline (when
+/// recorded) and memory statistics.
+struct LaneRun {
+    step_cycles: Vec<u64>,
+    timeline: Vec<ChunkTrace>,
+    stats: MemStats,
+    channels: Vec<ChannelStats>,
+}
+
+/// Everything of one decode class that no controller or timing field
+/// reaches: the chunking, the engines' per-chunk records and activity,
+/// the pipeline steps, the span program and the class's FR-FCFS
+/// schedules.
 struct Prepared {
     sched: EventSchedule,
     aggs: Vec<ChunkAggregation>,
@@ -216,15 +310,19 @@ struct Prepared {
     act: Activity,
     steps: Vec<Step>,
     program: Arc<SpanProgram>,
-    schedule: Option<Arc<SpanSchedule>>,
+    /// Per FR-FCFS window of the class, its memoized schedule (`None`:
+    /// the window keeps arrival order).
+    schedules: Vec<(usize, Arc<Option<SpanSchedule>>)>,
     /// Vertices of the (sampled) graph.
     vertices: u64,
     sparsity_reduction: f64,
 }
 
 impl Prepared {
-    /// Runs the timing-free stages for `cfg`, a validated config.
-    fn new(graph: &Graph, model: &GcnModel, cfg: &HyGcnConfig) -> Result<Self, SimError> {
+    /// Runs the timing-free stages for `cfgs`, validated configs of one
+    /// decode class (at least one).
+    fn new(graph: &Graph, model: &GcnModel, cfgs: &[&HyGcnConfig]) -> Result<Self, SimError> {
+        let cfg = cfgs[0];
         let f_in = model.feature_len();
         let row_bytes = f_in * 4;
 
@@ -354,17 +452,21 @@ impl Prepared {
         count_memo(outcome);
         debug_assert!(program.matches(&cfg.hbm) && program.steps() == steps.len());
         // FR-FCFS's service order depends on the program and the window
-        // alone, so one ordering pass serves every timing point.
-        let schedule = match cfg.hbm.controller {
-            ControllerPolicy::InOrder => None,
-            ControllerPolicy::FrFcfs { window } => {
-                let (schedule, outcome) = g.memo((kind, f_in, cfg.replay_class()), || {
-                    program.schedule(window).map_err(SimError::Config)
-                })?;
-                count_memo(outcome);
-                Some(schedule)
+        // alone, so one ordering pass per window serves every timing.
+        let mut schedules = Vec::new();
+        for cfg in cfgs {
+            let ControllerPolicy::FrFcfs { window } = cfg.hbm.controller else {
+                continue;
+            };
+            if schedules.iter().any(|&(w, _)| w == window) {
+                continue;
             }
-        };
+            let (schedule, outcome) = g.memo((kind, f_in, cfg.replay_class()), || {
+                program.schedule(window).map_err(SimError::Config)
+            })?;
+            count_memo(outcome);
+            schedules.push((window, schedule));
+        }
 
         let total_rows_loaded: u64 = aggs.iter().map(|a| a.feature_rows_loaded).sum();
         let baseline_rows = n * nchunks as u64;
@@ -380,23 +482,36 @@ impl Prepared {
             act,
             steps,
             program,
-            schedule,
+            schedules,
             vertices: n,
             sparsity_reduction,
         })
     }
 
-    /// Replays the program once for `lanes` (exactly `L` configs of this
-    /// class) in lockstep and appends one report per lane.
+    /// The service order of `hbm`'s controller: program order (`None`)
+    /// in order or when its FR-FCFS window keeps arrival order, else the
+    /// window's schedule.
+    fn service_order(&self, hbm: &HbmConfig) -> Option<&SpanSchedule> {
+        let ControllerPolicy::FrFcfs { window } = hbm.controller else {
+            return None;
+        };
+        let (_, schedule) = self.schedules.iter().find(|&&(w, _)| w == window)?;
+        schedule.as_ref().as_ref()
+    }
+
+    /// Replays the program once in `order` for `lanes` (exactly `L`
+    /// timings, each with whether to record its timeline) in lockstep;
+    /// one run per lane.
     fn replay<const L: usize>(
         &self,
-        lanes: &[&HyGcnConfig],
-        reports: &mut Vec<SimReport>,
-    ) -> Result<(), SimError> {
-        let lanes: &[&HyGcnConfig; L] = lanes.try_into().map_err(|_| {
-            SimError::Config(format!("{} configs replayed as {L} lanes", lanes.len()))
+        order: Option<&SpanSchedule>,
+        lanes: &[(HbmConfig, bool)],
+    ) -> Result<Vec<LaneRun>, SimError> {
+        let lanes: &[(HbmConfig, bool); L] = lanes.try_into().map_err(|_| {
+            SimError::Config(format!("{} timings replayed as {L} lanes", lanes.len()))
         })?;
-        let mut replayer = SpanReplayer::new(&lanes.map(|c| c.hbm)).map_err(SimError::Config)?;
+        let hbms: [HbmConfig; L] = std::array::from_fn(|l| lanes[l].0);
+        let mut replayer = SpanReplayer::new(&hbms).map_err(SimError::Config)?;
 
         // --- Timeline through the shared memory handler. ---
         // A step lasts as long as its slowest resource: either engine's
@@ -406,13 +521,13 @@ impl Prepared {
             std::array::from_fn(|_| Vec::with_capacity(self.steps.len()));
         let mut timelines: [Vec<ChunkTrace>; L] = std::array::from_fn(|_| Vec::new());
         for (s, step) in self.steps.iter().enumerate() {
-            let done = replayer.replay_step(&self.program, self.schedule.as_deref(), s, now);
+            let done = replayer.replay_step(&self.program, order, s, now);
             let agg_cycles = step.agg.map_or(0, |i| self.aggs[i].compute_cycles);
             let comb_cycles = step.comb.map_or(0, |i| self.combs[i].compute_cycles);
             for l in 0..L {
                 let mem_cycles = done[l].saturating_sub(now[l]);
                 let cycles = agg_cycles.max(comb_cycles).max(mem_cycles);
-                if lanes[l].record_timeline {
+                if lanes[l].1 {
                     timelines[l].push(ChunkTrace {
                         step: s,
                         agg_cycles,
@@ -427,28 +542,24 @@ impl Prepared {
         }
 
         let (stats, channels) = (replayer.stats(), replayer.channel_stats());
-        for ((((cfg, cycles), timeline), stats), mem_channels) in lanes
-            .iter()
-            .zip(step_cycles)
+        Ok(step_cycles
+            .into_iter()
             .zip(timelines)
             .zip(stats)
             .zip(channels)
-        {
-            reports.push(self.report(cfg, &cycles, timeline, stats, mem_channels));
-        }
-        Ok(())
+            .map(|(((step_cycles, timeline), stats), channels)| LaneRun {
+                step_cycles,
+                timeline,
+                stats,
+                channels,
+            })
+            .collect())
     }
 
-    /// The report of one lane: `cfg` with its step cycles, timeline and
-    /// memory statistics.
-    fn report(
-        &self,
-        cfg: &HyGcnConfig,
-        step_cycles: &[u64],
-        timeline: Vec<ChunkTrace>,
-        stats: MemStats,
-        mem_channels: Vec<ChannelStats>,
-    ) -> SimReport {
+    /// The report of `cfg` from its lane's run: its own clock, and the
+    /// lane's timeline if `cfg` records one.
+    fn report(&self, cfg: &HyGcnConfig, lane: &LaneRun) -> SimReport {
+        let step_cycles = &lane.step_cycles;
         // --- Vertex latency (the Fig. 8 timing of each mode). ---
         let intervals = self.sched.intervals();
         let mut vertex_latency_weighted = 0f64;
@@ -482,9 +593,10 @@ impl Prepared {
             time_s,
             agg_compute_cycles: self.aggs.iter().map(|a| a.compute_cycles).sum(),
             comb_compute_cycles: self.combs.iter().map(|c| c.compute_cycles).sum(),
-            mem: stats,
-            mem_channels,
-            bandwidth_utilization: stats
+            mem: lane.stats,
+            mem_channels: lane.channels.clone(),
+            bandwidth_utilization: lane
+                .stats
                 .bandwidth_utilization(cycles, cfg.hbm.peak_bytes_per_cycle()),
             energy: EnergyBreakdown::from_activity(&self.act).with_static(time_s),
             avg_vertex_latency_cycles: vertex_latency_weighted / self.vertices.max(1) as f64,
@@ -492,7 +604,11 @@ impl Prepared {
             chunks: intervals.len(),
             elem_ops: self.act.simd_ops,
             macs: self.act.macs,
-            timeline,
+            timeline: if cfg.record_timeline {
+                lane.timeline.clone()
+            } else {
+                Vec::new()
+            },
             provenance: "",
             metrics: Vec::new(),
         }

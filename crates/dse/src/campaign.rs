@@ -11,23 +11,29 @@
 //!    the campaign's speed comes from. A [`WorkloadMemo`] extends the
 //!    sharing across campaigns: a run of several campaigns handed one
 //!    memo builds each workload once.
-//! 2. **Replay timing points together.** Within a workload group, the
-//!    missing points are grouped again by `(backend, model,`
-//!    [`HyGcnConfig::replay_class`]`)`, in order of first occurrence,
-//!    into *lane groups* of at most [`MAX_LANES`] points: points that
-//!    differ only in the clock, timeline recording or HBM timing. A lane
-//!    group is one [`SimBackend::evaluate_lanes`] call; on the cycle
-//!    backends its points share sampling, the engines and the program
-//!    and schedule lookups, and replay as the lanes of one pass.
+//! 2. **Replay controller and timing points together.** Within a
+//!    workload group, the missing points are grouped again by
+//!    `(backend, model,` [`HyGcnConfig::decode_class`]`)`, in order of
+//!    first occurrence: points that differ only in the controller,
+//!    clock, timeline recording or HBM timing. Each such class splits
+//!    into *lane groups* of at most [`MAX_LANES`] distinct HBM timings
+//!    (`t_burst`, `t_row`, `t_cas`), every point of a timing in its
+//!    timing's group. A lane group is one [`SimBackend::evaluate_lanes`]
+//!    call; on the cycle backends its points share sampling, the
+//!    engines and the program and schedule lookups, and each distinct
+//!    service order and timing replays once, as a lane of a shared
+//!    pass. A `t-row × controller` sweep is one call, and when FR-FCFS
+//!    keeps arrival order one 3-lane pass.
 //! 3. **Fan out where threads exist.** Lane groups run through
 //!    [`hygcn_par::par_map_slice`] in batches of one group per worker;
 //!    results splice back in deterministic point order, so a campaign's
 //!    outputs are bit-identical at any thread count.
 //! 4. **Stream completions.** Every finished batch is appended to the
 //!    [`ResultStore`], in point order, before the next batch starts: a
-//!    killed campaign loses at most one batch (one lane group per
-//!    worker, so at most `workers × MAX_LANES` points), and the re-run
-//!    skips everything already stored.
+//!    killed campaign loses at most one batch, one lane group per
+//!    worker (the points of at most `MAX_LANES` timings of one decode
+//!    class each, whatever their controllers and clocks), and the
+//!    re-run skips everything already stored.
 //! 5. **Isolate failures.** A backend evaluation that errors (after
 //!    bounded retries) or panics becomes a [`PointOutcome::Failed`] — it
 //!    is *not* persisted, so a resumed campaign re-attempts exactly the
@@ -424,23 +430,24 @@ impl Campaign {
                 }
             }
 
-            // Lane groups: points of one backend, model and replay class
-            // differ only in timing, so they evaluate as one
-            // `evaluate_lanes` call — on the cycle backends, the lanes of
-            // one replay. At most `MAX_LANES` points each, in order of
-            // first occurrence.
+            // Lane groups: points of one backend, model and decode class
+            // share everything but the controller, clock, timeline
+            // recording and HBM timing, so they evaluate as one
+            // `evaluate_lanes` call — on the cycle backends, one program
+            // lookup and one replay per distinct service order and
+            // timing. In order of first occurrence, split by timing.
             let mut classes: Vec<(_, Vec<usize>)> = Vec::new();
             for &i in &idxs {
                 let p = &points[i];
-                let class = (p.backend.as_str(), p.model, p.config.replay_class());
+                let class = (p.backend.as_str(), p.model, p.config.decode_class());
                 match classes.iter_mut().find(|(c, _)| *c == class) {
-                    Some((_, lanes)) => lanes.push(i),
+                    Some((_, members)) => members.push(i),
                     None => classes.push((class, vec![i])),
                 }
             }
-            let lane_groups: Vec<&[usize]> = classes
+            let lane_groups: Vec<Vec<usize>> = classes
                 .iter()
-                .flat_map(|(_, lanes)| lanes.chunks(MAX_LANES))
+                .flat_map(|(_, members)| timing_chunks(points, members))
                 .collect();
 
             // Fan the lane groups out in batches of one group per worker;
@@ -451,7 +458,7 @@ impl Campaign {
             for chunk in lane_groups.chunks(batch) {
                 let _obs_batch = hygcn_obs::span(hygcn_obs::Phase::CampaignBatch);
                 let reports: Vec<Vec<(usize, Result<SimReport, String>)>> =
-                    hygcn_par::par_map_slice(chunk, |_, &lanes| {
+                    hygcn_par::par_map_slice(chunk, |_, lanes| {
                         self.evaluate_group(&backends, &models, &graph, points, lanes, &sleeper)
                     });
                 let mut reports: Vec<(usize, Result<SimReport, String>)> =
@@ -514,7 +521,7 @@ impl Campaign {
 
 impl Campaign {
     /// Evaluates the lane group `lanes` (indexes into `points`, one
-    /// backend, model and replay class) as one `evaluate_lanes` call.
+    /// backend, model and decode class) as one `evaluate_lanes` call.
     /// A lane that errs is retried alone under the retry policy. If the
     /// call panics, every point is evaluated again alone, each under its
     /// own `catch_unwind`, so only a panicking point fails: a panic is
@@ -611,6 +618,32 @@ impl Campaign {
             }
         }
     }
+}
+
+/// Splits `members`, points of one backend, model and decode class,
+/// into lane groups of at most [`MAX_LANES`] distinct HBM timings
+/// (`t_burst`, `t_row`, `t_cas`), in order of first occurrence: every
+/// point of a timing sits in its timing's group, so a timing replays
+/// once whatever its controller, clock or timeline recording.
+fn timing_chunks(points: &[DesignPoint], members: &[usize]) -> Vec<Vec<usize>> {
+    let timing = |i: usize| {
+        let hbm = &points[i].config.hbm;
+        (hbm.t_burst, hbm.t_row, hbm.t_cas)
+    };
+    let mut timings = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for &i in members {
+        let t = timing(i);
+        let k = timings.iter().position(|&u| u == t).unwrap_or_else(|| {
+            timings.push(t);
+            timings.len() - 1
+        });
+        if k / MAX_LANES == groups.len() {
+            groups.push(Vec::new());
+        }
+        groups[k / MAX_LANES].push(i);
+    }
+    groups
 }
 
 /// Renders a caught panic payload (the `&str`/`String` cases `panic!`
@@ -1079,12 +1112,31 @@ mod tests {
     }
 
     /// The analytical backend behind a lane interface that records the
-    /// size of every `evaluate_lanes` call. A lane of `t_row == 28`
-    /// panics (`panic_lane`) or, only inside a lane batch, errs.
+    /// `t_row` of every config of every `evaluate_lanes` call. A lane of
+    /// `t_row == 28` panics (`panic_lane`) or, only inside a lane batch,
+    /// errs.
     #[derive(Debug)]
     struct LaneBackend {
         panic_lane: bool,
-        batches: Mutex<Vec<usize>>,
+        batches: Mutex<Vec<Vec<u64>>>,
+    }
+
+    impl LaneBackend {
+        fn new(panic_lane: bool) -> Arc<Self> {
+            Arc::new(Self {
+                panic_lane,
+                batches: Mutex::new(Vec::new()),
+            })
+        }
+
+        /// The recorded batches, each one's `t_row`s sorted.
+        fn batches(&self) -> Vec<Vec<u64>> {
+            let mut batches = self.batches.lock().unwrap().clone();
+            for b in &mut batches {
+                b.sort_unstable();
+            }
+            batches
+        }
     }
 
     impl SimBackend for LaneBackend {
@@ -1110,7 +1162,8 @@ mod tests {
             model: &GcnModel,
             configs: &[HyGcnConfig],
         ) -> Vec<Result<SimReport, SimError>> {
-            self.batches.lock().unwrap().push(configs.len());
+            let t_rows = configs.iter().map(|c| c.hbm.t_row).collect();
+            self.batches.lock().unwrap().push(t_rows);
             configs
                 .iter()
                 .map(|config| {
@@ -1123,28 +1176,61 @@ mod tests {
         }
     }
 
-    fn t_row_space() -> ConfigSpace {
+    fn t_row_space_of(t_rows: &str) -> ConfigSpace {
         ConfigSpace::new(
             vec![WorkloadSpec::dataset(DatasetKey::Ib, 0.1, 1)],
             vec![ModelKind::Gcn],
         )
-        .with_axis(Axis::parse("t-row", "14,28,56").unwrap())
+        .with_axis(Axis::parse("t-row", t_rows).unwrap())
+    }
+
+    fn t_row_space() -> ConfigSpace {
+        t_row_space_of("14,28,56")
+    }
+
+    #[test]
+    fn a_timing_by_controller_space_is_one_lane_batch() {
+        // Both controllers' points of one decode class evaluate together.
+        let backend = LaneBackend::new(false);
+        let space = t_row_space_of("14,56,112")
+            .with_axis(Axis::parse("controller", "inorder,frfcfs").unwrap());
+        let report = Campaign::new(space)
+            .with_backend(backend.clone())
+            .run()
+            .unwrap();
+        assert_eq!((report.simulated, report.failed), (6, 0));
+        assert_eq!(backend.batches(), [vec![14, 14, 56, 56, 112, 112]]);
+    }
+
+    #[test]
+    fn lane_batches_hold_at_most_four_timings_with_all_their_points() {
+        // Five timings split as four and one; each timing's two
+        // controllers stay in its batch.
+        let backend = LaneBackend::new(false);
+        let space = t_row_space_of("14,20,40,56,80")
+            .with_axis(Axis::parse("controller", "inorder,frfcfs").unwrap());
+        let report = Campaign::new(space)
+            .with_backend(backend.clone())
+            .run()
+            .unwrap();
+        assert_eq!((report.simulated, report.failed), (10, 0));
+        assert_eq!(
+            backend.batches(),
+            [vec![14, 14, 20, 20, 40, 40, 56, 56], vec![80, 80]]
+        );
     }
 
     #[test]
     fn one_panicking_lane_fails_only_its_own_point() {
-        let backend = Arc::new(LaneBackend {
-            panic_lane: true,
-            batches: Mutex::new(Vec::new()),
-        });
+        let backend = LaneBackend::new(true);
         let report = Campaign::new(t_row_space())
             .with_backend(backend.clone())
             .with_retry(RetryPolicy::none())
             .run()
             .unwrap();
-        // The three points share one replay class: one lane batch, which
+        // The three points share one decode class: one lane batch, which
         // panics, then each point alone.
-        assert_eq!(*backend.batches.lock().unwrap(), [3]);
+        assert_eq!(backend.batches(), [vec![14, 28, 56]]);
         assert_eq!((report.simulated, report.failed), (2, 1));
         let healthy = Campaign::new(t_row_space().with_backend_id("analytical"))
             .run()
@@ -1165,10 +1251,7 @@ mod tests {
     #[test]
     fn a_failed_lane_is_retried_alone() {
         let (sleeper, slept) = recording_sleeper();
-        let backend = Arc::new(LaneBackend {
-            panic_lane: false,
-            batches: Mutex::new(Vec::new()),
-        });
+        let backend = LaneBackend::new(false);
         let retry = RetryPolicy {
             max_attempts: 2,
             base_delay_ms: 1,
@@ -1180,15 +1263,12 @@ mod tests {
             .run()
             .unwrap();
         // The erring lane's retry runs alone, outside any lane batch.
-        assert_eq!(*backend.batches.lock().unwrap(), [3]);
+        assert_eq!(backend.batches(), [vec![14, 28, 56]]);
         assert_eq!((report.simulated, report.failed), (3, 0));
         assert_eq!(slept.lock().unwrap().len(), 1);
         // Without a retry the lane's error is the point's.
         let report = Campaign::new(t_row_space())
-            .with_backend(Arc::new(LaneBackend {
-                panic_lane: false,
-                batches: Mutex::new(Vec::new()),
-            }))
+            .with_backend(LaneBackend::new(false))
             .with_retry(RetryPolicy::none())
             .run()
             .unwrap();

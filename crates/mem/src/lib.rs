@@ -25,9 +25,11 @@
 //!   [`spanprog::SpanReplayer`] replays with SoA per-channel registers
 //!   — bit-identical to the staged [`hbm::Hbm`] drain under **both**
 //!   controller policies. FR-FCFS's windowed row-hit promotion runs
-//!   once per program and window into a [`spanprog::SpanSchedule`]
-//!   (service order plus row hit/miss), which every timing replays as
-//!   a straight-line recurrence. Programs depend only on the request
+//!   once per program and window: to `None` when it keeps arrival order
+//!   (every timing then replays program order, as in order), else into
+//!   a [`spanprog::SpanSchedule`] (service order plus row hit/miss),
+//!   which every timing replays as a straight-line recurrence. Programs
+//!   depend only on the request
 //!   stream and decode geometry, so one program serves a whole
 //!   timing/controller sweep; the simulator caches programs and
 //!   schedules on the graph. See the [`spanprog`] module docs for the

@@ -9,15 +9,18 @@
 //! [`SpanProgramBuilder`] runs it exactly once, emitting a flat,
 //! channel-major stream of [`SpanTuple`]s per timeline step. Ordering
 //! depends on the program and the controller alone, never on timing, so
-//! [`SpanProgram::schedule`] runs FR-FCFS once per lookahead window into
-//! a [`SpanSchedule`]. [`SpanReplayer`] then replays the precompiled
-//! order with SoA per-channel registers (bank-ready array, bus-cycle
-//! array packed for sequential access): a straight-line max-plus
-//! recurrence with no decode and no queue, and under FR-FCFS no row
-//! compare either. One replayer carries `L` *timing lanes* (1 to
-//! [`MAX_LANES`]): it reads each span once and runs the recurrence once
-//! per lane, so a timing sweep pays the program's memory traffic (and
-//! the in-order row compare) once per `L` timings.
+//! [`SpanProgram::schedule`] runs FR-FCFS once per lookahead window: to
+//! `None` when it serves every span in arrival order (HyGCN's
+//! coordinated, row-sequential batches leave it almost nothing to
+//! promote), else to a [`SpanSchedule`]. [`SpanReplayer`] then replays
+//! program order or the schedule with SoA per-channel registers
+//! (bank-ready array, bus-cycle array packed for sequential access): a
+//! straight-line max-plus recurrence with no decode and no queue, and
+//! over a schedule no row compare either. One replayer carries `L`
+//! *timing lanes* (1 to [`MAX_LANES`]): it reads each span once and
+//! runs the recurrence once per lane, so a timing sweep pays the
+//! program's memory traffic (and the program-order row compare) once
+//! per `L` timings.
 //!
 //! ## Build/replay contract
 //!
@@ -41,12 +44,20 @@
 //!   `(bank, row)` state the tuples carry. [`SpanProgram::schedule`]
 //!   makes the same picks as
 //!   [`crate::hbm::ChannelTimeline::drain_frfcfs`] — oldest row hit in
-//!   the window, else the oldest tuple — from an age-ordered ring with a
-//!   row-hit mask and per-bank slot masks, carrying each bank's open row
-//!   across steps as the drain does. It records, per span, the index
-//!   into its channel run with the row-miss flag in bit 31, and per
-//!   `(step, channel)` cell the miss and burst counts. The replay walks
-//!   that order, each entry read once for every lane.
+//!   the window, else the oldest tuple — carrying each bank's open row
+//!   across steps as the drain does. Each `(step, channel)` cell first
+//!   takes an *identity pass* that only tracks the youngest pending hit
+//!   (`ArrivalOrder`): while every pick is the head, the head is picked
+//!   unless it misses with a hit pending. A cell that fails it restores
+//!   its channel's open rows and is ordered by an age-ordered ring with
+//!   a row-hit mask and per-bank slot masks (`FrFcfsQueue`). If every
+//!   cell passes, the result is `None`: the FR-FCFS replay *is* the
+//!   program-order replay above, bit for bit. Otherwise the schedule
+//!   records, per span, the index into its channel run with the
+//!   row-miss flag in bit 31 (cells that passed in arrival order), and
+//!   per cell the miss and burst counts — exactly what the ring alone
+//!   would record. The replay walks that order, each entry read once
+//!   for every lane.
 //!
 //! Both paths share one service step, the timing half of
 //! [`crate::hbm::ChannelTimeline::service`], run per lane `l`:
@@ -59,8 +70,11 @@
 //! the max over channels (never before its arrival cycle) and
 //! statistics fold by summation, so the channel-major reordering of the
 //! program layout is unobservable (the merge invariant of
-//! [`crate::hbm`]). The lanes must share the decode geometry and the
-//! controller; [`SpanReplayer::new`] rejects a lane that does not.
+//! [`crate::hbm`]). The lanes must share the decode geometry
+//! ([`SpanReplayer::new`] rejects a lane that does not) and the service
+//! order: the `schedule` argument alone, not a lane's controller, is the
+//! order, so an in-order lane and an FR-FCFS lane whose schedule is
+//! `None` replay together.
 //!
 //! ## Caching
 //!
@@ -72,14 +86,17 @@
 //! recording, HBM timing and controller reset), so one program serves a
 //! whole timing/controller sweep; [`SpanProgram::matches`] states the
 //! geometry half of that contract. An FR-FCFS schedule depends on the
-//! program and the lookahead window, so the simulator memoizes it under
-//! the model kind, feature length and the config's replay class (the
-//! decode class with the controller kept): a timing sweep orders each
-//! program once per window, and replays its points `MAX_LANES` timings
-//! per pass.
+//! program and the lookahead window, so the simulator memoizes the
+//! `Option` under the model kind, feature length and the config's
+//! replay class (the decode class with the controller kept): a sweep
+//! orders each program once per window, and a window that keeps
+//! arrival order stores no order array. The simulator then replays each
+//! distinct (service order, timing) of a decode class once, `MAX_LANES`
+//! timings per pass, so the in-order and arrival-keeping FR-FCFS points
+//! of one timing share a lane.
 
 use crate::address::MappingScheme;
-use crate::hbm::{ControllerPolicy, HbmConfig};
+use crate::hbm::HbmConfig;
 use crate::request::MemRequest;
 use crate::stats::{ChannelStats, HbmStats, MemStats};
 
@@ -175,49 +192,99 @@ impl SpanProgram {
     }
 
     /// The FR-FCFS service order of the whole program under a
-    /// `window`-deep lookahead (0 acts as 1): one pass over the steps
-    /// that carries each bank's open row from step to step, as replay
-    /// does. The order depends on no timing parameter, so one schedule
-    /// serves every timing the program is replayed under.
+    /// `window`-deep lookahead (0 acts as 1), or `None` when every pick
+    /// is the oldest pending span, so that the in-order replay is the
+    /// FR-FCFS replay, bit for bit. One pass over the steps carries each
+    /// bank's open row from step to step, as replay does. The order
+    /// depends on no timing parameter, so one result serves every
+    /// timing the program is replayed under.
+    ///
+    /// Each `(step, channel)` cell first takes the identity pass
+    /// (`ArrivalOrder`); a cell it rejects restores its channel's open
+    /// rows and is ordered by the ring (`FrFcfsQueue`). The order array
+    /// is built only from the first such cell on, with the cells before
+    /// it written out in arrival order.
     ///
     /// # Errors
     ///
     /// A channel run of more than 2^31 spans, which a schedule entry
     /// cannot index.
-    pub fn schedule(&self, window: usize) -> Result<SpanSchedule, String> {
+    pub fn schedule(&self, window: usize) -> Result<Option<SpanSchedule>, String> {
         // The ordering pass is the controller half of replay; its time
         // belongs with it.
         let _obs = hygcn_obs::span(hygcn_obs::Phase::SpanReplay);
-        let banks = self.banks;
+        let (banks, window) = (self.banks, window.max(1));
         let mut bank_row = vec![NO_ROW; self.channels * banks];
+        let mut arrivals = ArrivalOrder::default();
         let mut queue = FrFcfsQueue::default();
-        let mut order = Vec::with_capacity(self.tuples.len());
-        let mut cells = Vec::with_capacity(self.offsets.len() - 1);
+        // The service order and per-cell counts, from the first cell
+        // FR-FCFS reorders on.
+        let mut reordered: Option<(Vec<u32>, Vec<CellCounts>)> = None;
         for cell in 0..self.offsets.len() - 1 {
-            let run = &self.tuples[self.cell(cell)];
-            if run.len() > MAX_RUN {
+            let spans = self.cell(cell);
+            if spans.len() > MAX_RUN {
                 return Err(format!(
                     "a channel run of {} spans exceeds the FR-FCFS schedule's \
                      limit of 2^31",
-                    run.len()
+                    spans.len()
                 ));
             }
             let c = cell % self.channels;
-            let misses = queue.order(
-                run,
-                window.max(1),
-                &mut bank_row[c * banks..(c + 1) * banks],
-                &mut order,
-            );
-            let bursts = run.iter().map(|t| u64::from(t.bursts)).sum();
-            cells.push(CellCounts { misses, bursts });
+            let rows = &mut bank_row[c * banks..(c + 1) * banks];
+            let kept = arrivals.keeps_order(&self.tuples, spans.clone(), window, rows);
+            if kept && reordered.is_none() {
+                continue;
+            }
+            let (order, cells) = reordered.get_or_insert_with(|| self.in_order_prefix(cell));
+            let run = &self.tuples[spans];
+            cells.push(if kept {
+                // `rows` already moved on; write the entries from the
+                // rows the cell started with.
+                in_order(run, &mut arrivals.saved, order)
+            } else {
+                CellCounts {
+                    misses: queue.order(run, window, rows, order),
+                    bursts: run.iter().map(|t| u64::from(t.bursts)).sum(),
+                }
+            });
         }
-        Ok(SpanSchedule {
-            window,
-            order,
-            cells,
-        })
+        let Some((order, cells)) = reordered else {
+            hygcn_obs::count(hygcn_obs::Counter::FrfcfsInOrder, 1);
+            return Ok(None);
+        };
+        Ok(Some(SpanSchedule { order, cells }))
     }
+
+    /// The schedule entries and counts of cells `0..end` in arrival
+    /// order, from closed banks: what the ring writes for cells the
+    /// identity pass accepted.
+    fn in_order_prefix(&self, end: usize) -> (Vec<u32>, Vec<CellCounts>) {
+        let banks = self.banks;
+        let mut bank_row = vec![NO_ROW; self.channels * banks];
+        let mut order = Vec::with_capacity(self.tuples.len());
+        let mut cells = Vec::with_capacity(self.offsets.len() - 1);
+        for cell in 0..end {
+            let c = cell % self.channels;
+            let rows = &mut bank_row[c * banks..(c + 1) * banks];
+            cells.push(in_order(&self.tuples[self.cell(cell)], rows, &mut order));
+        }
+        (order, cells)
+    }
+}
+
+/// Appends `run`'s schedule entries in arrival order, opening rows in
+/// `bank_row` as the spans miss, and returns the cell's counts.
+fn in_order(run: &[SpanTuple], bank_row: &mut [u64], order: &mut Vec<u32>) -> CellCounts {
+    let mut counts = CellCounts::default();
+    for (t, idx) in run.iter().zip(0u32..) {
+        let bank = t.bank as usize;
+        let miss = bank_row[bank] != t.row;
+        bank_row[bank] = t.row;
+        order.push(if miss { idx | MISS } else { idx });
+        counts.misses += u64::from(miss);
+        counts.bursts += u64::from(t.bursts);
+    }
+    counts
 }
 
 /// Row misses and bursts of one `(step, channel)` cell.
@@ -228,24 +295,17 @@ struct CellCounts {
 }
 
 /// The FR-FCFS service order of one [`SpanProgram`] under one lookahead
-/// window, built by [`SpanProgram::schedule`] and replayed by
+/// window that reorders at least one cell, built by
+/// [`SpanProgram::schedule`] and replayed by
 /// [`SpanReplayer::replay_step`]. It carries no timing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanSchedule {
-    window: usize,
     /// Laid out like the program's tuples: each cell's entries list its
     /// spans in service order, as the span's index in the cell's run
     /// with [`MISS`] set for a row miss.
     order: Vec<u32>,
     /// Row misses and bursts per `(step, channel)` cell.
     cells: Vec<CellCounts>,
-}
-
-impl SpanSchedule {
-    /// The lookahead window the schedule was built for.
-    pub fn window(&self) -> usize {
-        self.window
-    }
 }
 
 /// Streaming builder: feed each timeline step's scheduler-ordered batch
@@ -385,11 +445,10 @@ pub struct SpanReplayer<const L: usize> {
     t_burst: [u64; L],
     t_row: [u64; L],
     t_cas: [u64; L],
-    controller: ControllerPolicy,
     /// Open row per (channel-major) bank, [`NO_ROW`] when closed. Only
-    /// in-order replay reads it: a schedule already holds each span's
-    /// row hit or miss. The row a span opens depends on no timing, so
-    /// every lane shares it.
+    /// a program-order replay reads it: a schedule already holds each
+    /// span's row hit or miss. The row a span opens depends on no
+    /// timing, so every lane shares it.
     bank_row: Vec<u64>,
     /// Ready cycle per (channel-major) bank, per lane.
     bank_ready: Vec<[u64; L]>,
@@ -404,31 +463,24 @@ pub struct SpanReplayer<const L: usize> {
 
 impl<const L: usize> SpanReplayer<L> {
     /// An idle replayer with one lane per config. The configs may differ
-    /// in timing (`t_burst`, `t_row`, `t_cas`) only.
+    /// in timing (`t_burst`, `t_row`, `t_cas`) and controller only: the
+    /// service order is the `schedule` passed to
+    /// [`SpanReplayer::replay_step`], not a lane's controller.
     ///
     /// # Errors
     ///
     /// The first violated constraint of [`HbmConfig::validate`], or a
-    /// lane whose geometry or controller differs from lane 0's.
+    /// lane whose geometry differs from lane 0's.
     pub fn new(configs: &[HbmConfig; L]) -> Result<Self, String> {
         const { assert!(L >= 1 && L <= MAX_LANES, "1 to MAX_LANES lanes") };
         let first = &configs[0];
-        let shared = |c: &HbmConfig| {
-            (
-                c.mapping,
-                c.channels,
-                c.banks,
-                c.row_bytes,
-                c.burst_bytes,
-                c.controller,
-            )
-        };
+        let geometry = |c: &HbmConfig| (c.mapping, c.channels, c.banks, c.row_bytes, c.burst_bytes);
         for (lane, config) in configs.iter().enumerate() {
             config.validate()?;
-            if shared(config) != shared(first) {
+            if geometry(config) != geometry(first) {
                 return Err(format!(
-                    "lane {lane} differs from lane 0 in geometry or controller; \
-                     lanes may differ in timing only"
+                    "lane {lane} differs from lane 0 in geometry; lanes share \
+                     the decode geometry"
                 ));
             }
         }
@@ -438,7 +490,6 @@ impl<const L: usize> SpanReplayer<L> {
             t_burst: configs.map(|c| c.t_burst),
             t_row: configs.map(|c| c.t_row),
             t_cas: configs.map(|c| c.t_cas),
-            controller: first.controller,
             bank_row: vec![NO_ROW; banks],
             bank_ready: vec![[0; L]; banks],
             bus_free: vec![[0; L]; first.channels],
@@ -451,13 +502,14 @@ impl<const L: usize> SpanReplayer<L> {
     /// `now[l]`; returns per lane the cycle the step's last span (plus
     /// CAS latency) completes, or the arrival cycle for an empty step.
     ///
-    /// `schedule` is `program.schedule(window)` for an FR-FCFS
-    /// replayer of that window, and `None` for an in-order one. The
-    /// caller guarantees `program.matches()` the replayer's geometry and
-    /// steps are replayed in build order at nondecreasing arrival cycles
-    /// per lane — the same protocol the staged model's `service_batch`
-    /// sequence observes. Each span (and schedule entry) is read once
-    /// and serviced in every lane.
+    /// `schedule` alone is the service order: `None` serves every span
+    /// in program order (an in-order controller, or FR-FCFS whose
+    /// [`SpanProgram::schedule`] is `None`), `Some` the FR-FCFS order it
+    /// holds. The caller guarantees `program.matches()` the replayer's
+    /// geometry and steps are replayed in build order at nondecreasing
+    /// arrival cycles per lane — the same protocol the staged model's
+    /// `service_batch` sequence observes. Each span (and schedule entry)
+    /// is read once and serviced in every lane.
     pub fn replay_step(
         &mut self,
         program: &SpanProgram,
@@ -465,14 +517,6 @@ impl<const L: usize> SpanReplayer<L> {
         step: usize,
         now: [u64; L],
     ) -> [u64; L] {
-        debug_assert_eq!(
-            schedule.map(SpanSchedule::window),
-            match self.controller {
-                ControllerPolicy::InOrder => None,
-                ControllerPolicy::FrFcfs { window } => Some(window),
-            },
-            "the schedule must match the replayer's controller"
-        );
         debug_assert!(schedule.is_none_or(|s| s.order.len() == program.tuples.len()));
         // One relaxed load when collection is off; the guard sits
         // outside the per-span hot loop so the replay stays untouched.
@@ -594,6 +638,128 @@ fn service<const L: usize>(
         let ready = bank_ready[l].max(now[l]) + if miss { t_row[l] } else { 0 };
         bus[l] = ready.max(bus[l]) + u64::from(bursts) * t_burst[l];
         bank_ready[l] = bus[l];
+    }
+}
+
+/// The identity pass: decides whether FR-FCFS serves one channel run in
+/// arrival order, without building a queue.
+///
+/// While every pick so far was the oldest pending span, the pending
+/// spans are exactly `run[h..h + W)` (`h` the head, `W` the window
+/// capped at the run length) and the open rows are the in-order ones.
+/// The head is then picked unless it misses while some pending span
+/// hits, so the pass tracks the youngest pending hit. A hit stays a hit
+/// until a miss pick changes its bank's row, and a miss is picked only
+/// when nothing pending hits, so:
+///
+/// * an arriving span is a pending hit when its bank's open row is its
+///   row;
+/// * after a head miss opens `(bank, row)`, the pending hits are that
+///   key's spans behind the head. A table indexed by a hash of the key
+///   holds the youngest span that arrived under each slot: an empty or
+///   served slot rules the key out, the slot's span is the youngest hit
+///   when its key matches, and only a collision scans the window.
+///
+/// The cell reorders at the first head miss while a hit is pending.
+#[derive(Debug, Clone, Default)]
+struct ArrivalOrder {
+    /// Per hash slot, the program index of the youngest span that
+    /// arrived under it. Indexes only grow, so entries of earlier cells
+    /// read as served and the table is never cleared.
+    youngest: Vec<usize>,
+    /// `64 - log2(youngest.len())`.
+    shift: u32,
+    /// The channel's open rows before the current cell.
+    saved: Vec<u64>,
+}
+
+impl ArrivalOrder {
+    /// Sizes the table at sixteen slots per pending span, so a head
+    /// miss finds another pending key in its slot with probability at
+    /// most 1/16: a collision scans at most the window, which keeps the
+    /// pass within a constant of the ring's per-miss bank scan at any
+    /// window.
+    fn reserve(&mut self, window: usize) {
+        let len = (16 * window).next_power_of_two();
+        if self.youngest.len() < len {
+            self.youngest = vec![0; len];
+            self.shift = 64 - len.trailing_zeros();
+        }
+    }
+
+    /// The table slot of `t`'s `(bank, row)` key (Fibonacci hashing).
+    #[inline(always)]
+    fn slot(&self, t: &SpanTuple) -> usize {
+        ((t.row << 16 ^ u64::from(t.bank)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift)
+            as usize
+    }
+
+    /// Queues `tuples[a]` as its slot's youngest arrival; returns
+    /// whether it hits its bank's open row.
+    #[inline(always)]
+    fn arrive(&mut self, tuples: &[SpanTuple], a: usize, bank_row: &[u64]) -> bool {
+        let t = &tuples[a];
+        let slot = self.slot(t);
+        self.youngest[slot] = a;
+        bank_row[t.bank as usize] == t.row
+    }
+
+    /// Whether FR-FCFS with a `window`-deep lookahead serves the run
+    /// `tuples[spans]` in arrival order from the open rows `bank_row`.
+    /// If it does, `bank_row` ends as the in-order replay leaves it;
+    /// if not, it is restored. Either way `saved` holds the rows the
+    /// cell started with.
+    fn keeps_order(
+        &mut self,
+        tuples: &[SpanTuple],
+        spans: std::ops::Range<usize>,
+        window: usize,
+        bank_row: &mut [u64],
+    ) -> bool {
+        self.saved.clear();
+        self.saved.extend_from_slice(bank_row);
+        let (start, end) = (spans.start, spans.end);
+        let window = window.min(end - start);
+        if window <= 1 {
+            // Nothing is pending behind the head.
+            for t in &tuples[spans] {
+                bank_row[t.bank as usize] = t.row;
+            }
+            return true;
+        }
+        self.reserve(window);
+        let same = |a: &SpanTuple, b: &SpanTuple| a.row == b.row && a.bank == b.bank;
+        // The youngest pending hit; `start` stands for none, as the
+        // check `hit > h` never fires on it.
+        let mut hit = start;
+        for a in start..start + window {
+            if self.arrive(tuples, a, bank_row) {
+                hit = a;
+            }
+        }
+        for h in start..end {
+            let t = &tuples[h];
+            let bank = t.bank as usize;
+            if bank_row[bank] != t.row {
+                if hit > h {
+                    bank_row.copy_from_slice(&self.saved);
+                    return false;
+                }
+                bank_row[bank] = t.row;
+                // The key's youngest pending span: its slot's youngest
+                // arrival, or after a collision an older one. An empty
+                // range when the slot holds nothing pending.
+                let y = self.youngest[self.slot(t)];
+                if let Some(j) = (h + 1..=y).rev().find(|&j| same(&tuples[j], t)) {
+                    hit = j;
+                }
+            }
+            let a = h + window;
+            if a < end && self.arrive(tuples, a, bank_row) {
+                hit = a;
+            }
+        }
+        true
     }
 }
 
@@ -838,7 +1004,7 @@ fn oldest_set(mask: &[u64], from: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hbm::Hbm;
+    use crate::hbm::{ControllerPolicy, Hbm};
     use crate::request::RequestKind;
 
     /// Deterministic request stream generator (multiplicative LCG).
@@ -869,13 +1035,14 @@ mod tests {
             .collect()
     }
 
-    /// `program`'s service order under `cfg`'s controller: a schedule
-    /// for FR-FCFS, program order (`None`) in order.
+    /// `program`'s service order under `cfg`'s controller: program order
+    /// (`None`) in order or when FR-FCFS keeps arrival order, else the
+    /// FR-FCFS schedule.
     fn schedule_for(program: &SpanProgram, cfg: &HbmConfig) -> Option<SpanSchedule> {
         match cfg.controller {
             ControllerPolicy::InOrder => None,
             ControllerPolicy::FrFcfs { window } => {
-                Some(program.schedule(window).expect("runs fit the index"))
+                program.schedule(window).expect("runs fit the index")
             }
         }
     }
@@ -1041,7 +1208,11 @@ mod tests {
             ];
             let program = build(&cfg, &batches);
             let schedule = program.schedule(window).unwrap();
-            let replayer = assert_steps_match_hbm(cfg, &program, Some(&schedule), &batches, &[0]);
+            assert!(
+                schedule.is_some(),
+                "window {window}: the hits overtake the miss"
+            );
+            let replayer = assert_steps_match_hbm(cfg, &program, schedule.as_ref(), &batches, &[0]);
             let [stats] = replayer.stats();
             assert_eq!(
                 (stats.row_hits, stats.row_misses),
@@ -1078,7 +1249,11 @@ mod tests {
         let batches = [batch];
         let program = build(&cfg, &batches);
         let schedule = program.schedule(65).unwrap();
-        let replayer = assert_steps_match_hbm(cfg, &program, Some(&schedule), &batches, &[0]);
+        assert!(
+            schedule.is_some(),
+            "the hit overtakes the misses ahead of it"
+        );
+        let replayer = assert_steps_match_hbm(cfg, &program, schedule.as_ref(), &batches, &[0]);
         assert_eq!(replayer.stats()[0].row_hits, 1);
     }
 
@@ -1106,7 +1281,9 @@ mod tests {
                     ..controller
                 });
             assert!(cfgs.iter().all(|cfg| program.matches(cfg)));
-            let order = (controller.controller != ControllerPolicy::InOrder).then_some(&schedule);
+            let order = schedule
+                .as_ref()
+                .filter(|_| controller.controller != ControllerPolicy::InOrder);
             let lanes = assert_lanes_match_hbm(cfgs, &program, order, &batches, &[3]);
             for (l, cfg) in cfgs.into_iter().enumerate() {
                 let alone = assert_steps_match_hbm(cfg, &program, order, &batches, &[3]);
@@ -1119,6 +1296,237 @@ mod tests {
             ..base
         }));
         assert!(!program.matches(&HbmConfig::hbm1_uncoordinated()));
+    }
+
+    /// The ring's service order of every cell of `program`, reordered or
+    /// not: the FR-FCFS reference the identity pass must agree with.
+    fn ring_schedule(program: &SpanProgram, window: usize) -> SpanSchedule {
+        let banks = program.banks;
+        let mut bank_row = vec![NO_ROW; program.channels * banks];
+        let mut queue = FrFcfsQueue::default();
+        let (mut order, mut cells) = (Vec::new(), Vec::new());
+        for cell in 0..program.offsets.len() - 1 {
+            let run = &program.tuples[program.cell(cell)];
+            let c = cell % program.channels;
+            let rows = &mut bank_row[c * banks..(c + 1) * banks];
+            cells.push(CellCounts {
+                misses: queue.order(run, window.max(1), rows, &mut order),
+                bursts: run.iter().map(|t| u64::from(t.bursts)).sum(),
+            });
+        }
+        SpanSchedule { order, cells }
+    }
+
+    /// Asserts that `program.schedule(window)` is `None` exactly when
+    /// the ring serves every cell in arrival order, and the ring's
+    /// schedule otherwise; returns whether arrival order was kept.
+    fn assert_schedule_matches_ring(program: &SpanProgram, window: usize) -> bool {
+        let ring = ring_schedule(program, window);
+        let kept = (0..program.offsets.len() - 1).all(|cell| {
+            let entries = &ring.order[program.cell(cell)];
+            entries.iter().zip(0u32..).all(|(&e, i)| e & INDEX == i)
+        });
+        match program.schedule(window).expect("runs fit the index") {
+            None => assert!(kept, "window {window}: the ring reorders"),
+            Some(schedule) => {
+                assert!(!kept, "window {window}: the ring keeps arrival order");
+                assert_eq!(schedule, ring, "window {window}");
+            }
+        }
+        kept
+    }
+
+    /// A 32-byte read of `(channel, bank, row)` under `cfg`'s
+    /// channel-interleaved mapping: one span.
+    fn read_at(cfg: &HbmConfig, (channel, bank, row): (u64, u64, u64)) -> MemRequest {
+        let page = (row * cfg.banks as u64 + bank) * cfg.channels as u64 + channel;
+        MemRequest::read(RequestKind::InputFeatures, page * cfg.row_bytes, 32)
+    }
+
+    /// The program of one step per list of `(channel, bank, row)` spans.
+    fn program_of(cfg: &HbmConfig, steps: &[Vec<(u64, u64, u64)>]) -> SpanProgram {
+        let batches: Vec<Vec<MemRequest>> = steps
+            .iter()
+            .map(|s| s.iter().map(|&key| read_at(cfg, key)).collect())
+            .collect();
+        build(cfg, &batches)
+    }
+
+    /// One channel of `hbm1`'s 16 banks, as `(bank, row)` spans.
+    fn one_channel(steps: &[&[(u64, u64)]]) -> SpanProgram {
+        let cfg = HbmConfig {
+            channels: 1,
+            ..HbmConfig::hbm1()
+        };
+        let steps: Vec<Vec<(u64, u64, u64)>> = steps
+            .iter()
+            .map(|s| s.iter().map(|&(bank, row)| (0, bank, row)).collect())
+            .collect();
+        program_of(&cfg, &steps)
+    }
+
+    #[test]
+    fn window_one_always_keeps_arrival_order() {
+        // Two rows of one bank, alternating: any deeper window promotes
+        // the pending hit over the head's miss.
+        let run: Vec<(u64, u64)> = (0..64).map(|i| (0, 1 + i % 2)).collect();
+        let program = one_channel(&[&run]);
+        assert!(assert_schedule_matches_ring(&program, 1));
+        assert!(assert_schedule_matches_ring(&program, 0), "0 acts as 1");
+        assert!(!assert_schedule_matches_ring(&program, 2));
+    }
+
+    #[test]
+    fn a_same_row_span_hits_inside_the_window_and_on_arrival() {
+        // Span 0 opens (0, 1), span 1 misses on (0, 2) and fresh rows of
+        // the other banks fill the rest; a second (0, 1) sits at
+        // distance `d`. At W - 1 it is pending when span 0 opens its row
+        // (the slot lookup finds it); at W it arrives right after, as a
+        // hit: either way it overtakes span 1. At W + 1 span 1 has
+        // closed the row before it arrives.
+        for window in [2usize, 4, 16, 65] {
+            for (d, kept) in [(window - 1, false), (window, false), (window + 1, true)] {
+                if d < 2 {
+                    continue;
+                }
+                let mut run: Vec<(u64, u64)> =
+                    (0..d as u64 + 8).map(|i| (1 + i % 15, 100 + i)).collect();
+                (run[0], run[1], run[d]) = ((0, 1), (0, 2), (0, 1));
+                let program = one_channel(&[&run]);
+                assert_eq!(
+                    assert_schedule_matches_ring(&program, window),
+                    kept,
+                    "window {window}, distance {d}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_head_hit_is_picked_while_another_hit_is_pending() {
+        // The head hits and is the oldest hit, so FR-FCFS picks it even
+        // with younger hits pending, on its own row or on another
+        // bank's open row.
+        let same_row = [(0, 1), (0, 1), (0, 1), (1, 5), (1, 5), (2, 9)];
+        assert!(assert_schedule_matches_ring(&one_channel(&[&same_row]), 8));
+        let open = one_channel(&[&[(0, 1), (1, 5)], &[(0, 1), (1, 5), (2, 9)]]);
+        assert!(assert_schedule_matches_ring(&open, 8));
+        // A head miss with a hit pending behind it is overtaken.
+        let overtaken = [(0, 1), (1, 5), (0, 1), (2, 9)];
+        assert!(!assert_schedule_matches_ring(
+            &one_channel(&[&overtaken]),
+            8
+        ));
+    }
+
+    #[test]
+    fn a_reordered_cell_between_kept_cells() {
+        // Two channels, three steps: only step 1's channel 1 reorders.
+        // The cells before it are written out in arrival order, the ones
+        // after it keep their own identity pass, and the open rows the
+        // reordered cell leaves carry into step 2 (its (5, 1) hits).
+        let cfg = HbmConfig {
+            channels: 2,
+            controller: ControllerPolicy::FrFcfs { window: 8 },
+            ..HbmConfig::hbm1()
+        };
+        let steps = vec![
+            vec![(0, 0, 1), (0, 0, 1), (1, 0, 3), (0, 1, 2), (1, 2, 4)],
+            vec![(0, 3, 1), (1, 5, 1), (0, 3, 1), (1, 6, 2), (1, 5, 1)],
+            vec![(1, 5, 1), (0, 0, 1), (1, 6, 2), (0, 3, 7)],
+        ];
+        let program = program_of(&cfg, &steps);
+        assert!(!assert_schedule_matches_ring(&program, 8));
+        let schedule = program.schedule(8).unwrap();
+        let batches: Vec<Vec<MemRequest>> = steps
+            .iter()
+            .map(|s| s.iter().map(|&key| read_at(&cfg, key)).collect())
+            .collect();
+        assert_steps_match_hbm(cfg, &program, schedule.as_ref(), &batches, &[2]);
+    }
+
+    #[test]
+    fn a_window_past_the_run_sees_the_whole_run() {
+        let mut rng = Lcg(17);
+        let run: Vec<(u64, u64)> = (0..40).map(|_| (rng.next() % 3, rng.next() % 2)).collect();
+        let program = one_channel(&[&run]);
+        for window in [39, 40, 41, 1000, usize::MAX] {
+            assert!(!assert_schedule_matches_ring(&program, window));
+        }
+        // Grouped by row, the same spans keep arrival order at any depth.
+        let mut grouped = run.clone();
+        grouped.sort_unstable();
+        let program = one_channel(&[&grouped]);
+        for window in [39, 40, 41, 1000, usize::MAX] {
+            assert!(assert_schedule_matches_ring(&program, window));
+        }
+    }
+
+    /// `len` short reads clustered in `rows` random rows: grouped row by
+    /// row (a coordinated stream) or interleaved.
+    fn row_local_batch(
+        rng: &mut Lcg,
+        cfg: &HbmConfig,
+        len: usize,
+        rows: u64,
+        grouped: bool,
+    ) -> Vec<MemRequest> {
+        let bases: Vec<u64> = (0..rows)
+            .map(|_| rng.next() % (1 << 30) / cfg.row_bytes * cfg.row_bytes)
+            .collect();
+        let mut batch: Vec<MemRequest> = (0..len)
+            .map(|_| {
+                let base = bases[(rng.next() % rows) as usize];
+                let bytes = 1 + rng.next() % 64;
+                let addr = base + rng.next() % (cfg.row_bytes - bytes);
+                MemRequest::read(RequestKind::InputFeatures, addr, bytes as u32)
+            })
+            .collect();
+        if grouped {
+            batch.sort_by_key(|r| r.addr / cfg.row_bytes);
+        }
+        batch
+    }
+
+    #[test]
+    fn identity_pass_equals_the_ring_on_random_programs() {
+        let geometries = [
+            HbmConfig {
+                channels: 1,
+                banks: 4,
+                ..HbmConfig::hbm1()
+            },
+            HbmConfig::hbm1(),
+            HbmConfig {
+                channels: 2,
+                row_bytes: 512,
+                ..HbmConfig::hbm1_uncoordinated()
+            },
+        ];
+        let (mut kept, mut reordered) = (0, 0);
+        for (g, cfg) in geometries.iter().enumerate() {
+            for seed in 0..4u64 {
+                let mut rng = Lcg(700 + 10 * g as u64 + seed);
+                let batches: Vec<Vec<MemRequest>> = (0..4)
+                    .map(|step| match (seed + step) % 4 {
+                        0 => random_batch(&mut rng, 40),
+                        rows => row_local_batch(&mut rng, cfg, 150, rows + 1, seed < 2),
+                    })
+                    .collect();
+                let program = build(cfg, &batches);
+                for window in (1..=200).chain([usize::MAX]) {
+                    if assert_schedule_matches_ring(&program, window) {
+                        kept += 1;
+                    } else {
+                        reordered += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            kept > 0 && reordered > 0,
+            "{kept} kept, {reordered} reordered"
+        );
     }
 
     #[test]
@@ -1148,12 +1556,13 @@ mod tests {
         };
         assert!(SpanProgramBuilder::new(&fr).is_ok());
         assert!(SpanReplayer::new(&[fr]).is_ok());
-        // Lanes share the geometry and the controller; a bad lane fails
-        // the replayer wherever it sits.
+        // Lanes share the geometry; the schedule, not a lane's
+        // controller, is the service order. A bad lane fails the
+        // replayer wherever it sits.
         let base = HbmConfig::hbm1();
         let retimed = HbmConfig { t_row: 5, ..base };
         assert!(SpanReplayer::new(&[base, retimed]).is_ok());
-        assert!(SpanReplayer::new(&[base, fr]).is_err());
+        assert!(SpanReplayer::new(&[base, fr]).is_ok());
         assert!(SpanReplayer::new(&[base, HbmConfig { banks: 8, ..base }]).is_err());
         assert!(SpanReplayer::new(&[base, bad]).is_err());
         let slow = HbmConfig {

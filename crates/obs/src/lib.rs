@@ -67,7 +67,8 @@
 //! | `plan_cache_hits`      | Graph plan-memo lookups served from the cache   |
 //! | `plan_cache_misses`    | Graph plan-memo lookups that built their value  |
 //! | `plan_cache_evictions` | Plan-memo insertions that evicted an entry      |
-//! | `timing_lanes`         | Points that ran as a non-first lane of a shared replay |
+//! | `timing_lanes`         | Points that rode on a replay pass another point started |
+//! | `frfcfs_in_order`      | FR-FCFS ordering passes that found arrival order kept |
 //!
 //! The plan-memo counters cover the simulator's span programs, runtime
 //! samples and occupancy indexes (`Graph::memo`).
@@ -208,14 +209,19 @@ pub enum Counter {
     PlanCacheMisses,
     /// Graph plan-memo insertions that evicted an older entry.
     PlanCacheEvictions,
-    /// Points that ran as a non-first lane of a shared span replay: they
-    /// paid neither sampling, the engines nor a program or schedule
-    /// lookup of their own.
+    /// Points that rode on a span-replay pass another point started: a
+    /// later lane of the pass, or a point sharing a lane's service order
+    /// and HBM timing. They paid neither sampling, the engines, a
+    /// program or schedule lookup, nor a replay of their own.
     TimingLanes,
+    /// FR-FCFS ordering passes (`SpanProgram::schedule`) that found every
+    /// pick to be the oldest pending span, so the program replays in
+    /// arrival order and stores no service order.
+    FrfcfsInOrder,
 }
 
 /// Number of [`Counter`] variants.
-pub const N_COUNTERS: usize = 13;
+pub const N_COUNTERS: usize = 14;
 
 impl Counter {
     /// The stable snake_case name used in `metrics.json`.
@@ -234,6 +240,7 @@ impl Counter {
             Counter::PlanCacheMisses => "plan_cache_misses",
             Counter::PlanCacheEvictions => "plan_cache_evictions",
             Counter::TimingLanes => "timing_lanes",
+            Counter::FrfcfsInOrder => "frfcfs_in_order",
         }
     }
 
@@ -253,6 +260,7 @@ impl Counter {
             Counter::PlanCacheMisses,
             Counter::PlanCacheEvictions,
             Counter::TimingLanes,
+            Counter::FrfcfsInOrder,
         ]
     }
 }

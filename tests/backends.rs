@@ -177,12 +177,13 @@ fn hbm_timing_past_the_bound_is_an_error_on_every_simulator_backend() {
 /// `Simulator::simulate_lanes` replays the configs that differ only in
 /// timing as the lanes of one pass. Batches mixing `t_burst`, `t_row`,
 /// `t_cas`, the clock and timeline recording, under both controllers
-/// (interleaved, so the two replay classes split and rejoin in input
+/// (interleaved, so the two service orders split and rejoin in input
 /// order) and on GCN and GSC (sampling), must report per config exactly
 /// what `simulate` and the seed `simulate_reference` report, directly
-/// and through the `cycle` backend's `evaluate_lanes`. GCN's classes
-/// hold six lanes (a 4-lane and a 2-lane replay), GSC's three. A lane
-/// whose `t_row` is past the bound fails alone with `SimError::Config`.
+/// and through the `cycle` backend's `evaluate_lanes`. Per service
+/// order, GCN's six valid timings replay as a 4-lane and a 2-lane pass,
+/// GSC's three as one pass. A lane whose `t_row` is past the bound
+/// fails alone with `SimError::Config`.
 #[test]
 fn simulate_lanes_equals_one_simulation_per_config() {
     use hygcn_suite::core::Simulator;
@@ -256,6 +257,87 @@ fn simulate_lanes_equals_one_simulation_per_config() {
             cycles.len() > 4,
             "{kind:?}: the timings must move the cycles: {cycles:?}"
         );
+    }
+}
+
+/// `simulate_lanes` over one decode class that mixes both controllers,
+/// repeated timings and differing clocks and timeline recording: each
+/// distinct (service order, timing) replays once, and each config's
+/// report must still equal its own `simulate` and `simulate_reference`.
+/// Coordinated, FR-FCFS keeps arrival order (its schedule is `None`), so
+/// both controllers share the in-order lanes and report alike. With
+/// FCFS batches on the row-interleaved mapping and a 32 KB Aggregation
+/// Buffer FR-FCFS reorders, so its points replay their own schedule and
+/// report differently.
+#[test]
+fn simulate_lanes_shares_a_lane_per_service_order_and_timing() {
+    use hygcn_suite::core::Simulator;
+    use hygcn_suite::mem::hbm::ControllerPolicy;
+    use hygcn_suite::mem::scheduler::CoordinationMode;
+    let graph = hygcn_suite::graph::generator::rmat(1024, 8192, Default::default(), 21)
+        .unwrap()
+        .with_feature_len(32);
+    let model = hygcn_suite::gcn::model::GcnModel::new(ModelKind::Gcn, 32, 0xC0DE).unwrap();
+    // (t_burst, t_row, t_cas, clock_ghz, record_timeline): five points
+    // over three timings.
+    let points = [
+        (1, 28, 14, 1.0, false),
+        (2, 14, 7, 1.5, true),
+        (1, 28, 14, 0.7, true),
+        (1, 56, 0, 1.0, false),
+        (2, 14, 7, 1.5, false),
+    ];
+    let coordinated = HyGcnConfig::default();
+    let uncoordinated = HyGcnConfig {
+        coordination: CoordinationMode::Fcfs,
+        hbm: HbmConfig::hbm1_uncoordinated(),
+        aggregation_buffer_bytes: 1 << 15,
+        ..HyGcnConfig::default()
+    };
+    for (base, keeps_order) in [(coordinated, true), (uncoordinated, false)] {
+        let mut configs = Vec::new();
+        for &(t_burst, t_row, t_cas, clock_ghz, record_timeline) in &points {
+            for controller in [
+                ControllerPolicy::InOrder,
+                ControllerPolicy::FrFcfs { window: 32 },
+            ] {
+                configs.push(HyGcnConfig {
+                    clock_ghz,
+                    record_timeline,
+                    hbm: HbmConfig {
+                        t_burst,
+                        t_row,
+                        t_cas,
+                        controller,
+                        ..base.hbm
+                    },
+                    ..base.clone()
+                });
+            }
+        }
+        let lanes = Simulator::simulate_lanes(&graph, &model, &configs);
+        assert_eq!(
+            CycleAccurateBackend.evaluate_lanes(&graph, &model, &configs),
+            lanes
+        );
+        for (cfg, lane) in configs.iter().zip(&lanes) {
+            let label = format!("{:?} {:?}", cfg.coordination, cfg.hbm);
+            let sim = Simulator::new(cfg.clone());
+            let report = lane.as_ref().unwrap();
+            assert_eq!(report, &sim.simulate(&graph, &model).unwrap(), "{label}");
+            assert_eq!(
+                report,
+                &sim.simulate_reference(&graph, &model).unwrap(),
+                "{label}"
+            );
+            assert_eq!(report.timeline.is_empty(), !cfg.record_timeline, "{label}");
+        }
+        // Each point's FR-FCFS report equals its in-order twin's exactly
+        // when FR-FCFS keeps arrival order.
+        for (i, twins) in lanes.chunks(2).enumerate() {
+            let (in_order, frfcfs) = (twins[0].as_ref().unwrap(), twins[1].as_ref().unwrap());
+            assert_eq!(in_order == frfcfs, keeps_order, "point {i}");
+        }
     }
 }
 

@@ -433,12 +433,15 @@ fn frfcfs_schedule_is_ordered_once_per_window() {
     obs::reset();
 }
 
-/// A campaign evaluates the points of one replay class (they differ
-/// only in timing) as the lanes of one replay. Over
+/// A campaign evaluates the points of one decode class (they differ
+/// only in the controller, clock and timing) as one lane group: one
+/// replay per distinct service order and timing. Over
 /// `t-row × controller × clock-ghz`, at one and at two worker threads,
 /// its reports must be byte-identical to simulating the same points one
-/// at a time, and each class of six points must replay as a 4-lane and a
-/// 2-lane pass: four non-first lanes per class.
+/// at a time. FR-FCFS keeps arrival order on IB for both models, so
+/// each model's twelve points ride on one 3-lane pass: eleven riders
+/// and one decode per model, also at two threads, since one model's
+/// points are one lane group.
 #[test]
 fn timing_lanes_match_one_point_at_a_time_at_any_thread_count() {
     let _guard = obs_guard();
@@ -474,14 +477,20 @@ fn timing_lanes_match_one_point_at_a_time_at_any_thread_count() {
         let lanes: Vec<String> = report.completed().map(|c| c.report_json.clone()).collect();
         assert_eq!(lanes, alone, "{threads} thread(s)");
         assert_eq!(
-            obs::counter_value(obs::Counter::TimingLanes),
-            4 * 4,
+            obs::counter_value(obs::Counter::FrfcfsInOrder),
+            2,
             "{threads} thread(s)"
         );
-        if threads == "1" {
-            // Two workers missing on one program may both decode it.
-            assert_eq!(program_builds(), 2, "one decode per model");
-        }
+        assert_eq!(
+            obs::counter_value(obs::Counter::TimingLanes),
+            2 * 11,
+            "{threads} thread(s)"
+        );
+        assert_eq!(
+            program_builds(),
+            2,
+            "{threads} thread(s): one decode per model"
+        );
     }
     match saved {
         Some(v) => std::env::set_var("HYGCN_THREADS", v),

@@ -187,7 +187,10 @@ proptest! {
     /// its FR-FCFS schedule are built once and replayed under two
     /// independently drawn timings as the two lanes of one pass, each
     /// lane against its own fresh staged `Hbm`, and under the first
-    /// timing alone.
+    /// timing alone. Beside the random batches sits a row-local one
+    /// (short reads clustered in a few rows of one bank), grouped row by
+    /// row or interleaved, so FR-FCFS both keeps arrival order (a `None`
+    /// schedule, replayed in program order) and reorders.
     #[test]
     fn span_program_replay_matches_staged_hbm_at_any_geometry(
         chpow in 0u32..4,       // channels 1/2/4/8
@@ -211,6 +214,8 @@ proptest! {
             Just(Some(65usize)),
             Just(Some(200usize)),
         ],
+        row_local_rows in 1u64..5,
+        row_local_grouped in any::<bool>(),
         seed in 1u64..100_000,
     ) {
         use hygcn_suite::mem::hbm::{ControllerPolicy, Hbm};
@@ -235,7 +240,7 @@ proptest! {
         };
 
         let mut rng = Lcg(seed);
-        let batches: Vec<Vec<MemRequest>> = [0usize, 1, 9, 120]
+        let mut batches: Vec<Vec<MemRequest>> = [0usize, 1, 9, 120]
             .iter()
             .map(|&len| {
                 (0..len)
@@ -252,6 +257,24 @@ proptest! {
                     .collect()
             })
             .collect();
+        // Rows one bank-stride apart: one channel and bank under either
+        // mapping, so interleaved reads of them conflict.
+        let row_bytes = cfg.row_bytes;
+        let stride = (cfg.channels * cfg.banks) as u64 * row_bytes;
+        let base = rng.next() % (1 << 29) / row_bytes * row_bytes;
+        let rows: Vec<u64> = (0..row_local_rows).map(|j| base + j * stride).collect();
+        let mut row_local: Vec<MemRequest> = (0..48)
+            .map(|_| {
+                let row = rows[(rng.next() % row_local_rows) as usize];
+                let bytes = 1 + rng.next() % 64;
+                let addr = row + rng.next() % (row_bytes - bytes);
+                MemRequest::read(RequestKind::InputFeatures, addr, bytes as u32)
+            })
+            .collect();
+        if row_local_grouped {
+            row_local.sort_by_key(|r| r.addr / row_bytes);
+        }
+        batches.insert(3, row_local);
 
         let mut builder = SpanProgramBuilder::new(&cfg).expect("valid geometry");
         for b in &batches {
@@ -259,7 +282,8 @@ proptest! {
         }
         let program = builder.finish();
         prop_assert!(program.matches(&cfg));
-        let schedule = frfcfs_window.map(|w| program.schedule(w).expect("runs fit the index"));
+        // `None` for in-order, and for FR-FCFS that keeps arrival order.
+        let schedule = frfcfs_window.and_then(|w| program.schedule(w).expect("runs fit the index"));
         let gaps: Vec<u64> = batches.iter().map(|_| rng.next() % 64).collect();
 
         let (t_burst2, t_row2, t_cas2) = second_timing;
