@@ -8,17 +8,18 @@
 //! the graph's cached [`OccupancyIndex`] — per-interval source-occupancy
 //! bitmaps built once per (graph, chunking) and shared across calls and
 //! graph clones — so a warm evaluation pays only a popcount sweep per
-//! chunk instead of the O(V+E) [`WindowPlanner`] planning sweep. When
-//! the index would blow its memory budget, the schedule falls back to
-//! the planner; either way the emitted window *spans* are exactly those
-//! of Algorithm 4, which is all the engine consumes (edge counts are
-//! derived from CSC offsets downstream).
+//! chunk. When a chunking's index would blow the memo's memory budget,
+//! the schedule builds each chunk's one-interval index in turn and scans
+//! it the same way. Either way the emitted window *spans* are exactly
+//! those of Algorithm 4 ([`WindowPlanner::plan`]), which is all the
+//! engine consumes (edge counts are derived from CSC offsets
+//! downstream).
 //!
 //! [`OccupancyIndex`]: hygcn_graph::window::OccupancyIndex
-//! [`WindowPlanner`]: hygcn_graph::window::WindowPlanner
+//! [`WindowPlanner::plan`]: hygcn_graph::window::WindowPlanner::plan
 
 use hygcn_graph::partition::Interval;
-use hygcn_graph::window::{EffectualWindow, WindowPlanner};
+use hygcn_graph::window::{EffectualWindow, OccupancyIndex};
 use hygcn_graph::Graph;
 
 use crate::config::HyGcnConfig;
@@ -55,27 +56,24 @@ impl EventSchedule {
         let mut windows = Vec::new();
         if cfg.sparsity_elimination {
             let height = cfg.window_height(f_in);
-            match graph.occupancy_index(&intervals) {
-                Some((idx, outcome)) => {
-                    crate::sim::count_memo(outcome);
-                    for i in 0..intervals.len() {
-                        idx.for_each_window(i, height, |rows| {
-                            windows.push(EffectualWindow {
-                                rows,
-                                edge_count: 0, // derived from CSC downstream
-                            });
-                        });
-                        offsets[i + 1] = windows.len();
-                    }
+            let memoized = graph.occupancy_index(&intervals);
+            if let Some((_, outcome)) = memoized {
+                crate::sim::count_memo(outcome);
+            }
+            for (i, dst) in intervals.iter().enumerate() {
+                let emit = |rows| {
+                    windows.push(EffectualWindow {
+                        rows,
+                        edge_count: 0, // derived from CSC downstream
+                    });
+                };
+                match &memoized {
+                    Some((idx, _)) => idx.for_each_window(i, height, emit),
+                    // Over the memo's budget: index this chunk alone.
+                    None => OccupancyIndex::build(graph, std::slice::from_ref(dst))
+                        .for_each_window(0, height, emit),
                 }
-                None => {
-                    // Over the bitmap budget: one planner sweep instead.
-                    let ws = WindowPlanner::new(height).plan_all(graph, &intervals);
-                    for i in 0..intervals.len() {
-                        windows.extend_from_slice(ws.windows(i));
-                        offsets[i + 1] = windows.len();
-                    }
-                }
+                offsets[i + 1] = windows.len();
             }
         }
         Self {
@@ -109,6 +107,7 @@ mod tests {
 
     #[test]
     fn window_spans_match_planner_sweep() {
+        use hygcn_graph::window::WindowPlanner;
         let g = rmat(3000, 24_000, RmatParams::default(), 11)
             .unwrap()
             .with_feature_len(64);
@@ -119,13 +118,14 @@ mod tests {
         let sched = EventSchedule::build(&g, &cfg, 64);
         assert!(sched.intervals().len() > 1);
         let planner = WindowPlanner::new(cfg.window_height(64));
-        let ws = planner.plan_all(&g, sched.intervals());
-        assert_eq!(sched.total_windows(), ws.total_windows());
-        for i in 0..sched.intervals().len() {
+        let mut total = 0;
+        for (i, &dst) in sched.intervals().iter().enumerate() {
             let spans: Vec<_> = sched.windows(i).iter().map(|w| w.rows).collect();
-            let golden: Vec<_> = ws.windows(i).iter().map(|w| w.rows).collect();
+            let golden: Vec<_> = planner.plan(&g, dst).iter().map(|w| w.rows).collect();
             assert_eq!(spans, golden, "chunk {i}");
+            total += golden.len();
         }
+        assert_eq!(sched.total_windows(), total);
     }
 
     #[test]

@@ -65,6 +65,7 @@ pub use csr::Csr;
 pub use error::GraphError;
 
 use std::any::Any;
+use std::convert::Infallible;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Identifier of a vertex. Graphs in this crate are limited to `u32::MAX`
@@ -328,17 +329,25 @@ impl Graph {
     /// topology and chunking, so [`Graph::with_feature_len`] clones
     /// share it).
     ///
-    /// Returns `None` when the index would exceed
-    /// [`window::OccupancyIndex::MAX_WORDS`]; callers fall back to a
-    /// [`window::WindowPlanner`] sweep.
+    /// Returns `None`, before copying `intervals` into a memo key, when
+    /// the index would exceed [`window::OccupancyIndex::MAX_WORDS`];
+    /// callers then index one interval at a time with
+    /// [`window::OccupancyIndex::build`].
     pub fn occupancy_index(
         &self,
         intervals: &[partition::Interval],
     ) -> Option<(Arc<window::OccupancyIndex>, MemoOutcome)> {
-        self.memo(intervals.to_vec(), || {
-            window::OccupancyIndex::build(self, intervals).ok_or(())
-        })
-        .ok()
+        let words = self
+            .num_vertices()
+            .div_ceil(64)
+            .checked_mul(intervals.len())?;
+        if words > window::OccupancyIndex::MAX_WORDS {
+            return None;
+        }
+        let Ok(entry) = self.memo(intervals.to_vec(), || {
+            Ok::<_, Infallible>(window::OccupancyIndex::build(self, intervals))
+        });
+        Some(entry)
     }
 
     /// A process-independent FNV-1a hash of the graph's *content*: vertex
@@ -480,6 +489,25 @@ mod tests {
             !Arc::ptr_eq(&a, &again),
             "evicted entries are rebuilt, not resurrected"
         );
+    }
+
+    #[test]
+    fn occupancy_index_respects_budget() {
+        use window::OccupancyIndex;
+        // 65,536 vertices -> 1,024 words per interval, so one interval
+        // past MAX_WORDS / 1,024 blows the budget.
+        let g = GraphBuilder::new(1 << 16).feature_len(4).build();
+        let per_interval = (1usize << 16) / 64;
+        let too_many: Vec<partition::Interval> = (0..=OccupancyIndex::MAX_WORDS / per_interval)
+            .map(|_| partition::Interval::new(0, 1))
+            .collect();
+        assert!(g.occupancy_index(&too_many).is_none());
+        // Nothing was memoized for the refused chunking.
+        assert!(g.memo(too_many, || Err::<OccupancyIndex, ()>(())).is_err());
+        // Any one interval fits, through the memo or built directly.
+        let one = [partition::Interval::new(0, 1 << 16)];
+        assert!(g.occupancy_index(&one).is_some());
+        assert_eq!(OccupancyIndex::build(&g, &one).num_intervals(), 1);
     }
 
     #[test]

@@ -53,198 +53,6 @@ impl Interval {
     }
 }
 
-/// Per-interval source-row occupancy: for each destination interval, the
-/// sorted multiset of source rows with an edge into it — the input the
-/// window planner needs, for *every* interval at once.
-///
-/// Built in one O(V + E) CSR sweep: iterating sources in ascending order
-/// and bucketing each edge by its destination's interval produces every
-/// interval's row list already sorted, replacing the per-interval
-/// gather-and-sort (O(E log E) total, plus a heap allocation per
-/// interval) the simulator's chunk loop used to do. In the serial case
-/// the rows land directly in one flat buffer at exact offsets derived
-/// from the CSC column counts, so the build performs a single
-/// allocation.
-#[derive(Debug, Clone, Default)]
-pub struct SourceOccupancy {
-    /// `rows[offsets[i]..offsets[i+1]]` is interval `i`'s multiset.
-    offsets: Vec<usize>,
-    rows: Vec<VertexId>,
-}
-
-/// Maps a destination vertex to its interval index. The common case —
-/// a uniform-width contiguous cover starting at 0, which is what the
-/// simulator's chunking produces — resolves with one division; anything
-/// else falls back to a per-vertex table.
-enum IntervalLookup {
-    /// Power-of-two uniform width: one shift.
-    UniformPow2 {
-        shift: u32,
-        limit: u32,
-    },
-    /// Arbitrary uniform width: one division.
-    Uniform {
-        width: u32,
-        limit: u32,
-    },
-    Table(Vec<u32>),
-}
-
-/// Sentinel for "no interval".
-const NO_INTERVAL: u32 = u32::MAX;
-
-/// Crate-internal destination→interval resolver (sentinel `u32::MAX`
-/// for "no interval") — shared with the window planner's sweep.
-pub(crate) fn interval_lookup(intervals: &[Interval], n: usize) -> impl Fn(VertexId) -> u32 + Sync {
-    let lookup = IntervalLookup::new(intervals, n);
-    move |d| lookup.get(d)
-}
-
-impl IntervalLookup {
-    fn new(intervals: &[Interval], n: usize) -> Self {
-        if let (Some(first), Some(last)) = (intervals.first(), intervals.last()) {
-            let width = first.end - first.start;
-            let uniform = width > 0
-                && first.start == 0
-                && intervals.windows(2).all(|p| p[0].end == p[1].start)
-                && intervals[..intervals.len() - 1]
-                    .iter()
-                    .all(|iv| iv.end - iv.start == width)
-                && last.len() as u32 <= width;
-            if uniform {
-                let limit = last.end;
-                return if width.is_power_of_two() {
-                    IntervalLookup::UniformPow2 {
-                        shift: width.trailing_zeros(),
-                        limit,
-                    }
-                } else {
-                    IntervalLookup::Uniform { width, limit }
-                };
-            }
-        }
-        let mut table = vec![NO_INTERVAL; n];
-        for (i, iv) in intervals.iter().enumerate() {
-            for slot in &mut table[iv.start as usize..(iv.end as usize).min(n)] {
-                *slot = i as u32;
-            }
-        }
-        IntervalLookup::Table(table)
-    }
-
-    #[inline]
-    fn get(&self, d: VertexId) -> u32 {
-        match self {
-            IntervalLookup::UniformPow2 { shift, limit } => {
-                if d >= *limit {
-                    return NO_INTERVAL;
-                }
-                d >> shift
-            }
-            IntervalLookup::Uniform { width, limit } => {
-                if d >= *limit {
-                    return NO_INTERVAL;
-                }
-                d / width
-            }
-            IntervalLookup::Table(t) => t[d as usize],
-        }
-    }
-}
-
-impl SourceOccupancy {
-    /// Builds the occupancy of `intervals` (a contiguous ascending cover
-    /// of the vertex ids; vertices outside every interval are ignored).
-    ///
-    /// One O(V + E) sweep over the CSR, fanned out across host threads
-    /// by contiguous source ranges (each source row belongs to exactly
-    /// one worker, so per-interval row lists concatenate in worker order
-    /// still ascending — the result is identical for any thread count).
-    pub fn build(graph: &Graph, intervals: &[Interval]) -> Self {
-        let n = graph.num_vertices();
-        let k = intervals.len();
-        if k == 0 || n == 0 {
-            return Self {
-                offsets: vec![0; k + 1],
-                rows: Vec::new(),
-            };
-        }
-        let lookup = IntervalLookup::new(intervals, n);
-
-        // Exact per-interval edge counts from the CSC column offsets.
-        let csc_offsets = graph.csc().offsets();
-        let mut offsets = Vec::with_capacity(k + 1);
-        offsets.push(0usize);
-        let mut total = 0usize;
-        for iv in intervals {
-            let edges = csc_offsets[(iv.end as usize).min(n)] - csc_offsets[iv.start as usize];
-            total += edges;
-            offsets.push(total);
-        }
-
-        let ranges = hygcn_par::split_ranges(n, hygcn_par::num_threads());
-        if ranges.len() <= 1 {
-            // Serial: write rows straight into the flat buffer at
-            // per-interval cursors — one allocation, no copies.
-            let mut rows = vec![0 as VertexId; total];
-            let mut cursor = offsets[..k].to_vec();
-            for u in 0..n as VertexId {
-                for &d in graph.out_neighbors(u) {
-                    let c = lookup.get(d);
-                    if c == NO_INTERVAL {
-                        continue;
-                    }
-                    rows[cursor[c as usize]] = u;
-                    cursor[c as usize] += 1;
-                }
-            }
-            debug_assert_eq!(cursor, offsets[1..]);
-            return Self { offsets, rows };
-        }
-
-        // Parallel: workers bucket their source range locally, then the
-        // local lists concatenate per interval in worker order.
-        let workers = ranges.len();
-        let parts: Vec<Vec<Vec<VertexId>>> = hygcn_par::par_map_slice(&ranges, |_, &(s, e)| {
-            let mut lists: Vec<Vec<VertexId>> = (0..k)
-                .map(|i| Vec::with_capacity((offsets[i + 1] - offsets[i]).div_ceil(workers)))
-                .collect();
-            for u in s as VertexId..e as VertexId {
-                for &d in graph.out_neighbors(u) {
-                    let c = lookup.get(d);
-                    if c == NO_INTERVAL {
-                        continue;
-                    }
-                    lists[c as usize].push(u);
-                }
-            }
-            lists
-        });
-        let mut rows = Vec::with_capacity(total);
-        for i in 0..k {
-            for p in &parts {
-                rows.extend_from_slice(&p[i]);
-            }
-        }
-        Self { offsets, rows }
-    }
-
-    /// Number of intervals covered.
-    pub fn num_intervals(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Interval `i`'s sorted source-row multiset.
-    pub fn rows(&self, i: usize) -> &[VertexId] {
-        &self.rows[self.offsets[i]..self.offsets[i + 1]]
-    }
-
-    /// Total edges across all intervals (each edge counted once).
-    pub fn total_edges(&self) -> u64 {
-        self.rows.len() as u64
-    }
-}
-
 /// Sizing rule for the partition.
 ///
 /// The paper ties the shard *height* (source interval size) to the Input
@@ -414,57 +222,6 @@ impl Partition {
                     .sum::<usize>()
             })
             .sum()
-    }
-}
-
-#[cfg(test)]
-mod occupancy_tests {
-    use super::*;
-    use crate::generator::{rmat, RmatParams};
-
-    #[test]
-    fn runs_match_sorted_in_neighbor_multisets() {
-        let g = rmat(256, 2000, RmatParams::default(), 3).unwrap();
-        let intervals: Vec<Interval> = (0..4)
-            .map(|i| Interval::new(i * 64, (i + 1) * 64))
-            .collect();
-        let occ = SourceOccupancy::build(&g, &intervals);
-        assert_eq!(occ.num_intervals(), 4);
-        assert_eq!(occ.total_edges(), g.num_edges() as u64);
-        for (i, iv) in intervals.iter().enumerate() {
-            let mut expect: Vec<VertexId> = Vec::new();
-            for d in iv.iter() {
-                expect.extend_from_slice(g.in_neighbors(d));
-            }
-            expect.sort_unstable();
-            assert_eq!(occ.rows(i), &expect[..], "interval {i}");
-        }
-    }
-
-    #[test]
-    fn rows_ascend_within_interval() {
-        let g = rmat(512, 5000, RmatParams::default(), 9).unwrap();
-        // Non-uniform intervals exercise the table lookup fallback.
-        let intervals = [Interval::new(0, 300), Interval::new(300, 512)];
-        let occ = SourceOccupancy::build(&g, &intervals);
-        for i in 0..2 {
-            let rows = occ.rows(i);
-            for pair in rows.windows(2) {
-                assert!(pair[0] <= pair[1]);
-            }
-        }
-        assert_eq!(occ.total_edges(), g.num_edges() as u64);
-    }
-
-    #[test]
-    fn empty_graph_and_intervals() {
-        let g = crate::GraphBuilder::new(8).feature_len(4).build();
-        let occ = SourceOccupancy::build(&g, &[Interval::new(0, 8)]);
-        assert_eq!(occ.num_intervals(), 1);
-        assert!(occ.rows(0).is_empty());
-        let none = SourceOccupancy::build(&g, &[]);
-        assert_eq!(none.num_intervals(), 0);
-        assert_eq!(none.total_edges(), 0);
     }
 }
 

@@ -22,48 +22,6 @@ pub struct EffectualWindow {
     pub edge_count: usize,
 }
 
-/// Every interval's effectual windows, flattened — the precomputed form
-/// the simulator's chunk workers consume (see [`WindowPlanner::plan_all`]).
-#[derive(Debug, Clone, Default)]
-pub struct WindowSet {
-    /// `windows[offsets[i]..offsets[i+1]]` are interval `i`'s windows.
-    offsets: Vec<usize>,
-    windows: Vec<EffectualWindow>,
-}
-
-impl WindowSet {
-    /// Number of intervals covered.
-    pub fn num_intervals(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Interval `i`'s windows, ascending by source row.
-    pub fn windows(&self, i: usize) -> &[EffectualWindow] {
-        &self.windows[self.offsets[i]..self.offsets[i + 1]]
-    }
-
-    /// Total windows across all intervals.
-    pub fn total_windows(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Flattens one window list per interval into the packed layout.
-    fn from_lists(lists: Vec<Vec<EffectualWindow>>) -> Self {
-        let mut offsets = Vec::with_capacity(lists.len() + 1);
-        offsets.push(0usize);
-        let mut total = 0usize;
-        for l in &lists {
-            total += l.len();
-            offsets.push(total);
-        }
-        let mut windows = Vec::with_capacity(total);
-        for l in lists {
-            windows.extend(l);
-        }
-        Self { offsets, windows }
-    }
-}
-
 /// Plans effectual windows for destination intervals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowPlanner {
@@ -121,11 +79,10 @@ impl WindowPlanner {
         self.plan_rows(rows, emit);
     }
 
-    /// Plans effectual windows from a precomputed sorted source-row
-    /// multiset (one [`crate::partition::SourceOccupancy`] slice),
+    /// Plans effectual windows from a sorted source-row multiset,
     /// emitting exactly the windows [`WindowPlanner::plan`] would produce
-    /// for the interval the rows were built for — without touching the
-    /// graph or allocating.
+    /// for the interval the rows were gathered for — without touching
+    /// the graph or allocating.
     pub fn plan_rows<F: FnMut(EffectualWindow)>(&self, rows: &[VertexId], mut emit: F) {
         let mut idx = 0; // cursor into `rows`
         let h = self.window_height as u64;
@@ -148,104 +105,6 @@ impl WindowPlanner {
             });
             idx = end_idx;
         }
-    }
-
-    /// Plans every interval's windows at once, returning a [`WindowSet`].
-    ///
-    /// Serial fast path: one O(V + E) CSR sweep that maintains a current
-    /// window per interval (a cache-resident state array) and emits each
-    /// window as it closes — no per-interval row multiset is ever
-    /// materialized. With multiple workers the sweep instead builds a
-    /// [`SourceOccupancy`] and plans intervals in parallel. Both paths
-    /// produce exactly the windows [`WindowPlanner::plan`] yields per
-    /// interval, for any thread count.
-    ///
-    /// `intervals` must be a contiguous ascending cover of the vertex
-    /// ids (the simulator's chunking).
-    ///
-    /// [`SourceOccupancy`]: crate::partition::SourceOccupancy
-    pub fn plan_all(&self, graph: &Graph, intervals: &[Interval]) -> WindowSet {
-        let n = graph.num_vertices();
-        let k = intervals.len();
-        if k == 0 || n == 0 {
-            return WindowSet {
-                offsets: vec![0; k + 1],
-                windows: Vec::new(),
-            };
-        }
-        let workers = hygcn_par::num_threads();
-        if workers > 1 {
-            // Parallel: occupancy sweep, then per-interval planning.
-            let occ = crate::partition::SourceOccupancy::build(graph, intervals);
-            let lists: Vec<Vec<EffectualWindow>> = hygcn_par::par_map_index(k, |i| {
-                let mut out = Vec::new();
-                self.plan_rows(occ.rows(i), |w| out.push(w));
-                out
-            });
-            return WindowSet::from_lists(lists);
-        }
-
-        // Serial: emit windows directly from one edge sweep. The open
-        // window per interval lives in a cache-resident state array;
-        // `count == 0` marks "no open window" and `pre_end` is cached so
-        // the extend test is a single compare.
-        #[derive(Clone, Copy)]
-        struct Open {
-            start: VertexId,
-            pre_end: VertexId,
-            end: VertexId,
-            count: u32,
-        }
-        let lookup = crate::partition::interval_lookup(intervals, n);
-        let h = self.window_height as u64;
-        let mut open: Vec<Open> = vec![
-            Open {
-                start: 0,
-                pre_end: 0,
-                end: 0,
-                count: 0,
-            };
-            k
-        ];
-        let mut lists: Vec<Vec<EffectualWindow>> = vec![Vec::new(); k];
-        let csr_offsets = graph.csr().offsets();
-        let targets = graph.csr().raw_targets();
-        for u in 0..n as VertexId {
-            for &d in &targets[csr_offsets[u as usize]..csr_offsets[u as usize + 1]] {
-                let c = lookup(d);
-                if c == u32::MAX {
-                    continue;
-                }
-                let c = c as usize;
-                let w = &mut open[c];
-                if w.count > 0 && u <= w.pre_end {
-                    w.end = u;
-                    w.count += 1;
-                } else {
-                    if w.count > 0 {
-                        lists[c].push(EffectualWindow {
-                            rows: Interval::new(w.start, w.end + 1),
-                            edge_count: w.count as usize,
-                        });
-                    }
-                    *w = Open {
-                        start: u,
-                        pre_end: ((u64::from(u) + h - 1).min(u64::from(VertexId::MAX))) as VertexId,
-                        end: u,
-                        count: 1,
-                    };
-                }
-            }
-        }
-        for (c, w) in open.into_iter().enumerate() {
-            if w.count > 0 {
-                lists[c].push(EffectualWindow {
-                    rows: Interval::new(w.start, w.end + 1),
-                    edge_count: w.count as usize,
-                });
-            }
-        }
-        WindowSet::from_lists(lists)
     }
 
     /// Aggregate sparsity statistics across all destination intervals.
@@ -294,26 +153,21 @@ pub struct OccupancyIndex {
 }
 
 impl OccupancyIndex {
-    /// Memory budget in `u64` words (64 MB). [`OccupancyIndex::build`]
-    /// refuses larger indexes so a pathological chunking (thousands of
-    /// intervals over a huge vertex set) degrades to the planner sweep
-    /// instead of exhausting memory.
+    /// Memory budget in `u64` words (64 MB) of one memoized index.
+    /// [`Graph::occupancy_index`] refuses larger chunkings, so a
+    /// pathological one (thousands of intervals over a huge vertex set)
+    /// is indexed one interval at a time instead of exhausting memory.
     pub const MAX_WORDS: usize = 1 << 23;
 
-    /// Builds the per-interval occupancy bitmaps with one pass over each
-    /// interval's CSC columns, or `None` when the index would exceed
-    /// [`OccupancyIndex::MAX_WORDS`].
+    /// Builds the per-interval occupancy bitmaps, `ceil(V / 64)` words
+    /// per interval, with one pass over each interval's CSC columns.
     ///
-    /// `intervals` follow the same contract as
-    /// [`WindowPlanner::plan_all`]: destination ranges within the vertex
-    /// id space (out-of-range ids panic).
-    pub fn build(graph: &Graph, intervals: &[Interval]) -> Option<Self> {
+    /// `intervals` are destination ranges within the vertex id space
+    /// (out-of-range ids panic).
+    pub fn build(graph: &Graph, intervals: &[Interval]) -> Self {
         let n = graph.num_vertices();
         let wpi = n.div_ceil(64);
-        let total = wpi.checked_mul(intervals.len())?;
-        if total > Self::MAX_WORDS {
-            return None;
-        }
+        let total = wpi * intervals.len();
         let mut bits = vec![0u64; total];
         let offsets = graph.csc().offsets();
         let sources = graph.csc().raw_sources();
@@ -325,12 +179,12 @@ impl OccupancyIndex {
                 words[(u >> 6) as usize] |= 1u64 << (u & 63);
             }
         }
-        Some(Self {
+        Self {
             num_vertices: n,
             words_per_interval: wpi,
             num_intervals: intervals.len(),
             bits,
-        })
+        }
     }
 
     /// Number of intervals indexed.
@@ -571,23 +425,39 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_index_windows_match_plan_all() {
+    fn occupancy_index_windows_match_plan() {
         use crate::generator::{rmat, RmatParams};
         for (n, edges, seed) in [(64usize, 40usize, 1u64), (500, 2500, 2), (1500, 12000, 3)] {
             let g = rmat(n, edges, RmatParams::default(), seed)
                 .unwrap()
                 .with_feature_len(8);
-            for chunk_w in [7u32, 64, 1 << 20] {
-                let intervals = chunking(n as u32, chunk_w);
-                let idx = OccupancyIndex::build(&g, &intervals).unwrap();
+            // Uniform chunkings (with a short tail) and a non-uniform one.
+            let mut chunkings: Vec<Vec<Interval>> = [7u32, 64, 1 << 20]
+                .iter()
+                .map(|&w| chunking(n as u32, w))
+                .collect();
+            chunkings.push(vec![
+                Interval::new(0, n as u32 / 3),
+                Interval::new(n as u32 / 3, n as u32),
+            ]);
+            for intervals in &chunkings {
+                let idx = OccupancyIndex::build(&g, intervals);
                 assert_eq!(idx.num_intervals(), intervals.len());
                 for h in [1usize, 3, 16, 128, 1 << 24] {
-                    let ws = WindowPlanner::new(h).plan_all(&g, &intervals);
-                    for i in 0..intervals.len() {
-                        let expect: Vec<Interval> = ws.windows(i).iter().map(|w| w.rows).collect();
+                    for (i, &dst) in intervals.iter().enumerate() {
+                        let expect: Vec<Interval> = WindowPlanner::new(h)
+                            .plan(&g, dst)
+                            .iter()
+                            .map(|w| w.rows)
+                            .collect();
                         let mut got = Vec::new();
                         idx.for_each_window(i, h, |rows| got.push(rows));
-                        assert_eq!(expect, got, "n {n} chunk_w {chunk_w} h {h} interval {i}");
+                        assert_eq!(expect, got, "n {n} h {h} interval {dst:?}");
+                        // A one-interval index yields the same windows.
+                        let mut alone = Vec::new();
+                        OccupancyIndex::build(&g, &[dst])
+                            .for_each_window(0, h, |rows| alone.push(rows));
+                        assert_eq!(expect, alone, "n {n} h {h} one-interval {dst:?}");
                     }
                 }
             }
@@ -598,46 +468,13 @@ mod tests {
     fn occupancy_index_empty_graph_and_interval() {
         let g = GraphBuilder::new(128).feature_len(4).build();
         let intervals = chunking(128, 32);
-        let idx = OccupancyIndex::build(&g, &intervals).unwrap();
+        let idx = OccupancyIndex::build(&g, &intervals);
         for i in 0..intervals.len() {
             idx.for_each_window(i, 8, |_| panic!("no edges, no windows"));
         }
         // Zero intervals is legal and holds no bitmaps.
-        let empty = OccupancyIndex::build(&g, &[]).unwrap();
+        let empty = OccupancyIndex::build(&g, &[]);
         assert_eq!(empty.num_intervals(), 0);
         assert_eq!(empty.storage_bytes(), 0);
-    }
-
-    #[test]
-    fn occupancy_index_respects_budget() {
-        let g = sparse_graph();
-        // 64 vertices -> 1 word per interval; a fake chunking of
-        // MAX_WORDS + 1 single-vertex intervals would blow the budget.
-        let too_many: Vec<Interval> = (0..=OccupancyIndex::MAX_WORDS)
-            .map(|_| Interval::new(0, 1))
-            .collect();
-        assert!(OccupancyIndex::build(&g, &too_many).is_none());
-        assert!(OccupancyIndex::build(&g, &[Interval::new(0, 64)]).is_some());
-    }
-
-    #[test]
-    fn plan_rows_matches_plan() {
-        use crate::partition::SourceOccupancy;
-        let g = sparse_graph();
-        let intervals = [
-            Interval::new(0, 4),
-            Interval::new(4, 32),
-            Interval::new(32, 64),
-        ];
-        let occ = SourceOccupancy::build(&g, &intervals);
-        for h in [1usize, 4, 8, 64] {
-            let planner = WindowPlanner::new(h);
-            for (i, &dst) in intervals.iter().enumerate() {
-                let direct = planner.plan(&g, dst);
-                let mut from_rows = Vec::new();
-                planner.plan_rows(occ.rows(i), |w| from_rows.push(w));
-                assert_eq!(direct, from_rows, "height {h}, interval {i}");
-            }
-        }
     }
 }

@@ -35,7 +35,7 @@
 //!
 //! | phase              | recorded around                                      |
 //! |--------------------|------------------------------------------------------|
-//! | `schedule_build`   | `EventSchedule::build`, planner fallback included    |
+//! | `schedule_build`   | `EventSchedule::build` and its over-budget fallback  |
 //! | `aggregation`      | Aggregation-engine chunk processing                  |
 //! | `combination`      | Combination-engine chunk processing                  |
 //! | `hbm_walk`         | Staged HBM drain (seed path, FR-FCFS controller)     |
@@ -104,7 +104,7 @@ use std::time::{Duration, Instant};
 #[repr(usize)]
 pub enum Phase {
     /// Event-schedule precompilation (`EventSchedule::build`), including
-    /// its over-budget `WindowPlanner` fallback.
+    /// its over-budget fallback that indexes one chunk at a time.
     ScheduleBuild,
     /// Aggregation-engine chunk processing.
     Aggregation,

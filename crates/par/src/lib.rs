@@ -2,19 +2,18 @@
 //!
 //! The build environment has no crates.io access, so this crate stands in
 //! for rayon: it provides exactly the fork-join shapes the workspace's
-//! hot paths need — campaign point fan-out, window planning, dense
-//! kernels — with **deterministic, index-ordered results**: a parallel
-//! run produces bit-identical output to a serial run.
+//! hot paths need — campaign point fan-out and dense kernels — with
+//! **deterministic, index-ordered results**: a parallel run produces
+//! bit-identical output to a serial run.
 //!
 //! Work is split into one contiguous index range per worker (chunks
 //! being independent but similar in cost, contiguous splitting also
-//! preserves cache locality of the underlying graph scans). With the
-//! `parallel` feature disabled — or when [`num_threads`] resolves to 1 —
-//! every helper degrades to the obvious serial loop on the calling
-//! thread.
+//! preserves cache locality of the underlying scans). When
+//! [`num_threads`] resolves to 1, every helper degrades to the obvious
+//! serial loop on the calling thread.
 //!
-//! Thread count resolution: `HYGCN_THREADS` beats `RAYON_NUM_THREADS`
-//! beats [`std::thread::available_parallelism`].
+//! Thread count resolution: [`set_thread_override`] beats
+//! `HYGCN_THREADS` beats [`std::thread::available_parallelism`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -23,7 +22,7 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Overrides the worker count for this process (pass `None` to clear).
 ///
-/// Takes precedence over the environment variables — the hook tests
+/// Takes precedence over `HYGCN_THREADS` — the hook tests
 /// and benchmarks use to compare serial and parallel runs within one
 /// process.
 pub fn set_thread_override(threads: Option<usize>) {
@@ -33,33 +32,22 @@ pub fn set_thread_override(threads: Option<usize>) {
 /// The worker count helpers use.
 ///
 /// Resolution order: [`set_thread_override`], then the `HYGCN_THREADS`
-/// environment variable, then `RAYON_NUM_THREADS` (honored so
-/// rayon-style deployment scripts keep working), then the machine's
-/// available parallelism. Always at least 1. With the `parallel` feature
-/// disabled this is always 1.
+/// environment variable, then the machine's available parallelism.
+/// Always at least 1; `HYGCN_THREADS=1` runs every helper serially.
 pub fn num_threads() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
+    let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
+    if forced > 0 {
+        return forced;
     }
-    #[cfg(feature = "parallel")]
+    if let Some(n) = std::env::var("HYGCN_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
     {
-        let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
-        if forced > 0 {
-            return forced;
-        }
-        for var in ["HYGCN_THREADS", "RAYON_NUM_THREADS"] {
-            if let Some(n) = std::env::var(var)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-            {
-                return n.max(1);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
+        return n.max(1);
     }
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 /// Splits `n` items into at most `workers` contiguous `(start, end)`

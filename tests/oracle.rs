@@ -161,6 +161,30 @@ fn degenerate_geometries_match_reference() {
     }
 }
 
+/// A chunking whose occupancy index exceeds the memo's budget
+/// (9,363 chunks of 7 destinations x 1,024 words per bitmap, over
+/// `OccupancyIndex::MAX_WORDS`): `simulate` indexes each chunk alone
+/// and must still match the reference bit for bit.
+#[test]
+fn over_budget_chunking_matches_reference() {
+    use hygcn_suite::core::schedule::EventSchedule;
+    let f_in = 16;
+    let graph = rmat(1 << 16, 120_000, RmatParams::default(), 3)
+        .unwrap()
+        .with_feature_len(f_in);
+    let model = GcnModel::new(ModelKind::Gcn, f_in, 3).unwrap();
+    let mut cfg = HyGcnConfig::default();
+    cfg.aggregation_buffer_bytes = 896;
+    let sched = EventSchedule::build(&graph, &cfg, f_in);
+    assert_eq!(sched.intervals().len(), 9_363);
+    assert!(graph.occupancy_index(sched.intervals()).is_none());
+    assert!(sched.total_windows() > 0);
+    let sim = Simulator::new(cfg);
+    let report = sim.simulate(&graph, &model).unwrap();
+    let reference = sim.simulate_reference(&graph, &model).unwrap();
+    assert_eq!(report, reference);
+}
+
 // ---------------------------------------------------------------------
 // Span-program replay vs the staged DRAM model, at arbitrary geometry.
 // ---------------------------------------------------------------------
