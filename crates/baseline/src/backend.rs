@@ -13,6 +13,7 @@
 //! | `cpu-naive`   | PyG-CPU as shipped                      | Fig. 2 breakdown, Fig. 10(a) reference |
 //! | `gpu-sharded` | the shard optimization on the V100, intervals sized to its L2 | Fig. 10(b) |
 //! | `cpu-trace`   | the trace-driven Xeon cache characterization; ignores the config, sampling override included | Table 2 |
+//! | `exec-pattern`| the execution-pattern characterization of both phases; ignores the config, sampling override included | Table 3 |
 //!
 //! Every figure number therefore comes from a stored campaign point,
 //! whichever platform produced it. The platform reports follow one
@@ -41,9 +42,11 @@
 //! A `cpu-trace` report carries Table 2's nine numbers as named
 //! [`SimReport::metrics`] (see
 //! [`crate::characterize::Characterization::to_metrics`]) and
-//! `elem_ops`/`macs` from the characterized workload. Its cycle, time,
-//! energy and DRAM fields stay zero: the characterization measures
-//! per-op rates, not run totals.
+//! `elem_ops`/`macs` from the characterized workload, and an
+//! `exec-pattern` report likewise Table 3's seven
+//! ([`crate::pattern::ExecutionPattern::to_metrics`]). Their cycle,
+//! time, energy and DRAM fields stay zero: the characterizations
+//! measure rates and shapes, not run totals.
 
 use std::sync::Arc;
 
@@ -62,6 +65,7 @@ use crate::characterize::characterize_workload;
 use crate::cpu::CpuModel;
 use crate::gpu::GpuModel;
 use crate::params::CpuParams;
+use crate::pattern::ExecutionPattern;
 use crate::report::PlatformReport;
 
 /// Clock the CPU cycle counts are reported at (Xeon E5-2680 v3, GHz).
@@ -284,19 +288,54 @@ impl SimBackend for CpuTraceBackend {
         model: &GcnModel,
         _config: &HyGcnConfig,
     ) -> Result<SimReport, SimError> {
-        hygcn_obs::observe_eval(self.backend_id(), || {
-            check_features(graph, model)?;
-            let w = LayerWorkload::of(graph, model, 0);
-            let c = characterize_workload(graph, &w, &CpuParams::default(), TRACE_EDGES);
-            Ok(SimReport {
-                elem_ops: w.agg_elem_ops,
-                macs: w.combine_macs,
-                provenance: self.backend_id(),
-                metrics: c.to_metrics(),
-                ..SimReport::default()
-            })
+        characterization(self.backend_id(), graph, model, |w| {
+            characterize_workload(graph, w, &CpuParams::default(), TRACE_EDGES).to_metrics()
         })
     }
+}
+
+/// The Table 3 execution-pattern characterization behind
+/// [`SimBackend`] ([`crate::pattern`]), stored as named report metrics.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExecPatternBackend;
+
+impl SimBackend for ExecPatternBackend {
+    fn backend_id(&self) -> &'static str {
+        "exec-pattern"
+    }
+
+    fn evaluate(
+        &self,
+        graph: &Graph,
+        model: &GcnModel,
+        _config: &HyGcnConfig,
+    ) -> Result<SimReport, SimError> {
+        characterization(self.backend_id(), graph, model, |w| {
+            ExecutionPattern::measure(graph, w).to_metrics()
+        })
+    }
+}
+
+/// The report of a characterization backend `id`: the named metrics
+/// `measure` takes of `model`'s workload over `graph`, and the
+/// workload's ops; no run totals.
+fn characterization(
+    id: &'static str,
+    graph: &Graph,
+    model: &GcnModel,
+    measure: impl FnOnce(&LayerWorkload) -> Vec<(&'static str, f64)>,
+) -> Result<SimReport, SimError> {
+    hygcn_obs::observe_eval(id, || {
+        check_features(graph, model)?;
+        let w = LayerWorkload::of(graph, model, 0);
+        Ok(SimReport {
+            elem_ops: w.agg_elem_ops,
+            macs: w.combine_macs,
+            provenance: id,
+            metrics: measure(&w),
+            ..SimReport::default()
+        })
+    })
 }
 
 /// Every backend id the workspace knows, in CLI display order.
@@ -309,6 +348,7 @@ pub const BACKEND_IDS: &[&str] = &[
     "cpu-naive",
     "gpu-sharded",
     "cpu-trace",
+    "exec-pattern",
     "seed",
 ];
 
@@ -316,8 +356,10 @@ pub const BACKEND_IDS: &[&str] = &[
 /// `hygcn-core` backends plus the platform and characterization models
 /// here.
 pub fn resolve(id: &str) -> Option<Arc<dyn SimBackend>> {
-    if id == "cpu-trace" {
-        return Some(Arc::new(CpuTraceBackend));
+    match id {
+        "cpu-trace" => return Some(Arc::new(CpuTraceBackend)),
+        "exec-pattern" => return Some(Arc::new(ExecPatternBackend)),
+        _ => {}
     }
     match PlatformBackend::new(id) {
         Some(platform) => Some(Arc::new(platform)),

@@ -35,8 +35,9 @@
 //! [`backend::PlatformBackend`] serves each platform variant as a
 //! campaign backend (`cpu`, `gpu`, `cpu-naive`, `gpu-sharded`), and
 //! [`backend::CpuTraceBackend`] serves the Table 2 characterization as
-//! `cpu-trace`, so the figure harness reads platform numbers from the
-//! store like any other design point.
+//! `cpu-trace` and [`backend::ExecPatternBackend`] the Table 3 one
+//! ([`pattern`]) as `exec-pattern`, so the figure harness reads platform
+//! numbers from the store like any other design point.
 
 pub mod backend;
 pub mod cache;
@@ -44,6 +45,7 @@ pub mod characterize;
 pub mod cpu;
 pub mod gpu;
 pub mod params;
+pub mod pattern;
 pub mod prefetch;
 pub mod report;
 pub mod trace;

@@ -173,6 +173,10 @@ pub fn phase_prefetch_coverage(
         }
     }
 
+    // One hierarchy at a time: each holds the tags of a 30 MB L3.
+    let agg_coverage = agg.coverage();
+    drop(agg);
+
     // Combination: a sequential sweep of the same feature matrix.
     let mut comb = PrefetchingHierarchy::new(Hierarchy::xeon(), 4);
     let total = graph.num_vertices() as u64 * row_bytes;
@@ -182,7 +186,7 @@ pub fn phase_prefetch_coverage(
         addr += 64;
     }
 
-    (agg.coverage(), comb.coverage())
+    (agg_coverage, comb.coverage())
 }
 
 #[cfg(test)]

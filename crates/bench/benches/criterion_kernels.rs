@@ -157,7 +157,7 @@ fn step_program(coordination: CoordinationMode, hbm: &HbmConfig) -> hygcn_mem::S
     for step in 0..64 {
         let mut batch = step_requests(step);
         scheduler.order_in_place(&mut batch, &mut scratch);
-        builder.push_step(&batch);
+        builder.push_step(&batch).expect("rows fit a span");
     }
     builder.finish()
 }

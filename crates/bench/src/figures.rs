@@ -12,14 +12,15 @@
 //!
 //! * **Shared points dedupe.** Fig. 10–14 all read the same 20-point
 //!   evaluation grid; the grid simulates once and every later figure is
-//!   served from the store. Table 3's single PB/GCN point is the same
-//!   cache key as the grid's.
+//!   served from the store. Table 3's PB/GCN accelerator point is the
+//!   same cache key as the grid's.
 //! * **Every number is a store read.** The PyG platform baselines are
 //!   backend points like any other: Fig. 2 reads the `cpu-naive` grid,
 //!   Fig. 10 the `cpu`, `gpu`, `cpu-naive` and `gpu-sharded` grids,
-//!   Fig. 11, 13 and 14 the `cpu` and `gpu` grids, and Table 2 its one
-//!   `cpu-trace` characterization point, all cached under their own
-//!   backend keys in the same store.
+//!   Fig. 11, 13 and 14 the `cpu` and `gpu` grids, Table 2 its one
+//!   `cpu-trace` characterization point and Table 3 its one
+//!   `exec-pattern` point, all cached under their own backend keys in
+//!   the same store.
 //! * **Re-runs are free.** `hygcn figures all` twice performs zero
 //!   simulations the second time — the regression gate CI asserts.
 //! * **One build per workload per run.** All of an artifact's spaces run
@@ -30,9 +31,8 @@
 //! * **Code changes invalidate precisely.** A config-affecting change
 //!   alters `HyGcnConfig::canon`, so exactly the stale points re-run.
 //!
-//! Only Table 3 (workload statistics) measures a graph directly,
-//! through the same memo: after a cold run's campaigns it builds
-//! nothing, and a warm `figures all` builds just its one graph.
+//! No artifact measures a graph directly, so a warm `figures all`
+//! builds no graph at all.
 //!
 //! Porting note: the original `fig15_sparsity` binary drove the
 //! Aggregation Engine in isolation; the campaign port measures the
@@ -43,17 +43,15 @@
 use std::path::Path;
 
 use hygcn_baseline::characterize::Characterization;
-use hygcn_baseline::prefetch::phase_prefetch_coverage;
+use hygcn_baseline::pattern::ExecutionPattern;
 use hygcn_core::energy::AreaPowerModel;
 use hygcn_core::HyGcnConfig;
 use hygcn_dse::campaign::{Campaign, CampaignReport, CompletedPoint, WorkloadMemo};
 use hygcn_dse::space::{Axis, ConfigSpace, WorkloadSpec};
 use hygcn_dse::DseError;
 use hygcn_gcn::model::{GcnModel, ModelKind};
-use hygcn_gcn::workload::LayerWorkload;
 use hygcn_graph::datasets::{DatasetKey, DatasetSpec};
 use hygcn_graph::reorder::Ordering;
-use hygcn_graph::stats::{neighbor_sharing_ratio, DegreeStats};
 use hygcn_graph::Graph;
 use hygcn_obs::json_escape;
 
@@ -92,8 +90,8 @@ pub struct FigureSpec {
 }
 
 /// One figure run's context: its scale multiplier and the workload memo
-/// every artifact's campaign and direct measurement (Table 3's workload
-/// statistics) shares, so a run builds each workload graph once.
+/// every campaign and direct measurement of the run shares, so a run
+/// builds each workload graph once.
 pub struct FigureCtx {
     mult: f64,
     workloads: WorkloadMemo,
@@ -114,8 +112,8 @@ impl FigureCtx {
     }
 
     /// Runs `f` over the memoized graph and a freshly derived model —
-    /// the escape hatch for artifact-specific measurements (Table 3's
-    /// workload statistics).
+    /// the escape hatch for a measurement that reads a workload graph
+    /// itself rather than a stored point.
     pub fn with_graph_model<T>(
         &mut self,
         key: DatasetKey,
@@ -825,52 +823,33 @@ fn table02_render(reports: &[CampaignReport], _ctx: &mut FigureCtx) -> String {
 fn table03_spaces(mult: f64) -> Result<Vec<ConfigSpace>, DseError> {
     // One default-config PB/GCN point — the same cache key as the
     // Fig. 10–14 grid's PB/GCN cell, so this artifact is free once the
-    // grid has run.
-    Ok(vec![ConfigSpace::new(
-        vec![ds(DatasetKey::Pb, mult)],
-        vec![ModelKind::Gcn],
-    )])
+    // grid has run — and the same workload's execution-pattern
+    // characterization, stored under the `exec-pattern` backend.
+    let space = || ConfigSpace::new(vec![ds(DatasetKey::Pb, mult)], vec![ModelKind::Gcn]);
+    Ok(vec![space(), space().with_backend_id("exec-pattern")])
 }
 
-fn table03_render(reports: &[CampaignReport], ctx: &mut FigureCtx) -> String {
-    let (agg_cov, comb_cov, sharing, weight_reuses, cv, agg_intensity, comb_intensity) = ctx
-        .with_graph_model(DatasetKey::Pb, ModelKind::Gcn, |graph, model| {
-            let w = LayerWorkload::of(graph, model, 0);
-            let (agg_cov, comb_cov) = phase_prefetch_coverage(graph, w.agg_width, 500_000);
-            let sharing = neighbor_sharing_ratio(graph, 1024);
-            let d = DegreeStats::of(graph);
-            let agg_intensity =
-                w.agg_elem_ops as f64 / (w.input_feature_bytes + w.edge_bytes).max(1) as f64;
-            let comb_intensity =
-                w.combine_macs as f64 / (w.weight_bytes + w.output_feature_bytes).max(1) as f64;
-            (
-                agg_cov,
-                comb_cov,
-                sharing,
-                w.num_vertices,
-                d.cv,
-                agg_intensity,
-                comb_intensity,
-            )
-        });
+fn table03_render(reports: &[CampaignReport], _ctx: &mut FigureCtx) -> String {
+    let p =
+        ExecutionPattern::from_metrics(|name| report_f64(reports[1].points[0].expect_done(), name));
     let mut out = String::new();
     out += &format!(
         "{:<24} agg: prefetch covers {:>5.1}% (indirect)   comb: {:>5.1}% (regular)\n",
         "access pattern",
-        agg_cov * 100.0,
-        comb_cov * 100.0
+        p.agg_prefetch_coverage * 100.0,
+        p.comb_prefetch_coverage * 100.0
     );
     out += &format!(
         "{:<24} agg: {:.2} distinct rows/edge (low reuse)   comb: weights reused {}x\n",
-        "data reusability", sharing, weight_reuses
+        "data reusability", p.neighbor_sharing, p.weight_reuses as u64
     );
     out += &format!(
         "{:<24} agg: per-vertex work cv = {:.2} (dynamic)   comb: cv = 0.00 (static)\n",
-        "computation pattern", cv
+        "computation pattern", p.degree_cv
     );
     out += &format!(
         "{:<24} agg: {:>6.2} ops/byte (low)               comb: {:>8.1} ops/byte (high)\n",
-        "computation intensity", agg_intensity, comb_intensity
+        "computation intensity", p.agg_ops_per_byte, p.comb_ops_per_byte
     );
     // Execution bound, from the stored accelerator point: engine-busy
     // cycle counters vs the mean per-channel memory busy fraction.

@@ -59,6 +59,17 @@ impl AddressLayout {
             spill_base,
         }
     }
+
+    /// The first address past the spill region, which `paths`
+    /// aggregation result sets of `row_bytes` per vertex fill: the top
+    /// of every region, and so of every request the workload issues.
+    /// `None` past the 64-bit address space.
+    pub fn end(&self, num_vertices: u64, row_bytes: u64, paths: u64) -> Option<u64> {
+        num_vertices
+            .checked_mul(row_bytes)?
+            .checked_mul(paths)?
+            .checked_add(self.spill_base)
+    }
 }
 
 #[cfg(test)]
@@ -86,6 +97,8 @@ mod tests {
         assert!(l.edge_base + e * 4 <= l.weight_base);
         assert!(l.weight_base + mlp_weight_bytes(&dims) <= l.output_base);
         assert!(l.output_base + n * mlp_out_len(&dims) * 4 <= l.spill_base);
+        assert_eq!(l.end(n, rb, 2), Some(l.spill_base + 2 * n * rb));
+        assert_eq!(l.end(u64::MAX, rb, 1), None);
     }
 
     #[test]

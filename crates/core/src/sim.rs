@@ -433,21 +433,26 @@ impl Prepared {
             let _obs = hygcn_obs::span(hygcn_obs::Phase::SpanProgramBuild);
             let mut builder = SpanProgramBuilder::new(&cfg.hbm).map_err(SimError::Config)?;
             let scheduler = AccessScheduler::new(cfg.coordination);
+            // Every step serves exactly its requests' scheduler pieces, so
+            // their spans size the whole program at once.
+            let spans = steps
+                .iter()
+                .flat_map(|step| step.requests(&arena, &aggs, &combs))
+                .flat_map(|&r| scheduler.pieces(r))
+                .map(|piece| builder.spans(&piece))
+                .sum();
+            builder.reserve(steps.len(), spans);
             let mut batch: Vec<MemRequest> = Vec::new();
             let mut order_scratch: Vec<MemRequest> = Vec::new();
             for step in &steps {
                 batch.clear();
-                if let Some(i) = step.agg {
-                    batch.extend_from_slice(arena.slice(aggs[i].span));
-                }
-                if let Some(i) = step.comb {
-                    batch.extend_from_slice(arena.slice(combs[i].span));
-                }
-                batch.extend(step.spill);
+                batch.extend(step.requests(&arena, &aggs, &combs));
                 scheduler.order_in_place(&mut batch, &mut order_scratch);
-                builder.push_step(&batch);
+                builder.push_step(&batch).map_err(SimError::Config)?;
             }
-            Ok::<SpanProgram, SimError>(builder.finish())
+            let program = builder.finish();
+            debug_assert_eq!(program.total_tuples(), spans, "the reservation is exact");
+            Ok::<SpanProgram, SimError>(program)
         })?;
         count_memo(outcome);
         debug_assert!(program.matches(&cfg.hbm) && program.steps() == steps.len());
@@ -637,6 +642,21 @@ struct Step {
     agg: Option<usize>,
     comb: Option<usize>,
     spill: Option<MemRequest>,
+}
+
+impl Step {
+    /// The step's requests, unscheduled: its aggregating chunk's, its
+    /// combining chunk's and its spill.
+    fn requests<'a>(
+        &'a self,
+        arena: &'a RequestArena,
+        aggs: &[ChunkAggregation],
+        combs: &[ChunkCombination],
+    ) -> impl Iterator<Item = &'a MemRequest> {
+        let agg = self.agg.map_or(&[][..], |i| arena.slice(aggs[i].span));
+        let comb = self.comb.map_or(&[][..], |i| arena.slice(combs[i].span));
+        agg.iter().chain(comb).chain(self.spill.as_ref())
+    }
 }
 
 /// Bytes of chunk `dst`'s aggregation results (`paths` result sets of

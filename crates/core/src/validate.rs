@@ -8,11 +8,13 @@
 //! and a bad configuration is an error, never a panic deep in the memory
 //! model (`tests/backends.rs` locks the backends to identical errors).
 
-use hygcn_gcn::model::GcnModel;
+use hygcn_gcn::model::{GcnModel, ModelKind};
 use hygcn_graph::Graph;
+use hygcn_mem::cast::widen_u64;
 
 use crate::config::HyGcnConfig;
 use crate::error::SimError;
+use crate::layout::AddressLayout;
 
 /// Validates that `(graph, model, cfg)` is a simulable design point.
 ///
@@ -23,13 +25,16 @@ use crate::error::SimError;
 /// 2. half the (ping-pong) Input Buffer holds one feature vector;
 /// 3. half the (ping-pong) Aggregation Buffer holds one feature vector;
 /// 4. the configuration is internally consistent
-///    ([`HyGcnConfig::validate`]: HBM geometry, clock, fidelity).
+///    ([`HyGcnConfig::validate`]: HBM geometry, clock, fidelity);
+/// 5. the workload's [`AddressLayout`] fits the address space, and its
+///    top address decodes to a row below 2^32 - 1, so every span of
+///    its requests fits a [`hygcn_mem::spanprog::SpanTuple`].
 ///
 /// # Errors
 ///
 /// * [`SimError::Gcn`] with `GcnError::FeatureShape` on mismatch (1);
 /// * [`SimError::BufferTooSmall`] naming the offending buffer (2, 3);
-/// * [`SimError::Config`] with the first violated constraint (4).
+/// * [`SimError::Config`] with the first violated constraint (4, 5).
 pub fn validate_inputs(graph: &Graph, model: &GcnModel, cfg: &HyGcnConfig) -> Result<(), SimError> {
     let f_in = model.feature_len();
     if graph.feature_len() != f_in {
@@ -53,13 +58,38 @@ pub fn validate_inputs(graph: &Graph, model: &GcnModel, cfg: &HyGcnConfig) -> Re
             available: cfg.aggregation_buffer_bytes / 2,
         });
     }
-    cfg.validate().map_err(SimError::Config)
+    cfg.validate().map_err(SimError::Config)?;
+    // Rows grow with the address, so the top address holds the
+    // workload's largest row (a sampled graph only has fewer edges).
+    let kind = model.kind();
+    let paths = if kind == ModelKind::DiffPool { 2 } else { 1 };
+    let (n, row_bytes) = (widen_u64(graph.num_vertices()), widen_u64(row_bytes));
+    let layout = AddressLayout::new(
+        n,
+        widen_u64(graph.num_edges()),
+        row_bytes,
+        &kind.mlp_dims(f_in),
+    );
+    let Some(end) = layout.end(n, row_bytes, paths) else {
+        return Err(SimError::Config(
+            "the workload's address layout exceeds the 64-bit address space".into(),
+        ));
+    };
+    let top = end.saturating_sub(1);
+    let row = cfg.hbm.address_map().decode(top).row;
+    if row >= u64::from(u32::MAX) {
+        return Err(SimError::Config(format!(
+            "hbm: the workload's top address {top:#x} decodes to row {row}, past the \
+             {} rows a span program holds",
+            u32::MAX
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hygcn_gcn::model::ModelKind;
     use hygcn_graph::generator::preferential_attachment;
 
     fn graph(n: usize, f: usize) -> Graph {

@@ -66,7 +66,8 @@ pub use error::GraphError;
 
 use std::any::Any;
 use std::convert::Infallible;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::marker::PhantomData;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Identifier of a vertex. Graphs in this crate are limited to `u32::MAX`
 /// vertices, matching the index width used by the accelerator's edge format.
@@ -96,82 +97,200 @@ pub struct Graph {
 /// samples) in the same memo.
 ///
 /// Each `(key, value)` type pair gets its own FIFO of
-/// [`PLAN_CACHE_ENTRIES`] entries. The cache is *identity-transparent*:
-/// it never affects equality, hashing, or any observable graph
-/// property, so clones share one memo via the `Arc` and a populated
-/// cache always agrees with an empty one.
+/// [`PLAN_CACHE_ENTRIES`] entries; occupancy indexes keep more while
+/// their bitmaps fit [`PLAN_CACHE_BYTES`]. A key is built once: its
+/// builder registers it as in flight, and a concurrent caller of the
+/// same key waits for that build instead of repeating it. The cache is
+/// *identity-transparent*: it never affects equality, hashing, or any
+/// observable graph property, so clones share one memo via the `Arc`
+/// and a populated cache always agrees with an empty one.
 #[derive(Clone, Default)]
-struct PlanCache(Arc<Mutex<Vec<Box<dyn Any + Send + Sync>>>>);
+struct PlanCache(Arc<Memo>);
 
-/// One `(key, value)` type pair's entries, oldest first.
-type MemoSlot<K, V> = Vec<(K, Arc<V>)>;
+/// The shared state behind a [`PlanCache`].
+#[derive(Default)]
+struct Memo {
+    state: Mutex<MemoState>,
+    /// Signalled whenever an in-flight build ends, stored or not.
+    built: Condvar,
+}
+
+/// The memo's contents.
+#[derive(Default)]
+struct MemoState {
+    /// One [`MemoSlot`] per `(key, value)` type pair.
+    slots: Slots,
+    /// Builds ever started: the next build's ticket.
+    tickets: u64,
+}
+
+/// One `(key, value)` type pair's entries, oldest first, and the keys
+/// being built, each under its build's ticket.
+struct MemoSlot<K, V> {
+    entries: Vec<(K, Arc<V>)>,
+    building: Vec<(u64, K)>,
+}
 
 /// Entries worth remembering per `(key, value)` type and graph:
 /// campaigns mostly alternate between a couple of buffer sizes, and
 /// each entry can be megabytes.
 const PLAN_CACHE_ENTRIES: usize = 4;
 
+/// The bytes of occupancy indexes a graph keeps beyond
+/// [`PLAN_CACHE_ENTRIES`]: one maximal index. A campaign sweeps every
+/// model over the same chunkings, and the indexes of one graph's
+/// chunkings are mostly far smaller than that, so a sweep builds each
+/// once.
+const PLAN_CACHE_BYTES: usize = window::OccupancyIndex::MAX_WORDS * 8;
+
 /// What a [`Graph::memo`] call did to produce its value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoOutcome {
-    /// The value was already cached.
+    /// The value was already cached, or built meanwhile by a concurrent
+    /// caller of the same key.
     Hit,
     /// The value was built by this call. `evicted` is set when storing
-    /// it pushed out the oldest entry of its type.
+    /// it pushed out older entries of its type.
     Built {
         /// Whether the insertion evicted an older entry.
         evicted: bool,
     },
 }
 
+type Slots = Vec<Box<dyn Any + Send + Sync>>;
+
 impl PlanCache {
-    fn lock(&self) -> MutexGuard<'_, Vec<Box<dyn Any + Send + Sync>>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, MemoState> {
+        self.0.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn get<K, V>(&self, key: &K) -> Option<Arc<V>>
+    /// The slot of `(K, V)` among `slots`, created empty if missing.
+    fn slot<K, V>(slots: &mut Slots) -> &mut MemoSlot<K, V>
     where
-        K: PartialEq + Send + Sync + 'static,
+        K: Send + Sync + 'static,
         V: Send + Sync + 'static,
     {
-        self.lock()
+        let i = slots
             .iter()
-            .find_map(|slot| slot.downcast_ref::<MemoSlot<K, V>>())?
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| Arc::clone(v))
-    }
-
-    /// Stores `value` under `key`. A concurrent builder may have stored
-    /// the same key meanwhile; its value wins, so every caller shares
-    /// one instance.
-    fn insert<K, V>(&self, key: K, value: Arc<V>) -> (Arc<V>, MemoOutcome)
-    where
-        K: PartialEq + Send + Sync + 'static,
-        V: Send + Sync + 'static,
-    {
-        let mut slots = self.lock();
-        match slots
-            .iter_mut()
-            .find_map(|slot| slot.downcast_mut::<MemoSlot<K, V>>())
-        {
-            Some(slot) => {
-                if let Some((_, v)) = slot.iter().find(|(k, _)| *k == key) {
-                    return (Arc::clone(v), MemoOutcome::Built { evicted: false });
-                }
-                let evicted = slot.len() >= PLAN_CACHE_ENTRIES;
-                if evicted {
-                    slot.remove(0);
-                }
-                slot.push((key, Arc::clone(&value)));
-                (value, MemoOutcome::Built { evicted })
-            }
-            None => {
-                let slot: MemoSlot<K, V> = vec![(key, Arc::clone(&value))];
-                slots.push(Box::new(slot));
-                (value, MemoOutcome::Built { evicted: false })
-            }
+            .position(|s| s.is::<MemoSlot<K, V>>())
+            .unwrap_or_else(|| {
+                slots.push(Box::new(MemoSlot::<K, V> {
+                    entries: Vec::new(),
+                    building: Vec::new(),
+                }));
+                slots.len() - 1
+            });
+        match slots[i].downcast_mut() {
+            Some(slot) => slot,
+            None => unreachable!("slot {i} holds MemoSlot<K, V>"),
         }
+    }
+
+    /// [`Graph::memo`], keeping more than [`PLAN_CACHE_ENTRIES`]
+    /// entries while their summed `bytes` fit [`PLAN_CACHE_BYTES`] when
+    /// `bytes` is given.
+    fn memo<K, V, E>(
+        &self,
+        key: K,
+        build: impl FnOnce() -> Result<V, E>,
+        bytes: Option<fn(&V) -> usize>,
+    ) -> Result<(Arc<V>, MemoOutcome), E>
+    where
+        K: PartialEq + Send + Sync + 'static,
+        V: Send + Sync + 'static,
+    {
+        let mut state = self.lock();
+        loop {
+            let slot = Self::slot::<K, V>(&mut state.slots);
+            if let Some((_, v)) = slot.entries.iter().find(|(k, _)| *k == key) {
+                return Ok((Arc::clone(v), MemoOutcome::Hit));
+            }
+            if !slot.building.iter().any(|(_, k)| *k == key) {
+                break;
+            }
+            // Another caller is building this key: take its value, or
+            // the build over if it failed.
+            state = self
+                .0
+                .built
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        let ticket = state.tickets;
+        state.tickets += 1;
+        Self::slot::<K, V>(&mut state.slots)
+            .building
+            .push((ticket, key));
+        drop(state);
+        let flight = InFlight::<K, V> {
+            cache: self,
+            ticket,
+            types: PhantomData,
+        };
+        let value = Arc::new(build()?);
+        Ok((Arc::clone(&value), flight.store(value, bytes)))
+    }
+}
+
+/// A key this caller is building. Dropped, it withdraws the key if
+/// still in flight — the build failed or panicked, and a waiter then
+/// builds it itself — and wakes the waiters.
+struct InFlight<'a, K, V>
+where
+    K: Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    cache: &'a PlanCache,
+    ticket: u64,
+    types: PhantomData<fn() -> (K, V)>,
+}
+
+impl<K, V> InFlight<'_, K, V>
+where
+    K: Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    /// Removes the key from the in-flight list, returning it.
+    fn withdraw(&self, slots: &mut Slots) -> Option<K> {
+        let building = &mut PlanCache::slot::<K, V>(slots).building;
+        let i = building.iter().position(|&(t, _)| t == self.ticket)?;
+        Some(building.swap_remove(i).1)
+    }
+
+    /// Stores the built `value` under the key, evicting the oldest
+    /// entries past the slot's bound; dropping `self` then wakes the
+    /// waiters.
+    fn store(self, value: Arc<V>, bytes: Option<fn(&V) -> usize>) -> MemoOutcome {
+        let mut state = self.cache.lock();
+        let key = self.withdraw(&mut state.slots);
+        let slot = PlanCache::slot::<K, V>(&mut state.slots);
+        slot.entries.extend(key.map(|k| (k, value)));
+        let over = |entries: &[(K, Arc<V>)]| {
+            entries.len() > PLAN_CACHE_ENTRIES
+                && bytes.is_none_or(|bytes| {
+                    entries.iter().map(|(_, v)| bytes(v)).sum::<usize>() > PLAN_CACHE_BYTES
+                })
+        };
+        let mut evicted = false;
+        while over(&slot.entries) {
+            slot.entries.remove(0);
+            evicted = true;
+        }
+        drop(state);
+        MemoOutcome::Built { evicted }
+    }
+}
+
+impl<K, V> Drop for InFlight<'_, K, V>
+where
+    K: Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    fn drop(&mut self) {
+        let mut state = self.cache.lock();
+        self.withdraw(&mut state.slots);
+        drop(state);
+        self.cache.0.built.notify_all();
     }
 }
 
@@ -302,8 +421,11 @@ impl Graph {
     /// models) share the memo, and eviction only costs a rebuild. So a
     /// memoized value must not depend on the feature length unless the
     /// key carries it. `build` runs without the cache lock held, so it
-    /// may itself consult this graph's memo; two threads missing on the
-    /// same key may both build, and the first stored value wins.
+    /// may itself consult this graph's memo for other keys (never for
+    /// its own, which it would wait on). A caller that misses while
+    /// another builds the same key waits for that build and shares its
+    /// value (a [`MemoOutcome::Hit`]); if that build fails, the caller
+    /// builds the key itself.
     ///
     /// # Errors
     ///
@@ -317,11 +439,7 @@ impl Graph {
         K: PartialEq + Send + Sync + 'static,
         V: Send + Sync + 'static,
     {
-        if let Some(v) = self.plan_cache.get::<K, V>(&key) {
-            return Ok((v, MemoOutcome::Hit));
-        }
-        let value = Arc::new(build()?);
-        Ok(self.plan_cache.insert(key, value))
+        self.plan_cache.memo(key, build, None)
     }
 
     /// The per-interval source-occupancy bitmaps for `intervals`,
@@ -344,9 +462,11 @@ impl Graph {
         if words > window::OccupancyIndex::MAX_WORDS {
             return None;
         }
-        let Ok(entry) = self.memo(intervals.to_vec(), || {
-            Ok::<_, Infallible>(window::OccupancyIndex::build(self, intervals))
-        });
+        let Ok(entry) = self.plan_cache.memo(
+            intervals.to_vec(),
+            || Ok::<_, Infallible>(window::OccupancyIndex::build(self, intervals)),
+            Some(window::OccupancyIndex::storage_bytes),
+        );
         Some(entry)
     }
 
@@ -469,26 +589,44 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_index_cache_is_bounded() {
+    fn occupancy_index_cache_is_bounded_by_bytes() {
+        // Six chunkings of a tiny graph fit the byte budget: all kept.
         let g = toy();
-        let first = [partition::Interval::new(0, 4)];
-        let (a, _) = g.occupancy_index(&first).expect("fits");
-        let mut evictions = 0;
-        for w in 0..PLAN_CACHE_ENTRIES as u32 {
-            // PLAN_CACHE_ENTRIES fresh chunkings evict the oldest entry.
-            let intervals = [partition::Interval::new(w, w + 1)];
-            let (_, outcome) = g.occupancy_index(&intervals).expect("fits");
-            if outcome == (MemoOutcome::Built { evicted: true }) {
-                evictions += 1;
-            }
+        let chunkings: Vec<[partition::Interval; 1]> = (0..6u32)
+            .map(|w| [partition::Interval::new(w % 4, w % 4 + 1 + w / 4)])
+            .collect();
+        for c in &chunkings {
+            let (_, outcome) = g.occupancy_index(c).expect("fits");
+            assert_eq!(outcome, MemoOutcome::Built { evicted: false });
         }
-        assert_eq!(evictions, 1);
-        let (again, outcome) = g.occupancy_index(&first).expect("fits");
-        assert_eq!(outcome, MemoOutcome::Built { evicted: true });
-        assert!(
-            !Arc::ptr_eq(&a, &again),
-            "evicted entries are rebuilt, not resurrected"
+        for c in &chunkings {
+            assert_eq!(g.occupancy_index(c).expect("fits").1, MemoOutcome::Hit);
+        }
+        // Past PLAN_CACHE_ENTRIES, entries stay while their bytes fit
+        // PLAN_CACHE_BYTES (sizes stood in by the values themselves).
+        let size = |v: &usize| *v;
+        let eighth = PLAN_CACHE_BYTES / 8;
+        let put = |key: u32, bytes: usize| {
+            g.plan_cache
+                .memo(key, || Ok::<_, ()>(bytes), Some(size))
+                .unwrap()
+                .1
+        };
+        for key in 0..8 {
+            assert_eq!(put(key, eighth), MemoOutcome::Built { evicted: false });
+        }
+        assert_eq!(put(8, eighth), MemoOutcome::Built { evicted: true });
+        assert_eq!(put(0, eighth), MemoOutcome::Built { evicted: true });
+        assert_eq!(put(1, eighth), MemoOutcome::Built { evicted: true });
+        // A whole budget's worth leaves the newest PLAN_CACHE_ENTRIES.
+        assert_eq!(
+            put(9, PLAN_CACHE_BYTES),
+            MemoOutcome::Built { evicted: true }
         );
+        for key in [1, 9] {
+            assert_eq!(put(key, 0), MemoOutcome::Hit);
+        }
+        assert_eq!(put(6, 0), MemoOutcome::Built { evicted: true });
     }
 
     #[test]
@@ -537,6 +675,90 @@ mod tests {
         assert_eq!((*v, outcome), (42, MemoOutcome::Built { evicted: true }));
         let (_, outcome) = g.memo("a", || Ok::<_, ()>(String::new())).unwrap();
         assert_eq!(outcome, MemoOutcome::Hit, "other types keep their entries");
+    }
+
+    /// Starts `memo("k", build)` on one thread, and once `build` has
+    /// begun, a second `memo("k", ..)` on another; releases `build`
+    /// 50 ms later and returns both results with how many builds ran.
+    /// The pause only lets the second caller reach its wait: every
+    /// assertion holds however the threads interleave.
+    #[allow(clippy::type_complexity)]
+    fn race(
+        first: Result<u64, &'static str>,
+    ) -> (
+        Result<(Arc<u64>, MemoOutcome), &'static str>,
+        Result<(Arc<u64>, MemoOutcome), &'static str>,
+        usize,
+    ) {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let g = toy();
+        let builds = AtomicUsize::new(0);
+        let returned = AtomicBool::new(false);
+        let (entered, wait_entered) = mpsc::channel();
+        let (release, wait_release) = mpsc::channel::<()>();
+        let (g, builds, returned) = (&g, &builds, &returned);
+        std::thread::scope(|scope| {
+            // Owned here, so a failed assertion drops it and the slow
+            // build's `recv` ends instead of holding the scope open.
+            let release = release;
+            let slow = scope.spawn(move || {
+                g.memo("k", || {
+                    builds.fetch_add(1, Ordering::SeqCst);
+                    entered.send(()).unwrap();
+                    wait_release.recv().unwrap();
+                    first
+                })
+            });
+            wait_entered.recv().unwrap();
+            let second = scope.spawn(move || {
+                let r = g.memo("k", || {
+                    builds.fetch_add(1, Ordering::SeqCst);
+                    Ok(7)
+                });
+                returned.store(true, Ordering::SeqCst);
+                r
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            // The key is in flight: the second caller cannot finish.
+            assert!(!returned.load(Ordering::SeqCst));
+            release.send(()).unwrap();
+            let (a, b) = (slow.join().unwrap(), second.join().unwrap());
+            (a, b, builds.load(Ordering::SeqCst))
+        })
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_build_once() {
+        let (a, b, builds) = race(Ok(41));
+        assert_eq!(builds, 1);
+        let ((a, built), (b, waited)) = (a.unwrap(), b.unwrap());
+        assert_eq!(built, MemoOutcome::Built { evicted: false });
+        assert_eq!(waited, MemoOutcome::Hit);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(*b, 41);
+    }
+
+    #[test]
+    fn a_caller_waiting_on_a_failed_build_builds_itself() {
+        let (a, b, builds) = race(Err("no"));
+        assert_eq!(a, Err("no"));
+        let (b, outcome) = b.unwrap();
+        assert_eq!((*b, outcome), (7, MemoOutcome::Built { evicted: false }));
+        assert_eq!(builds, 2);
+    }
+
+    #[test]
+    fn a_panicking_build_withdraws_its_key() {
+        let g = toy();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.memo("k", || -> Result<u64, ()> { panic!("build failed") })
+        }));
+        assert!(panicked.is_err());
+        // Not left in flight: the next caller builds instead of waiting.
+        let (v, outcome) = g.memo("k", || Ok::<_, ()>(3)).unwrap();
+        assert_eq!((*v, outcome), (3, MemoOutcome::Built { evicted: false }));
     }
 
     #[test]

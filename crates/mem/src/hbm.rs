@@ -103,10 +103,22 @@ impl HbmConfig {
     /// program under 2^40 bursts.
     pub const MAX_TIMING_CYCLES: u64 = 1 << 20;
 
+    /// The most banks per channel [`HbmConfig::validate`] accepts: 2^16,
+    /// so every bank index fits a span's `u16`
+    /// ([`crate::spanprog::SpanTuple`]).
+    pub const MAX_BANKS: usize = 1 << 16;
+
+    /// The most bursts per row (`row_bytes / burst_bytes`)
+    /// [`HbmConfig::validate`] accepts: 2^15, the largest power of two a
+    /// span's `u16` burst count holds.
+    pub const MAX_BURSTS_PER_ROW: u64 = 1 << 15;
+
     /// Validates the geometry without constructing anything: every
     /// count/size must be a power of two, the burst must fit inside a
-    /// row, the burst transfer time must be nonzero, and no timing
-    /// parameter may exceed [`HbmConfig::MAX_TIMING_CYCLES`].
+    /// row, a channel may have at most [`HbmConfig::MAX_BANKS`] banks and
+    /// a row at most [`HbmConfig::MAX_BURSTS_PER_ROW`] bursts, the burst
+    /// transfer time must be nonzero, and no timing parameter may exceed
+    /// [`HbmConfig::MAX_TIMING_CYCLES`].
     ///
     /// This is the config-level twin of [`AddressMap::try_new`]'s checks
     /// — campaign axes over memory-geometry knobs call it while
@@ -125,6 +137,21 @@ impl HbmConfig {
             self.row_bytes,
             self.burst_bytes,
         )?;
+        if self.banks > Self::MAX_BANKS {
+            return Err(format!(
+                "banks {} exceeds the {} bank bound",
+                self.banks,
+                Self::MAX_BANKS
+            ));
+        }
+        let bursts = self.row_bytes / self.burst_bytes;
+        if bursts > Self::MAX_BURSTS_PER_ROW {
+            return Err(format!(
+                "row_bytes / burst_bytes = {bursts} bursts per row exceeds the {} \
+                 burst bound",
+                Self::MAX_BURSTS_PER_ROW
+            ));
+        }
         if self.t_burst == 0 {
             return Err("t_burst must be >= 1 cycle".into());
         }

@@ -22,6 +22,26 @@
 //! program's memory traffic (and the program-order row compare) once
 //! per `L` timings.
 //!
+//! ## Layout and decode
+//!
+//! A [`SpanTuple`] is 8 bytes: a `u32` row, a `u16` bank and a `u16`
+//! burst count. The narrowing is checked, never a truncation:
+//! [`HbmConfig::validate`] admits at most [`HbmConfig::MAX_BANKS`]
+//! (2^16) banks and [`HbmConfig::MAX_BURSTS_PER_ROW`] (2^15) bursts per
+//! row, and [`SpanProgramBuilder::push_step`] returns an error for a
+//! row at or above 2^32 - 1 (`NO_ROW`, the replay's closed-bank
+//! sentinel), which the simulator's input validation rules out for
+//! every workload it accepts. The open-row state of the ordering pass
+//! and the replay is `u32` alike.
+//!
+//! Each program decodes into one exact-size buffer. The caller sums
+//! [`SpanProgramBuilder::spans`] (one span per row-buffer page a request
+//! touches) over the whole program and
+//! [`SpanProgramBuilder::reserve`]s it; each step then counts its spans
+//! per channel in closed form, places one write cursor per channel, and
+//! writes every span straight to its channel's cursor. Nothing is
+//! staged, appended or reallocated.
+//!
 //! ## Build/replay contract
 //!
 //! One [`SpanProgramBuilder::push_step`] call per timeline step, fed the
@@ -96,12 +116,15 @@
 //! of one timing share a lane.
 
 use crate::address::MappingScheme;
+use crate::cast::{idx, saturating_usize, widen_u64};
 use crate::hbm::HbmConfig;
 use crate::request::MemRequest;
 use crate::stats::{ChannelStats, HbmStats, MemStats};
 
-/// Sentinel for "no row open" (mirrors `hbm::NO_ROW`).
-const NO_ROW: u64 = u64::MAX;
+/// Sentinel for "no row open" (`hbm::NO_ROW` narrowed to a span's row
+/// width): [`SpanProgramBuilder::push_step`] rejects a row at or above
+/// it, so no decoded row ever reads as closed.
+const NO_ROW: u32 = u32::MAX;
 
 /// Bit 31 of a [`SpanSchedule`] entry: the span is a row miss.
 const MISS: u32 = 1 << 31;
@@ -115,16 +138,24 @@ const MAX_RUN: usize = 1 << 31;
 
 /// One precompiled same-(channel, bank, row) burst run. The channel is
 /// implied by which per-channel run of the [`SpanProgram`] the tuple
-/// sits in; 16 bytes so a step's run streams through cache linearly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// sits in; 8 bytes so a step's run streams through cache linearly.
+/// Every field holds its value exactly: [`HbmConfig::validate`] bounds
+/// the banks and the bursts per row, and
+/// [`SpanProgramBuilder::push_step`] rejects a row that does not fit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanTuple {
-    /// Row index within the bank.
-    pub row: u64,
-    /// Bank index within the channel.
-    pub bank: u32,
-    /// Burst count of the run (`ceil(bytes / burst_bytes)`).
-    pub bursts: u32,
+    /// Row index within the bank, below 2^32 - 1 (the closed-bank
+    /// sentinel).
+    pub row: u32,
+    /// Bank index within the channel (at most
+    /// [`HbmConfig::MAX_BANKS`] banks).
+    pub bank: u16,
+    /// Burst count of the run (`ceil(bytes / burst_bytes)`, at most
+    /// [`HbmConfig::MAX_BURSTS_PER_ROW`]).
+    pub bursts: u16,
 }
+
+const _: () = assert!(std::mem::size_of::<SpanTuple>() == 8);
 
 /// Request-level traffic of one timeline step, folded into the
 /// replayer's [`MemStats`] on replay (the counters
@@ -274,10 +305,10 @@ impl SpanProgram {
 
 /// Appends `run`'s schedule entries in arrival order, opening rows in
 /// `bank_row` as the spans miss, and returns the cell's counts.
-fn in_order(run: &[SpanTuple], bank_row: &mut [u64], order: &mut Vec<u32>) -> CellCounts {
+fn in_order(run: &[SpanTuple], bank_row: &mut [u32], order: &mut Vec<u32>) -> CellCounts {
     let mut counts = CellCounts::default();
     for (t, idx) in run.iter().zip(0u32..) {
-        let bank = t.bank as usize;
+        let bank = usize::from(t.bank);
         let miss = bank_row[bank] != t.row;
         bank_row[bank] = t.row;
         order.push(if miss { idx | MISS } else { idx });
@@ -309,24 +340,28 @@ pub struct SpanSchedule {
 }
 
 /// Streaming builder: feed each timeline step's scheduler-ordered batch
-/// once, in step order, then [`SpanProgramBuilder::finish`].
+/// once, in step order, then [`SpanProgramBuilder::finish`]. Sized with
+/// [`SpanProgramBuilder::reserve`] from the program's
+/// [`SpanProgramBuilder::spans`], it decodes into exactly the buffer it
+/// returns: each span is written once, at its channel's cursor.
 #[derive(Debug, Clone)]
 pub struct SpanProgramBuilder {
     hbm: HbmConfig,
-    scheme: MappingScheme,
     burst_shift: u32,
     row_shift: u32,
     channel_mask: u64,
     channel_shift: u32,
     bank_mask: u64,
     bank_shift: u32,
-    /// Per-channel staging for the step being pushed; drained
-    /// channel-major into `tuples` at the end of each step.
-    staging: Vec<Vec<SpanTuple>>,
+    /// Per channel, the write cursor of the step being pushed.
+    cursors: Vec<usize>,
     offsets: Vec<usize>,
     tuples: Vec<SpanTuple>,
     traffic: Vec<StepTraffic>,
 }
+
+/// Log2 of the 128 MB address span a row-interleaved channel owns.
+const CHANNEL_SPAN_SHIFT: u32 = 27;
 
 impl SpanProgramBuilder {
     /// A builder for `config`'s decode geometry. Any controller policy
@@ -337,79 +372,175 @@ impl SpanProgramBuilder {
     /// The first violated constraint of [`HbmConfig::validate`].
     pub fn new(config: &HbmConfig) -> Result<Self, String> {
         config.validate()?;
+        let channels = widen_u64(config.channels);
+        let banks = widen_u64(config.banks);
         Ok(Self {
             hbm: *config,
-            scheme: config.mapping,
             burst_shift: config.burst_bytes.trailing_zeros(),
             row_shift: config.row_bytes.trailing_zeros(),
-            channel_mask: config.channels as u64 - 1,
-            channel_shift: (config.channels as u64).trailing_zeros(),
-            bank_mask: config.banks as u64 - 1,
-            bank_shift: (config.banks as u64).trailing_zeros(),
-            staging: vec![Vec::new(); config.channels],
+            channel_mask: channels - 1,
+            channel_shift: channels.trailing_zeros(),
+            bank_mask: banks - 1,
+            bank_shift: banks.trailing_zeros(),
+            cursors: vec![0; config.channels],
             offsets: vec![0],
             tuples: Vec::new(),
             traffic: Vec::new(),
         })
     }
 
+    /// The spans `r` decodes into: one per row-buffer page it touches,
+    /// whatever the mapping.
+    pub fn spans(&self, r: &MemRequest) -> usize {
+        if r.bytes == 0 {
+            return 0;
+        }
+        let end = r.addr + u64::from(r.bytes);
+        saturating_usize(((end - 1) >> self.row_shift) - (r.addr >> self.row_shift) + 1)
+    }
+
+    /// Sizes the program for `steps` more steps holding `spans` more
+    /// spans (the sum of [`SpanProgramBuilder::spans`] over their
+    /// requests), so that pushing them allocates nothing.
+    pub fn reserve(&mut self, steps: usize, spans: usize) {
+        self.offsets.reserve_exact(steps * self.hbm.channels);
+        self.traffic.reserve_exact(steps);
+        self.tuples.reserve_exact(spans);
+    }
+
     /// Decodes one step's batch (already in service order) into
     /// channel-major tuple runs. An empty batch records an empty step.
-    pub fn push_step(&mut self, reqs: &[MemRequest]) {
+    ///
+    /// A first pass counts each channel's spans in closed form and
+    /// places the channel cursors; the decode pass then writes every
+    /// span straight to its channel's cursor.
+    ///
+    /// # Errors
+    ///
+    /// A span whose row does not fit a [`SpanTuple`] (at or above
+    /// 2^32 - 1). Only a channel-interleaved map reaches it: a
+    /// row-interleaved channel's 128 MB holds fewer rows. The step is
+    /// then not recorded and the builder stays as it was.
+    pub fn push_step(&mut self, reqs: &[MemRequest]) -> Result<(), String> {
         let mut traffic = StepTraffic::default();
-        let (burst_shift, row_shift) = (self.burst_shift, self.row_shift);
-        let (ch_mask, ch_shift) = (self.channel_mask, self.channel_shift);
-        let (b_mask, b_shift) = (self.bank_mask, self.bank_shift);
+        // Spans every channel receives, beside each channel's own count.
+        let mut every = 0;
+        let mut cursors = std::mem::take(&mut self.cursors);
+        cursors.fill(0);
         for r in reqs {
-            debug_assert!(r.bytes > 0, "zero-length request");
             traffic.requests += 1;
             if r.is_write {
                 traffic.bytes_written += u64::from(r.bytes);
             } else {
                 traffic.bytes_read += u64::from(r.bytes);
             }
+            self.count(r, &mut cursors, &mut every);
+        }
+        let start = self.tuples.len();
+        let mut at = start;
+        for cursor in &mut cursors {
+            let spans = *cursor + every;
+            *cursor = at;
+            at += spans;
+        }
+        self.tuples.resize(at, SpanTuple::default());
+        let decoded = self.decode(reqs, &mut cursors);
+        self.cursors = cursors;
+        if let Err(e) = decoded {
+            self.tuples.truncate(start);
+            return Err(e);
+        }
+        // Each cursor now ends its channel's run.
+        debug_assert_eq!(self.cursors.last(), Some(&at));
+        self.offsets.extend_from_slice(&self.cursors);
+        self.traffic.push(traffic);
+        Ok(())
+    }
+
+    /// Adds `r`'s spans to `counts`, channel by channel. Its pages are
+    /// consecutive, and a channel-interleaved map deals consecutive
+    /// pages round-robin over the channels: each full round adds one to
+    /// `every` channel, and the rest go to the channels from the first
+    /// page's on. A row-interleaved map picks the channel by the 128 MB
+    /// span a span starts in, which a row may straddle, so its spans
+    /// are counted one by one.
+    #[inline(always)]
+    fn count(&self, r: &MemRequest, counts: &mut [usize], every: &mut usize) {
+        let spans = self.spans(r);
+        match self.hbm.mapping {
+            MappingScheme::ChannelInterleaved => {
+                let first = r.addr >> self.row_shift;
+                *every += spans >> self.channel_shift;
+                let rest = widen_u64(spans) & self.channel_mask;
+                for page in first..first + rest {
+                    counts[saturating_usize(page & self.channel_mask)] += 1;
+                }
+            }
+            MappingScheme::RowInterleaved => {
+                let (mut addr, end) = (r.addr, r.addr + u64::from(r.bytes));
+                while addr < end {
+                    counts[saturating_usize((addr >> CHANNEL_SPAN_SHIFT) & self.channel_mask)] += 1;
+                    addr = ((addr >> self.row_shift) + 1) << self.row_shift;
+                }
+            }
+        }
+    }
+
+    /// Writes `reqs`' spans at their channels' `cursors`, advancing
+    /// each: the same row-aligned split and bit-field decode as
+    /// [`crate::address::AddressMap`].
+    fn decode(&mut self, reqs: &[MemRequest], cursors: &mut [usize]) -> Result<(), String> {
+        let (burst_shift, row_shift) = (self.burst_shift, self.row_shift);
+        let (ch_mask, ch_shift) = (self.channel_mask, self.channel_shift);
+        let (b_mask, b_shift) = (self.bank_mask, self.bank_shift);
+        for r in reqs {
+            debug_assert!(r.bytes > 0, "zero-length request");
             let mut addr = r.addr;
             let end = r.addr + u64::from(r.bytes);
             while addr < end {
                 let row_end = ((addr >> row_shift) + 1) << row_shift;
                 let span_end = row_end.min(end);
                 let bursts = ((span_end - addr) + (1u64 << burst_shift) - 1) >> burst_shift;
-                // Same bit-field decode as `AddressMap`.
-                let (channel, bank, row) = match self.scheme {
+                let (channel, bank, row) = match self.hbm.mapping {
                     MappingScheme::ChannelInterleaved => {
                         let page = addr >> row_shift;
                         let rest = page >> ch_shift;
-                        ((page & ch_mask) as usize, rest & b_mask, rest >> b_shift)
+                        (page & ch_mask, rest & b_mask, rest >> b_shift)
                     }
                     MappingScheme::RowInterleaved => {
-                        const CHANNEL_SPAN_SHIFT: u32 = 27; // 128 MB
                         let page = (addr & ((1u64 << CHANNEL_SPAN_SHIFT) - 1)) >> row_shift;
                         (
-                            ((addr >> CHANNEL_SPAN_SHIFT) & ch_mask) as usize,
+                            (addr >> CHANNEL_SPAN_SHIFT) & ch_mask,
                             page & b_mask,
                             page >> b_shift,
                         )
                     }
                 };
-                self.staging[channel].push(SpanTuple {
-                    row,
-                    bank: bank as u32,
-                    bursts: bursts as u32,
-                });
+                // `HbmConfig::validate` bounds the bank and the bursts;
+                // only the row depends on the address.
+                let unfit =
+                    |field, v| format!("address {addr:#x}: {field} {v} does not fit a span");
+                let tuple = SpanTuple {
+                    row: u32::try_from(row)
+                        .ok()
+                        .filter(|&row| row != NO_ROW)
+                        .ok_or_else(|| unfit("row", row))?,
+                    bank: u16::try_from(bank).map_err(|_| unfit("bank", bank))?,
+                    bursts: u16::try_from(bursts).map_err(|_| unfit("burst count", bursts))?,
+                };
+                let cursor = &mut cursors[saturating_usize(channel)];
+                self.tuples[*cursor] = tuple;
+                *cursor += 1;
                 addr = span_end;
             }
         }
-        for q in &mut self.staging {
-            self.tuples.append(q);
-            self.offsets.push(self.tuples.len());
-        }
-        self.traffic.push(traffic);
+        Ok(())
     }
 
     /// The finished program.
     pub fn finish(self) -> SpanProgram {
         SpanProgram {
-            mapping: self.scheme,
+            mapping: self.hbm.mapping,
             channels: self.hbm.channels,
             banks: self.hbm.banks,
             row_bytes: self.hbm.row_bytes,
@@ -449,7 +580,7 @@ pub struct SpanReplayer<const L: usize> {
     /// a program-order replay reads it: a schedule already holds each
     /// span's row hit or miss. The row a span opens depends on no
     /// timing, so every lane shares it.
-    bank_row: Vec<u64>,
+    bank_row: Vec<u32>,
     /// Ready cycle per (channel-major) bank, per lane.
     bank_ready: Vec<[u64; L]>,
     /// Data-bus availability per channel, per lane.
@@ -544,7 +675,7 @@ impl<const L: usize> SpanReplayer<L> {
                     let bank_row = &mut self.bank_row[c * banks..(c + 1) * banks];
                     let mut counts = CellCounts::default();
                     for tup in run {
-                        let bank = tup.bank as usize;
+                        let bank = usize::from(tup.bank);
                         let miss = bank_row[bank] != tup.row;
                         bank_row[bank] = tup.row;
                         counts.misses += u64::from(miss);
@@ -562,9 +693,9 @@ impl<const L: usize> SpanReplayer<L> {
                 }
                 Some(schedule) => {
                     for &entry in &schedule.order[spans] {
-                        let tup = &run[(entry & INDEX) as usize];
+                        let tup = &run[idx(entry & INDEX)];
                         let miss = entry & MISS != 0;
-                        let bank = tup.bank as usize;
+                        let bank = usize::from(tup.bank);
                         service(
                             &mut bank_ready[bank],
                             &mut bus,
@@ -583,7 +714,7 @@ impl<const L: usize> SpanReplayer<L> {
                 // advances: the channel completes with its last span.
                 let channel_done = bus[l] + self.t_cas[l];
                 st.row_misses += counts.misses;
-                st.row_hits += run.len() as u64 - counts.misses;
+                st.row_hits += widen_u64(run.len()) - counts.misses;
                 st.bursts += counts.bursts;
                 st.busy_cycles += counts.bursts * self.t_burst[l];
                 st.last_completion = st.last_completion.max(channel_done);
@@ -631,7 +762,7 @@ fn service<const L: usize>(
     bus: &mut [u64; L],
     now: [u64; L],
     miss: bool,
-    bursts: u32,
+    bursts: u16,
     (t_burst, t_row): ([u64; L], [u64; L]),
 ) {
     for l in 0..L {
@@ -670,7 +801,7 @@ struct ArrivalOrder {
     /// `64 - log2(youngest.len())`.
     shift: u32,
     /// The channel's open rows before the current cell.
-    saved: Vec<u64>,
+    saved: Vec<u32>,
 }
 
 impl ArrivalOrder {
@@ -690,18 +821,18 @@ impl ArrivalOrder {
     /// The table slot of `t`'s `(bank, row)` key (Fibonacci hashing).
     #[inline(always)]
     fn slot(&self, t: &SpanTuple) -> usize {
-        ((t.row << 16 ^ u64::from(t.bank)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift)
-            as usize
+        let key = u64::from(t.row) << 16 ^ u64::from(t.bank);
+        saturating_usize(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift)
     }
 
     /// Queues `tuples[a]` as its slot's youngest arrival; returns
     /// whether it hits its bank's open row.
     #[inline(always)]
-    fn arrive(&mut self, tuples: &[SpanTuple], a: usize, bank_row: &[u64]) -> bool {
+    fn arrive(&mut self, tuples: &[SpanTuple], a: usize, bank_row: &[u32]) -> bool {
         let t = &tuples[a];
         let slot = self.slot(t);
         self.youngest[slot] = a;
-        bank_row[t.bank as usize] == t.row
+        bank_row[usize::from(t.bank)] == t.row
     }
 
     /// Whether FR-FCFS with a `window`-deep lookahead serves the run
@@ -714,7 +845,7 @@ impl ArrivalOrder {
         tuples: &[SpanTuple],
         spans: std::ops::Range<usize>,
         window: usize,
-        bank_row: &mut [u64],
+        bank_row: &mut [u32],
     ) -> bool {
         self.saved.clear();
         self.saved.extend_from_slice(bank_row);
@@ -723,7 +854,7 @@ impl ArrivalOrder {
         if window <= 1 {
             // Nothing is pending behind the head.
             for t in &tuples[spans] {
-                bank_row[t.bank as usize] = t.row;
+                bank_row[usize::from(t.bank)] = t.row;
             }
             return true;
         }
@@ -739,7 +870,7 @@ impl ArrivalOrder {
         }
         for h in start..end {
             let t = &tuples[h];
-            let bank = t.bank as usize;
+            let bank = usize::from(t.bank);
             if bank_row[bank] != t.row {
                 if hit > h {
                     bank_row.copy_from_slice(&self.saved);
@@ -768,8 +899,8 @@ impl ArrivalOrder {
 /// it).
 #[derive(Debug, Clone, Copy)]
 struct Pending {
-    row: u64,
-    bank: u32,
+    row: u32,
+    bank: u16,
     idx: u32,
 }
 
@@ -837,7 +968,7 @@ impl FrFcfsQueue {
         &mut self,
         run: &[SpanTuple],
         window: usize,
-        bank_row: &mut [u64],
+        bank_row: &mut [u32],
         order: &mut Vec<u32>,
     ) -> u64 {
         // A lookahead deeper than the run sees the whole run, so the
@@ -859,7 +990,7 @@ impl FrFcfsQueue {
         &mut self,
         run: &[SpanTuple],
         window: usize,
-        bank_row: &mut [u64],
+        bank_row: &mut [u32],
         order: &mut Vec<u32>,
     ) -> u64 {
         let words = if WORDS == 0 { self.words } else { WORDS };
@@ -887,7 +1018,7 @@ impl FrFcfsQueue {
             };
             let p = self.slots[slot];
             let (w, bit) = (slot / 64, 1u64 << (slot % 64));
-            let bank_words = p.bank as usize * words..(p.bank as usize + 1) * words;
+            let bank_words = usize::from(p.bank) * words..(usize::from(p.bank) + 1) * words;
             self.bank[bank_words.start + w] &= !bit;
             if slot == head & ring {
                 head += 1;
@@ -907,13 +1038,13 @@ impl FrFcfsQueue {
                 // row hit now, and nothing else changed.
                 order.push(p.idx | MISS);
                 misses += 1;
-                bank_row[p.bank as usize] = p.row;
+                bank_row[usize::from(p.bank)] = p.row;
                 for (w, &mask) in self.bank[bank_words].iter().enumerate() {
                     let mut m = mask;
                     while m != 0 {
                         let bit = m & m.wrapping_neg();
                         m ^= bit;
-                        if self.slots[w * 64 + bit.trailing_zeros() as usize].row == p.row {
+                        if self.slots[w * 64 + idx(bit.trailing_zeros())].row == p.row {
                             self.hit[w] |= bit;
                             hits += 1;
                         }
@@ -937,7 +1068,7 @@ impl FrFcfsQueue {
         head: &mut usize,
         tail: &mut usize,
         hits: &mut usize,
-        bank_row: &[u64],
+        bank_row: &[u32],
     ) {
         let cap = words * 64;
         if *tail - *head == cap {
@@ -948,8 +1079,8 @@ impl FrFcfsQueue {
         *tail += 1;
         self.slots[slot] = p;
         let (w, bit) = (slot / 64, 1u64 << (slot % 64));
-        self.bank[p.bank as usize * words + w] |= bit;
-        if bank_row[p.bank as usize] == p.row {
+        self.bank[usize::from(p.bank) * words + w] |= bit;
+        if bank_row[usize::from(p.bank)] == p.row {
             self.hit[w] |= bit;
             *hits += 1;
         }
@@ -959,7 +1090,7 @@ impl FrFcfsQueue {
     /// `0..n` in age order, dropping tombstones, and rebuilds the
     /// masks; returns `n`, the new tail (the new head is 0). Hit bits
     /// are re-derived from the open rows, which is what they record.
-    fn compact(&mut self, head: usize, tail: usize, bank_row: &[u64]) -> usize {
+    fn compact(&mut self, head: usize, tail: usize, bank_row: &[u32]) -> usize {
         debug_assert_eq!(tail - head, self.slots.len());
         let (words, cap) = (self.words, self.slots.len());
         self.slots.rotate_left(head & (cap - 1));
@@ -973,8 +1104,8 @@ impl FrFcfsQueue {
             }
             self.slots[n] = p;
             let (w, bit) = (n / 64, 1u64 << (n % 64));
-            self.bank[p.bank as usize * words + w] |= bit;
-            if bank_row[p.bank as usize] == p.row {
+            self.bank[usize::from(p.bank) * words + w] |= bit;
+            if bank_row[usize::from(p.bank)] == p.row {
                 self.hit[w] |= bit;
             }
             n += 1;
@@ -991,14 +1122,14 @@ fn oldest_set(mask: &[u64], from: usize) -> usize {
     let words = mask.len();
     let first = mask[w0] & !low;
     if first != 0 {
-        return w0 * 64 + first.trailing_zeros() as usize;
+        return w0 * 64 + idx(first.trailing_zeros());
     }
     for w in (w0 + 1..words).chain(0..w0) {
         if mask[w] != 0 {
-            return w * 64 + mask[w].trailing_zeros() as usize;
+            return w * 64 + idx(mask[w].trailing_zeros());
         }
     }
-    w0 * 64 + (mask[w0] & low).trailing_zeros() as usize
+    w0 * 64 + idx((mask[w0] & low).trailing_zeros())
 }
 
 #[cfg(test)]
@@ -1051,7 +1182,7 @@ mod tests {
     fn build(cfg: &HbmConfig, batches: &[Vec<MemRequest>]) -> SpanProgram {
         let mut builder = SpanProgramBuilder::new(cfg).expect("valid geometry");
         for b in batches {
-            builder.push_step(b);
+            builder.push_step(b).expect("rows fit a span");
         }
         builder.finish()
     }
@@ -1147,6 +1278,15 @@ mod tests {
             HbmConfig {
                 row_bytes: 4096,
                 burst_bytes: 4096,
+                mapping: MappingScheme::RowInterleaved,
+                ..base
+            },
+            // Rows of 256 MB span two 128 MB channel ranges, so a span's
+            // channel follows its start address within the row.
+            HbmConfig {
+                channels: 4,
+                row_bytes: 1 << 28,
+                burst_bytes: 1 << 13,
                 mapping: MappingScheme::RowInterleaved,
                 ..base
             },
@@ -1530,10 +1670,56 @@ mod tests {
     }
 
     #[test]
+    fn a_reserved_program_is_decoded_in_place() {
+        for cfg in geometry_variants() {
+            let mut rng = Lcg(31);
+            let batches: Vec<Vec<MemRequest>> = [0, 5, 80, 300]
+                .map(|len| random_batch(&mut rng, len))
+                .into();
+            let mut builder = SpanProgramBuilder::new(&cfg).unwrap();
+            let spans = batches.iter().flatten().map(|r| builder.spans(r)).sum();
+            builder.reserve(batches.len(), spans);
+            let buffer = builder.tuples.as_ptr();
+            for b in &batches {
+                builder.push_step(b).unwrap();
+            }
+            assert_eq!(builder.tuples.as_ptr(), buffer, "{cfg:?}: reallocated");
+            let program = builder.finish();
+            assert_eq!(program.tuples.len(), spans);
+            assert_eq!(program.tuples.capacity(), spans);
+            assert_eq!(program, build(&cfg, &batches), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn a_row_past_the_span_bound_is_an_error_that_records_nothing() {
+        // One channel and bank of 1-byte rows: an address is its row.
+        let cfg = HbmConfig {
+            channels: 1,
+            banks: 1,
+            row_bytes: 1,
+            burst_bytes: 1,
+            ..HbmConfig::hbm1()
+        };
+        let read = |addr, bytes| MemRequest::read(RequestKind::InputFeatures, addr, bytes);
+        let top = u64::from(NO_ROW);
+        let mut builder = SpanProgramBuilder::new(&cfg).unwrap();
+        builder.push_step(&[read(top - 2, 2)]).unwrap();
+        let before = builder.clone().finish();
+        for bad in [read(top - 1, 2), read(top, 1), read(1 << 40, 1)] {
+            let err = builder.push_step(&[read(0, 4), bad]).unwrap_err();
+            assert!(err.contains("row"), "{err}");
+        }
+        let program = builder.finish();
+        assert_eq!(program, before);
+        assert_eq!(program.tuples[1].row, NO_ROW - 1);
+    }
+
+    #[test]
     fn empty_step_returns_now() {
         let cfg = HbmConfig::hbm1();
         let mut builder = SpanProgramBuilder::new(&cfg).unwrap();
-        builder.push_step(&[]);
+        builder.push_step(&[]).unwrap();
         let program = builder.finish();
         let mut replayer = SpanReplayer::new(&[cfg, HbmConfig { t_row: 3, ..cfg }]).unwrap();
         assert_eq!(replayer.replay_step(&program, None, 0, [42, 7]), [42, 7]);

@@ -16,7 +16,9 @@ use hygcn_suite::gcn::model::ModelKind;
 use hygcn_suite::gcn::workload::LayerWorkload;
 use hygcn_suite::graph::datasets::DatasetKey;
 use hygcn_suite::graph::sampling::SamplePolicy;
+use hygcn_suite::graph::GraphBuilder;
 use hygcn_suite::mem::hbm::HbmConfig;
+use hygcn_suite::mem::spanprog::SpanTuple;
 
 /// The pinned 20-point fidelity grid: buffer geometry x sparsity x
 /// pipeline over one mid-size workload. Changing it invalidates the
@@ -171,6 +173,108 @@ fn hbm_timing_past_the_bound_is_an_error_on_every_simulator_backend() {
                 }
             }
         }
+    }
+}
+
+/// A span packs its row, bank and burst count into 8 bytes
+/// (`SpanTuple`), so the geometry and the workload bound them: past
+/// 2^16 banks, past 2^15 bursts per row, or with a top address whose
+/// row reaches 2^32 - 1, every simulator backend returns the same
+/// config error instead of truncating a field or panicking; at the
+/// geometry bounds every backend still simulates.
+#[test]
+fn spans_that_would_not_fit_8_bytes_are_an_error_on_every_simulator_backend() {
+    const { assert!(std::mem::size_of::<SpanTuple>() == 8) };
+    let small = hygcn_suite::graph::generator::preferential_attachment(256, 4, 1)
+        .unwrap()
+        .with_feature_len(32);
+    let small_gcn = hygcn_suite::gcn::model::GcnModel::new(ModelKind::Gcn, 32, 0xC0DE).unwrap();
+    // 2^18 vertices of 16 KB features fill 4 GB before the other
+    // regions; one channel and one bank of 1-byte rows make every
+    // address its own row, so the top row is past 2^32.
+    let f_in = 4096;
+    let big = GraphBuilder::new(1 << 18).feature_len(f_in).build();
+    let big_gcn = hygcn_suite::gcn::model::GcnModel::new(ModelKind::Gcn, f_in, 0xC0DE).unwrap();
+    let with_hbm = |hbm| HyGcnConfig {
+        hbm,
+        input_buffer_bytes: 1 << 20,
+        aggregation_buffer_bytes: 1 << 20,
+        ..HyGcnConfig::default()
+    };
+    let base = HbmConfig::hbm1();
+    let bursts_per_row = |bursts: u64| HbmConfig {
+        row_bytes: bursts * base.burst_bytes,
+        ..base
+    };
+    let byte_rows = HbmConfig {
+        channels: 1,
+        banks: 1,
+        row_bytes: 1,
+        burst_bytes: 1,
+        ..base
+    };
+    let cases = [
+        (
+            "2^17 banks",
+            &small,
+            &small_gcn,
+            with_hbm(HbmConfig {
+                banks: 1 << 17,
+                ..base
+            }),
+            Some("banks"),
+        ),
+        (
+            "2^16 bursts per row",
+            &small,
+            &small_gcn,
+            with_hbm(bursts_per_row(1 << 16)),
+            Some("burst"),
+        ),
+        (
+            "top row past u32::MAX",
+            &big,
+            &big_gcn,
+            with_hbm(byte_rows),
+            Some("row"),
+        ),
+        (
+            "2^16 banks",
+            &small,
+            &small_gcn,
+            with_hbm(HbmConfig {
+                banks: 1 << 16,
+                ..base
+            }),
+            None,
+        ),
+        (
+            "2^15 bursts per row",
+            &small,
+            &small_gcn,
+            with_hbm(bursts_per_row(1 << 15)),
+            None,
+        ),
+    ];
+    for (label, graph, model, cfg, rejected) in cases {
+        let mut errors = Vec::new();
+        for id in ["cycle", "cycle-fast", "seed", "analytical"] {
+            let backend = resolve(id).unwrap();
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                backend.evaluate(graph, model, &cfg)
+            }));
+            match (run, rejected) {
+                (Ok(Err(SimError::Config(msg))), Some(field)) => {
+                    assert!(msg.contains(field), "{id} {label}: {msg}");
+                    errors.push(msg);
+                }
+                (Ok(Ok(report)), None) => assert!(report.cycles > 0, "{id} {label}"),
+                (Ok(other), _) => panic!("{id} {label}: unexpected {other:?}"),
+                (Err(_), _) => panic!("{id} {label}: panicked instead of returning a result"),
+            }
+        }
+        errors.dedup();
+        assert!(errors.len() <= 1, "{label}: backends disagree: {errors:?}");
     }
 }
 

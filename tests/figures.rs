@@ -1,9 +1,10 @@
 //! End-to-end regression tests of the `hygcn figures` pipeline: the
 //! figure/table artifacts regenerate through the campaign engine, a
 //! second run against the same `figures.jsonl` store performs **zero**
-//! simulations, and the rendered tables of fig17 and of the
-//! baseline-reading Fig. 2/10/13/14 are pinned as golden snapshots
-//! (regenerate intentionally with `BLESS=1 cargo test --test figures`).
+//! simulations, and the rendered tables of fig17, of the
+//! baseline-reading Fig. 2/10/13/14 and of Tables 2 and 3 are pinned as
+//! golden snapshots (regenerate intentionally with
+//! `BLESS=1 cargo test --test figures`).
 
 use std::path::PathBuf;
 
@@ -59,10 +60,11 @@ fn second_figures_run_performs_zero_simulations() {
 
     let mut ctx = FigureCtx::new(0.05);
     let (simulated, cached, first) = run_all(&mut ctx);
-    // fig17 simulates its 6 ablation points; table03's default-config
-    // PB point carries the same cache key as fig17's PB coordination=on
-    // cell, so it is already served from the store on the cold run.
-    assert_eq!(simulated, 6);
+    // fig17 simulates its 6 ablation points and table03 its
+    // `exec-pattern` point; table03's default-config PB point carries
+    // the same cache key as fig17's PB coordination=on cell, so it is
+    // already served from the store on the cold run.
+    assert_eq!(simulated, 7);
     assert_eq!(cached, 1, "table03 shares fig17's PB point");
 
     // Second run, fresh context (no in-process memoization carried
@@ -70,7 +72,7 @@ fn second_figures_run_performs_zero_simulations() {
     let mut ctx2 = FigureCtx::new(0.05);
     let (simulated2, cached2, second) = run_all(&mut ctx2);
     assert_eq!(simulated2, 0, "re-run must simulate nothing");
-    assert_eq!(cached2, 7);
+    assert_eq!(cached2, 8);
     assert_eq!(first, second);
 
     std::fs::remove_file(&store).ok();
@@ -90,6 +92,15 @@ fn table02_matches_golden_snapshot() {
     let mut ctx = FigureCtx::new(0.05);
     let run = run_figure(find_figure("table02").unwrap(), &mut ctx, None, None).unwrap();
     check_golden("figures_table02", &run.output);
+}
+
+/// Table 3's execution-pattern text at smoke scale, pinned so reading
+/// its workload statistics from the store cannot change a digit.
+#[test]
+fn table03_matches_golden_snapshot() {
+    let mut ctx = FigureCtx::new(0.05);
+    let run = run_figure(find_figure("table03").unwrap(), &mut ctx, None, None).unwrap();
+    check_golden("figures_table03", &run.output);
 }
 
 /// The `--csv` export of the same artifact is pinned too (the plottable

@@ -261,9 +261,10 @@ fn workload_builds() -> u64 {
     obs::snapshot().phases[obs::Phase::WorkloadBuild as usize].count
 }
 
-/// Every figure number is a store read: once Fig. 2's `cpu-naive` points
-/// and Table 2's `cpu-trace` point are stored, a fresh context
-/// re-renders both without simulating or building a graph.
+/// Every figure number is a store read: once Fig. 2's `cpu-naive`
+/// points, Table 2's `cpu-trace` point and Table 3's accelerator and
+/// `exec-pattern` points are stored, a fresh context re-renders all
+/// three without simulating or building a graph.
 #[test]
 fn warm_figure_renders_build_only_the_graphs_they_measure() {
     let _guard = obs_guard();
@@ -279,6 +280,8 @@ fn warm_figure_renders_build_only_the_graphs_they_measure() {
     assert_eq!((cold.simulated, cold.cache_hits), (15, 0));
     let cold_t2 = render("table02", &mut cold_ctx);
     assert_eq!((cold_t2.simulated, cold_t2.cache_hits), (1, 0));
+    let cold_t3 = render("table03", &mut cold_ctx);
+    assert_eq!((cold_t3.simulated, cold_t3.cache_hits), (2, 0));
 
     let mut ctx = FigureCtx::new(0.05);
     obs::reset();
@@ -287,6 +290,8 @@ fn warm_figure_renders_build_only_the_graphs_they_measure() {
     let fig02_builds = workload_builds();
     let warm_t2 = render("table02", &mut ctx);
     let table02_builds = workload_builds() - fig02_builds;
+    let warm_t3 = render("table03", &mut ctx);
+    let table03_builds = workload_builds() - fig02_builds - table02_builds;
     obs::disable();
     obs::reset();
     assert_eq!((warm.simulated, warm.cache_hits), (0, 15));
@@ -295,6 +300,9 @@ fn warm_figure_renders_build_only_the_graphs_they_measure() {
     assert_eq!((warm_t2.simulated, warm_t2.cache_hits), (0, 1));
     assert_eq!(warm_t2.output, cold_t2.output);
     assert_eq!(table02_builds, 0, "a warm table02 builds no graph");
+    assert_eq!((warm_t3.simulated, warm_t3.cache_hits), (0, 2));
+    assert_eq!(warm_t3.output, cold_t3.output);
+    assert_eq!(table03_builds, 0, "a warm table03 builds no graph");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -496,6 +504,77 @@ fn timing_lanes_match_one_point_at_a_time_at_any_thread_count() {
         Some(v) => std::env::set_var("HYGCN_THREADS", v),
         None => std::env::remove_var("HYGCN_THREADS"),
     }
+    obs::reset();
+}
+
+/// A decode class of more than `MAX_LANES` timings splits into lane
+/// groups, and at two threads one batch evaluates them side by side.
+/// They still share one decode: the program memo builds a key once, and
+/// a second caller waits for that build. So a five-value `t-row` sweep
+/// of two models counts one `span_program_build` per model at one
+/// thread and at two.
+#[test]
+fn lane_groups_of_one_decode_class_decode_once_at_any_thread_count() {
+    let _guard = obs_guard();
+    let space = ConfigSpace::new(
+        vec![WorkloadSpec::dataset(DatasetKey::Ib, 0.1, 3)],
+        vec![ModelKind::Gcn, ModelKind::GraphSage],
+    )
+    .with_axis(Axis::parse("t-row", "7,14,28,56,112").unwrap());
+    // The thread count is read per batch; the guard serializes every
+    // test of this binary, so none reads the variable meanwhile.
+    let saved = std::env::var("HYGCN_THREADS").ok();
+    for threads in ["1", "2"] {
+        std::env::set_var("HYGCN_THREADS", threads);
+        obs::reset();
+        obs::enable();
+        let report = Campaign::new(space.clone()).run();
+        obs::disable();
+        assert_eq!(report.unwrap().simulated, 10, "{threads} thread(s)");
+        assert_eq!(
+            program_builds(),
+            2,
+            "{threads} thread(s): one decode per decode class"
+        );
+    }
+    match saved {
+        Some(v) => std::env::set_var("HYGCN_THREADS", v),
+        None => std::env::remove_var("HYGCN_THREADS"),
+    }
+    obs::reset();
+}
+
+/// A sweep runs every model over the same chunkings of one graph. The
+/// occupancy-index memo keeps indexes past its four-entry floor while
+/// their bitmaps fit one maximal index, so GCN builds the index of each
+/// of five `aggregation_buffer_bytes` chunkings and GIN reuses all
+/// five: the plan-memo misses are the ten programs and five indexes,
+/// and only the programs' four-entry FIFO evicts.
+#[test]
+fn models_sweeping_five_chunkings_build_each_index_once() {
+    let _guard = obs_guard();
+    let graph = rmat(1024, 8192, RmatParams::default(), 14)
+        .unwrap()
+        .with_feature_len(64);
+    obs::reset();
+    obs::enable();
+    for kind in [ModelKind::Gcn, ModelKind::Gin] {
+        let model = GcnModel::new(kind, 64, 5).unwrap();
+        for shift in 13..18 {
+            let mut cfg = HyGcnConfig::default();
+            cfg.aggregation_buffer_bytes = 1 << shift;
+            simulate_checked(&graph, &model, &cfg);
+        }
+    }
+    obs::disable();
+    let counter = obs::counter_value;
+    assert_eq!(program_builds(), 10);
+    assert_eq!(
+        counter(obs::Counter::PlanCacheMisses) - program_builds(),
+        5,
+        "one index build per chunking"
+    );
+    assert_eq!(counter(obs::Counter::PlanCacheEvictions), 6);
     obs::reset();
 }
 

@@ -302,7 +302,7 @@ proptest! {
 
         let mut builder = SpanProgramBuilder::new(&cfg).expect("valid geometry");
         for b in &batches {
-            builder.push_step(b);
+            builder.push_step(b).expect("rows fit a span");
         }
         let program = builder.finish();
         prop_assert!(program.matches(&cfg));
