@@ -12,8 +12,8 @@
 //! | `gpu`         | PyG-GPU, stock V100                     | the GPU baseline (Fig. 10c–14) |
 //! | `cpu-naive`   | PyG-CPU as shipped                      | Fig. 2 breakdown, Fig. 10(a) reference |
 //! | `gpu-sharded` | the shard optimization on the V100, intervals sized to its L2 | Fig. 10(b) |
-//! | `cpu-trace`   | the trace-driven Xeon cache characterization; ignores the config, sampling override included | Table 2 |
-//! | `exec-pattern`| the execution-pattern characterization of both phases; ignores the config, sampling override included | Table 3 |
+//! | `cpu-trace`   | the trace-driven Xeon cache characterization; ignores the config beyond validating it, sampling override included | Table 2 |
+//! | `exec-pattern`| the execution-pattern characterization of both phases; ignores the config beyond validating it, sampling override included | Table 3 |
 //!
 //! Every figure number therefore comes from a stored campaign point,
 //! whichever platform produced it. The platform reports follow one
@@ -33,7 +33,10 @@
 //!
 //! `HyGcnConfig` describes the *accelerator*, so the platform backends
 //! deliberately ignore it (beyond the sampling override, which changes
-//! the workload itself — the Fig. 18a–c sweep axis): points differing
+//! the workload itself — the Fig. 18a–c sweep axis). They still reject
+//! a config [`HyGcnConfig::validate`] rejects, as every backend does
+//! (the [`SimBackend`] contract), so no config is `Ok` on a platform and
+//! `Err` on the accelerator. Points differing
 //! only in accelerator knobs still enumerate (and cache) separately —
 //! the key hashes the full config canon — but evaluate to identical
 //! platform reports in microseconds each, so the duplication costs
@@ -254,6 +257,7 @@ impl SimBackend for PlatformBackend {
     ) -> Result<SimReport, SimError> {
         hygcn_obs::observe_eval(self.id, || {
             check_features(graph, model)?;
+            config.validate().map_err(SimError::Config)?;
             let w = workload_for(graph, model, config);
             let (report, clock_ghz, dram_j_per_byte) = self.platform.run(graph, &w);
             Ok(to_sim_report(
@@ -286,9 +290,9 @@ impl SimBackend for CpuTraceBackend {
         &self,
         graph: &Graph,
         model: &GcnModel,
-        _config: &HyGcnConfig,
+        config: &HyGcnConfig,
     ) -> Result<SimReport, SimError> {
-        characterization(self.backend_id(), graph, model, |w| {
+        characterization(self.backend_id(), graph, model, config, |w| {
             characterize_workload(graph, w, &CpuParams::default(), TRACE_EDGES).to_metrics()
         })
     }
@@ -308,9 +312,9 @@ impl SimBackend for ExecPatternBackend {
         &self,
         graph: &Graph,
         model: &GcnModel,
-        _config: &HyGcnConfig,
+        config: &HyGcnConfig,
     ) -> Result<SimReport, SimError> {
-        characterization(self.backend_id(), graph, model, |w| {
+        characterization(self.backend_id(), graph, model, config, |w| {
             ExecutionPattern::measure(graph, w).to_metrics()
         })
     }
@@ -318,15 +322,17 @@ impl SimBackend for ExecPatternBackend {
 
 /// The report of a characterization backend `id`: the named metrics
 /// `measure` takes of `model`'s workload over `graph`, and the
-/// workload's ops; no run totals.
+/// workload's ops; no run totals. `config` only has to be valid.
 fn characterization(
     id: &'static str,
     graph: &Graph,
     model: &GcnModel,
+    config: &HyGcnConfig,
     measure: impl FnOnce(&LayerWorkload) -> Vec<(&'static str, f64)>,
 ) -> Result<SimReport, SimError> {
     hygcn_obs::observe_eval(id, || {
         check_features(graph, model)?;
+        config.validate().map_err(SimError::Config)?;
         let w = LayerWorkload::of(graph, model, 0);
         Ok(SimReport {
             elem_ops: w.agg_elem_ops,
@@ -341,7 +347,6 @@ fn characterization(
 /// Every backend id the workspace knows, in CLI display order.
 pub const BACKEND_IDS: &[&str] = &[
     "cycle",
-    "cycle-fast",
     "analytical",
     "cpu",
     "gpu",
@@ -352,7 +357,7 @@ pub const BACKEND_IDS: &[&str] = &[
     "seed",
 ];
 
-/// Resolves any backend id in the workspace vocabulary — the four
+/// Resolves any backend id in the workspace vocabulary — the three
 /// `hygcn-core` backends plus the platform and characterization models
 /// here.
 pub fn resolve(id: &str) -> Option<Arc<dyn SimBackend>> {

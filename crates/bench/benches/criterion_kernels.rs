@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks of the hot kernels underlying the
 //! simulator and substrates: graph synthesis, interval partitioning,
 //! window planning, neighbor sampling, gather aggregation, dense MVM,
-//! fixed-point MVM, HBM batch service, the FR-FCFS span-program ordering
-//! pass (on a program that keeps arrival order and on one it reorders)
-//! and its replay (one timing, and three timings as the lanes of one
-//! pass), and an end-to-end simulation per model.
+//! fixed-point MVM, the FR-FCFS span-program ordering pass (on a
+//! program that keeps arrival order and on one it reorders) and its
+//! replay (one timing, and three timings as the lanes of one pass), and
+//! an end-to-end simulation per model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -22,7 +22,7 @@ use hygcn_graph::Graph;
 use hygcn_mem::hbm::ControllerPolicy;
 use hygcn_mem::request::{MemRequest, RequestKind};
 use hygcn_mem::scheduler::{AccessScheduler, CoordinationMode};
-use hygcn_mem::{Hbm, HbmConfig, SpanProgramBuilder, SpanReplayer};
+use hygcn_mem::{HbmConfig, SpanProgramBuilder, SpanReplayer};
 use hygcn_tensor::{linalg, Matrix};
 
 fn test_graph() -> Graph {
@@ -98,18 +98,6 @@ fn bench_fixed_mvm(c: &mut Criterion) {
     let x = quantize(&(0..1433).map(|i| i as f32 * 1e-3).collect::<Vec<_>>());
     c.bench_function("mvm/1433x128_q16.16", |b| {
         b.iter(|| black_box(mvm_fixed(&rows, &x)))
-    });
-}
-
-fn bench_hbm(c: &mut Criterion) {
-    let reqs: Vec<MemRequest> = (0..256)
-        .map(|i| MemRequest::read(RequestKind::InputFeatures, i * 4096, 4096))
-        .collect();
-    c.bench_function("hbm/service_1mb_batch", |b| {
-        b.iter(|| {
-            let mut hbm = Hbm::new(HbmConfig::hbm1());
-            black_box(hbm.service_batch(&reqs, 0))
-        })
     });
 }
 
@@ -250,7 +238,6 @@ criterion_group!(
         bench_aggregate,
         bench_mvm,
         bench_fixed_mvm,
-        bench_hbm,
         bench_span_frfcfs,
         bench_end_to_end
 );

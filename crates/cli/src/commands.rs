@@ -1663,13 +1663,13 @@ mod tests {
     }
 
     #[test]
-    fn campaign_cycle_fast_backend_caches_separately_from_cycle() {
-        // `cycle-fast` reports are bit-identical to `cycle`'s, which
-        // makes silent cross-backend cache hits especially easy to miss
-        // — so prove the ids key separate store records.
-        let dir = std::env::temp_dir().join("hygcn-cli-test-fastkey");
+    fn campaign_seed_backend_caches_separately_from_cycle() {
+        // `seed` reports are bit-identical to `cycle`'s, which makes
+        // silent cross-backend cache hits especially easy to miss — so
+        // prove the ids key separate store records.
+        let dir = std::env::temp_dir().join("hygcn-cli-test-seedkey");
         std::fs::create_dir_all(&dir).unwrap();
-        let store = dir.join("cli-fast-backend.jsonl");
+        let store = dir.join("cli-seed-backend.jsonl");
         std::fs::remove_file(&store).ok();
         let toks = |backend: &str| {
             vec![
@@ -1689,11 +1689,13 @@ mod tests {
         let run =
             |backend: &str| campaign(&Args::parse(toks(backend), CAMPAIGN_FLAGS).unwrap()).unwrap();
         assert!(run("cycle").contains("2 simulated, 0 cached"));
-        // cycle-fast never hits cycle-keyed records...
-        assert!(run("cycle-fast").contains("2 simulated, 0 cached"));
+        // seed never hits cycle-keyed records...
+        assert!(run("seed").contains("2 simulated, 0 cached"));
         // ...but re-hits its own, and leaves cycle's untouched.
-        assert!(run("cycle-fast").contains("0 simulated, 2 cached"));
+        assert!(run("seed").contains("0 simulated, 2 cached"));
         assert!(run("cycle").contains("0 simulated, 2 cached"));
+        // The retired `cycle-fast` alias is an unknown id like any other.
+        assert!(campaign(&Args::parse(toks("cycle-fast"), CAMPAIGN_FLAGS).unwrap()).is_err());
         std::fs::remove_file(&store).ok();
     }
 
@@ -1867,7 +1869,7 @@ mod tests {
         let lists: Vec<Vec<&str>> = text
             .lines()
             .map(str::trim)
-            .filter(|l| l.contains("|cycle-fast|"))
+            .filter(|l| l.contains("cycle|analytical|"))
             .map(|l| l.trim_end_matches(';').split('|').collect())
             .collect();
         assert_eq!(lists.len(), 2, "{text}");

@@ -16,10 +16,16 @@
 //!   equal inputs produce bit-identical reports across processes and
 //!   runs (the property the campaign store's resume semantics rest on).
 //!   Backends must not keep mutable state across calls.
+//! * `evaluate` is **total over the shared config**: every backend
+//!   returns [`SimError::Config`] for a config [`HyGcnConfig::validate`]
+//!   rejects, even a backend that reads none of the offending fields
+//!   (the platform and characterization models of `hygcn-baseline`
+//!   ignore the HBM geometry), so one config is never `Ok` under one
+//!   backend and `Err` under another.
 //! * `evaluate_lanes` is `evaluate` over a batch: entry `i` equals
 //!   `evaluate(graph, model, &configs[i])`, error or report, bit for
-//!   bit. The default loops over `evaluate`; `cycle` and `cycle-fast`
-//!   override it with [`Simulator::simulate_lanes`], which decodes once
+//!   bit. The default loops over `evaluate`; `cycle` overrides it with
+//!   [`Simulator::simulate_lanes`], which decodes once
 //!   per decode class and replays each distinct service order and
 //!   timing once, as a lane of a shared pass. The campaign executor
 //!   hands every backend its points this way, grouped by
@@ -33,15 +39,15 @@
 //!   that backend's cached campaigns.
 //! * Fields a backend does not model are **zeroed, never invented**, and
 //!   [`SimReport::provenance`] carries the backend id for every backend
-//!   other than the three golden cycle paths (whose serialized form
-//!   predates the marker and is pinned by golden snapshots).
+//!   other than the two golden cycle paths, `cycle` and `seed` (whose
+//!   serialized form predates the marker and is pinned by golden
+//!   snapshots).
 //!
 //! ## Which backend to use
 //!
 //! | id           | models                                   | cost per point | use for |
 //! |--------------|------------------------------------------|----------------|---------|
 //! | `cycle`      | execution-driven, span-program HBM replay ([`crate::sim`]) | ms | results |
-//! | `cycle-fast` | alias of `cycle`, cached under its own id | ms            | stores written under the old id |
 //! | `seed`       | the seed implementation (oracle)         | ms (slower)    | differential testing |
 //! | `analytical` | O(chunks) roofline ([`crate::analytical`]) | µs           | campaign screening |
 //! | `cpu`, `gpu`, `cpu-naive`, `gpu-sharded` | PyG platform models (`hygcn-baseline`) | µs | speedup/energy baselines |
@@ -126,42 +132,6 @@ impl SimBackend for CycleAccurateBackend {
     }
 }
 
-/// `cycle` under its historical id (`"cycle-fast"`): the same
-/// [`Simulator::simulate`] and [`Simulator::simulate_lanes`], kept so
-/// `--backend cycle-fast` and stores
-/// keyed by that id keep working. Cached separately from `cycle`, like
-/// every backend id.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CycleFastBackend;
-
-impl SimBackend for CycleFastBackend {
-    fn backend_id(&self) -> &'static str {
-        "cycle-fast"
-    }
-
-    fn evaluate(
-        &self,
-        graph: &Graph,
-        model: &GcnModel,
-        config: &HyGcnConfig,
-    ) -> Result<SimReport, SimError> {
-        hygcn_obs::observe_eval(self.backend_id(), || {
-            Simulator::new(config.clone()).simulate(graph, model)
-        })
-    }
-
-    fn evaluate_lanes(
-        &self,
-        graph: &Graph,
-        model: &GcnModel,
-        configs: &[HyGcnConfig],
-    ) -> Vec<Result<SimReport, SimError>> {
-        hygcn_obs::observe_evals(self.backend_id(), configs.len(), || {
-            Simulator::simulate_lanes(graph, model, configs)
-        })
-    }
-}
-
 /// The seed implementation kept as a differential oracle —
 /// [`Simulator::simulate_reference`] behind the trait. Bit-identical to
 /// [`CycleAccurateBackend`] by the oracle suite, so it also
@@ -189,13 +159,12 @@ impl SimBackend for SeedReferenceBackend {
 }
 
 /// Resolves a backend id to one of the backends *this crate* provides
-/// (`cycle`, `cycle-fast`, `seed`, `analytical`). The platform backends
+/// (`cycle`, `seed`, `analytical`). The platform backends
 /// (`cpu`, `gpu`, `cpu-naive`, `gpu-sharded`) live in `hygcn-baseline`;
 /// `hygcn_baseline::backend::resolve` covers the full vocabulary.
 pub fn core_backend(id: &str) -> Option<std::sync::Arc<dyn SimBackend>> {
     match id {
         "cycle" => Some(std::sync::Arc::new(CycleAccurateBackend)),
-        "cycle-fast" => Some(std::sync::Arc::new(CycleFastBackend)),
         "seed" => Some(std::sync::Arc::new(SeedReferenceBackend)),
         "analytical" => Some(std::sync::Arc::new(crate::analytical::AnalyticalBackend)),
         _ => None,
@@ -237,12 +206,13 @@ mod tests {
 
     #[test]
     fn core_resolver_knows_its_backends() {
-        for id in ["cycle", "cycle-fast", "seed", "analytical"] {
+        for id in ["cycle", "seed", "analytical"] {
             let b = core_backend(id).unwrap_or_else(|| panic!("{id} must resolve"));
             assert_eq!(b.backend_id(), id);
         }
         assert!(core_backend("cpu").is_none());
         assert!(core_backend("bogus").is_none());
+        assert!(core_backend("cycle-fast").is_none());
     }
 
     #[test]
@@ -252,7 +222,6 @@ mod tests {
         for backend in [
             &CycleAccurateBackend as &dyn SimBackend,
             &SeedReferenceBackend,
-            &CycleFastBackend,
         ] {
             assert!(matches!(
                 backend.evaluate(&g, &wrong, &HyGcnConfig::default()),

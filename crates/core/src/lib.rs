@@ -72,9 +72,7 @@ pub mod training;
 pub mod validate;
 
 pub use analytical::AnalyticalBackend;
-pub use backend::{
-    core_backend, CycleAccurateBackend, CycleFastBackend, SeedReferenceBackend, SimBackend,
-};
+pub use backend::{core_backend, CycleAccurateBackend, SeedReferenceBackend, SimBackend};
 pub use config::HyGcnConfig;
 pub use error::SimError;
 pub use report::SimReport;

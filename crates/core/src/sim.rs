@@ -11,9 +11,9 @@
 //! ## One simulation path on precompiled machinery
 //!
 //! [`Simulator::simulate_lanes`] is the only cycle-level simulation path:
-//! [`Simulator::simulate`] is its one-config call, and the `cycle` and
-//! `cycle-fast` backend ids call it through `evaluate` and
-//! `evaluate_lanes`. It validates each config on its own and groups the
+//! [`Simulator::simulate`] is its one-config call, and the `cycle`
+//! backend calls it through `evaluate` and `evaluate_lanes`. It
+//! validates each config on its own and groups the
 //! valid ones by [`HyGcnConfig::decode_class`]; configs of one class
 //! differ only in the clock, timeline recording, HBM timing and the
 //! controller, so they share every stage but the last. One class runs

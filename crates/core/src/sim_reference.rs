@@ -3,7 +3,9 @@
 //! This is the simulator exactly as the repository's seed modeled it:
 //! strictly serial, one gather-and-sort window-planning pass per chunk,
 //! a freshly allocated request buffer per chunk, and an allocating
-//! scheduler call per timeline step. It exists for two reasons:
+//! scheduler call per timeline step, each step's batch serviced by the
+//! seed's HBM walk, [`hygcn_mem::hbm::Hbm`], under either controller
+//! policy. It exists for two reasons:
 //!
 //! 1. **Oracle** — [`Simulator::simulate`]'s precompiled hot path
 //!    (event schedule, shared request arena, span-program replay) must
@@ -25,10 +27,6 @@ use hygcn_mem::request::{MemRequest, RequestArena, RequestKind};
 use hygcn_mem::scheduler::AccessScheduler;
 use hygcn_mem::Hbm;
 
-use hygcn_mem::address::MappingScheme;
-use hygcn_mem::hbm::{ControllerPolicy, HbmConfig};
-use hygcn_mem::{ChannelStats, MemStats};
-
 use crate::config::PipelineMode;
 use crate::energy::{Activity, EnergyBreakdown};
 use crate::engine::aggregation::AggregationEngine;
@@ -38,178 +36,6 @@ use crate::layout::AddressLayout;
 use crate::report::SimReport;
 use crate::sim::Simulator;
 use crate::timeline::ChunkTrace;
-
-/// The seed's HBM timing walk, verbatim: page-granular address decode
-/// with division/modulo arithmetic and `Option`-boxed open rows. The
-/// staged [`Hbm`] and the simulator's span-program replay replace all of
-/// this with precomputed shifts; this copy keeps the baseline's cost
-/// profile honest *and* double-checks the replay, since both must yield
-/// identical cycle counts and [`MemStats`]. In-order service only — a
-/// [`ControllerPolicy::FrFcfs`] config falls back to the staged [`Hbm`].
-struct SeedHbm {
-    config: HbmConfig,
-    channels: Vec<SeedChannel>,
-    stats: MemStats,
-}
-
-struct SeedChannel {
-    bus_free: u64,
-    banks: Vec<SeedBank>,
-    /// Per-channel counters, kept in lockstep with the optimized model's
-    /// `ChannelTimeline` so the `SimReport::mem_channels` decomposition
-    /// is part of the bit-identity contract.
-    stats: ChannelStats,
-}
-
-#[derive(Clone, Default)]
-struct SeedBank {
-    open_row: Option<u64>,
-    ready: u64,
-}
-
-impl SeedHbm {
-    fn new(config: HbmConfig) -> Self {
-        let channels = (0..config.channels)
-            .map(|_| SeedChannel {
-                bus_free: 0,
-                banks: vec![SeedBank::default(); config.banks],
-                stats: ChannelStats::default(),
-            })
-            .collect();
-        Self {
-            config,
-            channels,
-            stats: MemStats::default(),
-        }
-    }
-
-    /// Page-granular decode exactly as the seed's `AddressMap` computed
-    /// it (the page index takes the role of the burst index).
-    fn decode(&self, addr: u64) -> (usize, usize, u64) {
-        let c = self.config.channels as u64;
-        let b = self.config.banks as u64;
-        match self.config.mapping {
-            MappingScheme::ChannelInterleaved => {
-                let page = addr / self.config.row_bytes;
-                let channel = (page % c) as usize;
-                let rest = page / c;
-                let bank = (rest % b) as usize;
-                (channel, bank, rest / b)
-            }
-            MappingScheme::RowInterleaved => {
-                const CHANNEL_SPAN: u64 = 128 << 20;
-                let channel = ((addr / CHANNEL_SPAN) % c) as usize;
-                let within = addr % CHANNEL_SPAN;
-                let page = within / self.config.row_bytes;
-                let bank = (page % b) as usize;
-                (channel, bank, page / b)
-            }
-        }
-    }
-
-    fn service_segment(&mut self, addr: u64, bytes: u64, now: u64) -> u64 {
-        let (channel, bank_idx, row) = self.decode(addr);
-        let bursts = bytes.div_ceil(self.config.burst_bytes);
-        let ch = &mut self.channels[channel];
-        let bank = &mut ch.banks[bank_idx];
-        let mut ready = bank.ready.max(now);
-        if bank.open_row != Some(row) {
-            ready += self.config.t_row;
-            bank.open_row = Some(row);
-            ch.stats.row_misses += 1;
-        } else {
-            ch.stats.row_hits += 1;
-        }
-        let start = ready.max(ch.bus_free);
-        let finish = start + bursts * self.config.t_burst;
-        ch.bus_free = finish;
-        bank.ready = finish;
-        ch.stats.bursts += bursts;
-        ch.stats.busy_cycles += bursts * self.config.t_burst;
-        let done = finish + self.config.t_cas;
-        ch.stats.last_completion = ch.stats.last_completion.max(done);
-        done
-    }
-
-    fn access(&mut self, req: &MemRequest, now: u64) -> u64 {
-        let mut addr = req.addr;
-        let end = req.addr + u64::from(req.bytes);
-        let mut completion = now;
-        while addr < end {
-            let row_end = (addr / self.config.row_bytes + 1) * self.config.row_bytes;
-            let seg_end = row_end.min(end);
-            let done = self.service_segment(addr, seg_end - addr, now);
-            completion = completion.max(done);
-            addr = seg_end;
-        }
-        self.stats.requests += 1;
-        if req.is_write {
-            self.stats.bytes_written += u64::from(req.bytes);
-        } else {
-            self.stats.bytes_read += u64::from(req.bytes);
-        }
-        completion
-    }
-
-    fn service_batch(&mut self, reqs: &[MemRequest], now: u64) -> u64 {
-        let mut completion = now;
-        for r in reqs {
-            completion = completion.max(self.access(r, now));
-        }
-        completion
-    }
-
-    /// Request totals with the per-channel counters folded in, exactly
-    /// as the optimized model folds them.
-    fn stats(&self) -> MemStats {
-        let mut s = self.stats;
-        for ch in &self.channels {
-            ch.stats.fold_into(&mut s);
-        }
-        s
-    }
-
-    fn channel_stats(&self) -> Vec<ChannelStats> {
-        self.channels.iter().map(|c| c.stats).collect()
-    }
-}
-
-/// The reference path's memory model: the seed walk for in-order
-/// service, the shared model otherwise.
-enum SeedMemory {
-    Seed(SeedHbm),
-    Shared(Hbm),
-}
-
-impl SeedMemory {
-    fn new(config: HbmConfig) -> Self {
-        match config.controller {
-            ControllerPolicy::InOrder => SeedMemory::Seed(SeedHbm::new(config)),
-            ControllerPolicy::FrFcfs { .. } => SeedMemory::Shared(Hbm::new(config)),
-        }
-    }
-
-    fn service_batch(&mut self, reqs: &[MemRequest], now: u64) -> u64 {
-        match self {
-            SeedMemory::Seed(h) => h.service_batch(reqs, now),
-            SeedMemory::Shared(h) => h.service_batch(reqs, now),
-        }
-    }
-
-    fn stats(&self) -> MemStats {
-        match self {
-            SeedMemory::Seed(h) => h.stats(),
-            SeedMemory::Shared(h) => h.stats(),
-        }
-    }
-
-    fn channel_stats(&self) -> Vec<ChannelStats> {
-        match self {
-            SeedMemory::Seed(h) => h.channel_stats(),
-            SeedMemory::Shared(h) => h.channel_stats(),
-        }
-    }
-}
 
 /// Per-chunk records with their own request buffers, as the seed kept
 /// them.
@@ -330,9 +156,9 @@ impl Simulator {
             }
         }
 
-        // --- Timeline through the seed memory handler. ---
+        // --- Timeline through the reference HBM walk. ---
         let scheduler = AccessScheduler::new(cfg.coordination);
-        let mut hbm = SeedMemory::new(cfg.hbm);
+        let mut hbm = Hbm::new(cfg.hbm);
         let mut now = 0u64;
         let mut vertex_latency_weighted = 0f64;
         let nchunks = intervals.len();

@@ -76,7 +76,7 @@ pub fn validate_inputs(graph: &Graph, model: &GcnModel, cfg: &HyGcnConfig) -> Re
         ));
     };
     let top = end.saturating_sub(1);
-    let row = cfg.hbm.address_map().decode(top).row;
+    let (_, _, row) = cfg.hbm.locate(top);
     if row >= u64::from(u32::MAX) {
         return Err(SimError::Config(format!(
             "hbm: the workload's top address {top:#x} decodes to row {row}, past the \

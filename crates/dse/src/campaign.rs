@@ -218,8 +218,8 @@ impl Campaign {
     /// recomputed every run — the legacy `sweep` behavior).
     ///
     /// Each point evaluates on the backend its key names. The ids
-    /// `hygcn-core` provides (`cycle`, `cycle-fast`, `seed`,
-    /// `analytical`) resolve on their own; the platform backends of
+    /// `hygcn-core` provides (`cycle`, `seed`, `analytical`) resolve on
+    /// their own; the platform backends of
     /// `hygcn-baseline`, which this crate cannot depend on, need
     /// [`Self::with_backend`] or [`Self::with_resolver`].
     pub fn new(space: ConfigSpace) -> Self {

@@ -1,29 +1,17 @@
-//! Physical address mapping and the channel-major request partition.
+//! Physical address mapping schemes.
 //!
 //! The coordination optimization (paper §4.5.2) remaps addresses so that
 //! "the channel and bank [are indexed] using low bits", spreading a
 //! contiguous stream across channels and banks. The uncoordinated baseline
 //! places the channel bits high, so a contiguous stream hammers one
-//! channel serially.
-//!
-//! [`ChannelPartition`] is the bridge between a batch of byte-ranged
-//! [`MemRequest`]s and the per-channel timing machines of
-//! [`crate::hbm`]: it splits every request into row-aligned [`Segment`]s
-//! and files each under its channel, preserving arrival order within
-//! each channel. Because no segment ever touches two channels, driving
-//! the channels independently over their queues is *exactly* equivalent
-//! to the historical serial walk over the whole batch — the invariant
-//! the per-channel decomposition rests on. The queues keep their
-//! allocations across [`ChannelPartition::clear`], so a simulation's
-//! steady state repartitions with zero heap traffic.
-
-use crate::request::MemRequest;
+//! channel serially. [`crate::hbm::HbmConfig::locate`] decodes an address
+//! under either scheme, one row-buffer page at a time.
 
 /// Where in the address the channel/bank bits sit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MappingScheme {
     /// `row : bank : channel : offset` — channel and bank in the low bits
-    /// (above the burst offset). Contiguous streams exploit channel- and
+    /// (above the page offset). Contiguous streams exploit channel- and
     /// bank-level parallelism. This is the coordinated mapping.
     ChannelInterleaved,
     /// `channel : row : bank : offset` — channel in the *high* bits
@@ -34,270 +22,18 @@ pub enum MappingScheme {
     RowInterleaved,
 }
 
-/// Decoded location of a burst.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Location {
-    /// Channel index.
-    pub channel: usize,
-    /// Bank index within the channel.
-    pub bank: usize,
-    /// Row index within the bank.
-    pub row: u64,
-}
-
-/// Address decoder for a given geometry.
-///
-/// Every geometry parameter is asserted to be a power of two at
-/// construction, so decoding — which sits on the innermost loop of the
-/// HBM timing model, executed once per row segment — compiles to pure
-/// shifts and masks with no division.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AddressMap {
-    scheme: MappingScheme,
-    channels: usize,
-    banks: usize,
-    /// Row-buffer (page) size in bytes.
-    row_bytes: u64,
-    /// Burst size in bytes (the offset field).
-    burst_bytes: u64,
-    /// `log2` of the fields, precomputed for the decode hot path.
-    burst_shift: u32,
-    channel_shift: u32,
-    bank_shift: u32,
-    row_shift: u32,
-}
-
-impl AddressMap {
-    /// Creates a decoder, validating the geometry.
-    ///
-    /// Beyond the power-of-two requirement on every parameter, the burst
-    /// must fit inside a row (`burst_bytes <= row_bytes`): the decoder
-    /// derives the row index from `row_shift - burst_shift`, so an
-    /// oversized burst would underflow the shift — a panic in debug
-    /// builds and a garbage channel/bank/row decode in release. The
-    /// relationship is therefore rejected here, once, instead of
-    /// corrupting every decode on the hot path.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first violated constraint.
-    pub fn try_new(
-        scheme: MappingScheme,
-        channels: usize,
-        banks: usize,
-        row_bytes: u64,
-        burst_bytes: u64,
-    ) -> Result<Self, String> {
-        for (name, v) in [
-            ("channels", channels as u64),
-            ("banks", banks as u64),
-            ("row_bytes", row_bytes),
-            ("burst_bytes", burst_bytes),
-        ] {
-            if !(v > 0 && v.is_power_of_two()) {
-                return Err(format!("{name} must be a power of two (got {v})"));
-            }
-        }
-        if burst_bytes > row_bytes {
-            return Err(format!(
-                "burst_bytes ({burst_bytes}) must not exceed row_bytes ({row_bytes})"
-            ));
-        }
-        Ok(Self::assemble(
-            scheme,
-            channels,
-            banks,
-            row_bytes,
-            burst_bytes,
-        ))
-    }
-
-    /// Creates a decoder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any geometry parameter is zero or not a power of two,
-    /// or if `burst_bytes > row_bytes` (see [`Self::try_new`]).
-    pub fn new(
-        scheme: MappingScheme,
-        channels: usize,
-        banks: usize,
-        row_bytes: u64,
-        burst_bytes: u64,
-    ) -> Self {
-        match Self::try_new(scheme, channels, banks, row_bytes, burst_bytes) {
-            Ok(map) => map,
-            // lint: allow(panic-macro) -- new() documents this panic; try_new is the fallible constructor
-            Err(e) => panic!("invalid address geometry: {e}"),
-        }
-    }
-
-    fn assemble(
-        scheme: MappingScheme,
-        channels: usize,
-        banks: usize,
-        row_bytes: u64,
-        burst_bytes: u64,
-    ) -> Self {
-        Self {
-            scheme,
-            channels,
-            banks,
-            row_bytes,
-            burst_bytes,
-            burst_shift: burst_bytes.trailing_zeros(),
-            channel_shift: (channels as u64).trailing_zeros(),
-            bank_shift: (banks as u64).trailing_zeros(),
-            row_shift: row_bytes.trailing_zeros(),
-        }
-    }
-
-    /// The mapping scheme.
-    pub fn scheme(&self) -> MappingScheme {
-        self.scheme
-    }
-
-    /// Number of channels the map decodes into.
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
-    /// `log2(row_bytes)` — the shift that row-aligns addresses.
-    pub fn row_shift(&self) -> u32 {
-        self.row_shift
-    }
-
-    /// Decodes a byte address into `(channel, bank, row)`.
-    #[inline]
-    pub fn decode(&self, addr: u64) -> Location {
-        match self.scheme {
-            MappingScheme::ChannelInterleaved => {
-                let burst = addr >> self.burst_shift;
-                let channel = (burst & (self.channels as u64 - 1)) as usize;
-                let rest = burst >> self.channel_shift;
-                let bank = (rest & (self.banks as u64 - 1)) as usize;
-                let rest = rest >> self.bank_shift;
-                // Row = which page this burst falls in within its bank.
-                let row = rest >> (self.row_shift - self.burst_shift);
-                Location { channel, bank, row }
-            }
-            MappingScheme::RowInterleaved => {
-                const CHANNEL_SPAN_SHIFT: u32 = 27; // 128 MB
-                let channel = ((addr >> CHANNEL_SPAN_SHIFT) & (self.channels as u64 - 1)) as usize;
-                let within = addr & ((1u64 << CHANNEL_SPAN_SHIFT) - 1);
-                let page = within >> self.row_shift;
-                let bank = (page & (self.banks as u64 - 1)) as usize;
-                let row = page >> self.bank_shift;
-                Location { channel, bank, row }
-            }
-        }
-    }
-}
-
-/// One same-(channel, bank, row) burst run — the unit the per-channel
-/// timing machines of [`crate::hbm`] service.
-///
-/// A [`MemRequest`] decomposes into one segment per row-buffer page it
-/// touches; the channel index is implied by which
-/// [`ChannelPartition`] queue the segment sits in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Segment {
-    /// Starting byte address (kept for diagnostics and the partition
-    /// permutation tests; the timing walk needs only bank/row/bytes).
-    pub addr: u64,
-    /// Row index within the bank.
-    pub row: u64,
-    /// Length in bytes (at most one row).
-    pub bytes: u32,
-    /// Bank index within the channel.
-    pub bank: u32,
-}
-
-/// Channel-major decomposition of a request batch: one ordered segment
-/// queue per channel.
-///
-/// Built directly from `RequestArena` span slices — the partition only
-/// copies 24-byte [`Segment`] records into queues whose capacity
-/// persists across [`ChannelPartition::clear`], so repartitioning every
-/// timeline step allocates nothing once the queues have grown to the
-/// batch high-water mark.
-#[derive(Debug, Clone)]
-pub struct ChannelPartition {
-    queues: Vec<Vec<Segment>>,
-    total: usize,
-}
-
-impl ChannelPartition {
-    /// An empty partition over `channels` queues.
-    pub fn new(channels: usize) -> Self {
-        Self {
-            queues: vec![Vec::new(); channels.max(1)],
-            total: 0,
-        }
-    }
-
-    /// Number of channel queues.
-    pub fn num_channels(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Total segments filed across all channels.
-    pub fn total_segments(&self) -> usize {
-        self.total
-    }
-
-    /// Empties every queue, keeping their allocations.
-    pub fn clear(&mut self) {
-        for q in &mut self.queues {
-            q.clear();
-        }
-        self.total = 0;
-    }
-
-    /// The ordered segment queue of channel `c`.
-    pub fn channel(&self, c: usize) -> &[Segment] {
-        &self.queues[c]
-    }
-
-    /// Splits `req` into row-aligned segments and files each under the
-    /// channel `map` decodes it to, preserving arrival order per channel.
-    pub fn push_request(&mut self, map: &AddressMap, req: &MemRequest) {
-        debug_assert_eq!(map.channels(), self.queues.len(), "geometry mismatch");
-        let shift = map.row_shift();
-        let mut addr = req.addr;
-        let end = req.addr + u64::from(req.bytes);
-        while addr < end {
-            let row_end = ((addr >> shift) + 1) << shift;
-            let seg_end = row_end.min(end);
-            let loc = map.decode(addr);
-            self.queues[loc.channel].push(Segment {
-                addr,
-                row: loc.row,
-                bytes: (seg_end - addr) as u32,
-                bank: loc.bank as u32,
-            });
-            self.total += 1;
-            addr = seg_end;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::request::RequestKind;
+    use crate::hbm::HbmConfig;
 
-    fn maps() -> (AddressMap, AddressMap) {
-        (
-            AddressMap::new(MappingScheme::ChannelInterleaved, 8, 16, 2048, 32),
-            AddressMap::new(MappingScheme::RowInterleaved, 8, 16, 2048, 32),
-        )
+    fn configs() -> (HbmConfig, HbmConfig) {
+        (HbmConfig::hbm1(), HbmConfig::hbm1_uncoordinated())
     }
 
     #[test]
-    fn channel_interleaved_spreads_consecutive_bursts() {
-        let (ci, _) = maps();
-        let channels: Vec<usize> = (0..8).map(|i| ci.decode(i * 32).channel).collect();
+    fn channel_interleaved_spreads_consecutive_pages() {
+        let (ci, _) = configs();
+        let channels: Vec<usize> = (0..8).map(|i| ci.locate(i * 2048).0).collect();
         let mut sorted = channels.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..8).collect::<Vec<_>>());
@@ -305,110 +41,72 @@ mod tests {
 
     #[test]
     fn row_interleaved_serializes_on_one_channel() {
-        let (_, ri) = maps();
-        let first = ri.decode(0);
+        let (_, ri) = configs();
+        let first = ri.locate(0);
         // A multi-megabyte working set stays entirely on channel 0.
         for addr in (0..(32u64 << 20)).step_by(1 << 16) {
-            assert_eq!(ri.decode(addr).channel, first.channel);
+            assert_eq!(ri.locate(addr).0, first.0);
         }
         // Bursts within one 2 KB page share bank and row.
         for i in 1..64u64 {
-            let loc = ri.decode(i * 32);
-            assert_eq!(loc.bank, first.bank);
-            assert_eq!(loc.row, first.row);
+            let (_, bank, row) = ri.locate(i * 32);
+            assert_eq!((bank, row), (first.1, first.2));
         }
         // The next page rotates banks.
-        assert_ne!(ri.decode(2048).bank, first.bank);
+        assert_ne!(ri.locate(2048).1, first.1);
     }
 
     #[test]
     fn same_address_same_location() {
-        let (ci, _) = maps();
-        assert_eq!(ci.decode(12345), ci.decode(12345));
+        let (ci, _) = configs();
+        assert_eq!(ci.locate(12345), ci.locate(12345));
     }
 
     #[test]
-    fn sub_burst_offsets_share_location() {
-        let (ci, _) = maps();
-        assert_eq!(ci.decode(0), ci.decode(31));
-        assert_ne!(ci.decode(0), ci.decode(32));
+    fn sub_page_offsets_share_location() {
+        let (ci, _) = configs();
+        assert_eq!(ci.locate(0), ci.locate(2047));
+        assert_ne!(ci.locate(0), ci.locate(2048));
     }
 
     #[test]
-    #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two() {
-        let _ = AddressMap::new(MappingScheme::ChannelInterleaved, 6, 16, 2048, 32);
+        let six = HbmConfig {
+            channels: 6,
+            ..HbmConfig::hbm1()
+        };
+        assert!(six.validate().unwrap_err().contains("power of two"));
     }
 
     #[test]
     fn rejects_burst_larger_than_row() {
-        for scheme in [
-            MappingScheme::ChannelInterleaved,
-            MappingScheme::RowInterleaved,
-        ] {
-            let e = AddressMap::try_new(scheme, 8, 16, 2048, 4096).unwrap_err();
+        let (ci, ri) = configs();
+        for cfg in [ci, ri] {
+            let e = HbmConfig {
+                burst_bytes: 4096,
+                ..cfg
+            }
+            .validate()
+            .unwrap_err();
             assert!(e.contains("burst_bytes"), "{e}");
         }
-        // The boundary case (burst == row) is legal: row index shift is 0.
-        let m = AddressMap::try_new(MappingScheme::ChannelInterleaved, 8, 16, 2048, 2048).unwrap();
-        assert_eq!(m.decode(0).row, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "burst_bytes")]
-    fn new_panics_on_burst_larger_than_row() {
-        let _ = AddressMap::new(MappingScheme::ChannelInterleaved, 8, 16, 2048, 4096);
-    }
-
-    #[test]
-    fn partition_splits_rows_and_preserves_order() {
-        let (ci, _) = maps();
-        let mut p = ChannelPartition::new(8);
-        // 5 KB starting mid-row: 3 pages touched, 3 segments.
-        let req = MemRequest::read(RequestKind::InputFeatures, 1024, 5 * 1024);
-        p.push_request(&ci, &req);
-        assert_eq!(p.total_segments(), 3);
-        let covered: u64 = (0..8)
-            .flat_map(|c| p.channel(c).iter())
-            .map(|s| u64::from(s.bytes))
-            .sum();
-        assert_eq!(covered, 5 * 1024);
-        // Segments within one channel keep ascending addresses (arrival
-        // order of a single contiguous request).
-        for c in 0..8 {
-            assert!(p.channel(c).windows(2).all(|w| w[0].addr < w[1].addr));
-        }
-        // Clearing keeps geometry but drops segments.
-        p.clear();
-        assert_eq!(p.total_segments(), 0);
-        assert!((0..8).all(|c| p.channel(c).is_empty()));
-    }
-
-    #[test]
-    fn partition_segments_never_cross_rows() {
-        let (ci, ri) = maps();
-        for map in [ci, ri] {
-            let mut p = ChannelPartition::new(8);
-            p.push_request(&map, &MemRequest::read(RequestKind::Edges, 12345, 100_000));
-            for c in 0..p.num_channels() {
-                for s in p.channel(c) {
-                    let row_start = (s.addr >> map.row_shift()) << map.row_shift();
-                    assert!(u64::from(s.bytes) <= 2048);
-                    assert!(s.addr + u64::from(s.bytes) <= row_start + 2048);
-                    assert_eq!(map.decode(s.addr).channel, c);
-                }
-            }
-        }
+        // The boundary case (burst == row) is legal.
+        let whole_row = HbmConfig {
+            burst_bytes: 2048,
+            ..ci
+        };
+        assert!(whole_row.validate().is_ok());
+        assert_eq!(whole_row.locate(0).2, 0);
     }
 
     #[test]
     fn decode_within_geometry_bounds() {
-        let (ci, ri) = maps();
+        let (ci, ri) = configs();
         for addr in (0..1_000_000u64).step_by(4093) {
-            for m in [&ci, &ri] {
-                let loc = m.decode(addr);
-                assert!(loc.channel < 8);
-                assert!(loc.bank < 16);
+            for cfg in [&ci, &ri] {
+                let (channel, bank, _) = cfg.locate(addr);
+                assert!(channel < 8);
+                assert!(bank < 16);
             }
         }
     }

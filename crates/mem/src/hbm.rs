@@ -1,34 +1,30 @@
-//! Cycle-level HBM timing model — the Ramulator substitute.
+//! Cycle-level HBM timing model — the Ramulator substitute, and the
+//! reference walk the simulator's span-program replay
+//! ([`crate::spanprog`]) must reproduce bit for bit.
 //!
 //! Geometry and rates follow HBM 1.0 as configured in Table 6: 8 channels
 //! at 32 GB/s each (256 GB/s aggregate), 1 GHz accelerator clock, 32 B
 //! bursts, 2 KB row buffers, 16 banks per channel.
 //!
-//! ## Per-channel decomposition
-//!
-//! The stack is modeled as independent [`ChannelTimeline`] state
-//! machines, one per channel, each owning its banks' open rows, its bank
-//! ready times, and its data-bus availability. A service batch is first
-//! split channel-major by a [`ChannelPartition`]
-//! ([`crate::address`]) — every row-aligned segment maps to exactly one
-//! channel — and then each channel drains its queue in arrival order.
-//!
-//! **Merge invariant:** within a batch every segment arrives at the same
-//! cycle `now`, and a segment reads/writes only its own channel's state,
-//! so draining the channels in *any* order produces the same per-channel
-//! timelines as the historical serial walk over the interleaved segment
-//! stream. The batch completes at the max of the channels' completion
-//! cycles, and the statistics fold by summation — both order-independent.
-//! The span-program replay ([`crate::spanprog`]) relies on this to lay
-//! its decoded stream out channel-major.
-//!
-//! A burst run that stays in an open row streams at one burst per cycle;
-//! touching a closed row exposes an activate+precharge penalty. Within a
-//! channel, requests are serviced in the order given — the scheduler
-//! upstream ([`crate::scheduler`]) decides that order, which is exactly
-//! where the paper's memory-access coordination acts.
+//! [`Hbm`] is the seed's walk. A request splits into row-aligned
+//! segments, and [`HbmConfig::locate`] decodes each to one (channel,
+//! bank, row) with page-granular division and modulo: the replay's
+//! builder decodes with shifts and masks, so the two share no decode
+//! arithmetic. Each bank keeps its open row and ready cycle, each
+//! channel its data bus. A batch's segments queue per channel in arrival
+//! order, and each channel drains its queue: a pick serves the oldest
+//! segment within the [`ControllerPolicy::FrFcfs`] window that hits its
+//! bank's open row, else the oldest; in-order service is the window-1
+//! case. A burst run that stays in an open row streams at one burst per
+//! cycle; touching a closed row exposes an activate+precharge penalty.
+//! Which requests a batch holds, and in what order, is the scheduler's
+//! choice upstream ([`crate::scheduler`]) — exactly where the paper's
+//! memory-access coordination acts.
 
-use crate::address::{AddressMap, ChannelPartition, MappingScheme, Segment};
+use std::collections::VecDeque;
+
+use crate::address::MappingScheme;
+use crate::cast::{saturating_usize, widen_u64};
 use crate::request::MemRequest;
 use crate::stats::{ChannelStats, HbmStats, MemStats};
 
@@ -71,6 +67,10 @@ pub struct HbmConfig {
     pub controller: ControllerPolicy,
 }
 
+/// The address span each channel owns under
+/// [`MappingScheme::RowInterleaved`]: 128 MB.
+const CHANNEL_SPAN: u64 = 128 << 20;
+
 impl HbmConfig {
     /// HBM 1.0 at 256 GB/s with the coordinated (channel-interleaved)
     /// mapping — HyGCN's configuration.
@@ -103,10 +103,24 @@ impl HbmConfig {
     /// program under 2^40 bursts.
     pub const MAX_TIMING_CYCLES: u64 = 1 << 20;
 
+    /// The most channels [`HbmConfig::validate`] accepts: 2^10, a
+    /// hundred times a real stack's. Every timing model sizes its state
+    /// per channel up front, and an allocation failure aborts the
+    /// process, which no caller can catch: `channels = 2^40` asked for
+    /// 8 TB of span-program cursors.
+    pub const MAX_CHANNELS: usize = 1 << 10;
+
     /// The most banks per channel [`HbmConfig::validate`] accepts: 2^16,
     /// so every bank index fits a span's `u16`
     /// ([`crate::spanprog::SpanTuple`]).
     pub const MAX_BANKS: usize = 1 << 16;
+
+    /// The most banks in all (`channels * banks`)
+    /// [`HbmConfig::validate`] accepts: 2^20. The replay and this walk
+    /// hold per-bank state for every channel, so this bound keeps it
+    /// within tens of megabytes where the two per-field bounds alone
+    /// would allow 2^26 banks.
+    pub const MAX_TOTAL_BANKS: usize = 1 << 20;
 
     /// The most bursts per row (`row_bytes / burst_bytes`)
     /// [`HbmConfig::validate`] accepts: 2^15, the largest power of two a
@@ -115,33 +129,60 @@ impl HbmConfig {
 
     /// Validates the geometry without constructing anything: every
     /// count/size must be a power of two, the burst must fit inside a
-    /// row, a channel may have at most [`HbmConfig::MAX_BANKS`] banks and
-    /// a row at most [`HbmConfig::MAX_BURSTS_PER_ROW`] bursts, the burst
-    /// transfer time must be nonzero, and no timing parameter may exceed
-    /// [`HbmConfig::MAX_TIMING_CYCLES`].
+    /// row, there may be at most [`HbmConfig::MAX_CHANNELS`] channels,
+    /// [`HbmConfig::MAX_BANKS`] banks per channel and
+    /// [`HbmConfig::MAX_TOTAL_BANKS`] banks in all, a row may hold at
+    /// most [`HbmConfig::MAX_BURSTS_PER_ROW`] bursts, the burst transfer
+    /// time and the row penalty must be nonzero, and no timing parameter
+    /// may exceed [`HbmConfig::MAX_TIMING_CYCLES`].
     ///
-    /// This is the config-level twin of [`AddressMap::try_new`]'s checks
-    /// — campaign axes over memory-geometry knobs call it while
+    /// Every timing model calls it before it decodes an address, and
+    /// campaign axes over memory-geometry knobs call it while
     /// *enumerating* a design space, so a bad combination fails fast
-    /// with a spec error instead of panicking mid-campaign inside the
-    /// decode hot path.
+    /// with a spec error instead of mid-campaign.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        AddressMap::try_new(
-            self.mapping,
-            self.channels,
-            self.banks,
-            self.row_bytes,
-            self.burst_bytes,
-        )?;
+        for (name, v) in [
+            ("channels", widen_u64(self.channels)),
+            ("banks", widen_u64(self.banks)),
+            ("row_bytes", self.row_bytes),
+            ("burst_bytes", self.burst_bytes),
+        ] {
+            if !(v > 0 && v.is_power_of_two()) {
+                return Err(format!("{name} must be a power of two (got {v})"));
+            }
+        }
+        // A burst streams out of one open row, so it cannot be larger.
+        if self.burst_bytes > self.row_bytes {
+            return Err(format!(
+                "burst_bytes ({}) must not exceed row_bytes ({})",
+                self.burst_bytes, self.row_bytes
+            ));
+        }
+        if self.channels > Self::MAX_CHANNELS {
+            return Err(format!(
+                "channels {} exceeds the {} channel bound",
+                self.channels,
+                Self::MAX_CHANNELS
+            ));
+        }
         if self.banks > Self::MAX_BANKS {
             return Err(format!(
                 "banks {} exceeds the {} bank bound",
                 self.banks,
                 Self::MAX_BANKS
+            ));
+        }
+        // Both factors are bounded above, so the product cannot wrap.
+        let total_banks = self.channels * self.banks;
+        if total_banks > Self::MAX_TOTAL_BANKS {
+            return Err(format!(
+                "channels * banks = {total_banks} banks in all exceeds the {} \
+                 bank bound",
+                Self::MAX_TOTAL_BANKS
             ));
         }
         let bursts = self.row_bytes / self.burst_bytes;
@@ -177,164 +218,105 @@ impl HbmConfig {
 
     /// Peak bandwidth in bytes per cycle (all channels).
     pub fn peak_bytes_per_cycle(&self) -> f64 {
-        (crate::cast::widen_u64(self.channels) * self.burst_bytes) as f64 / self.t_burst as f64
+        (widen_u64(self.channels) * self.burst_bytes) as f64 / self.t_burst as f64
     }
 
-    /// The address decoder for this geometry.
-    pub fn address_map(&self) -> AddressMap {
-        AddressMap::new(
-            self.mapping,
-            self.channels,
-            self.banks,
-            self.row_bytes,
-            self.row_bytes, // page-granular interleave
+    /// Decodes a byte address into its `(channel, bank, row)`, one
+    /// row-buffer page at a time: every byte of a page shares its
+    /// location. The channel-interleaved mapping deals consecutive pages
+    /// round-robin over the channels, then over the banks; the
+    /// row-interleaved one gives each channel a 128 MB span and rotates
+    /// the banks page by page within it. The geometry must pass
+    /// [`HbmConfig::validate`]: a zero count or size divides by zero.
+    pub fn locate(&self, addr: u64) -> (usize, usize, u64) {
+        let (channels, banks) = (widen_u64(self.channels), widen_u64(self.banks));
+        let (channel, page) = match self.mapping {
+            MappingScheme::ChannelInterleaved => {
+                let page = addr / self.row_bytes;
+                (page % channels, page / channels)
+            }
+            MappingScheme::RowInterleaved => (
+                addr / CHANNEL_SPAN % channels,
+                addr % CHANNEL_SPAN / self.row_bytes,
+            ),
+        };
+        (
+            saturating_usize(channel),
+            saturating_usize(page % banks),
+            page / banks,
         )
     }
 }
 
-/// Sentinel for "no row open" (no real row index reaches `u64::MAX`).
-const NO_ROW: u64 = u64::MAX;
-
+/// One decoded segment waiting in its channel's queue: a same-(bank,
+/// row) burst run of at most one row.
 #[derive(Debug, Clone, Copy)]
+struct Run {
+    bank: usize,
+    row: u64,
+    bursts: u64,
+}
+
+/// One bank's open row (`None` while closed) and the cycle it is ready.
+#[derive(Debug, Clone, Copy, Default)]
 struct Bank {
-    /// The open row, or [`NO_ROW`].
-    open_row: u64,
+    open_row: Option<u64>,
     ready: u64,
 }
 
-impl Default for Bank {
-    fn default() -> Self {
-        Self {
-            open_row: NO_ROW,
-            ready: 0,
-        }
-    }
-}
-
-/// One channel's timing state machine: its banks' open rows and ready
-/// cycles, its data-bus availability, and its share of the statistics.
-///
-/// A `ChannelTimeline` never reads another channel's state, so a set of
-/// them can be advanced in any order over a [`ChannelPartition`]'s
-/// queues and still reproduce the serial walk bit-for-bit (see the
-/// module docs for the merge invariant).
-#[derive(Debug, Clone)]
-pub struct ChannelTimeline {
+/// One channel: its banks, its data bus, the batch's runs in arrival
+/// order, and its share of the statistics.
+#[derive(Debug, Clone, Default)]
+struct Channel {
     banks: Vec<Bank>,
     bus_free: u64,
-    t_row: u64,
-    t_burst: u64,
-    t_cas: u64,
-    /// `log2(burst_bytes)` for the bursts-per-segment shift.
-    burst_shift: u32,
+    queue: VecDeque<Run>,
     stats: ChannelStats,
 }
 
-impl ChannelTimeline {
-    /// An idle channel of the given geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `burst_bytes` is a nonzero power of two — the
-    /// bursts-per-segment computation is a shift, and `AddressMap`
-    /// validates the other geometry fields but never sees this one.
-    pub fn new(config: &HbmConfig) -> Self {
-        assert!(
-            config.burst_bytes > 0 && config.burst_bytes.is_power_of_two(),
-            "burst_bytes must be a power of two"
-        );
-        Self {
-            banks: vec![Bank::default(); config.banks],
-            bus_free: 0,
-            t_row: config.t_row,
-            t_burst: config.t_burst,
-            t_cas: config.t_cas,
-            burst_shift: config.burst_bytes.trailing_zeros(),
-            stats: ChannelStats::default(),
-        }
-    }
-
-    /// This channel's accumulated statistics.
-    pub fn stats(&self) -> &ChannelStats {
-        &self.stats
-    }
-
-    /// The cycle this channel's data bus becomes idle.
-    pub fn bus_free(&self) -> u64 {
-        self.bus_free
-    }
-
-    /// Services one segment arriving at `now`; returns the cycle its
-    /// last data beat (plus CAS latency) completes.
-    #[inline]
-    pub fn service(&mut self, seg: &Segment, now: u64) -> u64 {
-        let bursts = (u64::from(seg.bytes) + (1u64 << self.burst_shift) - 1) >> self.burst_shift;
-        let bank = &mut self.banks[crate::cast::idx(seg.bank)];
-        let mut ready = bank.ready.max(now);
-        if bank.open_row != seg.row {
-            // Activate (and precharge the old row) before the transfer.
-            ready += self.t_row;
-            bank.open_row = seg.row;
-            self.stats.row_misses += 1;
-        } else {
-            self.stats.row_hits += 1;
-        }
-        let start = ready.max(self.bus_free);
-        let finish = start + bursts * self.t_burst;
-        self.bus_free = finish;
-        bank.ready = finish;
-        self.stats.bursts += bursts;
-        self.stats.busy_cycles += bursts * self.t_burst;
-        let done = finish + self.t_cas;
-        self.stats.last_completion = self.stats.last_completion.max(done);
-        done
-    }
-
-    /// Drains a queue in arrival order; returns the cycle the last
-    /// segment completes, or `now` for an empty queue.
-    pub fn drain(&mut self, segs: &[Segment], now: u64) -> u64 {
+impl Channel {
+    /// Serves the whole queue, every run arriving at `now`: each pick is
+    /// the oldest of the first `window` runs that hits its bank's open
+    /// row, else the oldest run (so a window of 0 or 1 serves in order).
+    /// Returns the cycle the last run completes, or `now` for an empty
+    /// queue.
+    fn drain(&mut self, cfg: &HbmConfig, window: usize, now: u64) -> u64 {
         let mut done = now;
-        for seg in segs {
-            done = done.max(self.service(seg, now));
-        }
-        done
-    }
-
-    /// Drains a queue with row-hit-first selection inside a `window`-deep
-    /// lookahead (FR-FCFS); oldest segment wins when no pending segment
-    /// hits an open row.
-    pub fn drain_frfcfs(&mut self, segs: &[Segment], now: u64, window: usize) -> u64 {
-        let window = window.max(1);
-        let mut done = now;
-        let mut pending: Vec<Segment> = Vec::with_capacity(window.min(segs.len()));
-        let mut head = 0usize;
         loop {
-            while pending.len() < window && head < segs.len() {
-                pending.push(segs[head]);
-                head += 1;
+            let banks = &self.banks;
+            let hit = |r: &Run| banks[r.bank].open_row == Some(r.row);
+            let pick = self.queue.iter().take(window).position(hit).unwrap_or(0);
+            let Some(run) = self.queue.remove(pick) else {
+                return done;
+            };
+            let bank = &mut self.banks[run.bank];
+            let mut ready = bank.ready.max(now);
+            if bank.open_row == Some(run.row) {
+                self.stats.row_hits += 1;
+            } else {
+                // Activate (and precharge the old row) before the transfer.
+                ready += cfg.t_row;
+                bank.open_row = Some(run.row);
+                self.stats.row_misses += 1;
             }
-            if pending.is_empty() {
-                break;
-            }
-            let pick = pending
-                .iter()
-                .position(|s| self.banks[crate::cast::idx(s.bank)].open_row == s.row)
-                .unwrap_or(0);
-            let seg = pending.remove(pick);
-            done = done.max(self.service(&seg, now));
+            let finish = ready.max(self.bus_free) + run.bursts * cfg.t_burst;
+            self.bus_free = finish;
+            bank.ready = finish;
+            self.stats.bursts += run.bursts;
+            self.stats.busy_cycles += run.bursts * cfg.t_burst;
+            let completion = finish + cfg.t_cas;
+            self.stats.last_completion = self.stats.last_completion.max(completion);
+            done = done.max(completion);
         }
-        done
     }
 }
 
-/// The HBM device model: per-channel timelines plus request-level
-/// accounting and a reusable channel partition.
+/// The HBM device model: per-channel bank, bus and queue state plus
+/// request-level accounting.
 #[derive(Debug, Clone)]
 pub struct Hbm {
     config: HbmConfig,
-    map: AddressMap,
-    channels: Vec<ChannelTimeline>,
-    partition: ChannelPartition,
+    channels: Vec<Channel>,
     /// Request-level counters (bytes, request count). Row hits/misses
     /// and the last completion live in the channels and are folded on
     /// [`Hbm::stats`].
@@ -342,22 +324,18 @@ pub struct Hbm {
 }
 
 impl Hbm {
-    /// Creates an idle HBM stack.
+    /// Creates an idle HBM stack. The geometry must pass
+    /// [`HbmConfig::validate`] (see [`HbmConfig::locate`]).
     pub fn new(config: HbmConfig) -> Self {
+        let channel = Channel {
+            banks: vec![Bank::default(); config.banks],
+            ..Channel::default()
+        };
         Self {
-            map: config.address_map(),
-            channels: (0..config.channels)
-                .map(|_| ChannelTimeline::new(&config))
-                .collect(),
-            partition: ChannelPartition::new(config.channels),
+            channels: vec![channel; config.channels],
             config,
             traffic: MemStats::default(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &HbmConfig {
-        &self.config
     }
 
     /// Accumulated statistics, with the per-channel counters folded into
@@ -365,14 +343,14 @@ impl Hbm {
     pub fn stats(&self) -> MemStats {
         let mut s = self.traffic;
         for ch in &self.channels {
-            ch.stats().fold_into(&mut s);
+            ch.stats.fold_into(&mut s);
         }
         s
     }
 
     /// The per-channel statistics, in channel order.
     pub fn channel_stats(&self) -> Vec<ChannelStats> {
-        self.channels.iter().map(|c| *c.stats()).collect()
+        self.channels.iter().map(|c| c.stats).collect()
     }
 
     /// The fully decomposed statistics view.
@@ -386,27 +364,38 @@ impl Hbm {
     /// Services one request starting no earlier than `now`; returns the
     /// cycle at which its last data beat (plus CAS latency) arrives.
     ///
-    /// The request is split into row-aligned segments; each segment is a
-    /// same-(channel, bank, row) burst run. Channels progress
-    /// independently, so a multi-row request naturally overlaps across
-    /// channels under the interleaved mapping.
+    /// The request's row-aligned segments are served as a batch of one,
+    /// so a multi-row request overlaps across channels under the
+    /// interleaved mapping.
     pub fn access(&mut self, req: &MemRequest, now: u64) -> u64 {
         self.service_batch(std::slice::from_ref(req), now)
     }
 
-    /// Services a batch; returns the completion cycle of the last request.
+    /// Services a batch arriving at `now`; returns the completion cycle
+    /// of the last request, never before `now`.
     ///
-    /// The batch is split channel-major first and each channel drains its
-    /// queue independently: under [`ControllerPolicy::InOrder`] exactly in
-    /// the given order, under [`ControllerPolicy::FrFcfs`] serving row hits
-    /// ahead of older row misses within its lookahead window. The batch
-    /// completes when the last channel does, never before `now`.
+    /// Every request splits into row-aligned segments, queued on their
+    /// channels in arrival order. Each channel then drains its queue
+    /// alone: under [`ControllerPolicy::InOrder`] exactly in that order,
+    /// under [`ControllerPolicy::FrFcfs`] serving row hits ahead of
+    /// older row misses within its lookahead window. No channel reads
+    /// another's state, so the batch completes when the last channel
+    /// does, whatever order they drain in.
     pub fn service_batch(&mut self, reqs: &[MemRequest], now: u64) -> u64 {
         let _obs = hygcn_obs::span(hygcn_obs::Phase::HbmWalk);
-        self.partition.clear();
+        let cfg = self.config;
         for r in reqs {
             debug_assert!(r.bytes > 0, "zero-length request");
-            self.partition.push_request(&self.map, r);
+            let (mut addr, end) = (r.addr, r.addr + u64::from(r.bytes));
+            while addr < end {
+                let seg_end = ((addr / cfg.row_bytes + 1) * cfg.row_bytes).min(end);
+                let (channel, bank, row) = cfg.locate(addr);
+                let bursts = (seg_end - addr).div_ceil(cfg.burst_bytes);
+                self.channels[channel]
+                    .queue
+                    .push_back(Run { bank, row, bursts });
+                addr = seg_end;
+            }
             self.traffic.requests += 1;
             if r.is_write {
                 self.traffic.bytes_written += u64::from(r.bytes);
@@ -414,25 +403,13 @@ impl Hbm {
                 self.traffic.bytes_read += u64::from(r.bytes);
             }
         }
-        let mut done = now;
-        for (c, ch) in self.channels.iter_mut().enumerate() {
-            let segs = self.partition.channel(c);
-            let ch_done = match self.config.controller {
-                ControllerPolicy::InOrder => ch.drain(segs, now),
-                ControllerPolicy::FrFcfs { window } => ch.drain_frfcfs(segs, now, window),
-            };
-            done = done.max(ch_done);
-        }
-        done
-    }
-
-    /// The cycle at which all channels become idle.
-    pub fn drain_cycle(&self) -> u64 {
+        let window = match cfg.controller {
+            ControllerPolicy::InOrder => 1,
+            ControllerPolicy::FrFcfs { window } => window,
+        };
         self.channels
-            .iter()
-            .map(ChannelTimeline::bus_free)
-            .max()
-            .unwrap_or(0)
+            .iter_mut()
+            .fold(now, |done, ch| done.max(ch.drain(&cfg, window, now)))
     }
 }
 

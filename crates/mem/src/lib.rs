@@ -9,21 +9,18 @@
 //!   256 GB/s peak. Row-buffer locality and channel-/bank-level
 //!   parallelism — the two effects the paper's memory-access coordination
 //!   optimizes (Fig. 9/17) — fall out of the model rather than being
-//!   assumed. The stack decomposes into independent per-channel
-//!   [`hbm::ChannelTimeline`] state machines: a batch is partitioned
-//!   channel-major, each channel drains its queue, and the merge (max of
-//!   completions, sum of counters) is order-independent. See the [`hbm`]
-//!   module docs for the merge invariant.
+//!   assumed. [`hbm::Hbm`] is the seed's walk: each batch's row-aligned
+//!   segments queue per channel in arrival order and drain under one
+//!   FR-FCFS window (in-order service is window 1). It is the reference
+//!   the span-program replay is checked against, and the memory model of
+//!   the seed simulator.
 //! * [`address`] — physical address mapping schemes; the coordination
-//!   optimization remaps "the channel and bank using low bits". Also the
-//!   channel-major [`address::ChannelPartition`] that splits a request
-//!   batch into per-channel row-segment queues without steady-state
-//!   allocation.
+//!   optimization remaps "the channel and bank using low bits".
 //! * [`spanprog`] — precompiled span programs: at schedule build time
 //!   the address decode runs once, emitting per timeline step a flat
 //!   channel-major stream of `(bank, row, bursts)` tuples that
 //!   [`spanprog::SpanReplayer`] replays with SoA per-channel registers
-//!   — bit-identical to the staged [`hbm::Hbm`] drain under **both**
+//!   — bit-identical to [`hbm::Hbm::service_batch`] under **both**
 //!   controller policies. FR-FCFS's windowed row-hit promotion runs
 //!   once per program and window: to `None` when it keeps arrival order
 //!   (every timing then replays program order, as in order), else into
@@ -50,9 +47,15 @@
 //! use hygcn_mem::hbm::{Hbm, HbmConfig};
 //! use hygcn_mem::request::{MemRequest, RequestKind};
 //!
-//! let mut hbm = Hbm::new(HbmConfig::hbm1());
+//! let cfg = HbmConfig::hbm1();
+//! // The coordinated mapping deals consecutive 2 KB pages over the
+//! // channels: (channel, bank, row).
+//! assert_eq!(cfg.locate(0), (0, 0, 0));
+//! assert_eq!(cfg.locate(2048), (1, 0, 0));
+//! let mut hbm = Hbm::new(cfg);
 //! let done = hbm.access(&MemRequest::read(RequestKind::InputFeatures, 0, 128), 0);
-//! assert!(done > 0);
+//! // One row miss: the activate, four 32 B bursts, then the CAS latency.
+//! assert_eq!(done, cfg.t_row + 4 * cfg.t_burst + cfg.t_cas);
 //! assert_eq!(hbm.stats().bytes_read, 128);
 //! ```
 
@@ -66,8 +69,7 @@ pub mod scheduler;
 pub mod spanprog;
 pub mod stats;
 
-pub use address::{ChannelPartition, Segment};
-pub use hbm::{ChannelTimeline, Hbm, HbmConfig};
+pub use hbm::{Hbm, HbmConfig};
 pub use request::{MemRequest, RequestArena, RequestKind, RequestSpan, RequestSummary};
 pub use spanprog::{SpanProgram, SpanProgramBuilder, SpanReplayer, SpanSchedule, MAX_LANES};
 pub use stats::{ChannelStats, HbmStats, MemStats};

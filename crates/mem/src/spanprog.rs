@@ -1,7 +1,8 @@
 //! Precompiled span programs: decode-once, replay-many HBM streams.
 //!
-//! The span walk's per-request work splits into three parts: *decoding*
-//! (row-aligned splitting plus channel/bank/row bit extraction),
+//! The per-request work of the HBM walk ([`crate::hbm::Hbm`]) splits
+//! into three parts: *decoding* (row-aligned splitting plus
+//! channel/bank/row extraction),
 //! *ordering* (the controller's service order and each span's row hit
 //! or miss) and *timing* (advancing bank/bus state). Decoding is a pure
 //! function of the request stream and the address geometry — for a fixed
@@ -45,27 +46,26 @@
 //! ## Build/replay contract
 //!
 //! One [`SpanProgramBuilder::push_step`] call per timeline step, fed the
-//! *scheduler-ordered* batch the staged [`crate::hbm::Hbm`] would have
-//! serviced; one [`SpanReplayer::replay_step`] call per step, with each
+//! *scheduler-ordered* batch [`crate::hbm::Hbm::service_batch`] would
+//! service; one [`SpanReplayer::replay_step`] call per step, with each
 //! lane's arrival cycle. Every lane is bit-identical to
 //! [`crate::hbm::Hbm::service_batch`] under its own timing on the same
 //! batches at its own arrivals — completion cycles, [`MemStats`], and
 //! per-channel [`ChannelStats`] — for **both** controller policies, and
-//! so equal to a one-lane replay of that timing:
+//! so equal to a one-lane replay of that timing. The reference walk
+//! queues a batch's row-aligned segments per channel in arrival order
+//! and drains each channel's queue alone, so a channel's tuple run is
+//! exactly that queue: the same row-aligned split, a decode equal to
+//! [`HbmConfig::locate`]'s, arrival order preserved per channel.
 //!
-//! * **In-order:** a channel's tuple run is exactly its
-//!   [`crate::address::ChannelPartition`] queue (same row-aligned split,
-//!   same decode, arrival order preserved per channel), so the replay
-//!   reads the program directly and makes the row compare of
-//!   [`crate::hbm::ChannelTimeline::drain`] as it goes, once for every
-//!   lane: which row a span opens depends on no timing.
-//! * **FR-FCFS:** the staged drain also operates per channel over that
-//!   same queue, and its windowed row-hit promotion consults only
+//! * **In-order:** the replay reads the program directly and makes the
+//!   walk's row compare as it goes, once for every lane: which row a
+//!   span opens depends on no timing.
+//! * **FR-FCFS:** the walk's windowed row-hit promotion consults only
 //!   `(bank, row)` state the tuples carry. [`SpanProgram::schedule`]
-//!   makes the same picks as
-//!   [`crate::hbm::ChannelTimeline::drain_frfcfs`] — oldest row hit in
-//!   the window, else the oldest tuple — carrying each bank's open row
-//!   across steps as the drain does. Each `(step, channel)` cell first
+//!   makes the walk's picks — oldest row hit in the window, else the
+//!   oldest tuple — carrying each bank's open row across steps as the
+//!   walk does. Each `(step, channel)` cell first
 //!   takes an *identity pass* that only tracks the youngest pending hit
 //!   (`ArrivalOrder`): while every pick is the head, the head is picked
 //!   unless it misses with a hit pending. A cell that fails it restores
@@ -79,8 +79,8 @@
 //!   would record. The replay walks that order, each entry read once
 //!   for every lane.
 //!
-//! Both paths share one service step, the timing half of
-//! [`crate::hbm::ChannelTimeline::service`], run per lane `l`:
+//! Both paths share one service step, the timing half of the walk's,
+//! run per lane `l`:
 //! `ready = max(bank_ready[l], now[l]) + miss·t_row[l]`, then
 //! `bus[l] = max(ready, bus[l]) + bursts·t_burst[l]`. The lanes share no
 //! timing state, so their chains are independent. Every span moves at
@@ -88,9 +88,15 @@
 //! its last `bus[l] + t_cas[l]`; [`HbmConfig::validate`]'s timing bound
 //! keeps every such sum far from overflow. A lane's batch completion is
 //! the max over channels (never before its arrival cycle) and
-//! statistics fold by summation, so the channel-major reordering of the
-//! program layout is unobservable (the merge invariant of
-//! [`crate::hbm`]). The lanes must share the decode geometry
+//! statistics fold by summation.
+//!
+//! **Merge invariant:** within a batch every span arrives at the same
+//! cycle and reads or writes only its own channel's bank, bus and
+//! counter state, so serving the channels in *any* order (the seed's
+//! serial pass over the interleaved stream, the walk's channel by
+//! channel drain, or this program's channel-major layout) yields the
+//! same per-channel timelines; the batch completion (a max) and the
+//! statistics (sums) are order-independent too. The lanes must share the decode geometry
 //! ([`SpanReplayer::new`] rejects a lane that does not) and the service
 //! order: the `schedule` argument alone, not a lane's controller, is the
 //! order, so an in-order lane and an FR-FCFS lane whose schedule is
@@ -159,7 +165,8 @@ const _: () = assert!(std::mem::size_of::<SpanTuple>() == 8);
 
 /// Request-level traffic of one timeline step, folded into the
 /// replayer's [`MemStats`] on replay (the counters
-/// [`crate::hbm::Hbm::service_batch`] accumulates while partitioning).
+/// [`crate::hbm::Hbm::service_batch`] accumulates while it queues the
+/// batch).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepTraffic {
     /// Requests in the step's batch.
@@ -487,8 +494,8 @@ impl SpanProgramBuilder {
     }
 
     /// Writes `reqs`' spans at their channels' `cursors`, advancing
-    /// each: the same row-aligned split and bit-field decode as
-    /// [`crate::address::AddressMap`].
+    /// each: the row-aligned split of [`crate::hbm::Hbm::service_batch`]
+    /// and [`HbmConfig::locate`]'s decode, in shifts and masks.
     fn decode(&mut self, reqs: &[MemRequest], cursors: &mut [usize]) -> Result<(), String> {
         let (burst_shift, row_shift) = (self.burst_shift, self.row_shift);
         let (ch_mask, ch_shift) = (self.channel_mask, self.channel_shift);
@@ -566,8 +573,11 @@ pub const MAX_LANES: usize = 4;
 /// SoA replay state of `L` timing lanes: the per-bank open rows (one
 /// row compare serves every lane), and per lane the bank ready cycles,
 /// bus cycles and [`ChannelStats`] of the equivalent [`crate::hbm::Hbm`]
-/// under that lane's timing, held in flat channel-major arrays. Every
-/// lane shares the decode geometry and the controller policy, so one
+/// under that lane's timing, held in flat channel-major arrays. Each
+/// lane's [`SpanReplayer::replay_step`] returns what
+/// [`crate::hbm::Hbm::service_batch`] returns on the step's batch, and
+/// leaves the same statistics (see the module docs' contract). Every
+/// lane shares the decode geometry and the service order, so one
 /// program (and one schedule per FR-FCFS window) serves a whole timing
 /// sweep, `L` timings per pass.
 #[derive(Debug, Clone)]
@@ -638,8 +648,8 @@ impl<const L: usize> SpanReplayer<L> {
     /// [`SpanProgram::schedule`] is `None`), `Some` the FR-FCFS order it
     /// holds. The caller guarantees `program.matches()` the replayer's
     /// geometry and steps are replayed in build order at nondecreasing
-    /// arrival cycles per lane — the same protocol the staged model's
-    /// `service_batch` sequence observes. Each span (and schedule entry)
+    /// arrival cycles per lane — the same protocol a
+    /// [`crate::hbm::Hbm::service_batch`] sequence observes. Each span (and schedule entry)
     /// is read once and serviced in every lane.
     pub fn replay_step(
         &mut self,
@@ -753,8 +763,8 @@ impl<const L: usize> SpanReplayer<L> {
 
 /// Services one span arriving in lane `l` at `now[l]` on its bank's
 /// ready cycle and its channel's bus, in every lane — the timing
-/// recurrence of [`crate::hbm::ChannelTimeline::service`] with the row
-/// compare already made: a row miss first pays the activate + precharge
+/// recurrence of [`crate::hbm::Hbm`]'s walk with the row compare
+/// already made: a row miss first pays the activate + precharge
 /// penalty. The lanes are independent chains, so their latencies overlap.
 #[inline(always)]
 fn service<const L: usize>(
@@ -908,8 +918,8 @@ struct Pending {
 /// 2^31.
 const GONE: u32 = u32::MAX;
 
-/// The FR-FCFS lookahead of one channel run:
-/// [`crate::hbm::ChannelTimeline::drain_frfcfs`]'s picks over tuples,
+/// The FR-FCFS lookahead of one channel run: the picks of
+/// [`crate::hbm::Hbm::service_batch`]'s channel drain over tuples,
 /// without its per-pick scan of the whole window, and without timing.
 ///
 /// Pending tuples sit in age order in a ring of slots, oldest at the
@@ -1187,7 +1197,7 @@ mod tests {
         builder.finish()
     }
 
-    /// Replays `batches` through one fresh staged `Hbm` per config and
+    /// Replays `batches` through one fresh reference `Hbm` per config and
     /// one fresh replayer whose lanes are the configs, over
     /// `program`/`schedule`, asserting each lane's completion equals its
     /// `Hbm`'s after every step and its statistics at the end; returns
@@ -1233,7 +1243,7 @@ mod tests {
     }
 
     /// Builds a program (and `cfg`'s schedule) from LCG batches and
-    /// replays it against the staged `Hbm` reference, asserting
+    /// replays it against the reference `Hbm` walk, asserting
     /// bit-identical completions and statistics for `cfg`'s controller.
     fn assert_replay_matches_hbm(cfg: HbmConfig, seed: u64) {
         let mut rng = Lcg(seed);
@@ -1304,7 +1314,7 @@ mod tests {
 
     #[test]
     fn replay_matches_hbm_frfcfs_across_windows() {
-        // `usize::MAX` sees whole runs, like the staged drain.
+        // `usize::MAX` sees whole runs, like the reference walk.
         for window in [1usize, 4, 16, 64, 65, 200, usize::MAX] {
             for (i, base) in geometry_variants().into_iter().enumerate() {
                 let cfg = HbmConfig {
@@ -1401,8 +1411,8 @@ mod tests {
     fn program_is_controller_and_timing_agnostic() {
         // One program built once serves in-order and FR-FCFS replayers,
         // and one FR-FCFS schedule serves every timing: a 3-lane pass
-        // and each timing alone are bit-identical to their own staged
-        // references.
+        // and each timing alone are bit-identical to their own reference
+        // walks.
         let base = HbmConfig::hbm1();
         let mut rng = Lcg(9);
         let batches = [random_batch(&mut rng, 120), random_batch(&mut rng, 40)];

@@ -53,10 +53,10 @@ impl MemStats {
     }
 }
 
-/// One channel's share of the timing walk — accumulated by its
-/// `ChannelTimeline` ([`crate::hbm`]) and folded into [`MemStats`]
-/// totals by summation, which is order-independent, so the fold is
-/// bit-identical whatever order the channels ran in.
+/// One channel's share of the timing walk — accumulated per channel by
+/// [`crate::hbm::Hbm`] and [`crate::spanprog::SpanReplayer`] and folded
+/// into [`MemStats`] totals by summation, which is order-independent,
+/// so the fold is bit-identical whatever order the channels ran in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChannelStats {
     /// Segments that hit this channel's open rows.

@@ -1,12 +1,11 @@
-//! Property-based tests for the memory substrate's invariants, including
-//! the per-channel decomposition: the channel-major partition must be a
-//! permutation of the request stream, the per-channel counters must sum
-//! to the folded totals, and driving the channel machines over their
-//! queues must reproduce the historical serial walk bit-for-bit.
+//! Property-based tests for the memory substrate's invariants: byte
+//! conservation, completion bounds, scheduler permutations, the address
+//! decode's bounds and page locality, and per-channel counters that sum
+//! to the folded totals and tile every request's bursts.
 
-use hygcn_mem::address::{AddressMap, ChannelPartition, MappingScheme};
-use hygcn_mem::hbm::{ChannelTimeline, Hbm, HbmConfig};
-use hygcn_mem::request::{MemRequest, RequestArena, RequestKind};
+use hygcn_mem::address::MappingScheme;
+use hygcn_mem::hbm::{Hbm, HbmConfig};
+use hygcn_mem::request::{MemRequest, RequestKind};
 use hygcn_mem::scheduler::{AccessScheduler, CoordinationMode};
 use proptest::prelude::*;
 
@@ -109,20 +108,20 @@ proptest! {
     /// Address decoding stays within geometry bounds for both schemes.
     #[test]
     fn decode_in_bounds(addr in 0u64..(1u64 << 40)) {
-        for scheme in [MappingScheme::ChannelInterleaved, MappingScheme::RowInterleaved] {
-            let map = AddressMap::new(scheme, 8, 16, 2048, 2048);
-            let loc = map.decode(addr);
-            prop_assert!(loc.channel < 8);
-            prop_assert!(loc.bank < 16);
+        for mapping in [MappingScheme::ChannelInterleaved, MappingScheme::RowInterleaved] {
+            let cfg = HbmConfig { mapping, ..HbmConfig::hbm1() };
+            let (channel, bank, _) = cfg.locate(addr);
+            prop_assert!(channel < 8);
+            prop_assert!(bank < 16);
         }
     }
 
     /// Same row-buffer page decodes to the same location (both schemes).
     #[test]
     fn page_locality_preserved(page in 0u64..(1 << 20), off in 0u64..2048) {
-        for scheme in [MappingScheme::ChannelInterleaved, MappingScheme::RowInterleaved] {
-            let map = AddressMap::new(scheme, 8, 16, 2048, 2048);
-            prop_assert_eq!(map.decode(page * 2048), map.decode(page * 2048 + off));
+        for mapping in [MappingScheme::ChannelInterleaved, MappingScheme::RowInterleaved] {
+            let cfg = HbmConfig { mapping, ..HbmConfig::hbm1() };
+            prop_assert_eq!(cfg.locate(page * 2048), cfg.locate(page * 2048 + off));
         }
     }
 
@@ -134,58 +133,6 @@ proptest! {
         hbm.access(&MemRequest::read(RequestKind::InputFeatures, 0, bytes), 0);
         let pages = u64::from(bytes).div_ceil(2048);
         prop_assert!(hbm.stats().row_misses <= pages);
-    }
-
-    /// The channel-major partition is a permutation of the arena's
-    /// request stream: the segments across all channels exactly tile
-    /// every request — no byte dropped, none duplicated — and each
-    /// channel's queue preserves arrival order.
-    #[test]
-    fn partition_is_permutation_of_arena(reqs in collection::vec(arb_request(), 1..40)) {
-        // Stage the batch through a RequestArena span, as the simulator
-        // does, then partition the span's slice.
-        let mut arena = RequestArena::new();
-        let start = arena.begin();
-        for r in &reqs {
-            arena.push(*r);
-        }
-        let span = arena.finish(start);
-
-        for scheme in [MappingScheme::ChannelInterleaved, MappingScheme::RowInterleaved] {
-            let map = AddressMap::new(scheme, 8, 16, 2048, 2048);
-            let mut p = ChannelPartition::new(8);
-            for r in arena.slice(span) {
-                p.push_request(&map, r);
-            }
-            // Expected tiling: split each request at row boundaries, in
-            // order, independently of the partition code path.
-            let mut expect: Vec<(u64, u64)> = Vec::new();
-            for r in arena.slice(span) {
-                let mut addr = r.addr;
-                let end = r.addr + u64::from(r.bytes);
-                while addr < end {
-                    let seg_end = ((addr / 2048 + 1) * 2048).min(end);
-                    expect.push((addr, seg_end - addr));
-                    addr = seg_end;
-                }
-            }
-            let mut got: Vec<(u64, u64)> = (0..8)
-                .flat_map(|c| p.channel(c).iter())
-                .map(|s| (s.addr, u64::from(s.bytes)))
-                .collect();
-            prop_assert_eq!(got.len(), p.total_segments());
-            prop_assert_eq!(got.len(), expect.len(), "segment count");
-            got.sort_unstable();
-            expect.sort_unstable();
-            prop_assert_eq!(&got, &expect, "multiset of segments");
-            // Per-channel arrival order: each queue is a subsequence of
-            // the serial split, so addresses of the same request ascend.
-            for c in 0..8 {
-                for s in p.channel(c) {
-                    prop_assert_eq!(map.decode(s.addr).channel, c);
-                }
-            }
-        }
     }
 
     /// The per-channel counters sum consistently with the folded
@@ -224,57 +171,13 @@ proptest! {
             }
         }
     }
-
-    /// Row-buffer hit accounting (and every cycle) is preserved against
-    /// the historical serial walk: servicing the interleaved segment
-    /// stream one segment at a time in arrival order on a second set of
-    /// channel machines produces identical per-channel stats, identical
-    /// totals, and the identical batch completion.
-    #[test]
-    fn per_channel_walk_matches_serial_walk(reqs in collection::vec(arb_request(), 1..40), now in 0u64..5_000) {
-        let cfg = HbmConfig::hbm1();
-        let map = cfg.address_map();
-
-        // Per-channel path: the production model.
-        let mut hbm = Hbm::new(cfg);
-        let done = hbm.service_batch(&reqs, now);
-
-        // Serial oracle: walk the segments exactly as the pre-decomposition
-        // model did — request by request, row segment by row segment,
-        // channels interleaved in address order.
-        let mut serial: Vec<ChannelTimeline> =
-            (0..cfg.channels).map(|_| ChannelTimeline::new(&cfg)).collect();
-        let mut serial_done = now;
-        let mut p = ChannelPartition::new(cfg.channels);
-        for r in &reqs {
-            p.clear();
-            p.push_request(&map, r);
-            // Re-interleave this request's segments into address order
-            // (the order the serial walk visited them).
-            let mut segs: Vec<_> = (0..cfg.channels).flat_map(|c| p.channel(c).iter().copied()).collect();
-            segs.sort_by_key(|s| s.addr);
-            for seg in &segs {
-                let c = map.decode(seg.addr).channel;
-                serial_done = serial_done.max(serial[c].service(seg, now));
-            }
-        }
-        prop_assert_eq!(done, serial_done, "batch completion diverged");
-        for (c, ch) in serial.iter().enumerate() {
-            prop_assert_eq!(hbm.channel_stats()[c], *ch.stats(), "channel {} stats", c);
-        }
-        let hits: u64 = serial.iter().map(|c| c.stats().row_hits).sum();
-        let misses: u64 = serial.iter().map(|c| c.stats().row_misses).sum();
-        prop_assert_eq!(hits, hbm.stats().row_hits);
-        prop_assert_eq!(misses, hbm.stats().row_misses);
-    }
 }
 
 /// Arbitrary geometry where every field is a power of two but
 /// `burst_bytes` may exceed `row_bytes` — the combination
-/// `AddressMap::try_new` must reject (issue: `row_shift - burst_shift`
-/// underflowed in `decode`, panicking in debug and decoding garbage in
-/// release).
-fn arb_geometry() -> impl Strategy<Value = (MappingScheme, usize, usize, u64, u64)> {
+/// `HbmConfig::validate` must reject, since a burst streams out of one
+/// open row.
+fn arb_geometry() -> impl Strategy<Value = HbmConfig> {
     (
         prop_oneof![
             Just(MappingScheme::ChannelInterleaved),
@@ -285,60 +188,38 @@ fn arb_geometry() -> impl Strategy<Value = (MappingScheme, usize, usize, u64, u6
         5u32..14, // row_bytes = 32..=8192
         3u32..16, // burst_bytes = 8..=32768 (can exceed row_bytes)
     )
-        .prop_map(|(scheme, c, b, r, s)| (scheme, 1usize << c, 1usize << b, 1u64 << r, 1u64 << s))
+        .prop_map(|(mapping, c, b, r, s)| HbmConfig {
+            mapping,
+            channels: 1 << c,
+            banks: 1 << b,
+            row_bytes: 1 << r,
+            burst_bytes: 1 << s,
+            ..HbmConfig::hbm1()
+        })
 }
 
 proptest! {
-    /// For arbitrary power-of-two geometry, construction either rejects
-    /// the geometry (exactly when the burst exceeds the row) or yields a
-    /// decoder whose output is deterministic, in bounds, and consistent:
-    /// sub-burst offsets share a location, and a whole row's bursts land
-    /// in one (channel, bank, row).
+    /// For arbitrary power-of-two geometry, validation rejects the
+    /// geometry exactly when the burst exceeds the row; an accepted one
+    /// decodes deterministically and in bounds, and every byte of a row
+    /// page shares its (channel, bank, row).
     #[test]
-    fn address_map_rejects_or_decodes_consistently(
-        (scheme, channels, banks, row_bytes, burst_bytes) in arb_geometry(),
+    fn validate_rejects_or_decodes_consistently(
+        cfg in arb_geometry(),
         addr in 0u64..(1 << 33),
     ) {
-        match AddressMap::try_new(scheme, channels, banks, row_bytes, burst_bytes) {
+        match cfg.validate() {
             Err(e) => {
-                prop_assert!(burst_bytes > row_bytes, "spurious rejection: {}", e);
+                prop_assert!(cfg.burst_bytes > cfg.row_bytes, "spurious rejection: {}", e);
             }
-            Ok(map) => {
-                prop_assert!(burst_bytes <= row_bytes);
-                let loc = map.decode(addr);
-                prop_assert_eq!(loc, map.decode(addr), "decode must be pure");
-                prop_assert!(loc.channel < channels);
-                prop_assert!(loc.bank < banks);
-                // Any offset within the same burst shares the location.
-                let burst_start = addr & !(burst_bytes - 1);
-                prop_assert_eq!(map.decode(burst_start), map.decode(burst_start + burst_bytes - 1));
-                // All bursts of one row share (channel, bank, row) under
-                // the row-interleaved scheme (rows never straddle units).
-                if scheme == MappingScheme::RowInterleaved {
-                    let row_start = addr & !(row_bytes - 1);
-                    prop_assert_eq!(map.decode(row_start), map.decode(row_start + row_bytes - 1));
-                }
-            }
-        }
-    }
-
-    /// The partition built over any *accepted* geometry still covers the
-    /// request exactly, with no segment crossing a row boundary.
-    #[test]
-    fn partition_covers_request_under_arbitrary_geometry(
-        (scheme, channels, banks, row_bytes, burst_bytes) in arb_geometry(),
-        req in arb_request(),
-    ) {
-        if let Ok(map) = AddressMap::try_new(scheme, channels, banks, row_bytes, burst_bytes) {
-            let mut p = ChannelPartition::new(channels);
-            p.push_request(&map, &req);
-            let covered: u64 = (0..channels).flat_map(|c| p.channel(c).iter()).map(|s| u64::from(s.bytes)).sum();
-            prop_assert_eq!(covered, u64::from(req.bytes));
-            for c in 0..channels {
-                for s in p.channel(c) {
-                    prop_assert!(u64::from(s.bytes) <= row_bytes);
-                    prop_assert_eq!(map.decode(s.addr).channel, c);
-                }
+            Ok(()) => {
+                prop_assert!(cfg.burst_bytes <= cfg.row_bytes);
+                let (channel, bank, row) = cfg.locate(addr);
+                prop_assert_eq!((channel, bank, row), cfg.locate(addr), "decode must be pure");
+                prop_assert!(channel < cfg.channels);
+                prop_assert!(bank < cfg.banks);
+                let page_start = addr & !(cfg.row_bytes - 1);
+                prop_assert_eq!(cfg.locate(page_start), cfg.locate(page_start + cfg.row_bytes - 1));
             }
         }
     }

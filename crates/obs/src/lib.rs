@@ -38,7 +38,7 @@
 //! | `schedule_build`   | `EventSchedule::build` and its over-budget fallback  |
 //! | `aggregation`      | Aggregation-engine chunk processing                  |
 //! | `combination`      | Combination-engine chunk processing                  |
-//! | `hbm_walk`         | Staged HBM drain (seed path, FR-FCFS controller)     |
+//! | `hbm_walk`         | One reference `Hbm::service_batch` (the seed path)   |
 //! | `span_program_build` | One `SpanProgram` decode pass (cold evaluation)    |
 //! | `span_replay`      | One span-program step replay, or one FR-FCFS ordering pass |
 //! | `backend_eval`     | One `SimBackend::evaluate` call or `evaluate_lanes` lane batch |
@@ -110,7 +110,8 @@ pub enum Phase {
     Aggregation,
     /// Combination-engine chunk processing.
     Combination,
-    /// Staged HBM drain (the seed path's FR-FCFS timeline walk).
+    /// One batch of the reference HBM walk (`Hbm::service_batch`), which
+    /// the seed path runs under both controllers.
     HbmWalk,
     /// One span-program decode pass (cold evaluation).
     SpanProgramBuild,
@@ -293,7 +294,7 @@ pub struct PhaseStat {
 /// Log2-bucketed latency histogram for one backend's `evaluate` calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalHist {
-    /// Backend id (`cycle`, `cycle-fast`, `seed`, `analytical`, `cpu`, `gpu`).
+    /// Backend id (`cycle`, `seed`, `analytical`, `cpu`, `gpu`, ...).
     pub backend: String,
     /// Number of evaluations recorded.
     pub count: u64,
@@ -793,8 +794,8 @@ mod tests {
             let _s = span(Phase::SpanReplay);
         }
         count(Counter::CacheMisses, 2);
-        record_eval("cycle-fast", Duration::from_micros(100));
-        record_eval("cycle-fast", Duration::from_micros(300));
+        record_eval("seed", Duration::from_micros(100));
+        record_eval("seed", Duration::from_micros(300));
         disable();
 
         let snap = snapshot();

@@ -5,7 +5,7 @@
 
 use std::time::Instant;
 
-use hygcn_suite::baseline::backend::resolve;
+use hygcn_suite::baseline::backend::{resolve, BACKEND_IDS};
 use hygcn_suite::baseline::characterize::characterize;
 use hygcn_suite::baseline::params::CpuParams;
 use hygcn_suite::core::backend::SimBackend;
@@ -57,27 +57,6 @@ fn spearman(a: &[f64], b: &[f64]) -> f64 {
     cov / (va.sqrt() * vb.sqrt())
 }
 
-/// `cycle-fast` is an alias id of the cycle-accurate backend:
-/// bit-identical [`hygcn_suite::core::SimReport`]s — cycles, DRAM,
-/// energy, per-channel stats, everything — over the same pinned 20-point
-/// grid the fidelity suite uses.
-#[test]
-fn cycle_fast_is_bit_identical_to_cycle_on_the_pinned_grid() {
-    let points = fidelity_grid().enumerate().unwrap();
-    assert_eq!(points.len(), 20, "the fidelity grid is pinned at 20 points");
-    let graph = points[0].workload.build().unwrap();
-    let gcn = hygcn_suite::gcn::model::GcnModel::new(ModelKind::Gcn, graph.feature_len(), 0xC0DE)
-        .unwrap();
-    let fast = resolve("cycle-fast").unwrap();
-    for p in &points {
-        let c = CycleAccurateBackend
-            .evaluate(&graph, &gcn, &p.config)
-            .unwrap();
-        let f = fast.evaluate(&graph, &gcn, &p.config).unwrap();
-        assert_eq!(f, c, "cycle-fast diverged at {:?}", p.config);
-    }
-}
-
 /// An inconsistent configuration is an error from every simulator
 /// backend — never a panic inside the address decoder or an engine, and
 /// never a cycle count from an engine with no compute units.
@@ -122,7 +101,7 @@ fn invalid_config_is_an_error_on_every_simulator_backend() {
         cases.push((label, cfg));
     }
     for (label, cfg) in &cases {
-        for id in ["cycle", "cycle-fast", "seed", "analytical"] {
+        for id in ["cycle", "seed", "analytical"] {
             let backend = resolve(id).unwrap();
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 backend.evaluate(&graph, &gcn, cfg)
@@ -131,6 +110,70 @@ fn invalid_config_is_an_error_on_every_simulator_backend() {
                 Ok(Err(SimError::Config(msg))) => assert!(!msg.is_empty(), "{id} {label}"),
                 Ok(other) => panic!("{id} {label}: expected SimError::Config, got {other:?}"),
                 Err(_) => panic!("{id} {label}: panicked instead of returning an error"),
+            }
+        }
+    }
+}
+
+/// Every backend rejects what `HyGcnConfig::validate` rejects, even a
+/// backend that reads none of the offending fields: the platform and
+/// characterization models ignore the HBM geometry and the clock, yet a
+/// config that is a `SimError::Config` on `cycle` must be one on them
+/// too, never a panic and never an `Ok`. The channel bound
+/// (`HbmConfig::MAX_CHANNELS`, 2^10) and the total-bank bound
+/// (`HbmConfig::MAX_TOTAL_BANKS`, 2^20 banks over all channels) keep a
+/// valid geometry from asking for more per-channel and per-bank state
+/// than the allocator can give, an abort no caller can catch; the cases
+/// just past them are small enough to allocate, so a model without the
+/// bounds fails here by assertion. At the bounds, and at the default
+/// config, every backend evaluates.
+#[test]
+fn every_backend_rejects_what_config_validation_rejects() {
+    let graph = hygcn_suite::graph::generator::preferential_attachment(256, 4, 1)
+        .unwrap()
+        .with_feature_len(32);
+    let gcn = hygcn_suite::gcn::model::GcnModel::new(ModelKind::Gcn, 32, 0xC0DE).unwrap();
+    type Edit = fn(&mut HyGcnConfig);
+    let rejected: [(&str, Edit); 8] = [
+        ("t_row = u64::MAX", |c| c.hbm.t_row = u64::MAX),
+        ("channels = 0", |c| c.hbm.channels = 0),
+        ("banks = 0", |c| c.hbm.banks = 0),
+        ("t_burst = 0", |c| c.hbm.t_burst = 0),
+        ("clock_ghz = NaN", |c| c.clock_ghz = f64::NAN),
+        ("burst_bytes > row_bytes", |c| {
+            c.hbm.burst_bytes = 2 * c.hbm.row_bytes
+        }),
+        ("2^11 channels", |c| c.hbm.channels = 1 << 11),
+        ("2^10 channels x 2^11 banks", |c| {
+            (c.hbm.channels, c.hbm.banks) = (1 << 10, 1 << 11)
+        }),
+    ];
+    let accepted: [(&str, Edit); 3] = [
+        ("default", |_| {}),
+        ("2^10 channels", |c| c.hbm.channels = 1 << 10),
+        ("16 channels x 2^16 banks", |c| {
+            (c.hbm.channels, c.hbm.banks) = (16, 1 << 16)
+        }),
+    ];
+    for (cases, ok) in [(&rejected[..], false), (&accepted[..], true)] {
+        for (label, edit) in cases {
+            let mut cfg = HyGcnConfig::default();
+            edit(&mut cfg);
+            for &id in BACKEND_IDS {
+                let backend = resolve(id).unwrap();
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    backend.evaluate(&graph, &gcn, &cfg)
+                }));
+                match run {
+                    Ok(Ok(_)) => assert!(ok, "{id} {label}: Ok for a config validation rejects"),
+                    Ok(Err(SimError::Config(msg))) => {
+                        assert!(!ok && !msg.is_empty(), "{id} {label}: {msg}")
+                    }
+                    Ok(Err(other)) => {
+                        panic!("{id} {label}: expected SimError::Config, got {other}")
+                    }
+                    Err(_) => panic!("{id} {label}: panicked instead of returning a result"),
+                }
             }
         }
     }
@@ -157,7 +200,7 @@ fn hbm_timing_past_the_bound_is_an_error_on_every_simulator_backend() {
         for (cycles, ok) in [(u64::MAX, false), (bound + 1, false), (bound, true)] {
             let mut cfg = HyGcnConfig::default();
             set(&mut cfg.hbm, cycles);
-            for id in ["cycle", "cycle-fast", "seed", "analytical"] {
+            for id in ["cycle", "seed", "analytical"] {
                 let backend = resolve(id).unwrap();
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     backend.evaluate(&graph, &gcn, &cfg)
@@ -258,7 +301,7 @@ fn spans_that_would_not_fit_8_bytes_are_an_error_on_every_simulator_backend() {
     ];
     for (label, graph, model, cfg, rejected) in cases {
         let mut errors = Vec::new();
-        for id in ["cycle", "cycle-fast", "seed", "analytical"] {
+        for id in ["cycle", "seed", "analytical"] {
             let backend = resolve(id).unwrap();
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 backend.evaluate(graph, model, &cfg)
@@ -560,11 +603,11 @@ fn shared_store_isolates_all_seven_backends() {
     let ids = [
         "cycle",
         "seed",
-        "cycle-fast",
         "analytical",
         "cpu",
         "gpu",
         "cpu-trace",
+        "exec-pattern",
     ];
     let mut first_jsons: Vec<Vec<String>> = Vec::new();
     // Every backend runs the same space into the same store: each must
@@ -604,16 +647,11 @@ fn shared_store_isolates_all_seven_backends() {
             .collect();
         assert_eq!(&again, first, "{id}: cached re-run must be bit-identical");
     }
-    // Cycle, seed, and cycle-fast agree numerically (the oracle and
-    // event-schedule contracts) while remaining separately keyed —
-    // the bit-identity is exactly why the key isolation matters;
-    // analytical, cpu, gpu and cpu-trace are provenance-marked.
+    // Cycle and seed agree numerically (the oracle contract) while
+    // remaining separately keyed — the bit-identity is exactly why the
+    // key isolation matters; the other five are provenance-marked.
     assert_eq!(first_jsons[0], first_jsons[1], "seed is the cycle oracle");
-    assert_eq!(
-        first_jsons[0], first_jsons[2],
-        "cycle-fast is bit-identical to cycle"
-    );
-    for (id, jsons) in ids.iter().zip(&first_jsons).skip(3) {
+    for (id, jsons) in ids.iter().zip(&first_jsons).skip(2) {
         for j in jsons {
             assert!(
                 j.contains(&format!("\"backend\": \"{id}\"")),

@@ -50,9 +50,8 @@ fn obs_guard() -> MutexGuard<'static, ()> {
     guard
 }
 
-const ALL_BACKENDS: [&str; 8] = [
+const ALL_BACKENDS: [&str; 7] = [
     "cycle",
-    "cycle-fast",
     "seed",
     "analytical",
     "cpu",
@@ -196,7 +195,7 @@ fn cache_keys_ignore_collector_state() {
     assert_eq!(sorted.len(), ALL_BACKENDS.len(), "cache keys collided");
 }
 
-/// One instrumented pass over the cycle, cycle-fast, and campaign paths
+/// One instrumented pass over the cycle, seed, and campaign paths
 /// covers the whole span taxonomy — at least six distinct phases, which
 /// is what makes a `--trace-out` file worth opening in Perfetto.
 #[test]
@@ -215,7 +214,7 @@ fn trace_covers_at_least_six_distinct_phases() {
         .unwrap()
         .evaluate(&graph, &model, &cfg)
         .unwrap();
-    resolve("cycle-fast")
+    resolve("seed")
         .unwrap()
         .evaluate(&graph, &model, &cfg)
         .unwrap();
@@ -637,8 +636,9 @@ fn program_cache_discriminates_configs() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     /// Property form of the inertness contract: over random workloads
-    /// and configs, the cycle and cycle-fast backends report the same
-    /// bits whether the collector is recording or not.
+    /// and configs, the cycle and seed backends (span replay and the
+    /// reference HBM walk) report the same bits whether the collector is
+    /// recording or not.
     #[test]
     fn tracing_never_perturbs_reports(
         n in 64usize..512,
@@ -648,7 +648,7 @@ proptest! {
         sparsity in any::<bool>(),
         pipeline_none in any::<bool>(),
         rmat_graph in any::<bool>(),
-        backend_fast in any::<bool>(),
+        backend_seed in any::<bool>(),
     ) {
         let _guard = obs_guard();
         let f = 1usize << fpow;
@@ -665,7 +665,7 @@ proptest! {
             cfg.pipeline = PipelineMode::None;
         }
         cfg.aggregation_buffer_bytes = 1 << 18;
-        let backend = resolve(if backend_fast { "cycle-fast" } else { "cycle" }).unwrap();
+        let backend = resolve(if backend_seed { "seed" } else { "cycle" }).unwrap();
 
         let quiet = backend.evaluate(&graph, &model, &cfg).unwrap();
         obs::reset();
@@ -676,8 +676,8 @@ proptest! {
         prop_assert_eq!(
             traced,
             quiet,
-            "collection perturbed n={} d={} f={} seed={} sparsity={} nopipe={} rmat={} fast={}",
-            n, density, f, seed, sparsity, pipeline_none, rmat_graph, backend_fast
+            "collection perturbed n={} d={} f={} seed={} sparsity={} nopipe={} rmat={} seed_backend={}",
+            n, density, f, seed, sparsity, pipeline_none, rmat_graph, backend_seed
         );
     }
 }

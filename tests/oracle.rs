@@ -186,7 +186,7 @@ fn over_budget_chunking_matches_reference() {
 }
 
 // ---------------------------------------------------------------------
-// Span-program replay vs the staged DRAM model, at arbitrary geometry.
+// Span-program replay vs the reference HBM walk, at arbitrary geometry.
 // ---------------------------------------------------------------------
 
 /// Multiplicative LCG for request streams (process-stable, seed-exact).
@@ -205,18 +205,18 @@ impl Lcg {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     /// A precompiled [`hygcn_suite::mem::SpanProgram`] replays
-    /// bit-identically to the staged `Hbm` drain for *arbitrary* valid
+    /// bit-identically to the reference `Hbm` walk for *arbitrary* valid
     /// geometries, mappings, controllers, and timing — per-step
     /// completion cycles and every statistics counter. The program and
     /// its FR-FCFS schedule are built once and replayed under two
     /// independently drawn timings as the two lanes of one pass, each
-    /// lane against its own fresh staged `Hbm`, and under the first
+    /// lane against its own fresh reference `Hbm`, and under the first
     /// timing alone. Beside the random batches sits a row-local one
     /// (short reads clustered in a few rows of one bank), grouped row by
     /// row or interleaved, so FR-FCFS both keeps arrival order (a `None`
     /// schedule, replayed in program order) and reorders.
     #[test]
-    fn span_program_replay_matches_staged_hbm_at_any_geometry(
+    fn span_program_replay_matches_reference_hbm_at_any_geometry(
         chpow in 0u32..4,       // channels 1/2/4/8
         bankpow in 0u32..5,     // banks 1/2/4/8/16
         rowpow in 8u32..13,     // row 256..4096 B
@@ -318,7 +318,7 @@ proptest! {
             ..cfg
         };
         // One 2-lane pass replays both timings; each lane must equal its
-        // own staged `Hbm` at every step, in completion, statistics and
+        // own reference `Hbm` at every step, in completion, statistics and
         // channel statistics. A 1-lane replay of the first timing must
         // agree as well.
         let mut lanes = SpanReplayer::new(&[cfg, retimed]).expect("valid geometry");
