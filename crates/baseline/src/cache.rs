@@ -20,8 +20,10 @@ pub struct CacheLevel {
     /// Tags held per set, at most `assoc`.
     lens: Vec<usize>,
     assoc: usize,
-    line_bytes: u64,
-    num_sets: u64,
+    /// `log2` of the line size: an address's tag is `addr >> line_shift`.
+    line_shift: u32,
+    /// The set count less one: a tag's set is `tag & set_mask`.
+    set_mask: u64,
     hits: u64,
     misses: u64,
 }
@@ -32,11 +34,16 @@ impl CacheLevel {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not divide evenly or is zero.
+    /// Panics if the geometry is zero, if the line size or the set count
+    /// is not a power of two, or if the capacity is under one set.
     pub fn new(capacity_bytes: usize, assoc: usize, line_bytes: u64) -> Self {
         assert!(
             assoc > 0 && line_bytes > 0,
             "cache geometry must be nonzero"
+        );
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
         );
         let lines = widen_u64(capacity_bytes) / line_bytes;
         assert!(lines >= widen_u64(assoc), "capacity smaller than one set");
@@ -50,8 +57,8 @@ impl CacheLevel {
             tags: vec![0; sets * assoc],
             lens: vec![0; sets],
             assoc,
-            line_bytes,
-            num_sets,
+            line_shift: line_bytes.trailing_zeros(),
+            set_mask: num_sets - 1,
             hits: 0,
             misses: 0,
         }
@@ -59,8 +66,8 @@ impl CacheLevel {
 
     /// Accesses the line containing `addr`; returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
-        let tag = addr / self.line_bytes;
-        let s = saturating_usize(tag % self.num_sets);
+        let tag = addr >> self.line_shift;
+        let s = saturating_usize(tag & self.set_mask);
         let len = self.lens[s];
         let ways = &mut self.tags[s * self.assoc..(s + 1) * self.assoc];
         if let Some(pos) = ways[..len].iter().position(|&t| t == tag) {
@@ -94,7 +101,7 @@ impl CacheLevel {
 
     /// Line size in bytes.
     pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
+        1 << self.line_shift
     }
 }
 
@@ -188,6 +195,12 @@ mod tests {
         assert!(c.access(32)); // same line
         assert_eq!(c.misses(), 1);
         assert_eq!(c.hits(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "line size must be a power of two")]
+    fn rejects_non_power_of_two_lines() {
+        CacheLevel::new(48 * 4, 1, 48);
     }
 
     #[test]

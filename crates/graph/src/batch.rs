@@ -37,7 +37,8 @@ pub fn assemble(graphs: &[Graph]) -> Result<AssembledBatch, GraphError> {
         )));
     }
     let total: usize = graphs.iter().map(Graph::num_vertices).sum();
-    let mut coo = Coo::new(total);
+    let edges = graphs.iter().map(Graph::num_edges).sum();
+    let mut coo = Coo::with_capacity(total, edges);
     let mut offsets = Vec::with_capacity(graphs.len() + 1);
     let mut base: VertexId = 0;
     for g in graphs {

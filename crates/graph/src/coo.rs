@@ -1,8 +1,11 @@
 //! Coordinate-format (edge list) graph representation.
 //!
 //! COO is the interchange format: generators emit it, builders accumulate
-//! it, and the compressed formats ([`crate::Csc`], [`crate::Csr`]) are
-//! derived from it.
+//! it, and the compressed format ([`crate::Csc`]) is derived from it.
+//! A generator that knows its edge count, or a bound on it, allocates
+//! the list once with [`Coo::with_capacity`]: a list grown by doubling
+//! holds up to twice its edges, and both the old and new buffers while
+//! it grows.
 
 use crate::{GraphError, VertexId};
 
@@ -19,9 +22,15 @@ pub struct Coo {
 impl Coo {
     /// Creates an empty edge list over `num_vertices` vertices.
     pub fn new(num_vertices: usize) -> Self {
+        Self::with_capacity(num_vertices, 0)
+    }
+
+    /// Creates an empty edge list over `num_vertices` vertices with room
+    /// for `edges` directed edges.
+    pub fn with_capacity(num_vertices: usize, edges: usize) -> Self {
         Self {
             num_vertices,
-            edges: Vec::new(),
+            edges: Vec::with_capacity(edges),
         }
     }
 
@@ -168,6 +177,19 @@ mod tests {
         let mut coo = Coo::new(2);
         coo.extend([(0, 1), (5, 1)]);
         assert_eq!(coo.num_edges(), 1);
+    }
+
+    #[test]
+    fn with_capacity_reserves_without_edges() {
+        let mut coo = Coo::with_capacity(3, 4);
+        assert_eq!((coo.num_vertices(), coo.num_edges()), (3, 0));
+        assert!(coo.edges.capacity() >= 4);
+        coo.push_undirected(0, 2).unwrap();
+        coo.push_undirected(1, 2).unwrap();
+        assert_eq!(
+            coo,
+            Coo::from_pairs(3, [(0, 2), (2, 0), (1, 2), (2, 1)]).unwrap()
+        );
     }
 
     #[test]

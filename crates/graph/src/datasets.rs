@@ -287,7 +287,9 @@ fn assembled_blocks(
         i = (i + 1) % num_blocks;
     }
 
-    let mut coo = Coo::new(num_vertices);
+    // Blocks and spill place `und_edges` distinct pairs, two directed
+    // edges each.
+    let mut coo = Coo::with_capacity(num_vertices, 2 * und_edges);
     let mut base: VertexId = 0;
     for (&size, &budget) in sizes.iter().zip(&budgets) {
         // Block-local pairs: one dedup set per block, sized to it.

@@ -37,8 +37,9 @@ pub fn assembled_cliques(
     }
     let n = community_size * count;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut coo = Coo::new(n);
     let degree = intra_degree.min(community_size - 1);
+    // At most `degree` undirected edges per vertex, two directed each.
+    let mut coo = Coo::with_capacity(n, 2 * n * degree);
     for c in 0..count {
         let base = (c * community_size) as VertexId;
         let size = community_size as VertexId;

@@ -50,7 +50,10 @@ pub fn community_powerlaw(
     let block = num_vertices.div_ceil(num_communities);
 
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut coo = Coo::new(num_vertices);
+    // A vertex places at most `min(edges_per_vertex, block - 1)`
+    // undirected edges, two directed each.
+    let bound = num_vertices * edges_per_vertex.min(block - 1);
+    let mut coo = Coo::with_capacity(num_vertices, 2 * bound);
     let n = num_vertices as VertexId;
 
     let mut base = 0usize;

@@ -26,7 +26,7 @@ pub fn erdos_renyi(num_vertices: usize, num_edges: usize, seed: u64) -> Result<G
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut seen: BTreeSet<(VertexId, VertexId)> = BTreeSet::new();
-    let mut coo = Coo::new(num_vertices);
+    let mut coo = Coo::with_capacity(num_vertices, 2 * num_edges);
     let n = num_vertices as VertexId;
     while seen.len() < num_edges {
         let a = rng.gen_range(0..n);

@@ -32,7 +32,10 @@ pub fn preferential_attachment(
         ));
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut coo = Coo::new(num_vertices);
+    // Vertex `v` places exactly `min(edges_per_vertex, v)` undirected
+    // edges, two directed each.
+    let edges: usize = (1..num_vertices).map(|v| edges_per_vertex.min(v)).sum();
+    let mut coo = Coo::with_capacity(num_vertices, 2 * edges);
     // `endpoints` holds each edge endpoint once; sampling a uniform element
     // of it is degree-proportional sampling.
     let mut endpoints: Vec<VertexId> = vec![0];

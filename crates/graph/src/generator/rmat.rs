@@ -140,7 +140,7 @@ fn draw_graph(
     let levels = usize::BITS - (num_vertices - 1).leading_zeros();
     let thresholds = params.thresholds();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut coo = Coo::new(num_vertices);
+    let mut coo = Coo::with_capacity(num_vertices, 2 * num_edges);
     // Cap the retry budget: R-MAT cores saturate, and beyond the cap we
     // fill in uniform edges to guarantee the exact requested size.
     let mut attempts = 0usize;

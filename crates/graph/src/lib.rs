@@ -4,8 +4,8 @@
 //! reproduction.
 //!
 //! HyGCN's Aggregation Engine consumes graphs in compressed sparse column
-//! (CSC) form and relies on three graph-side mechanisms that this crate
-//! implements from scratch:
+//! (CSC) form, the one adjacency a [`Graph`] stores, and relies on three
+//! graph-side mechanisms that this crate implements from scratch:
 //!
 //! * **Interval–shard partitioning** ([`partition`]) — the static
 //!   locality-enhancing decomposition of Fig. 5(a)/(b) of the paper, where
@@ -46,7 +46,6 @@ pub mod batch;
 pub mod builder;
 pub mod coo;
 pub mod csc;
-pub mod csr;
 pub mod datasets;
 pub mod error;
 pub mod generator;
@@ -61,7 +60,6 @@ pub mod window;
 pub use builder::GraphBuilder;
 pub use coo::Coo;
 pub use csc::Csc;
-pub use csr::Csr;
 pub use error::GraphError;
 
 use std::any::Any;
@@ -73,17 +71,17 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 /// vertices, matching the index width used by the accelerator's edge format.
 pub type VertexId = u32;
 
-/// An in-memory property graph: symmetric adjacency in CSC and CSR form plus
-/// the length of the per-vertex feature vector (the paper's `|h_v|`).
+/// An in-memory property graph: its adjacency in CSC form plus the length
+/// of the per-vertex feature vector (the paper's `|h_v|`).
 ///
-/// The adjacency is stored twice (by source and by destination) because the
-/// Aggregation Engine traverses in-edges (gather) while generators and
-/// statistics naturally traverse out-edges. For the undirected graphs the
-/// paper evaluates, the two are mirror images.
+/// The adjacency is stored once, by destination, because the Aggregation
+/// Engine traverses in-edges (gather). For the undirected graphs the paper
+/// evaluates, a vertex's in-neighbors are also its out-neighbors. Clones
+/// share the adjacency through an `Arc`, so [`Graph::with_feature_len`]
+/// copies for multi-layer models cost no adjacency memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
-    csc: Csc,
-    csr: Csr,
+    csc: Arc<Csc>,
     feature_len: usize,
     name: String,
     plan_cache: PlanCache,
@@ -96,11 +94,12 @@ pub struct Graph {
 /// crate cannot name (the simulator's span programs and runtime
 /// samples) in the same memo.
 ///
-/// Each `(key, value)` type pair gets its own FIFO of
-/// [`PLAN_CACHE_ENTRIES`] entries; occupancy indexes keep more while
-/// their bitmaps fit [`PLAN_CACHE_BYTES`]. A key is built once: its
-/// builder registers it as in flight, and a concurrent caller of the
-/// same key waits for that build instead of repeating it. The cache is
+/// Each `(key, value)` type pair keeps its newest
+/// [`PLAN_CACHE_ENTRIES`] entry; occupancy indexes keep older ones too,
+/// oldest out first, while their bitmaps fit [`PLAN_CACHE_BYTES`]. A key
+/// is built once: its builder registers it as in flight, and a
+/// concurrent caller of the same key waits for that build instead of
+/// repeating it. The cache is
 /// *identity-transparent*: it never affects equality, hashing, or any
 /// observable graph property, so clones share one memo via the `Arc`
 /// and a populated cache always agrees with an empty one.
@@ -131,10 +130,11 @@ struct MemoSlot<K, V> {
     building: Vec<(u64, K)>,
 }
 
-/// Entries worth remembering per `(key, value)` type and graph:
-/// campaigns mostly alternate between a couple of buffer sizes, and
-/// each entry can be megabytes.
-const PLAN_CACHE_ENTRIES: usize = 4;
+/// Entries kept per `(key, value)` type and graph. A span program or
+/// schedule can be megabytes, and a campaign, which evaluates all
+/// points of a decode class in one lane-group call, never returns to an
+/// older key; `simulate`, `compare` and `bench` repeat one key.
+const PLAN_CACHE_ENTRIES: usize = 1;
 
 /// The bytes of occupancy indexes a graph keeps beyond
 /// [`PLAN_CACHE_ENTRIES`]: one maximal index. A campaign sweeps every
@@ -315,8 +315,7 @@ impl Graph {
     /// Prefer [`GraphBuilder`] for hand-constructed graphs.
     pub fn from_coo(coo: &Coo, feature_len: usize) -> Self {
         Self {
-            csc: Csc::from_coo(coo),
-            csr: Csr::from_coo(coo),
+            csc: Arc::new(Csc::from_coo(coo)),
             feature_len,
             name: String::from("unnamed"),
             plan_cache: PlanCache::default(),
@@ -351,7 +350,8 @@ impl Graph {
 
     /// Returns a copy of the graph with a different feature length. Used by
     /// multi-layer models where layer `k` consumes features of length
-    /// `|a^k_v|` produced by layer `k-1`.
+    /// `|a^k_v|` produced by layer `k-1`. The copy shares the adjacency
+    /// and the plan memo.
     pub fn with_feature_len(&self, feature_len: usize) -> Self {
         Self {
             feature_len,
@@ -359,8 +359,7 @@ impl Graph {
         }
     }
 
-    /// Sets the feature length in place: [`Self::with_feature_len`]
-    /// without copying the adjacency.
+    /// Sets the feature length in place.
     pub fn set_feature_len(&mut self, feature_len: usize) {
         self.feature_len = feature_len;
     }
@@ -375,15 +374,6 @@ impl Graph {
         self.csc.sources(v)
     }
 
-    /// Out-neighbors (destinations) of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of bounds.
-    pub fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.csr.targets(v)
-    }
-
     /// In-degree of `v` (the paper's `D_v` for undirected graphs).
     pub fn in_degree(&self, v: VertexId) -> usize {
         self.in_neighbors(v).len()
@@ -392,11 +382,6 @@ impl Graph {
     /// Borrow the CSC adjacency (the accelerator's native input format).
     pub fn csc(&self) -> &Csc {
         &self.csc
-    }
-
-    /// Borrow the CSR adjacency.
-    pub fn csr(&self) -> &Csr {
-        &self.csr
     }
 
     /// Storage footprint in bytes of adjacency plus the dense feature matrix
@@ -518,14 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn out_neighbors_mirror() {
-        let g = toy();
-        assert_eq!(g.out_neighbors(0), &[1]);
-        assert_eq!(g.out_neighbors(1), &[3]);
-        assert_eq!(g.out_neighbors(2), &[1]);
-    }
-
-    #[test]
     fn degrees() {
         let g = toy();
         assert_eq!(g.in_degree(1), 2);
@@ -618,15 +595,19 @@ mod tests {
         assert_eq!(put(8, eighth), MemoOutcome::Built { evicted: true });
         assert_eq!(put(0, eighth), MemoOutcome::Built { evicted: true });
         assert_eq!(put(1, eighth), MemoOutcome::Built { evicted: true });
-        // A whole budget's worth leaves the newest PLAN_CACHE_ENTRIES.
+        // A whole budget's worth leaves the newest PLAN_CACHE_ENTRIES
+        // alone, and keeps an older one only while the bytes fit.
         assert_eq!(
             put(9, PLAN_CACHE_BYTES),
             MemoOutcome::Built { evicted: true }
         );
-        for key in [1, 9] {
+        assert_eq!(put(9, 0), MemoOutcome::Hit);
+        assert_eq!(put(1, 0), MemoOutcome::Built { evicted: false });
+        assert_eq!(put(2, 1), MemoOutcome::Built { evicted: true });
+        for key in [1, 2] {
             assert_eq!(put(key, 0), MemoOutcome::Hit);
         }
-        assert_eq!(put(6, 0), MemoOutcome::Built { evicted: true });
+        assert_eq!(put(9, 0), MemoOutcome::Built { evicted: false });
     }
 
     #[test]
@@ -663,14 +644,13 @@ mod tests {
         // The same key under another value type is another slot.
         let (s, _) = g.memo("a", || Ok::<_, ()>(String::from("s"))).unwrap();
         assert_eq!(*s, "s");
-        // A failed build caches nothing.
+        // A failed build caches nothing and evicts nothing.
         assert_eq!(g.memo("b", || Err::<u64, _>("no")), Err("no"));
+        let (v, outcome) = g.memo("a", || Err::<u64, ()>(())).unwrap();
+        assert_eq!((*v, outcome), (41, MemoOutcome::Hit));
+        // Bound: the newest PLAN_CACHE_ENTRIES entry per type.
         let (v, outcome) = g.memo("b", ok(7)).unwrap();
-        assert_eq!((*v, outcome), (7, MemoOutcome::Built { evicted: false }));
-        // FIFO bound: PLAN_CACHE_ENTRIES entries per type, oldest out.
-        for key in ["c", "d", "e"] {
-            g.memo(key, ok(0)).unwrap();
-        }
+        assert_eq!((*v, outcome), (7, MemoOutcome::Built { evicted: true }));
         let (v, outcome) = g.memo("a", ok(42)).unwrap();
         assert_eq!((*v, outcome), (42, MemoOutcome::Built { evicted: true }));
         let (_, outcome) = g.memo("a", || Ok::<_, ()>(String::new())).unwrap();

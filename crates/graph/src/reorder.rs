@@ -64,7 +64,7 @@ pub fn reorder(graph: &Graph, ordering: Ordering) -> Reordered {
     for (rank, &old) in order.iter().enumerate() {
         perm[old as usize] = rank as VertexId;
     }
-    let mut coo = Coo::new(n);
+    let mut coo = Coo::with_capacity(n, graph.num_edges());
     for (src, dst) in graph.edges() {
         coo.push(perm[src as usize], perm[dst as usize])
             // lint: allow(unwrap) -- perm is a bijection on 0..n, so pushed ids stay in range

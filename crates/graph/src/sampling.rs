@@ -96,7 +96,8 @@ impl Sampler {
             return graph.clone();
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut coo = Coo::new(graph.num_vertices());
+        let kept = self.sampled_edge_count(graph, policy);
+        let mut coo = Coo::with_capacity(graph.num_vertices(), kept);
         let mut scratch: Vec<VertexId> = Vec::new();
         for dst in 0..graph.num_vertices() as VertexId {
             let neighbors = graph.in_neighbors(dst);

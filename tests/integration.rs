@@ -104,6 +104,21 @@ fn multi_layer_inference_chains_feature_lengths() {
     assert!(r1.cycles > r2.cycles);
 }
 
+/// A feature-length copy, like each layer of a stack, shares the
+/// adjacency instead of copying it, yet is a different workload.
+#[test]
+fn feature_len_copies_share_the_adjacency() {
+    let g = DatasetSpec::get(DatasetKey::Cr)
+        .instantiate(0.2, 4)
+        .unwrap();
+    assert!(std::ptr::eq(g.csc(), g.with_feature_len(16).csc()));
+    assert_ne!(g.content_hash(), g.with_feature_len(16).content_hash());
+    let mut set = g.clone();
+    set.set_feature_len(16);
+    assert!(std::ptr::eq(g.csc(), set.csc()));
+    assert_eq!(set, g.with_feature_len(16));
+}
+
 #[test]
 fn pipeline_modes_trade_latency_for_energy() {
     let graph = DatasetSpec::get(DatasetKey::Pb)

@@ -405,10 +405,11 @@ fn timing_sweep_decodes_once_per_model() {
     obs::reset();
 }
 
-/// An FR-FCFS schedule is ordered once per (program, window): a sweep
-/// over two windows and two `t_row` values builds exactly two, and a
-/// return to the first window reuses its schedule. Every report still
-/// equals the seed oracle.
+/// An FR-FCFS schedule is ordered once per (program, window) while it
+/// is the graph's newest: a sweep over two windows and two `t_row`
+/// values builds one per window and reuses it for the second `t_row`.
+/// The memo keeps one schedule, so a return to the first window orders
+/// it again. Every report still equals the seed oracle.
 #[test]
 fn frfcfs_schedule_is_ordered_once_per_window() {
     let _guard = obs_guard();
@@ -432,11 +433,16 @@ fn frfcfs_schedule_is_ordered_once_per_window() {
     obs::disable();
     let counter = obs::counter_value;
     assert_eq!(program_builds(), 0);
-    assert_eq!(counter(obs::Counter::PlanCacheMisses), 2, "one per window");
-    // Each point hits its program and occupancy index; three also hit
-    // their schedule.
-    assert_eq!(counter(obs::Counter::PlanCacheHits), 2 * points + 3);
-    assert_eq!(counter(obs::Counter::PlanCacheEvictions), 0);
+    assert_eq!(
+        counter(obs::Counter::PlanCacheMisses),
+        3,
+        "one per window, and the return to window 4"
+    );
+    // Each point hits its program and occupancy index; the two repeated
+    // `t_row`s also hit their schedule.
+    assert_eq!(counter(obs::Counter::PlanCacheHits), 2 * points + 2);
+    // Window 32's schedule evicts window 4's, and the return evicts it.
+    assert_eq!(counter(obs::Counter::PlanCacheEvictions), 2);
     obs::reset();
 }
 
@@ -544,11 +550,12 @@ fn lane_groups_of_one_decode_class_decode_once_at_any_thread_count() {
 }
 
 /// A sweep runs every model over the same chunkings of one graph. The
-/// occupancy-index memo keeps indexes past its four-entry floor while
+/// occupancy-index memo keeps indexes past its one-entry floor while
 /// their bitmaps fit one maximal index, so GCN builds the index of each
 /// of five `aggregation_buffer_bytes` chunkings and GIN reuses all
-/// five: the plan-memo misses are the ten programs and five indexes,
-/// and only the programs' four-entry FIFO evicts.
+/// five: the plan-memo misses are the ten programs and five indexes.
+/// Only programs evict: the memo keeps one, so each of the nine after
+/// the first replaces the one before.
 #[test]
 fn models_sweeping_five_chunkings_build_each_index_once() {
     let _guard = obs_guard();
@@ -573,7 +580,51 @@ fn models_sweeping_five_chunkings_build_each_index_once() {
         5,
         "one index build per chunking"
     );
-    assert_eq!(counter(obs::Counter::PlanCacheEvictions), 6);
+    assert_eq!(counter(obs::Counter::PlanCacheEvictions), 9);
+    obs::reset();
+}
+
+/// The benchmark sweep's axes (`aggbuf-mb` x `controller` x `t-row` x
+/// `sparsity`) over GCN, GraphSage and GIN on a small graph, at one
+/// thread. Each model's (aggbuf, sparsity) pair is one decode class,
+/// evaluated as one lane group, and IB@0.1 is one chunk at every buffer
+/// size. Misses: 30 programs and 30 FR-FCFS schedules (one each per
+/// class), GraphSage's one sample, and one occupancy index on the graph
+/// and one on the sample. Hits: the sample for GraphSage's other nine
+/// classes, and the index for the other thirteen classes with sparsity
+/// elimination on. Evictions: one entry per type and graph is kept, so
+/// every program and schedule but the last on each graph is evicted
+/// (19 + 19 on the graph, 9 + 9 on the sample). A retention change that
+/// loses a hit or builds a plan twice fails here.
+#[test]
+fn benchmark_sweep_axes_keep_every_plan_hit() {
+    let _guard = obs_guard();
+    let mut space = ConfigSpace::new(
+        vec![WorkloadSpec::dataset(DatasetKey::Ib, 0.1, 1)],
+        vec![ModelKind::Gcn, ModelKind::GraphSage, ModelKind::Gin],
+    );
+    let axes = "aggbuf-mb=1,2,4,8,16;controller=inorder,frfcfs;t-row=14,28,56;sparsity=on,off";
+    for axis in Axis::parse_spec(axes).unwrap() {
+        space = space.with_axis(axis);
+    }
+    // The thread count is read per batch; the guard serializes every
+    // test of this binary, so none reads the variable meanwhile.
+    let saved = std::env::var("HYGCN_THREADS").ok();
+    std::env::set_var("HYGCN_THREADS", "1");
+    obs::reset();
+    obs::enable();
+    let report = Campaign::new(space).run();
+    obs::disable();
+    match saved {
+        Some(v) => std::env::set_var("HYGCN_THREADS", v),
+        None => std::env::remove_var("HYGCN_THREADS"),
+    }
+    assert_eq!(report.unwrap().simulated, 180);
+    assert_eq!(program_builds(), 30, "one decode per decode class");
+    let counter = obs::counter_value;
+    assert_eq!(counter(obs::Counter::PlanCacheMisses), 63);
+    assert_eq!(counter(obs::Counter::PlanCacheHits), 22);
+    assert_eq!(counter(obs::Counter::PlanCacheEvictions), 56);
     obs::reset();
 }
 
