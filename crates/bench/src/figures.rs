@@ -28,6 +28,10 @@
 //!   graphs from the [`FigureCtx`]'s workload memo, so each workload
 //!   graph is built at most once per run, whichever artifacts and
 //!   backends read it.
+//! * **One store open per run.** Every campaign of a run runs against
+//!   the store the [`FigureCtx`] holds open, so a warm `figures all`
+//!   reads the store file once, and with no file (`--store none`) the
+//!   run's artifacts still share their points in memory.
 //! * **Code changes invalidate precisely.** A config-affecting change
 //!   alters `HyGcnConfig::canon`, so exactly the stale points re-run.
 //!
@@ -48,6 +52,7 @@ use hygcn_core::energy::AreaPowerModel;
 use hygcn_core::HyGcnConfig;
 use hygcn_dse::campaign::{Campaign, CampaignReport, CompletedPoint, WorkloadMemo};
 use hygcn_dse::space::{Axis, ConfigSpace, WorkloadSpec};
+use hygcn_dse::store::ResultStore;
 use hygcn_dse::DseError;
 use hygcn_gcn::model::{GcnModel, ModelKind};
 use hygcn_graph::datasets::{DatasetKey, DatasetSpec};
@@ -89,12 +94,20 @@ pub struct FigureSpec {
     pub render: fn(&[CampaignReport], &mut FigureCtx) -> String,
 }
 
-/// One figure run's context: its scale multiplier and the workload memo
+/// One figure run's context: its scale multiplier, the workload memo
 /// every campaign and direct measurement of the run shares, so a run
-/// builds each workload graph once.
+/// builds each workload graph once, and the open result store its
+/// artifacts render into, so a run reads its store once.
+///
+/// The store opens on the first [`run_figure`] call that needs one, and
+/// again only when a call names a different path. For `None` it is an
+/// in-memory store, so the artifacts of a `--store none` run share their
+/// points too. Appends stream to the file as they happen, but a record
+/// another process appends to it meanwhile is not seen by this context.
 pub struct FigureCtx {
     mult: f64,
     workloads: WorkloadMemo,
+    store: Option<ResultStore>,
 }
 
 impl FigureCtx {
@@ -103,6 +116,7 @@ impl FigureCtx {
         Self {
             mult,
             workloads: WorkloadMemo::new(),
+            store: None,
         }
     }
 
@@ -1170,16 +1184,19 @@ pub struct FigureRun {
 /// Regenerates one artifact through the campaign engine.
 ///
 /// All of the artifact's spaces run as one campaign against `store` (the
-/// shared `figures.jsonl`), so points shared between artifacts — or with
-/// previous runs — are never re-simulated. The campaign takes its graphs
-/// from `ctx`'s workload memo, so each workload graph is built at most
-/// once per context. Every point evaluates on the backend its space
-/// names (the cross-backend artifacts mix `cycle` with the platform
-/// backends); `backend_override`, when given, re-targets the
-/// *default-backend* spaces only — `hygcn figures --backend analytical`
-/// screens the accelerator points analytically while the platform
-/// baselines stay themselves. A point listed by several spaces is
-/// evaluated once and reads back as cached in the later ones.
+/// shared `figures.jsonl`, or `None` for results that live in `ctx`
+/// only), so points shared between artifacts — or with previous runs —
+/// are never re-simulated. The campaign runs against the store `ctx`
+/// holds open for that path, opened on the context's first call for the
+/// path, and takes its graphs from `ctx`'s workload memo, so a context
+/// reads its store once and builds each workload graph at most once.
+/// Every point evaluates on the backend its space names (the
+/// cross-backend artifacts mix `cycle` with the platform backends);
+/// `backend_override`, when given, re-targets the *default-backend*
+/// spaces only — `hygcn figures --backend analytical` screens the
+/// accelerator points analytically while the platform baselines stay
+/// themselves. A point listed by several spaces is evaluated once and
+/// reads back as cached in the later ones.
 ///
 /// # Errors
 ///
@@ -1217,7 +1234,13 @@ pub fn run_figure(
         if let Some(path) = store {
             campaign = campaign.with_store(path);
         }
-        let mut outcomes = campaign.run_points(&points)?.points.into_iter();
+        let mut open = match ctx.store.take() {
+            Some(open) if open.path() == store => open,
+            _ => campaign.open_store()?,
+        };
+        let report = campaign.run_points_in(&mut open, &points);
+        ctx.store = Some(open);
+        let mut outcomes = report?.points.into_iter();
         for len in lens {
             let space_outcomes = outcomes.by_ref().take(len).collect();
             reports.push(CampaignReport::from_outcomes(space_outcomes));

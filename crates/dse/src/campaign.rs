@@ -295,6 +295,11 @@ impl Campaign {
         &self.space
     }
 
+    /// How retry backoff delays run: the injected sleeper, or real sleep.
+    fn sleeper(&self) -> Sleeper {
+        self.sleeper.clone().unwrap_or_else(default_sleeper)
+    }
+
     /// The backend evaluating points keyed for `id`, or a spec error
     /// naming the id.
     fn backend_for(&self, id: &str) -> Result<Arc<dyn SimBackend>, DseError> {
@@ -332,11 +337,52 @@ impl Campaign {
         self.run_points(&points)
     }
 
-    /// Runs an explicit point list through the executor — the hook the
-    /// successive-halving search uses to evaluate each rung's survivors
-    /// (with per-rung fidelity overrides already stamped on the points),
-    /// and the figure harness uses to run all of an artifact's spaces at
-    /// once.
+    /// Runs an explicit point list through the executor: opens the store
+    /// this campaign is configured with ([`Self::open_store`]), then
+    /// runs the points against it exactly as [`Self::run_points_in`]
+    /// does. A caller running several point lists over one store opens
+    /// it once and calls that instead.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run_points_in`], plus the store's open errors.
+    pub fn run_points(&self, points: &[DesignPoint]) -> Result<CampaignReport, DseError> {
+        self.run_points_in(&mut self.open_store()?, points)
+    }
+
+    /// Opens the store this campaign is configured with: the
+    /// [`Self::with_store`] file, read through its [`StoreIo`] and
+    /// appended to under its retry policy and sleeper, or an in-memory
+    /// store when no file was set.
+    ///
+    /// # Errors
+    ///
+    /// As [`ResultStore::open_with`].
+    pub fn open_store(&self) -> Result<ResultStore, DseError> {
+        match &self.store_path {
+            Some(p) => ResultStore::open_with(
+                p,
+                self.store_io
+                    .clone()
+                    .unwrap_or_else(|| Arc::new(crate::store_io::RealIo)),
+                self.retry,
+                self.sleeper(),
+            ),
+            None => Ok(ResultStore::in_memory()),
+        }
+    }
+
+    /// The campaign executor: runs `points` against an open `store`,
+    /// evaluating only the points it does not already hold and appending
+    /// each batch's completions to it (and to its file) before the next
+    /// batch starts. A store shared by several calls serves each one
+    /// what the earlier ones appended, with no re-read; records another
+    /// process appends to its file meanwhile are not seen. This is the
+    /// hook the successive-halving search uses to evaluate its prefilter
+    /// and each rung's survivors (with per-rung fidelity overrides
+    /// already stamped on the points) over one store, and the figure
+    /// harness uses to run all of an artifact's spaces at once against
+    /// its context's store.
     ///
     /// Each point evaluates on the backend its key names. Workload
     /// sharing groups by `(workload, config.fidelity)`: every group
@@ -346,15 +392,18 @@ impl Campaign {
     /// graph across its survivors, and mixed-fidelity lists never leak a
     /// graph across fidelities. A key listed more than once is evaluated
     /// once; its later occurrences read the result back as cached.
-    /// Outcomes return in input order; completions stream to the store
-    /// exactly as in [`Self::run`].
+    /// Outcomes return in input order.
     ///
     /// # Errors
     ///
-    /// As [`Self::run`], minus the enumeration errors; additionally
-    /// [`DseError::Spec`], before anything runs, when a point's backend
-    /// id resolves to no backend.
-    pub fn run_points(&self, points: &[DesignPoint]) -> Result<CampaignReport, DseError> {
+    /// As [`Self::run`], minus the enumeration and open errors;
+    /// additionally [`DseError::Spec`], before anything runs, when a
+    /// point's backend id resolves to no backend.
+    pub fn run_points_in(
+        &self,
+        store: &mut ResultStore,
+        points: &[DesignPoint],
+    ) -> Result<CampaignReport, DseError> {
         // Resolve every backend the points name before anything runs.
         let mut backends: Vec<Arc<dyn SimBackend>> = Vec::new();
         for p in points {
@@ -362,18 +411,7 @@ impl Campaign {
                 backends.push(self.backend_for(&p.backend)?);
             }
         }
-        let sleeper = self.sleeper.clone().unwrap_or_else(default_sleeper);
-        let mut store = match &self.store_path {
-            Some(p) => ResultStore::open_with(
-                p,
-                self.store_io
-                    .clone()
-                    .unwrap_or_else(|| Arc::new(crate::store_io::RealIo)),
-                self.retry,
-                sleeper.clone(),
-            )?,
-            None => ResultStore::in_memory(),
-        };
+        let sleeper = self.sleeper();
 
         // The first occurrence of each key evaluates it; which points
         // were already done before this run started.

@@ -21,7 +21,8 @@
 //!   order. Given the same space, strategy, and store, two runs produce
 //!   bit-identical rung reports and final survivors.
 //! * **Every rung is cached.** Rung evaluations flow through the same
-//!   [`crate::store::ResultStore`] as plain campaigns: a rung point's
+//!   [`crate::store::ResultStore`] as plain campaigns, opened once per
+//!   search and shared by the prefilter and every rung: a rung point's
 //!   key hashes its fidelity (via `HyGcnConfig::canon`), so a
 //!   half-fidelity result never masquerades as a full-fidelity one, and
 //!   a killed or re-run search re-simulates only what is missing. An
@@ -249,7 +250,9 @@ pub fn run_search_io(
             if *rungs == 0 {
                 return Err(DseError::Spec("rungs must be >= 1".into()));
             }
+            // The prefilter and every rung run against one open store.
             let campaign = campaign_for(space.clone());
+            let mut store = campaign.open_store()?;
             let mut survivors = space.enumerate()?;
             let mut prefilter = None;
             if *analytical_prefilter {
@@ -277,7 +280,7 @@ pub fn run_search_io(
                         Ok(sp)
                     })
                     .collect::<Result<Vec<_>, DseError>>()?;
-                let report = campaign.run_points(&screen_points)?;
+                let report = campaign.run_points_in(&mut store, &screen_points)?;
                 let mut order = ranked(&report.points, *budget_metric);
                 order.truncate((order.len() / *eta).max(1));
                 prefilter = Some(RungReport {
@@ -301,7 +304,7 @@ pub fn run_search_io(
                     .iter()
                     .map(|p| p.at_fidelity(fidelity))
                     .collect::<Result<Vec<_>, _>>()?;
-                let report = campaign.run_points(&rung_points)?;
+                let report = campaign.run_points_in(&mut store, &rung_points)?;
 
                 // Rank ascending on (metric, key): the key tie-break makes
                 // promotion deterministic across processes. Failed

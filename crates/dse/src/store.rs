@@ -2,9 +2,20 @@
 //!
 //! One line per completed design point, appended as soon as the point
 //! finishes (so a killed campaign loses at most the in-flight batch), and
-//! keyed by the point's stable cache key. Opening the store re-reads all
+//! keyed by the point's stable cache key. Opening the store reads all
 //! lines, which is what makes campaigns resumable: points whose key is
-//! already present are never simulated again.
+//! already present are never simulated again. A run opens its store
+//! once and keeps it: later lookups and appends go to the open store
+//! (appends to its file too), so a figures run or a halving search
+//! reads the file once, and a record another process appends
+//! meanwhile is seen by the next open.
+//!
+//! One read loop, `scan`, serves [`ResultStore::open_with`], [`fsck`],
+//! [`salvage`] and [`stats`]; the open then applies its two repairs
+//! (truncating a torn tail, restoring a lost final newline). It
+//! checksums every line's body where it lies, four lines' FNV-1a chains
+//! in lockstep, and parses the fields in place, copying out only the
+//! label and the report.
 //!
 //! Line shape (a strict subset of JSON, hand-emitted and hand-parsed so
 //! the crate stays dependency-free):
@@ -34,7 +45,8 @@
 //!   overwrite) is *quarantined*, not fatal: the rest of the store loads
 //!   and the affected point simply re-runs. [`fsck`] reports damage
 //!   read-only; [`salvage`] rewrites the store canonically and sidelines
-//!   damaged lines to `<store>.quarantine`.
+//!   damaged lines to `<store>.quarantine`. (Damage that leaves the file
+//!   invalid UTF-8 fails the read itself, as a [`DseError::StoreIo`].)
 //! * **Transient append errors** are retried with bounded exponential
 //!   backoff ([`crate::store_io::RetryPolicy`]); any partial write is
 //!   rolled back before the retry so records can never concatenate.
@@ -74,29 +86,66 @@ pub struct StoreRecord {
     pub report_json: String,
 }
 
-/// FNV-1a over a byte stream — the same family as the cache key hash,
-/// kept local so the record checksum is self-contained.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// FNV-1a's offset basis and prime: the same family as the cache key
+/// hash, kept local so the record checksum is self-contained.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a_step(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+}
+
+/// FNV-1a of `bytes`, continuing from `h`.
+fn fnv1a_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| fnv1a_step(h, b))
 }
 
 /// The checksum stored in a record's `crc` field: FNV-1a of the record
-/// line *without* the crc suffix (i.e. of the legacy line shape).
-fn line_checksum(body: &str) -> u64 {
-    fnv1a(body.bytes())
+/// line *without* the crc suffix (i.e. of the legacy line shape). It is
+/// computed over `body`, the line up to its `,"crc":"` suffix, with the
+/// object's closing brace, which the suffix replaced, folded in after.
+fn body_checksum(body: &[u8]) -> u64 {
+    fnv1a_step(fnv1a_from(FNV_OFFSET, body), b'}')
+}
+
+/// FNV-1a of four byte strings, their chains advanced in lockstep over
+/// the shortest one's length and finished one by one. One chain waits on
+/// each multiply's latency; four independent chains overlap theirs.
+fn fnv1a_x4(a: &[u8], b: &[u8], c: &[u8], d: &[u8]) -> [u64; 4] {
+    let common = a.len().min(b.len()).min(c.len()).min(d.len());
+    let ((a, a_tail), (b, b_tail)) = (a.split_at(common), b.split_at(common));
+    let ((c, c_tail), (d, d_tail)) = (c.split_at(common), d.split_at(common));
+    let mut h = (FNV_OFFSET, FNV_OFFSET, FNV_OFFSET, FNV_OFFSET);
+    for (((&w, &x), &y), &z) in a.iter().zip(b).zip(c).zip(d) {
+        h = (
+            fnv1a_step(h.0, w),
+            fnv1a_step(h.1, x),
+            fnv1a_step(h.2, y),
+            fnv1a_step(h.3, z),
+        );
+    }
+    [
+        fnv1a_from(h.0, a_tail),
+        fnv1a_from(h.1, b_tail),
+        fnv1a_from(h.2, c_tail),
+        fnv1a_from(h.3, d_tail),
+    ]
 }
 
 /// `,"crc":"` + 16 hex digits + `"}`.
 const CRC_TAIL: usize = 8 + 16 + 2;
 
-/// Splits a checksummed line into its legacy body and the stored crc;
-/// `None` for legacy (checksum-less) lines.
-fn split_crc(line: &str) -> Option<(String, u64)> {
+/// A checksummed line's crc: the body it covers (the line up to the
+/// suffix), the value stored in the line and the value computed.
+struct Crc<'a> {
+    body: &'a str,
+    stored: u64,
+    computed: u64,
+}
+
+/// Splits a checksummed line into its body and the stored crc; `None`
+/// for legacy (checksum-less) lines.
+fn split_crc(line: &str) -> Option<(&str, u64)> {
     let b = line.as_bytes();
     if b.len() < CRC_TAIL + 2 || !line.ends_with("\"}") {
         return None;
@@ -108,15 +157,47 @@ fn split_crc(line: &str) -> Option<(String, u64)> {
     let hex = std::str::from_utf8(b.get(cut + 8..cut + 24)?).ok()?;
     let crc = u64::from_str_radix(hex, 16).ok()?;
     // `cut` lands on the ASCII `,` of the suffix, so it is a char
-    // boundary; restore the object's closing brace the suffix replaced.
-    let mut body = line.get(..cut)?.to_string();
-    body.push('}');
-    Some((body, crc))
+    // boundary.
+    Some((line.get(..cut)?, crc))
+}
+
+/// Each line's [`Crc`] (`None` for a legacy line), the bodies
+/// checksummed four at a time.
+fn checksum_lines<'a>(lines: &[&'a str]) -> Vec<Option<Crc<'a>>> {
+    let mut crcs: Vec<Option<Crc<'a>>> = lines
+        .iter()
+        .map(|line| {
+            split_crc(line).map(|(body, stored)| Crc {
+                body,
+                stored,
+                computed: 0,
+            })
+        })
+        .collect();
+    let mut pending: Vec<&mut Crc<'a>> = crcs.iter_mut().flatten().collect();
+    let mut quads = pending.chunks_exact_mut(4);
+    for quad in &mut quads {
+        if let Ok([a, b, c, d]) = <&mut [_; 4]>::try_from(quad) {
+            let sums = fnv1a_x4(
+                a.body.as_bytes(),
+                b.body.as_bytes(),
+                c.body.as_bytes(),
+                d.body.as_bytes(),
+            );
+            for (crc, h) in [a, b, c, d].into_iter().zip(sums) {
+                crc.computed = fnv1a_step(h, b'}');
+            }
+        }
+    }
+    for crc in quads.into_remainder() {
+        crc.computed = body_checksum(crc.body.as_bytes());
+    }
+    crcs
 }
 
 impl StoreRecord {
-    /// The legacy (pre-checksum) line shape — what `parse_line` accepts
-    /// from old stores, and the byte string the crc covers.
+    /// The legacy (pre-checksum) line shape — what old stores hold, and
+    /// the byte string the crc covers.
     fn legacy_body(&self) -> String {
         format!(
             "{{\"key\":\"{:016x}\",\"label\":\"{}\",\"graph\":\"{:016x}\",\"cycles\":{},\"time_s\":{:?},\"energy_j\":{:?},\"dram_bytes\":{},\"report\":{}}}",
@@ -133,65 +214,72 @@ impl StoreRecord {
 
     fn to_line(&self) -> String {
         let body = self.legacy_body();
-        let crc = line_checksum(&body);
         let trimmed = body.strip_suffix('}').unwrap_or(&body);
+        let crc = body_checksum(trimmed.as_bytes());
         format!("{trimmed},\"crc\":\"{crc:016x}\"}}")
     }
 
-    fn parse_line(line: &str) -> Result<Self, DseError> {
-        Self::parse_line_checked(line).map(|(rec, _)| rec)
-    }
-
-    /// Parses a line, verifying the checksum when present; the flag says
-    /// whether the line carried one (legacy lines parse unverified).
-    fn parse_line_checked(line: &str) -> Result<(Self, bool), DseError> {
-        match split_crc(line) {
-            Some((body, stored)) => {
-                let computed = line_checksum(&body);
+    /// Parses a line, verifying its checksum when it carries one (`crc`,
+    /// from [`checksum_lines`]); the flag says whether it did (legacy
+    /// lines parse unverified).
+    fn parse_checked(line: &str, crc: Option<Crc<'_>>) -> Result<(Self, bool), DseError> {
+        match crc {
+            Some(Crc {
+                body,
+                stored,
+                computed,
+            }) => {
                 if computed != stored {
                     return Err(DseError::Store(format!(
                         "checksum mismatch (stored {stored:016x}, computed {computed:016x})"
                     )));
                 }
-                Ok((Self::parse_body(&body)?, true))
+                Ok((Self::parse_fields(body, true)?, true))
             }
-            None => Ok((Self::parse_body(line)?, false)),
+            None => Ok((Self::parse_fields(line, false)?, false)),
         }
     }
 
-    fn parse_body(line: &str) -> Result<Self, DseError> {
+    /// Parses a record's fields out of `text`: a whole legacy line, or,
+    /// when `cut`, a checksummed line's body, read as if the closing
+    /// brace its crc suffix replaced followed it. Fields are borrowed
+    /// from `text`; only the label and the report are copied out.
+    fn parse_fields(text: &str, cut: bool) -> Result<Self, DseError> {
         let bad = |what: &str| DseError::Store(what.to_string());
         let key = u64::from_str_radix(
-            &field_str(line, "key").ok_or_else(|| bad("missing key"))?,
+            field_str(text, "\"key\":\"").ok_or_else(|| bad("missing key"))?,
             16,
         )
         .map_err(|_| bad("non-hex key"))?;
         let graph_hash = u64::from_str_radix(
-            &field_str(line, "graph").ok_or_else(|| bad("missing graph"))?,
+            field_str(text, "\"graph\":\"").ok_or_else(|| bad("missing graph"))?,
             16,
         )
         .map_err(|_| bad("non-hex graph hash"))?;
-        let label = unescape(&field_str(line, "label").ok_or_else(|| bad("missing label"))?);
-        let cycles = field_raw(line, "cycles")
+        let label = unescape(field_str(text, "\"label\":\"").ok_or_else(|| bad("missing label"))?);
+        let cycles = field_raw(text, "\"cycles\":", cut)
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| bad("missing cycles"))?;
-        let time_s = field_raw(line, "time_s")
+        let time_s = field_raw(text, "\"time_s\":", cut)
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| bad("missing time_s"))?;
-        let energy_j = field_raw(line, "energy_j")
+        let energy_j = field_raw(text, "\"energy_j\":", cut)
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| bad("missing energy_j"))?;
-        let dram_bytes = field_raw(line, "dram_bytes")
+        let dram_bytes = field_raw(text, "\"dram_bytes\":", cut)
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| bad("missing dram_bytes"))?;
-        // The report object runs to the line's final closing brace.
+        // The report object runs to the record's final closing brace:
+        // the end of a cut body, the last byte of a legacy line.
         let marker = "\"report\":";
-        let at = line.find(marker).ok_or_else(|| bad("missing report"))?;
-        let report_json = line
-            .get(at + marker.len()..line.len() - 1)
-            .ok_or_else(|| bad("malformed report object"))?
-            .to_string();
-        if !report_json.starts_with('{') || !report_json.ends_with('}') {
+        let at = text.find(marker).ok_or_else(|| bad("missing report"))? + marker.len();
+        let report = if cut {
+            text.get(at..)
+        } else {
+            text.get(at..text.len() - 1)
+        }
+        .ok_or_else(|| bad("malformed report object"))?;
+        if !report.starts_with('{') || !report.ends_with('}') {
             return Err(bad("malformed report object"));
         }
         Ok(Self {
@@ -202,7 +290,7 @@ impl StoreRecord {
             time_s,
             energy_j,
             dram_bytes,
-            report_json,
+            report_json: report.to_string(),
         })
     }
 
@@ -249,30 +337,32 @@ fn unescape(s: &str) -> String {
     out
 }
 
-/// Extracts a `"name":"..."` string field (quote-aware for escapes).
-fn field_str(line: &str, name: &str) -> Option<String> {
-    let marker = format!("\"{name}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let rest = line.get(start..)?;
+/// Extracts the string field that follows `marker` (`"name":"`),
+/// quote-aware for escapes, still escaped.
+fn field_str<'a>(text: &'a str, marker: &str) -> Option<&'a str> {
+    let rest = text.get(text.find(marker)? + marker.len()..)?;
     let mut end = 0;
     let bytes = rest.as_bytes();
     while let Some(&b) = bytes.get(end) {
         match b {
             b'\\' => end += 2,
-            b'"' => return rest.get(..end).map(str::to_string),
+            b'"' => return rest.get(..end),
             _ => end += 1,
         }
     }
     None
 }
 
-/// Extracts a bare `"name":value` scalar field (up to `,` or `}`).
-fn field_raw(line: &str, name: &str) -> Option<String> {
-    let marker = format!("\"{name}\":");
-    let start = line.find(&marker)? + marker.len();
-    let rest = line.get(start..)?;
-    let end = rest.find([',', '}'])?;
-    rest.get(..end).map(str::to_string)
+/// Extracts the bare scalar that follows `marker` (`"name":`), up to
+/// `,` or `}`; in a `cut` body, also up to its end, where the closing
+/// brace was.
+fn field_raw<'a>(text: &'a str, marker: &str, cut: bool) -> Option<&'a str> {
+    let rest = text.get(text.find(marker)? + marker.len()..)?;
+    match rest.find([',', '}']) {
+        Some(end) => rest.get(..end),
+        None if cut => Some(rest),
+        None => None,
+    }
 }
 
 /// A damaged store line a tolerant open preserved instead of loading —
@@ -336,7 +426,9 @@ impl ResultStore {
     }
 
     /// Opens (or creates) a file-backed store, loading every existing
-    /// record through `io`.
+    /// record through `io` in the scan [`fsck`] reports from, then
+    /// repairing the file's tail. Each quarantined line counts once in
+    /// the `quarantined_lines` counter per open.
     ///
     /// Damage tolerance:
     ///
@@ -363,50 +455,34 @@ impl ResultStore {
     ) -> Result<Self, DseError> {
         let _obs = hygcn_obs::span(hygcn_obs::Phase::StoreOpen);
         let path = path.as_ref().to_path_buf();
-        let mut records = BTreeMap::new();
-        let mut quarantined = Vec::new();
-        if let Some(content) = io
+        let (records, quarantined) = match io
             .read(&path)
             .map_err(|e| DseError::store_io("open", &path, &e))?
         {
-            let lines: Vec<&str> = content.lines().collect();
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
+            None => (BTreeMap::new(), Vec::new()),
+            Some(content) => {
+                let scan = scan(&content);
+                hygcn_obs::count(
+                    hygcn_obs::Counter::QuarantinedLines,
+                    scan.report.quarantined.len() as u64,
+                );
+                if let Some(torn) = scan.torn_line {
+                    // Torn tail from a killed append: drop it on disk
+                    // too, so future appends start clean.
+                    let keep = (content.len() - torn.len()) as u64;
+                    io.truncate(&path, keep)
+                        .map_err(|e| DseError::store_io("truncate", &path, &e))?;
+                } else if scan.unterminated {
+                    // A kill that lost *only* the last record's trailing
+                    // newline: the record is intact, but the terminator
+                    // must be restored before any future append can
+                    // concatenate onto it.
+                    io.append(&path, b"\n")
+                        .map_err(|e| DseError::store_io("repair", &path, &e))?;
                 }
-                match StoreRecord::parse_line(line) {
-                    Ok(rec) => {
-                        records.insert(rec.key, rec);
-                        if i + 1 == lines.len() && !content.ends_with('\n') {
-                            // A kill that lost *only* the record's
-                            // trailing newline: the record is intact,
-                            // but the terminator must be restored before
-                            // any future append can concatenate onto it.
-                            io.append(&path, b"\n")
-                                .map_err(|e| DseError::store_io("repair", &path, &e))?;
-                        }
-                    }
-                    Err(_) if i + 1 == lines.len() && !content.ends_with('\n') => {
-                        // Torn tail from a killed append: drop it on
-                        // disk too, so future appends start clean.
-                        let keep = (content.len() - line.len()) as u64;
-                        io.truncate(&path, keep)
-                            .map_err(|e| DseError::store_io("truncate", &path, &e))?;
-                    }
-                    Err(e) => {
-                        hygcn_obs::count(hygcn_obs::Counter::QuarantinedLines, 1);
-                        quarantined.push(QuarantinedLine {
-                            line_no: i + 1,
-                            line: line.to_string(),
-                            reason: match e {
-                                DseError::Store(m) => m,
-                                other => other.to_string(),
-                            },
-                        });
-                    }
-                }
+                (scan.records, scan.report.quarantined)
             }
-        }
+        };
         Ok(Self {
             path: Some(path),
             io,
@@ -518,14 +594,21 @@ impl FsckReport {
     }
 }
 
-struct Scan {
+/// One read of a store's lines: what [`fsck`] reports, the records a
+/// load keeps, and the two tail states [`ResultStore::open_with`]
+/// repairs.
+struct Scan<'a> {
     report: FsckReport,
     records: BTreeMap<u64, StoreRecord>,
-    torn_line: Option<String>,
+    /// The torn tail, when the file ends in one.
+    torn_line: Option<&'a str>,
+    /// Whether the last line loaded but has no newline.
+    unterminated: bool,
 }
 
-fn scan(content: &str) -> Scan {
+fn scan(content: &str) -> Scan<'_> {
     let lines: Vec<&str> = content.lines().collect();
+    let terminated = content.ends_with('\n');
     let mut report = FsckReport {
         bytes: content.len() as u64,
         lines: 0,
@@ -538,22 +621,26 @@ fn scan(content: &str) -> Scan {
     };
     let mut records: BTreeMap<u64, StoreRecord> = BTreeMap::new();
     let mut torn_line = None;
-    for (i, line) in lines.iter().enumerate() {
+    let mut unterminated = false;
+    let crcs = checksum_lines(&lines);
+    for (i, (line, crc)) in lines.iter().zip(crcs).enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         report.lines += 1;
-        match StoreRecord::parse_line_checked(line) {
+        let last = i + 1 == lines.len() && !terminated;
+        match StoreRecord::parse_checked(line, crc) {
             Ok((rec, checksummed)) => {
                 report.valid += 1;
                 report.checksummed += usize::from(checksummed);
                 if records.insert(rec.key, rec).is_some() {
                     report.duplicates += 1;
                 }
+                unterminated = last;
             }
-            Err(_) if i + 1 == lines.len() && !content.ends_with('\n') => {
+            Err(_) if last => {
                 report.torn_tail = true;
-                torn_line = Some(line.to_string());
+                torn_line = Some(*line);
             }
             Err(e) => report.quarantined.push(QuarantinedLine {
                 line_no: i + 1,
@@ -570,6 +657,7 @@ fn scan(content: &str) -> Scan {
         report,
         records,
         torn_line,
+        unterminated,
     }
 }
 
@@ -631,10 +719,11 @@ pub fn salvage(path: &Path, io: &dyn StoreIo) -> Result<SalvageReport, DseError>
         report,
         records,
         torn_line,
+        ..
     } = scan(&content);
 
     let mut damaged: Vec<&str> = report.quarantined.iter().map(|q| q.line.as_str()).collect();
-    if let Some(torn) = &torn_line {
+    if let Some(torn) = torn_line {
         damaged.push(torn);
     }
     let mut quarantine_path = None;
@@ -732,6 +821,12 @@ mod tests {
         }
     }
 
+    /// Parses one line the way a scan does.
+    fn parse(line: &str) -> Result<(StoreRecord, bool), DseError> {
+        let crc = checksum_lines(&[line]).pop().flatten();
+        StoreRecord::parse_checked(line, crc)
+    }
+
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("hygcn-dse-store-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -755,18 +850,66 @@ mod tests {
         let r = rec(0xABCD);
         let line = r.to_line();
         assert!(!line.contains('\n'));
-        assert_eq!(StoreRecord::parse_line(&line).unwrap(), r);
         // The line is checksummed, and the parser knows it.
-        let (parsed, checksummed) = StoreRecord::parse_line_checked(&line).unwrap();
+        let (parsed, checksummed) = parse(&line).unwrap();
         assert_eq!(parsed, r);
         assert!(checksummed);
+    }
+
+    #[test]
+    fn lockstep_checksums_equal_one_chain_per_line() {
+        // Every count up to two full quads plus a remainder, with labels
+        // of unequal lengths, so no quad's bodies are all one length.
+        for n in 0..=9 {
+            let lines: Vec<String> = (0..n)
+                .map(|i| {
+                    let mut r = rec(i as u64);
+                    r.label = "x".repeat(i * 7 % 5);
+                    r.to_line()
+                })
+                .collect();
+            let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
+            for (line, crc) in lines.iter().zip(checksum_lines(&lines)) {
+                let crc = crc.expect("a checksummed line");
+                assert_eq!(crc.computed, crc.stored, "{n} lines: {line}");
+                assert_eq!(crc.computed, body_checksum(crc.body.as_bytes()));
+            }
+        }
+        let [e, ab, abc, abcd] = fnv1a_x4(b"", b"a", b"abc", b"abcd");
+        assert_eq!(e, FNV_OFFSET);
+        assert_eq!(
+            [ab, abc, abcd],
+            [b"a".as_slice(), b"abc", b"abcd"].map(|s| fnv1a_from(FNV_OFFSET, s))
+        );
+    }
+
+    #[test]
+    fn cut_bodies_parse_as_if_their_brace_followed() {
+        // A checksummed body is read in place, without the closing brace
+        // its crc suffix replaced: every prefix of a record must parse,
+        // or fail with the same reason, as the prefix with the brace
+        // appended would as a legacy line.
+        let mut r = rec(0xABCD);
+        r.label = "odd \"label\" \\".into();
+        let legacy = r.legacy_body();
+        let body = legacy.strip_suffix('}').unwrap();
+        let reason = |parsed: Result<StoreRecord, DseError>| parsed.map_err(|e| e.to_string());
+        for cut in (1..=body.len()).filter(|&c| body.is_char_boundary(c)) {
+            let prefix = &body[..cut];
+            assert_eq!(
+                reason(StoreRecord::parse_fields(prefix, true)),
+                reason(StoreRecord::parse_fields(&format!("{prefix}}}"), false)),
+                "{prefix}"
+            );
+        }
+        assert_eq!(StoreRecord::parse_fields(body, true).unwrap(), r);
     }
 
     #[test]
     fn legacy_checksum_less_lines_still_parse() {
         let r = rec(0xABCD);
         let legacy = r.legacy_body();
-        let (parsed, checksummed) = StoreRecord::parse_line_checked(&legacy).unwrap();
+        let (parsed, checksummed) = parse(&legacy).unwrap();
         assert_eq!(parsed, r);
         assert!(!checksummed, "legacy lines load unverified");
     }
@@ -777,7 +920,7 @@ mod tests {
         // Flip one digit of the cycles field.
         let flipped = line.replacen("123456", "123457", 1);
         assert_ne!(line, flipped);
-        match StoreRecord::parse_line(&flipped) {
+        match parse(&flipped) {
             Err(DseError::Store(m)) => assert!(m.contains("checksum mismatch"), "{m}"),
             other => panic!("expected checksum mismatch, got {other:?}"),
         }
@@ -787,7 +930,7 @@ mod tests {
     fn labels_with_quotes_round_trip() {
         let mut r = rec(1);
         r.label = "odd \"label\" with \\ backslash".into();
-        assert_eq!(StoreRecord::parse_line(&r.to_line()).unwrap(), r);
+        assert_eq!(parse(&r.to_line()).unwrap().0, r);
     }
 
     #[test]
@@ -912,7 +1055,7 @@ mod tests {
         r.label = "two\nlines".into();
         let line = r.to_line();
         assert!(!line.contains('\n'));
-        assert_eq!(StoreRecord::parse_line(&line).unwrap(), r);
+        assert_eq!(parse(&line).unwrap().0, r);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! | `span_program_build` | One `SpanProgram` decode pass (cold evaluation)    |
 //! | `span_replay`      | One span-program step replay, or one FR-FCFS ordering pass |
 //! | `backend_eval`     | One `SimBackend::evaluate` call or `evaluate_lanes` lane batch |
-//! | `campaign_batch`   | One fan-out batch inside `Campaign::run_points`      |
+//! | `campaign_batch`   | One fan-out batch inside `Campaign::run_points_in`   |
 //! | `store_open`       | `ResultStore::open` (scan, repair, quarantine)       |
 //! | `store_append`     | One durable `ResultStore::append`                    |
 //! | `store_compact`    | Store salvage / rewrite                              |
@@ -57,11 +57,11 @@
 //! |------------------------|-------------------------------------------------|
 //! | `cache_hits`           | Campaign points read from the result store      |
 //! | `cache_misses`         | Campaign points that needed an evaluation       |
-//! | `points_total`         | Points submitted to `Campaign::run_points`      |
+//! | `points_total`         | Points submitted to `Campaign::run_points_in`   |
 //! | `points_simulated`     | Points evaluated and stored this run            |
 //! | `points_cached`        | Points skipped because the store held them      |
 //! | `points_failed`        | Points whose evaluation failed terminally       |
-//! | `quarantined_lines`    | Corrupt store lines quarantined on open         |
+//! | `quarantined_lines`    | Corrupt store lines quarantined, once per open  |
 //! | `store_retries`        | Store I/O retries                               |
 //! | `eval_retries`         | Backend-evaluation retries                      |
 //! | `plan_cache_hits`      | Graph plan-memo lookups served from the cache   |

@@ -155,6 +155,18 @@ fn figure_campaigns_share_points_across_artifacts() {
     std::fs::remove_file(&store).ok();
 }
 
+/// With no store file (`--store none`), one context's artifacts share
+/// its in-memory store: Fig. 11 reads the 60 points Fig. 10 simulated.
+#[test]
+fn store_none_shares_points_across_a_runs_artifacts() {
+    let mut ctx = FigureCtx::new(0.05);
+    let mut run = |id| run_figure(find_figure(id).unwrap(), &mut ctx, None, None).unwrap();
+    let fig10 = run("fig10");
+    assert_eq!((fig10.simulated, fig10.cache_hits), (100, 0));
+    let fig11 = run("fig11");
+    assert_eq!((fig11.simulated, fig11.cache_hits), (0, 60));
+}
+
 /// Enumeration hashes each axis cell's config once and finishes every
 /// point's key from that prefix; each key must still be the one-shot
 /// `cache_key` of its point.

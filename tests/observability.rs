@@ -28,6 +28,7 @@ use hygcn_suite::baseline::backend::resolve;
 use hygcn_suite::core::config::{HyGcnConfig, PipelineMode};
 use hygcn_suite::core::Simulator;
 use hygcn_suite::dse::campaign::{Campaign, MODEL_SEED};
+use hygcn_suite::dse::search::{run_search, BudgetMetric, RungReport, SearchStrategy};
 use hygcn_suite::dse::space::{cache_key, Axis, ConfigSpace, WorkloadSpec};
 use hygcn_suite::gcn::model::{GcnModel, ModelKind};
 use hygcn_suite::graph::datasets::DatasetKey;
@@ -332,6 +333,139 @@ fn a_figure_run_builds_each_workload_once() {
     obs::reset();
     assert_eq!(campaign_builds, 8, "one build per distinct workload");
     assert_eq!(table02_builds, 0, "table02 reuses the campaigns' CL graph");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Store opens recorded since the last `obs::reset`.
+fn store_opens() -> u64 {
+    obs::snapshot().phases[obs::Phase::StoreOpen as usize].count
+}
+
+/// A figure context opens its store once for every artifact it renders,
+/// so a damaged line is quarantined, and counted, once per run. Three
+/// artifacts render over a store whose second record has one flipped
+/// byte: one `store_open` and one quarantined line, and the damaged
+/// point simulates again. A fresh context opens the store again.
+#[test]
+fn a_figure_run_opens_its_store_once_and_counts_a_damaged_line_once() {
+    let _guard = obs_guard();
+    let dir = std::env::temp_dir().join("hygcn-obs-one-open");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("figures.jsonl");
+    let render = |id, ctx: &mut FigureCtx| {
+        run_figure(find_figure(id).unwrap(), ctx, Some(&store), None).unwrap()
+    };
+    let cold = render("fig17", &mut FigureCtx::new(0.05));
+    assert_eq!(cold.simulated, 6);
+    let mut bytes = std::fs::read(&store).unwrap();
+    let lines: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == b'\n').collect();
+    bytes[(lines[0] + lines[1]) / 2] ^= 1;
+    std::fs::write(&store, &bytes).unwrap();
+
+    let mut ctx = FigureCtx::new(0.05);
+    obs::reset();
+    obs::enable();
+    let runs = ["fig17", "fig15", "table03"].map(|id| render(id, &mut ctx));
+    let opens = store_opens();
+    let quarantined = obs::counter_value(obs::Counter::QuarantinedLines);
+    let again = render("fig17", &mut FigureCtx::new(0.05));
+    let fresh_opens = store_opens() - opens;
+    obs::disable();
+    obs::reset();
+    assert_eq!((opens, quarantined), (1, 1), "one open, one damaged line");
+    assert_eq!((runs[0].simulated, runs[0].cache_hits), (1, 5));
+    assert_eq!(runs[0].output, cold.output);
+    // fig15's sparsity=on cells and table03's PB point are fig17's
+    // default-config cells.
+    assert_eq!((runs[1].simulated, runs[1].cache_hits), (3, 3));
+    assert_eq!((runs[2].simulated, runs[2].cache_hits), (1, 1));
+    assert_eq!(fresh_opens, 1, "a fresh context opens the store again");
+    assert_eq!((again.simulated, again.cache_hits), (0, 6));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A successive-halving search runs its analytical prefilter and every
+/// rung against one open store, and its rung reports and survivors are
+/// those of a search that opened the store once per rung.
+#[test]
+fn a_halving_search_opens_its_store_once() {
+    let _guard = obs_guard();
+    let dir = std::env::temp_dir().join("hygcn-obs-halving-open");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("halving.jsonl");
+    let space = ConfigSpace::new(
+        vec![WorkloadSpec::dataset(DatasetKey::Ib, 0.2, 1)],
+        vec![ModelKind::Gcn],
+    )
+    .with_axis(Axis::parse("aggbuf-mb", "2,4,8,16").unwrap())
+    .with_axis(Axis::parse("sparsity", "on,off").unwrap());
+    let strategy = SearchStrategy::SuccessiveHalving {
+        eta: 2,
+        rungs: 2,
+        budget_metric: BudgetMetric::Cycles,
+        analytical_prefilter: true,
+    };
+    obs::reset();
+    obs::enable();
+    let out = run_search(&space, &strategy, Some(&store));
+    let opens = store_opens();
+    obs::disable();
+    obs::reset();
+    let out = out.unwrap();
+    assert_eq!(opens, 1, "prefilter and both rungs share one open");
+    let summary = |r: &RungReport| {
+        let keys: Vec<String> = r.survivors.iter().map(|k| format!("{k:016x}")).collect();
+        (
+            r.rung,
+            r.fidelity,
+            r.evaluated,
+            r.simulated,
+            r.cache_hits,
+            keys,
+        )
+    };
+    let keys = |ks: &[&str]| ks.iter().map(|k| k.to_string()).collect::<Vec<_>>();
+    // The reports of the same search opening its store once per rung.
+    assert_eq!(
+        out.prefilter.as_ref().map(summary),
+        Some((
+            0,
+            1.0,
+            8,
+            8,
+            0,
+            keys(&[
+                "082baead0c0f7061",
+                "70be367dca2edb4f",
+                "83522a5773d28355",
+                "a75aa4b39c5ae398"
+            ])
+        ))
+    );
+    let rungs: Vec<_> = out.rungs.iter().map(summary).collect();
+    assert_eq!(
+        rungs,
+        [
+            (
+                0,
+                0.5,
+                4,
+                4,
+                0,
+                keys(&["168d0c7a77d43817", "23c749dd85e821b0"])
+            ),
+            (
+                1,
+                1.0,
+                2,
+                2,
+                0,
+                keys(&["19e73efae9e67b50", "8f5187bb3ba23a37"])
+            ),
+        ]
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
