@@ -25,10 +25,16 @@
 //! 2. the engines turn each chunk into a cost record whose DRAM requests
 //!    land in one shared [`RequestArena`];
 //! 3. the timeline advances by replaying a [`SpanProgram`]: each
-//!    pipeline step's scheduler-ordered request batch, decoded once into
+//!    pipeline step's scheduler-ordered request batch, decoded into
 //!    per-channel `(bank, row, bursts)` runs and cached on the graph, so
 //!    a warm evaluation never assembles, orders or decodes a batch (see
-//!    [`hygcn_mem::spanprog`]). A config's *service order* is program
+//!    [`hygcn_mem::spanprog`]). The build plans every step's request
+//!    blocks (one per request kind under priority batching) before it
+//!    decodes, so the pool is sized once for the distinct blocks only:
+//!    a block that repeats an earlier one, such as the full source sweep
+//!    every chunk reads without sparsity elimination, is decoded once,
+//!    and its later copies replay from a per-channel summary. A
+//!    config's *service order* is program
 //!    order (in order, or FR-FCFS whose [`SpanProgram::schedule`] is
 //!    `None` because it keeps arrival order) or its window's
 //!    [`SpanSchedule`], ordered once and cached beside the program. Each
@@ -433,25 +439,29 @@ impl Prepared {
             let _obs = hygcn_obs::span(hygcn_obs::Phase::SpanProgramBuild);
             let mut builder = SpanProgramBuilder::new(&cfg.hbm).map_err(SimError::Config)?;
             let scheduler = AccessScheduler::new(cfg.coordination);
-            // Every step serves exactly its requests' scheduler pieces, so
-            // their spans size the whole program at once.
-            let spans = steps
-                .iter()
-                .flat_map(|step| step.requests(&arena, &aggs, &combs))
-                .flat_map(|&r| scheduler.pieces(r))
-                .map(|piece| builder.spans(&piece))
-                .sum();
-            builder.reserve(steps.len(), spans);
             let mut batch: Vec<MemRequest> = Vec::new();
             let mut order_scratch: Vec<MemRequest> = Vec::new();
-            for step in &steps {
-                batch.clear();
-                batch.extend(step.requests(&arena, &aggs, &combs));
-                scheduler.order_in_place(&mut batch, &mut order_scratch);
-                builder.push_step(&batch).map_err(SimError::Config)?;
+            // Two passes over the same service-ordered batches: the first
+            // finds the distinct request blocks and sizes the pool for
+            // exactly their spans, the second decodes each of them once.
+            let mut spans = 0;
+            for planning in [true, false] {
+                if !planning {
+                    spans = builder.reserve();
+                }
+                for step in &steps {
+                    batch.clear();
+                    batch.extend(step.requests(&arena, &aggs, &combs));
+                    scheduler.order_in_place(&mut batch, &mut order_scratch);
+                    if planning {
+                        builder.plan_step(&batch);
+                    } else {
+                        builder.push_step(&batch).map_err(SimError::Config)?;
+                    }
+                }
             }
             let program = builder.finish();
-            debug_assert_eq!(program.total_tuples(), spans, "the reservation is exact");
+            debug_assert_eq!(program.pool_tuples(), spans, "the reservation is exact");
             Ok::<SpanProgram, SimError>(program)
         })?;
         count_memo(outcome);

@@ -45,8 +45,8 @@
 //!   overwrite) is *quarantined*, not fatal: the rest of the store loads
 //!   and the affected point simply re-runs. [`fsck`] reports damage
 //!   read-only; [`salvage`] rewrites the store canonically and sidelines
-//!   damaged lines to `<store>.quarantine`. (Damage that leaves the file
-//!   invalid UTF-8 fails the read itself, as a [`DseError::StoreIo`].)
+//!   damaged lines, byte for byte, to `<store>.quarantine`. A line that
+//!   is not valid UTF-8 is damaged like any other.
 //! * **Transient append errors** are retried with bounded exponential
 //!   backoff ([`crate::store_io::RetryPolicy`]); any partial write is
 //!   rolled back before the retry so records can never concatenate.
@@ -600,15 +600,61 @@ impl FsckReport {
 struct Scan<'a> {
     report: FsckReport,
     records: BTreeMap<u64, StoreRecord>,
+    /// The quarantined lines' bytes, in file order.
+    damaged: Vec<&'a [u8]>,
     /// The torn tail, when the file ends in one.
-    torn_line: Option<&'a str>,
+    torn_line: Option<&'a [u8]>,
     /// Whether the last line loaded but has no newline.
     unterminated: bool,
 }
 
-fn scan(content: &str) -> Scan<'_> {
-    let lines: Vec<&str> = content.lines().collect();
-    let terminated = content.ends_with('\n');
+/// The lines of `content`, split as `str::lines` splits text, each one
+/// that is not valid UTF-8 as an `Err` of its bytes. A valid stretch is
+/// validated and split at string speed; only a line that holds an
+/// invalid byte is searched byte by byte.
+fn lines(content: &[u8]) -> Vec<Result<&str, &[u8]>> {
+    let mut lines = Vec::new();
+    let mut rest = content;
+    while !rest.is_empty() {
+        let valid = match std::str::from_utf8(rest) {
+            Ok(text) => {
+                lines.extend(text.lines().map(Ok));
+                break;
+            }
+            Err(e) => e.valid_up_to(),
+        };
+        // The whole lines before the invalid byte are text.
+        let (head, tail) = rest.split_at(valid);
+        let start = head.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let (text, partial) = head.split_at(start);
+        lines.extend(
+            std::str::from_utf8(text)
+                .unwrap_or_default()
+                .lines()
+                .map(Ok),
+        );
+        // The damaged line runs on to the next newline.
+        let (end, next) = match tail.iter().position(|&b| b == b'\n') {
+            Some(i) => tail.split_at(i),
+            None => (tail, Default::default()),
+        };
+        let line = rest
+            .get(start..start + partial.len() + end.len())
+            .unwrap_or_default();
+        lines.push(Err(match next.is_empty() {
+            // An unterminated last line keeps its bytes, as
+            // `str::lines` keeps them.
+            true => line,
+            false => line.strip_suffix(b"\r").unwrap_or(line),
+        }));
+        rest = next.get(1..).unwrap_or_default();
+    }
+    lines
+}
+
+fn scan(content: &[u8]) -> Scan<'_> {
+    let lines = lines(content);
+    let terminated = content.ends_with(b"\n");
     let mut report = FsckReport {
         bytes: content.len() as u64,
         lines: 0,
@@ -620,16 +666,21 @@ fn scan(content: &str) -> Scan<'_> {
         quarantined: Vec::new(),
     };
     let mut records: BTreeMap<u64, StoreRecord> = BTreeMap::new();
-    let mut torn_line = None;
+    let (mut damaged, mut torn_line) = (Vec::new(), None);
     let mut unterminated = false;
-    let crcs = checksum_lines(&lines);
-    for (i, (line, crc)) in lines.iter().zip(crcs).enumerate() {
-        if line.trim().is_empty() {
+    let texts: Vec<&str> = lines.iter().map(|line| line.unwrap_or_default()).collect();
+    let crcs = checksum_lines(&texts);
+    for (i, (&line, crc)) in lines.iter().zip(crcs).enumerate() {
+        if line.is_ok_and(|text| text.trim().is_empty()) {
             continue;
         }
         report.lines += 1;
         let last = i + 1 == lines.len() && !terminated;
-        match StoreRecord::parse_checked(line, crc) {
+        let (bytes, parsed) = match line {
+            Ok(text) => (text.as_bytes(), StoreRecord::parse_checked(text, crc)),
+            Err(bytes) => (bytes, Err(DseError::Store("not valid UTF-8".into()))),
+        };
+        match parsed {
             Ok((rec, checksummed)) => {
                 report.valid += 1;
                 report.checksummed += usize::from(checksummed);
@@ -640,22 +691,26 @@ fn scan(content: &str) -> Scan<'_> {
             }
             Err(_) if last => {
                 report.torn_tail = true;
-                torn_line = Some(*line);
+                torn_line = Some(bytes);
             }
-            Err(e) => report.quarantined.push(QuarantinedLine {
-                line_no: i + 1,
-                line: line.to_string(),
-                reason: match e {
-                    DseError::Store(m) => m,
-                    other => other.to_string(),
-                },
-            }),
+            Err(e) => {
+                damaged.push(bytes);
+                report.quarantined.push(QuarantinedLine {
+                    line_no: i + 1,
+                    line: String::from_utf8_lossy(bytes).into_owned(),
+                    reason: match e {
+                        DseError::Store(m) => m,
+                        other => other.to_string(),
+                    },
+                });
+            }
         }
     }
     report.unique = records.len();
     Scan {
         report,
         records,
+        damaged,
         torn_line,
         unterminated,
     }
@@ -718,23 +773,21 @@ pub fn salvage(path: &Path, io: &dyn StoreIo) -> Result<SalvageReport, DseError>
     let Scan {
         report,
         records,
+        mut damaged,
         torn_line,
         ..
     } = scan(&content);
 
-    let mut damaged: Vec<&str> = report.quarantined.iter().map(|q| q.line.as_str()).collect();
-    if let Some(torn) = torn_line {
-        damaged.push(torn);
-    }
+    damaged.extend(torn_line);
     let mut quarantine_path = None;
     if !damaged.is_empty() {
         let qpath = PathBuf::from(format!("{}.quarantine", path.display()));
-        let mut bytes = String::new();
+        let mut bytes = Vec::new();
         for line in &damaged {
-            bytes.push_str(line);
-            bytes.push('\n');
+            bytes.extend_from_slice(line);
+            bytes.push(b'\n');
         }
-        io.append(&qpath, bytes.as_bytes())
+        io.append(&qpath, &bytes)
             .map_err(|e| DseError::store_io("append", &qpath, &e))?;
         quarantine_path = Some(qpath);
     }
@@ -1157,6 +1210,63 @@ mod tests {
         let absent = fsck(&path, &RealIo).unwrap();
         assert_eq!((absent.bytes, absent.lines), (0, 0));
         assert!(absent.is_clean());
+    }
+
+    #[test]
+    fn lines_split_like_str_lines_and_keep_invalid_bytes() {
+        let text = "a\r\nb\n\nc\r";
+        let split: Vec<Result<&str, &[u8]>> = text.lines().map(Ok).collect();
+        assert_eq!(lines(text.as_bytes()), split);
+        let bytes = b"ok\nbad \xff line\r\nok again\n\xfe torn\r";
+        assert_eq!(
+            lines(bytes),
+            [
+                Ok("ok"),
+                Err(&b"bad \xff line"[..]),
+                Ok("ok again"),
+                Err(&b"\xfe torn\r"[..]),
+            ]
+        );
+        assert!(lines(b"").is_empty());
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_quarantined_and_sidelined_verbatim() {
+        let path = tmp("not-utf8.jsonl");
+        let mut bad = rec(2).to_line().into_bytes();
+        bad[10] |= 0x80;
+        let mut content = Vec::new();
+        for line in [
+            rec(1).to_line().into_bytes(),
+            bad.clone(),
+            rec(3).to_line().into_bytes(),
+        ] {
+            content.extend_from_slice(&line);
+            content.push(b'\n');
+        }
+        std::fs::write(&path, &content).unwrap();
+        let report = fsck(&path, &RealIo).unwrap();
+        assert_eq!((report.lines, report.valid), (3, 2));
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(report.quarantined[0].line_no, 2);
+        let store = ResultStore::open(&path).unwrap();
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.quarantined().len(), 1);
+        let salvaged = salvage(&path, &RealIo).unwrap();
+        assert_eq!((salvaged.kept, salvaged.dropped), (2, 1));
+        let qpath = salvaged.quarantine_path.unwrap();
+        assert_eq!(std::fs::read(&qpath).unwrap(), [&bad[..], b"\n"].concat());
+
+        // A torn tail that is not UTF-8 is truncated like any other.
+        let mut torn = format!("{}\n", rec(1).to_line()).into_bytes();
+        let keep = torn.len();
+        torn.extend_from_slice(b"{\"key\": \xff");
+        std::fs::write(&path, &torn).unwrap();
+        assert!(fsck(&path, &RealIo).unwrap().torn_tail);
+        assert_eq!(ResultStore::open(&path).unwrap().len(), 1);
+        assert_eq!(std::fs::read(&path).unwrap().len(), keep);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&qpath).ok();
     }
 
     #[test]

@@ -27,8 +27,8 @@ use std::time::Duration;
 /// responsible for rolling that back (via [`StoreIo::truncate`]) or
 /// recovering on the next open.
 pub trait StoreIo: std::fmt::Debug + Send + Sync {
-    /// Reads the whole file; `Ok(None)` when it does not exist.
-    fn read(&self, path: &Path) -> io::Result<Option<String>>;
+    /// Reads the whole file's bytes; `Ok(None)` when it does not exist.
+    fn read(&self, path: &Path) -> io::Result<Option<Vec<u8>>>;
     /// Current file length in bytes; 0 when the file does not exist.
     fn len(&self, path: &Path) -> io::Result<u64>;
     /// Appends `bytes`, creating the file if needed.
@@ -44,8 +44,8 @@ pub trait StoreIo: std::fmt::Debug + Send + Sync {
 pub struct RealIo;
 
 impl StoreIo for RealIo {
-    fn read(&self, path: &Path) -> io::Result<Option<String>> {
-        match std::fs::read_to_string(path) {
+    fn read(&self, path: &Path) -> io::Result<Option<Vec<u8>>> {
+        match std::fs::read(path) {
             Ok(s) => Ok(Some(s)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
@@ -241,7 +241,7 @@ impl FaultyIo {
 }
 
 impl StoreIo for FaultyIo {
-    fn read(&self, path: &Path) -> io::Result<Option<String>> {
+    fn read(&self, path: &Path) -> io::Result<Option<Vec<u8>>> {
         self.check_alive()?;
         self.inner.read(path)
     }
@@ -405,11 +405,11 @@ mod tests {
         let path = tmp("real.jsonl");
         RealIo.append(&path, b"hello ").unwrap();
         RealIo.append(&path, b"world").unwrap();
-        assert_eq!(RealIo.read(&path).unwrap().unwrap(), "hello world");
+        assert_eq!(RealIo.read(&path).unwrap().unwrap(), b"hello world");
         RealIo.truncate(&path, 5).unwrap();
-        assert_eq!(RealIo.read(&path).unwrap().unwrap(), "hello");
+        assert_eq!(RealIo.read(&path).unwrap().unwrap(), b"hello");
         RealIo.rewrite(&path, b"replaced").unwrap();
-        assert_eq!(RealIo.read(&path).unwrap().unwrap(), "replaced");
+        assert_eq!(RealIo.read(&path).unwrap().unwrap(), b"replaced");
         assert_eq!(RealIo.len(&path).unwrap(), 8);
         std::fs::remove_file(&path).ok();
     }

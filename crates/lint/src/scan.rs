@@ -286,11 +286,23 @@ pub fn scan_source(ctx: FileCtx<'_>, src: &str, cfg: &LintConfig) -> Vec<Finding
 }
 
 /// Keywords that may directly precede `[` without it being an index
-/// expression (`return [..]`, `in [..]`, `&mut [..]` handled by punct).
+/// expression (`return [..]`, `in [..]`, `&mut [..]` handled by punct,
+/// and the slice patterns `let [a, b] = ..` and `for [a, b] in ..`).
 fn is_keyword(t: &str) -> bool {
     matches!(
         t,
-        "return" | "in" | "if" | "else" | "match" | "break" | "mut" | "const" | "static" | "dyn"
+        "return"
+            | "in"
+            | "if"
+            | "else"
+            | "match"
+            | "break"
+            | "mut"
+            | "const"
+            | "static"
+            | "dyn"
+            | "let"
+            | "for"
     )
 }
 
@@ -456,6 +468,24 @@ mod tests {
         // Array literals, types, and attributes are not indexing.
         let benign = "#[derive(Debug)]\nfn f() -> [u8; 4] { let v = vec![1]; [0; 4] }\n";
         assert!(findings("crates/dse/src/strict.rs", benign).is_empty());
+    }
+
+    #[test]
+    fn slice_patterns_are_not_indexing() {
+        let patterns = "fn f() { let [a, b, c, d] = quad; for [a, b] in pairs {} }";
+        assert!(findings("crates/dse/src/strict.rs", patterns).is_empty());
+        // Indexing right after a pattern is still indexing.
+        let f = findings(
+            "crates/dse/src/strict.rs",
+            "fn f() { let [a] = x[0]; for y in z[1..] {} }",
+        );
+        assert_eq!(
+            f,
+            [
+                ("slice-index".to_string(), 1),
+                ("slice-index".to_string(), 1)
+            ]
+        );
     }
 
     #[test]

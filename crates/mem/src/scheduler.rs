@@ -57,25 +57,6 @@ impl AccessScheduler {
         batch
     }
 
-    /// The pieces `r` is served as: itself under priority batching, its
-    /// consecutive 2 KB pieces under FCFS, nothing if it is empty.
-    /// Ordering moves pieces and never resizes one, so the pieces of a
-    /// batch's requests are exactly the nonempty requests of its service
-    /// order.
-    pub fn pieces(&self, r: MemRequest) -> impl Iterator<Item = MemRequest> {
-        let piece = match self.mode {
-            CoordinationMode::Fcfs => FCFS_PIECE_BYTES,
-            CoordinationMode::PriorityBatched => r.bytes.max(1),
-        };
-        (0..r.bytes)
-            .step_by(crate::cast::idx(piece))
-            .map(move |offset| MemRequest {
-                addr: r.addr + u64::from(offset),
-                bytes: piece.min(r.bytes - offset),
-                ..r
-            })
-    }
-
     /// Allocation-free variant of [`AccessScheduler::order`] for the
     /// simulator's hot loop: reorders `batch` in place, using `scratch`
     /// as reusable working storage. After the call `batch` holds the
@@ -205,34 +186,6 @@ mod tests {
         // The two edge requests keep their relative (address) order.
         assert_eq!(out[0].addr, 0);
         assert_eq!(out[1].addr, 32);
-    }
-
-    #[test]
-    fn pieces_are_the_requests_of_the_service_order() {
-        let big = vec![
-            MemRequest::read(RequestKind::InputFeatures, 100, 5000),
-            MemRequest::read(RequestKind::Edges, 1 << 20, 2048),
-            MemRequest::write(RequestKind::OutputFeatures, 7, 1),
-            MemRequest::read(RequestKind::Weights, 9, 0),
-        ];
-        for mode in [CoordinationMode::Fcfs, CoordinationMode::PriorityBatched] {
-            let s = AccessScheduler::new(mode);
-            let key = |r: &MemRequest| (r.addr, r.bytes, r.is_write);
-            let mut pieces: Vec<_> = big
-                .iter()
-                .flat_map(|&r| s.pieces(r))
-                .map(|r| key(&r))
-                .collect();
-            let mut served: Vec<_> = s
-                .order(big.clone())
-                .iter()
-                .filter(|r| r.bytes > 0)
-                .map(key)
-                .collect();
-            pieces.sort_unstable();
-            served.sort_unstable();
-            assert_eq!(pieces, served, "{mode:?}");
-        }
     }
 
     #[test]

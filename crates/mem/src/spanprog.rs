@@ -7,8 +7,9 @@
 //! or miss) and *timing* (advancing bank/bus state). Decoding is a pure
 //! function of the request stream and the address geometry — for a fixed
 //! `(graph, config, model)` design point the stream never changes — so
-//! [`SpanProgramBuilder`] runs it exactly once, emitting a flat,
-//! channel-major stream of [`SpanTuple`]s per timeline step. Ordering
+//! [`SpanProgramBuilder`] runs it exactly once per distinct request
+//! block, emitting channel-major runs of [`SpanTuple`]s that every
+//! timeline step holding the block shares. Ordering
 //! depends on the program and the controller alone, never on timing, so
 //! [`SpanProgram::schedule`] runs FR-FCFS once per lookahead window: to
 //! `None` when it serves every span in arrival order (HyGCN's
@@ -35,13 +36,28 @@
 //! every workload it accepts. The open-row state of the ordering pass
 //! and the replay is `u32` alike.
 //!
-//! Each program decodes into one exact-size buffer. The caller sums
-//! [`SpanProgramBuilder::spans`] (one span per row-buffer page a request
-//! touches) over the whole program and
-//! [`SpanProgramBuilder::reserve`]s it; each step then counts its spans
-//! per channel in closed form, places one write cursor per channel, and
-//! writes every span straight to its channel's cursor. Nothing is
-//! staged, appended or reallocated.
+//! A step's batch splits into *blocks*, the maximal runs of one request
+//! kind in service order: under priority batching one block per kind
+//! the step carries (edges, input features, weights, outputs), under
+//! FCFS each run of one kind in the row-granular interleave. The
+//! program's *pool* holds each distinct block once, as one run per
+//! channel (a *segment*); a `(step, channel)` *cell* is its step's
+//! segments in block order, and its *program positions* are the running
+//! sum of the cells' lengths. A block is identified by its exact request
+//! list (kind, address, bytes, direction) in a sorted table, its hash
+//! only a shortcut to the candidates, so a block that repeats an
+//! earlier one (a window sweep every chunk reads again, a weight block
+//! every chunk reloads) is decoded and stored once and referenced by
+//! every later cell.
+//!
+//! Each program decodes into one exact-size pool. The caller plans
+//! every step first ([`SpanProgramBuilder::plan_step`] finds the blocks
+//! as the push will and sums the spans of the distinct ones in closed
+//! form), then [`SpanProgramBuilder::reserve`]s once; each new block
+//! then counts its spans per channel in closed form, places one write
+//! cursor per channel, and writes every span straight to its channel's
+//! cursor. Nothing is staged, appended or reallocated. A builder that
+//! is not planned still works, growing as it goes.
 //!
 //! ## Build/replay contract
 //!
@@ -58,14 +74,16 @@
 //! exactly that queue: the same row-aligned split, a decode equal to
 //! [`HbmConfig::locate`]'s, arrival order preserved per channel.
 //!
-//! * **In-order:** the replay reads the program directly and makes the
-//!   walk's row compare as it goes, once for every lane: which row a
-//!   span opens depends on no timing.
+//! * **In-order:** the replay reads each cell's segments in order and
+//!   makes the walk's row compare as it goes, once for every lane:
+//!   which row a span opens depends on no timing. A shared block's
+//!   segment may replay from its summary instead (below).
 //! * **FR-FCFS:** the walk's windowed row-hit promotion consults only
 //!   `(bank, row)` state the tuples carry. [`SpanProgram::schedule`]
 //!   makes the walk's picks — oldest row hit in the window, else the
 //!   oldest tuple — carrying each bank's open row across steps as the
-//!   walk does. Each `(step, channel)` cell first
+//!   walk does. Each `(step, channel)` cell, copied out of its segments
+//!   when it has more than one, first
 //!   takes an *identity pass* that only tracks the youngest pending hit
 //!   (`ArrivalOrder`): while every pick is the head, the head is picked
 //!   unless it misses with a hit pending. A cell that fails it restores
@@ -76,7 +94,9 @@
 //!   records, per span, the index into its channel run with the
 //!   row-miss flag in bit 31 (cells that passed in arrival order), and
 //!   per cell the miss and burst counts — exactly what the ring alone
-//!   would record. The replay walks that order, each entry read once
+//!   would record. The identity pass's table holds program positions,
+//!   which only grow, never pool positions, which repeat. The replay
+//!   walks that order over the cell's copied run, each entry read once
 //!   for every lane.
 //!
 //! Both paths share one service step, the timing half of the walk's,
@@ -89,6 +109,26 @@
 //! keeps every such sum far from overflow. A lane's batch completion is
 //! the max over channels (never before its arrival cycle) and
 //! statistics fold by summation.
+//!
+//! **Replay summaries.** `bank_ready` is always a past bus value and
+//! the bus never falls, and after a cell's first span the bus is at or
+//! past `now`. So, inside a segment, two kinds of span can never bind
+//! the bus: a row hit, and a row miss whose bank the segment used
+//! before with at least `ceil(t_row / t_burst)` bursts in between
+//! (`bank_ready + t_row` is then no later than the bus). Such a span
+//! only adds `bursts·t_burst`. For each block the program references
+//! more than once, [`SpanProgramBuilder::finish`] records per channel
+//! a summary: the spans to service exactly (each bank's first use in
+//! the segment, whose row compare reads the carried open row, and its
+//! last use, which leaves the bank's ready cycle and open row; the
+//! segment's last span is one of them), the bursts between them, the
+//! misses of the banks' later uses, the total bursts, and the fewest
+//! bursts `G` between such a miss and its bank's previous use. A
+//! program-order replay whose
+//! every lane has `t_row <= t_burst·G` services the marks only and
+//! advances the bus by the burst sums between them; otherwise the
+//! segment replays span by span. Either way every lane's completion,
+//! bank and bus state and statistics are the span-by-span replay's.
 //!
 //! **Merge invariant:** within a batch every span arrives at the same
 //! cycle and reads or writes only its own channel's bank, bus and
@@ -119,7 +159,14 @@
 //! arrival order stores no order array. The simulator then replays each
 //! distinct (service order, timing) of a decode class once, `MAX_LANES`
 //! timings per pass, so the in-order and arrival-keeping FR-FCFS points
-//! of one timing share a lane.
+//! of one timing share a lane. Within a program, each distinct request
+//! block is decoded, stored and summarized once, and a shared block's
+//! segment replays in program order from its summary, so a sparsity-off
+//! sweep that reads the same source windows every chunk pays for them
+//! once per program, not once per chunk.
+
+use std::collections::BTreeSet;
+use std::ops::Range;
 
 use crate::address::MappingScheme;
 use crate::cast::{idx, saturating_usize, widen_u64};
@@ -141,6 +188,10 @@ const INDEX: u32 = MISS - 1;
 
 /// The longest channel run a [`SpanSchedule`] can index (2^31 spans).
 const MAX_RUN: usize = 1 << 31;
+
+/// The summary slot of a block the program references once: it replays
+/// span by span and keeps no summary.
+const UNSHARED: usize = usize::MAX;
 
 /// One precompiled same-(channel, bank, row) burst run. The channel is
 /// implied by which per-channel run of the [`SpanProgram`] the tuple
@@ -177,10 +228,12 @@ pub struct StepTraffic {
     pub bytes_written: u64,
 }
 
-/// The decoded HBM stream of one design point: per timeline step, one
-/// channel-major tuple run per channel, plus the step's request-level
-/// traffic. Built once by [`SpanProgramBuilder`], replayed any number
-/// of times by [`SpanReplayer`].
+/// The decoded HBM stream of one design point. Each step's batch is a
+/// sequence of request blocks; the pool holds each distinct block's
+/// channel runs (its segments) once, and a `(step, channel)` cell is its
+/// step's segments in block order. Per step, it also keeps the
+/// request-level traffic. Built once by [`SpanProgramBuilder`], replayed
+/// any number of times by [`SpanReplayer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanProgram {
     mapping: MappingScheme,
@@ -188,10 +241,27 @@ pub struct SpanProgram {
     banks: usize,
     row_bytes: u64,
     burst_bytes: u64,
-    /// `offsets[step * channels + c] .. offsets[step * channels + c + 1]`
-    /// bounds channel `c`'s tuple run in `tuples` for `step`.
+    /// `offsets[step * channels + c]..offsets[step * channels + c + 1]`
+    /// are cell `(step, c)`'s program positions: the running sum of the
+    /// cells' lengths, each step's copy of a shared block counted.
     offsets: Vec<usize>,
-    tuples: Vec<SpanTuple>,
+    /// `step_bounds[s]..step_bounds[s + 1]` bounds step `s`'s blocks in
+    /// `step_blocks`.
+    step_bounds: Vec<usize>,
+    /// Every step's blocks in service order, as pool block indexes.
+    step_blocks: Vec<usize>,
+    /// `segments[b * channels + c]..segments[b * channels + c + 1]`
+    /// bounds block `b`'s run in channel `c` in `pool`.
+    segments: Vec<usize>,
+    /// Each distinct block's channel runs, channel-major, blocks in
+    /// order of first appearance.
+    pool: Vec<SpanTuple>,
+    /// Per block, the index of its channel 0 [`Summary`] (the other
+    /// channels' follow), or [`UNSHARED`].
+    summary_of: Vec<usize>,
+    summaries: Vec<Summary>,
+    /// The spans the summaries evaluate, each summary's in run order.
+    marks: Vec<Mark>,
     traffic: Vec<StepTraffic>,
 }
 
@@ -206,9 +276,15 @@ impl SpanProgram {
         self.channels
     }
 
-    /// Total precompiled tuples across all steps.
+    /// The program's spans in program order, every step's copy of a
+    /// shared block counted.
     pub fn total_tuples(&self) -> usize {
-        self.tuples.len()
+        self.offsets.last().copied().unwrap_or(0)
+    }
+
+    /// The spans the pool holds: each distinct block's once.
+    pub fn pool_tuples(&self) -> usize {
+        self.pool.len()
     }
 
     /// Whether `config` has the decode geometry this program was built
@@ -222,11 +298,62 @@ impl SpanProgram {
             && self.burst_bytes == config.burst_bytes
     }
 
-    /// The bounds of `(step, channel)` cell `cell`'s tuple run in the
-    /// program's tuples (and its service order in a [`SpanSchedule`]).
+    /// The program positions of `(step, channel)` cell `cell` (and its
+    /// service order in a [`SpanSchedule`]).
     #[inline]
-    fn cell(&self, cell: usize) -> std::ops::Range<usize> {
+    fn cell(&self, cell: usize) -> Range<usize> {
         self.offsets[cell]..self.offsets[cell + 1]
+    }
+
+    /// Step `step`'s blocks in service order.
+    #[inline]
+    fn blocks(&self, step: usize) -> &[usize] {
+        &self.step_blocks[self.step_bounds[step]..self.step_bounds[step + 1]]
+    }
+
+    /// Block `block`'s run in channel `c`.
+    #[inline]
+    fn segment(&self, block: usize, c: usize) -> &[SpanTuple] {
+        let s = block * self.channels + c;
+        &self.pool[self.segments[s]..self.segments[s + 1]]
+    }
+
+    /// Block `block`'s replay summary in channel `c`, when the program
+    /// references the block more than once.
+    #[inline]
+    fn summary(&self, block: usize, c: usize) -> Option<&Summary> {
+        match self.summary_of[block] {
+            UNSHARED => None,
+            first => Some(&self.summaries[first + c]),
+        }
+    }
+
+    /// Cell `(step, channel)`'s run in program order: its one nonempty
+    /// segment, or its segments copied back to back into `scratch`.
+    pub fn cell_run<'a>(
+        &'a self,
+        step: usize,
+        channel: usize,
+        scratch: &'a mut Vec<SpanTuple>,
+    ) -> &'a [SpanTuple] {
+        let mut segments = self
+            .blocks(step)
+            .iter()
+            .map(|&b| self.segment(b, channel))
+            .filter(|s| !s.is_empty());
+        let (Some(first), second) = (segments.next(), segments.next()) else {
+            return &[];
+        };
+        let Some(second) = second else {
+            return first;
+        };
+        scratch.clear();
+        scratch.extend_from_slice(first);
+        scratch.extend_from_slice(second);
+        for segment in segments {
+            scratch.extend_from_slice(segment);
+        }
+        scratch
     }
 
     /// The FR-FCFS service order of the whole program under a
@@ -237,11 +364,12 @@ impl SpanProgram {
     /// depends on no timing parameter, so one result serves every
     /// timing the program is replayed under.
     ///
-    /// Each `(step, channel)` cell first takes the identity pass
-    /// (`ArrivalOrder`); a cell it rejects restores its channel's open
-    /// rows and is ordered by the ring (`FrFcfsQueue`). The order array
-    /// is built only from the first such cell on, with the cells before
-    /// it written out in arrival order.
+    /// Each `(step, channel)` cell, read as its segments in order, first
+    /// takes the identity pass (`ArrivalOrder`); a cell it rejects
+    /// restores its channel's open rows and is ordered by the ring
+    /// (`FrFcfsQueue`). The order array is built only from the first
+    /// such cell on, with the cells before it written out in arrival
+    /// order.
     ///
     /// # Errors
     ///
@@ -255,6 +383,7 @@ impl SpanProgram {
         let mut bank_row = vec![NO_ROW; self.channels * banks];
         let mut arrivals = ArrivalOrder::default();
         let mut queue = FrFcfsQueue::default();
+        let mut scratch = Vec::new();
         // The service order and per-cell counts, from the first cell
         // FR-FCFS reorders on.
         let mut reordered: Option<(Vec<u32>, Vec<CellCounts>)> = None;
@@ -269,12 +398,12 @@ impl SpanProgram {
             }
             let c = cell % self.channels;
             let rows = &mut bank_row[c * banks..(c + 1) * banks];
-            let kept = arrivals.keeps_order(&self.tuples, spans.clone(), window, rows);
+            let run = self.cell_run(cell / self.channels, c, &mut scratch);
+            let kept = arrivals.keeps_order(run, spans.start, window, rows);
             if kept && reordered.is_none() {
                 continue;
             }
             let (order, cells) = reordered.get_or_insert_with(|| self.in_order_prefix(cell));
-            let run = &self.tuples[spans];
             cells.push(if kept {
                 // `rows` already moved on; write the entries from the
                 // rows the cell started with.
@@ -299,12 +428,14 @@ impl SpanProgram {
     fn in_order_prefix(&self, end: usize) -> (Vec<u32>, Vec<CellCounts>) {
         let banks = self.banks;
         let mut bank_row = vec![NO_ROW; self.channels * banks];
-        let mut order = Vec::with_capacity(self.tuples.len());
+        let mut order = Vec::with_capacity(self.total_tuples());
         let mut cells = Vec::with_capacity(self.offsets.len() - 1);
+        let mut scratch = Vec::new();
         for cell in 0..end {
             let c = cell % self.channels;
             let rows = &mut bank_row[c * banks..(c + 1) * banks];
-            cells.push(in_order(&self.tuples[self.cell(cell)], rows, &mut order));
+            let run = self.cell_run(cell / self.channels, c, &mut scratch);
+            cells.push(in_order(run, rows, &mut order));
         }
         (order, cells)
     }
@@ -338,19 +469,115 @@ struct CellCounts {
 /// [`SpanReplayer::replay_step`]. It carries no timing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanSchedule {
-    /// Laid out like the program's tuples: each cell's entries list its
-    /// spans in service order, as the span's index in the cell's run
-    /// with [`MISS`] set for a row miss.
+    /// Laid out by the program's cell positions: each cell's entries
+    /// list its spans in service order, as the span's index in the
+    /// cell's run with [`MISS`] set for a row miss.
     order: Vec<u32>,
     /// Row misses and bursts per `(step, channel)` cell.
     cells: Vec<CellCounts>,
 }
 
+/// The replay summary of a shared block's run in one channel (see the
+/// module docs): the spans whose service may depend on what came before
+/// the run, and the counts of the rest.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Summary {
+    /// The run's marks in the program's `marks`. The run's last span is
+    /// its bank's last use, so the last mark ends the run.
+    marks: Range<usize>,
+    /// Row misses of spans whose bank the run used before with another
+    /// row.
+    misses: u64,
+    /// Bursts of the whole run.
+    bursts: u64,
+    /// The fewest bursts between such a miss and its bank's previous
+    /// use (`u64::MAX` without one).
+    gap: u64,
+}
+
+/// A span a [`Summary`] services: the first or last use of its bank in
+/// the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Mark {
+    /// Bursts of the spans between the previous mark and this one.
+    before: u64,
+    span: SpanTuple,
+    /// Whether it misses; `None` for its bank's first use, which
+    /// compares the open row it finds.
+    miss: Option<bool>,
+}
+
+/// One bank's first and latest use in a run being summarized: run
+/// index and bursts before it, and for the latest whether it missed.
+#[derive(Debug, Clone, Copy)]
+struct BankUse {
+    first: (usize, u64),
+    last: (usize, u64, bool),
+}
+
+/// Summarizes `run`, a segment of a channel of `banks` banks, appending
+/// its marks to `marks`.
+fn summarize(run: &[SpanTuple], banks: usize, marks: &mut Vec<Mark>) -> Summary {
+    let mut uses: Vec<Option<BankUse>> = vec![None; banks];
+    let (mut bursts, mut misses, mut gap) = (0u64, 0u64, u64::MAX);
+    for (i, t) in run.iter().enumerate() {
+        match &mut uses[usize::from(t.bank)] {
+            slot @ None => {
+                *slot = Some(BankUse {
+                    first: (i, bursts),
+                    last: (i, bursts, false),
+                });
+            }
+            Some(u) => {
+                let (prev, before, _) = u.last;
+                let miss = run[prev].row != t.row;
+                if miss {
+                    misses += 1;
+                    gap = gap.min(bursts - before - u64::from(run[prev].bursts));
+                }
+                u.last = (i, bursts, miss);
+            }
+        }
+        bursts += u64::from(t.bursts);
+    }
+    let mut found = Vec::new();
+    for u in uses.iter().flatten() {
+        found.push((u.first.0, u.first.1, None));
+        if u.last.0 != u.first.0 {
+            found.push((u.last.0, u.last.1, Some(u.last.2)));
+        }
+    }
+    found.sort_unstable_by_key(|&(i, ..)| i);
+    let start = marks.len();
+    // Bursts through the previous mark.
+    let mut through = 0;
+    for (i, before, miss) in found {
+        let span = run[i];
+        marks.push(Mark {
+            before: before - through,
+            span,
+            miss,
+        });
+        through = before + u64::from(span.bursts);
+    }
+    debug_assert_eq!(through, bursts, "the last span is a mark");
+    Summary {
+        marks: start..marks.len(),
+        misses,
+        bursts,
+        gap,
+    }
+}
+
 /// Streaming builder: feed each timeline step's scheduler-ordered batch
-/// once, in step order, then [`SpanProgramBuilder::finish`]. Sized with
-/// [`SpanProgramBuilder::reserve`] from the program's
-/// [`SpanProgramBuilder::spans`], it decodes into exactly the buffer it
-/// returns: each span is written once, at its channel's cursor.
+/// once, in step order, then [`SpanProgramBuilder::finish`]. A batch is
+/// split into blocks, the maximal runs of one request kind (under
+/// priority batching, one block per kind the step carries). A block
+/// whose exact request list an earlier one had is not decoded again:
+/// the step references the earlier block's runs. Planned first
+/// ([`SpanProgramBuilder::plan_step`] per step, then
+/// [`SpanProgramBuilder::reserve`]), it decodes into exactly the pool it
+/// returns: each distinct span is written once, at its channel's cursor.
 #[derive(Debug, Clone)]
 pub struct SpanProgramBuilder {
     hbm: HbmConfig,
@@ -360,11 +587,103 @@ pub struct SpanProgramBuilder {
     channel_shift: u32,
     bank_mask: u64,
     bank_shift: u32,
-    /// Per channel, the write cursor of the step being pushed.
+    /// Per channel, the write cursor of the block being decoded.
     cursors: Vec<usize>,
     offsets: Vec<usize>,
-    tuples: Vec<SpanTuple>,
+    step_bounds: Vec<usize>,
+    step_blocks: Vec<usize>,
+    segments: Vec<usize>,
+    pool: Vec<SpanTuple>,
+    /// Per pool block, the steps' references to it.
+    refs: Vec<usize>,
     traffic: Vec<StepTraffic>,
+    blocks: BlockTable,
+    /// What the steps planned since the last reserve add.
+    planned: Planned,
+    /// Blocks taken from the pool instead of decoded.
+    shared: u64,
+}
+
+/// What [`SpanProgramBuilder::plan_step`] counted: steps, block
+/// references, new distinct blocks and their spans.
+#[derive(Debug, Clone, Copy, Default)]
+struct Planned {
+    steps: usize,
+    refs: usize,
+    blocks: usize,
+    spans: usize,
+}
+
+/// The distinct request blocks a builder has seen, found by their exact
+/// request lists. A block's hash only narrows the candidates, in a
+/// sorted set of (hash, entry) pairs.
+#[derive(Debug, Clone, Default)]
+struct BlockTable {
+    /// Every entry's requests, back to back.
+    keys: Vec<MemRequest>,
+    entries: Vec<BlockEntry>,
+    index: BTreeSet<(u64, usize)>,
+}
+
+/// One distinct block: its hash, its requests in the table's keys, and
+/// its pool block once decoded.
+#[derive(Debug, Clone, Copy)]
+struct BlockEntry {
+    hash: u64,
+    keys: (usize, usize),
+    block: Option<usize>,
+}
+
+impl BlockTable {
+    /// The entry of the block `reqs`, added if new, and whether it was.
+    fn entry(&mut self, reqs: &[MemRequest]) -> (usize, bool) {
+        let hash = block_hash(reqs);
+        let found = self
+            .index
+            .range((hash, 0)..=(hash, usize::MAX))
+            .map(|&(_, e)| e)
+            .find(|&e| {
+                let (start, end) = self.entries[e].keys;
+                self.keys[start..end] == *reqs
+            });
+        if let Some(e) = found {
+            return (e, false);
+        }
+        let (e, start) = (self.entries.len(), self.keys.len());
+        self.keys.extend_from_slice(reqs);
+        self.entries.push(BlockEntry {
+            hash,
+            keys: (start, self.keys.len()),
+            block: None,
+        });
+        self.index.insert((hash, e));
+        (e, true)
+    }
+
+    /// Forgets the entries from `len` on, and every entry's pool block
+    /// from `blocks` on.
+    fn truncate(&mut self, len: usize, blocks: usize) {
+        for (e, entry) in self.entries.iter().enumerate().skip(len) {
+            self.index.remove(&(entry.hash, e));
+        }
+        self.entries.truncate(len);
+        self.keys
+            .truncate(self.entries.last().map_or(0, |e| e.keys.1));
+        for entry in &mut self.entries {
+            entry.block = entry.block.filter(|&b| b < blocks);
+        }
+    }
+}
+
+/// A hash of the exact request list `reqs`: each request's kind,
+/// address, bytes and direction.
+fn block_hash(reqs: &[MemRequest]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    reqs.iter().fold(0, |h, r| {
+        let tag =
+            u64::from(r.bytes) << 8 | u64::from(r.kind.priority()) << 1 | u64::from(r.is_write);
+        ((h ^ r.addr).wrapping_mul(K).rotate_left(29) ^ tag).wrapping_mul(K)
+    })
 }
 
 /// Log2 of the 128 MB address span a row-interleaved channel owns.
@@ -391,14 +710,21 @@ impl SpanProgramBuilder {
             bank_shift: banks.trailing_zeros(),
             cursors: vec![0; config.channels],
             offsets: vec![0],
-            tuples: Vec::new(),
+            step_bounds: vec![0],
+            step_blocks: Vec::new(),
+            segments: vec![0],
+            pool: Vec::new(),
+            refs: Vec::new(),
             traffic: Vec::new(),
+            blocks: BlockTable::default(),
+            planned: Planned::default(),
+            shared: 0,
         })
     }
 
     /// The spans `r` decodes into: one per row-buffer page it touches,
     /// whatever the mapping.
-    pub fn spans(&self, r: &MemRequest) -> usize {
+    fn spans(&self, r: &MemRequest) -> usize {
         if r.bytes == 0 {
             return 0;
         }
@@ -406,34 +732,96 @@ impl SpanProgramBuilder {
         saturating_usize(((end - 1) >> self.row_shift) - (r.addr >> self.row_shift) + 1)
     }
 
-    /// Sizes the program for `steps` more steps holding `spans` more
-    /// spans (the sum of [`SpanProgramBuilder::spans`] over their
-    /// requests), so that pushing them allocates nothing.
-    pub fn reserve(&mut self, steps: usize, spans: usize) {
-        self.offsets.reserve_exact(steps * self.hbm.channels);
-        self.traffic.reserve_exact(steps);
-        self.tuples.reserve_exact(spans);
+    /// Plans the next step ahead of its push: registers the blocks of
+    /// `reqs` (the batch [`SpanProgramBuilder::push_step`] will get) and
+    /// counts what the push adds, the spans of its new distinct blocks
+    /// included.
+    pub fn plan_step(&mut self, reqs: &[MemRequest]) {
+        self.planned.steps += 1;
+        for block in reqs.chunk_by(|a, b| a.kind == b.kind) {
+            self.planned.refs += 1;
+            if self.blocks.entry(block).1 {
+                self.planned.blocks += 1;
+                self.planned.spans += block.iter().map(|r| self.spans(r)).sum::<usize>();
+            }
+        }
     }
 
-    /// Decodes one step's batch (already in service order) into
-    /// channel-major tuple runs. An empty batch records an empty step.
-    ///
-    /// A first pass counts each channel's spans in closed form and
-    /// places the channel cursors; the decode pass then writes every
-    /// span straight to its channel's cursor.
+    /// Sizes the program for the steps planned since the last call, so
+    /// that pushing them allocates nothing; returns the pool spans they
+    /// add.
+    pub fn reserve(&mut self) -> usize {
+        let planned = std::mem::take(&mut self.planned);
+        let channels = self.hbm.channels;
+        self.offsets.reserve_exact(planned.steps * channels);
+        self.step_bounds.reserve_exact(planned.steps);
+        self.traffic.reserve_exact(planned.steps);
+        self.step_blocks.reserve_exact(planned.refs);
+        self.segments.reserve_exact(planned.blocks * channels);
+        self.refs.reserve_exact(planned.blocks);
+        self.pool.reserve_exact(planned.spans);
+        planned.spans
+    }
+
+    /// Adds one step's batch (already in service order): each block
+    /// seen before is referenced, each new one decoded into the pool as
+    /// channel-major runs. An empty batch records an empty step.
     ///
     /// # Errors
     ///
     /// A span whose row does not fit a [`SpanTuple`] (at or above
     /// 2^32 - 1). Only a channel-interleaved map reaches it: a
     /// row-interleaved channel's 128 MB holds fewer rows. The step is
-    /// then not recorded and the builder stays as it was.
+    /// then not recorded and the builder, its block table included,
+    /// stays as it was.
     pub fn push_step(&mut self, reqs: &[MemRequest]) -> Result<(), String> {
+        let (entries, blocks, first) = (
+            self.blocks.entries.len(),
+            self.refs.len(),
+            self.step_blocks.len(),
+        );
+        let mut shared = 0;
+        for block in reqs.chunk_by(|a, b| a.kind == b.kind) {
+            let (e, _) = self.blocks.entry(block);
+            let b = match self.blocks.entries[e].block {
+                Some(b) => {
+                    shared += 1;
+                    b
+                }
+                None => match self.decode_block(block) {
+                    Ok(b) => {
+                        self.blocks.entries[e].block = Some(b);
+                        b
+                    }
+                    Err(err) => {
+                        let channels = self.hbm.channels;
+                        self.blocks.truncate(entries, blocks);
+                        self.pool.truncate(self.segments[blocks * channels]);
+                        self.segments.truncate(blocks * channels + 1);
+                        self.refs.truncate(blocks);
+                        self.step_blocks.truncate(first);
+                        return Err(err);
+                    }
+                },
+            };
+            self.step_blocks.push(b);
+        }
+        let channels = self.hbm.channels;
+        let step = &self.step_blocks[first..];
+        for &b in step {
+            self.refs[b] += 1;
+        }
+        // Each cell is the step's segments in the channel, back to back.
+        let mut at = self.offsets.last().copied().unwrap_or(0);
+        for c in 0..channels {
+            for &b in step {
+                let s = b * channels + c;
+                at += self.segments[s + 1] - self.segments[s];
+            }
+            self.offsets.push(at);
+        }
+        self.step_bounds.push(self.step_blocks.len());
         let mut traffic = StepTraffic::default();
-        // Spans every channel receives, beside each channel's own count.
-        let mut every = 0;
-        let mut cursors = std::mem::take(&mut self.cursors);
-        cursors.fill(0);
         for r in reqs {
             traffic.requests += 1;
             if r.is_write {
@@ -441,27 +829,44 @@ impl SpanProgramBuilder {
             } else {
                 traffic.bytes_read += u64::from(r.bytes);
             }
+        }
+        self.traffic.push(traffic);
+        self.shared += shared;
+        Ok(())
+    }
+
+    /// Decodes the block `reqs` into the pool as a new block; returns
+    /// its index. A first pass counts each channel's spans in closed
+    /// form and places the channel cursors; the decode pass then writes
+    /// every span straight to its channel's cursor. On an error the pool
+    /// is left as it was.
+    fn decode_block(&mut self, reqs: &[MemRequest]) -> Result<usize, String> {
+        // Spans every channel receives, beside each channel's own count.
+        let mut every = 0;
+        let mut cursors = std::mem::take(&mut self.cursors);
+        cursors.fill(0);
+        for r in reqs {
             self.count(r, &mut cursors, &mut every);
         }
-        let start = self.tuples.len();
+        let start = self.pool.len();
         let mut at = start;
         for cursor in &mut cursors {
             let spans = *cursor + every;
             *cursor = at;
             at += spans;
         }
-        self.tuples.resize(at, SpanTuple::default());
+        self.pool.resize(at, SpanTuple::default());
         let decoded = self.decode(reqs, &mut cursors);
         self.cursors = cursors;
         if let Err(e) = decoded {
-            self.tuples.truncate(start);
+            self.pool.truncate(start);
             return Err(e);
         }
         // Each cursor now ends its channel's run.
         debug_assert_eq!(self.cursors.last(), Some(&at));
-        self.offsets.extend_from_slice(&self.cursors);
-        self.traffic.push(traffic);
-        Ok(())
+        self.segments.extend_from_slice(&self.cursors);
+        self.refs.push(0);
+        Ok(self.refs.len() - 1)
     }
 
     /// Adds `r`'s spans to `counts`, channel by channel. Its pages are
@@ -536,7 +941,7 @@ impl SpanProgramBuilder {
                     bursts: u16::try_from(bursts).map_err(|_| unfit("burst count", bursts))?,
                 };
                 let cursor = &mut cursors[saturating_usize(channel)];
-                self.tuples[*cursor] = tuple;
+                self.pool[*cursor] = tuple;
                 *cursor += 1;
                 addr = span_end;
             }
@@ -544,16 +949,37 @@ impl SpanProgramBuilder {
         Ok(())
     }
 
-    /// The finished program.
+    /// The finished program. Each block the program references more than
+    /// once gets its per-channel replay summaries here, once.
     pub fn finish(self) -> SpanProgram {
+        hygcn_obs::count(hygcn_obs::Counter::SpanBlocksShared, self.shared);
+        let channels = self.hbm.channels;
+        let shared = self.refs.iter().filter(|&&refs| refs > 1).count();
+        let mut summary_of = vec![UNSHARED; self.refs.len()];
+        let mut summaries = Vec::with_capacity(shared * channels);
+        let mut marks = Vec::new();
+        for (b, _) in self.refs.iter().enumerate().filter(|&(_, &refs)| refs > 1) {
+            summary_of[b] = summaries.len();
+            for s in b * channels..(b + 1) * channels {
+                let run = &self.pool[self.segments[s]..self.segments[s + 1]];
+                summaries.push(summarize(run, self.hbm.banks, &mut marks));
+            }
+        }
+        marks.shrink_to_fit();
         SpanProgram {
             mapping: self.hbm.mapping,
-            channels: self.hbm.channels,
+            channels,
             banks: self.hbm.banks,
             row_bytes: self.hbm.row_bytes,
             burst_bytes: self.hbm.burst_bytes,
             offsets: self.offsets,
-            tuples: self.tuples,
+            step_bounds: self.step_bounds,
+            step_blocks: self.step_blocks,
+            segments: self.segments,
+            pool: self.pool,
+            summary_of,
+            summaries,
+            marks,
             traffic: self.traffic,
         }
     }
@@ -586,6 +1012,10 @@ pub struct SpanReplayer<const L: usize> {
     t_burst: [u64; L],
     t_row: [u64; L],
     t_cas: [u64; L],
+    /// The fewest bursts a shared block's reuse-miss gap must span for
+    /// its summary to replay it in every lane: the largest
+    /// `ceil(t_row / t_burst)`.
+    summary_gap: u64,
     /// Open row per (channel-major) bank, [`NO_ROW`] when closed. Only
     /// a program-order replay reads it: a schedule already holds each
     /// span's row hit or miss. The row a span opens depends on no
@@ -600,6 +1030,8 @@ pub struct SpanReplayer<const L: usize> {
     /// Request-level counters (bytes, request count), the same in every
     /// lane.
     traffic: MemStats,
+    /// A cell's segments back to back, for a schedule to index.
+    run: Vec<SpanTuple>,
 }
 
 impl<const L: usize> SpanReplayer<L> {
@@ -631,11 +1063,17 @@ impl<const L: usize> SpanReplayer<L> {
             t_burst: configs.map(|c| c.t_burst),
             t_row: configs.map(|c| c.t_row),
             t_cas: configs.map(|c| c.t_cas),
+            summary_gap: configs
+                .iter()
+                .map(|c| c.t_row.div_ceil(c.t_burst))
+                .max()
+                .unwrap_or(0),
             bank_row: vec![NO_ROW; banks],
             bank_ready: vec![[0; L]; banks],
             bus_free: vec![[0; L]; first.channels],
             stats: vec![[ChannelStats::default(); L]; first.channels],
             traffic: MemStats::default(),
+            run: Vec::new(),
         })
     }
 
@@ -646,11 +1084,13 @@ impl<const L: usize> SpanReplayer<L> {
     /// `schedule` alone is the service order: `None` serves every span
     /// in program order (an in-order controller, or FR-FCFS whose
     /// [`SpanProgram::schedule`] is `None`), `Some` the FR-FCFS order it
-    /// holds. The caller guarantees `program.matches()` the replayer's
-    /// geometry and steps are replayed in build order at nondecreasing
-    /// arrival cycles per lane — the same protocol a
-    /// [`crate::hbm::Hbm::service_batch`] sequence observes. Each span (and schedule entry)
-    /// is read once and serviced in every lane.
+    /// holds. In program order a shared block's segment replays from its
+    /// summary when every lane's `t_row` fits the summary's gap, else
+    /// span by span. The caller guarantees `program.matches()` the
+    /// replayer's geometry and steps are replayed in build order at
+    /// nondecreasing arrival cycles per lane — the same protocol a
+    /// [`crate::hbm::Hbm::service_batch`] sequence observes. Each span
+    /// (and schedule entry) is read once and serviced in every lane.
     pub fn replay_step(
         &mut self,
         program: &SpanProgram,
@@ -658,7 +1098,7 @@ impl<const L: usize> SpanReplayer<L> {
         step: usize,
         now: [u64; L],
     ) -> [u64; L] {
-        debug_assert!(schedule.is_none_or(|s| s.order.len() == program.tuples.len()));
+        debug_assert!(schedule.is_none_or(|s| s.order.len() == program.total_tuples()));
         // One relaxed load when collection is off; the guard sits
         // outside the per-span hot loop so the replay stays untouched.
         let _obs = hygcn_obs::span(hygcn_obs::Phase::SpanReplay);
@@ -668,41 +1108,59 @@ impl<const L: usize> SpanReplayer<L> {
         self.traffic.bytes_written += t.bytes_written;
         let banks = self.banks_per_channel;
         let timing = (self.t_burst, self.t_row);
+        let summary_gap = self.summary_gap;
         let mut done = now;
         for c in 0..program.channels {
             let cell = step * program.channels + c;
             let spans = program.cell(cell);
-            let run = &program.tuples[spans.clone()];
-            if run.is_empty() {
+            if spans.is_empty() {
                 continue;
             }
             let bank_ready = &mut self.bank_ready[c * banks..(c + 1) * banks];
-            // The bus cycles stay in registers for the run; the
+            // The bus cycles stay in registers for the cell; the
             // order-free statistics fold in once afterwards.
             let mut bus = self.bus_free[c];
             let counts = match schedule {
                 None => {
                     let bank_row = &mut self.bank_row[c * banks..(c + 1) * banks];
                     let mut counts = CellCounts::default();
-                    for tup in run {
-                        let bank = usize::from(tup.bank);
-                        let miss = bank_row[bank] != tup.row;
-                        bank_row[bank] = tup.row;
-                        counts.misses += u64::from(miss);
-                        counts.bursts += u64::from(tup.bursts);
-                        service(
-                            &mut bank_ready[bank],
-                            &mut bus,
-                            now,
-                            miss,
-                            tup.bursts,
-                            timing,
-                        );
+                    for &block in program.blocks(step) {
+                        if let Some(summary) =
+                            program.summary(block, c).filter(|s| s.gap >= summary_gap)
+                        {
+                            replay_summary(
+                                summary,
+                                &program.marks[summary.marks.clone()],
+                                bank_row,
+                                bank_ready,
+                                &mut bus,
+                                now,
+                                timing,
+                                &mut counts,
+                            );
+                            continue;
+                        }
+                        for tup in program.segment(block, c) {
+                            let bank = usize::from(tup.bank);
+                            let miss = bank_row[bank] != tup.row;
+                            bank_row[bank] = tup.row;
+                            counts.misses += u64::from(miss);
+                            counts.bursts += u64::from(tup.bursts);
+                            service(
+                                &mut bank_ready[bank],
+                                &mut bus,
+                                now,
+                                miss,
+                                tup.bursts,
+                                timing,
+                            );
+                        }
                     }
                     counts
                 }
                 Some(schedule) => {
-                    for &entry in &schedule.order[spans] {
+                    let run = program.cell_run(step, c, &mut self.run);
+                    for &entry in &schedule.order[spans.clone()] {
                         let tup = &run[idx(entry & INDEX)];
                         let miss = entry & MISS != 0;
                         let bank = usize::from(tup.bank);
@@ -724,7 +1182,7 @@ impl<const L: usize> SpanReplayer<L> {
                 // advances: the channel completes with its last span.
                 let channel_done = bus[l] + self.t_cas[l];
                 st.row_misses += counts.misses;
-                st.row_hits += widen_u64(run.len()) - counts.misses;
+                st.row_hits += widen_u64(spans.len()) - counts.misses;
                 st.bursts += counts.bursts;
                 st.busy_cycles += counts.bursts * self.t_burst[l];
                 st.last_completion = st.last_completion.max(channel_done);
@@ -759,6 +1217,41 @@ impl<const L: usize> SpanReplayer<L> {
             channels: std::mem::take(&mut channels[l]),
         })
     }
+}
+
+/// Replays a shared block's run from its summary in program order: the
+/// marks are serviced, and the spans between them only advance the bus
+/// by their bursts, which is all servicing them would do (see the
+/// module docs). The caller has checked that every lane's `t_row` fits
+/// the summary's gap.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn replay_summary<const L: usize>(
+    summary: &Summary,
+    marks: &[Mark],
+    bank_row: &mut [u32],
+    bank_ready: &mut [[u64; L]],
+    bus: &mut [u64; L],
+    now: [u64; L],
+    timing: ([u64; L], [u64; L]),
+    counts: &mut CellCounts,
+) {
+    let t_burst = timing.0;
+    for m in marks {
+        for l in 0..L {
+            bus[l] += m.before * t_burst[l];
+        }
+        let bank = usize::from(m.span.bank);
+        let miss = m.miss.unwrap_or_else(|| {
+            let miss = bank_row[bank] != m.span.row;
+            counts.misses += u64::from(miss);
+            miss
+        });
+        bank_row[bank] = m.span.row;
+        service(&mut bank_ready[bank], bus, now, miss, m.span.bursts, timing);
+    }
+    counts.misses += summary.misses;
+    counts.bursts += summary.bursts;
 }
 
 /// Services one span arriving in lane `l` at `now[l]` on its bank's
@@ -804,9 +1297,10 @@ fn service<const L: usize>(
 /// The cell reorders at the first head miss while a hit is pending.
 #[derive(Debug, Clone, Default)]
 struct ArrivalOrder {
-    /// Per hash slot, the program index of the youngest span that
-    /// arrived under it. Indexes only grow, so entries of earlier cells
-    /// read as served and the table is never cleared.
+    /// Per hash slot, the program position of the youngest span that
+    /// arrived under it. Positions only grow (a shared block's spans
+    /// take a new one in every cell that reads it), so entries of
+    /// earlier cells read as served and the table is never cleared.
     youngest: Vec<usize>,
     /// `64 - log2(youngest.len())`.
     shift: u32,
@@ -835,51 +1329,51 @@ impl ArrivalOrder {
         saturating_usize(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift)
     }
 
-    /// Queues `tuples[a]` as its slot's youngest arrival; returns
-    /// whether it hits its bank's open row.
+    /// Queues `t`, at program position `a`, as its slot's youngest
+    /// arrival; returns whether it hits its bank's open row.
     #[inline(always)]
-    fn arrive(&mut self, tuples: &[SpanTuple], a: usize, bank_row: &[u32]) -> bool {
-        let t = &tuples[a];
+    fn arrive(&mut self, t: &SpanTuple, a: usize, bank_row: &[u32]) -> bool {
         let slot = self.slot(t);
         self.youngest[slot] = a;
         bank_row[usize::from(t.bank)] == t.row
     }
 
-    /// Whether FR-FCFS with a `window`-deep lookahead serves the run
-    /// `tuples[spans]` in arrival order from the open rows `bank_row`.
-    /// If it does, `bank_row` ends as the in-order replay leaves it;
-    /// if not, it is restored. Either way `saved` holds the rows the
-    /// cell started with.
+    /// Whether FR-FCFS with a `window`-deep lookahead serves `run`, the
+    /// cell at program positions `base..base + run.len()`, in arrival
+    /// order from the open rows `bank_row`. If it does, `bank_row` ends
+    /// as the in-order replay leaves it; if not, it is restored. Either
+    /// way `saved` holds the rows the cell started with.
     fn keeps_order(
         &mut self,
-        tuples: &[SpanTuple],
-        spans: std::ops::Range<usize>,
+        run: &[SpanTuple],
+        base: usize,
         window: usize,
         bank_row: &mut [u32],
     ) -> bool {
         self.saved.clear();
         self.saved.extend_from_slice(bank_row);
-        let (start, end) = (spans.start, spans.end);
-        let window = window.min(end - start);
+        let window = window.min(run.len());
         if window <= 1 {
             // Nothing is pending behind the head.
-            for t in &tuples[spans] {
+            for t in run {
                 bank_row[usize::from(t.bank)] = t.row;
             }
             return true;
         }
         self.reserve(window);
+        let (start, end) = (base, base + run.len());
+        let at = |a: usize| &run[a - base];
         let same = |a: &SpanTuple, b: &SpanTuple| a.row == b.row && a.bank == b.bank;
         // The youngest pending hit; `start` stands for none, as the
         // check `hit > h` never fires on it.
         let mut hit = start;
         for a in start..start + window {
-            if self.arrive(tuples, a, bank_row) {
+            if self.arrive(at(a), a, bank_row) {
                 hit = a;
             }
         }
         for h in start..end {
-            let t = &tuples[h];
+            let t = at(h);
             let bank = usize::from(t.bank);
             if bank_row[bank] != t.row {
                 if hit > h {
@@ -891,12 +1385,12 @@ impl ArrivalOrder {
                 // arrival, or after a collision an older one. An empty
                 // range when the slot holds nothing pending.
                 let y = self.youngest[self.slot(t)];
-                if let Some(j) = (h + 1..=y).rev().find(|&j| same(&tuples[j], t)) {
+                if let Some(j) = (h + 1..=y).rev().find(|&j| same(at(j), t)) {
                     hit = j;
                 }
             }
             let a = h + window;
-            if a < end && self.arrive(tuples, a, bank_row) {
+            if a < end && self.arrive(at(a), a, bank_row) {
                 hit = a;
             }
         }
@@ -1454,10 +1948,10 @@ mod tests {
         let banks = program.banks;
         let mut bank_row = vec![NO_ROW; program.channels * banks];
         let mut queue = FrFcfsQueue::default();
-        let (mut order, mut cells) = (Vec::new(), Vec::new());
+        let (mut order, mut cells, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
         for cell in 0..program.offsets.len() - 1 {
-            let run = &program.tuples[program.cell(cell)];
             let c = cell % program.channels;
+            let run = program.cell_run(cell / program.channels, c, &mut scratch);
             let rows = &mut bank_row[c * banks..(c + 1) * banks];
             cells.push(CellCounts {
                 misses: queue.order(run, window.max(1), rows, &mut order),
@@ -1680,23 +2174,42 @@ mod tests {
     }
 
     #[test]
-    fn a_reserved_program_is_decoded_in_place() {
+    fn a_planned_program_is_decoded_in_place() {
         for cfg in geometry_variants() {
             let mut rng = Lcg(31);
-            let batches: Vec<Vec<MemRequest>> = [0, 5, 80, 300]
+            let mut batches: Vec<Vec<MemRequest>> = [0, 5, 80, 300]
                 .map(|len| random_batch(&mut rng, len))
                 .into();
+            // Repeated batches: their blocks are planned and pooled once.
+            batches.extend([batches[3].clone(), batches[2].clone()]);
             let mut builder = SpanProgramBuilder::new(&cfg).unwrap();
-            let spans = batches.iter().flatten().map(|r| builder.spans(r)).sum();
-            builder.reserve(batches.len(), spans);
-            let buffer = builder.tuples.as_ptr();
+            for b in &batches {
+                builder.plan_step(b);
+            }
+            let spans = builder.reserve();
+            let buffers = (
+                builder.pool.as_ptr(),
+                builder.offsets.as_ptr(),
+                builder.segments.as_ptr(),
+                builder.step_blocks.as_ptr(),
+            );
             for b in &batches {
                 builder.push_step(b).unwrap();
             }
-            assert_eq!(builder.tuples.as_ptr(), buffer, "{cfg:?}: reallocated");
+            let after = (
+                builder.pool.as_ptr(),
+                builder.offsets.as_ptr(),
+                builder.segments.as_ptr(),
+                builder.step_blocks.as_ptr(),
+            );
+            assert_eq!(after, buffers, "{cfg:?}: reallocated");
             let program = builder.finish();
-            assert_eq!(program.tuples.len(), spans);
-            assert_eq!(program.tuples.capacity(), spans);
+            assert_eq!(program.pool.len(), spans);
+            assert_eq!(program.pool.capacity(), spans);
+            assert!(
+                program.total_tuples() > spans,
+                "{cfg:?}: repeats are pooled"
+            );
             assert_eq!(program, build(&cfg, &batches), "{cfg:?}");
         }
     }
@@ -1711,18 +2224,139 @@ mod tests {
             burst_bytes: 1,
             ..HbmConfig::hbm1()
         };
-        let read = |addr, bytes| MemRequest::read(RequestKind::InputFeatures, addr, bytes);
+        let read = |kind, addr, bytes| MemRequest::read(kind, addr, bytes);
         let top = u64::from(NO_ROW);
+        let first = read(RequestKind::InputFeatures, top - 2, 2);
+        let fresh = read(RequestKind::Edges, 0, 4);
         let mut builder = SpanProgramBuilder::new(&cfg).unwrap();
-        builder.push_step(&[read(top - 2, 2)]).unwrap();
+        builder.push_step(&[first]).unwrap();
         let before = builder.clone().finish();
-        for bad in [read(top - 1, 2), read(top, 1), read(1 << 40, 1)] {
-            let err = builder.push_step(&[read(0, 4), bad]).unwrap_err();
+        for bad in [top - 1, top, 1 << 40] {
+            // A shared block and a new one decode before the bad block
+            // fails: none of the step stays, in the pool or the table.
+            let bad = read(RequestKind::Weights, bad, 2);
+            let err = builder.push_step(&[first, fresh, bad]).unwrap_err();
             assert!(err.contains("row"), "{err}");
         }
+        assert_eq!(builder.clone().finish(), before);
+        assert_eq!(builder.shared, 0);
+        builder.push_step(&[fresh]).unwrap();
         let program = builder.finish();
-        assert_eq!(program, before);
-        assert_eq!(program.tuples[1].row, NO_ROW - 1);
+        assert_eq!(program, build(&cfg, &[vec![first], vec![fresh]]));
+        assert_eq!(program.pool[1].row, NO_ROW - 1);
+    }
+
+    /// Each channel's spans of `batch`, decoded one span at a time with
+    /// [`HbmConfig::locate`]: what a cell of its step must hold.
+    fn fresh_cells(cfg: &HbmConfig, batch: &[MemRequest]) -> Vec<Vec<SpanTuple>> {
+        let mut cells = vec![Vec::new(); cfg.channels];
+        for r in batch {
+            let (mut addr, end) = (r.addr, r.addr + u64::from(r.bytes));
+            while addr < end {
+                let span_end = ((addr / cfg.row_bytes + 1) * cfg.row_bytes).min(end);
+                let (channel, bank, row) = cfg.locate(addr);
+                cells[channel].push(SpanTuple {
+                    row: row as u32,
+                    bank: bank as u16,
+                    bursts: (span_end - addr).div_ceil(cfg.burst_bytes) as u16,
+                });
+                addr = span_end;
+            }
+        }
+        cells
+    }
+
+    /// Steps that repeat blocks: a multi-row sequential feature sweep
+    /// and a weight block in every step beside a different small edge
+    /// block, one step of the sweep alone and one step pushed twice.
+    fn repeating_batches(cfg: &HbmConfig) -> Vec<Vec<MemRequest>> {
+        // About 2.5 pages per bank of the stack, so every bank reopens.
+        let reads = (cfg.channels * cfg.banks * 5 / 6 + 8) as u64;
+        let sweep: Vec<MemRequest> = (0..reads)
+            .map(|i| {
+                let bytes = 3 * cfg.row_bytes as u32 - 40;
+                MemRequest::read(
+                    RequestKind::InputFeatures,
+                    4096 + i * u64::from(bytes),
+                    bytes,
+                )
+            })
+            .collect();
+        let weights = MemRequest::read(RequestKind::Weights, 1 << 26, 700);
+        let mut batches: Vec<Vec<MemRequest>> = (0..6u64)
+            .map(|s| {
+                let edges = MemRequest::read(RequestKind::Edges, (1 << 27) + 5000 * s, 96);
+                let mut batch = vec![edges];
+                batch.extend_from_slice(&sweep);
+                batch.push(weights);
+                batch
+            })
+            .collect();
+        batches.push(sweep);
+        batches.push(batches[2].clone());
+        batches
+    }
+
+    #[test]
+    fn repeated_blocks_are_pooled_once_and_replay_exactly() {
+        for base in geometry_variants().into_iter().take(5) {
+            let batches = repeating_batches(&base);
+            let mut builder = SpanProgramBuilder::new(&base).unwrap();
+            for b in &batches {
+                builder.push_step(b).unwrap();
+            }
+            // The sweep in 8 steps, the weights in 7 and one edge block
+            // twice: each after its first decode is shared.
+            assert_eq!(builder.shared, 7 + 6 + 1, "{base:?}");
+            let program = builder.finish();
+            assert!(program.pool_tuples() < program.total_tuples() / 3);
+            let mut scratch = Vec::new();
+            for (step, batch) in batches.iter().enumerate() {
+                for (c, fresh) in fresh_cells(&base, batch).iter().enumerate() {
+                    assert_eq!(program.cell_run(step, c, &mut scratch), &fresh[..]);
+                }
+            }
+            // The tightest summary gap: a `t_row` of `t_burst` times it
+            // keeps every summary, one cycle more sends that segment
+            // span by span.
+            let gap = program
+                .summaries
+                .iter()
+                .map(|s| s.gap)
+                .filter(|&g| g < u64::MAX)
+                .min()
+                .expect("the sweep reopens rows of its banks");
+            for t_burst in [1, 3] {
+                // A gap of 0 leaves no valid `t_row` at the boundary.
+                for t_row in [1, gap * t_burst, gap * t_burst + 1, 300].map(|t| t.max(1)) {
+                    let cfg = HbmConfig {
+                        t_burst,
+                        t_row,
+                        ..base
+                    };
+                    let lanes = [cfg, HbmConfig { t_row: 1, ..cfg }];
+                    let replayer = SpanReplayer::new(&lanes).unwrap();
+                    let summarized = program
+                        .summaries
+                        .iter()
+                        .filter(|s| s.gap >= replayer.summary_gap)
+                        .count();
+                    assert_eq!(
+                        summarized == program.summaries.len(),
+                        t_row <= gap * t_burst
+                    );
+                    assert_lanes_match_hbm(lanes, &program, None, &batches, &[0, 7]);
+                    for window in [4, 64] {
+                        let frfcfs = HbmConfig {
+                            controller: ControllerPolicy::FrFcfs { window },
+                            ..cfg
+                        };
+                        let schedule = schedule_for(&program, &frfcfs);
+                        assert_steps_match_hbm(frfcfs, &program, schedule.as_ref(), &batches, &[3]);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

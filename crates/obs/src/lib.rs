@@ -69,6 +69,7 @@
 //! | `plan_cache_evictions` | Plan-memo insertions that evicted an entry      |
 //! | `timing_lanes`         | Points that rode on a replay pass another point started |
 //! | `frfcfs_in_order`      | FR-FCFS ordering passes that found arrival order kept |
+//! | `span_blocks_shared`   | Request blocks a span-program build took from an earlier one instead of decoding |
 //!
 //! The plan-memo counters cover the simulator's span programs, runtime
 //! samples and occupancy indexes (`Graph::memo`).
@@ -219,10 +220,14 @@ pub enum Counter {
     /// pick to be the oldest pending span, so the program replays in
     /// arrival order and stores no service order.
     FrfcfsInOrder,
+    /// Request blocks a span-program build (`SpanProgramBuilder`) took
+    /// from an earlier block with the same exact request list instead
+    /// of decoding them again.
+    SpanBlocksShared,
 }
 
 /// Number of [`Counter`] variants.
-pub const N_COUNTERS: usize = 14;
+pub const N_COUNTERS: usize = 15;
 
 impl Counter {
     /// The stable snake_case name used in `metrics.json`.
@@ -242,6 +247,7 @@ impl Counter {
             Counter::PlanCacheEvictions => "plan_cache_evictions",
             Counter::TimingLanes => "timing_lanes",
             Counter::FrfcfsInOrder => "frfcfs_in_order",
+            Counter::SpanBlocksShared => "span_blocks_shared",
         }
     }
 
@@ -262,6 +268,7 @@ impl Counter {
             Counter::PlanCacheEvictions,
             Counter::TimingLanes,
             Counter::FrfcfsInOrder,
+            Counter::SpanBlocksShared,
         ]
     }
 }

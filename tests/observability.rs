@@ -762,6 +762,40 @@ fn benchmark_sweep_axes_keep_every_plan_hit() {
     obs::reset();
 }
 
+/// A sparsity-off point reads every source window in every chunk, so its
+/// span program decodes that window sweep once and every later chunk's
+/// step takes it from the pool: PB@0.1 at `aggbuf-mb=1` runs 8 chunks,
+/// and its build shares 7 blocks. With sparsity elimination each chunk
+/// reads only its own effectual windows and nothing repeats. Both
+/// points still equal the seed oracle.
+#[test]
+fn a_sparsity_off_sweep_decodes_its_window_block_once() {
+    let _guard = obs_guard();
+    let graph = WorkloadSpec::dataset(DatasetKey::Pb, 0.1, 1)
+        .build()
+        .unwrap();
+    let model = GcnModel::new(ModelKind::Gcn, graph.feature_len(), MODEL_SEED).unwrap();
+    for (sparsity, shared) in [(false, 7), (true, 0)] {
+        let mut cfg = HyGcnConfig::default();
+        cfg.aggregation_buffer_bytes = 1 << 20;
+        cfg.sparsity_elimination = sparsity;
+        obs::reset();
+        obs::enable();
+        let sim = Simulator::new(cfg);
+        let report = sim.simulate(&graph, &model).unwrap();
+        obs::disable();
+        assert_eq!(report.chunks, 8);
+        assert_eq!(program_builds(), 1, "sparsity {sparsity}");
+        assert_eq!(
+            obs::counter_value(obs::Counter::SpanBlocksShared),
+            shared,
+            "sparsity {sparsity}"
+        );
+        assert_eq!(report, sim.simulate_reference(&graph, &model).unwrap());
+    }
+    obs::reset();
+}
+
 /// Every field that shapes the DRAM request stream or its decode is part
 /// of the program key: changing it alone forces a fresh decode.
 #[test]

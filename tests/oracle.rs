@@ -18,7 +18,9 @@ use hygcn_suite::gcn::model::{GcnModel, ModelKind};
 use hygcn_suite::graph::generator::{erdos_renyi, preferential_attachment, rmat, RmatParams};
 use hygcn_suite::graph::{Graph, GraphBuilder};
 use hygcn_suite::mem::hbm::HbmConfig;
+use hygcn_suite::mem::request::MemRequest;
 use hygcn_suite::mem::scheduler::CoordinationMode;
+use hygcn_suite::mem::spanprog::SpanTuple;
 use proptest::prelude::*;
 
 /// Which synthetic workload a case runs.
@@ -243,7 +245,7 @@ proptest! {
         seed in 1u64..100_000,
     ) {
         use hygcn_suite::mem::hbm::{ControllerPolicy, Hbm};
-        use hygcn_suite::mem::request::{MemRequest, RequestKind};
+        use hygcn_suite::mem::request::RequestKind;
         use hygcn_suite::mem::{SpanProgramBuilder, SpanReplayer};
 
         let cfg = HbmConfig {
@@ -338,6 +340,192 @@ proptest! {
             }
             prop_assert_eq!(t_alone, t_lanes[0], "step {} diverged alone: {:?}", step, cfg);
             prop_assert_eq!(alone.hbm_stats(), [lanes.hbm_stats()[0].clone()], "step {}", step);
+        }
+    }
+}
+
+/// Each channel's spans of `batch` under `cfg`, decoded one span at a
+/// time with the reference walk's `HbmConfig::locate`.
+fn fresh_cells(cfg: &HbmConfig, batch: &[MemRequest]) -> Vec<Vec<SpanTuple>> {
+    let mut cells = vec![Vec::new(); cfg.channels];
+    for r in batch {
+        let (mut addr, end) = (r.addr, r.addr + u64::from(r.bytes));
+        while addr < end {
+            let span_end = ((addr / cfg.row_bytes + 1) * cfg.row_bytes).min(end);
+            let (channel, bank, row) = cfg.locate(addr);
+            cells[channel].push(SpanTuple {
+                row: u32::try_from(row).unwrap(),
+                bank: u16::try_from(bank).unwrap(),
+                bursts: u16::try_from((span_end - addr).div_ceil(cfg.burst_bytes)).unwrap(),
+            });
+            addr = span_end;
+        }
+    }
+    cells
+}
+
+/// The fewest bursts between a row miss and its bank's previous use
+/// within one channel's spans of `batch` (`None` when no bank reopens a
+/// row): the gap a replay summary of that block records.
+fn reuse_miss_gap(cfg: &HbmConfig, batch: &[MemRequest]) -> Option<u64> {
+    let mut gap = None;
+    for cell in fresh_cells(cfg, batch) {
+        let mut last: Vec<Option<(u32, u64)>> = vec![None; cfg.banks];
+        let mut bursts = 0u64;
+        for t in cell {
+            let bank = usize::from(t.bank);
+            if let Some((row, through)) = last[bank] {
+                if row != t.row {
+                    gap = Some(gap.map_or(bursts - through, |g: u64| g.min(bursts - through)));
+                }
+            }
+            bursts += u64::from(t.bursts);
+            last[bank] = Some((t.row, bursts));
+        }
+    }
+    gap
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    /// Span programs whose steps repeat request blocks replay
+    /// bit-identically to the reference `Hbm` walk. The program pools
+    /// each distinct block once: a random batch pushed at several steps,
+    /// and a multi-row sequential read block that sits beside a
+    /// different small edge block in most steps. Every cell, read back
+    /// as its segments, equals a fresh per-span decode of its batch; a
+    /// planned (reserved) build equals a direct one. Lane 0's `t_row`
+    /// sits at `t_burst` times the read block's reuse-miss gap or one
+    /// cycle past it, so its segments replay from their summaries or
+    /// span by span; lane 1's is drawn freely. Each lane must equal its
+    /// own reference `Hbm` at every step, in completion, statistics and
+    /// channel statistics, under both mappings and both controllers.
+    #[test]
+    fn span_program_with_shared_blocks_replays_like_reference_hbm(
+        chpow in 0u32..4,       // channels 1/2/4/8
+        bankpow in 0u32..5,     // banks 1/2/4/8/16
+        rowpow in 8u32..13,     // row 256..4096 B
+        burstpow in 4u32..7,    // burst 16/32/64 B
+        t_burst in 1u64..4,
+        past_the_gap in any::<bool>(),
+        t_cas in 0u64..24,
+        second_timing in (1u64..4, 1u64..300, 0u64..24),
+        row_interleaved in any::<bool>(),
+        frfcfs_window in prop_oneof![
+            Just(None),
+            Just(Some(2usize)),
+            Just(Some(16usize)),
+            Just(Some(65usize)),
+        ],
+        sweep_reads in 1u64..40,
+        seed in 1u64..100_000,
+    ) {
+        use hygcn_suite::mem::hbm::{ControllerPolicy, Hbm};
+        use hygcn_suite::mem::request::RequestKind;
+        use hygcn_suite::mem::{SpanProgramBuilder, SpanReplayer};
+
+        let geometry = HbmConfig {
+            channels: 1 << chpow,
+            banks: 1 << bankpow,
+            row_bytes: 1 << rowpow,
+            burst_bytes: 1 << burstpow.min(rowpow),
+            t_burst,
+            t_row: 1,
+            t_cas,
+            mapping: if row_interleaved {
+                hygcn_suite::mem::address::MappingScheme::RowInterleaved
+            } else {
+                hygcn_suite::mem::address::MappingScheme::ChannelInterleaved
+            },
+            controller: frfcfs_window
+                .map_or(ControllerPolicy::InOrder, |window| ControllerPolicy::FrFcfs { window }),
+        };
+
+        let mut rng = Lcg(seed);
+        let random: Vec<MemRequest> = (0..40)
+            .map(|_| {
+                let kind = RequestKind::ALL[(rng.next() % 4) as usize];
+                let addr = rng.next() % (1 << 30);
+                let bytes = 1 + (rng.next() % 9000) as u32;
+                if kind == RequestKind::OutputFeatures && rng.next().is_multiple_of(2) {
+                    MemRequest::write(kind, addr, bytes)
+                } else {
+                    MemRequest::read(kind, addr, bytes)
+                }
+            })
+            .collect();
+        // Sequential reads of a few rows each, back to back.
+        let base = rng.next() % (1 << 28);
+        let bytes = (2 * geometry.row_bytes + rng.next() % geometry.row_bytes) as u32;
+        let sweep: Vec<MemRequest> = (0..sweep_reads)
+            .map(|i| MemRequest::read(RequestKind::InputFeatures, base + i * u64::from(bytes), bytes))
+            .collect();
+        let beside = |edges: u64| {
+            let mut batch = vec![MemRequest::read(RequestKind::Edges, (1 << 29) + edges * 4096, 64)];
+            batch.extend_from_slice(&sweep);
+            batch
+        };
+        let batches = vec![
+            random.clone(),
+            beside(0),
+            beside(1),
+            random.clone(),
+            beside(2),
+            sweep.clone(),
+            beside(0),
+            random,
+        ];
+
+        // Lane 0's `t_row` straddles the sweep's summary gap.
+        let t_row = match reuse_miss_gap(&geometry, &sweep) {
+            Some(gap) => (t_burst * gap + u64::from(past_the_gap)).clamp(1, HbmConfig::MAX_TIMING_CYCLES),
+            None => 1 + rng.next() % 300,
+        };
+        let cfg = HbmConfig { t_row, ..geometry };
+        let (t_burst2, t_row2, t_cas2) = second_timing;
+        let retimed = HbmConfig {
+            t_burst: t_burst2,
+            t_row: t_row2,
+            t_cas: t_cas2,
+            ..cfg
+        };
+
+        let mut builder = SpanProgramBuilder::new(&cfg).expect("valid geometry");
+        let mut planned = builder.clone();
+        for b in &batches {
+            builder.push_step(b).expect("rows fit a span");
+            planned.plan_step(b);
+        }
+        let program = builder.finish();
+        let spans = planned.reserve();
+        for b in &batches {
+            planned.push_step(b).expect("rows fit a span");
+        }
+        prop_assert_eq!(&planned.finish(), &program);
+        prop_assert_eq!(program.pool_tuples(), spans);
+        prop_assert!(program.pool_tuples() < program.total_tuples(), "repeats are pooled");
+        let mut scratch = Vec::new();
+        for (step, b) in batches.iter().enumerate() {
+            for (c, fresh) in fresh_cells(&cfg, b).iter().enumerate() {
+                prop_assert_eq!(program.cell_run(step, c, &mut scratch), &fresh[..], "step {} channel {}", step, c);
+            }
+        }
+
+        let schedule = frfcfs_window.and_then(|w| program.schedule(w).expect("runs fit the index"));
+        let gaps: Vec<u64> = batches.iter().map(|_| rng.next() % 64).collect();
+        let mut lanes = SpanReplayer::new(&[cfg, retimed]).expect("valid geometry");
+        let mut hbms = [Hbm::new(cfg), Hbm::new(retimed)];
+        let mut now = [0; 2];
+        for (step, b) in batches.iter().enumerate() {
+            let t_lanes = lanes.replay_step(&program, schedule.as_ref(), step, now);
+            let (stats, channels) = (lanes.stats(), lanes.channel_stats());
+            for (l, hbm) in hbms.iter_mut().enumerate() {
+                let t_hbm = hbm.service_batch(b, now[l]);
+                prop_assert_eq!(t_hbm, t_lanes[l], "step {} diverged in lane {}", step, l);
+                prop_assert_eq!(hbm.stats(), stats[l], "step {} lane {}", step, l);
+                prop_assert_eq!(hbm.channel_stats(), channels[l].clone(), "step {} lane {}", step, l);
+                now[l] = t_hbm + gaps[step];
+            }
         }
     }
 }
