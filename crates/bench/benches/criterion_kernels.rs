@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the hot kernels underlying the
 //! simulator and substrates: graph synthesis, interval partitioning,
 //! window planning, neighbor sampling, gather aggregation, dense MVM,
-//! fixed-point MVM, the FR-FCFS span-program ordering pass (on a
-//! program that keeps arrival order and on one it reorders) and its
+//! fixed-point MVM, the FR-FCFS span-program ordering pass (on programs
+//! that keep arrival order, one of them repeating a request block in
+//! every step, and on one it reorders) and its
 //! replay (one timing, and three timings as the lanes of one pass), and
 //! an end-to-end simulation per model.
 
@@ -150,6 +151,26 @@ fn step_program(coordination: CoordinationMode, hbm: &HbmConfig) -> hygcn_mem::S
     builder.finish()
 }
 
+/// The span program of 64 steps that each read the same 1 MB window
+/// block (a sparsity-off chunk sweep reads its source windows again in
+/// every chunk: 256 spans per channel, four rows per bank) after a
+/// small edge block of their own, decoded under `hbm`.
+fn shared_block_program(hbm: &HbmConfig) -> hygcn_mem::SpanProgram {
+    const EDGES: u64 = 48 << 20;
+    let window: Vec<MemRequest> = (0..2048u64)
+        .map(|v| MemRequest::read(RequestKind::InputFeatures, v * 512, 512))
+        .collect();
+    let mut builder = SpanProgramBuilder::new(hbm).expect("valid geometry");
+    for step in 0..64u64 {
+        let mut batch: Vec<MemRequest> = (0..16)
+            .map(|i| MemRequest::read(RequestKind::Edges, EDGES + (step * 16 + i) * 64, 64))
+            .collect();
+        batch.extend_from_slice(&window);
+        builder.push_step(&batch).expect("rows fit a span");
+    }
+    builder.finish()
+}
+
 /// The two halves of an FR-FCFS span replay: the once-per-window
 /// ordering pass and the straight-line timing replay a sweep repeats
 /// per point, alone and as three `t_row` lanes of one pass. The ordering
@@ -158,7 +179,10 @@ fn step_program(coordination: CoordinationMode, hbm: &HbmConfig) -> hygcn_mem::S
 /// window nothing to promote, so the identity pass alone decides it;
 /// FCFS batches on the row-interleaved mapping interleave the streams
 /// on one channel, so hits overtake misses and the ring orders the
-/// program. The replays walk the latter's schedule.
+/// program. A program whose steps repeat a window block keeps arrival
+/// order too, and the pass reads that block's verdict from its
+/// certificate instead of walking it. The replays walk the FCFS
+/// program's schedule.
 fn bench_span_frfcfs(c: &mut Criterion) {
     let frfcfs = ControllerPolicy::FrFcfs { window: 32 };
     let coordinated = step_program(
@@ -173,8 +197,14 @@ fn bench_span_frfcfs(c: &mut Criterion) {
         ..HbmConfig::hbm1_uncoordinated()
     };
     let uncoordinated = step_program(CoordinationMode::Fcfs, &cfg);
-    let kept = coordinated.schedule(32).expect("runs fit the index");
-    assert!(kept.is_none(), "coordinated batches keep arrival order");
+    let shared = shared_block_program(&HbmConfig {
+        controller: frfcfs,
+        ..HbmConfig::hbm1()
+    });
+    for program in [&coordinated, &shared] {
+        let kept = program.schedule(32).expect("runs fit the index");
+        assert!(kept.is_none(), "coordinated batches keep arrival order");
+    }
     let schedule = uncoordinated
         .schedule(32)
         .expect("runs fit the index")
@@ -182,6 +212,7 @@ fn bench_span_frfcfs(c: &mut Criterion) {
     let mut group = c.benchmark_group("span/frfcfs_schedule");
     for (name, program) in [
         ("coordinated", &coordinated),
+        ("shared_blocks", &shared),
         ("fcfs_row_interleaved", &uncoordinated),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), program, |b, p| {

@@ -1186,7 +1186,7 @@ commands:
              --config FILE (default lint.toml)  --root DIR (default .)
              findings on stdout, summary on stderr; exit 2 on findings
   datasets   list the Table 4 benchmark datasets
-  help       this text
+  help       this text (also `hygcn help <command>`, `hygcn <command> --help`)
 
 any workload command also accepts a user graph instead of --dataset:
   --edges FILE (whitespace `src dst` edge list)  --feature-len N

@@ -22,10 +22,43 @@ use commands::{
     LINT_BOOL_FLAGS, LINT_FLAGS, STORE_BOOL_FLAGS, STORE_FLAGS, WORKLOAD_FLAGS,
 };
 
+/// Every command `run` dispatches, as `hygcn help <command>` names it.
+const COMMANDS: [&str; 10] = [
+    "simulate", "compare", "sweep", "campaign", "figures", "store", "bench", "lint", "datasets",
+    "help",
+];
+
+/// The answer to a request for the usage, if `raw` is one: no arguments,
+/// `hygcn help` (or `--help`/`-h`) alone or before one command name, or
+/// a command with `--help`/`-h` among its arguments. A request about an
+/// unknown command is an error naming it.
+fn usage(raw: &[String]) -> Option<Result<String, CliError>> {
+    let is_help_flag = |a: &String| a == "--help" || a == "-h";
+    let about = |command: &String| {
+        if COMMANDS.contains(&command.as_str()) {
+            Ok(help())
+        } else {
+            Err(CliError::Unknown(format!(
+                "unknown command '{command}' (try `hygcn help`)"
+            )))
+        }
+    };
+    match raw {
+        [] => Some(Ok(help())),
+        [first, rest @ ..] if first == "help" || is_help_flag(first) => match rest {
+            [] => Some(Ok(help())),
+            [command] => Some(about(command)),
+            _ => None,
+        },
+        [command, rest @ ..] if rest.iter().any(is_help_flag) => Some(about(command)),
+        _ => None,
+    }
+}
+
 fn run() -> Result<String, CliError> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.is_empty() {
-        return Ok(help());
+    if let Some(answer) = usage(&raw) {
+        return answer;
     }
     // Each command validates against its own flag set, so a bench-only
     // flag passed to `simulate` still fails loudly. `figures` and
@@ -48,7 +81,6 @@ fn run() -> Result<String, CliError> {
         "bench" => bench(&parsed),
         "lint" => lint(&parsed),
         "datasets" => Ok(datasets()),
-        "help" | "--help" | "-h" => Ok(help()),
         other => Err(CliError::Unknown(format!(
             "unknown command '{other}' (try `hygcn help`)"
         ))),

@@ -82,22 +82,48 @@
 //!   `(bank, row)` state the tuples carry. [`SpanProgram::schedule`]
 //!   makes the walk's picks — oldest row hit in the window, else the
 //!   oldest tuple — carrying each bank's open row across steps as the
-//!   walk does. Each `(step, channel)` cell, copied out of its segments
-//!   when it has more than one, first
-//!   takes an *identity pass* that only tracks the youngest pending hit
-//!   (`ArrivalOrder`): while every pick is the head, the head is picked
-//!   unless it misses with a hit pending. A cell that fails it restores
-//!   its channel's open rows and is ordered by an age-ordered ring with
-//!   a row-hit mask and per-bank slot masks (`FrFcfsQueue`). If every
-//!   cell passes, the result is `None`: the FR-FCFS replay *is* the
-//!   program-order replay above, bit for bit. Otherwise the schedule
-//!   records, per span, the index into its channel run with the
-//!   row-miss flag in bit 31 (cells that passed in arrival order), and
-//!   per cell the miss and burst counts — exactly what the ring alone
-//!   would record. The identity pass's table holds program positions,
-//!   which only grow, never pool positions, which repeat. The replay
-//!   walks that order over the cell's copied run, each entry read once
-//!   for every lane.
+//!   walk does. Each `(step, channel)` cell first takes an *identity
+//!   pass* that only tracks the youngest pending hit (`ArrivalOrder`):
+//!   while every pick is the head, the head is picked unless it misses
+//!   with a hit pending. A cell that fails it restores its channel's
+//!   open rows and is ordered by an age-ordered ring with a row-hit
+//!   mask and per-bank slot masks (`FrFcfsQueue`) over its segments
+//!   copied back to back. If every cell passes, the result is `None`:
+//!   the FR-FCFS replay *is* the program-order replay above, bit for
+//!   bit. Otherwise the schedule records, per span, the index into its
+//!   channel run with the row-miss flag in bit 31 (cells that passed in
+//!   arrival order), and per cell the miss and burst counts — exactly
+//!   what the ring alone would record. The replay walks that order over
+//!   the cell's copied run, each entry read once for every lane.
+//!
+//! **Identity by certificate.** With a window of `W`, the pending spans
+//! at head `h` are the `W - 1` behind it, and the open rows are the ones
+//! the in-order spans before `h` left. So a head's verdict reads no span
+//! `W` or more positions away, except through those rows, and the
+//! identity pass (`IdentityPass`) judges the interior of a repeated
+//! block once per call. A segment of a block the program references
+//! more than once, at least `W` spans long, reads a *certificate*,
+//! built the first time the call meets that segment: its verdict from
+//! closed banks; its *sensitive* `(bank, row)` pairs, each bank's spans
+//! fewer than `W` positions after that bank's first use in the segment,
+//! the only spans the walk compares with a row the segment did not
+//! open; and its open rows `W - 1` spans before its end. When no
+//! sensitive pair is open at the segment's start, every such compare
+//! fails as it does on a closed bank, so the segment takes the
+//! certificate's verdict without a walk. Every other span is walked:
+//! the segments between two certified ones (or a cell's ends) make one
+//! run, which reaches `W - 1` spans into each certified neighbour (its
+//! *seams*), so the heads before a certified segment see the spans
+//! pending across its start, and its last heads the spans after its
+//! end. A walk that starts at a seam starts from the certificate's
+//! rows. An unshared segment, a shorter one, and one whose start rows
+//! hold a sensitive pair (a *dirty* start, say a block carried from one
+//! step into the next) are walked, so a cell without a certified
+//! segment is one walk, over its one segment in place or its segments
+//! copied back to back. The walk's table of youngest arrivals is never
+//! cleared, and it needs no positions unique to the call: every head
+//! arrived under its own slot earlier in the same walk, so the slot it
+//! reads holds an index of that walk, whatever earlier walks left.
 //!
 //! Both paths share one service step, the timing half of the walk's,
 //! run per lane `l`:
@@ -160,10 +186,11 @@
 //! distinct (service order, timing) of a decode class once, `MAX_LANES`
 //! timings per pass, so the in-order and arrival-keeping FR-FCFS points
 //! of one timing share a lane. Within a program, each distinct request
-//! block is decoded, stored and summarized once, and a shared block's
-//! segment replays in program order from its summary, so a sparsity-off
+//! block is decoded, stored and summarized once, a shared block's
+//! segment replays in program order from its summary, and an FR-FCFS
+//! ordering pass judges it from its certificate, so a sparsity-off
 //! sweep that reads the same source windows every chunk pays for them
-//! once per program, not once per chunk.
+//! once per program (and once per window), not once per chunk.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -318,14 +345,22 @@ impl SpanProgram {
         &self.pool[self.segments[s]..self.segments[s + 1]]
     }
 
+    /// The index of block `block`'s channel `c` [`Summary`] (and of its
+    /// FR-FCFS certificate), when the program references the block more
+    /// than once.
+    #[inline]
+    fn shared(&self, block: usize, c: usize) -> Option<usize> {
+        match self.summary_of[block] {
+            UNSHARED => None,
+            first => Some(first + c),
+        }
+    }
+
     /// Block `block`'s replay summary in channel `c`, when the program
     /// references the block more than once.
     #[inline]
     fn summary(&self, block: usize, c: usize) -> Option<&Summary> {
-        match self.summary_of[block] {
-            UNSHARED => None,
-            first => Some(&self.summaries[first + c]),
-        }
+        self.shared(block, c).map(|s| &self.summaries[s])
     }
 
     /// Cell `(step, channel)`'s run in program order: its one nonempty
@@ -364,12 +399,16 @@ impl SpanProgram {
     /// depends on no timing parameter, so one result serves every
     /// timing the program is replayed under.
     ///
-    /// Each `(step, channel)` cell, read as its segments in order, first
-    /// takes the identity pass (`ArrivalOrder`); a cell it rejects
-    /// restores its channel's open rows and is ordered by the ring
-    /// (`FrFcfsQueue`). The order array is built only from the first
-    /// such cell on, with the cells before it written out in arrival
-    /// order.
+    /// Each `(step, channel)` cell first takes the identity pass
+    /// (`IdentityPass`): a segment of a shared block whose start rows
+    /// leave its certificate clean takes the certificate's verdict, and
+    /// the spans between such segments, with the seams reaching `W - 1`
+    /// spans into them, take the walk (`ArrivalOrder`; see the module
+    /// docs). A cell the pass rejects restores its channel's open rows
+    /// and is ordered by the ring (`FrFcfsQueue`) over its segments
+    /// copied back to back. The order array is built only from the
+    /// first such cell on, with the cells before it written out in
+    /// arrival order. Certificates live only as long as the call.
     ///
     /// # Errors
     ///
@@ -379,11 +418,20 @@ impl SpanProgram {
         // The ordering pass is the controller half of replay; its time
         // belongs with it.
         let _obs = hygcn_obs::span(hygcn_obs::Phase::SpanReplay);
-        let (banks, window) = (self.banks, window.max(1));
+        let mut pass = IdentityPass::new(self, window.max(1));
+        let schedule = self.order(&mut pass);
+        hygcn_obs::count(hygcn_obs::Counter::FrfcfsCertified, pass.certified);
+        if let Ok(None) = schedule {
+            hygcn_obs::count(hygcn_obs::Counter::FrfcfsInOrder, 1);
+        }
+        schedule
+    }
+
+    /// [`SpanProgram::schedule`] under `pass`'s window.
+    fn order(&self, pass: &mut IdentityPass) -> Result<Option<SpanSchedule>, String> {
+        let (banks, window) = (self.banks, pass.window);
         let mut bank_row = vec![NO_ROW; self.channels * banks];
-        let mut arrivals = ArrivalOrder::default();
         let mut queue = FrFcfsQueue::default();
-        let mut scratch = Vec::new();
         // The service order and per-cell counts, from the first cell
         // FR-FCFS reorders on.
         let mut reordered: Option<(Vec<u32>, Vec<CellCounts>)> = None;
@@ -396,30 +444,27 @@ impl SpanProgram {
                     spans.len()
                 ));
             }
-            let c = cell % self.channels;
+            let (step, c) = (cell / self.channels, cell % self.channels);
             let rows = &mut bank_row[c * banks..(c + 1) * banks];
-            let run = self.cell_run(cell / self.channels, c, &mut scratch);
-            let kept = arrivals.keeps_order(run, spans.start, window, rows);
+            let kept = pass.keeps_order(step, c, rows);
             if kept && reordered.is_none() {
                 continue;
             }
+            let (run, cell_rows) = pass.cell_run(step, c);
             let (order, cells) = reordered.get_or_insert_with(|| self.in_order_prefix(cell));
             cells.push(if kept {
                 // `rows` already moved on; write the entries from the
                 // rows the cell started with.
-                in_order(run, &mut arrivals.saved, order)
+                in_order(run, cell_rows, order)
             } else {
+                rows.copy_from_slice(cell_rows);
                 CellCounts {
                     misses: queue.order(run, window, rows, order),
                     bursts: run.iter().map(|t| u64::from(t.bursts)).sum(),
                 }
             });
         }
-        let Some((order, cells)) = reordered else {
-            hygcn_obs::count(hygcn_obs::Counter::FrfcfsInOrder, 1);
-            return Ok(None);
-        };
-        Ok(Some(SpanSchedule { order, cells }))
+        Ok(reordered.map(|(order, cells)| SpanSchedule { order, cells }))
     }
 
     /// The schedule entries and counts of cells `0..end` in arrival
@@ -1275,8 +1320,8 @@ fn service<const L: usize>(
     }
 }
 
-/// The identity pass: decides whether FR-FCFS serves one channel run in
-/// arrival order, without building a queue.
+/// The identity pass's walk: decides whether FR-FCFS serves one run of
+/// a channel's spans in arrival order, without building a queue.
 ///
 /// While every pick so far was the oldest pending span, the pending
 /// spans are exactly `run[h..h + W)` (`h` the head, `W` the window
@@ -1294,18 +1339,16 @@ fn service<const L: usize>(
 ///   served slot rules the key out, the slot's span is the youngest hit
 ///   when its key matches, and only a collision scans the window.
 ///
-/// The cell reorders at the first head miss while a hit is pending.
+/// The run reorders at the first head miss while a hit is pending.
 #[derive(Debug, Clone, Default)]
 struct ArrivalOrder {
-    /// Per hash slot, the program position of the youngest span that
-    /// arrived under it. Positions only grow (a shared block's spans
-    /// take a new one in every cell that reads it), so entries of
-    /// earlier cells read as served and the table is never cleared.
+    /// Per hash slot, the run index of the youngest span that arrived
+    /// under it. The table is never cleared: a head arrived under its
+    /// own slot earlier in the same walk, so the slot a head reads holds
+    /// an index of that walk, never a stale one of an earlier walk.
     youngest: Vec<usize>,
     /// `64 - log2(youngest.len())`.
     shift: u32,
-    /// The channel's open rows before the current cell.
-    saved: Vec<u32>,
 }
 
 impl ArrivalOrder {
@@ -1329,7 +1372,7 @@ impl ArrivalOrder {
         saturating_usize(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift)
     }
 
-    /// Queues `t`, at program position `a`, as its slot's youngest
+    /// Queues `t`, at run index `a`, as its slot's youngest
     /// arrival; returns whether it hits its bank's open row.
     #[inline(always)]
     fn arrive(&mut self, t: &SpanTuple, a: usize, bank_row: &[u32]) -> bool {
@@ -1338,20 +1381,11 @@ impl ArrivalOrder {
         bank_row[usize::from(t.bank)] == t.row
     }
 
-    /// Whether FR-FCFS with a `window`-deep lookahead serves `run`, the
-    /// cell at program positions `base..base + run.len()`, in arrival
-    /// order from the open rows `bank_row`. If it does, `bank_row` ends
-    /// as the in-order replay leaves it; if not, it is restored. Either
-    /// way `saved` holds the rows the cell started with.
-    fn keeps_order(
-        &mut self,
-        run: &[SpanTuple],
-        base: usize,
-        window: usize,
-        bank_row: &mut [u32],
-    ) -> bool {
-        self.saved.clear();
-        self.saved.extend_from_slice(bank_row);
+    /// Whether FR-FCFS with a `window`-deep lookahead serves `run` in
+    /// arrival order from the open rows `bank_row`. The pass moves
+    /// `bank_row` on as the in-order replay does, up to the head that
+    /// deviates when one does.
+    fn keeps_order(&mut self, run: &[SpanTuple], window: usize, bank_row: &mut [u32]) -> bool {
         let window = window.min(run.len());
         if window <= 1 {
             // Nothing is pending behind the head.
@@ -1361,23 +1395,19 @@ impl ArrivalOrder {
             return true;
         }
         self.reserve(window);
-        let (start, end) = (base, base + run.len());
-        let at = |a: usize| &run[a - base];
         let same = |a: &SpanTuple, b: &SpanTuple| a.row == b.row && a.bank == b.bank;
-        // The youngest pending hit; `start` stands for none, as the
-        // check `hit > h` never fires on it.
-        let mut hit = start;
-        for a in start..start + window {
-            if self.arrive(at(a), a, bank_row) {
+        // The youngest pending hit; 0 stands for none, as the check
+        // `hit > h` never fires on it.
+        let mut hit = 0;
+        for (a, t) in run[..window].iter().enumerate() {
+            if self.arrive(t, a, bank_row) {
                 hit = a;
             }
         }
-        for h in start..end {
-            let t = at(h);
+        for (h, t) in run.iter().enumerate() {
             let bank = usize::from(t.bank);
             if bank_row[bank] != t.row {
                 if hit > h {
-                    bank_row.copy_from_slice(&self.saved);
                     return false;
                 }
                 bank_row[bank] = t.row;
@@ -1385,16 +1415,311 @@ impl ArrivalOrder {
                 // arrival, or after a collision an older one. An empty
                 // range when the slot holds nothing pending.
                 let y = self.youngest[self.slot(t)];
-                if let Some(j) = (h + 1..=y).rev().find(|&j| same(at(j), t)) {
+                if let Some(j) = (h + 1..=y).rev().find(|&j| same(&run[j], t)) {
                     hit = j;
                 }
             }
             let a = h + window;
-            if a < end && self.arrive(at(a), a, bank_row) {
+            if a < run.len() && self.arrive(&run[a], a, bank_row) {
                 hit = a;
             }
         }
         true
+    }
+}
+
+/// A bank and a row of it, as a [`Certificate`] lists them.
+#[derive(Debug, Clone, Copy)]
+struct BankRow {
+    row: u32,
+    bank: u16,
+}
+
+/// What the identity pass over one segment of a shared block reads from
+/// the rows it starts from, under one window `W` (see the module docs).
+#[derive(Debug, Clone, Copy)]
+struct Certificate {
+    /// Whether the segment keeps arrival order from closed banks.
+    keeps: bool,
+    /// Its ranges in [`IdentityPass::pairs`], back to back: the
+    /// sensitive pairs (`bounds[0]..bounds[1]`), then the rows open
+    /// `W - 1` spans before its end (`..bounds[2]`), empty when it does
+    /// not keep arrival order.
+    bounds: [usize; 3],
+}
+
+/// The identity pass of one [`SpanProgram::schedule`] call: whether
+/// FR-FCFS serves a `(step, channel)` cell in arrival order, judged from
+/// certificates where they hold and by walks elsewhere (see the module
+/// docs). Its certificates live as long as the call, in flat arrays.
+struct IdentityPass<'p> {
+    program: &'p SpanProgram,
+    /// The lookahead window `W`, at least 1.
+    window: usize,
+    arrivals: ArrivalOrder,
+    /// Per shared `(block, channel)`, indexed as the program's
+    /// summaries, its certificate once built.
+    certificates: Vec<Option<Certificate>>,
+    /// The certificates' pairs.
+    pairs: Vec<BankRow>,
+    /// The channel's open rows before the current cell.
+    cell_rows: Vec<u32>,
+    /// The walk being gathered: its one piece in place, or its pieces
+    /// copied into `copied` once there are more.
+    lone: Option<&'p [SpanTuple]>,
+    copied: Vec<SpanTuple>,
+    /// Whether the walk gathered the current cell from its start, no
+    /// certificate taken.
+    whole: bool,
+    /// The open rows after the walk's first `folded` spans, from the
+    /// rows before it: the rows a shared segment after it starts from,
+    /// once [`Self::clean`] folds the rest in.
+    after: Vec<u32>,
+    folded: usize,
+    /// Per bank, for a certificate build: the open rows from closed
+    /// banks, the segment index of the bank's first use and the row of
+    /// its latest sensitive pair.
+    closed: Vec<u32>,
+    first_use: Vec<usize>,
+    latest: Vec<u32>,
+    /// Segments whose verdict came from a certificate.
+    certified: u64,
+    /// Shared segments whose start rows held a sensitive pair.
+    #[cfg(test)]
+    dirty: u64,
+    /// Walks through a seam that rejected their cell.
+    #[cfg(test)]
+    seam_rejections: u64,
+}
+
+impl<'p> IdentityPass<'p> {
+    /// The pass over `program` under a `window`-deep lookahead (at least
+    /// 1), with no certificate built yet.
+    fn new(program: &'p SpanProgram, window: usize) -> Self {
+        let banks = program.banks;
+        Self {
+            program,
+            window,
+            arrivals: ArrivalOrder::default(),
+            certificates: vec![None; program.summaries.len()],
+            pairs: Vec::new(),
+            cell_rows: vec![NO_ROW; banks],
+            lone: None,
+            copied: Vec::new(),
+            whole: true,
+            after: vec![NO_ROW; banks],
+            folded: 0,
+            closed: vec![NO_ROW; banks],
+            first_use: vec![usize::MAX; banks],
+            latest: vec![NO_ROW; banks],
+            certified: 0,
+            #[cfg(test)]
+            dirty: 0,
+            #[cfg(test)]
+            seam_rejections: 0,
+        }
+    }
+
+    /// Whether FR-FCFS serves cell `(step, c)` in arrival order from the
+    /// channel's open rows `rows`. `cell_rows` keeps the rows the cell
+    /// started with; `rows` ends as the in-order replay leaves it when
+    /// the cell keeps arrival order. Each segment of a shared block at
+    /// least `W` spans long whose start rows leave its certificate clean
+    /// takes the certificate's verdict. Every other span is judged in a
+    /// walk over the segments between two such segments (or the cell's
+    /// ends), which reaches `W - 1` spans into each: their seams.
+    fn keeps_order(&mut self, step: usize, c: usize, rows: &mut [u32]) -> bool {
+        let (program, w) = (self.program, self.window);
+        self.cell_rows.copy_from_slice(rows);
+        self.start_walk(rows);
+        self.whole = true;
+        // `rows` holds the open rows before the walk, which may start
+        // with a certified segment's tail (`seam`); `open`: whether it
+        // holds spans past that tail.
+        let mut open = false;
+        #[cfg(test)]
+        let mut seam = false;
+        for &block in program.blocks(step) {
+            let segment = program.segment(block, c);
+            if segment.is_empty() {
+                continue;
+            }
+            let cert = match segment.len() >= w {
+                true => program
+                    .shared(block, c)
+                    .map(|slot| self.certificate(slot, segment)),
+                false => None,
+            };
+            let Some(cert) = cert.filter(|cert| self.clean(cert)) else {
+                self.gather(segment);
+                open = true;
+                continue;
+            };
+            self.certified += 1;
+            self.whole = false;
+            if !cert.keeps {
+                return false;
+            }
+            if !self.walk_is_empty() {
+                self.gather(&segment[..w - 1]);
+                if !self.walk(rows) {
+                    #[cfg(test)]
+                    {
+                        self.seam_rejections += 1;
+                    }
+                    return false;
+                }
+            }
+            // The next walk starts `W - 1` spans before the segment's end.
+            rows.copy_from_slice(&self.after);
+            let [_, tail, end] = cert.bounds;
+            for p in &self.pairs[tail..end] {
+                rows[usize::from(p.bank)] = p.row;
+            }
+            self.start_walk(rows);
+            self.gather(&segment[segment.len() - (w - 1)..]);
+            open = false;
+            #[cfg(test)]
+            {
+                seam = true;
+            }
+        }
+        if open {
+            let kept = self.walk(rows);
+            #[cfg(test)]
+            {
+                self.seam_rejections += u64::from(seam && !kept);
+            }
+            return kept;
+        }
+        // A certified segment's last heads already saw to the cell's end.
+        for t in self.lone.unwrap_or(&self.copied) {
+            rows[usize::from(t.bank)] = t.row;
+        }
+        true
+    }
+
+    /// The run of cell `(step, c)`, the last one [`Self::keeps_order`]
+    /// judged, in program order (its walk when that gathered the whole
+    /// cell), and the open rows the cell started with.
+    fn cell_run(&mut self, step: usize, c: usize) -> (&[SpanTuple], &mut [u32]) {
+        let run = match self.whole {
+            true => self.lone.unwrap_or(&self.copied),
+            false => self.program.cell_run(step, c, &mut self.copied),
+        };
+        (run, &mut self.cell_rows)
+    }
+
+    /// Segment `segment`'s certificate, built the first time: `slot` is
+    /// its shared `(block, channel)`.
+    fn certificate(&mut self, slot: usize, segment: &[SpanTuple]) -> Certificate {
+        match self.certificates[slot] {
+            Some(cert) => cert,
+            None => {
+                let cert = self.certify(segment);
+                self.certificates[slot] = Some(cert);
+                cert
+            }
+        }
+    }
+
+    /// Whether `cert`'s segment, after the walk gathered so far, finds
+    /// none of its sensitive pairs open; leaves the open rows before the
+    /// segment in `after`.
+    fn clean(&mut self, cert: &Certificate) -> bool {
+        let run = self.lone.unwrap_or(&self.copied);
+        for t in &run[self.folded..] {
+            self.after[usize::from(t.bank)] = t.row;
+        }
+        self.folded = run.len();
+        let [sensitive, tail, _] = cert.bounds;
+        let clean = self.pairs[sensitive..tail]
+            .iter()
+            .all(|p| self.after[usize::from(p.bank)] != p.row);
+        #[cfg(test)]
+        {
+            self.dirty += u64::from(!clean);
+        }
+        clean
+    }
+
+    /// Starts an empty walk from the open rows `rows`.
+    fn start_walk(&mut self, rows: &[u32]) {
+        self.lone = None;
+        self.copied.clear();
+        self.after.copy_from_slice(rows);
+        self.folded = 0;
+    }
+
+    /// Adds `piece`, the cell's next spans, to the walk.
+    #[inline]
+    fn gather(&mut self, piece: &'p [SpanTuple]) {
+        if piece.is_empty() {
+            return;
+        }
+        if self.walk_is_empty() {
+            self.lone = Some(piece);
+            return;
+        }
+        if let Some(lone) = self.lone.take() {
+            self.copied.extend_from_slice(lone);
+        }
+        self.copied.extend_from_slice(piece);
+    }
+
+    fn walk_is_empty(&self) -> bool {
+        self.lone.is_none() && self.copied.is_empty()
+    }
+
+    /// Whether the walk gathered so far keeps arrival order from the
+    /// open rows `rows`, which it moves on.
+    fn walk(&mut self, rows: &mut [u32]) -> bool {
+        let run = self.lone.unwrap_or(&self.copied);
+        self.arrivals.keeps_order(run, self.window, rows)
+    }
+
+    /// The certificate of `segment` (at least `W` spans) under this
+    /// pass's window, its pairs appended to `pairs`.
+    fn certify(&mut self, segment: &[SpanTuple]) -> Certificate {
+        let w = self.window;
+        self.closed.fill(NO_ROW);
+        let keeps = self.arrivals.keeps_order(segment, w, &mut self.closed);
+        let start = self.pairs.len();
+        // Each bank's spans fewer than `W` positions after its first
+        // use: the only ones the walk compares with a row the segment
+        // did not open. A repeat of the bank's latest one adds nothing.
+        self.first_use.fill(usize::MAX);
+        for (i, t) in segment.iter().enumerate() {
+            let bank = usize::from(t.bank);
+            if self.first_use[bank] == usize::MAX {
+                self.first_use[bank] = i;
+            } else if i - self.first_use[bank] >= w || self.latest[bank] == t.row {
+                continue;
+            }
+            self.latest[bank] = t.row;
+            self.pairs.push(BankRow {
+                row: t.row,
+                bank: t.bank,
+            });
+        }
+        let sensitive = self.pairs.len();
+        if keeps {
+            self.closed.fill(NO_ROW);
+            for t in &segment[..segment.len() - (w - 1)] {
+                self.closed[usize::from(t.bank)] = t.row;
+            }
+            self.pairs.extend(
+                // At most 2^16 banks: every index fits a `u16`.
+                (0..=u16::MAX)
+                    .zip(&self.closed)
+                    .filter(|&(_, &row)| row != NO_ROW)
+                    .map(|(bank, &row)| BankRow { row, bank }),
+            );
+        }
+        Certificate {
+            keeps,
+            bounds: [start, sensitive, self.pairs.len()],
+        }
     }
 }
 
@@ -2132,6 +2457,103 @@ mod tests {
         batch
     }
 
+    /// The first byte of `(channel, bank, row)`'s page under `cfg`'s
+    /// mapping (a row-interleaved row must sit in the channel's first
+    /// 128 MB).
+    fn page_addr(cfg: &HbmConfig, (channel, bank, row): (u64, u64, u64)) -> u64 {
+        let (channels, banks) = (cfg.channels as u64, cfg.banks as u64);
+        match cfg.mapping {
+            MappingScheme::ChannelInterleaved => {
+                ((row * banks + bank) * channels + channel) * cfg.row_bytes
+            }
+            MappingScheme::RowInterleaved => {
+                (channel << CHANNEL_SPAN_SHIFT) + (row * banks + bank) * cfg.row_bytes
+            }
+        }
+    }
+
+    /// Steps that repeat request blocks beside unique ones: a multi-row
+    /// sequential sweep beside a unique edge and output block, a block
+    /// of a few reads of one row per bank carried from the end of one
+    /// step into the start of the next (its start rows are its own, so
+    /// they hit its sensitive pairs), and a short edge block. With
+    /// `crossing`, two steps also end on a block whose last span in
+    /// channel 0 misses in bank 0 right before a block whose first read
+    /// hits the row that miss closed: a pending hit across a block
+    /// boundary.
+    fn repeated_block_batches(
+        rng: &mut Lcg,
+        cfg: &HbmConfig,
+        crossing: bool,
+    ) -> Vec<Vec<MemRequest>> {
+        let (channels, banks) = (cfg.channels as u64, cfg.banks as u64);
+        let read = MemRequest::read;
+        let bytes = cfg.row_bytes / 4 + rng.next() % (2 * cfg.row_bytes);
+        let base = page_addr(cfg, (0, 0, 8 + rng.next() % 8)) + rng.next() % cfg.row_bytes;
+        let sweep: Vec<MemRequest> = (0..40 * channels + rng.next() % 20)
+            .map(|i| read(RequestKind::InputFeatures, base + i * bytes, bytes as u32))
+            .collect();
+        let reps = 2 + rng.next() % 4;
+        let row = 40 + rng.next() % 8;
+        let carried: Vec<MemRequest> = (0..channels * banks * reps)
+            .map(|i| {
+                let page = page_addr(cfg, (i % channels, i / channels % banks, row));
+                read(RequestKind::Weights, page + 64 * (i / channels / banks), 32)
+            })
+            .collect();
+        let mut unique = |kind: RequestKind, len: u64| -> Vec<MemRequest> {
+            (0..len)
+                .map(|_| {
+                    let addr = rng.next() % (1 << 26);
+                    match kind {
+                        RequestKind::OutputFeatures => MemRequest::write(kind, addr, 256),
+                        _ => read(kind, addr, 64),
+                    }
+                })
+                .collect()
+        };
+        let short = unique(RequestKind::Edges, 3);
+        let steps: Vec<Vec<Vec<MemRequest>>> = vec![
+            vec![
+                unique(RequestKind::Edges, 2),
+                sweep.clone(),
+                unique(RequestKind::OutputFeatures, 4),
+            ],
+            vec![short.clone(), sweep.clone(), carried.clone()],
+            vec![carried.clone(), unique(RequestKind::OutputFeatures, 3)],
+            vec![
+                unique(RequestKind::Edges, 1),
+                sweep.clone(),
+                carried,
+                unique(RequestKind::OutputFeatures, 2),
+            ],
+            vec![short.clone(), sweep],
+        ];
+        let mut batches: Vec<Vec<MemRequest>> =
+            steps.into_iter().map(|blocks| blocks.concat()).collect();
+        if crossing {
+            // Channel 0: row 1 of every bank, then row 2 of bank 0; the
+            // next block reads row 1 of bank 0 again.
+            let turn: Vec<MemRequest> = (0..banks * reps)
+                .map(|i| page_addr(cfg, (0, i % banks, 1)) + 64 * (i / banks))
+                .chain([page_addr(cfg, (0, 0, 2))])
+                .map(|addr| read(RequestKind::InputFeatures, addr, 32))
+                .collect();
+            let back = read(RequestKind::Weights, page_addr(cfg, (0, 0, 1)) + 32, 32);
+            let step = [short, turn, vec![back]].concat();
+            batches.extend([step.clone(), step]);
+        }
+        batches
+    }
+
+    /// The identity pass's certified segments, dirty fallbacks and seam
+    /// rejections over `program` under `window`.
+    fn pass_tally(program: &SpanProgram, window: usize) -> [u64; 3] {
+        let mut pass = IdentityPass::new(program, window.max(1));
+        program.order(&mut pass).expect("runs fit the index");
+        [pass.certified, pass.dirty, pass.seam_rejections]
+    }
+
     #[test]
     fn identity_pass_equals_the_ring_on_random_programs() {
         let geometries = [
@@ -2148,21 +2570,30 @@ mod tests {
             },
         ];
         let (mut kept, mut reordered) = (0, 0);
+        let mut tally = [0; 3];
         for (g, cfg) in geometries.iter().enumerate() {
-            for seed in 0..4u64 {
+            for seed in 0..6u64 {
                 let mut rng = Lcg(700 + 10 * g as u64 + seed);
-                let batches: Vec<Vec<MemRequest>> = (0..4)
-                    .map(|step| match (seed + step) % 4 {
-                        0 => random_batch(&mut rng, 40),
-                        rows => row_local_batch(&mut rng, cfg, 150, rows + 1, seed < 2),
-                    })
-                    .collect();
+                // Four distinct batches, or steps that repeat blocks.
+                let batches: Vec<Vec<MemRequest>> = if seed < 4 {
+                    (0..4)
+                        .map(|step| match (seed + step) % 4 {
+                            0 => random_batch(&mut rng, 40),
+                            rows => row_local_batch(&mut rng, cfg, 150, rows + 1, seed < 2),
+                        })
+                        .collect()
+                } else {
+                    repeated_block_batches(&mut rng, cfg, seed == 5)
+                };
                 let program = build(cfg, &batches);
                 for window in (1..=200).chain([usize::MAX]) {
                     if assert_schedule_matches_ring(&program, window) {
                         kept += 1;
                     } else {
                         reordered += 1;
+                    }
+                    for (sum, n) in tally.iter_mut().zip(pass_tally(&program, window)) {
+                        *sum += n;
                     }
                 }
             }
@@ -2171,6 +2602,133 @@ mod tests {
             kept > 0 && reordered > 0,
             "{kept} kept, {reordered} reordered"
         );
+        let [certified, dirty, seam_rejections] = tally;
+        assert!(
+            certified > 0 && dirty > 0 && seam_rejections > 0,
+            "{certified} certified, {dirty} dirty, {seam_rejections} seam rejections"
+        );
+    }
+
+    /// A block of `kind` reads, one 32-byte read of each `(bank, row)`
+    /// of `cfg`'s channel 0.
+    fn reads(cfg: &HbmConfig, kind: RequestKind, keys: &[(u64, u64)]) -> Vec<MemRequest> {
+        keys.iter()
+            .map(|&(bank, row)| MemRequest::read(kind, read_at(cfg, (0, bank, row)).addr, 32))
+            .collect()
+    }
+
+    #[test]
+    fn certificates_hold_from_clean_rows_and_seams_see_across_blocks() {
+        // One channel, window 8. `rows` reads row 5 of banks 0-7 four
+        // times each; `closing` adds a miss to row 9 of bank 0 at its
+        // end, and `reopen` reads row 5 of bank 0 again.
+        let cfg = HbmConfig {
+            channels: 1,
+            ..HbmConfig::hbm1()
+        };
+        let block = |kind, keys: &[(u64, u64)]| reads(&cfg, kind, keys);
+        let keys: Vec<(u64, u64)> = (0..32).map(|i| (i / 4, 5)).collect();
+        let rows = block(RequestKind::Weights, &keys);
+        let closing = block(RequestKind::InputFeatures, &[keys, vec![(0, 9)]].concat());
+        let reopen = block(RequestKind::Edges, &[(0, 5)]);
+        let elsewhere: Vec<(u64, u64)> = (0..8).map(|bank| (bank, 7)).collect();
+        let elsewhere = block(RequestKind::Edges, &elsewhere);
+        // The block again right after itself starts from its own rows,
+        // which hold every sensitive pair: it is walked, and keeps
+        // arrival order.
+        let carried = build(&cfg, &[rows.clone(), rows.clone()]);
+        assert!(assert_schedule_matches_ring(&carried, 8));
+        assert_eq!(pass_tally(&carried, 8), [1, 1, 0]);
+        // Certified twice from clean rows. In the first step the last
+        // head of `closing` misses while `reopen`'s hit is pending in the
+        // next block: only the seam after the certificate sees it. In the
+        // second, the walk over `elsewhere` and the certificate's first
+        // seam keep arrival order.
+        let crossing = build(
+            &cfg,
+            &[
+                [closing.clone(), reopen.clone()].concat(),
+                [elsewhere, closing].concat(),
+            ],
+        );
+        assert!(!assert_schedule_matches_ring(&crossing, 8));
+        let [certified, dirty, seam_rejections] = pass_tally(&crossing, 8);
+        assert_eq!((certified, dirty), (2, 0));
+        assert_eq!(seam_rejections, 1);
+        // Window 1 never reorders; a window past the block certifies
+        // nothing.
+        assert!(assert_schedule_matches_ring(&crossing, 1));
+        assert_eq!(pass_tally(&crossing, 40)[0], 0);
+        // A miss to row 9 of bank 0 right before the certified block,
+        // with row 5 open: the block's first read is a pending hit that
+        // only the seam before the certificate sees. The last step
+        // carries the block on, so it is walked.
+        let leading = build(
+            &cfg,
+            &[
+                reopen,
+                [block(RequestKind::InputFeatures, &[(0, 9)]), rows.clone()].concat(),
+                rows,
+            ],
+        );
+        assert!(!assert_schedule_matches_ring(&leading, 8));
+        assert_eq!(pass_tally(&leading, 8), [1, 1, 1]);
+        // Bank 1's first use opens row 5, and its use `W - 1` spans later
+        // reads row 6: still sensitive. From a start with row 6 open, the
+        // first use misses with that hit pending, so the block reorders
+        // although it keeps arrival order from closed banks. Its second
+        // copy is carried on from the first: both are walked.
+        let late: Vec<(u64, u64)> = (1..8).map(|bank| (bank, 5)).chain([(1, 6)]).collect();
+        let late = block(RequestKind::Weights, &late);
+        let open_six = block(RequestKind::Edges, &[(1, 6)]);
+        let sensitive = build(&cfg, &[open_six, late.clone(), late]);
+        assert!(!assert_schedule_matches_ring(&sensitive, 8));
+        assert_eq!(pass_tally(&sensitive, 8), [0, 2, 0]);
+    }
+
+    #[test]
+    fn a_certificate_is_built_from_closed_banks() {
+        // One channel, window 8. `first` leaves row 6 of bank 1 open
+        // `W - 1` spans before its end. `second` opens row 5 of bank 1
+        // and reads row 6 four spans later: from closed banks it keeps
+        // arrival order, from `first`'s rows its head would miss with a
+        // hit pending. Both are certified (`second` after `z` closes row
+        // 6, and after `spread` opens row 7 of its banks), `first` is
+        // walked when `second` carries row 6 into it, and nothing
+        // reorders.
+        let cfg = HbmConfig {
+            channels: 1,
+            ..HbmConfig::hbm1()
+        };
+        let first: Vec<(u64, u64)> = [(1, 6)].into_iter().chain([(2, 5); 10]).collect();
+        let first = reads(&cfg, RequestKind::InputFeatures, &first);
+        let second = [
+            (1, 5),
+            (3, 5),
+            (4, 5),
+            (5, 5),
+            (1, 6),
+            (6, 5),
+            (7, 5),
+            (8, 5),
+            (9, 5),
+        ];
+        let second = reads(&cfg, RequestKind::Weights, &second);
+        let z = reads(&cfg, RequestKind::Edges, &[(1, 7)]);
+        let spread: Vec<(u64, u64)> = [1, 3, 4, 5, 6, 7, 8, 9].map(|bank| (bank, 7)).into();
+        let spread = reads(&cfg, RequestKind::Edges, &spread);
+        let program = build(
+            &cfg,
+            &[
+                first.clone(),
+                z,
+                second.clone(),
+                first,
+                [spread, second].concat(),
+            ],
+        );
+        assert!(assert_schedule_matches_ring(&program, 8));
+        assert_eq!(pass_tally(&program, 8), [3, 1, 0]);
     }
 
     #[test]

@@ -70,6 +70,7 @@
 //! | `timing_lanes`         | Points that rode on a replay pass another point started |
 //! | `frfcfs_in_order`      | FR-FCFS ordering passes that found arrival order kept |
 //! | `span_blocks_shared`   | Request blocks a span-program build took from an earlier one instead of decoding |
+//! | `frfcfs_certified`     | Shared-block segments whose FR-FCFS identity verdict came from a certificate |
 //!
 //! The plan-memo counters cover the simulator's span programs, runtime
 //! samples and occupancy indexes (`Graph::memo`).
@@ -224,10 +225,14 @@ pub enum Counter {
     /// from an earlier block with the same exact request list instead
     /// of decoding them again.
     SpanBlocksShared,
+    /// Segments of shared request blocks whose FR-FCFS identity verdict
+    /// an ordering pass (`SpanProgram::schedule`) read from the block's
+    /// certificate instead of walking them.
+    FrfcfsCertified,
 }
 
 /// Number of [`Counter`] variants.
-pub const N_COUNTERS: usize = 15;
+pub const N_COUNTERS: usize = 16;
 
 impl Counter {
     /// The stable snake_case name used in `metrics.json`.
@@ -248,6 +253,7 @@ impl Counter {
             Counter::TimingLanes => "timing_lanes",
             Counter::FrfcfsInOrder => "frfcfs_in_order",
             Counter::SpanBlocksShared => "span_blocks_shared",
+            Counter::FrfcfsCertified => "frfcfs_certified",
         }
     }
 
@@ -269,6 +275,7 @@ impl Counter {
             Counter::TimingLanes,
             Counter::FrfcfsInOrder,
             Counter::SpanBlocksShared,
+            Counter::FrfcfsCertified,
         ]
     }
 }

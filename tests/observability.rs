@@ -765,9 +765,13 @@ fn benchmark_sweep_axes_keep_every_plan_hit() {
 /// A sparsity-off point reads every source window in every chunk, so its
 /// span program decodes that window sweep once and every later chunk's
 /// step takes it from the pool: PB@0.1 at `aggbuf-mb=1` runs 8 chunks,
-/// and its build shares 7 blocks. With sparsity elimination each chunk
-/// reads only its own effectual windows and nothing repeats. Both
-/// points still equal the seed oracle.
+/// and its build shares 7 blocks. Its FR-FCFS twin (window 32) reuses
+/// the program, and the ordering pass reads the sweep's identity
+/// verdict from its certificate in each step's 8 channel segments
+/// instead of walking them: 64 certified segments. With sparsity
+/// elimination each chunk reads only its own effectual windows, so
+/// nothing repeats and nothing is certified. Every point still equals
+/// the seed oracle.
 #[test]
 fn a_sparsity_off_sweep_decodes_its_window_block_once() {
     let _guard = obs_guard();
@@ -775,23 +779,34 @@ fn a_sparsity_off_sweep_decodes_its_window_block_once() {
         .build()
         .unwrap();
     let model = GcnModel::new(ModelKind::Gcn, graph.feature_len(), MODEL_SEED).unwrap();
-    for (sparsity, shared) in [(false, 7), (true, 0)] {
+    for (sparsity, shared, certified) in [(false, 7, 64), (true, 0, 0)] {
         let mut cfg = HyGcnConfig::default();
         cfg.aggregation_buffer_bytes = 1 << 20;
         cfg.sparsity_elimination = sparsity;
+        let mut frfcfs = cfg.clone();
+        frfcfs.hbm.controller = ControllerPolicy::FrFcfs { window: 32 };
         obs::reset();
         obs::enable();
-        let sim = Simulator::new(cfg);
-        let report = sim.simulate(&graph, &model).unwrap();
+        let sims = [cfg, frfcfs].map(Simulator::new);
+        let reports = sims
+            .each_ref()
+            .map(|sim| sim.simulate(&graph, &model).unwrap());
         obs::disable();
-        assert_eq!(report.chunks, 8);
         assert_eq!(program_builds(), 1, "sparsity {sparsity}");
         assert_eq!(
             obs::counter_value(obs::Counter::SpanBlocksShared),
             shared,
             "sparsity {sparsity}"
         );
-        assert_eq!(report, sim.simulate_reference(&graph, &model).unwrap());
+        assert_eq!(
+            obs::counter_value(obs::Counter::FrfcfsCertified),
+            certified,
+            "sparsity {sparsity}"
+        );
+        for (sim, report) in sims.iter().zip(reports) {
+            assert_eq!(report.chunks, 8);
+            assert_eq!(report, sim.simulate_reference(&graph, &model).unwrap());
+        }
     }
     obs::reset();
 }

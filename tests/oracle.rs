@@ -391,8 +391,14 @@ proptest! {
     /// Span programs whose steps repeat request blocks replay
     /// bit-identically to the reference `Hbm` walk. The program pools
     /// each distinct block once: a random batch pushed at several steps,
-    /// and a multi-row sequential read block that sits beside a
-    /// different small edge block in most steps. Every cell, read back
+    /// a multi-row sequential read block that sits beside a different
+    /// small edge block in most steps, and a block of a few reads of one
+    /// row per bank that ends one step and starts the next (so its
+    /// second copy starts from its own rows, and the FR-FCFS ordering
+    /// pass cannot take its certificate's verdict). Each FR-FCFS window
+    /// takes certificates for the shared segments at least as long as
+    /// it, and a seam judges the spans around each block boundary.
+    /// Every cell, read back
     /// as its segments, equals a fresh per-span decode of its batch; a
     /// planned (reserved) build equals a direct one. Lane 0's `t_row`
     /// sits at `t_burst` times the read block's reuse-miss gap or one
@@ -413,8 +419,10 @@ proptest! {
         row_interleaved in any::<bool>(),
         frfcfs_window in prop_oneof![
             Just(None),
+            Just(Some(1usize)),
             Just(Some(2usize)),
             Just(Some(16usize)),
+            Just(Some(32usize)),
             Just(Some(65usize)),
         ],
         sweep_reads in 1u64..40,
@@ -465,10 +473,28 @@ proptest! {
             batch.extend_from_slice(&sweep);
             batch
         };
+        // A few reads of row 3 in every bank of every channel.
+        let (channels, banks) = (geometry.channels as u64, geometry.banks as u64);
+        let page = |channel: u64, bank: u64| {
+            let row = 3 * banks + bank;
+            if row_interleaved {
+                (channel << 27) + row * geometry.row_bytes
+            } else {
+                (row * channels + channel) * geometry.row_bytes
+            }
+        };
+        let reps = 2 + rng.next() % 3;
+        let carried: Vec<MemRequest> = (0..channels * banks * reps)
+            .map(|i| {
+                let addr = page(i % channels, i / channels % banks) + 32 * (i / channels / banks);
+                MemRequest::read(RequestKind::Weights, addr, 16)
+            })
+            .collect();
         let batches = vec![
             random.clone(),
             beside(0),
-            beside(1),
+            [beside(1), carried.clone()].concat(),
+            [carried, beside(3)].concat(),
             random.clone(),
             beside(2),
             sweep.clone(),
