@@ -178,11 +178,12 @@ fn shared_block_program(hbm: &HbmConfig) -> hygcn_mem::SpanProgram {
 /// (priority classes, channel-interleaved mapping) leave the 32-deep
 /// window nothing to promote, so the identity pass alone decides it;
 /// FCFS batches on the row-interleaved mapping interleave the streams
-/// on one channel, so hits overtake misses and the ring orders the
-/// program. A program whose steps repeat a window block keeps arrival
-/// order too, and the pass reads that block's verdict from its
-/// certificate instead of walking it. The replays walk the FCFS
-/// program's schedule.
+/// on one channel, so hits overtake misses and the window queue orders
+/// the cells the identity pass rejects. A program whose steps repeat a
+/// window block keeps arrival order too, and the pass reads that
+/// block's verdict from its certificate instead of walking it. The
+/// replays walk the FCFS program's schedule: its reordered cells in
+/// their service order, every other cell in program order.
 fn bench_span_frfcfs(c: &mut Criterion) {
     let frfcfs = ControllerPolicy::FrFcfs { window: 32 };
     let coordinated = step_program(

@@ -310,27 +310,44 @@ impl HyGcnConfig {
         class
     }
 
+    /// The largest engine dimension a config may set: SIMD cores, lanes
+    /// per core, systolic modules, PE rows and columns per module, and
+    /// vertices per module group, 2^16 each (Table 6 and Fig. 18 use at
+    /// most 32 x 32 x 128). It keeps [`Self::simd_lanes`] at most 2^32,
+    /// [`Self::total_pes`] at most 2^48 and a vertex latency's group
+    /// assembly term (group vertices times step cycles) far from
+    /// overflowing `u64`.
+    pub const MAX_ENGINE_DIM: usize = 1 << 16;
+
     /// Validates the configuration's internal consistency — the HBM
-    /// geometry ([`HbmConfig::validate`]), a nonzero engine geometry,
-    /// the clock and the fidelity range. Design-space enumeration calls
-    /// this per point so that a campaign axis producing an impossible
-    /// combination (for example `burst-bytes` larger than `row-bytes`)
-    /// fails fast with a spec error instead of panicking mid-campaign.
+    /// geometry ([`HbmConfig::validate`]), an engine geometry of nonzero
+    /// dimensions of at most [`Self::MAX_ENGINE_DIM`], the clock and the
+    /// fidelity range. Design-space enumeration calls this per point so
+    /// that a campaign axis producing an impossible combination (for
+    /// example `burst-bytes` larger than `row-bytes`) fails fast with a
+    /// spec error instead of panicking mid-campaign.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
         self.hbm.validate().map_err(|e| format!("hbm: {e}"))?;
-        for (field, value) in [
-            ("simd_cores", self.simd_cores),
-            ("simd_width", self.simd_width),
-            ("systolic_modules", self.systolic_modules),
-            ("module_rows", self.module_rows),
-            ("module_cols", self.module_cols),
+        for (field, value, least) in [
+            ("simd_cores", self.simd_cores, 1),
+            ("simd_width", self.simd_width, 1),
+            ("systolic_modules", self.systolic_modules, 1),
+            ("module_rows", self.module_rows, 1),
+            ("module_cols", self.module_cols, 1),
+            ("module_group_vertices", self.module_group_vertices, 0),
         ] {
-            if value == 0 {
-                return Err(format!("{field} must be at least 1"));
+            if value < least {
+                return Err(format!("{field} must be at least {least}"));
+            }
+            if value > Self::MAX_ENGINE_DIM {
+                return Err(format!(
+                    "{field} {value} exceeds the bound of {} (2^16)",
+                    Self::MAX_ENGINE_DIM
+                ));
             }
         }
         if !(self.clock_ghz.is_finite() && self.clock_ghz > 0.0) {
@@ -490,6 +507,20 @@ mod tests {
             ..HyGcnConfig::default()
         };
         assert!(non_pow2.validate().is_err());
+        let bound = HyGcnConfig::MAX_ENGINE_DIM;
+        let at_bound = HyGcnConfig {
+            simd_cores: bound,
+            module_group_vertices: bound,
+            ..HyGcnConfig::default()
+        };
+        assert_eq!(at_bound.validate(), Ok(()));
+        for past in [bound + 1, usize::MAX] {
+            let cfg = HyGcnConfig {
+                module_cols: past,
+                ..HyGcnConfig::default()
+            };
+            assert!(cfg.validate().unwrap_err().contains("module_cols"));
+        }
         for bad in [0.0, -0.5, 1.5] {
             let cfg = HyGcnConfig {
                 fidelity: bad,

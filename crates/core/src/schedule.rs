@@ -43,11 +43,14 @@ impl EventSchedule {
     pub fn build(graph: &Graph, cfg: &HyGcnConfig, f_in: usize) -> Self {
         let _obs = hygcn_obs::span(hygcn_obs::Phase::ScheduleBuild);
         let n = graph.num_vertices() as u64;
-        let chunk_w = cfg.chunk_width(f_in) as u32;
+        // A chunk spans at most the graph, so the clamped width fits a
+        // vertex id; unclamped, a width of 2^32 would narrow to 0.
+        let width = cfg.chunk_width(f_in).min(graph.num_vertices());
+        let chunk_w = u32::try_from(width).unwrap_or(u32::MAX);
         let mut intervals = Vec::new();
         let mut start = 0u32;
         while u64::from(start) < n {
-            let end = (start + chunk_w).min(n as u32);
+            let end = start.saturating_add(chunk_w).min(n as u32);
             intervals.push(Interval::new(start, end));
             start = end;
         }

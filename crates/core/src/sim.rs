@@ -69,7 +69,8 @@
 //!   [`HyGcnConfig::replay_class`]`)`: the program's key plus the
 //!   controller. The service order depends on no timing field, so a
 //!   timing sweep orders each program once per window and only replays.
-//!   A window that keeps arrival order memoizes `None`, no order array.
+//!   A window that keeps arrival order memoizes `None`, and a schedule
+//!   holds only the service order of the cells it reorders.
 //! * **Runtime samples**, keyed by `(sample_seed, policy)` on the parent
 //!   graph: the [`Sampler`] is deterministic in topology, seed and
 //!   policy. A sampling model therefore reuses its sample, and the

@@ -82,11 +82,14 @@ impl Simulator {
 
         let include_self = !matches!(kind.self_term(), SelfTerm::None);
         let paths: u64 = if kind == ModelKind::DiffPool { 2 } else { 1 };
-        let chunk_w = cfg.chunk_width(f_in) as u32;
+        // A chunk spans at most the graph, so the clamped width fits a
+        // vertex id; unclamped, a width of 2^32 would narrow to 0.
+        let width = cfg.chunk_width(f_in).min(g.num_vertices());
+        let chunk_w = u32::try_from(width).unwrap_or(u32::MAX);
         let mut intervals = Vec::new();
         let mut start = 0u32;
         while u64::from(start) < n {
-            let end = (start + chunk_w).min(n as u32);
+            let end = start.saturating_add(chunk_w).min(n as u32);
             intervals.push(Interval::new(start, end));
             start = end;
         }

@@ -12,7 +12,7 @@ use hygcn_gcn::model::{GcnModel, ModelKind};
 use hygcn_graph::Graph;
 use hygcn_mem::cast::widen_u64;
 
-use crate::config::HyGcnConfig;
+use crate::config::{HyGcnConfig, PipelineMode};
 use crate::error::SimError;
 use crate::layout::AddressLayout;
 
@@ -28,13 +28,18 @@ use crate::layout::AddressLayout;
 ///    ([`HyGcnConfig::validate`]: HBM geometry, clock, fidelity);
 /// 5. the workload's [`AddressLayout`] fits the address space, and its
 ///    top address decodes to a row below 2^32 - 1, so every span of
-///    its requests fits a [`hygcn_mem::spanprog::SpanTuple`].
+///    its requests fits a [`hygcn_mem::spanprog::SpanTuple`];
+/// 6. every request the engines and the pipeline issue fits the `u32`
+///    size of a [`hygcn_mem::request::MemRequest`]: a feature window or
+///    sweep load, an edge load, a weight load, an output write and a
+///    no-pipeline spill, each bounded by the largest such request the
+///    design point can issue (an edge load by the whole graph's edges).
 ///
 /// # Errors
 ///
 /// * [`SimError::Gcn`] with `GcnError::FeatureShape` on mismatch (1);
 /// * [`SimError::BufferTooSmall`] naming the offending buffer (2, 3);
-/// * [`SimError::Config`] with the first violated constraint (4, 5).
+/// * [`SimError::Config`] with the first violated constraint (4, 5, 6).
 pub fn validate_inputs(graph: &Graph, model: &GcnModel, cfg: &HyGcnConfig) -> Result<(), SimError> {
     let f_in = model.feature_len();
     if graph.feature_len() != f_in {
@@ -64,12 +69,9 @@ pub fn validate_inputs(graph: &Graph, model: &GcnModel, cfg: &HyGcnConfig) -> Re
     let kind = model.kind();
     let paths = if kind == ModelKind::DiffPool { 2 } else { 1 };
     let (n, row_bytes) = (widen_u64(graph.num_vertices()), widen_u64(row_bytes));
-    let layout = AddressLayout::new(
-        n,
-        widen_u64(graph.num_edges()),
-        row_bytes,
-        &kind.mlp_dims(f_in),
-    );
+    let edges = widen_u64(graph.num_edges());
+    let dims = kind.mlp_dims(f_in);
+    let layout = AddressLayout::new(n, edges, row_bytes, &dims);
     let Some(end) = layout.end(n, row_bytes, paths) else {
         return Err(SimError::Config(
             "the workload's address layout exceeds the 64-bit address space".into(),
@@ -81,6 +83,38 @@ pub fn validate_inputs(graph: &Graph, model: &GcnModel, cfg: &HyGcnConfig) -> Re
         return Err(SimError::Config(format!(
             "hbm: the workload's top address {top:#x} decodes to row {row}, past the \
              {} rows a span program holds",
+            u32::MAX
+        )));
+    }
+    // A chunk and a window span at most the graph.
+    let width = widen_u64(cfg.chunk_width(f_in)).min(n);
+    let height = widen_u64(cfg.window_height(f_in)).min(n);
+    let weights = dims
+        .windows(2)
+        .map(|d| {
+            let (i, o) = (widen_u64(d[0]), widen_u64(d[1]));
+            i.saturating_mul(o).saturating_add(o).saturating_mul(4)
+        })
+        .fold(0, u64::saturating_add);
+    let out_len = dims.last().map_or(0, |&o| widen_u64(o));
+    let spill = match cfg.pipeline {
+        PipelineMode::None => width.saturating_mul(row_bytes).saturating_mul(paths),
+        PipelineMode::LatencyAware | PipelineMode::EnergyAware => 0,
+    };
+    let largest = [
+        ("feature load", height.saturating_mul(row_bytes)),
+        ("edge load", edges.saturating_mul(4)),
+        ("weight load", weights),
+        (
+            "output write",
+            width.saturating_mul(out_len).saturating_mul(4),
+        ),
+        ("aggregation spill", spill),
+    ];
+    if let Some((request, bytes)) = largest.into_iter().find(|&(_, b)| b > u64::from(u32::MAX)) {
+        return Err(SimError::Config(format!(
+            "a {request} request of {bytes} bytes exceeds the {} bytes a memory request \
+             holds",
             u32::MAX
         )));
     }

@@ -24,8 +24,9 @@
 //!   controller policies. FR-FCFS's windowed row-hit promotion runs
 //!   once per program and window: to `None` when it keeps arrival order
 //!   (every timing then replays program order, as in order), else into
-//!   a [`spanprog::SpanSchedule`] (service order plus row hit/miss),
-//!   which every timing replays as a straight-line recurrence. Programs
+//!   a [`spanprog::SpanSchedule`] (the service order of the few cells it
+//!   reorders; every other cell replays in program order), which every
+//!   timing replays as a straight-line recurrence. Programs
 //!   depend only on the request
 //!   stream and decode geometry, so one program serves a whole
 //!   timing/controller sweep; the simulator caches programs and

@@ -3,8 +3,8 @@
 //! The per-request work of the HBM walk ([`crate::hbm::Hbm`]) splits
 //! into three parts: *decoding* (row-aligned splitting plus
 //! channel/bank/row extraction),
-//! *ordering* (the controller's service order and each span's row hit
-//! or miss) and *timing* (advancing bank/bus state). Decoding is a pure
+//! *ordering* (the controller's service order) and *timing* (each
+//! span's row hit or miss, then advancing bank/bus state). Decoding is a pure
 //! function of the request stream and the address geometry — for a fixed
 //! `(graph, config, model)` design point the stream never changes — so
 //! [`SpanProgramBuilder`] runs it exactly once per distinct request
@@ -14,15 +14,15 @@
 //! [`SpanProgram::schedule`] runs FR-FCFS once per lookahead window: to
 //! `None` when it serves every span in arrival order (HyGCN's
 //! coordinated, row-sequential batches leave it almost nothing to
-//! promote), else to a [`SpanSchedule`]. [`SpanReplayer`] then replays
-//! program order or the schedule with SoA per-channel registers
-//! (bank-ready array, bus-cycle array packed for sequential access): a
-//! straight-line max-plus recurrence with no decode and no queue, and
-//! over a schedule no row compare either. One replayer carries `L`
-//! *timing lanes* (1 to [`MAX_LANES`]): it reads each span once and
-//! runs the recurrence once per lane, so a timing sweep pays the
-//! program's memory traffic (and the program-order row compare) once
-//! per `L` timings.
+//! promote), else to a [`SpanSchedule`] of the few cells it reorders.
+//! [`SpanReplayer`] then replays each cell in program order or in the
+//! schedule's order with SoA per-channel registers (bank-ready array,
+//! bus-cycle array packed for sequential access): a row compare and a
+//! straight-line max-plus recurrence with no decode and no queue. One
+//! replayer carries `L` *timing lanes* (1 to [`MAX_LANES`]): it reads
+//! each span once, makes its row compare once and runs the recurrence
+//! once per lane, so a timing sweep pays the program's memory traffic
+//! once per `L` timings.
 //!
 //! ## Layout and decode
 //!
@@ -86,15 +86,15 @@
 //!   pass* that only tracks the youngest pending hit (`ArrivalOrder`):
 //!   while every pick is the head, the head is picked unless it misses
 //!   with a hit pending. A cell that fails it restores its channel's
-//!   open rows and is ordered by an age-ordered ring with a row-hit
-//!   mask and per-bank slot masks (`FrFcfsQueue`) over its segments
-//!   copied back to back. If every cell passes, the result is `None`:
-//!   the FR-FCFS replay *is* the program-order replay above, bit for
-//!   bit. Otherwise the schedule records, per span, the index into its
-//!   channel run with the row-miss flag in bit 31 (cells that passed in
-//!   arrival order), and per cell the miss and burst counts — exactly
-//!   what the ring alone would record. The replay walks that order over
-//!   the cell's copied run, each entry read once for every lane.
+//!   open rows and is ordered by a plain window queue shaped like the
+//!   walk's drain (`frfcfs_order`) over its segments copied back to
+//!   back. If every cell passes, the result is `None`: the FR-FCFS
+//!   replay *is* the program-order replay above, bit for bit. Otherwise
+//!   the schedule holds only the rejected cells, each as its spans'
+//!   indexes into the cell's run in service order. The replay walks a
+//!   reordered cell's indexes over its copied run with the same row
+//!   compare as program order, and replays every other cell in program
+//!   order, summaries included.
 //!
 //! **Identity by certificate.** With a window of `W`, the pending spans
 //! at head `h` are the `W - 1` behind it, and the open rows are the ones
@@ -181,8 +181,9 @@
 //! program and the lookahead window, so the simulator memoizes the
 //! `Option` under the model kind, feature length and the config's
 //! replay class (the decode class with the controller kept): a sweep
-//! orders each program once per window, and a window that keeps
-//! arrival order stores no order array. The simulator then replays each
+//! orders each program once per window, a window that keeps arrival
+//! order stores `None`, and a schedule stores only the cells it
+//! reorders. The simulator then replays each
 //! distinct (service order, timing) of a decode class once, `MAX_LANES`
 //! timings per pass, so the in-order and arrival-keeping FR-FCFS points
 //! of one timing share a lane. Within a program, each distinct request
@@ -192,7 +193,7 @@
 //! sweep that reads the same source windows every chunk pays for them
 //! once per program (and once per window), not once per chunk.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::ops::Range;
 
 use crate::address::MappingScheme;
@@ -205,16 +206,6 @@ use crate::stats::{ChannelStats, HbmStats, MemStats};
 /// width): [`SpanProgramBuilder::push_step`] rejects a row at or above
 /// it, so no decoded row ever reads as closed.
 const NO_ROW: u32 = u32::MAX;
-
-/// Bit 31 of a [`SpanSchedule`] entry: the span is a row miss.
-const MISS: u32 = 1 << 31;
-
-/// The low 31 bits of a [`SpanSchedule`] entry: the span's index in its
-/// channel run.
-const INDEX: u32 = MISS - 1;
-
-/// The longest channel run a [`SpanSchedule`] can index (2^31 spans).
-const MAX_RUN: usize = 1 << 31;
 
 /// The summary slot of a block the program references once: it replays
 /// span by span and keeps no summary.
@@ -325,8 +316,7 @@ impl SpanProgram {
             && self.burst_bytes == config.burst_bytes
     }
 
-    /// The program positions of `(step, channel)` cell `cell` (and its
-    /// service order in a [`SpanSchedule`]).
+    /// The program positions of `(step, channel)` cell `cell`.
     #[inline]
     fn cell(&self, cell: usize) -> Range<usize> {
         self.offsets[cell]..self.offsets[cell + 1]
@@ -405,15 +395,14 @@ impl SpanProgram {
     /// the spans between such segments, with the seams reaching `W - 1`
     /// spans into them, take the walk (`ArrivalOrder`; see the module
     /// docs). A cell the pass rejects restores its channel's open rows
-    /// and is ordered by the ring (`FrFcfsQueue`) over its segments
-    /// copied back to back. The order array is built only from the
-    /// first such cell on, with the cells before it written out in
-    /// arrival order. Certificates live only as long as the call.
+    /// and is ordered by the window queue (`frfcfs_order`) over its
+    /// segments copied back to back; the schedule holds only those
+    /// cells. Certificates live only as long as the call.
     ///
     /// # Errors
     ///
-    /// A channel run of more than 2^31 spans, which a schedule entry
-    /// cannot index.
+    /// A reordered cell of more than 2^32 - 1 spans, which a schedule
+    /// entry cannot index.
     pub fn schedule(&self, window: usize) -> Result<Option<SpanSchedule>, String> {
         // The ordering pass is the controller half of replay; its time
         // belongs with it.
@@ -431,78 +420,31 @@ impl SpanProgram {
     fn order(&self, pass: &mut IdentityPass) -> Result<Option<SpanSchedule>, String> {
         let (banks, window) = (self.banks, pass.window);
         let mut bank_row = vec![NO_ROW; self.channels * banks];
-        let mut queue = FrFcfsQueue::default();
-        // The service order and per-cell counts, from the first cell
-        // FR-FCFS reorders on.
-        let mut reordered: Option<(Vec<u32>, Vec<CellCounts>)> = None;
+        let (mut cells, mut order) = (Vec::new(), Vec::new());
         for cell in 0..self.offsets.len() - 1 {
-            let spans = self.cell(cell);
-            if spans.len() > MAX_RUN {
-                return Err(format!(
-                    "a channel run of {} spans exceeds the FR-FCFS schedule's \
-                     limit of 2^31",
-                    spans.len()
-                ));
-            }
             let (step, c) = (cell / self.channels, cell % self.channels);
             let rows = &mut bank_row[c * banks..(c + 1) * banks];
-            let kept = pass.keeps_order(step, c, rows);
-            if kept && reordered.is_none() {
+            if pass.keeps_order(step, c, rows) {
                 continue;
             }
             let (run, cell_rows) = pass.cell_run(step, c);
-            let (order, cells) = reordered.get_or_insert_with(|| self.in_order_prefix(cell));
-            cells.push(if kept {
-                // `rows` already moved on; write the entries from the
-                // rows the cell started with.
-                in_order(run, cell_rows, order)
-            } else {
-                rows.copy_from_slice(cell_rows);
-                CellCounts {
-                    misses: queue.order(run, window, rows, order),
-                    bursts: run.iter().map(|t| u64::from(t.bursts)).sum(),
-                }
-            });
+            if u32::try_from(run.len()).is_err() {
+                return Err(format!(
+                    "a reordered channel run of {} spans exceeds the FR-FCFS \
+                     schedule's limit of 2^32 - 1",
+                    run.len()
+                ));
+            }
+            rows.copy_from_slice(cell_rows);
+            cells.push((cell, order.len()));
+            frfcfs_order(run, window, rows, &mut order);
         }
-        Ok(reordered.map(|(order, cells)| SpanSchedule { order, cells }))
-    }
-
-    /// The schedule entries and counts of cells `0..end` in arrival
-    /// order, from closed banks: what the ring writes for cells the
-    /// identity pass accepted.
-    fn in_order_prefix(&self, end: usize) -> (Vec<u32>, Vec<CellCounts>) {
-        let banks = self.banks;
-        let mut bank_row = vec![NO_ROW; self.channels * banks];
-        let mut order = Vec::with_capacity(self.total_tuples());
-        let mut cells = Vec::with_capacity(self.offsets.len() - 1);
-        let mut scratch = Vec::new();
-        for cell in 0..end {
-            let c = cell % self.channels;
-            let rows = &mut bank_row[c * banks..(c + 1) * banks];
-            let run = self.cell_run(cell / self.channels, c, &mut scratch);
-            cells.push(in_order(run, rows, &mut order));
-        }
-        (order, cells)
+        Ok((!cells.is_empty()).then_some(SpanSchedule { cells, order }))
     }
 }
 
-/// Appends `run`'s schedule entries in arrival order, opening rows in
-/// `bank_row` as the spans miss, and returns the cell's counts.
-fn in_order(run: &[SpanTuple], bank_row: &mut [u32], order: &mut Vec<u32>) -> CellCounts {
-    let mut counts = CellCounts::default();
-    for (t, idx) in run.iter().zip(0u32..) {
-        let bank = usize::from(t.bank);
-        let miss = bank_row[bank] != t.row;
-        bank_row[bank] = t.row;
-        order.push(if miss { idx | MISS } else { idx });
-        counts.misses += u64::from(miss);
-        counts.bursts += u64::from(t.bursts);
-    }
-    counts
-}
-
-/// Row misses and bursts of one `(step, channel)` cell.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Row misses and bursts of one `(step, channel)` cell's replay.
+#[derive(Debug, Clone, Copy, Default)]
 struct CellCounts {
     misses: u64,
     bursts: u64,
@@ -511,15 +453,26 @@ struct CellCounts {
 /// The FR-FCFS service order of one [`SpanProgram`] under one lookahead
 /// window that reorders at least one cell, built by
 /// [`SpanProgram::schedule`] and replayed by
-/// [`SpanReplayer::replay_step`]. It carries no timing.
+/// [`SpanReplayer::replay_step`]. It holds only the cells FR-FCFS
+/// reorders, every other cell being served in program order, and no
+/// timing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanSchedule {
-    /// Laid out by the program's cell positions: each cell's entries
-    /// list its spans in service order, as the span's index in the
-    /// cell's run with [`MISS`] set for a row miss.
+    /// The reordered `(step, channel)` cells in program order, each with
+    /// the start of its entries in `order`.
+    cells: Vec<(usize, usize)>,
+    /// Each reordered cell's spans in service order, as indexes into
+    /// the cell's run.
     order: Vec<u32>,
-    /// Row misses and bursts per `(step, channel)` cell.
-    cells: Vec<CellCounts>,
+}
+
+impl SpanSchedule {
+    /// Cell `cell`'s service order, when FR-FCFS reorders it.
+    fn cell(&self, cell: usize) -> Option<&[u32]> {
+        let i = self.cells.binary_search_by_key(&cell, |&(c, _)| c).ok()?;
+        let end = self.cells.get(i + 1).map_or(self.order.len(), |&(_, e)| e);
+        Some(&self.order[self.cells[i].1..end])
+    }
 }
 
 /// The replay summary of a shared block's run in one channel (see the
@@ -1061,10 +1014,8 @@ pub struct SpanReplayer<const L: usize> {
     /// its summary to replay it in every lane: the largest
     /// `ceil(t_row / t_burst)`.
     summary_gap: u64,
-    /// Open row per (channel-major) bank, [`NO_ROW`] when closed. Only
-    /// a program-order replay reads it: a schedule already holds each
-    /// span's row hit or miss. The row a span opens depends on no
-    /// timing, so every lane shares it.
+    /// Open row per (channel-major) bank, [`NO_ROW`] when closed. The
+    /// row a span opens depends on no timing, so every lane shares it.
     bank_row: Vec<u32>,
     /// Ready cycle per (channel-major) bank, per lane.
     bank_ready: Vec<[u64; L]>,
@@ -1075,7 +1026,8 @@ pub struct SpanReplayer<const L: usize> {
     /// Request-level counters (bytes, request count), the same in every
     /// lane.
     traffic: MemStats,
-    /// A cell's segments back to back, for a schedule to index.
+    /// A reordered cell's segments back to back, for its schedule
+    /// entries to index.
     run: Vec<SpanTuple>,
 }
 
@@ -1128,14 +1080,15 @@ impl<const L: usize> SpanReplayer<L> {
     ///
     /// `schedule` alone is the service order: `None` serves every span
     /// in program order (an in-order controller, or FR-FCFS whose
-    /// [`SpanProgram::schedule`] is `None`), `Some` the FR-FCFS order it
-    /// holds. In program order a shared block's segment replays from its
-    /// summary when every lane's `t_row` fits the summary's gap, else
-    /// span by span. The caller guarantees `program.matches()` the
-    /// replayer's geometry and steps are replayed in build order at
-    /// nondecreasing arrival cycles per lane — the same protocol a
+    /// [`SpanProgram::schedule`] is `None`), `Some` serves the cells it
+    /// reorders in its order and every other cell in program order. In
+    /// program order a shared block's segment replays from its summary
+    /// when every lane's `t_row` fits the summary's gap, else span by
+    /// span. The caller guarantees `program.matches()` the replayer's
+    /// geometry and steps are replayed in build order at nondecreasing
+    /// arrival cycles per lane — the same protocol a
     /// [`crate::hbm::Hbm::service_batch`] sequence observes. Each span
-    /// (and schedule entry) is read once and serviced in every lane.
+    /// is read and its row compared once, and serviced in every lane.
     pub fn replay_step(
         &mut self,
         program: &SpanProgram,
@@ -1143,7 +1096,6 @@ impl<const L: usize> SpanReplayer<L> {
         step: usize,
         now: [u64; L],
     ) -> [u64; L] {
-        debug_assert!(schedule.is_none_or(|s| s.order.len() == program.total_tuples()));
         // One relaxed load when collection is off; the guard sits
         // outside the per-span hot loop so the replay stays untouched.
         let _obs = hygcn_obs::span(hygcn_obs::Phase::SpanReplay);
@@ -1161,66 +1113,55 @@ impl<const L: usize> SpanReplayer<L> {
             if spans.is_empty() {
                 continue;
             }
+            let bank_row = &mut self.bank_row[c * banks..(c + 1) * banks];
             let bank_ready = &mut self.bank_ready[c * banks..(c + 1) * banks];
             // The bus cycles stay in registers for the cell; the
             // order-free statistics fold in once afterwards.
             let mut bus = self.bus_free[c];
-            let counts = match schedule {
-                None => {
-                    let bank_row = &mut self.bank_row[c * banks..(c + 1) * banks];
-                    let mut counts = CellCounts::default();
-                    for &block in program.blocks(step) {
-                        if let Some(summary) =
-                            program.summary(block, c).filter(|s| s.gap >= summary_gap)
-                        {
-                            replay_summary(
-                                summary,
-                                &program.marks[summary.marks.clone()],
-                                bank_row,
-                                bank_ready,
-                                &mut bus,
-                                now,
-                                timing,
-                                &mut counts,
-                            );
-                            continue;
-                        }
-                        for tup in program.segment(block, c) {
-                            let bank = usize::from(tup.bank);
-                            let miss = bank_row[bank] != tup.row;
-                            bank_row[bank] = tup.row;
-                            counts.misses += u64::from(miss);
-                            counts.bursts += u64::from(tup.bursts);
-                            service(
-                                &mut bank_ready[bank],
-                                &mut bus,
-                                now,
-                                miss,
-                                tup.bursts,
-                                timing,
-                            );
-                        }
-                    }
-                    counts
+            let mut counts = CellCounts::default();
+            if let Some(order) = schedule.and_then(|s| s.cell(cell)) {
+                let run = program.cell_run(step, c, &mut self.run);
+                for &i in order {
+                    let tup = &run[idx(i)];
+                    replay_span(
+                        tup,
+                        bank_row,
+                        bank_ready,
+                        &mut bus,
+                        now,
+                        timing,
+                        &mut counts,
+                    );
                 }
-                Some(schedule) => {
-                    let run = program.cell_run(step, c, &mut self.run);
-                    for &entry in &schedule.order[spans.clone()] {
-                        let tup = &run[idx(entry & INDEX)];
-                        let miss = entry & MISS != 0;
-                        let bank = usize::from(tup.bank);
-                        service(
-                            &mut bank_ready[bank],
+            } else {
+                for &block in program.blocks(step) {
+                    match program.summary(block, c).filter(|s| s.gap >= summary_gap) {
+                        Some(summary) => replay_summary(
+                            summary,
+                            &program.marks[summary.marks.clone()],
+                            bank_row,
+                            bank_ready,
                             &mut bus,
                             now,
-                            miss,
-                            tup.bursts,
                             timing,
-                        );
+                            &mut counts,
+                        ),
+                        None => {
+                            for tup in program.segment(block, c) {
+                                replay_span(
+                                    tup,
+                                    bank_row,
+                                    bank_ready,
+                                    &mut bus,
+                                    now,
+                                    timing,
+                                    &mut counts,
+                                );
+                            }
+                        }
                     }
-                    schedule.cells[cell]
                 }
-            };
+            }
             self.bus_free[c] = bus;
             for (l, st) in self.stats[c].iter_mut().enumerate() {
                 // Each span moves at least one burst, so the bus only
@@ -1262,6 +1203,26 @@ impl<const L: usize> SpanReplayer<L> {
             channels: std::mem::take(&mut channels[l]),
         })
     }
+}
+
+/// Replays one span in program order: compares its row with its bank's
+/// open row, counts it, and services it in every lane.
+#[inline(always)]
+fn replay_span<const L: usize>(
+    tup: &SpanTuple,
+    bank_row: &mut [u32],
+    bank_ready: &mut [[u64; L]],
+    bus: &mut [u64; L],
+    now: [u64; L],
+    timing: ([u64; L], [u64; L]),
+    counts: &mut CellCounts,
+) {
+    let bank = usize::from(tup.bank);
+    let miss = bank_row[bank] != tup.row;
+    bank_row[bank] = tup.row;
+    counts.misses += u64::from(miss);
+    counts.bursts += u64::from(tup.bursts);
+    service(&mut bank_ready[bank], bus, now, miss, tup.bursts, timing);
 }
 
 /// Replays a shared block's run from its summary in program order: the
@@ -1354,9 +1315,7 @@ struct ArrivalOrder {
 impl ArrivalOrder {
     /// Sizes the table at sixteen slots per pending span, so a head
     /// miss finds another pending key in its slot with probability at
-    /// most 1/16: a collision scans at most the window, which keeps the
-    /// pass within a constant of the ring's per-miss bank scan at any
-    /// window.
+    /// most 1/16: a collision scans at most the window.
     fn reserve(&mut self, window: usize) {
         let len = (16 * window).next_power_of_two();
         if self.youngest.len() < len {
@@ -1723,242 +1682,55 @@ impl<'p> IdentityPass<'p> {
     }
 }
 
-/// A pending span of the FR-FCFS lookahead: its bank and row, and its
-/// index in the channel run ([`GONE`] once a younger pick tombstones
-/// it).
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    row: u32,
-    bank: u16,
-    idx: u32,
-}
-
-/// The index of a tombstoned [`Pending`] slot; real indices stay below
-/// 2^31.
-const GONE: u32 = u32::MAX;
-
-/// The FR-FCFS lookahead of one channel run: the picks of
-/// [`crate::hbm::Hbm::service_batch`]'s channel drain over tuples,
-/// without its per-pick scan of the whole window, and without timing.
+/// Appends to `order` the FR-FCFS service order of `run`, a channel's
+/// spans served from the open rows `bank_row` under a `window`-deep
+/// lookahead, as indexes into `run` (at most 2^32 - 1 spans): the picks
+/// of [`crate::hbm::Hbm`]'s channel drain, without timing. Each pick is
+/// the oldest pending row hit, else the oldest pending span, which
+/// misses and opens its row in `bank_row`.
 ///
-/// Pending tuples sit in age order in a ring of slots, oldest at the
-/// head. Picking the head advances it; picking a younger tuple leaves
-/// a tombstone that the head later skips. A row-hit mask and per-bank
-/// slot masks cover the ring, and a count of pending hits decides the
-/// pick: the oldest tuple when there are none, else the first hit bit
-/// from the head onwards, wrapping around.
-///
-/// Only servicing a row miss opens a row, and a miss is picked only
-/// when no pending tuple hits. So after a miss on `(bank, row)` the
-/// hits are exactly that bank's pending tuples of that row: the queue
-/// re-checks one bank's slots, not the whole window. A hit opens
-/// nothing, so it changes no other tuple's status.
-#[derive(Debug, Clone, Default)]
-struct FrFcfsQueue {
-    /// The ring: a power of two of at least 64 slots and twice the
-    /// window (capped at the run length), so tombstones rarely fill it.
-    slots: Vec<Pending>,
-    /// Mask words per set (`slots.len() / 64`).
-    words: usize,
-    /// Slots whose tuple hits its bank's open row.
-    hit: Vec<u64>,
-    /// Pending slots per bank: bank `b` owns words `b * words..`.
-    bank: Vec<u64>,
-}
-
-impl FrFcfsQueue {
-    /// Grows the (empty) ring to fit a `window`-deep lookahead over
-    /// `banks` banks.
-    fn reserve(&mut self, window: usize, banks: usize) {
-        let cap = (2 * window).next_power_of_two().max(64);
-        if self.slots.len() >= cap {
-            return;
-        }
-        let words = cap / 64;
-        let empty = Pending {
-            row: NO_ROW,
-            bank: 0,
-            idx: GONE,
-        };
-        *self = Self {
-            slots: vec![empty; cap],
-            words,
-            hit: vec![0; words],
-            bank: vec![0; banks * words],
-        };
-    }
-
-    /// Orders `run` (at most [`MAX_RUN`] tuples) with row-hit-first
-    /// selection inside a `window`-deep lookahead, oldest first when
-    /// nothing pending hits, opening rows in `bank_row` as the picks
-    /// miss. Appends one [`SpanSchedule`] entry per tuple to `order`
-    /// and returns the row misses. Leaves the queue empty.
-    fn order(
-        &mut self,
-        run: &[SpanTuple],
-        window: usize,
-        bank_row: &mut [u32],
-        order: &mut Vec<u32>,
-    ) -> u64 {
-        // A lookahead deeper than the run sees the whole run, so the
-        // ring never outgrows the program.
-        let window = window.min(run.len());
-        self.reserve(window, bank_row.len());
-        // A window of up to 32 fits one mask word: a build of its own
-        // lets the compiler drop the mask loops.
-        if self.words == 1 {
-            self.order_in::<1>(run, window, bank_row, order)
-        } else {
-            self.order_in::<0>(run, window, bank_row, order)
-        }
-    }
-
-    /// [`FrFcfsQueue::order`] over a reserved ring of `WORDS` mask words
-    /// (0: `self.words`).
-    fn order_in<const WORDS: usize>(
-        &mut self,
-        run: &[SpanTuple],
-        window: usize,
-        bank_row: &mut [u32],
-        order: &mut Vec<u32>,
-    ) -> u64 {
-        let words = if WORDS == 0 { self.words } else { WORDS };
-        let ring = words * 64 - 1;
-        // Ring positions count up from 0; a slot is `pos & ring`. The
-        // queue is empty exactly when the head reaches the tail.
-        let (mut head, mut tail, mut hits) = (0usize, 0usize, 0usize);
-        let mut arrivals = run.iter().zip(0u32..).map(|(t, idx)| Pending {
-            row: t.row,
-            bank: t.bank,
-            idx,
-        });
-        // Fill the window; after that each pick makes room for exactly
-        // one arrival, so the window stays full until the run ends.
-        for p in arrivals.by_ref().take(window) {
-            self.push(p, words, &mut head, &mut tail, &mut hits, bank_row);
-        }
-        let mut misses = 0;
-        while head < tail {
-            let was_hit = hits > 0;
-            let slot = if was_hit {
-                oldest_set(&self.hit[..words], head & ring)
-            } else {
-                head & ring
+/// Only a miss opens a row, and one is picked only when nothing pending
+/// hits, so after it the pending hits are exactly its bank's pending
+/// spans of its row. Each pending span carries whether it hits, and a
+/// count of the hits spares a pick with none the search.
+fn frfcfs_order(run: &[SpanTuple], window: usize, bank_row: &mut [u32], order: &mut Vec<u32>) {
+    // Pending spans, oldest first: run index and whether it hits.
+    let mut pending: VecDeque<(u32, bool)> = VecDeque::with_capacity(window.min(run.len()));
+    let mut arrivals = (0u32..).zip(run);
+    let mut hits = 0usize;
+    loop {
+        // Each pick makes room for one arrival, so the window stays
+        // full until the run ends.
+        while pending.len() < window {
+            let Some((i, t)) = arrivals.next() else {
+                break;
             };
-            let p = self.slots[slot];
-            let (w, bit) = (slot / 64, 1u64 << (slot % 64));
-            let bank_words = usize::from(p.bank) * words..(usize::from(p.bank) + 1) * words;
-            self.bank[bank_words.start + w] &= !bit;
-            if slot == head & ring {
-                head += 1;
-                while head < tail && self.slots[head & ring].idx == GONE {
-                    head += 1;
-                }
-            } else {
-                self.slots[slot].idx = GONE;
-            }
-            if was_hit {
-                self.hit[w] &= !bit;
-                hits -= 1;
-                order.push(p.idx);
-            } else {
-                // Nothing pending hit, so the oldest tuple misses and
-                // opens `p.row`: that bank's pending tuples of the same
-                // row hit now, and nothing else changed.
-                order.push(p.idx | MISS);
-                misses += 1;
-                bank_row[usize::from(p.bank)] = p.row;
-                for (w, &mask) in self.bank[bank_words].iter().enumerate() {
-                    let mut m = mask;
-                    while m != 0 {
-                        let bit = m & m.wrapping_neg();
-                        m ^= bit;
-                        if self.slots[w * 64 + idx(bit.trailing_zeros())].row == p.row {
-                            self.hit[w] |= bit;
-                            hits += 1;
-                        }
-                    }
-                }
-            }
-            if let Some(p) = arrivals.next() {
-                self.push(p, words, &mut head, &mut tail, &mut hits, bank_row);
+            let hit = bank_row[usize::from(t.bank)] == t.row;
+            hits += usize::from(hit);
+            pending.push_back((i, hit));
+        }
+        let pick = match hits {
+            0 => 0,
+            _ => pending.iter().position(|&(_, hit)| hit).unwrap_or(0),
+        };
+        let Some((i, hit)) = pending.remove(pick) else {
+            return;
+        };
+        order.push(i);
+        if hit {
+            hits -= 1;
+            continue;
+        }
+        let t = run[idx(i)];
+        bank_row[usize::from(t.bank)] = t.row;
+        for (j, hit) in &mut pending {
+            let p = &run[idx(*j)];
+            if p.row == t.row && p.bank == t.bank {
+                *hit = true;
+                hits += 1;
             }
         }
-        misses
     }
-
-    /// Queues `p` as the youngest pending tuple, compacting the ring
-    /// first when tombstones have filled it.
-    #[inline(always)]
-    fn push(
-        &mut self,
-        p: Pending,
-        words: usize,
-        head: &mut usize,
-        tail: &mut usize,
-        hits: &mut usize,
-        bank_row: &[u32],
-    ) {
-        let cap = words * 64;
-        if *tail - *head == cap {
-            *tail = self.compact(*head, *tail, bank_row);
-            *head = 0;
-        }
-        let slot = *tail & (cap - 1);
-        *tail += 1;
-        self.slots[slot] = p;
-        let (w, bit) = (slot / 64, 1u64 << (slot % 64));
-        self.bank[usize::from(p.bank) * words + w] |= bit;
-        if bank_row[usize::from(p.bank)] == p.row {
-            self.hit[w] |= bit;
-            *hits += 1;
-        }
-    }
-
-    /// Moves the live tuples of the full ring `head..tail` to slots
-    /// `0..n` in age order, dropping tombstones, and rebuilds the
-    /// masks; returns `n`, the new tail (the new head is 0). Hit bits
-    /// are re-derived from the open rows, which is what they record.
-    fn compact(&mut self, head: usize, tail: usize, bank_row: &[u32]) -> usize {
-        debug_assert_eq!(tail - head, self.slots.len());
-        let (words, cap) = (self.words, self.slots.len());
-        self.slots.rotate_left(head & (cap - 1));
-        self.hit.fill(0);
-        self.bank.fill(0);
-        let mut n = 0;
-        for from in 0..cap {
-            let p = self.slots[from];
-            if p.idx == GONE {
-                continue;
-            }
-            self.slots[n] = p;
-            let (w, bit) = (n / 64, 1u64 << (n % 64));
-            self.bank[usize::from(p.bank) * words + w] |= bit;
-            if bank_row[usize::from(p.bank)] == p.row {
-                self.hit[w] |= bit;
-            }
-            n += 1;
-        }
-        n
-    }
-}
-
-/// The first set bit of `mask` at or after bit `from`, wrapping around
-/// to the bits below it; `mask` must not be empty.
-#[inline]
-fn oldest_set(mask: &[u64], from: usize) -> usize {
-    let (w0, low) = (from / 64, (1u64 << (from % 64)) - 1);
-    let words = mask.len();
-    let first = mask[w0] & !low;
-    if first != 0 {
-        return w0 * 64 + idx(first.trailing_zeros());
-    }
-    for w in (w0 + 1..words).chain(0..w0) {
-        if mask[w] != 0 {
-            return w * 64 + idx(mask[w].trailing_zeros());
-        }
-    }
-    w0 * 64 + idx((mask[w0] & low).trailing_zeros())
 }
 
 #[cfg(test)]
@@ -2154,7 +1926,7 @@ mod tests {
     fn old_row_miss_outlives_many_younger_row_hits() {
         // One channel: step 0 opens row A of bank 0; step 1 queues a
         // miss to row B of the same bank ahead of many more than
-        // 2 x window hits to A, enough to wrap and compact the ring.
+        // 2 x window hits to A, enough to cycle the window queue.
         // FR-FCFS serves every hit first, so the miss outlives them all
         // and each hit stays a hit; in order, the miss would close A.
         let base = HbmConfig {
@@ -2193,10 +1965,11 @@ mod tests {
 
     #[test]
     fn oldest_hit_search_wraps_around_the_ring() {
-        // Window 65 uses a 256-slot ring. 260 row misses to fresh rows
-        // march the head past slot 195 before the 261st tuple, a hit on
-        // the row the 11th tuple left open, lands in wrapped slot 4: the
-        // oldest-hit search must wrap from the head's word to word 0.
+        // Window 65: 260 row misses to fresh rows cycle the window
+        // queue's ring buffer several times before the 261st tuple, a
+        // hit on the row the 11th tuple left open, arrives behind 64
+        // pending misses: the oldest-hit search must find it wherever
+        // the buffer wraps, and it overtakes them all.
         let cfg = HbmConfig {
             channels: 1,
             controller: ControllerPolicy::FrFcfs { window: 65 },
@@ -2267,42 +2040,37 @@ mod tests {
         assert!(!program.matches(&HbmConfig::hbm1_uncoordinated()));
     }
 
-    /// The ring's service order of every cell of `program`, reordered or
-    /// not: the FR-FCFS reference the identity pass must agree with.
-    fn ring_schedule(program: &SpanProgram, window: usize) -> SpanSchedule {
+    /// The window queue's service order of every cell of `program`,
+    /// kept as a schedule entry where it is not arrival order: the
+    /// FR-FCFS reference the identity pass must agree with.
+    fn queue_schedule(program: &SpanProgram, window: usize) -> Option<SpanSchedule> {
         let banks = program.banks;
         let mut bank_row = vec![NO_ROW; program.channels * banks];
-        let mut queue = FrFcfsQueue::default();
-        let (mut order, mut cells, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut cells, mut order, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
         for cell in 0..program.offsets.len() - 1 {
             let c = cell % program.channels;
             let run = program.cell_run(cell / program.channels, c, &mut scratch);
+            let start = order.len();
             let rows = &mut bank_row[c * banks..(c + 1) * banks];
-            cells.push(CellCounts {
-                misses: queue.order(run, window.max(1), rows, &mut order),
-                bursts: run.iter().map(|t| u64::from(t.bursts)).sum(),
-            });
-        }
-        SpanSchedule { order, cells }
-    }
-
-    /// Asserts that `program.schedule(window)` is `None` exactly when
-    /// the ring serves every cell in arrival order, and the ring's
-    /// schedule otherwise; returns whether arrival order was kept.
-    fn assert_schedule_matches_ring(program: &SpanProgram, window: usize) -> bool {
-        let ring = ring_schedule(program, window);
-        let kept = (0..program.offsets.len() - 1).all(|cell| {
-            let entries = &ring.order[program.cell(cell)];
-            entries.iter().zip(0u32..).all(|(&e, i)| e & INDEX == i)
-        });
-        match program.schedule(window).expect("runs fit the index") {
-            None => assert!(kept, "window {window}: the ring reorders"),
-            Some(schedule) => {
-                assert!(!kept, "window {window}: the ring keeps arrival order");
-                assert_eq!(schedule, ring, "window {window}");
+            frfcfs_order(run, window.max(1), rows, &mut order);
+            if order[start..].iter().zip(0u32..).all(|(&i, j)| i == j) {
+                order.truncate(start);
+            } else {
+                cells.push((cell, start));
             }
         }
-        kept
+        (!cells.is_empty()).then_some(SpanSchedule { cells, order })
+    }
+
+    /// Asserts that `program.schedule(window)` is the window queue's
+    /// schedule: `None` exactly when the queue serves every cell in
+    /// arrival order, else its reordered cells; returns whether arrival
+    /// order was kept.
+    fn assert_schedule_matches_queue(program: &SpanProgram, window: usize) -> bool {
+        let queue = queue_schedule(program, window);
+        let schedule = program.schedule(window).expect("runs fit the index");
+        assert_eq!(schedule, queue, "window {window}");
+        schedule.is_none()
     }
 
     /// A 32-byte read of `(channel, bank, row)` under `cfg`'s
@@ -2340,9 +2108,9 @@ mod tests {
         // the pending hit over the head's miss.
         let run: Vec<(u64, u64)> = (0..64).map(|i| (0, 1 + i % 2)).collect();
         let program = one_channel(&[&run]);
-        assert!(assert_schedule_matches_ring(&program, 1));
-        assert!(assert_schedule_matches_ring(&program, 0), "0 acts as 1");
-        assert!(!assert_schedule_matches_ring(&program, 2));
+        assert!(assert_schedule_matches_queue(&program, 1));
+        assert!(assert_schedule_matches_queue(&program, 0), "0 acts as 1");
+        assert!(!assert_schedule_matches_queue(&program, 2));
     }
 
     #[test]
@@ -2363,7 +2131,7 @@ mod tests {
                 (run[0], run[1], run[d]) = ((0, 1), (0, 2), (0, 1));
                 let program = one_channel(&[&run]);
                 assert_eq!(
-                    assert_schedule_matches_ring(&program, window),
+                    assert_schedule_matches_queue(&program, window),
                     kept,
                     "window {window}, distance {d}"
                 );
@@ -2377,12 +2145,12 @@ mod tests {
         // with younger hits pending, on its own row or on another
         // bank's open row.
         let same_row = [(0, 1), (0, 1), (0, 1), (1, 5), (1, 5), (2, 9)];
-        assert!(assert_schedule_matches_ring(&one_channel(&[&same_row]), 8));
+        assert!(assert_schedule_matches_queue(&one_channel(&[&same_row]), 8));
         let open = one_channel(&[&[(0, 1), (1, 5)], &[(0, 1), (1, 5), (2, 9)]]);
-        assert!(assert_schedule_matches_ring(&open, 8));
+        assert!(assert_schedule_matches_queue(&open, 8));
         // A head miss with a hit pending behind it is overtaken.
         let overtaken = [(0, 1), (1, 5), (0, 1), (2, 9)];
-        assert!(!assert_schedule_matches_ring(
+        assert!(!assert_schedule_matches_queue(
             &one_channel(&[&overtaken]),
             8
         ));
@@ -2390,9 +2158,9 @@ mod tests {
 
     #[test]
     fn a_reordered_cell_between_kept_cells() {
-        // Two channels, three steps: only step 1's channel 1 reorders.
-        // The cells before it are written out in arrival order, the ones
-        // after it keep their own identity pass, and the open rows the
+        // Two channels, three steps: only step 1's channel 1 reorders,
+        // so the schedule holds that cell alone. The cells before and
+        // after it replay in program order, and the open rows the
         // reordered cell leaves carry into step 2 (its (5, 1) hits).
         let cfg = HbmConfig {
             channels: 2,
@@ -2405,8 +2173,14 @@ mod tests {
             vec![(1, 5, 1), (0, 0, 1), (1, 6, 2), (0, 3, 7)],
         ];
         let program = program_of(&cfg, &steps);
-        assert!(!assert_schedule_matches_ring(&program, 8));
+        assert!(!assert_schedule_matches_queue(&program, 8));
         let schedule = program.schedule(8).unwrap();
+        let cells: Vec<usize> = schedule
+            .iter()
+            .flat_map(|s| &s.cells)
+            .map(|&(c, _)| c)
+            .collect();
+        assert_eq!(cells, [3]);
         let batches: Vec<Vec<MemRequest>> = steps
             .iter()
             .map(|s| s.iter().map(|&key| read_at(&cfg, key)).collect())
@@ -2420,14 +2194,14 @@ mod tests {
         let run: Vec<(u64, u64)> = (0..40).map(|_| (rng.next() % 3, rng.next() % 2)).collect();
         let program = one_channel(&[&run]);
         for window in [39, 40, 41, 1000, usize::MAX] {
-            assert!(!assert_schedule_matches_ring(&program, window));
+            assert!(!assert_schedule_matches_queue(&program, window));
         }
         // Grouped by row, the same spans keep arrival order at any depth.
         let mut grouped = run.clone();
         grouped.sort_unstable();
         let program = one_channel(&[&grouped]);
         for window in [39, 40, 41, 1000, usize::MAX] {
-            assert!(assert_schedule_matches_ring(&program, window));
+            assert!(assert_schedule_matches_queue(&program, window));
         }
     }
 
@@ -2555,7 +2329,7 @@ mod tests {
     }
 
     #[test]
-    fn identity_pass_equals_the_ring_on_random_programs() {
+    fn identity_pass_equals_the_window_queue_on_random_programs() {
         let geometries = [
             HbmConfig {
                 channels: 1,
@@ -2587,7 +2361,7 @@ mod tests {
                 };
                 let program = build(cfg, &batches);
                 for window in (1..=200).chain([usize::MAX]) {
-                    if assert_schedule_matches_ring(&program, window) {
+                    if assert_schedule_matches_queue(&program, window) {
                         kept += 1;
                     } else {
                         reordered += 1;
@@ -2637,7 +2411,7 @@ mod tests {
         // which hold every sensitive pair: it is walked, and keeps
         // arrival order.
         let carried = build(&cfg, &[rows.clone(), rows.clone()]);
-        assert!(assert_schedule_matches_ring(&carried, 8));
+        assert!(assert_schedule_matches_queue(&carried, 8));
         assert_eq!(pass_tally(&carried, 8), [1, 1, 0]);
         // Certified twice from clean rows. In the first step the last
         // head of `closing` misses while `reopen`'s hit is pending in the
@@ -2651,13 +2425,13 @@ mod tests {
                 [elsewhere, closing].concat(),
             ],
         );
-        assert!(!assert_schedule_matches_ring(&crossing, 8));
+        assert!(!assert_schedule_matches_queue(&crossing, 8));
         let [certified, dirty, seam_rejections] = pass_tally(&crossing, 8);
         assert_eq!((certified, dirty), (2, 0));
         assert_eq!(seam_rejections, 1);
         // Window 1 never reorders; a window past the block certifies
         // nothing.
-        assert!(assert_schedule_matches_ring(&crossing, 1));
+        assert!(assert_schedule_matches_queue(&crossing, 1));
         assert_eq!(pass_tally(&crossing, 40)[0], 0);
         // A miss to row 9 of bank 0 right before the certified block,
         // with row 5 open: the block's first read is a pending hit that
@@ -2671,7 +2445,7 @@ mod tests {
                 rows,
             ],
         );
-        assert!(!assert_schedule_matches_ring(&leading, 8));
+        assert!(!assert_schedule_matches_queue(&leading, 8));
         assert_eq!(pass_tally(&leading, 8), [1, 1, 1]);
         // Bank 1's first use opens row 5, and its use `W - 1` spans later
         // reads row 6: still sensitive. From a start with row 6 open, the
@@ -2682,7 +2456,7 @@ mod tests {
         let late = block(RequestKind::Weights, &late);
         let open_six = block(RequestKind::Edges, &[(1, 6)]);
         let sensitive = build(&cfg, &[open_six, late.clone(), late]);
-        assert!(!assert_schedule_matches_ring(&sensitive, 8));
+        assert!(!assert_schedule_matches_queue(&sensitive, 8));
         assert_eq!(pass_tally(&sensitive, 8), [0, 2, 0]);
     }
 
@@ -2727,7 +2501,7 @@ mod tests {
                 [spread, second].concat(),
             ],
         );
-        assert!(assert_schedule_matches_ring(&program, 8));
+        assert!(assert_schedule_matches_queue(&program, 8));
         assert_eq!(pass_tally(&program, 8), [3, 1, 0]);
     }
 

@@ -134,7 +134,7 @@ fn every_backend_rejects_what_config_validation_rejects() {
         .with_feature_len(32);
     let gcn = hygcn_suite::gcn::model::GcnModel::new(ModelKind::Gcn, 32, 0xC0DE).unwrap();
     type Edit = fn(&mut HyGcnConfig);
-    let rejected: [(&str, Edit); 8] = [
+    let rejected: [(&str, Edit); 14] = [
         ("t_row = u64::MAX", |c| c.hbm.t_row = u64::MAX),
         ("channels = 0", |c| c.hbm.channels = 0),
         ("banks = 0", |c| c.hbm.banks = 0),
@@ -147,12 +147,31 @@ fn every_backend_rejects_what_config_validation_rejects() {
         ("2^10 channels x 2^11 banks", |c| {
             (c.hbm.channels, c.hbm.banks) = (1 << 10, 1 << 11)
         }),
+        // Engine geometry past `MAX_ENGINE_DIM` used to overflow the lane
+        // and PE products (a panic in a debug build, a wrapped count in
+        // release).
+        ("simd_cores = usize::MAX", |c| c.simd_cores = usize::MAX),
+        ("simd_width = usize::MAX", |c| c.simd_width = usize::MAX),
+        ("systolic_modules = usize::MAX", |c| {
+            c.systolic_modules = usize::MAX
+        }),
+        ("module_rows = usize::MAX", |c| c.module_rows = usize::MAX),
+        ("module_cols = usize::MAX", |c| c.module_cols = usize::MAX),
+        ("module_group_vertices = usize::MAX", |c| {
+            c.module_group_vertices = usize::MAX
+        }),
     ];
-    let accepted: [(&str, Edit); 3] = [
+    let accepted: [(&str, Edit); 4] = [
         ("default", |_| {}),
         ("2^10 channels", |c| c.hbm.channels = 1 << 10),
         ("16 channels x 2^16 banks", |c| {
             (c.hbm.channels, c.hbm.banks) = (16, 1 << 16)
+        }),
+        ("every engine dimension at 2^16", |c| {
+            let dim = HyGcnConfig::MAX_ENGINE_DIM;
+            assert_eq!(dim, 1 << 16);
+            (c.simd_cores, c.simd_width, c.systolic_modules) = (dim, dim, dim);
+            (c.module_rows, c.module_cols, c.module_group_vertices) = (dim, dim, dim);
         }),
     ];
     for (cases, ok) in [(&rejected[..], false), (&accepted[..], true)] {
@@ -319,6 +338,42 @@ fn spans_that_would_not_fit_8_bytes_are_an_error_on_every_simulator_backend() {
         errors.dedup();
         assert!(errors.len() <= 1, "{label}: backends disagree: {errors:?}");
     }
+}
+
+/// A memory request holds its size in a `u32`, so a design point whose
+/// largest request is past `u32::MAX` bytes is a config error on every
+/// simulator backend, from input validation before anything is
+/// simulated, instead of a size that `cycle` and `seed` truncate alike.
+/// Without sparsity elimination every chunk loads the source features
+/// in sweeps of an Input Buffer half: 2^16 vertices of 64 KB features
+/// are one 4 GB sweep, a byte past the bound; one vertex fewer fits.
+#[test]
+fn requests_past_u32_bytes_are_an_error_on_every_simulator_backend() {
+    use hygcn_suite::core::validate::validate_inputs;
+    let f_in = 1 << 14;
+    let gcn = hygcn_suite::gcn::model::GcnModel::new(ModelKind::Gcn, f_in, 0xC0DE).unwrap();
+    let cfg = HyGcnConfig {
+        input_buffer_bytes: 1 << 33,
+        sparsity_elimination: false,
+        ..HyGcnConfig::default()
+    };
+    let sweep = GraphBuilder::new(1 << 16).feature_len(f_in).build();
+    for id in ["cycle", "seed", "analytical"] {
+        let backend = resolve(id).unwrap();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            backend.evaluate(&sweep, &gcn, &cfg)
+        }));
+        match run {
+            Ok(Err(SimError::Config(msg))) => assert!(
+                msg.contains("feature load request of 4294967296 bytes"),
+                "{id}: {msg}"
+            ),
+            Ok(other) => panic!("{id}: expected SimError::Config, got {other:?}"),
+            Err(_) => panic!("{id}: panicked instead of returning a result"),
+        }
+    }
+    let fits = GraphBuilder::new((1 << 16) - 1).feature_len(f_in).build();
+    assert!(validate_inputs(&fits, &gcn, &cfg).is_ok());
 }
 
 /// `Simulator::simulate_lanes` replays the configs that differ only in

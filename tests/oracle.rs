@@ -555,3 +555,94 @@ proptest! {
         }
     }
 }
+
+/// An FR-FCFS schedule holds only the cells it reorders, and every other
+/// cell under it replays in program order, a shared block there from
+/// its summary. Two channels, window 8. Step 0 reads row 1, row 8 and
+/// row 1 again of channel 0's bank 0: the second row-1 read overtakes
+/// the row-8 miss, so that cell reorders and leaves row 8 open. Step 1
+/// is a sequential sweep from row 8, a block steps 2 and 3 repeat,
+/// that reopens its banks' rows hundreds of bursts apart, so both
+/// lanes' `t_row` fit its summary's gap: both of step 1's cells keep
+/// arrival order and replay from the summary, channel 0's first span
+/// hitting the row the reordered cell left open. (Steps 2 and 3 start
+/// the sweep from the rows it left itself, so hits overtake there and
+/// those cells reorder.) Each lane must equal its own reference `Hbm`
+/// at every step, in completion, statistics and channel statistics.
+#[test]
+fn kept_cells_under_a_schedule_replay_shared_blocks_from_their_summaries() {
+    use hygcn_suite::mem::hbm::{ControllerPolicy, Hbm};
+    use hygcn_suite::mem::request::RequestKind;
+    use hygcn_suite::mem::{SpanProgramBuilder, SpanReplayer};
+
+    let window = 8;
+    let cfg = HbmConfig {
+        channels: 2,
+        controller: ControllerPolicy::FrFcfs { window },
+        ..HbmConfig::hbm1()
+    };
+    let (channels, banks) = (cfg.channels as u64, cfg.banks as u64);
+    let page = |(channel, bank, row): (u64, u64, u64)| {
+        ((row * banks + bank) * channels + channel) * cfg.row_bytes
+    };
+    let read = |kind, key| MemRequest::read(kind, page(key), 32);
+    let reorder: Vec<MemRequest> = [(0, 0, 1), (0, 0, 8), (0, 0, 1)]
+        .map(|key| read(RequestKind::Edges, key))
+        .into();
+    let edges = vec![
+        read(RequestKind::Edges, (0, 5, 20)),
+        read(RequestKind::Edges, (1, 6, 21)),
+    ];
+    // Reads of one and a half rows, back to back from row 8: 60 pages
+    // over 2 channels of 16 banks, so most banks reopen a row.
+    let bytes = 3 * cfg.row_bytes / 2;
+    let sweep: Vec<MemRequest> = (0..40)
+        .map(|i| {
+            let addr = page((0, 0, 8)) + i * bytes;
+            MemRequest::read(RequestKind::InputFeatures, addr, bytes as u32)
+        })
+        .collect();
+    let batches = vec![
+        reorder.clone(),
+        sweep.clone(),
+        [edges, sweep.clone()].concat(),
+        [sweep.clone(), reorder].concat(),
+    ];
+    let gap = reuse_miss_gap(&cfg, &sweep).expect("the sweep reopens rows");
+    let lanes = [14, 56].map(|t_row| HbmConfig { t_row, ..cfg });
+    assert!(
+        lanes.iter().all(|l| l.t_row <= l.t_burst * gap),
+        "both lanes fit the sweep's summary gap of {gap} bursts"
+    );
+
+    let mut builder = SpanProgramBuilder::new(&cfg).expect("valid geometry");
+    for b in &batches {
+        builder.push_step(b).expect("rows fit a span");
+    }
+    let program = builder.finish();
+    assert!(
+        program.pool_tuples() < program.total_tuples(),
+        "the sweep and the reordering block are pooled once"
+    );
+    let schedule = program.schedule(window).expect("runs fit the index");
+    assert!(schedule.is_some(), "the reordering block reorders");
+
+    let mut replayer = SpanReplayer::new(&lanes).expect("valid geometry");
+    let mut hbms = lanes.map(Hbm::new);
+    let mut now = [0; 2];
+    for (step, b) in batches.iter().enumerate() {
+        let done = replayer.replay_step(&program, schedule.as_ref(), step, now);
+        let (stats, channel_stats) = (replayer.stats(), replayer.channel_stats());
+        for (l, hbm) in hbms.iter_mut().enumerate() {
+            let t_hbm = hbm.service_batch(b, now[l]);
+            assert_eq!(t_hbm, done[l], "step {step} diverged in lane {l}");
+            assert_eq!(hbm.stats(), stats[l], "step {step} lane {l}");
+            assert_eq!(
+                hbm.channel_stats(),
+                channel_stats[l],
+                "step {step} lane {l}"
+            );
+            now[l] = t_hbm + 5;
+        }
+    }
+}

@@ -27,6 +27,36 @@ fn edgeless_graph_simulates() {
     assert!(r.cycles > 0);
 }
 
+/// A chunk width of 2^32 vertices or more (an Aggregation Buffer of
+/// terabytes) is clamped to the graph before it narrows to a vertex id,
+/// so the graph is one chunk, as at any width past its vertex count:
+/// the same report from `simulate` and the seed `simulate_reference`.
+/// Narrowed unclamped, 2^32 would wrap to a width of 0.
+#[test]
+fn chunk_width_past_u32_is_one_chunk() {
+    let f_in = 32;
+    let g = hygcn_suite::graph::generator::preferential_attachment(256, 4, 1)
+        .unwrap()
+        .with_feature_len(f_in);
+    let m = GcnModel::new(ModelKind::Gcn, f_in, 1).unwrap();
+    for width in [u32::MAX as usize, 1 << 32, 1 << 33] {
+        // Half the buffer holds `width` rows of `f_in` 4-byte elements.
+        let cfg = HyGcnConfig {
+            aggregation_buffer_bytes: 2 * width * f_in * 4,
+            ..HyGcnConfig::default()
+        };
+        assert_eq!(cfg.chunk_width(f_in), width);
+        let sim = Simulator::new(cfg);
+        let report = sim.simulate(&g, &m).unwrap();
+        assert_eq!(report.chunks, 1, "width {width}");
+        assert_eq!(
+            report,
+            sim.simulate_reference(&g, &m).unwrap(),
+            "width {width}"
+        );
+    }
+}
+
 #[test]
 fn single_vertex_graph() {
     let g = GraphBuilder::new(1).feature_len(4).build();
