@@ -35,6 +35,13 @@ fn test_graph() -> Graph {
 /// The two synthesis paths the paper reproduction spends its time in:
 /// figure-scale Reddit (R-MAT at 68% of all vertex pairs, bitset dedup)
 /// and full-scale COLLAB (128 assembled dense blocks).
+///
+/// A warm loop under-reads what a fresh process pays for the graph's
+/// memory: from its second iteration the allocator already holds the
+/// pages the last graph freed. Synthesis that stops allocating (such as
+/// filling the CSC straight from the dedup set instead of from an edge
+/// list twice the CSC's size) gains more in a fresh process, as users
+/// run and e2ebench passes do, than here.
 fn bench_synthesis(c: &mut Criterion) {
     c.bench_function("synthesis/rmat_reddit_fig", |b| {
         b.iter(|| {

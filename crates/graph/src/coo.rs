@@ -1,7 +1,9 @@
 //! Coordinate-format (edge list) graph representation.
 //!
-//! COO is the interchange format: generators emit it, builders accumulate
-//! it, and the compressed format ([`crate::Csc`]) is derived from it.
+//! COO is the interchange format: edge-list files, builders, samplers
+//! and most generators produce it, and the compressed format
+//! ([`crate::Csc`]) is derived from it. R-MAT and the dataset registry's
+//! assembled blocks skip it: their dedup set fills the CSC directly.
 //! A generator that knows its edge count, or a bound on it, allocates
 //! the list once with [`Coo::with_capacity`]: a list grown by doubling
 //! holds up to twice its edges, and both the old and new buffers while

@@ -4,6 +4,12 @@
 //! requires no explicit preprocessing: the sources of each destination
 //! vertex are contiguous and sorted, so a shard `S(i, j)` is a binary-search
 //! range inside each destination column.
+//!
+//! An edge list converts by counting sort ([`Csc::from_coo`]), which
+//! sorts each column after the scatter. The edge-drawing generators
+//! instead fill the columns from their dedup set's pairs in `(hi, lo)`
+//! order (`Csc::from_ordered_pairs`), which writes every column in
+//! order and so sorts nothing.
 
 use crate::{Coo, VertexId};
 
@@ -39,6 +45,55 @@ impl Csc {
         for v in 0..n {
             sources[offsets[v]..offsets[v + 1]].sort_unstable();
         }
+        Self { offsets, sources }
+    }
+
+    /// Builds the CSC of an undirected graph from its pairs visited in
+    /// ascending `(hi, lo)` order (`lo < hi`; a pair may repeat, its
+    /// copies adjacent), given every vertex's degree: equal to
+    /// [`Csc::from_coo`] over both directions of every pair, without an
+    /// edge list or a column sort; `O(V + E)`.
+    ///
+    /// Each column fills forward from a cursor: column `c` takes its
+    /// lower neighbours while row `c` is visited, in ascending `lo`, and
+    /// its higher ones in the later rows, in ascending `hi`, so it comes
+    /// out sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair names a vertex `>= degrees.len()`; a degree that
+    /// does not count the vertex's pairs corrupts neighbouring columns,
+    /// and debug builds assert that none does.
+    pub(crate) fn from_ordered_pairs(
+        degrees: &[usize],
+        pairs: impl IntoIterator<Item = (VertexId, VertexId)>,
+    ) -> Self {
+        // `offsets[c + 1]` starts at column `c`'s first slot and is its
+        // fill cursor, so it ends at column `c`'s end: column `c + 1`'s
+        // start.
+        let mut offsets = Vec::with_capacity(degrees.len() + 1);
+        offsets.push(0);
+        let mut start = 0;
+        for &degree in degrees {
+            offsets.push(start);
+            start += degree;
+        }
+        let mut sources = vec![0 as VertexId; start];
+        pairs.into_iter().for_each(|(hi, lo)| {
+            debug_assert!(lo < hi, "pair ({hi}, {lo}) is not (hi, lo)");
+            for (column, source) in [(hi, lo), (lo, hi)] {
+                let cursor = &mut offsets[column as usize + 1];
+                sources[*cursor] = source;
+                *cursor += 1;
+            }
+        });
+        debug_assert!(
+            degrees
+                .iter()
+                .zip(offsets.windows(2))
+                .all(|(&d, w)| w[1] - w[0] == d),
+            "degrees do not count the pairs"
+        );
         Self { offsets, sources }
     }
 
@@ -101,6 +156,7 @@ impl Csc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Csc {
         // dst 0: sources {3, 1}; dst 1: {0}; dst 2: {}; dst 3: {0, 1, 2}
@@ -143,6 +199,60 @@ mod tests {
         let csc = Csc::from_coo(&Coo::new(0));
         assert_eq!(csc.num_vertices(), 0);
         assert_eq!(csc.num_edges(), 0);
+    }
+
+    /// `n` vertices, a third of the cases with 0–2, and a multiset of
+    /// undirected pairs among them as `(hi, lo)` in ascending order:
+    /// up to three copies of a draw, so repeats are common, and vertices
+    /// no draw names stay isolated.
+    fn arb_ordered_pairs() -> impl Strategy<Value = (usize, Vec<(VertexId, VertexId)>)> {
+        prop_oneof![0usize..=2, 3usize..=12, 13usize..=48].prop_flat_map(|n| {
+            let id = 0..n.max(1) as VertexId;
+            let draws = proptest::collection::vec((id.clone(), id, 1usize..=3), 0..80);
+            draws.prop_map(move |draws| {
+                let mut pairs = Vec::new();
+                for (a, b, copies) in draws {
+                    if a != b {
+                        pairs.extend(std::iter::repeat_n((a.max(b), a.min(b)), copies));
+                    }
+                }
+                pairs.sort_unstable();
+                (n, pairs)
+            })
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Filling columns from an ordered visit equals counting, scattering
+        /// and sorting an edge list that holds both directions of every
+        /// pair, copies included.
+        #[test]
+        fn ordered_pairs_build_the_csc_of_both_directions((n, pairs) in arb_ordered_pairs()) {
+            let mut degrees = vec![0usize; n];
+            let mut coo = Coo::new(n);
+            for &(hi, lo) in &pairs {
+                degrees[hi as usize] += 1;
+                degrees[lo as usize] += 1;
+                coo.push_undirected(hi, lo).unwrap();
+            }
+            let csc = Csc::from_ordered_pairs(&degrees, pairs.iter().copied());
+            prop_assert_eq!(csc, Csc::from_coo(&coo), "n = {}, pairs {:?}", n, pairs);
+        }
+    }
+
+    #[test]
+    fn ordered_pairs_of_tiny_graphs() {
+        let empty = Csc::from_ordered_pairs(&[], []);
+        assert_eq!((empty.num_vertices(), empty.offsets()), (0, &[0][..]));
+        let isolated = Csc::from_ordered_pairs(&[0], []);
+        assert_eq!((isolated.num_vertices(), isolated.num_edges()), (1, 0));
+        let twice = Csc::from_ordered_pairs(&[2, 2, 0], [(1, 0), (1, 0)]);
+        assert_eq!(
+            (twice.sources(0), twice.sources(1)),
+            (&[1, 1][..], &[0, 0][..])
+        );
+        assert!(twice.sources(2).is_empty());
     }
 
     #[test]

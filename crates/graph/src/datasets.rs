@@ -17,11 +17,13 @@
 //! full-methodology experiments stay tractable on a laptop; Reddit at
 //! `scale = 1.0` is supported but allocates several gigabytes.
 
+use std::iter::Peekable;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::generator::{community_powerlaw, rmat, PairSet, RmatParams};
-use crate::{Coo, Graph, GraphError, VertexId};
+use crate::{Csc, Graph, GraphError, VertexId};
 
 /// Short keys of the six benchmark datasets, in paper order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -211,7 +213,7 @@ impl DatasetSpec {
             StructureFamily::Rmat => rmat(vertices, und_edges, RmatParams::default(), seed)?,
             StructureFamily::AssembledBlocks { num_blocks } => {
                 let blocks = num_blocks.min(vertices / 4).max(1);
-                assembled_blocks(vertices, und_edges, blocks, seed)?
+                assembled_blocks(vertices, und_edges, blocks, seed)
             }
         };
         graph.set_feature_len(self.feature_len);
@@ -224,13 +226,14 @@ impl DatasetSpec {
 /// its pair capacity, hitting `und_edges` total undirected edges exactly
 /// (excess over total capacity spills to uniform pairs over all
 /// vertices, deduplicated only among themselves, so a spilled pair can
-/// repeat an in-block edge).
-fn assembled_blocks(
-    num_vertices: usize,
-    und_edges: usize,
-    num_blocks: usize,
-    seed: u64,
-) -> Result<Graph, GraphError> {
+/// repeat an in-block edge, and the graph then holds it twice in each
+/// direction). The blocks' and the spill's dedup sets fill the CSC;
+/// no edge list is kept.
+///
+/// `num_blocks` must be at most `num_vertices / 2` (the registry passes
+/// at most a quarter), so that the block sizes, two vertices at least,
+/// sum to `num_vertices`.
+fn assembled_blocks(num_vertices: usize, und_edges: usize, num_blocks: usize, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Zipf-ish block sizes (exponent 0.6), minimum 2, summing exactly.
@@ -287,12 +290,13 @@ fn assembled_blocks(
         i = (i + 1) % num_blocks;
     }
 
-    // Blocks and spill place `und_edges` distinct pairs, two directed
-    // edges each.
-    let mut coo = Coo::with_capacity(num_vertices, 2 * und_edges);
+    // Blocks and spill place `und_edges` distinct pairs, counted into
+    // each endpoint's degree. Each block keeps its dedup set, over its
+    // own ids, at its base id.
+    let mut degrees = vec![0usize; num_vertices];
+    let mut blocks = Vec::with_capacity(num_blocks);
     let mut base: VertexId = 0;
     for (&size, &budget) in sizes.iter().zip(&budgets) {
-        // Block-local pairs: one dedup set per block, sized to it.
         let mut seen = PairSet::for_draw(size, budget);
         let size = size as VertexId;
         let mut placed = 0;
@@ -300,28 +304,89 @@ fn assembled_blocks(
             let x = rng.gen_range(0..size);
             let y = rng.gen_range(0..size);
             if x != y && seen.insert(x, y) {
-                coo.push_undirected(base + x, base + y)?;
+                degrees[(base + x) as usize] += 1;
+                degrees[(base + y) as usize] += 1;
                 placed += 1;
             }
         }
+        blocks.push((base, seen));
         base += size;
     }
+    debug_assert_eq!(base as usize, num_vertices, "block sizes {sizes:?}");
 
     // Spill (only if the request exceeded total block capacity).
     let spill = und_edges - in_blocks;
-    let mut seen = PairSet::for_draw(num_vertices, spill);
-    let mut spilled = 0;
+    let mut spilled = PairSet::for_draw(num_vertices, spill);
+    let mut drawn = 0;
     let n = num_vertices as VertexId;
-    while spilled < spill {
+    while drawn < spill {
         let x = rng.gen_range(0..n);
         let y = rng.gen_range(0..n);
-        if x != y && seen.insert(x, y) {
-            coo.push_undirected(x, y)?;
-            spilled += 1;
+        if x != y && spilled.insert(x, y) {
+            degrees[x as usize] += 1;
+            degrees[y as usize] += 1;
+            drawn += 1;
         }
     }
 
-    Ok(Graph::from_coo(&coo, 1))
+    // The blocks are ascending id ranges, so their visits in turn are
+    // one visit in global `(hi, lo)` order.
+    let block_pairs = blocks
+        .iter()
+        .flat_map(|(base, seen)| seen.pairs().map(move |(hi, lo)| (base + hi, base + lo)));
+    let pairs = merge_visits(block_pairs, spilled.pairs());
+    Graph::from_csc(Csc::from_ordered_pairs(&degrees, pairs), 1)
+}
+
+/// Merges two visits in ascending `(hi, lo)` order into one. A pair in
+/// both comes out twice, its copies adjacent.
+fn merge_visits<A, B>(a: A, b: B) -> MergedVisits<A, B>
+where
+    A: Iterator<Item = (VertexId, VertexId)>,
+    B: Iterator<Item = (VertexId, VertexId)>,
+{
+    MergedVisits {
+        a: a.peekable(),
+        b: b.peekable(),
+    }
+}
+
+/// The visit [`merge_visits`] returns.
+struct MergedVisits<A: Iterator, B: Iterator> {
+    a: Peekable<A>,
+    b: Peekable<B>,
+}
+
+impl<A, B> Iterator for MergedVisits<A, B>
+where
+    A: Iterator<Item = (VertexId, VertexId)>,
+    B: Iterator<Item = (VertexId, VertexId)>,
+{
+    type Item = (VertexId, VertexId);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match (self.a.peek(), self.b.peek()) {
+            (Some(x), Some(y)) if y < x => self.b.next(),
+            (Some(_), _) => self.a.next(),
+            (None, _) => self.b.next(),
+        }
+    }
+
+    /// `a` runs its own `fold`, and `b`'s pairs go in before each larger
+    /// pair of `a`: the blocks' bitsets are read in a tight loop, not
+    /// one `next` at a time through the blocks' `flat_map` and a peek.
+    fn fold<Acc, F: FnMut(Acc, Self::Item) -> Acc>(self, init: Acc, mut f: F) -> Acc {
+        let mut b = self.b;
+        let mut head = b.next();
+        let acc = self.a.fold(init, |mut acc, x| {
+            while let Some(y) = head.filter(|&y| y < x) {
+                acc = f(acc, y);
+                head = b.next();
+            }
+            f(acc, x)
+        });
+        b.fold(head.into_iter().fold(acc, &mut f), f)
+    }
 }
 
 #[cfg(test)]
@@ -406,6 +471,56 @@ mod tests {
             } else {
                 assert_eq!(s, 1.0);
             }
+        }
+    }
+
+    /// IB@0.05 at the figure seed (`0x5EED`) asks for more pairs than
+    /// its 33 blocks hold, and its spill re-draws 11 in-block pairs: the
+    /// graph holds each twice in each direction, 22 directed duplicates,
+    /// and both copies sit next to each other in both columns.
+    #[test]
+    fn spill_repeats_of_block_pairs_sit_beside_their_copies() {
+        let g = DatasetSpec::get(DatasetKey::Ib)
+            .instantiate(0.05, 0x5EED)
+            .unwrap();
+        let twice = |column: VertexId, source: VertexId| {
+            g.in_neighbors(column)
+                .windows(2)
+                .any(|w| w == [source, source])
+        };
+        let mut duplicates = 0;
+        for v in 0..g.num_vertices() as VertexId {
+            let sources = g.in_neighbors(v);
+            assert!(sources.is_sorted(), "column {v}: {sources:?}");
+            for w in sources.windows(2).filter(|w| w[0] == w[1]) {
+                assert!(
+                    twice(w[0], v),
+                    "({v}, {}) is not twice in column {}",
+                    w[0],
+                    w[0]
+                );
+                duplicates += 1;
+            }
+        }
+        assert_eq!(duplicates, 22);
+    }
+
+    #[test]
+    fn merged_visits_keep_both_copies_of_a_shared_pair() {
+        let blocks = [(1, 0), (2, 1), (5, 3), (5, 4)];
+        let spill = [(2, 0), (5, 3), (6, 0)];
+        let want = [(1, 0), (2, 0), (2, 1), (5, 3), (5, 3), (5, 4), (6, 0)];
+        let merge = || merge_visits(blocks.into_iter(), spill.into_iter());
+        let mut stepped = merge();
+        let stepped: Vec<_> = std::iter::from_fn(|| stepped.next()).collect();
+        let folded = merge().fold(Vec::new(), |mut v, pair| {
+            v.push(pair);
+            v
+        });
+        assert_eq!((stepped, folded), (want.to_vec(), want.to_vec()));
+        for (a, b) in [(&spill[..], &[][..]), (&[], &spill), (&[(9, 8)], &spill)] {
+            let merged = merge_visits(a.iter().copied(), b.iter().copied());
+            assert!(merged.collect::<Vec<_>>().is_sorted(), "{a:?} + {b:?}");
         }
     }
 

@@ -21,14 +21,21 @@
 //!   selected 128 graphs into a large graph".
 //!
 //! The edge-drawing generators ([`rmat`] and the registry's assembled
-//! blocks) run at the speed of their random stream. R-MAT's quadrant
-//! test on the unit float `(u >> 11) / 2^53` is the exact integer test
-//! `u >> 11 < ceil(p * 2^53)`. Re-drawn duplicates are caught by a
-//! bitset over the upper triangle of the adjacency matrix whenever that
-//! bitset is no larger than the COO it feeds (edge density at least
-//! 1/128), and by an ordered set below that density. Neither choice
-//! changes the random stream, so every graph is the same as with the
-//! float test and the ordered set alone.
+//! blocks) run at the speed of their random stream, and build nothing
+//! beside it but the graph. R-MAT's quadrant test on the unit float
+//! `(u >> 11) / 2^53` is the exact integer test `u >> 11 < ceil(p *
+//! 2^53)`. Re-drawn duplicates are caught by a dedup set: a bitset over
+//! the upper triangle of the adjacency matrix at an edge density of at
+//! least 1/128, where it is at most twice the CSC it fills, and an
+//! ordered set below that density. Neither choice changes the random
+//! stream, so every graph is the same as with the float test and the
+//! ordered set alone.
+//!
+//! The dedup set is then the graph: the draw loop counts each vertex's
+//! degree as it places a pair, and the set, visited in `(hi, lo)` order,
+//! fills the CSC with every column already sorted
+//! (`Csc::from_ordered_pairs`). These two generators keep no edge list
+//! and sort no column; the others emit a [`crate::Coo`].
 
 mod assembled;
 mod community;

@@ -12,13 +12,15 @@
 //! exact in `f64`, so the two tests agree on every draw and the integer
 //! form reproduces the float generator's graphs bit for bit. Drawn
 //! pairs are deduplicated through a bitset at an edge density of at
-//! least 1/128 and an ordered set below it (see `pairs.rs`).
+//! least 1/128 and an ordered set below it (see `pairs.rs`), and that
+//! set, visited in order, fills the CSC with sorted columns: the draw
+//! keeps no edge list and sorts nothing.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use super::pairs::PairSet;
-use crate::{Coo, Graph, GraphError, VertexId};
+use crate::{Csc, Graph, GraphError, VertexId};
 
 /// Quadrant probabilities of the recursive subdivision.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,22 +127,22 @@ pub fn rmat(
         });
     }
     let seen = PairSet::for_draw(num_vertices, num_edges);
-    draw_graph(num_vertices, num_edges, &params, seed, seen)
+    Ok(draw_graph(num_vertices, num_edges, &params, seed, seen))
 }
 
 /// The draw loop of [`rmat`] on validated arguments, deduplicating
-/// through `seen`.
+/// through `seen`, whose pairs then fill the graph's CSC.
 fn draw_graph(
     num_vertices: usize,
     num_edges: usize,
     params: &RmatParams,
     seed: u64,
     mut seen: PairSet,
-) -> Result<Graph, GraphError> {
+) -> Graph {
     let levels = usize::BITS - (num_vertices - 1).leading_zeros();
     let thresholds = params.thresholds();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut coo = Coo::with_capacity(num_vertices, 2 * num_edges);
+    let mut degrees = vec![0usize; num_vertices];
     // Cap the retry budget: R-MAT cores saturate, and beyond the cap we
     // fill in uniform edges to guarantee the exact requested size.
     let mut attempts = 0usize;
@@ -160,11 +162,13 @@ fn draw_graph(
             continue;
         }
         if seen.insert(src, dst) {
-            coo.push_undirected(src, dst)?;
+            degrees[src as usize] += 1;
+            degrees[dst as usize] += 1;
             placed += 1;
         }
     }
-    Ok(Graph::from_coo(&coo, 1))
+    let csc = Csc::from_ordered_pairs(&degrees, seen.pairs());
+    Graph::from_csc(csc, 1)
 }
 
 /// One recursive descent: per level, the quadrant index
@@ -269,8 +273,8 @@ mod tests {
     fn bitset_and_ordered_dedup_build_equal_graphs() {
         let p = RmatParams::default();
         for (n, m, seed) in [(100, 600, 1), (300, 400, 2), (64, 2016, 3)] {
-            let dense = draw_graph(n, m, &p, seed, PairSet::dense(n)).unwrap();
-            let sparse = draw_graph(n, m, &p, seed, PairSet::Sparse(Default::default())).unwrap();
+            let dense = draw_graph(n, m, &p, seed, PairSet::dense(n));
+            let sparse = draw_graph(n, m, &p, seed, PairSet::Sparse(Default::default()));
             assert_eq!(dense, sparse, "n = {n}, m = {m}");
             assert_eq!(dense.num_edges(), 2 * m);
         }

@@ -314,8 +314,14 @@ impl Graph {
     ///
     /// Prefer [`GraphBuilder`] for hand-constructed graphs.
     pub fn from_coo(coo: &Coo, feature_len: usize) -> Self {
+        Self::from_csc(Csc::from_coo(coo), feature_len)
+    }
+
+    /// Wraps an adjacency built elsewhere in this crate, such as a
+    /// generator's [`Csc::from_ordered_pairs`].
+    pub(crate) fn from_csc(csc: Csc, feature_len: usize) -> Self {
         Self {
-            csc: Arc::new(Csc::from_coo(coo)),
+            csc: Arc::new(csc),
             feature_len,
             name: String::from("unnamed"),
             plan_cache: PlanCache::default(),

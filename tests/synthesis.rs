@@ -1,7 +1,9 @@
 //! Pins of the synthesized graphs: edge counts and content hashes of
 //! every dataset at figure scale, of the `campaign-sweep` benchmark's
-//! full-scale CL and PB graphs, and of one R-MAT graph on each side of
-//! the generator's bitset/ordered-set dedup choice.
+//! full-scale CL and PB graphs, of a CL graph that spills more pairs
+//! than its blocks hold, and of R-MAT graphs on each side of the
+//! generator's bitset/ordered-set dedup choice, through its uniform
+//! fallback, and with rows spanning many bitset words.
 //!
 //! The content hash is the workload half of every stored cache key, so
 //! a generator change that moves one of these literals silently orphans
@@ -67,6 +69,34 @@ fn rmat_is_pinned_on_both_sides_of_the_dedup_choice() {
         (1_000, 3_000, 11, false, 0x80a9_b6ea_a430_64c1),
     ] {
         assert_eq!(n * (n - 1) / 2 <= 128 * m, dense, "n = {n}, m = {m}");
+        let graph = rmat(n, m, RmatParams::default(), seed).unwrap();
+        pin(&format!("rmat({n}, {m})"), &graph, 2 * m, hash);
+    }
+}
+
+/// CL@0.25 seed 7 asks for more pairs than its blocks can hold, so
+/// `assembled_blocks` spills 98,577 of its 180,751 pairs as uniform
+/// pairs over all vertices (more than the blocks place), some of them
+/// repeating an in-block pair.
+#[test]
+fn assembled_blocks_with_a_spill_larger_than_the_blocks_is_pinned() {
+    let graph = DatasetSpec::get(DatasetKey::Cl)
+        .instantiate(0.25, 7)
+        .unwrap();
+    pin("CL@0.25 seed 7", &graph, 361_502, 0x6508_3bdd_8665_1328);
+}
+
+/// `rmat(64, 2_000)` asks for 2,000 of the 2,016 vertex pairs: the
+/// R-MAT descent exhausts its retry budget and the uniform fallback
+/// places the last pairs. `rmat(2_048, 20_000)` dedups through a bitset
+/// whose high rows span up to 32 words.
+#[test]
+fn rmat_is_pinned_through_the_fallback_and_on_wide_rows() {
+    for (n, m, seed, hash) in [
+        (64usize, 2_000usize, 3, 0x2b2f_7009_ff17_a38e),
+        (2_048, 20_000, 5, 0x2be2_6a02_2a9f_30f4),
+    ] {
+        assert!(n * (n - 1) / 2 <= 128 * m, "n = {n}, m = {m} is dense");
         let graph = rmat(n, m, RmatParams::default(), seed).unwrap();
         pin(&format!("rmat({n}, {m})"), &graph, 2 * m, hash);
     }
