@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the hot kernels underlying the
 //! simulator and substrates: graph synthesis, interval partitioning,
-//! window planning, neighbor sampling, gather aggregation, dense MVM,
-//! fixed-point MVM, the FR-FCFS span-program ordering pass (on programs
+//! window planning and its occupancy bitmaps, neighbor sampling, gather
+//! aggregation, dense MVM, fixed-point MVM, the FR-FCFS span-program
+//! ordering pass (on programs
 //! that keep arrival order, one of them repeating a request block in
 //! every step, and on one it reorders) and its
 //! replay (one timing, and three timings as the lanes of one pass), and
@@ -18,7 +19,7 @@ use hygcn_graph::datasets::{DatasetKey, DatasetSpec};
 use hygcn_graph::generator::{rmat, RmatParams};
 use hygcn_graph::partition::{Interval, PartitionSpec};
 use hygcn_graph::sampling::{SamplePolicy, Sampler};
-use hygcn_graph::window::WindowPlanner;
+use hygcn_graph::window::{OccupancyIndex, WindowPlanner};
 use hygcn_graph::Graph;
 use hygcn_mem::hbm::ControllerPolicy;
 use hygcn_mem::request::{MemRequest, RequestKind};
@@ -73,6 +74,35 @@ fn bench_window_planning(c: &mut Criterion) {
     c.bench_function("window/slide_shrink_chunk", |b| {
         b.iter(|| black_box(planner.plan(&g, Interval::new(0, 2048))))
     });
+}
+
+/// Occupancy bitmaps of full-scale COLLAB (assembled dense blocks) at
+/// the five chunkings of a 1–16 MB Aggregation Buffer sweep over its
+/// raw features. The graph compresses to column runs, so after the first
+/// build (which makes the runs) each chunking ORs runs into its bitmaps.
+fn bench_occupancy_index(c: &mut Criterion) {
+    let g = DatasetSpec::get(DatasetKey::Cl)
+        .instantiate(1.0, 1)
+        .expect("valid scale");
+    assert!(g.occupancy_runs().is_some(), "COLLAB compresses to runs");
+    let n = g.num_vertices() as u32;
+    let mut group = c.benchmark_group("occupancy_index");
+    for mb in [1usize, 2, 4, 8, 16] {
+        let cfg = HyGcnConfig {
+            aggregation_buffer_bytes: mb << 20,
+            ..HyGcnConfig::default()
+        };
+        let width = cfg.chunk_width(g.feature_len()).min(g.num_vertices()) as u32;
+        let intervals: Vec<Interval> = (0..n.div_ceil(width))
+            .map(|i| Interval::new(i * width, ((i + 1) * width).min(n)))
+            .collect();
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("collab_aggbuf_{mb}mb")),
+            &intervals,
+            |b, intervals| b.iter(|| black_box(OccupancyIndex::build(&g, intervals))),
+        );
+    }
+    group.finish();
 }
 
 fn bench_sampling(c: &mut Criterion) {
@@ -273,6 +303,7 @@ criterion_group!(
     targets = bench_synthesis,
         bench_partition,
         bench_window_planning,
+        bench_occupancy_index,
         bench_sampling,
         bench_aggregate,
         bench_mvm,

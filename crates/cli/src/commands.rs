@@ -209,10 +209,14 @@ fn feature_len_arg(args: &Args) -> Result<usize, ArgError> {
     args.get_parsed_where("feature-len", 128, "an integer >= 1", |v| *v >= 1)
 }
 
+/// The graph a `simulate` or `compare` run measures: read from
+/// `--edges`, or synthesized from the dataset registry. Either way the
+/// read or the synthesis is the run's `workload_build` phase.
 fn build_graph(args: &Args) -> Result<Graph, CliError> {
     if let Some(path) = args.get("edges") {
         // A user-supplied edge list (undirected, `src dst` per line).
         let f = feature_len_arg(args)?;
+        let _obs = hygcn_obs::span(hygcn_obs::Phase::WorkloadBuild);
         return hygcn_graph::io::read_edge_list_file(path, f, true)
             .map_err(|e| CliError::Runtime(e.to_string()));
     }
@@ -220,6 +224,7 @@ fn build_graph(args: &Args) -> Result<Graph, CliError> {
     let spec = DatasetSpec::get(key);
     let scale = scale_arg(args, spec.default_bench_scale())?;
     let seed = args.get_parsed("seed", 0x5EEDu64, "an integer")?;
+    let _obs = hygcn_obs::span(hygcn_obs::Phase::WorkloadBuild);
     spec.instantiate(scale, seed)
         .map_err(|e| CliError::Runtime(e.to_string()))
 }

@@ -218,6 +218,45 @@ fn simulate_exports_metrics_and_trace() {
     assert!(t.contains("\"name\": \"span_replay\""), "{t}");
 }
 
+/// The `workload_build` phase's count and total milliseconds in a
+/// metrics export.
+fn workload_build(metrics: &str) -> (u64, f64) {
+    let stat = metrics
+        .split("\"workload_build\": {\"count\": ")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no workload_build phase: {metrics}"));
+    let (count, rest) = stat.split_once(", \"total_ms\": ").unwrap();
+    let total = rest.split(',').next().unwrap();
+    (count.parse().unwrap(), total.parse().unwrap())
+}
+
+/// `simulate` times its own graph, synthesized or read from an edge
+/// list, as one `workload_build` phase.
+#[test]
+fn simulate_times_its_graph_as_a_workload_build() {
+    let (m, t) = observed_run(
+        "hygcn-cli-obs-simulate-synthesis",
+        &["simulate", "--dataset", "IB", "--scale", "0.1"],
+    );
+    let (count, total_ms) = workload_build(&m);
+    assert_eq!(count, 1, "{m}");
+    assert!(total_ms > 0.0, "{m}");
+    assert!(t.contains("\"name\": \"workload_build\""), "{t}");
+
+    let dir = tmpdir("hygcn-cli-obs-edge-list");
+    let edges = dir.join("ring.txt");
+    let ring: String = (0..64).map(|v| format!("{v} {}\n", (v + 1) % 64)).collect();
+    std::fs::write(&edges, ring).unwrap();
+    let (m, _) = observed_run(
+        "hygcn-cli-obs-simulate-edges",
+        &["simulate", "--edges", edges.to_str().unwrap()],
+    );
+    let (count, total_ms) = workload_build(&m);
+    assert_eq!(count, 1, "{m}");
+    assert!(total_ms > 0.0, "{m}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `compare --metrics-out/--trace-out`: one evaluation on each of the
 /// `cpu`, `gpu` and `cycle` backends, each in its latency histogram.
 #[test]

@@ -6,9 +6,10 @@
 //! rediscover per call: the destination chunking and, with sparsity
 //! elimination on, every chunk's effectual windows. Windows come from
 //! the graph's cached [`OccupancyIndex`] — per-interval source-occupancy
-//! bitmaps built once per (graph, chunking) and shared across calls and
-//! graph clones — so a warm evaluation pays only a popcount sweep per
-//! chunk. When a chunking's index would blow the memo's memory budget,
+//! bitmaps built once per (graph, chunking), by ORing the graph's
+//! memoized column runs when its adjacency compresses to them, and
+//! shared across calls and graph clones — so a warm evaluation pays
+//! only a popcount sweep per chunk. When a chunking's index would blow the memo's memory budget,
 //! the schedule builds each chunk's one-interval index in turn and scans
 //! it the same way. Either way the emitted window *spans* are exactly
 //! those of Algorithm 4 ([`WindowPlanner::plan`]), which is all the

@@ -1168,11 +1168,14 @@ mod tests {
         }
 
         /// The recorded batches, each one's `t_row`s sorted.
+        /// The recorded batches' `t_row`s, each batch and the list of
+        /// batches sorted: worker threads record batches in any order.
         fn batches(&self) -> Vec<Vec<u64>> {
             let mut batches = self.batches.lock().unwrap().clone();
             for b in &mut batches {
                 b.sort_unstable();
             }
+            batches.sort_unstable();
             batches
         }
     }

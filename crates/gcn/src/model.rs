@@ -1,5 +1,7 @@
 //! The four benchmark models of Table 5 and their layer configurations.
 
+use std::sync::OnceLock;
+
 use hygcn_graph::sampling::SamplePolicy;
 
 use crate::aggregate::{Aggregator, SelfTerm};
@@ -103,6 +105,15 @@ impl ModelKind {
             _ => vec![feature_len, HIDDEN_DIM],
         }
     }
+
+    /// DiffPool's pool MLP dimension chain (`GCN_pool`, `f` to
+    /// [`DIFFPOOL_CLUSTERS`]); `None` for the other models.
+    pub(crate) fn pool_dims(&self, feature_len: usize) -> Option<Vec<usize>> {
+        match self {
+            ModelKind::DiffPool => Some(vec![feature_len, DIFFPOOL_CLUSTERS]),
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for ModelKind {
@@ -122,19 +133,34 @@ pub enum PhaseOrder {
 
 /// A fully-instantiated benchmark model: configuration plus shared MLP
 /// weights.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The weights are reproducible from `(kind, feature_len, seed)` and are
+/// drawn on first read ([`GcnModel::combine`], [`GcnModel::pool_combine`]):
+/// the timing backends read only the MLP dimensions, so a model they
+/// evaluate, or one whose point fails validation, never allocates its
+/// `feature_len x 128` weights. Equality compares that triple.
+#[derive(Debug, Clone)]
 pub struct GcnModel {
     kind: ModelKind,
     feature_len: usize,
-    combine: Combine,
+    seed: u64,
+    /// The (embedding) Combine stage, drawn from `seed`.
+    combine: OnceLock<Combine>,
     /// DiffPool's second internal GCN (`GCN_pool`), producing the
-    /// assignment matrix; `None` for the other models.
-    pool_combine: Option<Combine>,
+    /// assignment matrix, drawn from `seed + 101`; never drawn for the
+    /// other models.
+    pool_combine: OnceLock<Combine>,
+}
+
+impl PartialEq for GcnModel {
+    fn eq(&self, other: &Self) -> bool {
+        (self.kind, self.feature_len, self.seed) == (other.kind, other.feature_len, other.seed)
+    }
 }
 
 impl GcnModel {
     /// Instantiates `kind` for graphs with `feature_len`-long features,
-    /// with reproducible random weights.
+    /// with reproducible random weights drawn on first use.
     ///
     /// # Errors
     ///
@@ -145,19 +171,12 @@ impl GcnModel {
                 "feature length must be nonzero".into(),
             ));
         }
-        let combine = Combine::random(&kind.mlp_dims(feature_len), seed)?;
-        let pool_combine = match kind {
-            ModelKind::DiffPool => Some(Combine::random(
-                &[feature_len, DIFFPOOL_CLUSTERS],
-                seed.wrapping_add(101),
-            )?),
-            _ => None,
-        };
         Ok(Self {
             kind,
             feature_len,
-            combine,
-            pool_combine,
+            seed,
+            combine: OnceLock::new(),
+            pool_combine: OnceLock::new(),
         })
     }
 
@@ -173,23 +192,63 @@ impl GcnModel {
 
     /// Output feature length after the layer.
     pub fn out_len(&self) -> usize {
-        self.combine.out_dim()
+        let dims = self.kind.mlp_dims(self.feature_len);
+        dims[dims.len() - 1]
     }
 
-    /// The (embedding) Combine stage.
+    /// The (embedding) Combine stage, drawn on the first call.
     pub fn combine(&self) -> &Combine {
-        &self.combine
+        self.combine
+            .get_or_init(|| draw(&self.kind.mlp_dims(self.feature_len), self.seed))
     }
 
-    /// DiffPool's pool Combine stage, if any.
+    /// DiffPool's pool Combine stage, if any, drawn on the first call.
     pub fn pool_combine(&self) -> Option<&Combine> {
-        self.pool_combine.as_ref()
+        let dims = self.kind.pool_dims(self.feature_len)?;
+        Some(
+            self.pool_combine
+                .get_or_init(|| draw(&dims, self.seed.wrapping_add(101))),
+        )
     }
 
-    /// Bytes of shared parameters across all Combine stages.
-    pub fn param_bytes(&self) -> usize {
-        self.combine.param_bytes() + self.pool_combine.as_ref().map_or(0, Combine::param_bytes)
+    /// Multiply-accumulates per vertex across all Combine stages, from
+    /// the MLP dimensions alone (what [`Combine::macs_per_vertex`] counts
+    /// on the drawn weights).
+    pub fn combine_macs_per_vertex(&self) -> usize {
+        self.stage_dims().map(|dims| mlp_macs(&dims)).sum()
     }
+
+    /// Bytes of shared parameters across all Combine stages, from the
+    /// MLP dimensions alone (what [`Combine::param_bytes`] counts on the
+    /// drawn weights).
+    pub fn param_bytes(&self) -> usize {
+        self.stage_dims().map(|dims| mlp_param_bytes(&dims)).sum()
+    }
+
+    /// The dimension chains of the Combine stages: the embedding MLP,
+    /// then DiffPool's pool MLP.
+    fn stage_dims(&self) -> impl Iterator<Item = Vec<usize>> {
+        let f = self.feature_len;
+        std::iter::once(self.kind.mlp_dims(f)).chain(self.kind.pool_dims(f))
+    }
+}
+
+/// A reproducible random Combine through `dims`, which names at least
+/// two nonzero dimensions.
+fn draw(dims: &[usize], seed: u64) -> Combine {
+    // lint: allow(unwrap) -- mlp_dims and pool_dims name two or more dims, the only way Combine::random fails
+    Combine::random(dims, seed).expect("an MLP through two or more dims")
+}
+
+/// MACs per forward pass of an MLP through `dims` (`in x out` per
+/// layer).
+fn mlp_macs(dims: &[usize]) -> usize {
+    dims.windows(2).map(|d| d[0] * d[1]).sum()
+}
+
+/// Weight and bias bytes of an MLP through `dims`, at 4 B per element.
+fn mlp_param_bytes(dims: &[usize]) -> usize {
+    dims.windows(2).map(|d| (d[0] * d[1] + d[1]) * 4).sum()
 }
 
 #[cfg(test)]

@@ -81,9 +81,9 @@ impl LayerWorkload {
         let agg_elem_ops =
             (num_edges as u64 + self_vertices as u64) * agg_width as u64 * num_paths as u64;
 
-        let mut combine_macs = num_vertices as u64 * model.combine().macs_per_vertex() as u64;
-        if let Some(pool) = model.pool_combine() {
-            combine_macs += num_vertices as u64 * pool.macs_per_vertex() as u64;
+        // Every Combine MLP, DiffPool's pool MLP included.
+        let mut combine_macs = num_vertices as u64 * model.combine_macs_per_vertex() as u64;
+        if kind == ModelKind::DiffPool {
             // Coarsening products (Eq. 8): X' = CᵀZ and A' = CᵀAC.
             let c = DIFFPOOL_CLUSTERS as u64;
             combine_macs += num_vertices as u64 * c * f_out as u64; // CᵀZ

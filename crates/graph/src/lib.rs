@@ -90,7 +90,8 @@ pub struct Graph {
 /// Shared memo of derived plans: values that are pure functions of the
 /// graph topology and a typed key, built on first use by
 /// [`Graph::memo`]. This crate keeps its own occupancy indexes here
-/// ([`Graph::occupancy_index`]); downstream crates park values this
+/// ([`Graph::occupancy_index`]), and the column runs they are built from
+/// ([`Graph::occupancy_runs`]); downstream crates park values this
 /// crate cannot name (the simulator's span programs and runtime
 /// samples) in the same memo.
 ///
@@ -459,6 +460,28 @@ impl Graph {
             Some(window::OccupancyIndex::storage_bytes),
         );
         Some(entry)
+    }
+
+    /// The number of `(word, mask)` runs the graph keeps to build
+    /// occupancy bitmaps from, or `None` when it keeps none and sets
+    /// one bit per source instead: the runs are kept only when there is
+    /// at most one per six edges (see [`window::OccupancyIndex::build`]).
+    /// Decided and built on first use, like any plan.
+    pub fn occupancy_runs(&self) -> Option<usize> {
+        (*self.column_runs()).as_ref().map(window::ColumnRuns::len)
+    }
+
+    /// The memoized column runs, `None` when the graph keeps none.
+    pub(crate) fn column_runs(&self) -> Arc<Option<window::ColumnRuns>> {
+        /// The memo key of a graph's one set of column runs.
+        #[derive(PartialEq)]
+        struct ColumnRunsKey;
+        let Ok((runs, _)) = self.plan_cache.memo(
+            ColumnRunsKey,
+            || Ok::<_, Infallible>(window::ColumnRuns::build(self)),
+            None,
+        );
+        runs
     }
 
     /// A process-independent FNV-1a hash of the graph's *content*: vertex

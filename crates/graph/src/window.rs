@@ -129,6 +129,93 @@ impl WindowPlanner {
     }
 }
 
+/// Every column's sorted sources as `(word, mask)` runs: run `r` sets
+/// bits `masks[r]` of occupancy word `words[r]`, one run per 64-row word
+/// a column's sources touch. An interval's occupancy bitmap is then the
+/// OR of its columns' runs, one word operation per run instead of one
+/// bit per source.
+///
+/// A graph keeps runs only when they take at most half the bytes of the
+/// sources they stand for (12 B per run against 4 B per source, so at
+/// most one run per [`ColumnRuns::EDGES_PER_RUN`] edges): clustered
+/// adjacency compresses, scattered adjacency would only grow. The
+/// decision reads an `O(V)` upper bound on the run count, so a graph
+/// that does not compress pays no pass over its sources. Built once per
+/// graph on first use and memoized like any plan ([`Graph::memo`]), so
+/// [`Graph::with_feature_len`] clones share it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ColumnRuns {
+    /// `offsets[v]..offsets[v + 1]` indexes column `v`'s runs.
+    offsets: Vec<u32>,
+    /// Each run's bitmap word (`source >> 6`).
+    words: Vec<u32>,
+    /// Each run's bits within its word.
+    masks: Vec<u64>,
+}
+
+impl ColumnRuns {
+    /// The fewest edges one run must stand for to be kept: 12 B per run
+    /// against 4 B per source halves the bytes at six sources.
+    pub(crate) const EDGES_PER_RUN: usize = 6;
+
+    /// The runs of `graph`'s columns, or `None` when the graph does not
+    /// compress to one run per [`Self::EDGES_PER_RUN`] edges by an upper
+    /// bound on its run count: each column holds at most one run per
+    /// source and one per word its first to last source spans. The bound
+    /// stops at the first column that takes it past the limit, so a
+    /// scattered graph reads only a fraction of its columns' ends.
+    pub(crate) fn build(graph: &Graph) -> Option<Self> {
+        let csc = graph.csc();
+        let (offsets, sources) = (csc.offsets(), csc.raw_sources());
+        let limit = sources.len() / Self::EDGES_PER_RUN;
+        let mut bound = 0;
+        for o in offsets.windows(2).filter(|o| o[0] < o[1]) {
+            let span = (sources[o[1] - 1] >> 6) - (sources[o[0]] >> 6) + 1;
+            bound += (o[1] - o[0]).min(span as usize);
+            if bound > limit {
+                return None;
+            }
+        }
+        // An edgeless graph has nothing to OR; run offsets are `u32`.
+        if bound == 0 || u32::try_from(bound).is_err() {
+            return None;
+        }
+        let mut runs = Self {
+            offsets: Vec::with_capacity(offsets.len()),
+            words: Vec::with_capacity(bound),
+            masks: Vec::with_capacity(bound),
+        };
+        runs.offsets.push(0);
+        for o in offsets.windows(2) {
+            // Sorted sources: a word's sources are adjacent.
+            for run in sources[o[0]..o[1]].chunk_by(|a, b| a >> 6 == b >> 6) {
+                runs.words.push(run[0] >> 6);
+                runs.masks
+                    .push(run.iter().fold(0, |mask, &u| mask | 1 << (u & 63)));
+            }
+            // At most `bound` runs, which fits a `u32`.
+            runs.offsets.push(runs.words.len() as u32);
+        }
+        runs.words.shrink_to_fit();
+        runs.masks.shrink_to_fit();
+        Some(runs)
+    }
+
+    /// Number of runs kept.
+    pub(crate) fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// ORs the runs of columns `dst` into `bitmap`.
+    fn or_into(&self, bitmap: &mut [u64], dst: Interval) {
+        let lo = self.offsets[dst.start as usize] as usize;
+        let hi = self.offsets[dst.end as usize] as usize;
+        for (&word, &mask) in self.words[lo..hi].iter().zip(&self.masks[lo..hi]) {
+            bitmap[word as usize] |= mask;
+        }
+    }
+}
+
 /// Per-interval source-row occupancy bitmaps — the precompiled form of
 /// the window planner's input.
 ///
@@ -160,7 +247,10 @@ impl OccupancyIndex {
     pub const MAX_WORDS: usize = 1 << 23;
 
     /// Builds the per-interval occupancy bitmaps, `ceil(V / 64)` words
-    /// per interval, with one pass over each interval's CSC columns.
+    /// per interval: each interval ORs in its columns' `(word, mask)`
+    /// runs when the graph keeps them ([`Graph::occupancy_runs`]: at
+    /// most one run per six edges, built on first use and memoized),
+    /// else sets one bit per source of its CSC columns.
     ///
     /// `intervals` are destination ranges within the vertex id space
     /// (out-of-range ids panic).
@@ -169,10 +259,15 @@ impl OccupancyIndex {
         let wpi = n.div_ceil(64);
         let total = wpi * intervals.len();
         let mut bits = vec![0u64; total];
+        let runs = graph.column_runs();
         let offsets = graph.csc().offsets();
         let sources = graph.csc().raw_sources();
-        for (i, dst) in intervals.iter().enumerate() {
+        for (i, &dst) in intervals.iter().enumerate() {
             let words = &mut bits[i * wpi..(i + 1) * wpi];
+            if let Some(runs) = &*runs {
+                runs.or_into(words, dst);
+                continue;
+            }
             let lo = offsets[dst.start as usize];
             let hi = offsets[dst.end as usize];
             for &u in &sources[lo..hi] {
@@ -300,6 +395,7 @@ impl SparsityStats {
 mod tests {
     use super::*;
     use crate::GraphBuilder;
+    use std::sync::Arc;
 
     /// dst interval {0..4}; sources at rows 2, 3, 10, 11, 40.
     fn sparse_graph() -> Graph {
@@ -476,5 +572,74 @@ mod tests {
         let empty = OccupancyIndex::build(&g, &[]);
         assert_eq!(empty.num_intervals(), 0);
         assert_eq!(empty.storage_bytes(), 0);
+        // An edgeless graph keeps no runs.
+        assert_eq!(g.occupancy_runs(), None);
+    }
+
+    /// The bitmaps of `intervals` with one bit set per source.
+    fn scattered(g: &Graph, intervals: &[Interval]) -> Vec<u64> {
+        let wpi = g.num_vertices().div_ceil(64);
+        let mut bits = vec![0u64; wpi * intervals.len()];
+        for (i, dst) in intervals.iter().enumerate() {
+            for d in dst.iter() {
+                for &u in g.in_neighbors(d) {
+                    bits[i * wpi + (u >> 6) as usize] |= 1 << (u & 63);
+                }
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn column_runs_or_to_the_bits_of_every_source() {
+        use crate::generator::{erdos_renyi, rmat, RmatParams};
+        // Half-complete: ~150 sources a column over 5 words.
+        let dense = erdos_renyi(300, 300 * 75, 4).unwrap();
+        let sparse = rmat(2_000, 6_000, RmatParams::default(), 4).unwrap();
+        let runs = dense.column_runs();
+        let runs = runs.as_ref().as_ref().expect("the dense graph compresses");
+        assert!(runs.len() * ColumnRuns::EDGES_PER_RUN <= dense.num_edges());
+        assert_eq!(runs.offsets.len(), dense.num_vertices() + 1);
+        assert_eq!(dense.occupancy_runs(), Some(runs.len()));
+        assert_eq!(sparse.occupancy_runs(), None);
+        // Clones share the memoized runs.
+        assert!(Arc::ptr_eq(
+            &dense.column_runs(),
+            &dense.with_feature_len(7).column_runs()
+        ));
+        for g in [&dense, &sparse] {
+            let n = g.num_vertices() as u32;
+            for intervals in [chunking(n, 1), chunking(n, 37), chunking(n, n)] {
+                let idx = OccupancyIndex::build(g, &intervals);
+                assert_eq!(idx.bits, scattered(g, &intervals), "n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn runs_are_kept_only_at_six_edges_a_run_by_their_bound() {
+        // One column whose `k` sources sit in words 0 and 2: its bound
+        // is min(k, 3) runs, though it holds only 2.
+        let column = |k: u32| {
+            let mut b = GraphBuilder::new(192);
+            for s in 0..k {
+                let src = if s % 2 == 0 { s / 2 } else { 128 + s / 2 };
+                b = b.edge(src, 191).unwrap();
+            }
+            b.build()
+        };
+        assert_eq!(column(18).occupancy_runs(), Some(2));
+        // 17 edges hold 2 runs but bound 3, past one per six edges.
+        assert_eq!(column(17).occupancy_runs(), None);
+        assert_eq!(column(12).occupancy_runs(), None);
+        // Sources in one word bound one run: kept from six of them.
+        let word = |k: u32| {
+            GraphBuilder::new(64)
+                .edges((0..k).map(|s| (s, 63)))
+                .unwrap()
+                .build()
+        };
+        assert_eq!(word(6).occupancy_runs(), Some(1));
+        assert_eq!(word(5).occupancy_runs(), None);
     }
 }

@@ -421,6 +421,7 @@ impl SpanProgram {
         let (banks, window) = (self.banks, pass.window);
         let mut bank_row = vec![NO_ROW; self.channels * banks];
         let (mut cells, mut order) = (Vec::new(), Vec::new());
+        let mut same_row = RowSlots::default();
         for cell in 0..self.offsets.len() - 1 {
             let (step, c) = (cell / self.channels, cell % self.channels);
             let rows = &mut bank_row[c * banks..(c + 1) * banks];
@@ -437,7 +438,7 @@ impl SpanProgram {
             }
             rows.copy_from_slice(cell_rows);
             cells.push((cell, order.len()));
-            frfcfs_order(run, window, rows, &mut order);
+            frfcfs_order(run, window, rows, &mut same_row, &mut order);
         }
         Ok((!cells.is_empty()).then_some(SpanSchedule { cells, order }))
     }
@@ -1307,19 +1308,25 @@ struct ArrivalOrder {
     /// under it. The table is never cleared: a head arrived under its
     /// own slot earlier in the same walk, so the slot a head reads holds
     /// an index of that walk, never a stale one of an earlier walk.
-    youngest: Vec<usize>,
-    /// `64 - log2(youngest.len())`.
+    youngest: RowSlots<usize>,
+}
+
+/// A table of hash slots keyed by a span's `(bank, row)`.
+#[derive(Debug, Clone, Default)]
+struct RowSlots<T> {
+    slots: Vec<T>,
+    /// `64 - log2(slots.len())`.
     shift: u32,
 }
 
-impl ArrivalOrder {
-    /// Sizes the table at sixteen slots per pending span, so a head
-    /// miss finds another pending key in its slot with probability at
-    /// most 1/16: a collision scans at most the window.
-    fn reserve(&mut self, window: usize) {
-        let len = (16 * window).next_power_of_two();
-        if self.youngest.len() < len {
-            self.youngest = vec![0; len];
+impl<T: Copy + Default> RowSlots<T> {
+    /// Sizes the table at sixteen slots per pending span (at least one),
+    /// so a key finds another pending key in its slot with probability
+    /// at most 1/16. A table that grows starts zeroed.
+    fn reserve(&mut self, pending: usize) {
+        let len = (16 * pending.max(1)).next_power_of_two();
+        if self.slots.len() < len {
+            self.slots = vec![T::default(); len];
             self.shift = 64 - len.trailing_zeros();
         }
     }
@@ -1330,13 +1337,15 @@ impl ArrivalOrder {
         let key = u64::from(t.row) << 16 ^ u64::from(t.bank);
         saturating_usize(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift)
     }
+}
 
+impl ArrivalOrder {
     /// Queues `t`, at run index `a`, as its slot's youngest
     /// arrival; returns whether it hits its bank's open row.
     #[inline(always)]
     fn arrive(&mut self, t: &SpanTuple, a: usize, bank_row: &[u32]) -> bool {
-        let slot = self.slot(t);
-        self.youngest[slot] = a;
+        let slot = self.youngest.slot(t);
+        self.youngest.slots[slot] = a;
         bank_row[usize::from(t.bank)] == t.row
     }
 
@@ -1353,7 +1362,9 @@ impl ArrivalOrder {
             }
             return true;
         }
-        self.reserve(window);
+        // A head miss finds another pending key in its slot with
+        // probability at most 1/16: a collision scans at most the window.
+        self.youngest.reserve(window);
         let same = |a: &SpanTuple, b: &SpanTuple| a.row == b.row && a.bank == b.bank;
         // The youngest pending hit; 0 stands for none, as the check
         // `hit > h` never fires on it.
@@ -1373,7 +1384,7 @@ impl ArrivalOrder {
                 // The key's youngest pending span: its slot's youngest
                 // arrival, or after a collision an older one. An empty
                 // range when the slot holds nothing pending.
-                let y = self.youngest[self.slot(t)];
+                let y = self.youngest.slots[self.youngest.slot(t)];
                 if let Some(j) = (h + 1..=y).rev().find(|&j| same(&run[j], t)) {
                     hit = j;
                 }
@@ -1692,10 +1703,23 @@ impl<'p> IdentityPass<'p> {
 /// Only a miss opens a row, and one is picked only when nothing pending
 /// hits, so after it the pending hits are exactly its bank's pending
 /// spans of its row. Each pending span carries whether it hits, and a
-/// count of the hits spares a pick with none the search.
-fn frfcfs_order(run: &[SpanTuple], window: usize, bank_row: &mut [u32], order: &mut Vec<u32>) {
+/// count of the hits spares a pick with none the search. `same_row`
+/// counts the pending spans per `(bank, row)` hash slot: a same-row span
+/// shares its slot with the miss, so the miss scans the window for them
+/// only when its slot holds another pending span. Every span that
+/// arrives is picked, so the counts end at zero and one table serves
+/// every cell of a schedule.
+fn frfcfs_order(
+    run: &[SpanTuple],
+    window: usize,
+    bank_row: &mut [u32],
+    same_row: &mut RowSlots<u32>,
+    order: &mut Vec<u32>,
+) {
+    let window = window.min(run.len());
+    same_row.reserve(window);
     // Pending spans, oldest first: run index and whether it hits.
-    let mut pending: VecDeque<(u32, bool)> = VecDeque::with_capacity(window.min(run.len()));
+    let mut pending: VecDeque<(u32, bool)> = VecDeque::with_capacity(window);
     let mut arrivals = (0u32..).zip(run);
     let mut hits = 0usize;
     loop {
@@ -1707,6 +1731,8 @@ fn frfcfs_order(run: &[SpanTuple], window: usize, bank_row: &mut [u32], order: &
             };
             let hit = bank_row[usize::from(t.bank)] == t.row;
             hits += usize::from(hit);
+            let slot = same_row.slot(t);
+            same_row.slots[slot] += 1;
             pending.push_back((i, hit));
         }
         let pick = match hits {
@@ -1717,12 +1743,17 @@ fn frfcfs_order(run: &[SpanTuple], window: usize, bank_row: &mut [u32], order: &
             return;
         };
         order.push(i);
+        let t = run[idx(i)];
+        let slot = same_row.slot(&t);
+        same_row.slots[slot] -= 1;
         if hit {
             hits -= 1;
             continue;
         }
-        let t = run[idx(i)];
         bank_row[usize::from(t.bank)] = t.row;
+        if same_row.slots[slot] == 0 {
+            continue;
+        }
         for (j, hit) in &mut pending {
             let p = &run[idx(*j)];
             if p.row == t.row && p.bank == t.bank {
@@ -2047,12 +2078,14 @@ mod tests {
         let banks = program.banks;
         let mut bank_row = vec![NO_ROW; program.channels * banks];
         let (mut cells, mut order, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+        let mut same_row = RowSlots::default();
         for cell in 0..program.offsets.len() - 1 {
             let c = cell % program.channels;
             let run = program.cell_run(cell / program.channels, c, &mut scratch);
             let start = order.len();
             let rows = &mut bank_row[c * banks..(c + 1) * banks];
-            frfcfs_order(run, window.max(1), rows, &mut order);
+            frfcfs_order(run, window.max(1), rows, &mut same_row, &mut order);
+            assert!(same_row.slots.iter().all(|&n| n == 0), "cell {cell}");
             if order[start..].iter().zip(0u32..).all(|(&i, j)| i == j) {
                 order.truncate(start);
             } else {

@@ -207,3 +207,73 @@ fn edge_list_io_feeds_the_simulator() {
         .unwrap();
     assert_eq!(r.elem_ops, (8 + 4) * 16);
 }
+
+/// FNV-1a over the bit patterns of `values`.
+fn fnv(h: &mut u64, values: &[f32]) {
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+/// A model draws its weights on first use, exactly the weights it drew
+/// up front before: `Combine::random` through `mlp_dims` at `seed`, and
+/// DiffPool's pool MLP at `seed + 101`. Its shape queries, read from
+/// the dims alone, equal the drawn weights', and the reference outputs
+/// hash as they did when every model drew its weights in `new` (the
+/// literals were taken then).
+#[test]
+fn model_weights_are_drawn_on_first_use_as_before() {
+    use hygcn_suite::gcn::combine::Combine;
+    use hygcn_suite::gcn::model::DIFFPOOL_CLUSTERS;
+    use hygcn_suite::gcn::workload::LayerWorkload;
+
+    let f = 24;
+    let graph = preferential_attachment(80, 3, 5)
+        .unwrap()
+        .with_feature_len(f);
+    let x = Matrix::random(80, f, 0.5, 6);
+    let exec = ReferenceExecutor::new();
+    let pinned = [
+        (ModelKind::Gcn, 0x28dd_304e_f705_cdeb_u64),
+        (ModelKind::GraphSage, 0x8774_f5d6_b099_eb7b),
+        (ModelKind::Gin, 0xcc46_b98e_6833_9c8e),
+        (ModelKind::DiffPool, 0x1a9d_a69f_7fef_bc13),
+    ];
+    for (kind, hash) in pinned {
+        let model = GcnModel::new(kind, f, 7).unwrap();
+        // Shape queries never draw, and agree before and after.
+        let workload = LayerWorkload::of(&graph, &model, 1);
+        let shape = (
+            model.out_len(),
+            model.param_bytes(),
+            model.combine_macs_per_vertex(),
+        );
+        let embedding = Combine::random(&kind.mlp_dims(f), 7).unwrap();
+        assert_eq!(model.combine(), &embedding, "{kind}");
+        let pool = (kind == ModelKind::DiffPool)
+            .then(|| Combine::random(&[f, DIFFPOOL_CLUSTERS], 7 + 101).unwrap());
+        assert_eq!(model.pool_combine(), pool.as_ref(), "{kind}");
+        let stages = std::iter::once(&embedding).chain(&pool);
+        let drawn = (
+            embedding.out_dim(),
+            stages.clone().map(Combine::param_bytes).sum(),
+            stages.map(Combine::macs_per_vertex).sum(),
+        );
+        assert_eq!(shape, drawn, "{kind}");
+        assert_eq!(LayerWorkload::of(&graph, &model, 1), workload, "{kind}");
+        assert_eq!(model, GcnModel::new(kind, f, 7).unwrap(), "{kind}");
+        assert_ne!(model, GcnModel::new(kind, f, 8).unwrap(), "{kind}");
+
+        let out = exec.run(&graph, &x, &model).unwrap();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        fnv(&mut h, out.features.as_slice());
+        if let Some(p) = &out.pooled {
+            for m in [&p.assignment, &p.features, &p.adjacency] {
+                fnv(&mut h, m.as_slice());
+            }
+        }
+        assert_eq!(h, hash, "{kind}: reference output moved");
+    }
+}

@@ -29,6 +29,11 @@ enum Gen {
     Erdos,
     Rmat,
     PrefAttach,
+    /// Erdős–Rényi at `n / 4` edges per vertex: each column's sources
+    /// fill half its words' bits, about 32 edges per occupancy run, so
+    /// its occupancy bitmaps always OR column runs, where the sparse
+    /// families mostly set one bit per source.
+    Dense,
 }
 
 fn build_graph(wl: Gen, n: usize, density: usize, feature_len: usize, seed: u64) -> Graph {
@@ -36,12 +41,18 @@ fn build_graph(wl: Gen, n: usize, density: usize, feature_len: usize, seed: u64)
         Gen::Erdos => erdos_renyi(n, n * density, seed).unwrap(),
         Gen::Rmat => rmat(n, n * density, RmatParams::default(), seed).unwrap(),
         Gen::PrefAttach => preferential_attachment(n, density.max(1), seed).unwrap(),
+        Gen::Dense => erdos_renyi(n, n * (n / 4), seed).unwrap(),
     };
     g.with_feature_len(feature_len)
 }
 
 fn arb_gen() -> impl Strategy<Value = Gen> {
-    prop_oneof![Just(Gen::Erdos), Just(Gen::Rmat), Just(Gen::PrefAttach)]
+    prop_oneof![
+        Just(Gen::Erdos),
+        Just(Gen::Rmat),
+        Just(Gen::PrefAttach),
+        Just(Gen::Dense),
+    ]
 }
 
 fn arb_kind() -> impl Strategy<Value = ModelKind> {
@@ -83,6 +94,7 @@ proptest! {
             Just(Some(4usize)),
             Just(Some(16usize)),
             Just(Some(64usize)),
+            Just(Some(usize::MAX)),
         ],
         chpow in 0u32..4, // channels 1/2/4/8
         small_aggbuf in any::<bool>(),
@@ -187,6 +199,81 @@ fn over_budget_chunking_matches_reference() {
     assert_eq!(report, reference);
 }
 
+/// Occupancy bitmaps come from column runs on a graph that compresses to
+/// them and from one bit per source on one that does not; either way
+/// every chunk's windows are Algorithm 4's ([`WindowPlanner::plan`]),
+/// for the memoized many-interval index and the one-interval fallback,
+/// on uniform chunkings (with a short tail), a non-uniform one and one
+/// of empty columns and empty intervals, at heights 1 through past `V`.
+///
+/// [`WindowPlanner::plan`]: hygcn_suite::graph::window::WindowPlanner::plan
+#[test]
+fn occupancy_windows_match_the_planner_from_runs_and_from_sources() {
+    use hygcn_suite::graph::partition::Interval;
+    use hygcn_suite::graph::window::{OccupancyIndex, WindowPlanner};
+    use hygcn_suite::graph::Coo;
+
+    // A dense Erdős–Rényi graph on the even ids of 640 vertices: each
+    // even column holds ~160 sources over 10 words, and every odd
+    // column is empty.
+    let dense = erdos_renyi(320, 320 * 80, 5).unwrap();
+    let spread = dense.edges().map(|(s, d)| (2 * s, 2 * d));
+    let dense = Graph::from_coo(&Coo::from_pairs(640, spread).unwrap(), 16);
+    let sparse = rmat(1_500, 6_000, RmatParams::default(), 3)
+        .unwrap()
+        .with_feature_len(16);
+    assert!(dense.occupancy_runs().is_some_and(|runs| runs > 0));
+    assert_eq!(sparse.occupancy_runs(), None);
+
+    for graph in [&dense, &sparse] {
+        let n = graph.num_vertices() as u32;
+        let uniform = |w: u32| -> Vec<Interval> {
+            (0..n.div_ceil(w))
+                .map(|i| Interval::new(i * w, ((i + 1) * w).min(n)))
+                .collect()
+        };
+        let mut chunkings: Vec<Vec<Interval>> = [1, 7, 64, n].map(uniform).to_vec();
+        chunkings.push(vec![Interval::new(0, n / 3), Interval::new(n / 3, n)]);
+        // Odd columns of the dense graph, and intervals of no column.
+        chunkings.push(vec![
+            Interval::new(1, 2),
+            Interval::new(5, 5),
+            Interval::new(0, n),
+            Interval::new(n, n),
+        ]);
+        for intervals in &chunkings {
+            let index = OccupancyIndex::build(graph, intervals);
+            for h in [
+                1,
+                2,
+                3,
+                16,
+                63,
+                64,
+                65,
+                500,
+                n as usize,
+                n as usize + 1,
+                1 << 24,
+            ] {
+                let planner = WindowPlanner::new(h);
+                for (i, &dst) in intervals.iter().enumerate() {
+                    let expect: Vec<Interval> =
+                        planner.plan(graph, dst).iter().map(|w| w.rows).collect();
+                    let mut got = Vec::new();
+                    index.for_each_window(i, h, |rows| got.push(rows));
+                    assert_eq!(got, expect, "n {n} h {h} interval {dst:?}");
+                    let mut alone = Vec::new();
+                    OccupancyIndex::build(graph, &[dst]).for_each_window(0, h, |rows| {
+                        alone.push(rows);
+                    });
+                    assert_eq!(alone, expect, "n {n} h {h} one-interval {dst:?}");
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Span-program replay vs the reference HBM walk, at arbitrary geometry.
 // ---------------------------------------------------------------------
@@ -228,7 +315,8 @@ proptest! {
         t_cas in 0u64..24,
         second_timing in (1u64..4, 1u64..48, 0u64..24),
         row_interleaved in any::<bool>(),
-        // 65 and 200 span more than one 64-slot mask word.
+        // usize::MAX reaches past every run: the ordering pass sizes its
+        // tables by the run, never by the window.
         frfcfs_window in prop_oneof![
             Just(None),
             Just(Some(1usize)),
@@ -239,6 +327,7 @@ proptest! {
             Just(Some(64usize)),
             Just(Some(65usize)),
             Just(Some(200usize)),
+            Just(Some(usize::MAX)),
         ],
         row_local_rows in 1u64..5,
         row_local_grouped in any::<bool>(),
@@ -424,6 +513,7 @@ proptest! {
             Just(Some(16usize)),
             Just(Some(32usize)),
             Just(Some(65usize)),
+            Just(Some(usize::MAX)),
         ],
         sweep_reads in 1u64..40,
         seed in 1u64..100_000,
