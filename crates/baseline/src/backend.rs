@@ -33,10 +33,11 @@
 //!
 //! `HyGcnConfig` describes the *accelerator*, so the platform backends
 //! deliberately ignore it (beyond the sampling override, which changes
-//! the workload itself — the Fig. 18a–c sweep axis). They still reject
-//! a config [`HyGcnConfig::validate`] rejects, as every backend does
-//! (the [`SimBackend`] contract), so no config is `Ok` on a platform and
-//! `Err` on the accelerator. Points differing
+//! the workload itself — the Fig. 18a–c sweep axis). They still run the
+//! simulator backends' own input check, [`validate_inputs`] (feature
+//! shape, buffer capacities, [`HyGcnConfig::validate`], address layout
+//! and request sizes), so no point is `Ok` on a platform and `Err` on
+//! the accelerator, or fails with another error. Points differing
 //! only in accelerator knobs still enumerate (and cache) separately —
 //! the key hashes the full config canon — but evaluate to identical
 //! platform reports in microseconds each, so the duplication costs
@@ -58,6 +59,7 @@ use hygcn_core::config::HyGcnConfig;
 use hygcn_core::energy::EnergyBreakdown;
 use hygcn_core::error::SimError;
 use hygcn_core::report::SimReport;
+use hygcn_core::validate::validate_inputs;
 use hygcn_gcn::model::{GcnModel, ModelKind};
 use hygcn_gcn::workload::LayerWorkload;
 use hygcn_graph::sampling::SamplePolicy;
@@ -172,16 +174,6 @@ fn workload_for(graph: &Graph, model: &GcnModel, config: &HyGcnConfig) -> LayerW
     w
 }
 
-fn check_features(graph: &Graph, model: &GcnModel) -> Result<(), SimError> {
-    if graph.feature_len() != model.feature_len() {
-        return Err(SimError::Gcn(hygcn_gcn::GcnError::FeatureShape {
-            expected: (graph.num_vertices(), model.feature_len()),
-            found: (graph.num_vertices(), graph.feature_len()),
-        }));
-    }
-    Ok(())
-}
-
 /// The PyG platform variants the paper compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Platform {
@@ -256,8 +248,7 @@ impl SimBackend for PlatformBackend {
         config: &HyGcnConfig,
     ) -> Result<SimReport, SimError> {
         hygcn_obs::observe_eval(self.id, || {
-            check_features(graph, model)?;
-            config.validate().map_err(SimError::Config)?;
+            validate_inputs(graph, model, config)?;
             let w = workload_for(graph, model, config);
             let (report, clock_ghz, dram_j_per_byte) = self.platform.run(graph, &w);
             Ok(to_sim_report(
@@ -322,7 +313,8 @@ impl SimBackend for ExecPatternBackend {
 
 /// The report of a characterization backend `id`: the named metrics
 /// `measure` takes of `model`'s workload over `graph`, and the
-/// workload's ops; no run totals. `config` only has to be valid.
+/// workload's ops; no run totals. `config` only has to pass
+/// [`validate_inputs`].
 fn characterization(
     id: &'static str,
     graph: &Graph,
@@ -331,8 +323,7 @@ fn characterization(
     measure: impl FnOnce(&LayerWorkload) -> Vec<(&'static str, f64)>,
 ) -> Result<SimReport, SimError> {
     hygcn_obs::observe_eval(id, || {
-        check_features(graph, model)?;
-        config.validate().map_err(SimError::Config)?;
+        validate_inputs(graph, model, config)?;
         let w = LayerWorkload::of(graph, model, 0);
         Ok(SimReport {
             elem_ops: w.agg_elem_ops,

@@ -25,8 +25,7 @@
 //!   overheads.
 //! * **Cache simulator** ([`cache`]) — a real set-associative L1/L2/L3
 //!   LRU hierarchy, run over the actual aggregation access trace
-//!   ([`trace`]) to measure the MPKI and DRAM-bytes-per-op of Table 2 and
-//!   the benefit of the shard-partitioned algorithm variant (Fig. 10a/b).
+//!   ([`trace`]) to measure the MPKI and DRAM-bytes-per-op of Table 2.
 //! * **Stride prefetcher** ([`prefetch`]) — quantifies §3.1's claim that
 //!   hardware prefetching covers the regular Combination walk but is
 //!   ineffective on Aggregation's indirect gathers.

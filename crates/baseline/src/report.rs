@@ -49,14 +49,6 @@ impl PlatformReport {
         }
         baseline.time_s / self.time_s
     }
-
-    /// This platform's energy as a fraction of `baseline`'s.
-    pub fn energy_ratio_to(&self, baseline: &PlatformReport) -> f64 {
-        if baseline.energy_j <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.energy_j / baseline.energy_j
-    }
 }
 
 #[cfg(test)]
@@ -79,18 +71,15 @@ mod tests {
     }
 
     #[test]
-    fn speedup_and_energy_ratio() {
+    fn speedup_is_the_time_ratio() {
         let fast = PlatformReport {
             time_s: 0.001,
-            energy_j: 0.01,
             ..Default::default()
         };
         let slow = PlatformReport {
             time_s: 1.0,
-            energy_j: 100.0,
             ..Default::default()
         };
         assert!((fast.speedup_over(&slow) - 1000.0).abs() < 1e-9);
-        assert!((fast.energy_ratio_to(&slow) - 1e-4).abs() < 1e-12);
     }
 }

@@ -1,27 +1,20 @@
 //! Aggregation-phase access-trace generation.
 //!
-//! The CPU characterization (Table 2) and the shard-optimization study
-//! (Fig. 10a) are driven by replaying the Aggregation phase's memory
-//! references through the cache hierarchy of [`crate::cache`]:
-//!
-//! * **Naive order** ([`naive_trace`]) — PyG's coarse-grained pipeline:
-//!   a *gather* pass materializes one feature row per edge into a
-//!   contiguous temporary (`index_select`), then a *scatter* pass
-//!   re-reads the temporary and reduces into per-destination
-//!   accumulators. The edge-count-sized temporary streams through the
-//!   hierarchy, which is what produces Table 2's ~11.6 DRAM bytes per
-//!   operation.
-//! * **Shard order** ([`sharded_trace`]) — the interval–shard schedule of
-//!   paper §4.3.2 sized to the L2 cache and *fused* (no materialization),
-//!   which is the algorithm optimization the paper ports back onto PyG
-//!   ("PyG-CPU-OP", Fig. 10a).
+//! The CPU characterization (Table 2) is driven by replaying the
+//! Aggregation phase's memory references through the cache hierarchy of
+//! [`crate::cache`] in PyG's coarse-grained order ([`naive_trace`]): a
+//! *gather* pass materializes one feature row per edge into a contiguous
+//! temporary (`index_select`), then a *scatter* pass re-reads the
+//! temporary and reduces into per-destination accumulators. The
+//! edge-count-sized temporary streams through the hierarchy, which is
+//! what produces Table 2's ~11.6 DRAM bytes per operation.
 //!
 //! Traces over very large graphs are statistically sampled: simulation
-//! stops after `max_edges` per pass and the counters are linearly
-//! extrapolated (see EXPERIMENTS.md; the workloads are homogeneous enough
-//! that a multi-million-edge prefix is representative).
+//! stops after `max_edges` per pass. The counters cover that prefix; the
+//! per-operation and per-instruction rates Table 2 reports need no
+//! extrapolation, since the workloads are homogeneous enough that a
+//! multi-million-edge prefix is representative.
 
-use hygcn_graph::partition::PartitionSpec;
 use hygcn_graph::Graph;
 
 use crate::cache::Hierarchy;
@@ -37,7 +30,7 @@ const INSTR_PER_EDGE: u64 = 8;
 pub struct TraceResult {
     /// Edges actually simulated (≤ the graph's edge count).
     pub simulated_edges: u64,
-    /// Total edges in the workload (for extrapolation).
+    /// Total edges in the workload.
     pub total_edges: u64,
     /// L2 misses over the simulated prefix.
     pub l2_misses: u64,
@@ -52,20 +45,6 @@ pub struct TraceResult {
 }
 
 impl TraceResult {
-    /// Extrapolation factor from the simulated prefix to the full run.
-    pub fn scale(&self) -> f64 {
-        if self.simulated_edges == 0 {
-            1.0
-        } else {
-            self.total_edges as f64 / self.simulated_edges as f64
-        }
-    }
-
-    /// Extrapolated DRAM bytes for the full workload.
-    pub fn dram_bytes_scaled(&self) -> u64 {
-        (self.dram_bytes as f64 * self.scale()) as u64
-    }
-
     /// L2 misses per kilo-instruction.
     pub fn l2_mpki(&self) -> f64 {
         Hierarchy::mpki(self.l2_misses, self.instructions)
@@ -160,54 +139,6 @@ pub fn naive_trace(graph: &Graph, agg_width: usize, max_edges: u64) -> TraceResu
     finish(res, h)
 }
 
-/// Replays the shard-ordered, fused aggregation trace (the PyG-CPU-OP
-/// variant): destination and source intervals sized so one interval of
-/// accumulators plus one interval of source rows fit in
-/// `cache_budget_bytes` (the L2), with no materialized temporary.
-pub fn sharded_trace(
-    graph: &Graph,
-    agg_width: usize,
-    cache_budget_bytes: usize,
-    max_edges: u64,
-) -> TraceResult {
-    let mut h = Hierarchy::xeon();
-    let lay = Layout::new(graph, agg_width);
-    let rows_per_half =
-        ((cache_budget_bytes / 2).max(lay.row_bytes as usize)) / lay.row_bytes as usize;
-    let spec = PartitionSpec::new(rows_per_half.max(1), rows_per_half.max(1));
-    let plan = spec.partition(graph);
-
-    let mut res = TraceResult {
-        total_edges: graph.num_edges() as u64,
-        ..Default::default()
-    };
-    'outer: for i in 0..plan.num_dst_intervals() {
-        for j in 0..plan.num_src_intervals() {
-            let mut done = false;
-            plan.for_each_shard_edge(graph, i, j, |src, dst| {
-                if done {
-                    return;
-                }
-                h.access(lay.edge_base + res.simulated_edges * 4);
-                h.access_range(
-                    lay.feat_base + u64::from(src) * lay.row_bytes,
-                    lay.row_bytes,
-                );
-                h.access_range(lay.acc_base + u64::from(dst) * lay.row_bytes, lay.row_bytes);
-                charge(&mut res, agg_width);
-                res.simulated_edges += 1;
-                if res.simulated_edges >= max_edges {
-                    done = true;
-                }
-            });
-            if done {
-                break 'outer;
-            }
-        }
-    }
-    finish(res, h)
-}
-
 fn charge(res: &mut TraceResult, agg_width: usize) {
     res.elem_ops += agg_width as u64;
     res.instructions += INSTR_PER_EDGE + INSTR_PER_ELEM * agg_width as u64;
@@ -230,32 +161,16 @@ mod tests {
         let g = preferential_attachment(500, 3, 1).unwrap();
         let r = naive_trace(&g, 128, u64::MAX);
         assert_eq!(r.simulated_edges, g.num_edges() as u64);
-        assert!((r.scale() - 1.0).abs() < 1e-12);
+        assert_eq!(r.total_edges, r.simulated_edges);
     }
 
     #[test]
-    fn cap_truncates_and_scales() {
+    fn cap_truncates_the_prefix() {
         let g = preferential_attachment(500, 3, 1).unwrap();
         let r = naive_trace(&g, 128, 100);
         assert_eq!(r.simulated_edges, 100);
-        assert!(r.scale() > 1.0);
-        assert!(r.dram_bytes_scaled() >= r.dram_bytes);
-    }
-
-    #[test]
-    fn sharding_beats_naive_on_large_working_sets() {
-        // Working set must exceed L2: 4096 vertices x 512 B rows = 2 MB
-        // features + 2 MB accumulators, plus the naive materialization.
-        let g = rmat(4096, 40_000, RmatParams::default(), 3).unwrap();
-        let naive = naive_trace(&g, 128, u64::MAX);
-        let sharded = sharded_trace(&g, 128, 256 << 10, u64::MAX);
-        assert!(
-            sharded.dram_bytes < naive.dram_bytes,
-            "sharded {} vs naive {}",
-            sharded.dram_bytes,
-            naive.dram_bytes
-        );
-        assert!(sharded.l2_misses < naive.l2_misses);
+        assert_eq!(r.total_edges, g.num_edges() as u64);
+        assert_eq!(r.elem_ops, 100 * 128);
     }
 
     #[test]

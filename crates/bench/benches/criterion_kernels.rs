@@ -1,12 +1,11 @@
 //! Criterion micro-benchmarks of the hot kernels underlying the
-//! simulator and substrates: graph synthesis, interval partitioning,
-//! window planning and its occupancy bitmaps, neighbor sampling, gather
-//! aggregation, dense MVM, fixed-point MVM, the FR-FCFS span-program
-//! ordering pass (on programs
+//! simulator and substrates: graph synthesis, window planning and its
+//! occupancy bitmaps, neighbor sampling, gather aggregation, dense MVM,
+//! fixed-point MVM, the FR-FCFS span-program ordering pass (on programs
 //! that keep arrival order, one of them repeating a request block in
-//! every step, and on one it reorders) and its
-//! replay (one timing, and three timings as the lanes of one pass), and
-//! an end-to-end simulation per model.
+//! every step, and on one it reorders) and its replay (one timing, and
+//! three timings as the lanes of one pass), and an end-to-end simulation
+//! per model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -17,7 +16,7 @@ use hygcn_gcn::aggregate::{aggregate_all, Aggregator, SelfTerm};
 use hygcn_gcn::model::{GcnModel, ModelKind};
 use hygcn_graph::datasets::{DatasetKey, DatasetSpec};
 use hygcn_graph::generator::{rmat, RmatParams};
-use hygcn_graph::partition::{Interval, PartitionSpec};
+use hygcn_graph::partition::Interval;
 use hygcn_graph::sampling::{SamplePolicy, Sampler};
 use hygcn_graph::window::{OccupancyIndex, WindowPlanner};
 use hygcn_graph::Graph;
@@ -55,16 +54,6 @@ fn bench_synthesis(c: &mut Criterion) {
     let collab = DatasetSpec::get(DatasetKey::Cl);
     c.bench_function("synthesis/assembled_collab", |b| {
         b.iter(|| black_box(collab.instantiate(1.0, 1).expect("valid scale")))
-    });
-}
-
-fn bench_partition(c: &mut Criterion) {
-    let g = test_graph();
-    c.bench_function("partition/interval_shard_8192v", |b| {
-        b.iter(|| {
-            let p = PartitionSpec::new(1024, 128).partition(black_box(&g));
-            black_box(p.total_edges(&g))
-        })
     });
 }
 
@@ -301,7 +290,6 @@ criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(10);
     targets = bench_synthesis,
-        bench_partition,
         bench_window_planning,
         bench_occupancy_index,
         bench_sampling,

@@ -1133,7 +1133,8 @@ commands:
                aggbuf-mb/inputbuf-kb/edgebuf-kb/pipeline/coordination/
                sparsity/factor/simd-cores/modules/module-geom/agg-mode/
                sched/remap/controller/channels/row-bytes/burst-bytes/
-               clock-ghz/t-row
+               clock-ghz/t-row (edgebuf-kb changes the cache key only:
+               no model reads the Edge Buffer's capacity)
              --datasets IB,CR,...  --models GCN,GIN,...
              --scale F  --seed N
              --backend ID (evaluation backend, one of

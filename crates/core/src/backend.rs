@@ -16,12 +16,14 @@
 //!   equal inputs produce bit-identical reports across processes and
 //!   runs (the property the campaign store's resume semantics rest on).
 //!   Backends must not keep mutable state across calls.
-//! * `evaluate` is **total over the shared config**: every backend
-//!   returns [`SimError::Config`] for a config [`HyGcnConfig::validate`]
-//!   rejects, even a backend that reads none of the offending fields
-//!   (the platform and characterization models of `hygcn-baseline`
-//!   ignore the HBM geometry), so one config is never `Ok` under one
-//!   backend and `Err` under another.
+//! * `evaluate` is **total over the shared config**: every backend runs
+//!   [`crate::validate::validate_inputs`] first, so it returns
+//!   [`SimError::Config`] for a config [`HyGcnConfig::validate`]
+//!   rejects and [`SimError::BufferTooSmall`] for a buffer below one
+//!   feature row, even a backend that reads none of the offending
+//!   fields (the platform and characterization models of
+//!   `hygcn-baseline` ignore the HBM geometry and the buffers), so one
+//!   config is never `Ok` under one backend and `Err` under another.
 //! * `evaluate_lanes` is `evaluate` over a batch: entry `i` equals
 //!   `evaluate(graph, model, &configs[i])`, error or report, bit for
 //!   bit. The default loops over `evaluate`; `cycle` overrides it with

@@ -52,10 +52,20 @@ pub struct HyGcnConfig {
     /// Input Buffer capacity in bytes (double-buffered).
     pub input_buffer_bytes: usize,
     /// Edge Buffer capacity in bytes (double-buffered).
+    ///
+    /// Simplified on purpose: no model reads it, and nothing is bounded
+    /// by it. It enters [`Self::canon`], so the `edgebuf-kb` campaign
+    /// axis changes the cache key, but no report field. The engines'
+    /// per-chunk `edge_buffer_bytes` is traffic, not this capacity.
     pub edge_buffer_bytes: usize,
     /// Weight Buffer capacity in bytes (double-buffered).
     pub weight_buffer_bytes: usize,
     /// Output Buffer capacity in bytes (double-buffered).
+    ///
+    /// Simplified on purpose, like [`Self::edge_buffer_bytes`]: no model
+    /// reads it, so it changes [`Self::canon`] and the cache key, but no
+    /// report field. The engines' per-chunk `output_buffer_bytes` is
+    /// traffic, not this capacity.
     pub output_buffer_bytes: usize,
     /// Aggregation Buffer capacity in bytes (ping-pong halves).
     pub aggregation_buffer_bytes: usize,

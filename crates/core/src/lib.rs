@@ -25,13 +25,12 @@
 //! * [`engine::combination`] — multi-granular systolic modules (Fig. 6/7)
 //!   in independent (latency-optimal) or cooperative (energy-optimal)
 //!   working modes.
-//! * [`coordinator`] — the ping-pong Aggregation Buffer and the latency- /
-//!   energy-aware inter-engine pipelines of Fig. 8, plus the no-pipeline
-//!   ablation (intermediate results spill to DRAM).
 //! * [`sim`] — the execution-driven top level: drives both engines chunk
 //!   by chunk through the shared memory access handler (priority
-//!   coordination + a replayed [`hygcn_mem::SpanProgram`]) and produces
-//!   a [`report::SimReport`].
+//!   coordination + a replayed [`hygcn_mem::SpanProgram`]), steps them
+//!   through the latency- / energy-aware inter-engine pipelines of
+//!   Fig. 8 or the no-pipeline ablation (intermediate results spill to
+//!   DRAM), and produces a [`report::SimReport`].
 //! * [`energy`] — dynamic energy and the Table 7 area/power model.
 //! * [`functional`] — bit-level functional execution on the Q16.16
 //!   fixed-point datapath, validated against the `hygcn-gcn` golden model.
@@ -56,7 +55,6 @@
 pub mod analytical;
 pub mod backend;
 pub mod config;
-pub mod coordinator;
 pub mod energy;
 pub mod engine;
 pub mod error;
@@ -68,7 +66,6 @@ pub mod sim;
 pub mod sim_reference;
 pub mod stack;
 pub mod timeline;
-pub mod training;
 pub mod validate;
 
 pub use analytical::AnalyticalBackend;

@@ -72,15 +72,6 @@ impl SimReport {
         self.mem.total_bytes()
     }
 
-    /// Speedup of this run over another (their time / ours).
-    pub fn speedup_over_time(&self, other_time_s: f64) -> f64 {
-        if self.time_s <= 0.0 {
-            f64::INFINITY
-        } else {
-            other_time_s / self.time_s
-        }
-    }
-
     /// Serializes the report as stable, line-per-field JSON.
     ///
     /// Every scalar sits on its own line so snapshot mismatches diff at
@@ -194,13 +185,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(r.dram_bytes(), 150);
-        assert!((r.speedup_over_time(1.0) - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_time_speedup_is_infinite() {
-        let r = SimReport::default();
-        assert!(r.speedup_over_time(1.0).is_infinite());
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl StackReport {
     pub fn total_energy_j(&self) -> f64 {
         self.layers.iter().map(|l| l.energy_j()).sum()
     }
-
-    /// Total DRAM traffic in bytes.
-    pub fn total_dram_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.dram_bytes()).sum()
-    }
 }
 
 impl Simulator {
@@ -160,9 +155,5 @@ mod tests {
             .unwrap();
         assert!(r.total_time_s() > 0.0);
         assert!(r.total_energy_j() > 0.0);
-        assert_eq!(
-            r.total_dram_bytes(),
-            r.layers.iter().map(|l| l.dram_bytes()).sum::<u64>()
-        );
     }
 }

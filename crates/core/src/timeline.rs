@@ -95,23 +95,6 @@ pub fn render(traces: &[ChunkTrace]) -> String {
     out
 }
 
-/// Aggregate busy fractions over a whole timeline
-/// `(aggregation, combination, memory)`.
-pub fn busy_fractions(traces: &[ChunkTrace]) -> (f64, f64, f64) {
-    let total: u64 = traces.iter().map(|t| t.step_cycles).sum();
-    if total == 0 {
-        return (0.0, 0.0, 0.0);
-    }
-    let sum = |f: fn(&ChunkTrace) -> u64| {
-        traces.iter().map(|t| f(t).min(t.step_cycles)).sum::<u64>() as f64 / total as f64
-    };
-    (
-        sum(|t| t.agg_cycles),
-        sum(|t| t.comb_cycles),
-        sum(|t| t.mem_cycles),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,14 +130,5 @@ mod tests {
         assert!(out.contains("A"));
         assert!(out.contains("C"));
         assert_eq!(out.lines().count(), 3);
-    }
-
-    #[test]
-    fn busy_fractions_bounded() {
-        let (a, c, m) = busy_fractions(&[t(0, 10, 5, 3), t(1, 2, 20, 8), t(2, 7, 7, 7)]);
-        for v in [a, c, m] {
-            assert!((0.0..=1.0).contains(&v));
-        }
-        assert_eq!(busy_fractions(&[]), (0.0, 0.0, 0.0));
     }
 }

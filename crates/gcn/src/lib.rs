@@ -17,7 +17,7 @@
 //! * the operator vocabulary — [`aggregate::Aggregator`],
 //!   [`combine::Combine`], Pool ([`pool`]), Readout ([`readout`]);
 //! * the per-model layer configurations ([`model`]);
-//! * a software reference executor ([`reference`](crate::reference)) implementing the
+//! * a software reference executor ([`mod@reference`]) implementing the
 //!   edge- and MVM-centric programming model of Algorithm 1, used both as
 //!   the correctness oracle for the accelerator simulator and as the
 //!   operational model for the CPU/GPU baselines;

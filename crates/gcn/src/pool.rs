@@ -12,7 +12,6 @@
 //! (flexible) Aggregation Engine, and the matrix products onto the
 //! Combination Engine (§4.1).
 
-use hygcn_graph::{Coo, Graph};
 use hygcn_tensor::{activation, linalg, Matrix, TensorError};
 
 use crate::GcnError;
@@ -87,30 +86,6 @@ pub fn coarsen(
     })
 }
 
-impl DiffPoolOutput {
-    /// Converts the dense coarse adjacency `A'` into a sparse [`Graph`]
-    /// by keeping entries `>= threshold`, enabling *hierarchical* pooling:
-    /// the next DiffPool level runs on the returned graph with
-    /// [`DiffPoolOutput::features`] as its input matrix.
-    ///
-    /// Self-loops are dropped (the models add the self term explicitly).
-    pub fn coarse_graph(&self, threshold: f32) -> Graph {
-        let n = self.adjacency.rows();
-        let mut coo = Coo::new(n);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j && self.adjacency[(i, j)] >= threshold {
-                    coo.push(j as u32, i as u32)
-                        // lint: allow(unwrap) -- i, j < adjacency.rows() = coo's vertex count by construction
-                        .expect("cluster indices are in range");
-                }
-            }
-        }
-        coo.dedup();
-        Graph::from_coo(&coo, self.features.cols()).with_name("diffpool-coarse")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,34 +143,19 @@ mod tests {
     }
 
     #[test]
-    fn coarse_graph_respects_threshold() {
-        let scores = Matrix::random(8, 3, 1.0, 7);
-        let z = Matrix::random(8, 4, 1.0, 8);
-        let edges = [(0u32, 1u32), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4)];
-        let out = coarsen(&scores, &z, edges.iter().copied()).unwrap();
-        let loose = out.coarse_graph(0.0);
-        let strict = out.coarse_graph(f32::INFINITY);
-        assert_eq!(loose.num_vertices(), 3);
-        assert_eq!(strict.num_edges(), 0);
-        assert!(loose.num_edges() >= strict.num_edges());
-        assert_eq!(loose.feature_len(), 4);
-        // No self loops regardless of the diagonal's weight.
-        for v in 0..3 {
-            assert!(!loose.in_neighbors(v).contains(&v));
-        }
-    }
-
-    #[test]
     fn hierarchical_pooling_two_levels() {
         // Level 1 coarsens 8 vertices into 3 clusters; level 2 runs on
-        // the coarse graph.
+        // the coarse adjacency's off-diagonal entries of at least 1e-3.
         let scores = Matrix::random(8, 3, 1.0, 9);
         let z = Matrix::random(8, 4, 1.0, 10);
         let edges = [(0u32, 1u32), (1, 2), (2, 0), (4, 5), (6, 7)];
         let level1 = coarsen(&scores, &z, edges.iter().copied()).unwrap();
-        let coarse = level1.coarse_graph(1e-3);
-        let scores2 = Matrix::random(coarse.num_vertices(), 2, 1.0, 11);
-        let level2 = coarsen(&scores2, &level1.features, coarse.edges()).unwrap();
+        let a = &level1.adjacency;
+        let coarse_edges = (0..3u32)
+            .flat_map(|dst| (0..3u32).map(move |src| (src, dst)))
+            .filter(|&(src, dst)| src != dst && a[(dst as usize, src as usize)] >= 1e-3);
+        let scores2 = Matrix::random(3, 2, 1.0, 11);
+        let level2 = coarsen(&scores2, &level1.features, coarse_edges).unwrap();
         assert_eq!(level2.features.shape(), (2, 4));
     }
 }

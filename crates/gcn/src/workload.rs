@@ -105,24 +105,6 @@ impl LayerWorkload {
             edge_bytes: num_edges as u64 * EDGE_BYTES,
         }
     }
-
-    /// Total compute operations (aggregation accumulates + MACs).
-    pub fn total_ops(&self) -> u64 {
-        self.agg_elem_ops + self.combine_macs
-    }
-
-    /// The compulsory (cold, perfectly-cached) DRAM traffic in bytes:
-    /// every input read once, every output written once.
-    pub fn compulsory_bytes(&self) -> u64 {
-        self.input_feature_bytes + self.output_feature_bytes + self.edge_bytes + self.weight_bytes
-    }
-
-    /// Arithmetic intensity in ops per compulsory byte — the roofline
-    /// x-coordinate that separates memory-bound Aggregation from
-    /// compute-bound Combination (Table 3).
-    pub fn arithmetic_intensity(&self) -> f64 {
-        self.total_ops() as f64 / self.compulsory_bytes().max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -186,26 +168,5 @@ mod tests {
             + 10 * c * 128             // CᵀZ
             + 20 * c * c; // CᵀAC
         assert_eq!(w.combine_macs, expected);
-    }
-
-    #[test]
-    fn arithmetic_intensity_orders_phases() {
-        // Combination-heavy config should have much higher intensity than
-        // an aggregation-only one.
-        let g = ring(50, 256);
-        let m = GcnModel::new(ModelKind::Gcn, 256, 1).unwrap();
-        let w = LayerWorkload::of(&g, &m, 0);
-        assert!(w.arithmetic_intensity() > 1.0);
-    }
-
-    #[test]
-    fn compulsory_bytes_accounts_everything() {
-        let g = ring(4, 8);
-        let m = GcnModel::new(ModelKind::Gcn, 8, 1).unwrap();
-        let w = LayerWorkload::of(&g, &m, 0);
-        assert_eq!(
-            w.compulsory_bytes(),
-            w.input_feature_bytes + w.output_feature_bytes + w.edge_bytes + w.weight_bytes
-        );
     }
 }

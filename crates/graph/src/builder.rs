@@ -22,7 +22,6 @@ pub struct GraphBuilder {
     coo: Coo,
     feature_len: usize,
     name: Option<String>,
-    dedup: bool,
 }
 
 impl GraphBuilder {
@@ -33,7 +32,6 @@ impl GraphBuilder {
             coo: Coo::new(num_vertices),
             feature_len: 1,
             name: None,
-            dedup: true,
         }
     }
 
@@ -46,13 +44,6 @@ impl GraphBuilder {
     /// Sets the dataset name.
     pub fn name(mut self, name: impl Into<String>) -> Self {
         self.name = Some(name.into());
-        self
-    }
-
-    /// Disables duplicate-edge/self-loop removal at build time (generators
-    /// that already canonicalize can skip the extra sort).
-    pub fn keep_duplicates(mut self) -> Self {
-        self.dedup = false;
         self
     }
 
@@ -91,11 +82,10 @@ impl GraphBuilder {
         Ok(self)
     }
 
-    /// Finalizes into a [`Graph`].
+    /// Finalizes into a [`Graph`], dropping duplicate edges and
+    /// self-loops ([`Coo::dedup`]).
     pub fn build(mut self) -> Graph {
-        if self.dedup {
-            self.coo.dedup();
-        }
+        self.coo.dedup();
         let g = Graph::from_coo(&self.coo, self.feature_len);
         match self.name {
             Some(name) => g.with_name(name),
@@ -109,22 +99,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_dedups_by_default() {
+    fn builder_dedups() {
         let g = GraphBuilder::new(3)
             .edges([(0, 1), (0, 1), (1, 1)])
             .unwrap()
             .build();
         assert_eq!(g.num_edges(), 1);
-    }
-
-    #[test]
-    fn keep_duplicates_preserves() {
-        let g = GraphBuilder::new(3)
-            .keep_duplicates()
-            .edges([(0, 1), (0, 1)])
-            .unwrap()
-            .build();
-        assert_eq!(g.num_edges(), 2);
     }
 
     #[test]

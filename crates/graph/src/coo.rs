@@ -110,11 +110,6 @@ impl Coo {
         self.edges.sort_unstable_by_key(|&(s, d)| (d, s));
         self.edges.dedup();
     }
-
-    /// Consumes the list, returning the pairs.
-    pub fn into_pairs(self) -> Vec<(VertexId, VertexId)> {
-        self.edges
-    }
 }
 
 impl Extend<(VertexId, VertexId)> for Coo {
@@ -192,11 +187,5 @@ mod tests {
             coo,
             Coo::from_pairs(3, [(0, 2), (2, 0), (1, 2), (2, 1)]).unwrap()
         );
-    }
-
-    #[test]
-    fn into_pairs_roundtrip() {
-        let coo = Coo::from_pairs(3, [(0, 1), (1, 2)]).unwrap();
-        assert_eq!(coo.into_pairs(), vec![(0, 1), (1, 2)]);
     }
 }

@@ -117,22 +117,6 @@ impl Csc {
         &self.sources[self.offsets[v]..self.offsets[v + 1]]
     }
 
-    /// Sources of `v` restricted to the half-open id range
-    /// `[lo, hi)` — the edges of shard rows `lo..hi` for column `v`.
-    ///
-    /// Runs in `O(log d + k)` where `d` is the degree of `v` and `k` the
-    /// number of matching edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= num_vertices`.
-    pub fn sources_in_range(&self, v: VertexId, lo: VertexId, hi: VertexId) -> &[VertexId] {
-        let all = self.sources(v);
-        let start = all.partition_point(|&s| s < lo);
-        let end = all.partition_point(|&s| s < hi);
-        &all[start..end]
-    }
-
     /// In-degree of `v`.
     ///
     /// # Panics
@@ -178,20 +162,6 @@ mod tests {
         assert_eq!(csc.num_vertices(), 4);
         assert_eq!(csc.num_edges(), 6);
         assert_eq!(csc.degree(3), 3);
-    }
-
-    #[test]
-    fn range_query_matches_filter() {
-        let csc = sample();
-        assert_eq!(csc.sources_in_range(3, 1, 3), &[1, 2]);
-        assert_eq!(csc.sources_in_range(3, 0, 1), &[0]);
-        assert!(csc.sources_in_range(3, 3, 4).is_empty());
-    }
-
-    #[test]
-    fn range_query_empty_range() {
-        let csc = sample();
-        assert!(csc.sources_in_range(0, 2, 2).is_empty());
     }
 
     #[test]

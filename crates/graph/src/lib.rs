@@ -7,10 +7,10 @@
 //! (CSC) form, the one adjacency a [`Graph`] stores, and relies on three
 //! graph-side mechanisms that this crate implements from scratch:
 //!
-//! * **Interval–shard partitioning** ([`partition`]) — the static
-//!   locality-enhancing decomposition of Fig. 5(a)/(b) of the paper, where
-//!   destination vertices are grouped into *intervals* and edges into
-//!   *shards*.
+//! * **Intervals** ([`partition`]) — the vertex ranges of the
+//!   locality-enhancing interval–shard decomposition of Fig. 5(a)/(b) of
+//!   the paper, where destination vertices are grouped into *intervals*
+//!   and edges into *shards*.
 //! * **Window sliding and shrinking** ([`window`]) — the dynamic, data-aware
 //!   sparsity elimination of Fig. 5(c)/(d) and Algorithm 4, which skips
 //!   loading feature rows of source vertices that share no edge with the
@@ -26,7 +26,7 @@
 //! ## Example
 //!
 //! ```
-//! use hygcn_graph::{GraphBuilder, partition::PartitionSpec};
+//! use hygcn_graph::{partition::Interval, window::WindowPlanner, GraphBuilder};
 //!
 //! # fn main() -> Result<(), hygcn_graph::GraphError> {
 //! let graph = GraphBuilder::new(6)
@@ -36,13 +36,17 @@
 //!     .undirected_edge(2, 3)?
 //!     .undirected_edge(4, 5)?
 //!     .build();
-//! let plan = PartitionSpec::new(2, 2).partition(&graph);
-//! assert_eq!(plan.num_dst_intervals(), 3);
+//! // Destinations 0 and 1 gather from sources 0, 1 and 2. Windows two
+//! // rows tall load rows 0..2 and 2..3, and skip rows 3..6.
+//! let windows = WindowPlanner::new(2).plan(&graph, Interval::new(0, 2));
+//! assert_eq!(windows.len(), 2);
+//! assert_eq!(windows[0].rows, Interval::new(0, 2));
+//! assert_eq!(windows[1].rows, Interval::new(2, 3));
+//! assert_eq!(windows.iter().map(|w| w.edge_count).sum::<usize>(), 3);
 //! # Ok(())
 //! # }
 //! ```
 
-pub mod batch;
 pub mod builder;
 pub mod coo;
 pub mod csc;

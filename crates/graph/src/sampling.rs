@@ -53,11 +53,6 @@ impl SamplePolicy {
             SamplePolicy::Factor(f) | SamplePolicy::Strided(f) => f > 1,
         }
     }
-
-    /// Whether sampling is deterministic (independent of the RNG seed).
-    pub fn is_deterministic(&self) -> bool {
-        matches!(self, SamplePolicy::All | SamplePolicy::Strided(_))
-    }
 }
 
 /// Deterministic uniform neighbor sampler.
@@ -232,8 +227,6 @@ mod tests {
         let a = Sampler::new(1).sample(&g, SamplePolicy::Strided(4));
         let b = Sampler::new(999).sample(&g, SamplePolicy::Strided(4));
         assert_eq!(a, b);
-        assert!(SamplePolicy::Strided(4).is_deterministic());
-        assert!(!SamplePolicy::MaxNeighbors(4).is_deterministic());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the graph substrate's core invariants.
 
-use hygcn_graph::partition::{Interval, PartitionSpec};
+use hygcn_graph::partition::Interval;
 use hygcn_graph::sampling::{SamplePolicy, Sampler};
 use hygcn_graph::window::WindowPlanner;
 use hygcn_graph::{Coo, Csc, Graph};
@@ -37,14 +37,6 @@ proptest! {
         }
         let back = Coo::from_pairs(n, t.edges().map(|(s, d)| (d, s))).unwrap();
         prop_assert_eq!(&Csc::from_coo(&back), g.csc());
-    }
-
-    /// Every partition covers each edge exactly once, for arbitrary
-    /// interval sizes.
-    #[test]
-    fn partition_is_exact_cover(g in arb_graph(), d in 1usize..20, s in 1usize..20) {
-        let p = PartitionSpec::new(d, s).partition(&g);
-        prop_assert_eq!(p.total_edges(&g), g.num_edges());
     }
 
     /// Window planning covers every edge exactly once and never produces a

@@ -36,8 +36,6 @@
 //!   baseline of Fig. 9(a)) vs the priority order
 //!   `edges > input features > weights > output features` of Fig. 9(b),
 //!   drained batch-by-batch.
-//! * [`buffer`] — on-chip eDRAM buffer accounting (Edge, Input, Weight,
-//!   Output, and the ping-pong Aggregation Buffer).
 //! * [`energy`] — HBM energy at 7 pJ/bit (paper §5.1) and eDRAM access
 //!   energy constants.
 //! * [`stats`] — traffic, row-hit, and bandwidth-utilization counters.
@@ -61,7 +59,6 @@
 //! ```
 
 pub mod address;
-pub mod buffer;
 pub mod cast;
 pub mod energy;
 pub mod hbm;

@@ -43,11 +43,6 @@ impl Fixed32 {
         self.0 as f32 / ONE_RAW as f32
     }
 
-    /// Constructs from the raw two's-complement representation.
-    pub fn from_raw(raw: i32) -> Self {
-        Fixed32(raw)
-    }
-
     /// The raw representation.
     pub fn raw(self) -> i32 {
         self.0
@@ -64,11 +59,6 @@ impl Fixed32 {
     /// ReLU on the raw representation.
     pub fn relu(self) -> Fixed32 {
         Fixed32(self.0.max(0))
-    }
-
-    /// Absolute difference to `other` as an `f32`.
-    pub fn abs_diff_f32(self, other: Fixed32) -> f32 {
-        (self.to_f32() - other.to_f32()).abs()
     }
 }
 

@@ -198,6 +198,123 @@ fn every_backend_rejects_what_config_validation_rejects() {
     }
 }
 
+/// Every backend id returns what `cycle` returns — `Ok`, or an error of
+/// the same `SimError` variant — and none panics, with each config field
+/// at extreme values, for GCN and GraphSage. The platform and
+/// characterization backends read none of the buffer or HBM fields, but
+/// they run the simulator's own input check, so a buffer below one
+/// feature row is a `BufferTooSmall` under all nine ids.
+#[test]
+fn every_backend_agrees_with_cycle_on_extreme_field_values() {
+    use hygcn_suite::mem::hbm::ControllerPolicy;
+    fn size(v: u64) -> usize {
+        usize::try_from(v).unwrap_or(usize::MAX)
+    }
+    const SIZES: [u64; 9] = [0, 1, 2, 3, 64, 1 << 16, (1 << 16) + 1, 1 << 40, u64::MAX];
+    const TIMINGS: [u64; 5] = [0, 1, 1 << 20, (1 << 20) + 1, u64::MAX];
+    const REALS: [f64; 6] = [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-300, 1e300];
+    type Set<T> = fn(&mut HyGcnConfig, T);
+    let sizes: [(&str, Set<u64>); 17] = [
+        ("simd_cores", |c, v| c.simd_cores = size(v)),
+        ("simd_width", |c, v| c.simd_width = size(v)),
+        ("systolic_modules", |c, v| c.systolic_modules = size(v)),
+        ("module_rows", |c, v| c.module_rows = size(v)),
+        ("module_cols", |c, v| c.module_cols = size(v)),
+        ("module_group_vertices", |c, v| {
+            c.module_group_vertices = size(v)
+        }),
+        ("input_buffer_bytes", |c, v| c.input_buffer_bytes = size(v)),
+        ("edge_buffer_bytes", |c, v| c.edge_buffer_bytes = size(v)),
+        ("weight_buffer_bytes", |c, v| {
+            c.weight_buffer_bytes = size(v)
+        }),
+        ("output_buffer_bytes", |c, v| {
+            c.output_buffer_bytes = size(v)
+        }),
+        ("aggregation_buffer_bytes", |c, v| {
+            c.aggregation_buffer_bytes = size(v)
+        }),
+        ("hbm.channels", |c, v| c.hbm.channels = size(v)),
+        ("hbm.banks", |c, v| c.hbm.banks = size(v)),
+        ("hbm.row_bytes", |c, v| c.hbm.row_bytes = v),
+        ("hbm.burst_bytes", |c, v| c.hbm.burst_bytes = v),
+        ("hbm FR-FCFS window", |c, v| {
+            c.hbm.controller = ControllerPolicy::FrFcfs { window: size(v) }
+        }),
+        ("sample_seed", |c, v| c.sample_seed = v),
+    ];
+    let timings: [(&str, Set<u64>); 3] = [
+        ("hbm.t_burst", |c, v| c.hbm.t_burst = v),
+        ("hbm.t_row", |c, v| c.hbm.t_row = v),
+        ("hbm.t_cas", |c, v| c.hbm.t_cas = v),
+    ];
+    let reals: [(&str, Set<f64>); 2] = [
+        ("clock_ghz", |c, v| c.clock_ghz = v),
+        ("fidelity", |c, v| c.fidelity = v),
+    ];
+    let policies: [fn(usize) -> SamplePolicy; 3] = [
+        SamplePolicy::MaxNeighbors,
+        SamplePolicy::Factor,
+        SamplePolicy::Strided,
+    ];
+    let edited = |set: &dyn Fn(&mut HyGcnConfig)| {
+        let mut cfg = HyGcnConfig::default();
+        set(&mut cfg);
+        cfg
+    };
+    let mut cases = Vec::new();
+    for (fields, values) in [(&sizes[..], &SIZES[..]), (&timings[..], &TIMINGS[..])] {
+        for &(field, set) in fields {
+            for &v in values {
+                cases.push((format!("{field} = {v}"), edited(&|c| set(c, v))));
+            }
+        }
+    }
+    for (field, set) in reals {
+        for v in REALS {
+            cases.push((format!("{field} = {v}"), edited(&|c| set(c, v))));
+        }
+    }
+    for policy in policies {
+        for n in [0, usize::MAX] {
+            let label = format!("sample_policy_override = {:?}", policy(n));
+            cases.push((
+                label,
+                edited(&|c| c.sample_policy_override = Some(policy(n))),
+            ));
+        }
+    }
+    let graph = hygcn_suite::graph::generator::preferential_attachment(256, 4, 1)
+        .unwrap()
+        .with_feature_len(32);
+    let backends: Vec<_> = BACKEND_IDS.iter().map(|&id| resolve(id).unwrap()).collect();
+    let cycle = BACKEND_IDS.iter().position(|&id| id == "cycle").unwrap();
+    let variant = |e: &Option<SimError>| e.as_ref().map(std::mem::discriminant);
+    for kind in [ModelKind::Gcn, ModelKind::GraphSage] {
+        let model = hygcn_suite::gcn::model::GcnModel::new(kind, 32, 0xC0DE).unwrap();
+        for (label, cfg) in &cases {
+            let errors: Vec<Option<SimError>> = backends
+                .iter()
+                .map(|backend| {
+                    let id = backend.backend_id();
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        backend.evaluate(&graph, &model, cfg)
+                    }))
+                    .unwrap_or_else(|_| panic!("{id} {kind:?} {label}: panicked"))
+                    .err()
+                })
+                .collect();
+            for (id, error) in BACKEND_IDS.iter().zip(&errors) {
+                assert!(
+                    variant(error) == variant(&errors[cycle]),
+                    "{id} {kind:?} {label}: {error:?}, but cycle: {:?}",
+                    errors[cycle]
+                );
+            }
+        }
+    }
+}
+
 /// HBM timing is bounded at `HbmConfig::MAX_TIMING_CYCLES` (2^20):
 /// past it every simulator backend returns a config error instead of a
 /// cycle count that wrapped, and at it every backend still simulates.
